@@ -1,12 +1,22 @@
-"""Code construction C(m), systematic encoding, error injection, syndromes."""
+"""Code construction C(m), systematic encoding, error injection, syndromes.
+
+Every evaluation on the decode path reads one memoized point x monomial
+table (``CodeSpec.eval_row``): the row of z^n holds its log value at each
+code point.  Sums are accumulated in bit-vector form and converted to log
+form once, the software counterpart of the table-driven syndrome and
+Chien-search units.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
-from .curve import CurveSpec, Mono, Point
-from .gf import GF, ZERO
+from .curve import BiPoly, CurveSpec, Mono, Point
+from .gf import GF, ZERO, OpCounter
+
+POLE = None  # evaluation-table marker: z^n has a pole at this point
 
 
 @dataclass
@@ -50,6 +60,7 @@ class CodeSpec:
         self.syndrome_domain = [
             n for n in self.curve.phi(0, 2 * self.curve.a - 1, self.m) if self._evaluable(n)
         ]
+        self._rows: dict[Mono, list[int | None]] = {}
 
     def _evaluable(self, n: Mono) -> bool:
         """Monomial evaluable at every code point (Klein: regular at P_(1:0:0))."""
@@ -58,6 +69,46 @@ class CodeSpec:
     @property
     def dim(self) -> int:
         return self.n - len(self.basis)
+
+    # -- evaluation table ----------------------------------------------------
+
+    def eval_row(self, n: Mono) -> list[int | None]:
+        """Logs of z^n at every code point, POLE where z^n has a pole
+        (Klein's P_(1:0:0) when 2*n1 < n2).
+
+        Built on first use and kept for the life of the code, so callers
+        that never evaluate pay nothing.  The row is shared: do not mutate.
+        """
+        row = self._rows.get(n)
+        if row is None:
+            row = []
+            for p in self.points:
+                try:
+                    row.append(self.curve.eval_monomial(self.fld, n, p))
+                except ValueError:
+                    row.append(POLE)
+            self._rows[n] = row
+        return row
+
+    def eval_poly(self, poly: BiPoly, j: int, ctr: OpCounter | None = None) -> int:
+        """poly at code point j from the table.
+
+        Charges ``ctr`` one mul and one add per term, as
+        ``CurveSpec.eval_poly`` does, and raises ValueError at the first
+        term with a pole there, after charging the terms before it.
+        """
+        exp, qm1 = self.fld.exp, self.fld.q - 1
+        acc = 0
+        for n, c in poly.items():
+            z = self.eval_row(n)[j]
+            if z is POLE:
+                raise ValueError(f"monomial {n} has a pole at {self.points[j].special}")
+            if ctr is not None:
+                ctr.muls += 1
+                ctr.adds += 1
+            if c != ZERO and z != ZERO:
+                acc ^= exp[(c + z) % qm1]
+        return self.fld.from_vec(acc)
 
     def zero_word(self, role: str = "codeword") -> Word:
         return Word([ZERO] * self.n, role)
@@ -69,28 +120,41 @@ class CodeSpec:
 
     def parity_check_matrix(self) -> linalg.Matrix:
         """Rows [z^l(P_j)] for l in the basis of L(m P_inf)."""
-        return [
-            [self.curve.eval_monomial(self.fld, n, p) for p in self.points] for n in self.basis
+        return [self.eval_row(n)[:] for n in self.basis]
+
+    @cached_property
+    def _encoder(self) -> tuple[list[int], list[tuple[int, list[tuple[int, int]]]]]:
+        """Free columns of rref(H), and per pivot column the nonzero
+        (message index, log coefficient) pairs of its row; computed on the
+        first ``encode`` and reused by every later one."""
+        red, pivots = linalg.rref(self.fld, self.parity_check_matrix())
+        if len(pivots) != len(self.basis):
+            raise ValueError("parity-check matrix is rank-deficient")
+        pivot_set = set(pivots)
+        free = [j for j in range(self.n) if j not in pivot_set]
+        parity = [
+            (pc, [(k, red[r][j]) for k, j in enumerate(free) if red[r][j] != ZERO])
+            for r, pc in enumerate(pivots)
         ]
+        return free, parity
 
     def encode(self, message: list[int]) -> Word:
         """Systematic encoding: message symbols on free columns of rref(H),
         parity symbols solved on pivot columns so that H c = 0."""
-        h = self.parity_check_matrix()
-        red, pivots = linalg.rref(self.fld, h)
-        if len(pivots) != len(self.basis):
-            raise ValueError("parity-check matrix is rank-deficient")
-        free = [j for j in range(self.n) if j not in pivots]
+        free, parity = self._encoder
         if len(message) != len(free):
             raise ValueError(f"message length {len(message)} != code dimension {len(free)}")
+        exp, qm1 = self.fld.exp, self.fld.q - 1
         c = [ZERO] * self.n
         for j, sym in zip(free, message):
             c[j] = sym
-        for r, pc in enumerate(pivots):
-            acc = ZERO
-            for j, sym in zip(free, message):
-                acc = self.fld.add(acc, self.fld.mul(red[r][j], sym))
-            c[pc] = acc  # char 2: parity = sum, no sign
+        for pc, row in parity:
+            acc = 0
+            for k, h in row:
+                sym = message[k]
+                if sym != ZERO:
+                    acc ^= exp[(h + sym) % qm1]
+            c[pc] = self.fld.from_vec(acc)  # char 2: parity = sum, no sign
         return Word(c, "codeword")
 
     # -- errors and syndromes -----------------------------------------------
@@ -100,24 +164,34 @@ class CodeSpec:
             raise ValueError("duplicate error locations")
         if len(locs) != len(vals):
             raise ValueError("locs and vals length mismatch")
-        if any(v == ZERO for v in vals):
-            raise ValueError("error values must be nonzero")
+        if any(not 0 <= j < self.n for j in locs):
+            raise ValueError(f"error locations must lie in [0, {self.n})")
+        if any(not 0 <= v < self.fld.q - 1 for v in vals):
+            raise ValueError(f"error values must be nonzero logs in [0, {self.fld.q - 1})")
         out = Word(word.symbols[:], "received")
         for j, v in zip(locs, vals):
             out.symbols[j] = self.fld.add(out.symbols[j], v)
         return out
 
     def syndromes(self, word: Word) -> dict[Mono, int]:
-        """u_l = sum_j r_j z^l(P_j) for every evaluable l in Phi(2a-1, m)."""
+        """u_l = sum_j r_j z^l(P_j) for every evaluable l in Phi(2a-1, m).
+
+        Only the nonzero symbols are visited; each sum is accumulated in
+        bit-vector form from the evaluation table.
+        """
         if len(word.symbols) != self.n:
             raise ValueError("word length mismatch")
+        exp, qm1 = self.fld.exp, self.fld.q - 1
+        nonzero = [(j, r) for j, r in enumerate(word.symbols) if r != ZERO]
         out: dict[Mono, int] = {}
         for l in self.syndrome_domain:
-            acc = ZERO
-            for r, p in zip(word.symbols, self.points):
-                if r != ZERO:
-                    acc = self.fld.add(acc, self.fld.mul(r, self.curve.eval_monomial(self.fld, l, p)))
-            out[l] = acc
+            row = self.eval_row(l)
+            acc = 0
+            for j, r in nonzero:
+                z = row[j]
+                if z != ZERO:
+                    acc ^= exp[(r + z) % qm1]
+            out[l] = self.fld.from_vec(acc)
         return out
 
     def full_syndromes_from_errors(

@@ -43,10 +43,11 @@ def _zscale(code: CodeSpec, c: int, p: ZPoly, ctr: OpCounter | None) -> ZPoly:
     return {h: code.fld.mul(c, v, ctr) for h, v in p.items()}
 
 
-def _zadd(code: CodeSpec, p: ZPoly, q: ZPoly) -> ZPoly:
+def _zadd(code: CodeSpec, p: ZPoly, q: ZPoly, ctr: OpCounter | None) -> ZPoly:
+    """p + q; ``ctr`` is charged one add per coefficient of q merged in."""
     out = dict(p)
     for h, v in q.items():
-        s = code.fld.add(out.get(h, ZERO), v)
+        s = code.fld.add(out.get(h, ZERO), v, ctr)
         if s == ZERO:
             out.pop(h, None)
         else:
@@ -182,11 +183,13 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
         preserved = d[i] == ZERO or (state.s1[i] >= l[0] - state.c1[ib])
 
         if state.mode == INVERSE_FREE:
-            new_f[i] = _zadd(code, _zscale(code, e[ib], old.f[i], ctr), _zscale(code, d[i], old.g[ib], ctr))
-            vv = _zadd(code, _zscale(code, e[ib], old.v[i], ctr), _zscale(code, d[i], old.w[ib], ctr))
+            new_f[i] = _zadd(
+                code, _zscale(code, e[ib], old.f[i], ctr), _zscale(code, d[i], old.g[ib], ctr), ctr
+            )
+            vv = _zadd(code, _zscale(code, e[ib], old.v[i], ctr), _zscale(code, d[i], old.w[ib], ctr), ctr)
         else:
-            new_f[i] = _zadd(code, old.f[i], _zscale(code, d[i], old.g[ib], ctr))
-            vv = _zadd(code, old.v[i], _zscale(code, d[i], old.w[ib], ctr))
+            new_f[i] = _zadd(code, old.f[i], _zscale(code, d[i], old.g[ib], ctr), ctr)
+            vv = _zadd(code, old.v[i], _zscale(code, d[i], old.w[ib], ctr), ctr)
         vv.pop(N, None)  # mod Z^N: the consumed head is deleted explicitly
         new_v[i] = _prune(vv, old.top)
 

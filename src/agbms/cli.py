@@ -89,7 +89,7 @@ def write_word(path: str, word: Word) -> None:
         fh.write(" ".join(str(s) for s in word.symbols) + "\n")
 
 
-def read_errors(path: str) -> tuple[list[int], list[int]]:
+def read_errors(path: str, code: CodeSpec) -> tuple[list[int], list[int]]:
     locs, vals = [], []
     try:
         with open(path) as fh:
@@ -102,6 +102,10 @@ def read_errors(path: str) -> tuple[list[int], list[int]]:
                 vals.append(int(v))
     except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read error file {path!r}: {exc}") from exc
+    if any(not 0 <= j < code.n for j in locs):
+        raise SpecError(f"error locations outside [0, {code.n})")
+    if any(not 0 <= v < code.fld.q - 1 for v in vals):
+        raise SpecError(f"error values outside the nonzero log range [0, {code.fld.q - 1})")
     return locs, vals
 
 
@@ -115,7 +119,7 @@ def bundled_error_file(preset: str) -> str:
 def cmd_decode(args) -> int:
     code, digest = load_code(args.spec)
     if args.errors:
-        locs, vals = read_errors(args.received)
+        locs, vals = read_errors(args.received, code)
         received = code.inject_errors(code.zero_word(), locs, vals)
     else:
         received = read_word(args.received, code)
@@ -144,7 +148,7 @@ def cmd_decode(args) -> int:
 def cmd_trace_arch(args) -> int:
     code, digest = load_code(args.spec)
     if args.errors:
-        locs, vals = read_errors(args.received)
+        locs, vals = read_errors(args.received, code)
         received = code.inject_errors(code.zero_word(), locs, vals)
     else:
         received = read_word(args.received, code)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from . import bms, linalg
 from .agcode import CodeSpec, Word
-from .curve import Mono
+from .curve import BiPoly, Mono
 from .gf import ZERO, OpCounter
 
 SUCCESS = "Success"
@@ -24,12 +24,45 @@ class DecodeResult:
 
 
 def chien_search(basis: bms.LocatorOutput, code: CodeSpec) -> list[int]:
-    """Indices of code points where every F^(i) vanishes (exhaustive scan)."""
+    """Indices of code points where every F^(i) vanishes (exhaustive scan).
+
+    Each F^(i)(P_j) is summed in bit-vector form from the evaluation-table
+    rows of its terms; a point is dropped at the first F^(i) that does not
+    vanish there.
+    """
+    exp, qm1 = code.fld.exp, code.fld.q - 1
+    polys = [[(c, code.eval_row(n)) for n, c in F.items() if c != ZERO] for F in basis.F]
     out = []
-    for j, p in enumerate(code.points):
-        if all(code.curve.eval_poly(code.fld, F, p) == ZERO for F in basis.F):
+    for j in range(code.n):
+        for terms in polys:
+            acc = 0
+            for c, row in terms:
+                z = row[j]
+                if z != ZERO:
+                    acc ^= exp[(c + z) % qm1]
+            if acc:
+                break
+        else:
             out.append(j)
     return out
+
+
+def _eval_derivative(
+    code: CodeSpec, deriv: tuple[BiPoly, BiPoly], j: int, ctr: OpCounter | None
+) -> int:
+    """``CurveSpec.eval_derivative`` at code point j, from the table, with
+    the same operation charges."""
+    num, den = deriv
+    nv = code.eval_poly(num, j, ctr)
+    if den == {(0, 0): 0}:
+        return nv
+    dv = code.eval_poly(den, j, ctr)
+    if dv == ZERO:
+        raise ZeroDivisionError(f"derivative denominator vanishes at {code.points[j]}")
+    if nv == ZERO:
+        return ZERO
+    inv, _ = code.fld.inv_chain(dv, ctr)
+    return code.fld.mul(nv, inv, ctr)
 
 
 def error_values(
@@ -63,13 +96,12 @@ def error_values(
         scale.append(fld.mul(inv_lead, inv_head, ctr))
     vals = []
     for j in locs:
-        p = code.points[j]
         acc = ZERO
         for i in range(cv.a):
             if not basis.G[i]:
                 continue
-            fp = cv.eval_derivative(fld, derivs[i], p, ctr)
-            gp = cv.eval_poly(fld, basis.G[i], p, ctr)
+            fp = _eval_derivative(code, derivs[i], j, ctr)
+            gp = code.eval_poly(basis.G[i], j, ctr)
             term = fld.mul(fld.mul(fp, gp, ctr), scale[i], ctr)
             acc = fld.add(acc, term, ctr)
         if acc == ZERO:
@@ -91,18 +123,18 @@ def error_values_interpolation(
     registers come out of a simultaneous multi-column degree jump it can
     lose the pairing normalization it needs; this solve covers those runs.
     """
-    cv, fld = code.curve, code.fld
     rows: linalg.Matrix = []
     rhs: list[int] = []
     N = -1
     while len(rows) < len(locs):
         N += 1
-        l = cv.l_of(0, N)
+        l = code.curve.l_of(0, N)
         if l is None:
             continue
-        rows.append([cv.eval_monomial(fld, l, code.points[j]) for j in locs])
+        row = code.eval_row(l)
+        rows.append([row[j] for j in locs])
         rhs.append(synd[l])
-    sol = linalg.solve(fld, rows, rhs)
+    sol = linalg.solve(code.fld, rows, rhs)
     if sol is None or any(v == ZERO for v in sol):
         return None
     return sol
@@ -116,9 +148,13 @@ def decode(
 ) -> DecodeResult:
     """Full pipeline with a miscorrection guard.
 
-    Success requires the Chien zero set to match the footprint size implied
-    by the final degrees, the footprint to stay within the generic budget,
-    and the re-computed syndromes of the corrected word to vanish; anything
+    Syndromes, Chien search and error values all read the code's
+    point x monomial evaluation table.  Success requires the Chien zero set
+    to match the footprint size implied by the final degrees, the footprint
+    to stay within the generic budget, and the corrected word to have zero
+    syndromes.  Syndromes are linear, so that last check is made on the
+    error word alone: its syndromes over the located positions must equal
+    the received ones, which costs t symbols instead of n.  Anything
     structurally off is reported as NotGenericDetected, arithmetic dead ends
     (Klein special-point derivative, vanishing value sum) as Failure.  When
     the closed-form values fail the re-check the pipeline re-evaluates by
@@ -150,11 +186,17 @@ def decode(
         return DecodeResult(SUCCESS, [], [], Word(received.symbols[:], "codeword"))
 
     def apply(vals: list[int]) -> Word | None:
+        # synd(received + error) = synd(received) + synd(error) vanishes
+        # exactly when the error word reproduces the received syndromes
+        error = code.zero_word("error")
+        for j, v in zip(locs, vals):
+            error.symbols[j] = v
+        if code.syndromes(error) != synd:
+            return None
         corrected = Word(received.symbols[:], "codeword")
         for j, v in zip(locs, vals):
             corrected.symbols[j] = code.fld.add(corrected.symbols[j], v)
-        check = code.syndromes(corrected)
-        return None if any(u != ZERO for u in check.values()) else corrected
+        return corrected
 
     closed_form_error = None
     try:

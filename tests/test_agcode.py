@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from agbms import CodeSpec, Word, elliptic_curve
+from agbms import CodeSpec, Word, elliptic_curve, linalg
+from agbms.agcode import POLE
 from agbms.gf import ZERO, GF
 from conftest import ELLIPTIC_VALS, ELLIPTIC_XY
 
@@ -52,6 +53,9 @@ def test_inject_errors_validation(elliptic):
         elliptic.inject_errors(w, [1], [ZERO])
     with pytest.raises(ValueError):
         elliptic.inject_errors(w, [1, 2], [0])
+    for locs, vals in [([99], [3]), ([24], [3]), ([-1], [3]), ([0], [40]), ([0], [15]), ([0], [-2])]:
+        with pytest.raises(ValueError):
+            elliptic.inject_errors(w, locs, vals)
 
 
 def test_inject_golden_scenario(elliptic):
@@ -122,3 +126,70 @@ def test_klein_syndrome_domain_drops_special_poles(klein):
     # monomials with a pole at P_(1:0:0) cannot be receiver syndromes
     assert all(2 * n1 >= n2 for n1, n2 in klein.syndrome_domain)
     assert (0, 1) not in klein.syndrome_domain
+
+
+def direct_syndromes(code, word):
+    """Reference: u_l summed point by point with curve.eval_monomial."""
+    f, cv = code.fld, code.curve
+    out = {}
+    for l in code.syndrome_domain:
+        acc = ZERO
+        for r, p in zip(word.symbols, code.points):
+            acc = f.add(acc, f.mul(r, cv.eval_monomial(f, l, p)))
+        out[l] = acc
+    return out
+
+
+def test_table_syndromes_match_direct_sum(elliptic, klein, hermitian):
+    rng = random.Random(101)
+    for code in (elliptic, klein, hermitian):
+        for density in (0.1, 0.5, 1.0):
+            for _ in range(5):
+                symbols = [
+                    rng.randrange(code.fld.q - 1) if rng.random() < density else ZERO
+                    for _ in range(code.n)
+                ]
+                word = Word(symbols, "received")
+                assert code.syndromes(word) == direct_syndromes(code, word)
+
+
+def test_eval_row_lazy_memoized_with_klein_pole(gf8, klein):
+    from agbms import klein_curve
+
+    fresh = CodeSpec(klein_curve(), gf8, m=15)
+    assert not fresh._rows  # constructing a code evaluates nothing
+    row = fresh.eval_row((0, 1))
+    assert fresh.eval_row((0, 1)) is row
+    special = klein.n - 1
+    assert row[special] is POLE
+    assert fresh.eval_row((1, 2))[special] == 0  # valuation 0: the value is 1
+    assert fresh.eval_row((1, 1))[special] == ZERO
+    for j, p in enumerate(fresh.points[:special]):
+        assert row[j] == klein.curve.eval_monomial(gf8, (0, 1), p)
+
+
+def test_encode_reuses_one_rref(monkeypatch, gf16, gf8):
+    from agbms import hermitian_curve, klein_curve
+
+    calls = []
+    real_rref = linalg.rref
+
+    def counting_rref(field, m):
+        calls.append(1)
+        return real_rref(field, m)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    rng = random.Random(59)
+    for curve, fld, m in [(elliptic_curve(), gf16, 8), (klein_curve(), gf8, 15), (hermitian_curve(), gf16, 24)]:
+        code = CodeSpec(curve, fld, m=m)
+        h = [[curve.eval_monomial(fld, n, p) for p in code.points] for n in code.basis]
+        calls.clear()
+        for _ in range(6):
+            msg = [rng.randrange(-1, fld.q - 1) for _ in range(code.dim)]
+            cw = code.encode(msg)
+            for row in h:
+                acc = ZERO
+                for hj, cj in zip(row, cw.symbols):
+                    acc = fld.add(acc, fld.mul(hj, cj))
+                assert acc == ZERO
+        assert len(calls) == 1

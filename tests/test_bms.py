@@ -360,3 +360,26 @@ def test_mode_equivalence_random(elliptic, klein, hermitian):
             assert bms.delta_set(code, sa.s1) == bms.delta_set(code, sb.s1)
             for F in fa.F + fb.F:
                 assert oracle.ideal_membership(F, code, locs)
+
+
+def test_op_counts_complete_and_repeatable(
+    elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden
+):
+    # muls/invs on the worked patterns, unchanged since the adds became
+    # counted; adds (one per merged coefficient) must be reported and repeat
+    cases = [
+        (elliptic, elliptic_golden, {bms.INVERSE_FREE: (154, 0), bms.DIVISION: (78, 3)}),
+        (klein, klein_golden, {bms.INVERSE_FREE: (513, 0), bms.DIVISION: (155, 4)}),
+        (hermitian, hermitian_golden, {bms.INVERSE_FREE: (1379, 0), bms.DIVISION: (366, 5)}),
+    ]
+    for code, (_, _, recv), want in cases:
+        synd = code.syndromes(recv)
+        for mode, (muls, invs) in want.items():
+            counts = []
+            for _ in range(2):
+                ctr = OpCounter()
+                bms.run(code, synd, mode, ctr=ctr)
+                counts.append((ctr.muls, ctr.invs, ctr.adds))
+            assert counts[0] == counts[1]
+            assert counts[0][:2] == (muls, invs)
+            assert counts[0][2] > 0

@@ -54,6 +54,21 @@ def test_decode_parse_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("line", ["99 3", "24 3", "-1 3", "0 40", "0 15", "0 -1"])
+@pytest.mark.parametrize("command", ["decode", "trace-arch"])
+def test_error_file_out_of_range(tmp_path, capsys, command, line):
+    errfile = tmp_path / "errs.txt"
+    errfile.write_text(f"{line}\n")
+    extra = [str(tmp_path / "t.csv"), "--arch", "inverse_free"] if command == "trace-arch" else []
+    code, out, err = run_cli(capsys, command, "elliptic_gf16", str(errfile), *extra, "--errors")
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: error ")
+    assert "status:" not in out
+    codespec, _ = cli.load_code("elliptic_gf16")
+    with pytest.raises(cli.SpecError):
+        cli.read_errors(str(errfile), codespec)
+
+
 def test_decode_word_length_checked(tmp_path, capsys):
     wordfile = tmp_path / "short.txt"
     wordfile.write_text("0 1 2\n")
@@ -144,7 +159,8 @@ def test_gen_errors(tmp_path, capsys):
     out = tmp_path / "errs.txt"
     code, _, _ = run_cli(capsys, "gen-errors", "klein_gf8", str(out), "--t", "3", "--seed", "5", "--generic")
     assert code == cli.EXIT_OK
-    locs, vals = cli.read_errors(str(out))
+    codespec, _ = cli.load_code("klein_gf8")
+    locs, vals = cli.read_errors(str(out), codespec)
     assert len(locs) == 3 and all(v != ZERO for v in vals)
     out2 = tmp_path / "errs2.txt"
     run_cli(capsys, "gen-errors", "klein_gf8", str(out2), "--t", "3", "--seed", "5", "--generic")

@@ -211,3 +211,114 @@ def test_error_values_zero_sum_reported(elliptic, elliptic_golden):
     )
     with pytest.raises(ZeroDivisionError):
         decoder.error_values([0], crippled, elliptic)
+
+
+def direct_error_values(locs, basis, code, ctr):
+    """Reference closed formula evaluated point by point on the curve."""
+    cv, fld = code.curve, code.fld
+    derivs = [cv.formal_derivative(fld, F) for F in basis.F]
+    scale = []
+    for i in range(cv.a):
+        if basis.mode == bms.DIVISION:
+            scale.append(0)
+            continue
+        inv_lead, _ = fld.inv_chain(basis.lead_F[i], ctr)
+        inv_head, _ = fld.inv_chain(basis.head_e[i], ctr)
+        scale.append(fld.mul(inv_lead, inv_head, ctr))
+    vals = []
+    for j in locs:
+        p = code.points[j]
+        acc = ZERO
+        for i in range(cv.a):
+            if basis.G[i]:
+                fp = cv.eval_derivative(fld, derivs[i], p, ctr)
+                gp = cv.eval_poly(fld, basis.G[i], p, ctr)
+                acc = fld.add(acc, fld.mul(fld.mul(fp, gp, ctr), scale[i], ctr), ctr)
+        if acc == ZERO:
+            raise ZeroDivisionError(j)
+        vals.append(fld.inv_chain(acc, ctr)[0])
+    return vals
+
+
+def seeded_bases(code, rng, count):
+    """(basis, received) for random words: codeword plus weight 0..t+1."""
+    for k in range(count):
+        msg = [rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)]
+        w = k % (code.t_generic + 2)
+        locs = rng.sample(range(code.n), w)
+        vals = [rng.randrange(code.fld.q - 1) for _ in range(w)]
+        recv = code.inject_errors(code.encode(msg), locs, vals)
+        mode = (bms.INVERSE_FREE, bms.DIVISION)[k % 2]
+        yield run_basis(code, recv, mode), recv
+
+
+def test_chien_matches_direct_scan(elliptic, klein, hermitian):
+    rng = random.Random(211)
+    for code in (elliptic, klein, hermitian):
+        for basis, _ in seeded_bases(code, rng, 24):
+            want = [
+                j for j, p in enumerate(code.points)
+                if all(code.curve.eval_poly(code.fld, F, p) == ZERO for F in basis.F)
+            ]
+            assert decoder.chien_search(basis, code) == want
+
+
+def test_error_values_match_direct_evaluation(elliptic, klein, hermitian):
+    # values, raised errors and every OpCounter total (also the partial
+    # totals left by a raise) must equal the point-by-point evaluation
+    rng = random.Random(223)
+    seen = set()
+    for code in (elliptic, klein, hermitian):
+        for basis, _ in seeded_bases(code, rng, 40):
+            locs = decoder.chien_search(basis, code) or [0, code.n - 1]
+            results = []
+            for fn in (decoder.error_values, direct_error_values):
+                ctr = OpCounter()
+                try:
+                    out = fn(locs, basis, code, ctr)
+                except (ZeroDivisionError, ValueError) as exc:
+                    out = type(exc)
+                results.append((out, ctr.muls, ctr.invs, ctr.adds))
+            assert results[0] == results[1]
+            seen.add(results[0][0] if isinstance(results[0][0], type) else list)
+    assert {list, ValueError} <= seen
+
+
+def test_klein_special_point_error_values_raise(klein):
+    special = klein.n - 1
+    recv = klein.inject_errors(klein.zero_word(), [special, 3, 8], [2, 5, 1])
+    for mode in (bms.INVERSE_FREE, bms.DIVISION):
+        basis = run_basis(klein, recv, mode)
+        locs = decoder.chien_search(basis, klein)
+        assert locs == [3, 8, special]
+        with pytest.raises(ValueError):
+            decoder.error_values(locs, basis, klein)
+        with pytest.raises(ValueError):
+            decoder.error_values([special], basis, klein, OpCounter())
+
+
+def test_corrupted_values_fail_the_recheck(
+    monkeypatch, elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden
+):
+    real_closed = decoder.error_values
+    real_interp = decoder.error_values_interpolation
+    for code, (locs, vals, recv) in [
+        (elliptic, elliptic_golden),
+        (klein, klein_golden),
+        (hermitian, hermitian_golden),
+    ]:
+        def bad(vs, q1=code.fld.q - 1):
+            return [(vs[0] + 1) % q1] + vs[1:]
+
+        order = sorted(range(len(locs)), key=lambda k: locs[k])
+        # closed form corrupted: the interpolation fallback repairs it
+        monkeypatch.setattr(decoder, "error_values", lambda *a, **k: bad(real_closed(*a, **k)))
+        res = decoder.decode(code, recv)
+        assert res.status == decoder.SUCCESS
+        assert res.error_vals == [vals[k] for k in order]
+        # both corrupted: no Success
+        monkeypatch.setattr(decoder, "error_values_interpolation", lambda *a: bad(real_interp(*a)))
+        res = decoder.decode(code, recv)
+        assert res.status == decoder.NOT_GENERIC
+        assert res.corrected is None
+        monkeypatch.undo()
