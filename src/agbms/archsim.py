@@ -5,9 +5,12 @@ the front; polynomial coefficients circulate and the controller only latches
 scalars (discrepancy and head values) at fixed clock phases and flips the
 preserve/update switches once per N-loop.  The published register tables are
 not available as text, so each simulator derives its own layout from the
-stated line lengths and validates itself by reconstructing (s, c, f, g, v,
-w) at every N-boundary and asserting bit-for-bit equality with the software
-BMS dump ("oracle equivalence").
+stated line lengths and validates itself ("oracle equivalence"): each
+simulator steps a software BMS state alongside its registers, and at every
+N-boundary it rebuilds (s, c) and the f, g, v, w Z-arrays (``bms.ZArray``)
+from its register lines and requires them to equal that state's, element
+for element.  The boundary record it keeps is ``bms.state_record`` of that
+state, so ``--boundary-dumps`` and ``--dump-state`` share one format.
 
 Layouts (period P = length of the w/g line):
 
@@ -51,10 +54,9 @@ from .agcode import CodeSpec
 from .curve import Mono
 from .gf import ZERO
 
-INVERSE_FREE = "inverse_free"
+INVERSE_FREE = bms.INVERSE_FREE
 SERIAL = "serial"
 SERIAL_INVERSE_FREE = "serial_inverse_free"
-SIMULATED = (INVERSE_FREE, SERIAL, SERIAL_INVERSE_FREE)
 CLOSED_FORM_ONLY = ("systolic", "koetter", "parallel_bms")
 
 
@@ -101,38 +103,34 @@ class ResourceEstimate:
     measured_clocks: int | None = None
 
 
-def _nonzero(d: dict[int, int]) -> dict[int, int]:
-    return {k: v for k, v in d.items() if v != ZERO}
-
-
-def _check_boundary(arch: str, N: int, got: dict, ref: dict) -> None:
+def _boundary(arch: str, code: CodeSpec, got: dict, ref: bms.BmsState, trace: ArchTrace) -> None:
+    """Require the state rebuilt from the registers to equal the reference
+    BMS state at the same N, record that state, and step the reference to
+    the next loop."""
     for key in ("s1", "c1", "v", "f", "w", "g"):
-        if got[key] != ref[key]:
+        want = getattr(ref, key)
+        if got[key] != want:
             raise AssertionError(
-                f"{arch}: boundary N={N} register state diverges from the reference "
-                f"BMS dump at {key!r}: architecture {got[key]!r} vs reference {ref[key]!r}"
+                f"{arch}: boundary N={ref.N} register state diverges from the reference "
+                f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want!r}"
             )
+    trace.boundary_states.append(bms.state_record(ref, code))
+    if ref.N <= ref.top:
+        bms.step(ref, code)
 
 
-def _ref_records(code: CodeSpec, synd: dict[Mono, int], mode: str) -> list[dict]:
-    """Reference BMS dump with (exp, log) pair lists turned into dicts."""
-    _, records = bms.run(code, synd, mode, record=True)
-    out = []
-    for r in records:
-        out.append(
-            {
-                "N": r["N"],
-                "s1": r["s1"],
-                "c1": r["c1"],
-                "d": r["d"],
-                "e": r["e"],
-                "v": [dict(p) for p in r["v"]],
-                "f": [dict(p) for p in r["f"]],
-                "w": [dict(p) for p in r["w"]],
-                "g": [dict(p) for p in r["g"]],
-            }
-        )
-    return out
+def _put(arch: str, N: int, zp: bms.ZArray, h: int, val: int) -> None:
+    """Store a rebuilt coefficient at Z^h; a nonzero register that maps past
+    the Z-array's top exponent should have been retired."""
+    if h < len(zp):
+        zp[h] = val
+    elif val != ZERO:
+        raise AssertionError(f"{arch}: boundary N={N}: coefficient at Z^{h} above the top exponent")
+
+
+def _empty_state(a: int, m: int, s1: list[int], c1: list[int]) -> dict:
+    zeros = {key: [[ZERO] * (m + 2) for _ in range(a)] for key in ("v", "f", "w", "g")}
+    return {"s1": s1[:], "c1": c1[:], **zeros}
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     fld = code.fld
     a, m = cv.a, code.m
     P = m + 3
-    ref = _ref_records(code, synd, bms.INVERSE_FREE)
+    ref = bms.init_state(code, synd, bms.INVERSE_FREE)
 
     # one v/f and one w/g line per block; wg lines are indexed by the logical
     # w/g column j, physically homed at block ibar(j, N) for the current loop
@@ -175,29 +173,29 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     )
 
     def reconstruct(N: int) -> dict:
-        got = {"s1": s1[:], "c1": c1[:], "v": [], "f": [], "w": [], "g": []}
+        got = _empty_state(a, m, s1, c1)
         for i in range(a):
-            got["v"].append(_nonzero({N + p: vf[i][p] for p in range(0, m - N + 1)}))
-            got["f"].append(_nonzero({p - (m + 1) + N: vf[i][p] for p in range(m + 1 - N, m + 2)}))
+            for p, val in enumerate(vf[i]):
+                if p <= m - N:
+                    got["v"][i][N + p] = val
+                else:
+                    got["f"][i][p - (m + 1) + N] = val
         for j in range(a):
-            w_phases = [p for p in range(m + 3) if p == 0 or N + p <= m]
-            got["w"].append(_nonzero({N + p: wg[j][p] for p in w_phases}))
-            g_start = m + 3 if M[j] is None else m + 1 - M[j]
-            if M[j] is None:
-                got["g"].append({})
-            else:
-                got["g"].append(
-                    _nonzero({p - (m + 1) + N: wg[j][p] for p in range(g_start, m + 3)})
-                )
-            stale = [p for p in range(1, m + 3) if p > m - N and p < g_start]
-            assert all(wg[j][p] == ZERO for p in stale), "stale w/g registers not zeroed"
+            for p, val in enumerate(wg[j]):
+                if p == 0 or N + p <= m:
+                    got["w"][j][N + p] = val
+                elif M[j] is not None and p >= m + 1 - M[j]:
+                    _put(INVERSE_FREE, N, got["g"][j], p - (m + 1) + N, val)
+                elif val != ZERO:
+                    raise AssertionError(
+                        f"{INVERSE_FREE}: boundary N={N}: stale w/g register {p} not zeroed"
+                    )
         return got
 
     for clo in range(trace.total_clocks):
         N, p = divmod(clo, P)
         if p == 0:
-            _check_boundary(INVERSE_FREE, N, reconstruct(N), ref[N])
-            trace.boundary_states.append(ref[N])
+            _boundary(INVERSE_FREE, code, reconstruct(N), ref, trace)
             # latch discrepancies/heads and set this loop's switches
             for i in range(a):
                 l = cv.l_of(i, N)
@@ -254,8 +252,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
                 }
             )
 
-    _check_boundary(INVERSE_FREE, m + 1, reconstruct(m + 1), ref[m + 1])
-    trace.boundary_states.append(ref[m + 1])
+    _boundary(INVERSE_FREE, code, reconstruct(m + 1), ref, trace)
     return trace
 
 
@@ -308,7 +305,7 @@ def _sim_serial_core(
             return (-k) % a
 
     L = a * (m + 2) - 1
-    ref = _ref_records(code, synd, mode)
+    ref = bms.init_state(code, synd, mode)
 
     def init_value(phase: int) -> int:
         g, k = divmod(phase, a)
@@ -350,16 +347,8 @@ def _sim_serial_core(
     )
 
     def reconstruct(N: int) -> dict:
-        got = {
-            "s1": s1[:],
-            "c1": c1[:],
-            "v": [{} for _ in range(a)],
-            "f": [{} for _ in range(a)],
-            "w": [{} for _ in range(a)],
-            "g": [{} for _ in range(a)],
-        }
-        for phase in range(L + c_v + 1):
-            val = line[phase] if phase < L else (fifo[phase - L] if phase < L + c_v else exch)
+        got = _empty_state(a, m, s1, c1)
+        for phase, val in enumerate(line + fifo + [exch]):
             if val == ZERO:
                 continue
             g, k = divmod(phase, a)
@@ -367,28 +356,25 @@ def _sim_serial_core(
             if g <= m - N:
                 got["v"][obj][N + g] = val
             else:
-                got["f"][obj][g - (m + 1) + N] = val
-        for phase in range(P):
-            val = wgline[phase]
+                _put(arch, N, got["f"][obj], g - (m + 1) + N, val)
+        for phase, val in enumerate(wgline):
             g, k = divmod(phase, a)
             obj = wg_obj(k)
-            g_start = P if M[obj] is None else m + 1 - M[obj]
             if g == 0 or N + g <= m:
-                if val != ZERO:
-                    got["w"][obj][N + g] = val
-            elif g >= g_start:
-                if val != ZERO:
-                    got["g"][obj][g - (m + 1) + N] = val
-            else:
-                assert val == ZERO, f"stale w/g register at phase {phase} not zeroed"
+                got["w"][obj][N + g] = val
+            elif M[obj] is not None and g >= m + 1 - M[obj]:
+                _put(arch, N, got["g"][obj], g - (m + 1) + N, val)
+            elif val != ZERO:
+                raise AssertionError(
+                    f"{arch}: boundary N={N}: stale w/g register at phase {phase} not zeroed"
+                )
         return got
 
     for clo in range(trace.total_clocks):
         N, phase = divmod(clo, P)
         g, k = divmod(phase, a)
         if phase == 0:
-            _check_boundary(arch, N, reconstruct(N), ref[N])
-            trace.boundary_states.append(ref[N])
+            _boundary(arch, code, reconstruct(N), ref, trace)
 
         x = line.pop(0)
         y = wgline.pop(0)
@@ -468,8 +454,7 @@ def _sim_serial_core(
                 }
             )
 
-    _check_boundary(arch, m + 1, reconstruct(m + 1), ref[m + 1])
-    trace.boundary_states.append(ref[m + 1])
+    _boundary(arch, code, reconstruct(m + 1), ref, trace)
     return trace
 
 
@@ -481,6 +466,14 @@ def sim_serial_inverse_free(
     code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = True
 ) -> ArchTrace:
     return _sim_serial_core(code, synd, bms.INVERSE_FREE, keep_snapshots)
+
+
+SIMULATORS = {
+    INVERSE_FREE: sim_inverse_free,
+    SERIAL: sim_serial,
+    SERIAL_INVERSE_FREE: sim_serial_inverse_free,
+}
+SIMULATED = tuple(SIMULATORS)
 
 
 # ---------------------------------------------------------------------------

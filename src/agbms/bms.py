@@ -14,65 +14,67 @@ no field inversions at all; division mode is the classical parallel form
 (f <- f - d*g with the replaced g, w scaled by d^-1) kept as a cross-check
 oracle and as the update rule of the serial architecture.
 
-Z-polynomials are dicts exponent -> log coefficient.  v and w are windowed:
-exponents above the initial syndrome top are dead -- they are never read as
-discrepancies and never feed a lower exponent, since all updates combine
-equal exponents -- and dropping them keeps the software state identical to
-what the shift-register architectures hold.  The one exception is the w
-head (see _prune_w), which at the last loop carries e_{m+1} for the
-error-value formula.
+Z-polynomials are Z-arrays: lists of length top+2 indexed by exponent, ZERO
+where a coefficient is absent -- the same window as the inverse-free
+architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Every
+live exponent fits: f and g stay at or below N, v holds [N, top], and w
+holds [N, top] plus, after the last loop, its head at top+1 (e_{m+1}, which
+the error-value formula consumes).  Exponents above top are dead otherwise
+-- they are never read as discrepancies and never feed a lower exponent,
+since all updates combine equal exponents -- so the Z-shift drops the last
+entry and w's top+1 entry is cleared on every loop but the last, exactly
+as the architectures zero-set their w/g lines.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .agcode import CodeSpec
 from .curve import BiPoly, Mono
-from .gf import ZERO, OpCounter
+from .gf import GF, ZERO, OpCounter
 
-ZPoly = dict[int, int]
+ZArray = list[int]
 
 INVERSE_FREE = "inverse_free"
 DIVISION = "division"
 
 
-def _zscale(code: CodeSpec, c: int, p: ZPoly, ctr: OpCounter | None) -> ZPoly:
-    if c == ZERO:
-        return {}
-    return {h: code.fld.mul(c, v, ctr) for h, v in p.items()}
+def _lincomb(
+    fld: GF, ctr: OpCounter | None, a: int | None, p: ZArray, b: int = ZERO, q: Sequence[int] = ()
+) -> ZArray:
+    """a*p + b*q, with a = None leaving p unscaled.
 
-
-def _zadd(code: CodeSpec, p: ZPoly, q: ZPoly, ctr: OpCounter | None) -> ZPoly:
-    """p + q; ``ctr`` is charged one add per coefficient of q merged in."""
-    out = dict(p)
-    for h, v in q.items():
-        s = code.fld.add(out.get(h, ZERO), v, ctr)
-        if s == ZERO:
-            out.pop(h, None)
-        else:
-            out[h] = s
+    ``ctr`` is charged one mul per nonzero coefficient scaled and one add
+    per nonzero coefficient of b*q merged in.
+    """
+    qm1 = fld.q - 1
+    muls = 0
+    if a is None:
+        out = p[:]
+    elif a == ZERO:
+        out = [ZERO] * len(p)
+    else:
+        out = [ZERO if x == ZERO else (a + x) % qm1 for x in p]
+        muls = len(p) - p.count(ZERO)
+    merged = 0
+    if b != ZERO:
+        exp, log = fld.exp, fld.log
+        for h, y in enumerate(q):
+            if y != ZERO:
+                y = (b + y) % qm1
+                x = out[h]
+                out[h] = y if x == ZERO else log[exp[x] ^ exp[y]]
+                merged += 1
+    if ctr is not None:
+        ctr.muls += muls + merged
+        ctr.adds += merged
     return out
 
 
-def _zshift(p: ZPoly) -> ZPoly:
-    return {h + 1: v for h, v in p.items()}
-
-
-def _prune(p: ZPoly, top: int) -> ZPoly:
-    return {h: v for h, v in p.items() if h <= top}
-
-
-def _prune_w(p: ZPoly, top: int, head: int) -> ZPoly:
-    """w keeps exponents up to the syndrome top plus its own head.
-
-    Entries above the top are dead weight (they feed only equal-or-higher
-    exponents and are never read as discrepancies), except the head
-    w_{N,N}: at the final loop that is e_{m+1}, which the error-value
-    formula consumes, so it survives the cut.  The architectures implement
-    the same rule as their zero-setting with a final-loop exception.
-    """
-    return {h: v for h, v in p.items() if h <= top or h == head}
+def _zshift(p: ZArray) -> ZArray:
+    return [ZERO] + p[:-1]
 
 
 @dataclass
@@ -82,12 +84,10 @@ class BmsState:
     top: int  # largest syndrome exponent fed to v at N = 0
     s1: list[int]
     c1: list[int]
-    f: list[ZPoly]
-    g: list[ZPoly]
-    v: list[ZPoly]
-    w: list[ZPoly]
-    d: list[int] = field(default_factory=list)  # discrepancies of the last step
-    e: list[int] = field(default_factory=list)  # head coefficients of the last step
+    f: list[ZArray]
+    g: list[ZArray]
+    v: list[ZArray]
+    w: list[ZArray]
     M: list[int | None] = field(default_factory=list)  # step of last g replacement
     tlabel: list[Mono | None] = field(default_factory=list)  # degree label of g
 
@@ -126,12 +126,11 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None
     a = cv.a
     v = []
     for i in range(a):
-        vi: ZPoly = {}
+        vi = [ZERO] * (top + 2)
         for l in cv.phi(i, a, top):
             if l not in synd:
                 raise ValueError(f"syndrome table missing u_{l}")
-            if synd[l] != ZERO:
-                vi[cv.pole_order(l)] = synd[l]
+            vi[cv.pole_order(l)] = synd[l]
         v.append(vi)
     s1 = [cv.basis_start(i)[0] for i in range(a)]
     return BmsState(
@@ -140,13 +139,26 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None
         top=top,
         s1=s1,
         c1=[x - 1 for x in s1],
-        f=[{0: 0} for _ in range(a)],
-        g=[{} for _ in range(a)],
+        f=[[0] + [ZERO] * (top + 1) for _ in range(a)],
+        g=[[ZERO] * (top + 2) for _ in range(a)],
         v=v,
-        w=[{0: 0} for _ in range(a)],
+        w=[[0] + [ZERO] * (top + 1) for _ in range(a)],
         M=[None] * a,
         tlabel=[None] * a,
     )
+
+
+def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]]:
+    """Step 1 at the current N: the discrepancies d^(i) (v heads, zero
+    where column i has no l^(i) or s1^(i) exceeds it) and the w heads e^(i)."""
+    cv = code.curve
+    N = state.N
+    d = [ZERO] * cv.a
+    for i in range(cv.a):
+        l = cv.l_of(i, N)
+        if l is not None and state.s1[i] <= l[0]:
+            d[i] = state.v[i][N]
+    return d, [w[N] for w in state.w]
 
 
 def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
@@ -155,60 +167,47 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
     fld = code.fld
     a = cv.a
     N = state.N
-
-    ltab = [cv.l_of(i, N) for i in range(a)]
-    d = [ZERO] * a
-    e = [ZERO] * a
-    for i in range(a):
-        l = ltab[i]
-        if l is not None and state.s1[i] <= l[0]:
-            d[i] = state.v[i].get(N, ZERO)
-        e[i] = state.w[i].get(N, ZERO)
-    state.d = d
-    state.e = e
+    d, e = discrepancies(state, code)
 
     old = state
     new_s1 = old.s1[:]
     new_c1 = old.c1[:]
-    new_f: list[ZPoly] = [{}] * a
-    new_g: list[ZPoly] = [{}] * a
-    new_v: list[ZPoly] = [{}] * a
-    new_w: list[ZPoly] = [{}] * a
+    new_f: list[ZArray] = [[]] * a
+    new_g: list[ZArray] = [[]] * a
+    new_v: list[ZArray] = [[]] * a
+    new_w: list[ZArray] = [[]] * a
     new_M = old.M[:]
     new_t = old.tlabel[:]
 
     for i in range(a):
         ib = cv.ibar(i, N)
-        l = ltab[i]
-        preserved = d[i] == ZERO or (state.s1[i] >= l[0] - state.c1[ib])
+        update = False
+        if d[i] != ZERO:  # a nonzero discrepancy implies that l^(i) exists
+            l1 = cv.l_of(i, N)[0]
+            update = old.s1[i] < l1 - old.c1[ib]
 
-        if state.mode == INVERSE_FREE:
-            new_f[i] = _zadd(
-                code, _zscale(code, e[ib], old.f[i], ctr), _zscale(code, d[i], old.g[ib], ctr), ctr
-            )
-            vv = _zadd(code, _zscale(code, e[ib], old.v[i], ctr), _zscale(code, d[i], old.w[ib], ctr), ctr)
-        else:
-            new_f[i] = _zadd(code, old.f[i], _zscale(code, d[i], old.g[ib], ctr), ctr)
-            vv = _zadd(code, old.v[i], _zscale(code, d[i], old.w[ib], ctr), ctr)
-        vv.pop(N, None)  # mod Z^N: the consumed head is deleted explicitly
-        new_v[i] = _prune(vv, old.top)
+        scale = e[ib] if old.mode == INVERSE_FREE else None
+        new_f[i] = _lincomb(fld, ctr, scale, old.f[i], d[i], old.g[ib])
+        new_v[i] = _lincomb(fld, ctr, scale, old.v[i], d[i], old.w[ib])
+        new_v[i][N] = ZERO  # mod Z^N: the consumed head is deleted explicitly
 
-        if preserved:
+        if not update:
             new_g[ib] = _zshift(old.g[ib])
-            new_w[ib] = _prune_w(_zshift(old.w[ib]), old.top, N + 1)
+            new_w[ib] = _zshift(old.w[ib])
         else:
-            assert d[i] != ZERO
-            new_s1[i] = l[0] - old.c1[ib]
-            new_c1[ib] = l[0] - old.s1[i]
-            if state.mode == INVERSE_FREE:
+            new_s1[i] = l1 - old.c1[ib]
+            new_c1[ib] = l1 - old.s1[i]
+            if old.mode == INVERSE_FREE:
                 new_g[ib] = _zshift(old.f[i])
-                new_w[ib] = _prune_w(_zshift(old.v[i]), old.top, N + 1)
+                new_w[ib] = _zshift(old.v[i])
             else:
                 dinv, _ = fld.inv_chain(d[i], ctr)
-                new_g[ib] = _zscale(code, dinv, _zshift(old.f[i]), ctr)
-                new_w[ib] = _prune_w(_zscale(code, dinv, _zshift(old.v[i]), ctr), old.top, N + 1)
+                new_g[ib] = _lincomb(fld, ctr, dinv, _zshift(old.f[i]))
+                new_w[ib] = _lincomb(fld, ctr, dinv, _zshift(old.v[i]))
             new_M[ib] = N
             new_t[ib] = (old.s1[i], i)
+        if N != old.top:
+            new_w[ib][old.top + 1] = ZERO  # w keeps its top+1 head only after the last loop
 
     state.s1 = new_s1
     state.c1 = new_c1
@@ -221,32 +220,21 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
     state.N = N + 1
 
 
-def peek_discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]]:
-    """Step-1 values at the current N without mutating the state."""
-    cv = code.curve
-    d = [ZERO] * cv.a
-    e = [ZERO] * cv.a
-    for i in range(cv.a):
-        l = cv.l_of(i, state.N)
-        if l is not None and state.s1[i] <= l[0]:
-            d[i] = state.v[i].get(state.N, ZERO)
-        e[i] = state.w[i].get(state.N, ZERO)
-    return d, e
-
-
-def state_record(state: BmsState, code: CodeSpec, d: list[int], e: list[int]) -> dict:
-    """One dump record: per-i control values plus (exponent, log) coefficient
-    lists, the format trace diffing and the architecture checks consume."""
+def state_record(state: BmsState, code: CodeSpec) -> dict:
+    """One dump record: per-i control values, the Step-1 values at the
+    current N, and the (exponent, log) lists of the nonzero coefficients.
+    The ``--dump-state`` and ``--boundary-dumps`` files hold these."""
+    d, e = discrepancies(state, code)
     return {
         "N": state.N,
         "s1": state.s1[:],
         "c1": state.c1[:],
-        "d": d[:],
-        "e": e[:],
-        "f": [sorted(p.items()) for p in state.f],
-        "g": [sorted(p.items()) for p in state.g],
-        "v": [sorted(p.items()) for p in state.v],
-        "w": [sorted(p.items()) for p in state.w],
+        "d": d,
+        "e": e,
+        **{
+            key: [[hc for hc in enumerate(p) if hc[1] != ZERO] for p in getattr(state, key)]
+            for key in ("f", "g", "v", "w")
+        },
     }
 
 
@@ -266,33 +254,34 @@ def run(
     records: list[dict] = []
     while state.N <= n_max:
         if record:
-            d, e = peek_discrepancies(state, code)
-            records.append(state_record(state, code, d, e))
+            records.append(state_record(state, code))
         step(state, code, ctr)
     if record:
-        d, e = peek_discrepancies(state, code)
-        records.append(state_record(state, code, d, e))
+        records.append(state_record(state, code))
     return state, records
 
 
-def extract_poly(code: CodeSpec, zp: ZPoly, deg: Mono, offset: int = 0) -> BiPoly:
-    """Read a bivariate polynomial out of a Z-polynomial.
+def extract_poly(code: CodeSpec, zp: ZArray, deg: Mono, offset: int = 0) -> BiPoly:
+    """Read a bivariate polynomial out of a Z-array.
 
     The coefficient of monomial n sits at exponent offset + o(deg) - o(n);
     offset is 0 for f and N - M for g.  Any nonzero coefficient at an
     exponent that corresponds to no basis monomial would mean the update
-    arithmetic leaked outside the function ring, so that is asserted.
+    arithmetic leaked outside the function ring, so that raises
+    AssertionError.
     """
     cv = code.curve
     odeg = cv.pole_order(deg)
     out: BiPoly = {}
-    used = {offset + odeg - cv.pole_order(n) for n in cv.phi(0, cv.a, odeg)}
+    used = set()
     for n in cv.phi(0, cv.a, odeg):
-        c = zp.get(offset + odeg - cv.pole_order(n), ZERO)
-        if c != ZERO:
-            out[n] = c
-    stray = {h: c for h, c in zp.items() if c != ZERO and h not in used}
-    assert not stray, f"coefficients outside the monomial support: {stray}"
+        h = offset + odeg - cv.pole_order(n)
+        used.add(h)
+        if h < len(zp) and zp[h] != ZERO:
+            out[n] = zp[h]
+    stray = {h: c for h, c in enumerate(zp) if c != ZERO and h not in used}
+    if stray:
+        raise AssertionError(f"coefficients outside the monomial support: {stray}")
     return out
 
 
@@ -310,14 +299,13 @@ def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
         s_final.append(s)
         c_final.append((state.c1[i], i))
         F.append(extract_poly(code, state.f[i], s))
-        lf = state.f[i].get(0, ZERO)
-        assert lf != ZERO, "leading coefficient of F must stay nonzero"
-        lead.append(lf)
-        head.append(state.w[i].get(state.N, ZERO))
-        if not state.g[i]:
+        if state.f[i][0] == ZERO:
+            raise AssertionError(f"leading coefficient of F^({i}) must stay nonzero")
+        lead.append(state.f[i][0])
+        head.append(state.w[i][state.N])
+        if state.M[i] is None:  # g has never been replaced, so it is still zero
             G.append({})
         else:
-            assert state.M[i] is not None and state.tlabel[i] is not None
             G.append(extract_poly(code, state.g[i], state.tlabel[i], offset=state.N - state.M[i]))
     return LocatorOutput(F, G, lead, head, s_final, c_final, state.mode)
 

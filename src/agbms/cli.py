@@ -32,6 +32,10 @@ EXIT_NOT_GENERIC = 2
 EXIT_FAILURE = 3
 EXIT_ORACLE_MISMATCH = 4
 
+# location sets ``gen-errors --generic`` draws before it gives up; some
+# weights admit no generic set at all (t = n on the elliptic code)
+GENERIC_DRAWS = 100
+
 
 class SpecError(ValueError):
     pass
@@ -153,13 +157,8 @@ def cmd_trace_arch(args) -> int:
     else:
         received = read_word(args.received, code)
     synd = code.syndromes(received)
-    sims = {
-        archsim.INVERSE_FREE: archsim.sim_inverse_free,
-        archsim.SERIAL: archsim.sim_serial,
-        archsim.SERIAL_INVERSE_FREE: archsim.sim_serial_inverse_free,
-    }
     try:
-        trace = sims[args.arch](code, synd)
+        trace = archsim.SIMULATORS[args.arch](code, synd)
     except archsim.ArchCompatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -203,12 +202,7 @@ def cmd_bench(args) -> int:
     code, digest = load_code(args.spec)
     synd = code.syndromes(code.zero_word())
     measured = {}
-    sims = {
-        archsim.INVERSE_FREE: archsim.sim_inverse_free,
-        archsim.SERIAL: archsim.sim_serial,
-        archsim.SERIAL_INVERSE_FREE: archsim.sim_serial_inverse_free,
-    }
-    for arch, sim in sims.items():
+    for arch, sim in archsim.SIMULATORS.items():
         try:
             trace = sim(code, synd, keep_snapshots=False)
             measured[arch] = trace.total_clocks
@@ -232,8 +226,12 @@ def cmd_gen_errors(args) -> int:
     locs = sorted(rng.sample(range(code.n), args.t))
     vals = [rng.randrange(code.fld.q - 1) for _ in range(args.t)]
     if args.generic:
+        draws = 1
         while not oracle.is_generic(code, locs).is_generic:
+            if draws == GENERIC_DRAWS:
+                raise SpecError(f"no generic pattern of weight t={args.t} in {draws} draws")
             locs = sorted(rng.sample(range(code.n), args.t))
+            draws += 1
     with open(args.out, "w") as fh:
         fh.write(f"# spec_sha256={digest} seed={args.seed}\n")
         for j, v in zip(locs, vals):

@@ -1,4 +1,9 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -31,16 +36,18 @@ def test_init_state(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     synd = elliptic.syndromes(recv)
     st = bms.init_state(elliptic, synd, bms.INVERSE_FREE)
+    width = elliptic.m + 2  # Z-arrays cover exponents 0..top+1
     assert st.v[0][0] == synd[(0, 0)]
     for i in range(2):
-        assert st.f[i] == {0: 0}
-        assert st.g[i] == {}
-        assert st.w[i] == {0: 0}
+        assert st.f[i] == [0] + [ZERO] * (width - 1)
+        assert st.g[i] == [ZERO] * width
+        assert st.w[i] == [0] + [ZERO] * (width - 1)
         # column i is seeded from the window-i syndrome rows
+        assert len(st.v[i]) == width and st.v[i][width - 1] == ZERO
         for h in range(elliptic.m + 1):
             l = elliptic.curve.l_of(i, h)
             want = synd[l] if l is not None else ZERO
-            assert st.v[i].get(h, ZERO) == want
+            assert st.v[i][h] == want
     assert st.s1 == [0, 0] and st.c1 == [-1, -1]
 
 
@@ -54,7 +61,7 @@ def test_init_state_klein_offsets(klein, klein_golden):
 def test_init_zero_syndromes(elliptic):
     synd = elliptic.syndromes(elliptic.zero_word())
     st = bms.init_state(elliptic, synd, bms.INVERSE_FREE)
-    assert all(v == {} for v in st.v)
+    assert all(v == [ZERO] * (elliptic.m + 2) for v in st.v)
 
 
 def test_init_requires_full_table(elliptic, elliptic_golden):
@@ -71,9 +78,9 @@ def test_zero_syndromes_fixed_point(elliptic):
     for r in recs:
         assert r["s1"] == [0, 0] and r["c1"] == [-1, -1]
         assert all(d == ZERO for d in r["d"])
-    assert st.f[0] == {0: 0}
-    assert st.g == [{}, {}]
-    assert st.w[0] == {9: 0}  # w = Z^(m+1)
+    assert st.f[0] == [0] + [ZERO] * 9
+    assert st.g == [[ZERO] * 10, [ZERO] * 10]
+    assert st.w[0] == [ZERO] * 9 + [0]  # w = Z^(m+1), the head kept at top+1
 
 
 def test_first_step_jump(elliptic, elliptic_golden):
@@ -201,7 +208,7 @@ def test_per_step_discrepancy_equivalence(elliptic, elliptic_golden, klein, klei
         for mode in (bms.INVERSE_FREE, bms.DIVISION):
             st = bms.init_state(code, code.syndromes(recv), mode)
             for N in range(code.m + 1):
-                d, _ = bms.peek_discrepancies(st, code)
+                d, _ = bms.discrepancies(st, code)
                 l = cv.l_of(0, N)
                 for i in range(cv.a):
                     F = bms.extract_poly(code, st.f[i], (st.s1[i], i))
@@ -300,10 +307,45 @@ def test_window_invariants(elliptic, elliptic_golden):
     m = elliptic.m
     for N in range(m + 1):
         for i in range(2):
-            assert all(N <= h <= m for h in st.v[i])
-            assert all(N <= h <= m or h == N for h in st.w[i])
-            assert all(0 <= h <= N for h in st.f[i])
+            assert [len(st.f[i]), len(st.g[i]), len(st.v[i]), len(st.w[i])] == [m + 2] * 4
+            assert all(c == ZERO for h, c in enumerate(st.v[i]) if not N <= h <= m)
+            assert all(c == ZERO for h, c in enumerate(st.w[i]) if not N <= h <= m)
+            assert st.w[i][m + 1] == ZERO  # the top+1 head appears only after the last loop
+            assert all(c == ZERO for h, c in enumerate(st.f[i]) if h > N)
+            assert all(c == ZERO for h, c in enumerate(st.g[i]) if h > N)
         bms.step(st, elliptic)
+    assert all(st.w[i][m + 1] != ZERO for i in range(2))  # e_{m+1} for the error values
+
+
+def test_extract_poly_raises_under_optimize():
+    # the support and leading-coefficient checks guard decoder results, so
+    # they must hold when asserts are compiled out
+    script = textwrap.dedent(
+        """
+        from agbms import GF, CodeSpec, bms, elliptic_curve
+        from agbms.gf import ZERO
+        code = CodeSpec(elliptic_curve(), GF(4, 0b10011), m=8)
+        assert False, "asserts are on"
+        zp = [0, ZERO, 5] + [ZERO] * 7  # y, x, 1 sit at Z^0, Z^1, Z^3; Z^2 is no slot
+        try:
+            bms.extract_poly(code, zp, (0, 1))
+        except AssertionError as exc:
+            print("stray:", exc)
+        st = bms.init_state(code, code.syndromes(code.zero_word()), bms.INVERSE_FREE)
+        st.f[1][0] = ZERO
+        try:
+            bms.extract_locators(st, code)
+        except AssertionError as exc:
+            print("lead:", exc)
+        """
+    )
+    src = str(pathlib.Path(bms.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert "stray: coefficients outside the monomial support: {2: 5}" in out
+    assert "lead: leading coefficient of F^(1) must stay nonzero" in out
 
 
 def test_state_record_format(elliptic, elliptic_golden):

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from agbms import cli
+from agbms import bms, cli
 from agbms.gf import ZERO
 
 
@@ -89,6 +90,49 @@ def test_decode_dump_state(tmp_path, capsys):
     assert set(records[0]) == {"N", "s1", "c1", "d", "e", "f", "g", "v", "w"}
 
 
+# sha256 prefixes of the bundled-pattern --dump-state files, recorded with
+# the dict-based BMS state; the Z-array state must reproduce them byte for byte
+DUMP_DIGESTS = {
+    ("elliptic_gf16", "inverse_free"): "a4d8305ef7e69108",
+    ("elliptic_gf16", "division"): "6829ffba1ea20fc2",
+    ("klein_gf8", "inverse_free"): "d18a674d26db6271",
+    ("klein_gf8", "division"): "2f674cbce24acebd",
+    ("hermitian_gf16", "inverse_free"): "f725b6ec519d76b6",
+    ("hermitian_gf16", "division"): "90ada837e8c64a82",
+}
+
+
+@pytest.mark.parametrize("preset,mode", sorted(DUMP_DIGESTS))
+def test_dump_state_bytes_pinned(tmp_path, capsys, preset, mode):
+    dump = tmp_path / "dump.jsonl"
+    code, _, _ = run_cli(
+        capsys, "decode", preset, cli.bundled_error_file(preset), "--errors",
+        "--mode", mode, "--dump-state", str(dump),
+    )
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(dump.read_bytes()).hexdigest()[:16] == DUMP_DIGESTS[preset, mode]
+
+
+@pytest.mark.parametrize(
+    "arch,preset,mode",
+    [
+        ("inverse_free", "elliptic_gf16", "inverse_free"),
+        ("serial", "klein_gf8", "division"),
+        ("serial_inverse_free", "hermitian_gf16", "inverse_free"),
+    ],
+)
+def test_boundary_dumps_match_dump_state(tmp_path, capsys, arch, preset, mode):
+    errfile = cli.bundled_error_file(preset)
+    dump, bounds = tmp_path / "dump.jsonl", tmp_path / "bounds.jsonl"
+    run_cli(capsys, "decode", preset, errfile, "--errors", "--mode", mode, "--dump-state", str(dump))
+    code, _, _ = run_cli(
+        capsys, "trace-arch", preset, errfile, str(tmp_path / "t.csv"),
+        "--arch", arch, "--errors", "--boundary-dumps", str(bounds),
+    )
+    assert code == cli.EXIT_OK
+    assert bounds.read_bytes() == dump.read_bytes()
+
+
 def test_trace_arch_elliptic(tmp_path, capsys):
     errfile = cli.bundled_error_file("elliptic_gf16")
     out_csv = tmp_path / "trace.csv"
@@ -104,6 +148,25 @@ def test_trace_arch_elliptic(tmp_path, capsys):
     assert lines[0] == "clock,block,reg_name,index,value_log,switch_states"
     assert len(lines) == 1 + 99 * (2 * 10 + 2 * 11)
     assert len(dumps.read_text().splitlines()) == 10
+
+
+def test_trace_arch_divergence_exit_code(tmp_path, capsys, monkeypatch):
+    # registers that disagree with the reference BMS state stop the run
+    init_state = bms.init_state
+
+    def skewed(*args, **kwargs):
+        st = init_state(*args, **kwargs)
+        st.v[0][0] = ZERO if st.v[0][0] != ZERO else 0
+        return st
+
+    monkeypatch.setattr(bms, "init_state", skewed)
+    code, _, err = run_cli(
+        capsys, "trace-arch", "elliptic_gf16", cli.bundled_error_file("elliptic_gf16"),
+        str(tmp_path / "t.csv"), "--arch", "inverse_free", "--errors",
+    )
+    assert code == cli.EXIT_ORACLE_MISMATCH
+    assert err.startswith("oracle-equivalence failure: inverse_free: boundary N=0 ")
+    assert "at 'v'" in err
 
 
 def test_trace_arch_klein_serial(tmp_path, capsys):
@@ -165,6 +228,16 @@ def test_gen_errors(tmp_path, capsys):
     out2 = tmp_path / "errs2.txt"
     run_cli(capsys, "gen-errors", "klein_gf8", str(out2), "--t", "3", "--seed", "5", "--generic")
     assert out.read_text() == out2.read_text()
+
+
+def test_gen_errors_generic_gives_up(tmp_path, capsys, monkeypatch):
+    # n = 24 on the elliptic code: the only weight-24 set is not generic
+    monkeypatch.setattr(cli, "GENERIC_DRAWS", 3)
+    out = tmp_path / "errs.txt"
+    code, _, err = run_cli(capsys, "gen-errors", "elliptic_gf16", str(out), "--t", "24", "--generic")
+    assert code == cli.EXIT_PARSE
+    assert err == "error: no generic pattern of weight t=24 in 3 draws\n"
+    assert not out.exists()
 
 
 def test_load_code_presets_and_paths(tmp_path):
