@@ -43,10 +43,26 @@ Layouts (period P = length of the w/g line):
 Zero-setting: a recirculated w/g value whose slot would fall between the
 live w window and the pinned g window next loop is replaced by zero at the
 line input, otherwise stale values would corrupt the f updates.
+
+One controller, two datapaths: the rules above are written once, in
+``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
+at one multiplier pair in loop N.  A datapath only moves values: the
+per-block lines of ``sim_inverse_free`` clock all a lanes at once, the one
+interleaved line of ``_sim_serial_core`` clocks one lane per clock and
+routes its v/f input through the exchange register and the supplementary
+segment.  Each hands the controller the values leaving its lines and says,
+at a boundary, which (column, exponent group, value) each register holds;
+the controller latches d and e at the head group, flips the lane's switch,
+decides both line inputs, and rebuilds and checks the state.  Its s and c
+are updated in place at the latch: ibar(., N) is a bijection, so in each
+loop every column is read and written by exactly one lane, and no lane
+sees another's new degree.  The w/g zero-setting uses the same windows as
+the read-back, one loop ahead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import bms
@@ -103,34 +119,141 @@ class ResourceEstimate:
     measured_clocks: int | None = None
 
 
-def _boundary(arch: str, code: CodeSpec, got: dict, ref: bms.BmsState, trace: ArchTrace) -> None:
-    """Require the state rebuilt from the registers to equal the reference
-    BMS state at the same N, record that state, and step the reference to
-    the next loop."""
-    for key in ("s1", "c1", "v", "f", "w", "g"):
-        want = getattr(ref, key)
-        if got[key] != want:
-            raise AssertionError(
-                f"{arch}: boundary N={ref.N} register state diverges from the reference "
-                f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want!r}"
-            )
-    trace.boundary_states.append(bms.state_record(ref, code))
-    if ref.N <= ref.top:
-        bms.step(ref, code)
+class _Controller:
+    """Latches, switches, line inputs and boundary checks of one simulated
+    run, per lane (see the module docstring); it fills in ``trace``."""
 
+    def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str):
+        cv = code.curve
+        self.arch, self.trace, self.code, self.synd = trace.architecture, trace, code, synd
+        self.fld, self.l_of, self.m = code.fld, cv.l_of, code.m
+        self.division = mode == bms.DIVISION
+        self.s1 = [cv.basis_start(i)[0] for i in range(cv.a)]
+        self.c1 = [x - 1 for x in self.s1]
+        self.M: list[int | None] = [None] * cv.a  # loop of the last g replacement per column
+        # per-lane latches and switch
+        self.d = [ZERO] * cv.a
+        self.e = [ZERO] * cv.a
+        self.dinv = [ZERO] * cv.a
+        self.replace = [False] * cv.a
+        self.ref = bms.init_state(code, synd, mode)
 
-def _put(arch: str, N: int, zp: bms.ZArray, h: int, val: int) -> None:
-    """Store a rebuilt coefficient at Z^h; a nonzero register that maps past
-    the Z-array's top exponent should have been retired."""
-    if h < len(zp):
+    def vf_init(self, i: int, g: int) -> int:
+        """Value of column i at exponent group g of the v/f line before loop
+        0: the syndrome, then f = 1, then zero."""
+        if g <= self.m:
+            l = self.l_of(i, g)
+            return self.synd[l] if l is not None else ZERO
+        return 0 if g == self.m + 1 else ZERO
+
+    def clock(self, N: int, g: int, lane: int, i: int, j: int, x: int, y: int) -> tuple[int, int, int]:
+        """One clock of a lane at exponent group g of loop N; x and y left
+        the v/f line of column i and the w/g line of column j.  Returns the
+        v/f input, the w/g input and the multipliers used."""
+        fld, m = self.fld, self.m
+        if g == 0:
+            # head group: latch d and e, set the switch, update the degrees.
+            # In place is exact: ibar(., N) is a bijection, so each column is
+            # read and written by exactly one lane per loop.
+            s1, c1 = self.s1, self.c1
+            l = self.l_of(i, N)
+            d = self.d[lane] = x if (l is not None and s1[i] <= l[0]) else ZERO
+            self.e[lane] = y
+            upd = self.replace[lane] = d != ZERO and s1[i] < l[0] - c1[j]
+            if upd:
+                if self.division:
+                    self.dinv[lane], _ = fld.inv_chain(d)
+                    self.trace.inv_uses += 1
+                s1[i], c1[j] = l[0] - c1[j], l[0] - s1[i]
+                self.M[j] = N
+
+        # w/g push: recirculate y (the one-exponent relabel is free) or take
+        # the updated column from the v/f stream (switch B); a value that
+        # lands in neither window of the next loop is zero-set
+        mults = 0
+        if self._wg_window(N + 1, j, g) is None:
+            w_in = ZERO
+        elif not self.replace[lane]:
+            w_in = y
+        elif self.division:
+            w_in = fld.mul(self.dinv[lane], x)
+            mults = 1
+        else:
+            w_in = x
+
+        # v/f push
+        if g == 0:
+            v_in = ZERO  # mod Z^N deletion retires the consumed head
+        elif self.division:
+            v_in = fld.add(x, fld.mul(self.d[lane], y))
+            mults += 1
+        else:
+            v_in = fld.add(fld.mul(self.e[lane], x), fld.mul(self.d[lane], y))
+            mults += 2
+        return v_in, w_in, mults
+
+    def loops(self, readback) -> Iterator[int]:
+        """Loop indices 0..m, with a boundary check before each loop and
+        after the last; ``readback(N)`` gives the v/f and w/g registers as
+        (column, exponent group, value) triples."""
+        for N in range(self.m + 2):
+            self._boundary(N, *readback(N))
+            if N <= self.m:
+                yield N
+
+    def _boundary(self, N: int, vf_regs, wg_regs) -> None:
+        """Rebuild the state from the registers, require it to equal the
+        reference BMS state at the same N, record that state, and step the
+        reference to the next loop."""
+        m, ref = self.m, self.ref
+        got = {key: [[ZERO] * (m + 2) for _ in self.M] for key in ("v", "f", "w", "g")}
+        for col, g, val in vf_regs:
+            if val == ZERO:
+                continue
+            if g <= m - N:
+                got["v"][col][N + g] = val
+            else:
+                self._put(N, got["f"][col], g - (m + 1) + N, val)
+        for col, g, val in wg_regs:
+            if val == ZERO:
+                continue
+            key = self._wg_window(N, col, g)
+            if key is None:
+                raise AssertionError(
+                    f"{self.arch}: boundary N={N}: stale w/g register "
+                    f"(column {col}, group {g}) not zeroed"
+                )
+            self._put(N, got[key][col], N + g if key == "w" else g - (m + 1) + N, val)
+        got["s1"], got["c1"] = self.s1, self.c1
+        for key in ("s1", "c1", "v", "f", "w", "g"):
+            want = getattr(ref, key)
+            if got[key] != want:
+                raise AssertionError(
+                    f"{self.arch}: boundary N={N} register state diverges from the reference "
+                    f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want!r}"
+                )
+        self.trace.boundary_states.append(bms.state_record(ref, self.code))
+        if N <= m:
+            bms.step(ref, self.code)
+
+    def _wg_window(self, N: int, j: int, g: int) -> str | None:
+        """Which window of w/g column j holds exponent group g at loop N:
+        "w" (the live w exponents N..m, and the head at N = m+1), "g" (the g
+        coefficients, pinned since the loop M[j] of the last replacement)
+        or None (a slot that must hold zero)."""
+        if g == 0 or N + g <= self.m:
+            return "w"
+        Mj = self.M[j]
+        if Mj is not None and g >= self.m + 1 - Mj:
+            return "g"
+        return None
+
+    def _put(self, N: int, zp: bms.ZArray, h: int, val: int) -> None:
+        """Store a rebuilt coefficient at Z^h; a nonzero register that maps
+        past the Z-array's top exponent should have been retired."""
+        if h >= len(zp):
+            raise AssertionError(f"{self.arch}: boundary N={N}: coefficient at Z^{h} above the top exponent")
         zp[h] = val
-    elif val != ZERO:
-        raise AssertionError(f"{arch}: boundary N={N}: coefficient at Z^{h} above the top exponent")
-
-
-def _empty_state(a: int, m: int, s1: list[int], c1: list[int]) -> dict:
-    zeros = {key: [[ZERO] * (m + 2) for _ in range(a)] for key in ("v", "f", "w", "g")}
-    return {"s1": s1[:], "c1": c1[:], **zeros}
 
 
 # ---------------------------------------------------------------------------
@@ -140,119 +263,52 @@ def _empty_state(a: int, m: int, s1: list[int], c1: list[int]) -> dict:
 
 def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = True) -> ArchTrace:
     cv = code.curve
-    fld = code.fld
     a, m = cv.a, code.m
     P = m + 3
-    ref = bms.init_state(code, synd, bms.INVERSE_FREE)
-
-    # one v/f and one w/g line per block; wg lines are indexed by the logical
-    # w/g column j, physically homed at block ibar(j, N) for the current loop
-    vf: list[list[int]] = []
-    for i in range(a):
-        line = [ZERO] * (m + 2)
-        for p in range(m + 1):
-            l = cv.l_of(i, p)
-            if l is not None and synd[l] != ZERO:
-                line[p] = synd[l]
-        line[m + 1] = 0  # f = 1
-        vf.append(line)
-    wg: list[list[int]] = [[0] + [ZERO] * (m + 2) for _ in range(a)]
-
-    s1 = [cv.basis_start(i)[0] for i in range(a)]
-    c1 = [x - 1 for x in s1]
-    M: list[int | None] = [None] * a
-    d_lat = [ZERO] * a
-    e_lat = [ZERO] * a
-    replace = [False] * a
-
     trace = ArchTrace(
         INVERSE_FREE,
         period=P,
         total_clocks=(m + 1) * P,
         registers=RegisterFile(vf=a * (m + 2), wg=a * P, disc_regs=a, head_regs=a),
     )
+    ctl = _Controller(trace, code, synd, bms.INVERSE_FREE)
 
-    def reconstruct(N: int) -> dict:
-        got = _empty_state(a, m, s1, c1)
-        for i in range(a):
-            for p, val in enumerate(vf[i]):
-                if p <= m - N:
-                    got["v"][i][N + p] = val
-                else:
-                    got["f"][i][p - (m + 1) + N] = val
-        for j in range(a):
-            for p, val in enumerate(wg[j]):
-                if p == 0 or N + p <= m:
-                    got["w"][j][N + p] = val
-                elif M[j] is not None and p >= m + 1 - M[j]:
-                    _put(INVERSE_FREE, N, got["g"][j], p - (m + 1) + N, val)
-                elif val != ZERO:
-                    raise AssertionError(
-                        f"{INVERSE_FREE}: boundary N={N}: stale w/g register {p} not zeroed"
-                    )
-        return got
+    # one v/f and one w/g line per block; wg lines are indexed by the logical
+    # w/g column j, physically homed at block ibar(j, N) for the current loop
+    vf = [[ctl.vf_init(i, p) for p in range(m + 2)] for i in range(a)]
+    wg = [[0] + [ZERO] * (m + 2) for _ in range(a)]  # w = 1
 
-    for clo in range(trace.total_clocks):
-        N, p = divmod(clo, P)
-        if p == 0:
-            _boundary(INVERSE_FREE, code, reconstruct(N), ref, trace)
-            # latch discrepancies/heads and set this loop's switches
-            for i in range(a):
-                l = cv.l_of(i, N)
-                d_lat[i] = vf[i][0] if (l is not None and s1[i] <= l[0]) else ZERO
-            for j in range(a):
-                e_lat[j] = wg[j][0]
-            pend = []
-            for i in range(a):
-                j = cv.ibar(i, N)
-                l = cv.l_of(i, N)
-                upd = d_lat[i] != ZERO and s1[i] < l[0] - c1[j]
-                replace[j] = upd
-                if upd:
-                    pend.append((i, j, l[0] - c1[j], l[0] - s1[i]))
-            for i, j, ns, nc in pend:
-                s1[i] = ns
-                c1[j] = nc
-                M[j] = N
+    def readback(N: int):
+        return (
+            [(i, p, val) for i in range(a) for p, val in enumerate(vf[i])],
+            [(j, p, val) for j in range(a) for p, val in enumerate(wg[j])],
+        )
 
-        xs = [vf[i].pop(0) for i in range(a)]
-        ys = [wg[j].pop(0) for j in range(a)]
-        mults = 0
-        for i in range(a):
-            j = cv.ibar(i, N)
-            if p == 0:
-                vf[i].append(ZERO)  # mod Z^N: the consumed head is not recirculated
-            else:
-                vf[i].append(fld.add(fld.mul(e_lat[j], xs[i]), fld.mul(d_lat[i], ys[j])))
-                mults += 2
-        for j in range(a):
-            i = cv.ibar(j, N)
-            live_w = p <= m - N - 1 or (N == m and p == 0)
-            if replace[j]:
-                live_g = p >= m + 1 - N
-                # switch B: w <- Zv / g <- Zf via the vf stream
-                wg[j].append(xs[i] if (live_w or live_g) else ZERO)
-            else:
-                live_g = M[j] is not None and p >= m + 1 - M[j]
-                wg[j].append(ys[j] if (live_w or live_g) else ZERO)
-        trace.mult_uses += mults
-        trace.max_mults_per_clock = max(trace.max_mults_per_clock, mults)
-        if keep_snapshots:
-            trace.snapshots.append(
-                {
-                    "clock": clo,
-                    "registers": {
-                        **{f"block{i}.vf": vf[i][:] for i in range(a)},
-                        **{f"block{i}.wg": wg[cv.ibar(i, N)][:] for i in range(a)},
-                    },
-                    "switches": {
-                        "disc_latch_down": p == 0,
-                        **{f"block{i}.update": replace[cv.ibar(i, N)] for i in range(a)},
-                    },
-                }
-            )
-
-    _boundary(INVERSE_FREE, code, reconstruct(m + 1), ref, trace)
+    for N in ctl.loops(readback):
+        pair = [cv.ibar(i, N) for i in range(a)]
+        for p in range(P):
+            mults = 0
+            for i, j in enumerate(pair):
+                v_in, w_in, used = ctl.clock(N, p, i, i, j, vf[i].pop(0), wg[j].pop(0))
+                vf[i].append(v_in)
+                wg[j].append(w_in)
+                mults += used
+            trace.mult_uses += mults
+            trace.max_mults_per_clock = max(trace.max_mults_per_clock, mults)
+            if keep_snapshots:
+                trace.snapshots.append(
+                    {
+                        "clock": N * P + p,
+                        "registers": {
+                            **{f"block{i}.vf": vf[i][:] for i in range(a)},
+                            **{f"block{i}.wg": wg[pair[i]][:] for i in range(a)},
+                        },
+                        "switches": {
+                            "disc_latch_down": p == 0,
+                            **{f"block{i}.update": ctl.replace[i] for i in range(a)},
+                        },
+                    }
+                )
     return trace
 
 
@@ -268,7 +324,6 @@ def _sim_serial_core(
     keep_snapshots: bool,
 ) -> ArchTrace:
     cv = code.curve
-    fld = code.fld
     a, m = cv.a, code.m
     binv = cv.b_inv
 
@@ -305,33 +360,6 @@ def _sim_serial_core(
             return (-k) % a
 
     L = a * (m + 2) - 1
-    ref = bms.init_state(code, synd, mode)
-
-    def init_value(phase: int) -> int:
-        g, k = divmod(phase, a)
-        if g <= m:
-            l = cv.l_of(vf_obj(0, k), g)
-            return synd[l] if (l is not None and synd[l] != ZERO) else ZERO
-        if g == m + 1:
-            return 0  # f = 1
-        return ZERO
-
-    line = [init_value(p) for p in range(L)]
-    fifo = [init_value(L + i) for i in range(c_v)]
-    exch = init_value(L + c_v)
-
-    wgline = [ZERO] * P
-    for k in range(a):
-        wgline[k] = 0  # w = 1 per column
-
-    s1 = [cv.basis_start(i)[0] for i in range(a)]
-    c1 = [x - 1 for x in s1]
-    M: list[int | None] = [None] * a
-    d_lat = [ZERO] * a  # per slot
-    e_lat = [ZERO] * a
-    dinv_lat = [ZERO] * a
-    replace = [False] * a
-
     trace = ArchTrace(
         arch,
         period=P,
@@ -345,116 +373,42 @@ def _sim_serial_core(
             supp_regs=2 * a if arch == SERIAL_INVERSE_FREE else 0,
         ),
     )
+    ctl = _Controller(trace, code, synd, mode)
 
-    def reconstruct(N: int) -> dict:
-        got = _empty_state(a, m, s1, c1)
-        for phase, val in enumerate(line + fifo + [exch]):
-            if val == ZERO:
-                continue
-            g, k = divmod(phase, a)
-            obj = vf_obj(N, k)
-            if g <= m - N:
-                got["v"][obj][N + g] = val
-            else:
-                _put(arch, N, got["f"][obj], g - (m + 1) + N, val)
-        for phase, val in enumerate(wgline):
-            g, k = divmod(phase, a)
-            obj = wg_obj(k)
-            if g == 0 or N + g <= m:
-                got["w"][obj][N + g] = val
-            elif M[obj] is not None and g >= m + 1 - M[obj]:
-                _put(arch, N, got["g"][obj], g - (m + 1) + N, val)
-            elif val != ZERO:
-                raise AssertionError(
-                    f"{arch}: boundary N={N}: stale w/g register at phase {phase} not zeroed"
-                )
-        return got
+    vf_all = [ctl.vf_init(vf_obj(0, phase % a), phase // a) for phase in range(L + c_v + 1)]
+    line, fifo, exch = vf_all[:L], vf_all[L:-1], vf_all[-1]
+    wgline = [0] * a + [ZERO] * (P - a)  # w = 1 per column
 
-    for clo in range(trace.total_clocks):
-        N, phase = divmod(clo, P)
-        g, k = divmod(phase, a)
-        if phase == 0:
-            _boundary(arch, code, reconstruct(N), ref, trace)
+    def readback(N: int):
+        return (
+            [(vf_obj(N, ph % a), ph // a, val) for ph, val in enumerate(line + fifo + [exch])],
+            [(wg_obj(ph % a), ph // a, val) for ph, val in enumerate(wgline)],
+        )
 
-        x = line.pop(0)
-        y = wgline.pop(0)
-
-        mults = 0
-        if phase < a:
-            # head clocks: latch this pair's discrepancy and head values and
-            # set its preserve/update switch for the whole loop
-            j = vf_obj(N, k)  # locator column streaming in this slot
-            p_obj = wg_obj(k)  # auxiliary column of this slot
-            l = cv.l_of(j, N)
-            d_lat[k] = x if (l is not None and s1[j] <= l[0]) else ZERO
-            e_lat[k] = y
-            upd = d_lat[k] != ZERO and s1[j] < l[0] - c1[p_obj]
-            replace[k] = upd
-            if upd:
-                if mode == bms.DIVISION:
-                    dinv_lat[k], _ = fld.inv_chain(d_lat[k])
-                    trace.inv_uses += 1
-                new_s1 = l[0] - c1[p_obj]
-                c1[p_obj] = l[0] - s1[j]
-                s1[j] = new_s1
-                M[p_obj] = N
-
-        # w/g push: recirculate (the one-exponent relabel is free), take the
-        # updated column from the v/f stream, or zero a stale slot
-        p_obj = wg_obj(k)
-        live_w = g <= m - N - 1 or (N == m and g == 0)
-        if replace[k]:
-            live_g = g >= m + 1 - N
-            if not (live_w or live_g):
-                wgline.append(ZERO)
-            elif mode == bms.DIVISION:
-                wgline.append(fld.mul(dinv_lat[k], x))
-                mults += 1
-            else:
-                wgline.append(x)
-        else:
-            live_g = M[p_obj] is not None and g >= m + 1 - M[p_obj]
-            wgline.append(y if (live_w or live_g) else ZERO)
-
-        # v/f push
-        if g == 0:
-            newval = ZERO  # mod Z^N deletion retires the consumed head
-        elif mode == bms.DIVISION:
-            newval = fld.add(x, fld.mul(d_lat[k], y))
-            mults += 1
-        else:
-            newval = fld.add(fld.mul(e_lat[k], x), fld.mul(d_lat[k], y))
-            mults += 2
-
-        # slot-0 values wrap to the last slot and detour through the exchange
-        # register (held for a clocks); everything else re-enters directly
-        if k == 0:
-            intake = exch
-            exch = newval
-        else:
-            intake = newval
-        if c_v:
-            fifo.append(intake)
-            line.append(fifo.pop(0))
-        else:
-            line.append(intake)
-
-        trace.mult_uses += mults
-        trace.max_mults_per_clock = max(trace.max_mults_per_clock, mults)
-        if keep_snapshots:
-            trace.snapshots.append(
-                {
-                    "clock": clo,
-                    "registers": {"vf": line[:], "wg": wgline[:], "exch": [exch], "supp": fifo[:]},
-                    "switches": {
-                        "exchange_down": k == 0,
-                        "head_latch": phase < a,
-                        "update": replace[k],
-                    },
-                }
-            )
-
-    _boundary(arch, code, reconstruct(m + 1), ref, trace)
+    for N in ctl.loops(readback):
+        lanes = [(k, vf_obj(N, k), wg_obj(k)) for k in range(a)]
+        for g in range(P // a):
+            for k, i, j in lanes:
+                v_in, w_in, mults = ctl.clock(N, g, k, i, j, line.pop(0), wgline.pop(0))
+                wgline.append(w_in)
+                # slot-0 values wrap to the last slot and detour through the
+                # exchange register (held for a clocks); the rest re-enter directly
+                if k == 0:
+                    v_in, exch = exch, v_in
+                if c_v:
+                    fifo.append(v_in)
+                    v_in = fifo.pop(0)
+                line.append(v_in)
+                trace.mult_uses += mults
+                trace.max_mults_per_clock = max(trace.max_mults_per_clock, mults)
+                if keep_snapshots:
+                    trace.snapshots.append(
+                        {
+                            "clock": N * P + g * a + k,
+                            "registers": {"vf": line[:], "wg": wgline[:], "exch": [exch], "supp": fifo[:]},
+                            "switches": {"exchange_down": k == 0, "head_latch": g == 0, "update": ctl.replace[k]},
+                        }
+                    )
     return trace
 
 

@@ -113,6 +113,15 @@ def read_errors(path: str, code: CodeSpec) -> tuple[list[int], list[int]]:
     return locs, vals
 
 
+def read_received(args, code: CodeSpec) -> Word:
+    """The received word: ``args.received`` read as a word file, or with
+    ``--errors`` as an error pattern injected into the zero codeword."""
+    if args.errors:
+        locs, vals = read_errors(args.received, code)
+        return code.inject_errors(code.zero_word(), locs, vals)
+    return read_word(args.received, code)
+
+
 def bundled_error_file(preset: str) -> str:
     return str(resources.files("agbms").joinpath(f"presets/{preset}_errors.txt"))
 
@@ -122,11 +131,7 @@ def bundled_error_file(preset: str) -> str:
 
 def cmd_decode(args) -> int:
     code, digest = load_code(args.spec)
-    if args.errors:
-        locs, vals = read_errors(args.received, code)
-        received = code.inject_errors(code.zero_word(), locs, vals)
-    else:
-        received = read_word(args.received, code)
+    received = read_received(args, code)
 
     if args.dump_state:
         synd = code.syndromes(received)
@@ -151,12 +156,7 @@ def cmd_decode(args) -> int:
 
 def cmd_trace_arch(args) -> int:
     code, digest = load_code(args.spec)
-    if args.errors:
-        locs, vals = read_errors(args.received, code)
-        received = code.inject_errors(code.zero_word(), locs, vals)
-    else:
-        received = read_word(args.received, code)
-    synd = code.syndromes(received)
+    synd = code.syndromes(read_received(args, code))
     try:
         trace = archsim.SIMULATORS[args.arch](code, synd)
     except archsim.ArchCompatError as exc:
@@ -287,10 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except ValueError as exc:  # SpecError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

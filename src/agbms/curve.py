@@ -56,17 +56,21 @@ class CurveSpec:
                 raise ValueError("Klein quartic requires (a, b) = (3, 2)")
             if self.genus != 3:
                 raise ValueError("Klein quartic has genus 3")
-            return
-        if not 0 < self.a <= self.b or gcd(self.a, self.b) != 1:
-            raise ValueError(f"need 0 < a <= b with gcd(a,b)=1, got a={self.a} b={self.b}")
-        if self.e == ZERO:
-            raise ValueError("leading coefficient e must be nonzero")
-        expected = (self.a - 1) * (self.b - 1) // 2
-        if self.genus != expected:
-            raise ValueError(f"genus {self.genus} != (a-1)(b-1)/2 = {expected}")
-        for n in self.chi:
-            if self.pole_order(n) >= self.a * self.b:
-                raise ValueError(f"chi term {n} has pole order >= ab")
+        else:
+            if not 0 < self.a <= self.b or gcd(self.a, self.b) != 1:
+                raise ValueError(f"need 0 < a <= b with gcd(a,b)=1, got a={self.a} b={self.b}")
+            if self.e == ZERO:
+                raise ValueError("leading coefficient e must be nonzero")
+            expected = (self.a - 1) * (self.b - 1) // 2
+            if self.genus != expected:
+                raise ValueError(f"genus {self.genus} != (a-1)(b-1)/2 = {expected}")
+            for n in self.chi:
+                if self.pole_order(n) >= self.a * self.b:
+                    raise ValueError(f"chi term {n} has pole order >= ab")
+        # b^-1 mod a, computed once; a plain attribute rather than a
+        # functools.cached_property, whose write through the instance
+        # __dict__ slows every later attribute read of the curve on CPython 3.11
+        self.b_inv = pow(self.b, -1, self.a)
 
     # -- monomial order ---------------------------------------------------
 
@@ -122,10 +126,6 @@ class CurveSpec:
                 n = (rem // self.a, n2)
                 return n if self.in_function_ring(n) else None
         return None
-
-    @property
-    def b_inv(self) -> int:
-        return pow(self.b, -1, self.a)
 
     def ibar(self, i: int, N: int) -> int:
         """Partner index: the unique 0 <= j < a with j = b^-1 N - i (mod a)."""

@@ -118,7 +118,6 @@ class GF:
             count += 2
         acc = self.mul(acc, acc, ctr)  # a^(2^w - 2) = a^-1
         count += 1
-        assert count == 2 * self.w - 3
         return acc, count
 
     def nonzero(self) -> range:

@@ -80,7 +80,8 @@ def is_generic(code: CodeSpec, locs: list[int]) -> GenericityReport:
     d = linalg.det(code.fld, mat)
     delta = footprint(code, locs)
     generic = d != ZERO
-    assert generic == (delta == monos), "determinant and footprint tests disagree"
+    if generic != (delta == monos):
+        raise AssertionError("determinant and footprint tests disagree")
     return GenericityReport(generic, mt, delta, d != ZERO)
 
 

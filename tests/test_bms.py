@@ -318,11 +318,12 @@ def test_window_invariants(elliptic, elliptic_golden):
 
 
 def test_extract_poly_raises_under_optimize():
-    # the support and leading-coefficient checks guard decoder results, so
-    # they must hold when asserts are compiled out
+    # the support and leading-coefficient checks, the genericity cross-check
+    # and the simulators' boundary check guard results, so they must hold
+    # when asserts are compiled out
     script = textwrap.dedent(
         """
-        from agbms import GF, CodeSpec, bms, elliptic_curve
+        from agbms import GF, CodeSpec, archsim, bms, elliptic_curve, linalg, oracle
         from agbms.gf import ZERO
         code = CodeSpec(elliptic_curve(), GF(4, 0b10011), m=8)
         assert False, "asserts are on"
@@ -337,6 +338,23 @@ def test_extract_poly_raises_under_optimize():
             bms.extract_locators(st, code)
         except AssertionError as exc:
             print("lead:", exc)
+        locs = [code.locate(xy) for xy in [(3, 7), (9, 11), (14, 4)]]
+        print("generic pattern:", oracle.is_generic(code, locs).is_generic)
+        linalg.det = lambda fld, mat: ZERO
+        try:
+            oracle.is_generic(code, locs)
+        except AssertionError as exc:
+            print("generic:", exc)
+        init_state = bms.init_state
+        def skewed(*args):
+            st = init_state(*args)
+            st.v[0][0] = ZERO if st.v[0][0] != ZERO else 0
+            return st
+        bms.init_state = skewed
+        try:
+            archsim.sim_inverse_free(code, code.syndromes(code.inject_errors(code.zero_word(), locs, [6, 8, 11])))
+        except AssertionError as exc:
+            print("sim:", exc)
         """
     )
     src = str(pathlib.Path(bms.__file__).resolve().parents[1])
@@ -346,6 +364,9 @@ def test_extract_poly_raises_under_optimize():
     ).stdout
     assert "stray: coefficients outside the monomial support: {2: 5}" in out
     assert "lead: leading coefficient of F^(1) must stay nonzero" in out
+    assert "generic pattern: True" in out
+    assert "generic: determinant and footprint tests disagree" in out
+    assert "sim: inverse_free: boundary N=0 register state diverges" in out
 
 
 def test_state_record_format(elliptic, elliptic_golden):

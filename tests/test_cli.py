@@ -113,24 +113,38 @@ def test_dump_state_bytes_pinned(tmp_path, capsys, preset, mode):
     assert hashlib.sha256(dump.read_bytes()).hexdigest()[:16] == DUMP_DIGESTS[preset, mode]
 
 
+# sha256 prefixes of the bundled-pattern trace-arch CSVs, recorded with the
+# two copies of the simulator control that preceded the shared controller
+CSV_DIGESTS = {
+    ("inverse_free", "elliptic_gf16"): "7f82c657632e0cf8",
+    ("serial", "klein_gf8"): "66d223dd50254419",
+    ("serial_inverse_free", "hermitian_gf16"): "9c7f844d9afd6a54",
+    ("inverse_free", "klein_gf8"): "10613de55d2f4c32",
+}
+
+
 @pytest.mark.parametrize(
     "arch,preset,mode",
     [
         ("inverse_free", "elliptic_gf16", "inverse_free"),
         ("serial", "klein_gf8", "division"),
         ("serial_inverse_free", "hermitian_gf16", "inverse_free"),
+        ("inverse_free", "klein_gf8", "inverse_free"),
     ],
 )
 def test_boundary_dumps_match_dump_state(tmp_path, capsys, arch, preset, mode):
+    # the boundary dumps equal the decoder's state dumps, and the per-clock
+    # register CSV is pinned byte for byte
     errfile = cli.bundled_error_file(preset)
-    dump, bounds = tmp_path / "dump.jsonl", tmp_path / "bounds.jsonl"
+    dump, bounds, trace = tmp_path / "dump.jsonl", tmp_path / "bounds.jsonl", tmp_path / "t.csv"
     run_cli(capsys, "decode", preset, errfile, "--errors", "--mode", mode, "--dump-state", str(dump))
     code, _, _ = run_cli(
-        capsys, "trace-arch", preset, errfile, str(tmp_path / "t.csv"),
+        capsys, "trace-arch", preset, errfile, str(trace),
         "--arch", arch, "--errors", "--boundary-dumps", str(bounds),
     )
     assert code == cli.EXIT_OK
     assert bounds.read_bytes() == dump.read_bytes()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest()[:16] == CSV_DIGESTS[arch, preset]
 
 
 def test_trace_arch_elliptic(tmp_path, capsys):
