@@ -34,37 +34,29 @@ class Word:
 class CodeSpec:
     """The code C(m) on a curve over a field, with its evaluation points.
 
-    d_G is the Goppa designed distance m - 2g + 2.  ``t_design`` is the
-    Eq.-style target (m - 2g + 1)/2 when that is integral, while
-    ``t_generic`` = floor((d_G - a)/2) is what the inverse-free pipeline
-    corrects for generic errors with loops up to N = m.
+    d_G is the Goppa designed distance m - 2g + 2, and ``t_generic`` =
+    floor((d_G - a)/2) is what the inverse-free pipeline corrects for
+    generic errors with loops up to N = m.  ``points`` are the curve's
+    rational points, found on construction.
     """
 
     curve: CurveSpec
     fld: GF
     m: int
-    points: list[Point] = field(default_factory=list)
+    points: list[Point] = field(init=False)
 
     def __post_init__(self) -> None:
         g = self.curve.genus
         if self.m <= 2 * g - 2:
             raise ValueError(f"m={self.m} must exceed 2g-2={2 * g - 2}")
-        if not self.points:
-            self.points = self.curve.points(self.fld)
+        self.points = self.curve.points(self.fld)
         self.n = len(self.points)
         self.d_G = self.m - 2 * g + 2
-        self.t_design = (self.m - 2 * g + 1) // 2 if (self.m - 2 * g + 1) % 2 == 0 else None
         self.t_generic = (self.d_G - self.curve.a) // 2
         # Monomial basis of L(m P_inf) and the wider syndrome index set.
         self.basis = self.curve.phi(0, self.curve.a, self.m)
-        self.syndrome_domain = [
-            n for n in self.curve.phi(0, 2 * self.curve.a - 1, self.m) if self._evaluable(n)
-        ]
+        self.syndrome_domain = self.curve.phi(0, 2 * self.curve.a - 1, self.m)
         self._rows: dict[Mono, list[int | None]] = {}
-
-    def _evaluable(self, n: Mono) -> bool:
-        """Monomial evaluable at every code point (Klein: regular at P_(1:0:0))."""
-        return not self.curve.klein or 2 * n[0] >= n[1]
 
     @property
     def dim(self) -> int:

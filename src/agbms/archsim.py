@@ -347,8 +347,6 @@ def _sim_serial_core(
         # is one slot per loop only when b = 1 (mod a), e.g. Hermitian y^4+y=x^5.
         if binv != 1:
             raise ArchCompatError("serial inverse-free layout needs b = 1 (mod a)")
-        if cv.klein:
-            raise ArchCompatError("serial inverse-free layout is for C_a^b curves")
         arch = SERIAL_INVERSE_FREE
         c_v = a
         P = a * (m + 2) + 2 * a

@@ -1,11 +1,16 @@
 """Plane-curve machinery for one-point AG codes.
 
-Covers C_a^b curves  y^a + e*x^b + sum chi_n x^n1 y^n2 = 0  (gcd(a,b)=1,
-e != 0) plus the Klein quartic x*y^3 + x^3 + y = 0 as a flagged special
-case.  Provides the pole-order combinatorics (Phi sets, l^(i) lookup, the
-pairing index ibar), rational-point enumeration, monomial/polynomial
-evaluation, canonical reduction modulo the curve, and formal derivatives
-for error evaluation.
+A curve is its defining polynomial D, a BiPoly built once per curve:
+C_a^b curves  y^a + e*x^b + sum chi_n x^n1 y^n2  (gcd(a,b)=1, e != 0), or
+the Klein quartic  x*y^3 + x^3 + y  written out as data.  From D come the
+leading monomial (the term with n2 = a), the rewrite rule D - lead that
+reduces products to canonical form, and the partial derivatives (D_x, D_y)
+of the formal derivative along the curve used for error values.  Rational
+points are the zeros of D.  Besides these the module provides the
+pole-order combinatorics (Phi sets, l^(i) lookup, the pairing index ibar)
+and monomial/polynomial evaluation.  Beyond D, the Klein flag decides only
+the function ring and the extra rational point P_(1:0:0) with its
+valuation rule.
 
 Monomials are (n1, n2) tuples; bivariate polynomials ("BiPoly") are dicts
 mapping monomials to log-encoded coefficients with no zero entries stored.
@@ -41,6 +46,14 @@ class CurveSpec:
     monomials (o(n) < ab) to their log coefficients.  For the Klein quartic
     the defining equation is fixed (x*y^3 + x^3 + y = 0 with (a, b) = (3, 2))
     and ``e``/``chi`` are ignored.
+
+    Construction derives, as plain attributes: ``D``, the defining
+    polynomial (y^a, x^b, then the nonzero chi terms; Klein: x*y^3, x^3,
+    y); ``lead``, its monomial with n2 = a; ``rewrite`` = D - lead, so that
+    lead = rewrite on the curve (char 2); and ``Dx``, ``Dy``, its partial
+    derivatives.  None of them needs the field: the chi terms have pole
+    order < ab, so no two terms of D share a monomial, and differentiation
+    maps distinct monomials to distinct monomials.
     """
 
     a: int
@@ -56,6 +69,7 @@ class CurveSpec:
                 raise ValueError("Klein quartic requires (a, b) = (3, 2)")
             if self.genus != 3:
                 raise ValueError("Klein quartic has genus 3")
+            D: BiPoly = {(1, 3): 0, (3, 0): 0, (0, 1): 0}
         else:
             if not 0 < self.a <= self.b or gcd(self.a, self.b) != 1:
                 raise ValueError(f"need 0 < a <= b with gcd(a,b)=1, got a={self.a} b={self.b}")
@@ -67,20 +81,22 @@ class CurveSpec:
             for n in self.chi:
                 if self.pole_order(n) >= self.a * self.b:
                     raise ValueError(f"chi term {n} has pole order >= ab")
-        # b^-1 mod a, computed once; a plain attribute rather than a
-        # functools.cached_property, whose write through the instance
-        # __dict__ slows every later attribute read of the curve on CPython 3.11
+            D = {(0, self.a): 0, (self.b, 0): self.e}
+            D.update((n, c) for n, c in self.chi.items() if c != ZERO)
+        # Derived once, as plain attributes rather than functools.cached_property,
+        # whose write through the instance __dict__ slows every later attribute
+        # read of the curve on CPython 3.11.  b_inv is b^-1 mod a.
         self.b_inv = pow(self.b, -1, self.a)
+        self.D = D
+        self.lead = next(n for n in D if n[1] == self.a)
+        self.rewrite = {n: c for n, c in D.items() if n != self.lead}
+        self.Dx = {(n1 - 1, n2): c for (n1, n2), c in D.items() if n1 % 2 == 1}
+        self.Dy = {(n1, n2 - 1): c for (n1, n2), c in D.items() if n2 % 2 == 1}
 
     # -- monomial order ---------------------------------------------------
 
     def pole_order(self, n: Mono) -> int:
         return n[0] * self.a + n[1] * self.b
-
-    @property
-    def excluded(self) -> frozenset[Mono]:
-        """Canonical-basis monomials removed on the Klein quartic."""
-        return frozenset({(0, 1), (0, 2)}) if self.klein else frozenset()
 
     def in_function_ring(self, n: Mono) -> bool:
         """True when x^n1 y^n2 has no pole outside P_inf.
@@ -145,17 +161,15 @@ class CurveSpec:
     # -- points and evaluation --------------------------------------------
 
     def equation_at(self, field: GF, x: int, y: int) -> int:
-        """D(x, y) in log form at an affine candidate point."""
-        if self.klein:
-            # x y^3 + x^3 + y
-            t1 = field.mul(x, field.pow(y, 3))
-            t2 = field.pow(x, 3)
-            return field.add(field.add(t1, t2), y)
-        acc = field.add(field.pow(y, self.a), field.mul(self.e, field.pow(x, self.b)))
-        for (n1, n2), c in self.chi.items():
-            term = field.mul(c, field.mul(field.pow(x, n1), field.pow(y, n2)))
-            acc = field.add(acc, term)
-        return acc
+        """D(x, y) in log form at an affine candidate point, summed in
+        bit-vector form.  A zero coordinate kills exactly the terms with a
+        positive power of it; with a zero power, n1 * x (or n2 * y) is 0."""
+        exp, qm1 = field.exp, field.q - 1
+        acc = 0
+        for (n1, n2), c in self.D.items():
+            if not (n1 and x == ZERO or n2 and y == ZERO):
+                acc ^= exp[(c + n1 * x + n2 * y) % qm1]
+        return field.from_vec(acc)
 
     def points(self, field: GF) -> list[Point]:
         """All rational code points: affine solutions of D = 0, then any
@@ -193,18 +207,8 @@ class CurveSpec:
 
     # -- canonical form ----------------------------------------------------
 
-    def _rewrite_ya(self, field: GF) -> BiPoly:
-        """y^a (Klein: x*y^3) expressed in lower-n2 monomials, char 2."""
-        if self.klein:
-            # x y^3 = x^3 + y
-            return {(3, 0): 0, (0, 1): 0}
-        rw: BiPoly = {(self.b, 0): self.e}
-        for n, c in self.chi.items():
-            rw[n] = field.add(rw.get(n, ZERO), c)
-        return {n: c for n, c in rw.items() if c != ZERO}
-
     def reduce(self, field: GF, raw: BiPoly) -> BiPoly:
-        """Canonical form with n2 < a, rewriting via the curve equation.
+        """Canonical form with n2 < a, rewriting lead -> D - lead.
 
         Preserves the function (hence pole order and every point value).  On
         the Klein quartic the rewrite x*y^3 -> x^3 + y needs an x factor, so
@@ -213,7 +217,7 @@ class CurveSpec:
         only use, e.g. derivative numerators); ring membership of a canonical
         polynomial is checked separately where required.
         """
-        rw = self._rewrite_ya(field)
+        lead1, lead2 = self.lead
         work = {n: c for n, c in raw.items() if c != ZERO}
         out: BiPoly = {}
         while work:
@@ -224,13 +228,10 @@ class CurveSpec:
                 if out[n] == ZERO:
                     del out[n]
                 continue
-            if self.klein:
-                if n1 == 0:
-                    raise ValueError(f"y^{n2} is not in the Klein function ring")
-                base = (n1 - 1, n2 - 3)
-            else:
-                base = (n1, n2 - self.a)
-            for rn, rc in rw.items():
+            if n1 < lead1:
+                raise ValueError(f"y^{n2} is not in the Klein function ring")
+            base = (n1 - lead1, n2 - lead2)
+            for rn, rc in self.rewrite.items():
                 m = (base[0] + rn[0], base[1] + rn[1])
                 cc = field.mul(c, rc)
                 work[m] = field.add(work.get(m, ZERO), cc)
@@ -245,36 +246,13 @@ class CurveSpec:
     def poly_degree(self, poly: BiPoly) -> Mono | None:
         return max(poly, key=self.pole_order, default=None)
 
-    def derivative(self, field: GF) -> tuple[BiPoly, BiPoly]:
-        """(D_x, D_y) of the defining equation, canonical form, char 2."""
-        if self.klein:
-            # D = x y^3 + x^3 + y: D_x = y^3 + x^2 (not canonical in n2 < 3
-            # until rewritten -- but y^3 alone cannot be rewritten, keep raw),
-            # D_y = 3 x y^2 + 1 = x y^2 + 1.
-            return {(0, 3): 0, (2, 0): 0}, {(1, 2): 0, (0, 0): 0}
-        dx: BiPoly = {}
-        dy: BiPoly = {}
-        full: BiPoly = {(0, self.a): 0, (self.b, 0): self.e}
-        for n, c in self.chi.items():
-            full[n] = field.add(full.get(n, ZERO), c)
-        for (n1, n2), c in full.items():
-            if c == ZERO:
-                continue
-            if n1 % 2 == 1:
-                dx[(n1 - 1, n2)] = field.add(dx.get((n1 - 1, n2), ZERO), c)
-            if n2 % 2 == 1:
-                dy[(n1, n2 - 1)] = field.add(dy.get((n1, n2 - 1), ZERO), c)
-        dx = {n: c for n, c in dx.items() if c != ZERO}
-        dy = {n: c for n, c in dy.items() if c != ZERO}
-        return dx, dy
-
     def formal_derivative(self, field: GF, poly: BiPoly) -> tuple[BiPoly, BiPoly]:
         """d/dx along the curve as a (numerator, denominator) pair.
 
-        F' = dF/dx + dF/dy * y' with y' = D_x / D_y.  When D_y is a nonzero
-        constant the quotient folds into the numerator and the denominator
-        is 1; otherwise (Klein) both parts are returned and the caller
-        divides at evaluation time.  Char 2 throughout, so signs vanish and
+        F' = dF/dx + dF/dy * y' with y' = D_x / D_y, the curve's ``Dx`` and
+        ``Dy``.  When D_y is a nonzero constant the quotient folds into the
+        numerator and the denominator is 1; otherwise (Klein) both parts are
+        returned and the caller divides at evaluation time.  Char 2 throughout, so signs vanish and
         even powers differentiate to zero.
         """
         dFdx: BiPoly = {}
@@ -286,7 +264,7 @@ class CurveSpec:
             if n2 % 2 == 1:
                 k = (n1, n2 - 1)
                 dFdy[k] = field.add(dFdy.get(k, ZERO), c)
-        Dx, Dy = self.derivative(field)
+        Dx, Dy = self.Dx, self.Dy
         if len(Dy) == 1 and (0, 0) in Dy:
             inv_dy = (field.q - 1 - Dy[(0, 0)]) % (field.q - 1)
             yprime = {n: field.mul(c, inv_dy) for n, c in Dx.items()}

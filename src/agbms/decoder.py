@@ -115,7 +115,8 @@ def error_values_interpolation(
     locs: list[int], code: CodeSpec, synd: dict[Mono, int]
 ) -> list[int] | None:
     """Error values by solving u_l = sum_g e_g z^l(P_g) on the first |E|
-    non-gap syndrome rows.
+    non-gap syndrome rows, the first |E| monomials of ``code.basis``; None
+    when the basis has fewer than |E| (decode never asks for that).
 
     Always receiver-computable and exact whenever the located set is
     generic.  The closed formula is preferred (it is what the architectures
@@ -123,18 +124,9 @@ def error_values_interpolation(
     registers come out of a simultaneous multi-column degree jump it can
     lose the pairing normalization it needs; this solve covers those runs.
     """
-    rows: linalg.Matrix = []
-    rhs: list[int] = []
-    N = -1
-    while len(rows) < len(locs):
-        N += 1
-        l = code.curve.l_of(0, N)
-        if l is None:
-            continue
-        row = code.eval_row(l)
-        rows.append([row[j] for j in locs])
-        rhs.append(synd[l])
-    sol = linalg.solve(code.fld, rows, rhs)
+    ls = code.basis[: len(locs)]
+    rows = [[code.eval_row(l)[j] for j in locs] for l in ls]
+    sol = linalg.solve(code.fld, rows, [synd[l] for l in ls])
     if sol is None or any(v == ZERO for v in sol):
         return None
     return sol

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from agbms import bms, cli
+from agbms import bms, cli, decoder, oracle
 from agbms.gf import ZERO
 
 
@@ -45,6 +45,26 @@ def test_decode_non_generic_exit_code(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "decode", "elliptic_gf16", str(errfile), "--errors")
     assert code == cli.EXIT_NOT_GENERIC
     assert "status: NotGenericDetected" in out
+
+
+def test_decode_klein_special_point_failure(tmp_path, capsys):
+    # a non-generic Klein pattern through P_(1:0:0) (index 22) ends as
+    # Failure, exit 3: the closed form cannot evaluate there and the
+    # interpolation finds no correction that passes the re-check
+    codespec, _ = cli.load_code("klein_gf8")
+    locs = [1, 2, 3, 22]
+    assert codespec.points[22].special == "(1:0:0)"
+    assert not oracle.is_generic(codespec, locs).is_generic
+    received = codespec.inject_errors(codespec.zero_word(), locs, [0] * 4)
+    for mode in (bms.INVERSE_FREE, bms.DIVISION):
+        res = decoder.decode(codespec, received, mode)
+        assert res.status == decoder.FAILURE
+        assert "(1:0:0)" in res.detail
+    errfile = tmp_path / "special.txt"
+    errfile.write_text("1 0\n2 0\n3 0\n22 0\n")
+    code, out, _ = run_cli(capsys, "decode", "klein_gf8", str(errfile), "--errors")
+    assert code == cli.EXIT_FAILURE
+    assert "status: Failure" in out
 
 
 def test_decode_parse_error(tmp_path, capsys):

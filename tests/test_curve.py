@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -108,9 +109,20 @@ def test_reduce_klein(gf8):
         kle.reduce(gf8, {(0, 3): 0})  # y^3 alone is not in the ring
 
 
+def other_elliptic_curve():
+    """y^2 + alpha^3 y = x^3 + x over GF(16), 16 affine points: D_y = alpha^3
+    is a constant other than 1, and chi carries a zero entry."""
+    return CurveSpec(a=2, b=3, e=0, chi={(0, 1): 3, (1, 0): 0, (0, 0): ZERO}, genus=1)
+
+
 def test_reduce_preserves_evaluation(gf16, gf8):
     rng = random.Random(7)
-    cases = [(elliptic_curve(), gf16), (klein_curve(), gf8), (hermitian_curve(), gf16)]
+    cases = [
+        (elliptic_curve(), gf16),
+        (klein_curve(), gf8),
+        (hermitian_curve(), gf16),
+        (other_elliptic_curve(), gf16),
+    ]
     for curve, field in cases:
         pts = [p for p in curve.points(field) if p.special is None]
         for _ in range(25):
@@ -164,7 +176,7 @@ def test_derivative_product_rule(gf16, gf8):
     rng = random.Random(11)
     from agbms.curve import _poly_mul
 
-    for curve, field in [(elliptic_curve(), gf16), (klein_curve(), gf8)]:
+    for curve, field in [(elliptic_curve(), gf16), (klein_curve(), gf8), (other_elliptic_curve(), gf16)]:
         pts = [p for p in curve.points(field) if p.special is None]
         for _ in range(10):
             def rand_poly():
@@ -187,6 +199,41 @@ def test_derivative_product_rule(gf16, gf8):
                     field.mul(curve.eval_poly(field, F, p), curve.eval_derivative(field, dG, p)),
                 )
                 assert lhs == rhs
+
+
+# sha256[:16] per preset curve of its points, then of reduce and
+# formal_derivative (or the ValueError message) on 200 seeded raw
+# polynomials; recorded before the curve methods read the defining
+# polynomial D from one attribute
+CURVE_DIGESTS = {
+    "elliptic_gf16": "ba6f2c99b0f6c5ec",
+    "klein_gf8": "1bcf0c378e561b86",
+    "hermitian_gf16": "b3705ab04f6ad245",
+}
+
+
+def test_curve_algebra_digests(gf16, gf8):
+    cases = {
+        "elliptic_gf16": (elliptic_curve(), gf16),
+        "klein_gf8": (klein_curve(), gf8),
+        "hermitian_gf16": (hermitian_curve(), gf16),
+    }
+    digests = {}
+    for preset, (curve, field) in cases.items():
+        h = hashlib.sha256(repr([(p.x, p.y, p.special) for p in curve.points(field)]).encode())
+        rng = random.Random(5)
+        for _ in range(200):
+            raw = {}
+            for _ in range(rng.randint(1, 6)):
+                raw[(rng.randint(0, 4), rng.randint(0, 2 * curve.a + 1))] = rng.randrange(-1, field.q - 1)
+            try:
+                red = curve.reduce(field, raw)
+                out = (red, curve.formal_derivative(field, red))
+            except ValueError as exc:
+                out = str(exc)
+            h.update(repr(out).encode())
+        digests[preset] = h.hexdigest()[:16]
+    assert digests == CURVE_DIGESTS
 
 
 def test_count_nongaps():
