@@ -54,10 +54,9 @@ segment.  Each hands the controller the values leaving its lines and says,
 at a boundary, which (column, exponent group, value) each register holds;
 the controller latches d and e at the head group, flips the lane's switch,
 decides both line inputs, and rebuilds and checks the state.  Its s and c
-are updated in place at the latch: ibar(., N) is a bijection, so in each
-loop every column is read and written by exactly one lane, and no lane
-sees another's new degree.  The w/g zero-setting uses the same windows as
-the read-back, one loop ahead.
+are updated in place at the latch, lane by lane, exactly as ``bms.step``
+updates its state (its docstring says why that is exact).  The w/g
+zero-setting uses the same windows as the read-back, one loop ahead.
 """
 
 from __future__ import annotations
@@ -152,9 +151,8 @@ class _Controller:
         v/f input, the w/g input and the multipliers used."""
         fld, m = self.fld, self.m
         if g == 0:
-            # head group: latch d and e, set the switch, update the degrees.
-            # In place is exact: ibar(., N) is a bijection, so each column is
-            # read and written by exactly one lane per loop.
+            # head group: latch d and e, set the switch, update the degrees
+            # in place (exact for the reason given in bms.step)
             s1, c1 = self.s1, self.c1
             l = self.l_of(i, N)
             d = self.d[lane] = x if (l is not None and s1[i] <= l[0]) else ZERO
@@ -162,7 +160,7 @@ class _Controller:
             upd = self.replace[lane] = d != ZERO and s1[i] < l[0] - c1[j]
             if upd:
                 if self.division:
-                    self.dinv[lane], _ = fld.inv_chain(d)
+                    self.dinv[lane] = fld.inv_chain(d)
                     self.trace.inv_uses += 1
                 s1[i], c1[j] = l[0] - c1[j], l[0] - s1[i]
                 self.M[j] = N

@@ -5,9 +5,9 @@ The state carries, per column index i in [0, a): the minimal degree s^(i)
 c^(i), and four polynomials in a formal variable Z -- f (locator
 coefficients), g (auxiliary), v (syndrome combination whose coefficient at
 Z^N is the discrepancy), w (auxiliary for v).  One ``step`` consumes loop
-index N: discrepancies are read off v and w heads, then every column is
-updated simultaneously from the pre-step snapshot, pairing column i with
-ibar(i, N).
+index N: discrepancies are read off v and w heads, then each lane -- column
+i paired with ibar(i, N) -- updates its columns in place (``step`` says why
+that is exact).
 
 Inverse-free mode scales instead of dividing (f <- e*f - d*g) and performs
 no field inversions at all; division mode is the classical parallel form
@@ -102,8 +102,6 @@ class LocatorOutput:
     G: list[BiPoly]
     lead_F: list[int]
     head_e: list[int]
-    s_final: list[Mono]
-    c_final: list[Mono]
     mode: str
 
 
@@ -162,61 +160,43 @@ def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]
 
 
 def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
-    """One N-loop: Step 1 (discrepancies) + Step 2 (simultaneous update)."""
+    """One N-loop: Step 1 (discrepancies), then Step 2 lane by lane, in place.
+
+    Lane i pairs column i with ib = ibar(i, N), as one multiplier pair of
+    the parallel architecture does: it reads and writes f, v and s1 of
+    column i and g, w, c1, M and tlabel of column ib, and nothing else.
+    ibar(., N) is a bijection of the columns, so in each loop every column
+    is read and written by exactly one lane, no lane sees another lane's
+    new values, and the in-place update equals one from a pre-step copy.
+    Within a lane every old value is read before it is overwritten.
+    """
     cv = code.curve
     fld = code.fld
-    a = cv.a
-    N = state.N
+    N, top = state.N, state.top
+    f, g, v, w, s1, c1 = state.f, state.g, state.v, state.w, state.s1, state.c1
+    inverse_free = state.mode == INVERSE_FREE
     d, e = discrepancies(state, code)
-
-    old = state
-    new_s1 = old.s1[:]
-    new_c1 = old.c1[:]
-    new_f: list[ZArray] = [[]] * a
-    new_g: list[ZArray] = [[]] * a
-    new_v: list[ZArray] = [[]] * a
-    new_w: list[ZArray] = [[]] * a
-    new_M = old.M[:]
-    new_t = old.tlabel[:]
-
-    for i in range(a):
+    for i in range(cv.a):
         ib = cv.ibar(i, N)
-        update = False
-        if d[i] != ZERO:  # a nonzero discrepancy implies that l^(i) exists
-            l1 = cv.l_of(i, N)[0]
-            update = old.s1[i] < l1 - old.c1[ib]
-
-        scale = e[ib] if old.mode == INVERSE_FREE else None
-        new_f[i] = _lincomb(fld, ctr, scale, old.f[i], d[i], old.g[ib])
-        new_v[i] = _lincomb(fld, ctr, scale, old.v[i], d[i], old.w[ib])
-        new_v[i][N] = ZERO  # mod Z^N: the consumed head is deleted explicitly
-
-        if not update:
-            new_g[ib] = _zshift(old.g[ib])
-            new_w[ib] = _zshift(old.w[ib])
+        fi, vi = f[i], v[i]
+        scale = e[ib] if inverse_free else None
+        f[i] = _lincomb(fld, ctr, scale, fi, d[i], g[ib])
+        v[i] = _lincomb(fld, ctr, scale, vi, d[i], w[ib])
+        v[i][N] = ZERO  # mod Z^N: the consumed head is deleted explicitly
+        # a nonzero discrepancy implies that l^(i) exists
+        if d[i] != ZERO and s1[i] < (l1 := cv.l_of(i, N)[0]) - c1[ib]:
+            dinv = None if inverse_free else fld.inv_chain(d[i], ctr)
+            # f and v are ZERO at top+1, so scaling before the shift charges
+            # the muls that scaling after it would
+            g[ib] = _zshift(_lincomb(fld, ctr, dinv, fi))
+            w[ib] = _zshift(_lincomb(fld, ctr, dinv, vi))
+            state.M[ib], state.tlabel[ib] = N, (s1[i], i)
+            s1[i], c1[ib] = l1 - c1[ib], l1 - s1[i]
         else:
-            new_s1[i] = l1 - old.c1[ib]
-            new_c1[ib] = l1 - old.s1[i]
-            if old.mode == INVERSE_FREE:
-                new_g[ib] = _zshift(old.f[i])
-                new_w[ib] = _zshift(old.v[i])
-            else:
-                dinv, _ = fld.inv_chain(d[i], ctr)
-                new_g[ib] = _lincomb(fld, ctr, dinv, _zshift(old.f[i]))
-                new_w[ib] = _lincomb(fld, ctr, dinv, _zshift(old.v[i]))
-            new_M[ib] = N
-            new_t[ib] = (old.s1[i], i)
-        if N != old.top:
-            new_w[ib][old.top + 1] = ZERO  # w keeps its top+1 head only after the last loop
-
-    state.s1 = new_s1
-    state.c1 = new_c1
-    state.f = new_f
-    state.g = new_g
-    state.v = new_v
-    state.w = new_w
-    state.M = new_M
-    state.tlabel = new_t
+            g[ib] = _zshift(g[ib])
+            w[ib] = _zshift(w[ib])
+        if N != top:
+            w[ib][top + 1] = ZERO  # w keeps its top+1 head only after the last loop
     state.N = N + 1
 
 
@@ -286,19 +266,12 @@ def extract_poly(code: CodeSpec, zp: ZArray, deg: Mono, offset: int = 0) -> BiPo
 
 
 def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
-    cv = code.curve
-    a = cv.a
     F: list[BiPoly] = []
     G: list[BiPoly] = []
     lead: list[int] = []
     head: list[int] = []
-    s_final: list[Mono] = []
-    c_final: list[Mono] = []
-    for i in range(a):
-        s = (state.s1[i], i)
-        s_final.append(s)
-        c_final.append((state.c1[i], i))
-        F.append(extract_poly(code, state.f[i], s))
+    for i in range(code.curve.a):
+        F.append(extract_poly(code, state.f[i], (state.s1[i], i)))
         if state.f[i][0] == ZERO:
             raise AssertionError(f"leading coefficient of F^({i}) must stay nonzero")
         lead.append(state.f[i][0])
@@ -307,7 +280,7 @@ def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
             G.append({})
         else:
             G.append(extract_poly(code, state.g[i], state.tlabel[i], offset=state.N - state.M[i]))
-    return LocatorOutput(F, G, lead, head, s_final, c_final, state.mode)
+    return LocatorOutput(F, G, lead, head, state.mode)
 
 
 def delta_set(code: CodeSpec, s1: list[int]) -> list[Mono]:

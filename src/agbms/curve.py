@@ -43,9 +43,10 @@ class CurveSpec:
     """C_a^b curve data (or Klein quartic when ``klein`` is set).
 
     ``e`` is the log coefficient of x^b and ``chi`` maps lower-order
-    monomials (o(n) < ab) to their log coefficients.  For the Klein quartic
-    the defining equation is fixed (x*y^3 + x^3 + y = 0 with (a, b) = (3, 2))
-    and ``e``/``chi`` are ignored.
+    monomials (pairs of non-negative ints with o(n) < ab) to their log
+    coefficients.  For the Klein quartic the defining equation is fixed
+    (x*y^3 + x^3 + y = 0 with (a, b) = (3, 2)) and ``e``/``chi`` are
+    ignored.
 
     Construction derives, as plain attributes: ``D``, the defining
     polynomial (y^a, x^b, then the nonzero chi terms; Klein: x*y^3, x^3,
@@ -79,6 +80,8 @@ class CurveSpec:
             if self.genus != expected:
                 raise ValueError(f"genus {self.genus} != (a-1)(b-1)/2 = {expected}")
             for n in self.chi:
+                if type(n) is not tuple or len(n) != 2 or any(type(k) is not int or k < 0 for k in n):
+                    raise ValueError(f"chi key {n!r} is not a pair of non-negative ints")
                 if self.pole_order(n) >= self.a * self.b:
                     raise ValueError(f"chi term {n} has pole order >= ab")
             D = {(0, self.a): 0, (self.b, 0): self.e}
@@ -296,8 +299,7 @@ class CurveSpec:
             raise ZeroDivisionError(f"derivative denominator vanishes at {p}")
         if nv == ZERO:
             return ZERO
-        inv, _ = field.inv_chain(dv, ctr)
-        return field.mul(nv, inv, ctr)
+        return field.mul(nv, field.inv_chain(dv, ctr), ctr)
 
 
 def _poly_mul(field: GF, p: BiPoly, q: BiPoly) -> BiPoly:

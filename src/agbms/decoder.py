@@ -61,8 +61,7 @@ def _eval_derivative(
         raise ZeroDivisionError(f"derivative denominator vanishes at {code.points[j]}")
     if nv == ZERO:
         return ZERO
-    inv, _ = code.fld.inv_chain(dv, ctr)
-    return code.fld.mul(nv, inv, ctr)
+    return code.fld.mul(nv, code.fld.inv_chain(dv, ctr), ctr)
 
 
 def error_values(
@@ -91,8 +90,8 @@ def error_values(
         if monic:
             scale.append(0)  # alpha^0
             continue
-        inv_lead, _ = fld.inv_chain(basis.lead_F[i], ctr)
-        inv_head, _ = fld.inv_chain(basis.head_e[i], ctr)
+        inv_lead = fld.inv_chain(basis.lead_F[i], ctr)
+        inv_head = fld.inv_chain(basis.head_e[i], ctr)
         scale.append(fld.mul(inv_lead, inv_head, ctr))
     vals = []
     for j in locs:
@@ -106,8 +105,7 @@ def error_values(
             acc = fld.add(acc, term, ctr)
         if acc == ZERO:
             raise ZeroDivisionError(f"error-value sum vanishes at point {j}")
-        ej, _ = fld.inv_chain(acc, ctr)
-        vals.append(ej)
+        vals.append(fld.inv_chain(acc, ctr))
     return vals
 
 

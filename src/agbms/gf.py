@@ -100,25 +100,22 @@ class GF:
             return 0 if n == 0 else ZERO
         return (a * n) % (self.q - 1)
 
-    def inv_chain(self, a: int, ctr: OpCounter | None = None) -> tuple[int, int]:
-        """Inverse a^(q-2) by the squaring chain; returns (inverse, mul count).
+    def inv_chain(self, a: int, ctr: OpCounter | None = None) -> int:
+        """Inverse a^(q-2) by the squaring chain.
 
-        The chain squares w-1 times and multiplies by ``a`` w-2 times, so the
-        count is always 2w-3.  Raises ZeroDivisionError on a = 0.
+        The chain squares w-1 times and multiplies by ``a`` w-2 times, so
+        ``ctr`` is charged one inversion and always 2w-3 muls.  Raises
+        ZeroDivisionError on a = 0.
         """
         if a == ZERO:
             raise ZeroDivisionError("zero has no inverse in GF(2^w)")
         if ctr is not None:
             ctr.invs += 1
-        count = 0
         acc = a  # a^(2^1 - 1)
         for _ in range(self.w - 2):
             acc = self.mul(acc, acc, ctr)  # square: a^(2^k - 1) -> a^(2^(k+1) - 2)
             acc = self.mul(acc, a, ctr)  # -> a^(2^(k+1) - 1)
-            count += 2
-        acc = self.mul(acc, acc, ctr)  # a^(2^w - 2) = a^-1
-        count += 1
-        return acc, count
+        return self.mul(acc, acc, ctr)  # a^(2^w - 2) = a^-1
 
     def nonzero(self) -> range:
         """Logs of all nonzero elements."""

@@ -22,7 +22,6 @@ class GenericityReport:
     is_generic: bool
     m_t: int
     delta_set: list[Mono]
-    det_nonzero: bool
 
 
 def m_t(code: CodeSpec, t: int) -> int:
@@ -69,20 +68,21 @@ def footprint(code: CodeSpec, locs: list[int]) -> list[Mono]:
 
 
 def is_generic(code: CodeSpec, locs: list[int]) -> GenericityReport:
-    """Genericity via the t x t determinant on the first t non-gaps."""
+    """Genericity via the t x t determinant on the first t non-gaps.
+
+    m_t is the t-th non-gap, so Phi(0, a, m_t) holds exactly t monomials
+    and the matrix is square.
+    """
     t = len(locs)
     if len(set(locs)) != t:
         raise ValueError("duplicate locations")
     mt = m_t(code, t)
     monos = code.curve.phi(0, code.curve.a, mt)
-    assert len(monos) == t
-    mat = _eval_matrix(code, monos, locs)
-    d = linalg.det(code.fld, mat)
+    generic = linalg.det(code.fld, _eval_matrix(code, monos, locs)) != ZERO
     delta = footprint(code, locs)
-    generic = d != ZERO
     if generic != (delta == monos):
         raise AssertionError("determinant and footprint tests disagree")
-    return GenericityReport(generic, mt, delta, d != ZERO)
+    return GenericityReport(generic, mt, delta)
 
 
 def groebner_la(code: CodeSpec, locs: list[int]) -> list[BiPoly]:

@@ -2,8 +2,16 @@ import random
 
 import pytest
 
-from agbms import GF, CodeSpec, elliptic_curve, hermitian_curve, klein_curve
+from agbms import GF, CodeSpec, CurveSpec, elliptic_curve, hermitian_curve, klein_curve
 from agbms import oracle
+from agbms.gf import ZERO
+
+
+def other_elliptic_curve():
+    """y^2 + alpha^3 y = x^3 + x over GF(16), a curve no preset covers: 16
+    affine points, D_y = alpha^3 is a constant other than 1, and chi carries
+    a zero entry."""
+    return CurveSpec(a=2, b=3, e=0, chi={(0, 1): 3, (1, 0): 0, (0, 0): ZERO}, genus=1)
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +37,11 @@ def klein(gf8):
 @pytest.fixture(scope="session")
 def hermitian(gf16):
     return CodeSpec(hermitian_curve(), gf16, m=24)
+
+
+@pytest.fixture(scope="session")
+def other_elliptic(gf16):
+    return CodeSpec(other_elliptic_curve(), gf16, m=8)
 
 
 # the worked three-error / four-error / five-error scenarios, locations given

@@ -109,7 +109,7 @@ def test_golden_extraction_elliptic(elliptic, elliptic_golden):
     out = bms.extract_locators(st, elliptic)
     assert out.F == ELLIPTIC_F9
     assert out.G == ELLIPTIC_G9
-    assert out.s_final == [(2, 0), (1, 1)]
+    assert st.s1 == [2, 1]
     assert out.lead_F == [13, 13]
 
 
@@ -119,7 +119,7 @@ def test_golden_extraction_klein(klein, klein_golden):
     out = bms.extract_locators(st, klein)
     assert out.F == KLEIN_F16
     assert out.G == KLEIN_G16
-    assert out.s_final == [(3, 0), (2, 1), (1, 2)]
+    assert st.s1 == [3, 2, 1]
     assert out.lead_F == [0, 0, 0]  # division mode normalizes leads to alpha^0
     assert out.head_e == [0, 0, 0]
 
@@ -129,7 +129,7 @@ def test_golden_extraction_hermitian(hermitian, hermitian_golden):
     st, _ = bms.run(hermitian, hermitian.syndromes(recv), bms.INVERSE_FREE)
     out = bms.extract_locators(st, hermitian)
     assert out.F[0] == HERMITIAN_F25_0
-    assert out.s_final == [(3, 0), (2, 1), (0, 2), (0, 3)]
+    assert st.s1 == [3, 2, 0, 0]
 
 
 def test_inverse_free_no_inversions(elliptic, klein, hermitian):
@@ -387,9 +387,9 @@ def test_delta_set(elliptic, elliptic_golden):
 
 
 def test_final_degree_bounds(elliptic, klein, hermitian):
-    # o(s_final^(i)) <= t+2g-1+a always and <= t+g-1+a on generic patterns,
-    # modulo columns whose minimal ring monomial already exceeds the bound
-    # (the Hermitian y^3 column starts at pole order 15)
+    # after the last loop o(s^(i)) <= t+2g-1+a always and <= t+g-1+a on
+    # generic patterns, modulo columns whose minimal ring monomial already
+    # exceeds the bound (the Hermitian y^3 column starts at pole order 15)
     rng = random.Random(61)
     for code in (elliptic, klein, hermitian):
         cv, g, a = code.curve, code.curve.genus, code.curve.a

@@ -75,6 +75,20 @@ def test_decode_parse_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("key", [[-1, 0], [0, -2], [1.5, 0], ["1", 0], [True, 1]],
+                         ids=["neg_n1", "neg_n2", "float", "str", "bool"])
+def test_spec_chi_keys_validated(tmp_path, capsys, key):
+    # a chi monomial must be a pair of non-negative ints; x^-1 used to load
+    # into a Laurent "curve" and decode to Success
+    doc = json.loads(cli._spec_bytes("elliptic_gf16"))
+    doc["curve"]["chi"].append(key + [0])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "decode", str(spec), cli.bundled_error_file("elliptic_gf16"), "--errors")
+    assert code == cli.EXIT_PARSE
+    assert "chi key" in err and out == ""
+
+
 @pytest.mark.parametrize("line", ["99 3", "24 3", "-1 3", "0 40", "0 15", "0 -1"])
 @pytest.mark.parametrize("command", ["decode", "trace-arch"])
 def test_error_file_out_of_range(tmp_path, capsys, command, line):

@@ -5,6 +5,7 @@ import pytest
 
 from agbms.curve import CurveSpec, Point, elliptic_curve, hermitian_curve, klein_curve
 from agbms.gf import GF, ZERO
+from conftest import other_elliptic_curve
 
 
 def test_pole_order_examples():
@@ -107,12 +108,6 @@ def test_reduce_klein(gf8):
     assert kle.reduce(gf8, {(1, 3): 0}) == {(3, 0): 0, (0, 1): 0}  # x y^3 = x^3 + y
     with pytest.raises(ValueError):
         kle.reduce(gf8, {(0, 3): 0})  # y^3 alone is not in the ring
-
-
-def other_elliptic_curve():
-    """y^2 + alpha^3 y = x^3 + x over GF(16), 16 affine points: D_y = alpha^3
-    is a constant other than 1, and chi carries a zero entry."""
-    return CurveSpec(a=2, b=3, e=0, chi={(0, 1): 3, (1, 0): 0, (0, 0): ZERO}, genus=1)
 
 
 def test_reduce_preserves_evaluation(gf16, gf8):

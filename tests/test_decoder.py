@@ -36,8 +36,7 @@ def test_chien_klein(klein, klein_golden):
 
 def test_chien_nonzero_constant_excludes_everything(elliptic):
     basis = bms.LocatorOutput(
-        F=[{(0, 0): 3}, {(0, 1): 0}], G=[{}, {}], lead_F=[3, 0], head_e=[0, 0],
-        s_final=[(0, 0), (0, 1)], c_final=[(-1, 0), (-1, 1)], mode=bms.INVERSE_FREE,
+        F=[{(0, 0): 3}, {(0, 1): 0}], G=[{}, {}], lead_F=[3, 0], head_e=[0, 0], mode=bms.INVERSE_FREE,
     )
     assert decoder.chien_search(basis, elliptic) == []
 
@@ -206,8 +205,7 @@ def test_error_values_zero_sum_reported(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     basis = run_basis(elliptic, recv)
     crippled = bms.LocatorOutput(
-        F=basis.F, G=[{}, {}], lead_F=basis.lead_F, head_e=basis.head_e,
-        s_final=basis.s_final, c_final=basis.c_final, mode=basis.mode,
+        F=basis.F, G=[{}, {}], lead_F=basis.lead_F, head_e=basis.head_e, mode=basis.mode,
     )
     with pytest.raises(ZeroDivisionError):
         decoder.error_values([0], crippled, elliptic)
@@ -222,8 +220,8 @@ def direct_error_values(locs, basis, code, ctr):
         if basis.mode == bms.DIVISION:
             scale.append(0)
             continue
-        inv_lead, _ = fld.inv_chain(basis.lead_F[i], ctr)
-        inv_head, _ = fld.inv_chain(basis.head_e[i], ctr)
+        inv_lead = fld.inv_chain(basis.lead_F[i], ctr)
+        inv_head = fld.inv_chain(basis.head_e[i], ctr)
         scale.append(fld.mul(inv_lead, inv_head, ctr))
     vals = []
     for j in locs:
@@ -236,7 +234,7 @@ def direct_error_values(locs, basis, code, ctr):
                 acc = fld.add(acc, fld.mul(fld.mul(fp, gp, ctr), scale[i], ctr), ctr)
         if acc == ZERO:
             raise ZeroDivisionError(j)
-        vals.append(fld.inv_chain(acc, ctr)[0])
+        vals.append(fld.inv_chain(acc, ctr))
     return vals
 
 

@@ -8,14 +8,15 @@ not asserted.
 """
 
 import itertools
+import math
 import random
 
 import pytest
 
-from agbms import decoder, oracle
+from agbms import bms, decoder, oracle
 
 
-def sweep(code, weight, seed):
+def sweep(code, weight, seed, mode=bms.INVERSE_FREE):
     """Status counts per (generic within budget, status); fails on any
     miscorrection and on any generic pattern within budget not corrected."""
     rng = random.Random(seed)
@@ -24,7 +25,7 @@ def sweep(code, weight, seed):
     counts: dict[tuple[bool, str], int] = {}
     for locs in itertools.combinations(range(code.n), weight):
         vals = [rng.randrange(code.fld.q - 1) for _ in locs]
-        res = decoder.decode(code, code.inject_errors(sent, list(locs), vals))
+        res = decoder.decode(code, code.inject_errors(sent, list(locs), vals), mode)
         if res.status == decoder.SUCCESS:
             assert res.corrected.symbols == sent.symbols, f"miscorrection at {locs}"
         # above the budget nothing is corrected, so genericity is not asked
@@ -47,6 +48,23 @@ def test_elliptic_weight4_exhaustive(elliptic):
     counts = sweep(elliptic, 4, seed=4)
     assert sum(counts.values()) == 10626
     assert {status for _, status in counts} == {decoder.NOT_GENERIC}
+
+
+# generic location sets per weight on y^2 + alpha^3 y = x^3 + x over GF(16)
+# with m = 8 (n = 16, t_generic = 3), a curve no preset covers; weight 4 is
+# over the budget, so none counts there
+OTHER_ELLIPTIC_GENERIC = {1: 16, 2: 112, 3: 528, 4: 0}
+
+
+@pytest.mark.parametrize("weight", sorted(OTHER_ELLIPTIC_GENERIC))
+@pytest.mark.parametrize("mode", [bms.INVERSE_FREE, bms.DIVISION])
+def test_other_elliptic_exhaustive(other_elliptic, mode, weight):
+    assert (other_elliptic.n, other_elliptic.t_generic) == (16, 3)
+    counts = sweep(other_elliptic, weight, seed=weight, mode=mode)
+    assert sum(counts.values()) == math.comb(16, weight)
+    assert counts.get((True, decoder.SUCCESS), 0) == OTHER_ELLIPTIC_GENERIC[weight]
+    if weight > other_elliptic.t_generic:
+        assert {status for _, status in counts} == {decoder.NOT_GENERIC}
 
 
 @pytest.mark.slow
