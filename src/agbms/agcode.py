@@ -4,7 +4,8 @@ Every evaluation on the decode path reads one memoized point x monomial
 table (``CodeSpec.eval_row``): the row of z^n holds its log value at each
 code point.  Sums are accumulated in bit-vector form and converted to log
 form once, the software counterpart of the table-driven syndrome and
-Chien-search units.
+Chien-search units.  Derivatives along the curve read one more per-code
+row, the slope y' = D_x/D_y at each point (``CodeSpec.slope``).
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
-from .curve import BiPoly, CurveSpec, Mono, Point
+from .curve import BiPoly, CurveSpec, Mono, Point, partials
 from .gf import GF, ZERO, OpCounter
 
-POLE = None  # evaluation-table marker: z^n has a pole at this point
+POLE = None  # table marker: z^n (or y') has no value at this point
 
 
 @dataclass
@@ -37,7 +38,9 @@ class CodeSpec:
     d_G is the Goppa designed distance m - 2g + 2, and ``t_generic`` =
     floor((d_G - a)/2) is what the inverse-free pipeline corrects for
     generic errors with loops up to N = m.  ``points`` are the curve's
-    rational points, found on construction.
+    rational points, found on construction.  The int m must satisfy
+    2g - 2 < m < n + g - 1, so that the code has positive dimension; a C_a^b
+    curve's ``e`` and ``chi`` values must be int logs of the field.
     """
 
     curve: CurveSpec
@@ -46,11 +49,16 @@ class CodeSpec:
     points: list[Point] = field(init=False)
 
     def __post_init__(self) -> None:
-        g = self.curve.genus
-        if self.m <= 2 * g - 2:
-            raise ValueError(f"m={self.m} must exceed 2g-2={2 * g - 2}")
-        self.points = self.curve.points(self.fld)
+        cv, g = self.curve, self.curve.genus
+        if type(self.m) is not int or self.m <= 2 * g - 2:
+            raise ValueError(f"m={self.m!r} must be an int above 2g-2={2 * g - 2}")
+        for c in [] if cv.klein else [cv.e, *cv.chi.values()]:
+            if type(c) is not int or not ZERO <= c < self.fld.q - 1:
+                raise ValueError(f"curve log coefficient {c!r} is not an int in [-1, {self.fld.q - 2}]")
+        self.points = cv.points(self.fld)
         self.n = len(self.points)
+        if self.m - g + 1 >= self.n:  # Riemann-Roch: dim L(m P_inf) = m - g + 1
+            raise ValueError(f"m={self.m} leaves no message symbols: m - g + 1 >= n = {self.n}")
         self.d_G = self.m - 2 * g + 2
         self.t_generic = (self.d_G - self.curve.a) // 2
         # Monomial basis of L(m P_inf) and the wider syndrome index set.
@@ -101,6 +109,39 @@ class CodeSpec:
             if c != ZERO and z != ZERO:
                 acc ^= exp[(c + z) % qm1]
         return self.fld.from_vec(acc)
+
+    @cached_property
+    def slope(self) -> list[int | None]:
+        """Logs of y' = D_x/D_y at every code point, POLE where D_y vanishes
+        or D_x has a pole (on the presets only Klein's P_(1:0:0)).
+
+        Read from the evaluation table on first use, uncharged: like the
+        rows of z^n it depends on the point alone.
+        """
+        Dx, Dy = partials(self.curve.D)
+        out: list[int | None] = []
+        for j in range(self.n):
+            try:
+                dx, dy = self.eval_poly(Dx, j), self.eval_poly(Dy, j)
+            except ValueError:
+                dy = ZERO
+            out.append(POLE if dy == ZERO else self.fld.mul(dx, -dy % (self.fld.q - 1)))
+        return out
+
+    def derivative(self, poly: BiPoly, j: int, ctr: OpCounter | None = None) -> int:
+        """poly' = poly_x + poly_y * y' along the curve at code point j.
+
+        Charges ``ctr`` what ``eval_poly`` charges for the two partials plus
+        one mul and one add.  Raises ValueError, before any charge, where the
+        slope is POLE.
+        """
+        yp = self.slope[j]
+        if yp is POLE:
+            p = self.points[j]
+            raise ValueError(f"y' = D_x/D_y has no value at {p.special or (p.x, p.y)}")
+        fx, fy = partials(poly)
+        fld = self.fld
+        return fld.add(self.eval_poly(fx, j, ctr), fld.mul(self.eval_poly(fy, j, ctr), yp, ctr), ctr)
 
     def zero_word(self, role: str = "codeword") -> Word:
         return Word([ZERO] * self.n, role)

@@ -61,11 +61,15 @@ def load_code(path: str) -> tuple[CodeSpec, str]:
         doc = json.loads(raw)
         fld = GF(doc["field"]["w"], doc["field"]["prim_poly"])
         cs = doc["curve"]
+        triples = cs.get("chi", [])
+        chi = {(n1, n2): c for n1, n2, c in triples}
+        if len(chi) != len(triples):  # also (true, 0) onto (1, 0)
+            raise SpecError(f"repeated chi monomial in {triples!r}")
         curve = CurveSpec(
             a=cs["a"],
             b=cs["b"],
             e=cs["e"],
-            chi={(n1, n2): c for n1, n2, c in cs.get("chi", [])},
+            chi=chi,
             genus=cs["genus"],
             klein=cs.get("klein", False),
         )

@@ -4,8 +4,8 @@ A curve is its defining polynomial D, a BiPoly built once per curve:
 C_a^b curves  y^a + e*x^b + sum chi_n x^n1 y^n2  (gcd(a,b)=1, e != 0), or
 the Klein quartic  x*y^3 + x^3 + y  written out as data.  From D come the
 leading monomial (the term with n2 = a), the rewrite rule D - lead that
-reduces products to canonical form, and the partial derivatives (D_x, D_y)
-of the formal derivative along the curve used for error values.  Rational
+reduces products to canonical form, and (through ``partials``) the partial
+derivatives D_x, D_y whose quotient is the slope y' = D_x/D_y.  Rational
 points are the zeros of D.  Besides these the module provides the
 pole-order combinatorics (Phi sets, l^(i) lookup, the pairing index ibar)
 and monomial/polynomial evaluation.  Beyond D, the Klein flag decides only
@@ -27,6 +27,13 @@ Mono = tuple[int, int]
 BiPoly = dict[Mono, int]
 
 KLEIN_SPECIAL = "(1:0:0)"
+
+
+def partials(poly: BiPoly) -> tuple[BiPoly, BiPoly]:
+    """(d/dx, d/dy) of a BiPoly in characteristic 2: an odd exponent drops
+    by one and an even one kills the term, so no two monomials merge."""
+    dx = {(n1 - 1, n2): c for (n1, n2), c in poly.items() if n1 % 2}
+    return dx, {(n1, n2 - 1): c for (n1, n2), c in poly.items() if n2 % 2}
 
 
 @dataclass(frozen=True)
@@ -51,10 +58,8 @@ class CurveSpec:
     Construction derives, as plain attributes: ``D``, the defining
     polynomial (y^a, x^b, then the nonzero chi terms; Klein: x*y^3, x^3,
     y); ``lead``, its monomial with n2 = a; ``rewrite`` = D - lead, so that
-    lead = rewrite on the curve (char 2); and ``Dx``, ``Dy``, its partial
-    derivatives.  None of them needs the field: the chi terms have pole
-    order < ab, so no two terms of D share a monomial, and differentiation
-    maps distinct monomials to distinct monomials.
+    lead = rewrite on the curve (char 2).  None of them needs the field: the
+    chi terms have pole order < ab, so no two terms of D share a monomial.
     """
 
     a: int
@@ -93,8 +98,6 @@ class CurveSpec:
         self.D = D
         self.lead = next(n for n in D if n[1] == self.a)
         self.rewrite = {n: c for n, c in D.items() if n != self.lead}
-        self.Dx = {(n1 - 1, n2): c for (n1, n2), c in D.items() if n1 % 2 == 1}
-        self.Dy = {(n1, n2 - 1): c for (n1, n2), c in D.items() if n2 % 2 == 1}
 
     # -- monomial order ---------------------------------------------------
 
@@ -217,8 +220,8 @@ class CurveSpec:
         the Klein quartic the rewrite x*y^3 -> x^3 + y needs an x factor, so
         terms y^k with k >= 3 and no x are rejected: they lie outside the
         function ring.  The result may still contain y or y^2 (evaluation-
-        only use, e.g. derivative numerators); ring membership of a canonical
-        polynomial is checked separately where required.
+        only use); ring membership of a canonical polynomial is checked
+        separately where required.
         """
         lead1, lead2 = self.lead
         work = {n: c for n, c in raw.items() if c != ZERO}
@@ -248,67 +251,6 @@ class CurveSpec:
 
     def poly_degree(self, poly: BiPoly) -> Mono | None:
         return max(poly, key=self.pole_order, default=None)
-
-    def formal_derivative(self, field: GF, poly: BiPoly) -> tuple[BiPoly, BiPoly]:
-        """d/dx along the curve as a (numerator, denominator) pair.
-
-        F' = dF/dx + dF/dy * y' with y' = D_x / D_y, the curve's ``Dx`` and
-        ``Dy``.  When D_y is a nonzero constant the quotient folds into the
-        numerator and the denominator is 1; otherwise (Klein) both parts are
-        returned and the caller divides at evaluation time.  Char 2 throughout, so signs vanish and
-        even powers differentiate to zero.
-        """
-        dFdx: BiPoly = {}
-        dFdy: BiPoly = {}
-        for (n1, n2), c in poly.items():
-            if n1 % 2 == 1:
-                k = (n1 - 1, n2)
-                dFdx[k] = field.add(dFdx.get(k, ZERO), c)
-            if n2 % 2 == 1:
-                k = (n1, n2 - 1)
-                dFdy[k] = field.add(dFdy.get(k, ZERO), c)
-        Dx, Dy = self.Dx, self.Dy
-        if len(Dy) == 1 and (0, 0) in Dy:
-            inv_dy = (field.q - 1 - Dy[(0, 0)]) % (field.q - 1)
-            yprime = {n: field.mul(c, inv_dy) for n, c in Dx.items()}
-            num = dict(dFdx)
-            for n, c in _poly_mul(field, dFdy, yprime).items():
-                num[n] = field.add(num.get(n, ZERO), c)
-            num = {n: c for n, c in num.items() if c != ZERO}
-            return self.reduce(field, num), {(0, 0): 0}
-        num = _poly_mul(field, dFdx, Dy)
-        for n, c in _poly_mul(field, dFdy, Dx).items():
-            num[n] = field.add(num.get(n, ZERO), c)
-        num = {n: c for n, c in num.items() if c != ZERO}
-        return self.reduce(field, num), self.reduce(field, Dy)
-
-    def eval_derivative(
-        self,
-        field: GF,
-        deriv: tuple[BiPoly, BiPoly],
-        p: Point,
-        ctr: OpCounter | None = None,
-    ) -> int:
-        """Evaluate a (num, den) derivative pair at a point via inv_chain."""
-        num, den = deriv
-        nv = self.eval_poly(field, num, p, ctr)
-        if den == {(0, 0): 0}:
-            return nv
-        dv = self.eval_poly(field, den, p, ctr)
-        if dv == ZERO:
-            raise ZeroDivisionError(f"derivative denominator vanishes at {p}")
-        if nv == ZERO:
-            return ZERO
-        return field.mul(nv, field.inv_chain(dv, ctr), ctr)
-
-
-def _poly_mul(field: GF, p: BiPoly, q: BiPoly) -> BiPoly:
-    out: BiPoly = {}
-    for n, c in p.items():
-        for m, d in q.items():
-            k = (n[0] + m[0], n[1] + m[1])
-            out[k] = field.add(out.get(k, ZERO), field.mul(c, d))
-    return {n: c for n, c in out.items() if c != ZERO}
 
 
 def elliptic_curve() -> CurveSpec:

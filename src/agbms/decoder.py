@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from . import bms, linalg
 from .agcode import CodeSpec, Word
-from .curve import BiPoly, Mono
+from .curve import Mono
 from .gf import ZERO, OpCounter
 
 SUCCESS = "Success"
@@ -47,23 +47,6 @@ def chien_search(basis: bms.LocatorOutput, code: CodeSpec) -> list[int]:
     return out
 
 
-def _eval_derivative(
-    code: CodeSpec, deriv: tuple[BiPoly, BiPoly], j: int, ctr: OpCounter | None
-) -> int:
-    """``CurveSpec.eval_derivative`` at code point j, from the table, with
-    the same operation charges."""
-    num, den = deriv
-    nv = code.eval_poly(num, j, ctr)
-    if den == {(0, 0): 0}:
-        return nv
-    dv = code.eval_poly(den, j, ctr)
-    if dv == ZERO:
-        raise ZeroDivisionError(f"derivative denominator vanishes at {code.points[j]}")
-    if nv == ZERO:
-        return ZERO
-    return code.fld.mul(nv, code.fld.inv_chain(dv, ctr), ctr)
-
-
 def error_values(
     locs: list[int],
     basis: bms.LocatorOutput,
@@ -74,17 +57,18 @@ def error_values(
 
     e_j = ( sum_i F^(i)'(P_j)/F^(i)_s * G^(i)(P_j)/e^(i) )^-1, with the two
     divisors skipped when the basis came out of division mode (there the
-    leading and head coefficients are already 1).  All inversions run
-    through the squaring chain so their cost is visible to the counter.
+    leading and head coefficients are already 1).  F^(i)' is read at the
+    point through the code's slope row (``CodeSpec.derivative``), so no
+    derivative denominator is inverted.  All inversions run through the
+    squaring chain so their cost is visible to the counter.
 
     Raises ZeroDivisionError when the sum vanishes at some point (the
-    caller reports Failure) and ValueError at points where a derivative
-    cannot be evaluated (Klein's P_(1:0:0), where x ramifies).
+    caller reports Failure) and ValueError at points where the slope has
+    no value (Klein's P_(1:0:0), where x ramifies).
     """
     cv = code.curve
     fld = code.fld
     monic = basis.mode == bms.DIVISION
-    derivs = [cv.formal_derivative(fld, F) for F in basis.F]
     scale = []
     for i in range(cv.a):
         if monic:
@@ -99,7 +83,7 @@ def error_values(
         for i in range(cv.a):
             if not basis.G[i]:
                 continue
-            fp = _eval_derivative(code, derivs[i], j, ctr)
+            fp = code.derivative(basis.F[i], j, ctr)
             gp = code.eval_poly(basis.G[i], j, ctr)
             term = fld.mul(fld.mul(fp, gp, ctr), scale[i], ctr)
             acc = fld.add(acc, term, ctr)

@@ -45,6 +45,8 @@ class GF:
     """
 
     def __init__(self, w: int, prim_poly: int):
+        if type(w) is not int or type(prim_poly) is not int:
+            raise ValueError(f"w={w!r} and prim_poly={prim_poly!r} must be ints")
         if not 2 <= w <= 16:
             raise ValueError(f"extension degree w={w} outside supported range [2, 16]")
         if prim_poly.bit_length() != w + 1:

@@ -1,5 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -87,6 +94,108 @@ def test_spec_chi_keys_validated(tmp_path, capsys, key):
     code, out, err = run_cli(capsys, "decode", str(spec), cli.bundled_error_file("elliptic_gf16"), "--errors")
     assert code == cli.EXIT_PARSE
     assert "chi key" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("curve", "e", 30),  # read as e = 30 mod 15 = 0 before the range check
+        ("curve", "e", 15),
+        ("curve", "chi", [[0, 1, 15], [1, 0, 0]]),
+        ("curve", "chi", [[0, 1, 0], [1, 0, 0], [1, 0, 5]]),  # repeated x term
+        ("curve", "chi", [[0, 1, 0], [1, 0, 0], [True, 0, 0]]),  # true is 1
+        ("field", "prim_poly", "x"),
+        ("field", "prim_poly", None),
+        ("field", "prim_poly", 19.0),
+        ("field", "w", True),
+        ("code", "m", 24),  # m - g + 1 = n: no message symbols
+        ("code", "m", 8.0),
+    ],
+)
+def test_spec_values_validated(tmp_path, capsys, section, key, value):
+    # each of these used to decode the bundled errors or crash with a
+    # traceback; a malformed spec exits 1
+    doc = json.loads(cli._spec_bytes("elliptic_gf16"))
+    doc[section][key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "decode", str(spec), cli.bundled_error_file("elliptic_gf16"), "--errors")
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: bad code spec") and out == ""
+
+
+PRESETS = ("elliptic_gf16", "klein_gf8", "hermitian_gf16")
+FUZZ_KINDS = ("int", "float", "str", "bool", "null", "list", "dict", "delete")
+
+
+def spec_leaves(doc, path=()):
+    """Paths to every scalar of a spec document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for k, v in items for leaf in spec_leaves(v, path + (k,))]
+    return [path]
+
+
+def fuzzed_specs(count, seed):
+    """(preset, spec document) pairs: a preset with one or two scalars set
+    to a value of some JSON type, or deleted."""
+    rng = random.Random(seed)
+    for k in range(count):
+        preset = PRESETS[k % 3]
+        doc = json.loads(cli._spec_bytes(preset))
+        # deepest and highest list index first, so a deletion never shifts
+        # a path still to be mutated
+        for path in sorted(rng.sample(spec_leaves(doc), rng.randint(1, 2)), reverse=True):
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            old, kind = parent[path[-1]], rng.choice(FUZZ_KINDS)
+            if kind == "delete":
+                del parent[path[-1]]
+                continue
+            parent[path[-1]] = {
+                "int": rng.randint(-3, 40),
+                "float": float(old) + rng.choice([0.0, 0.5]),
+                "str": rng.choice(["x", "", "3"]),
+                "bool": rng.choice([True, False]),
+                "null": None,
+                "list": rng.choice([[], [old]]),
+                "dict": rng.choice([{}, {"v": old}]),
+            }[kind]
+        yield preset, doc
+
+
+FUZZ_SCRIPT = """
+import contextlib, io, json, sys
+from agbms import cli
+codes = []
+for spec, errors in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(["decode", spec, errors, "--errors"]))
+print(json.dumps(codes))
+"""
+
+
+def test_spec_fuzz_exits_cleanly(tmp_path):
+    # malformed specs exit with a code, never a traceback, also with
+    # asserts compiled out
+    cases = []
+    for k, (preset, doc) in enumerate(fuzzed_specs(150, seed=0)):
+        spec = tmp_path / f"spec{k}.json"
+        spec.write_text(json.dumps(doc))
+        cases.append((str(spec), cli.bundled_error_file(preset)))
+    codes = []
+    for spec, errors in cases:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main(["decode", spec, errors, "--errors"]))
+    assert set(codes) <= {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_NOT_GENERIC, cli.EXIT_FAILURE}
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", FUZZ_SCRIPT, json.dumps(cases)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert json.loads(out) == codes
 
 
 @pytest.mark.parametrize("line", ["99 3", "24 3", "-1 3", "0 40", "0 15", "0 -1"])

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from agbms.curve import CurveSpec, Point, elliptic_curve, hermitian_curve, klein_curve
-from agbms.gf import GF, ZERO
+from agbms.agcode import POLE
+from agbms.gf import GF, ZERO, OpCounter
 from conftest import other_elliptic_curve
 
 
@@ -143,36 +144,66 @@ def test_reduce_preserves_pole_order(gf16):
     assert her.poly_order(red) == her.pole_order((0, 4)) == 20
 
 
-def test_formal_derivative_elliptic(gf16):
-    ell = elliptic_curve()
-    num, den = ell.formal_derivative(gf16, {(0, 1): 0})  # F = y: F' = y' = x^2 + 1
-    assert den == {(0, 0): 0}
-    assert num == {(2, 0): 0, (0, 0): 0}
-    num, den = ell.formal_derivative(gf16, {(0, 0): 5})  # constants die
-    assert num == {}
+def test_slope_elliptic(elliptic):
+    # y^2 + y = x^3 + x: y' = D_x/D_y = x^2 + 1 at every point
+    cv, fld = elliptic.curve, elliptic.fld
+    for j, p in enumerate(elliptic.points):
+        assert elliptic.slope[j] == cv.eval_poly(fld, {(2, 0): 0, (0, 0): 0}, p)
+        assert elliptic.derivative({(0, 1): 0}, j) == elliptic.slope[j]  # F = y
+        assert elliptic.derivative({(0, 0): 5}, j) == ZERO  # constants die
 
 
-def test_formal_derivative_hermitian(gf16):
-    her = hermitian_curve()
-    num, den = her.formal_derivative(gf16, {(0, 1): 0})  # y' = x^4
-    assert den == {(0, 0): 0}
-    assert num == {(4, 0): 0}
+def test_slope_hermitian(hermitian):
+    # y^4 + y = x^5: y' = x^4 at every point
+    for j, p in enumerate(hermitian.points):
+        assert hermitian.slope[j] == hermitian.fld.pow(p.x, 4)
 
 
-def test_formal_derivative_klein_pair(gf8):
-    kle = klein_curve()
-    num, den = kle.formal_derivative(gf8, {(0, 0): 0, (1, 0): 0})  # F = 1 + x
-    assert den == {(1, 2): 0, (0, 0): 0}  # x y^2 + 1
-    assert num == den  # F' = 1 * D_y / D_y
+def test_slope_klein_pole_only_at_special_point(klein):
+    # x ramifies at P_(1:0:0) only: D_y = x y^2 + 1 vanishes there
+    assert [j for j, s in enumerate(klein.slope) if s is POLE] == [22]
+    assert klein.points[22].special == "(1:0:0)"
+    ctr = OpCounter()
+    with pytest.raises(ValueError, match=r"\(1:0:0\)"):
+        klein.derivative({(0, 0): 0, (1, 0): 0}, 22, ctr)
+    assert ctr == OpCounter()
+    for j in range(22):
+        assert klein.derivative({(0, 0): 0, (1, 0): 0}, j) == 0  # F = 1 + x: F' = 1
 
 
-def test_derivative_product_rule(gf16, gf8):
+def test_derivative_raw_matches_reduced(elliptic, klein, hermitian, other_elliptic):
+    # reduce rewrites y^a by the rest of D, so F' agrees on a raw polynomial
+    # and its canonical form only if the slope is right
+    rng = random.Random(13)
+    for code in (elliptic, klein, hermitian, other_elliptic):
+        cv, fld = code.curve, code.fld
+        affine = [j for j, p in enumerate(code.points) if p.special is None]
+        for _ in range(20):
+            raw = {}
+            while not any(n2 >= cv.a for _, n2 in raw):
+                n = (rng.randint(0, 4), rng.randint(0, 2 * cv.a))
+                if cv.in_function_ring(n):
+                    raw[n] = rng.randrange(fld.q - 1)
+            red = cv.reduce(fld, raw)
+            for j in rng.sample(affine, 6):
+                assert code.derivative(raw, j) == code.derivative(red, j)
+
+
+def poly_product(field, F, G):
+    out = {}
+    for (f1, f2), c in F.items():
+        for (g1, g2), d in G.items():
+            k = (f1 + g1, f2 + g2)
+            out[k] = field.add(out.get(k, ZERO), field.mul(c, d))
+    return out
+
+
+def test_derivative_product_rule(elliptic, klein, other_elliptic):
     # (F*G)' = F'G + FG' evaluated at rational points is an independent check
     rng = random.Random(11)
-    from agbms.curve import _poly_mul
-
-    for curve, field in [(elliptic_curve(), gf16), (klein_curve(), gf8), (other_elliptic_curve(), gf16)]:
-        pts = [p for p in curve.points(field) if p.special is None]
+    for code in (elliptic, klein, other_elliptic):
+        curve, field = code.curve, code.fld
+        affine = [j for j, p in enumerate(code.points) if p.special is None]
         for _ in range(10):
             def rand_poly():
                 out = {}
@@ -183,27 +214,22 @@ def test_derivative_product_rule(gf16, gf8):
                 return out
 
             F, G = rand_poly(), rand_poly()
-            FG = curve.reduce(field, _poly_mul(field, F, G))
-            dFG = curve.formal_derivative(field, FG)
-            dF = curve.formal_derivative(field, F)
-            dG = curve.formal_derivative(field, G)
-            for p in rng.sample(pts, 6):
-                lhs = curve.eval_derivative(field, dFG, p)
+            FG = curve.reduce(field, poly_product(field, F, G))
+            for j in rng.sample(affine, 6):
+                lhs = code.derivative(FG, j)
                 rhs = field.add(
-                    field.mul(curve.eval_derivative(field, dF, p), curve.eval_poly(field, G, p)),
-                    field.mul(curve.eval_poly(field, F, p), curve.eval_derivative(field, dG, p)),
+                    field.mul(code.derivative(F, j), code.eval_poly(G, j)),
+                    field.mul(code.eval_poly(F, j), code.derivative(G, j)),
                 )
                 assert lhs == rhs
 
 
-# sha256[:16] per preset curve of its points, then of reduce and
-# formal_derivative (or the ValueError message) on 200 seeded raw
-# polynomials; recorded before the curve methods read the defining
-# polynomial D from one attribute
+# sha256[:16] per preset curve of its points, then of reduce (or the
+# ValueError message) on 200 seeded raw polynomials
 CURVE_DIGESTS = {
-    "elliptic_gf16": "ba6f2c99b0f6c5ec",
-    "klein_gf8": "1bcf0c378e561b86",
-    "hermitian_gf16": "b3705ab04f6ad245",
+    "elliptic_gf16": "8e5798789ef24b7d",
+    "klein_gf8": "0e3d3e947f9a023d",
+    "hermitian_gf16": "7c5a7c54f2da7982",
 }
 
 
@@ -222,8 +248,7 @@ def test_curve_algebra_digests(gf16, gf8):
             for _ in range(rng.randint(1, 6)):
                 raw[(rng.randint(0, 4), rng.randint(0, 2 * curve.a + 1))] = rng.randrange(-1, field.q - 1)
             try:
-                red = curve.reduce(field, raw)
-                out = (red, curve.formal_derivative(field, red))
+                out = curve.reduce(field, raw)
             except ValueError as exc:
                 out = str(exc)
             h.update(repr(out).encode())
