@@ -24,21 +24,21 @@ Layouts (period P = length of the w/g line):
   costs no hardware -- while v/f values drift one phase down per loop,
   which retires the consumed v head and opens one new f slot.
 
-* serial (division updates): one v/f line of a(m+2)-1 registers plus a
-  one-value exchange register, one w/g line of a(m+2)+a registers,
-  P = a(m+2)+a.  Coefficients interleave a columns per exponent (slot
-  k = clock mod a); the column-to-slot assignment of the v/f stream rotates
-  one slot per loop and the exchange register carries the wrapping slot-0
-  value across the seam (held for a clocks, reinserted at the next slot-0
-  clock).
-
-* serial inverse-free: same single-line idea with inverse-free updates,
-  v/f line of a(m+2)-1 registers, w/g ring of a(m+2)+2a registers,
-  P = a(m+2)+2a.  The extra 2a registers are the supplementary ones: an
-  a-deep segment on the v/f push path (it holds the a freshly updated head
-  coefficients while the first exponent group of a loop streams by) plus
-  the a-deep bank latching the w head values; both are needed when several
-  columns jump degree in the same loop.
+* serial and serial inverse-free: one v/f line of a(m+2)-1 registers plus
+  a one-value exchange register and a c_v-deep supplementary FIFO on the
+  v/f push path, one w/g line of P = a(m+2)+a+c_v registers.  Coefficients
+  interleave a columns per exponent (slot k = clock mod a) under one slot
+  rule for both modes and every curve: in loop N, v/f slot k carries
+  column b^-1 (N+k) mod a and w/g slot k column -b^-1 k mod a, which is
+  ibar of that v/f column.  The v/f assignment thus rotates one slot per
+  loop, and the exchange register carries the wrapping slot-0 value across
+  the seam (held for a clocks, reinserted at the next slot-0 clock).  The
+  mode picks only the name and c_v: 0 for division updates (``serial``),
+  a for inverse-free ones (``serial_inverse_free``), whose FIFO holds the
+  a freshly updated head coefficients while the first exponent group of a
+  loop streams by; with the a-deep bank latching the w head values that
+  makes 2 c_v supplementary registers, needed when several columns jump
+  degree in the same loop.
 
 Zero-setting: a recirculated w/g value whose slot would fall between the
 live w window and the pinned g window next loop is replaced by zero at the
@@ -73,10 +73,6 @@ INVERSE_FREE = bms.INVERSE_FREE
 SERIAL = "serial"
 SERIAL_INVERSE_FREE = "serial_inverse_free"
 CLOSED_FORM_ONLY = ("systolic", "koetter", "parallel_bms")
-
-
-class ArchCompatError(ValueError):
-    """Architecture and code layout cannot be wired together."""
 
 
 @dataclass
@@ -323,37 +319,15 @@ def _sim_serial_core(
 ) -> ArchTrace:
     cv = code.curve
     a, m = cv.a, code.m
-    binv = cv.b_inv
+    arch, c_v = (SERIAL, 0) if mode == bms.DIVISION else (SERIAL_INVERSE_FREE, a)
+    P = a * (m + 2) + a + c_v
 
-    if mode == bms.DIVISION:
-        # Klein-style (ibar, i) layout: v/f slot k holds column ibar(N, k),
-        # w/g slot k holds column k.  One wrap slot per loop needs b^-1 = a-1.
-        if binv != (a - 1) % a:
-            raise ArchCompatError("serial layout needs b^-1 = a-1 (mod a), e.g. Klein")
-        arch = SERIAL
-        c_v = 0
-        P = a * (m + 2) + a
+    def vf_cols(N: int) -> list[int]:
+        # one slot rotation per loop: slot k of loop N+1 is slot k+1 of loop N
+        return [cv.b_inv * (N + k) % a for k in range(a)]
 
-        def vf_obj(N: int, k: int) -> int:
-            return (binv * N - k) % a
-
-        def wg_obj(k: int) -> int:
-            return k
-
-    else:
-        # C_a^b (i, ibar) layout with i + ibar = b^-1 N (mod a); the rotation
-        # is one slot per loop only when b = 1 (mod a), e.g. Hermitian y^4+y=x^5.
-        if binv != 1:
-            raise ArchCompatError("serial inverse-free layout needs b = 1 (mod a)")
-        arch = SERIAL_INVERSE_FREE
-        c_v = a
-        P = a * (m + 2) + 2 * a
-
-        def vf_obj(N: int, k: int) -> int:
-            return (k + N) % a
-
-        def wg_obj(k: int) -> int:
-            return (-k) % a
+    # w/g slot k holds ibar of v/f slot k, the same column in every loop
+    wg_cols = [-cv.b_inv * k % a for k in range(a)]
 
     L = a * (m + 2) - 1
     trace = ArchTrace(
@@ -366,23 +340,25 @@ def _sim_serial_core(
             disc_regs=a,
             head_regs=a,
             exch_regs=1,
-            supp_regs=2 * a if arch == SERIAL_INVERSE_FREE else 0,
+            supp_regs=2 * c_v,
         ),
     )
     ctl = _Controller(trace, code, synd, mode)
 
-    vf_all = [ctl.vf_init(vf_obj(0, phase % a), phase // a) for phase in range(L + c_v + 1)]
+    vf0 = vf_cols(0)
+    vf_all = [ctl.vf_init(vf0[phase % a], phase // a) for phase in range(L + c_v + 1)]
     line, fifo, exch = vf_all[:L], vf_all[L:-1], vf_all[-1]
     wgline = [0] * a + [ZERO] * (P - a)  # w = 1 per column
 
     def readback(N: int):
+        cols = vf_cols(N)
         return (
-            [(vf_obj(N, ph % a), ph // a, val) for ph, val in enumerate(line + fifo + [exch])],
-            [(wg_obj(ph % a), ph // a, val) for ph, val in enumerate(wgline)],
+            [(cols[ph % a], ph // a, val) for ph, val in enumerate(line + fifo + [exch])],
+            [(wg_cols[ph % a], ph // a, val) for ph, val in enumerate(wgline)],
         )
 
     for N in ctl.loops(readback):
-        lanes = [(k, vf_obj(N, k), wg_obj(k)) for k in range(a)]
+        lanes = list(zip(range(a), vf_cols(N), wg_cols))
         for g in range(P // a):
             for k, i, j in lanes:
                 v_in, w_in, mults = ctl.clock(N, g, k, i, j, line.pop(0), wgline.pop(0))

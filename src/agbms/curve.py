@@ -52,8 +52,8 @@ class CurveSpec:
     ``e`` is the log coefficient of x^b and ``chi`` maps lower-order
     monomials (pairs of non-negative ints with o(n) < ab) to their log
     coefficients.  For the Klein quartic the defining equation is fixed
-    (x*y^3 + x^3 + y = 0 with (a, b) = (3, 2)) and ``e``/``chi`` are
-    ignored.
+    (x*y^3 + x^3 + y = 0 with (a, b) = (3, 2)), so ``e`` must be 0 and
+    ``chi`` empty.  ``klein`` is a bool; a, b and the genus are ints.
 
     Construction derives, as plain attributes: ``D``, the defining
     polynomial (y^a, x^b, then the nonzero chi terms; Klein: x*y^3, x^3,
@@ -70,11 +70,16 @@ class CurveSpec:
     klein: bool = False
 
     def __post_init__(self) -> None:
+        kabg = (self.klein, self.a, self.b, self.genus)
+        if [type(k) for k in kabg] != [bool, int, int, int]:
+            raise ValueError(f"klein, a, b, genus = {kabg!r}: need a bool and three ints")
         if self.klein:
             if (self.a, self.b) != (3, 2):
                 raise ValueError("Klein quartic requires (a, b) = (3, 2)")
             if self.genus != 3:
                 raise ValueError("Klein quartic has genus 3")
+            if type(self.e) is not int or self.e != 0 or self.chi:
+                raise ValueError(f"Klein quartic is fixed: need e = 0 and no chi, not {self.e!r}, {self.chi!r}")
             D: BiPoly = {(1, 3): 0, (3, 0): 0, (0, 1): 0}
         else:
             if not 0 < self.a <= self.b or gcd(self.a, self.b) != 1:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from agbms import archsim, bms
+from agbms import CodeSpec, CurveSpec, archsim, bms
 from agbms.gf import ZERO, OpCounter
 from conftest import random_generic_pattern, random_pattern
 
@@ -123,13 +123,41 @@ def test_random_oracle_equivalence(elliptic, klein, hermitian):
             sim(code, code.syndromes(recv), keep_snapshots=False)  # asserts internally
 
 
-def test_arch_compat_errors(klein, hermitian, klein_golden, hermitian_golden):
-    _, _, krecv = klein_golden
-    with pytest.raises(archsim.ArchCompatError):
-        archsim.sim_serial_inverse_free(klein, klein.syndromes(krecv))
-    _, _, hrecv = hermitian_golden
-    with pytest.raises(archsim.ArchCompatError):
-        archsim.sim_serial(hermitian, hermitian.syndromes(hrecv))
+@pytest.fixture(scope="module")
+def c57(gf16):
+    """y^5 = alpha^2 x^7 + alpha x over GF(16), genus 12, n = 46: b^-1 = 3
+    mod 5 is neither 1 nor a-1, so the slot rotation is not a plain +-k."""
+    return CodeSpec(CurveSpec(a=5, b=7, e=2, chi={(1, 0): 1}, genus=12), gf16, m=30)
+
+
+SIM_MODES = {
+    archsim.INVERSE_FREE: bms.INVERSE_FREE,
+    archsim.SERIAL: bms.DIVISION,
+    archsim.SERIAL_INVERSE_FREE: bms.INVERSE_FREE,
+}
+
+
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+@pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "other_elliptic", "c57"])
+def test_every_simulator_on_every_code(request, arch, code_name):
+    # one slot rule serves both serial modes on every b^-1 mod a: the
+    # boundary records are the BMS dump records of the matching mode, and
+    # the period and clock count are the closed forms
+    code = request.getfixturevalue(code_name)
+    a, m = code.curve.a, code.m
+    period = {
+        archsim.INVERSE_FREE: m + 3,
+        archsim.SERIAL: a * (m + 2) + a,
+        archsim.SERIAL_INVERSE_FREE: a * (m + 2) + 2 * a,
+    }[arch]
+    rng = random.Random(f"{arch}/{code_name}")
+    for _ in range(10):
+        locs, vals = random_pattern(code, rng.randint(0, code.t_generic + 2), rng, affine_only=False)
+        synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+        tr = archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
+        _, recs = bms.run(code, synd, SIM_MODES[arch], record=True)
+        assert tr.boundary_states == recs
+        assert (tr.period, tr.total_clocks) == (period, (m + 1) * period)
 
 
 def test_resources_closed_forms(elliptic, klein, hermitian):

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from agbms import bms, cli, decoder, oracle
+from agbms import archsim, bms, cli, decoder, oracle
 from agbms.gf import ZERO
 
 
@@ -96,30 +96,56 @@ def test_spec_chi_keys_validated(tmp_path, capsys, key):
     assert "chi key" in err and out == ""
 
 
-@pytest.mark.parametrize(
-    "section, key, value",
-    [
-        ("curve", "e", 30),  # read as e = 30 mod 15 = 0 before the range check
-        ("curve", "e", 15),
-        ("curve", "chi", [[0, 1, 15], [1, 0, 0]]),
-        ("curve", "chi", [[0, 1, 0], [1, 0, 0], [1, 0, 5]]),  # repeated x term
-        ("curve", "chi", [[0, 1, 0], [1, 0, 0], [True, 0, 0]]),  # true is 1
-        ("field", "prim_poly", "x"),
-        ("field", "prim_poly", None),
-        ("field", "prim_poly", 19.0),
-        ("field", "w", True),
-        ("code", "m", 24),  # m - g + 1 = n: no message symbols
-        ("code", "m", 8.0),
-    ],
-)
-def test_spec_values_validated(tmp_path, capsys, section, key, value):
+SPEC_EDITS = [
+    ("elliptic_gf16", "curve", "e", 30),  # read as e = 30 mod 15 = 0 before the range check
+    ("elliptic_gf16", "curve", "e", 15),
+    ("elliptic_gf16", "curve", "chi", [[0, 1, 15], [1, 0, 0]]),
+    ("elliptic_gf16", "curve", "chi", [[0, 1, 0], [1, 0, 0], [1, 0, 5]]),  # repeated x term
+    ("elliptic_gf16", "curve", "chi", [[0, 1, 0], [1, 0, 0], [True, 0, 0]]),  # true is 1
+    ("elliptic_gf16", "field", "prim_poly", "x"),
+    ("elliptic_gf16", "field", "prim_poly", None),
+    ("elliptic_gf16", "field", "prim_poly", 19.0),
+    ("elliptic_gf16", "field", "w", True),
+    ("elliptic_gf16", "code", "m", 24),  # m - g + 1 = n: no message symbols
+    ("elliptic_gf16", "code", "m", 8.0),
+    # klein is a JSON bool, not something read by truthiness
+    ("elliptic_gf16", "curve", "klein", None),
+    ("elliptic_gf16", "curve", "klein", {}),
+    ("elliptic_gf16", "curve", "klein", 0),
+    ("klein_gf8", "curve", "klein", "x"),
+    ("klein_gf8", "curve", "klein", 1),
+    # the Klein quartic is fixed: e = 0 and no chi
+    ("klein_gf8", "curve", "e", "x"),
+    ("klein_gf8", "curve", "e", None),
+    ("klein_gf8", "curve", "chi", [[0, 1, 0]]),
+    ("elliptic_gf16", "curve", "genus", True),
+    ("elliptic_gf16", "curve", "genus", 1.0),
+    ("klein_gf8", "curve", "genus", 3.0),
+    # code.t, when given, is t_generic
+    ("elliptic_gf16", "code", "t", 99),
+    ("elliptic_gf16", "code", "t", "x"),
+]
+
+
+def spec_edit_ids(edits):
+    """pytest's default case ids, with the preset left out where it is
+    elliptic_gf16, so the elliptic cases keep the ids they had before the
+    preset column."""
+    for k, (preset, *rest) in enumerate(edits):
+        parts = [] if preset == "elliptic_gf16" else [preset]
+        parts += [str(v) if v is None or isinstance(v, (str, int, float)) else f"value{k}" for v in rest]
+        yield "-".join(parts)
+
+
+@pytest.mark.parametrize("preset, section, key, value", SPEC_EDITS, ids=list(spec_edit_ids(SPEC_EDITS)))
+def test_spec_values_validated(tmp_path, capsys, preset, section, key, value):
     # each of these used to decode the bundled errors or crash with a
     # traceback; a malformed spec exits 1
-    doc = json.loads(cli._spec_bytes("elliptic_gf16"))
+    doc = json.loads(cli._spec_bytes(preset))
     doc[section][key] = value
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "decode", str(spec), cli.bundled_error_file("elliptic_gf16"), "--errors")
+    code, out, err = run_cli(capsys, "decode", str(spec), cli.bundled_error_file(preset), "--errors")
     assert code == cli.EXIT_PARSE
     assert err.startswith("error: bad code spec") and out == ""
 
@@ -169,33 +195,104 @@ FUZZ_SCRIPT = """
 import contextlib, io, json, sys
 from agbms import cli
 codes = []
-for spec, errors in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(cli.main(["decode", spec, errors, "--errors"]))
+        codes.append(cli.main(argv))
 print(json.dumps(codes))
 """
+
+
+def fuzz_exit_codes(argvs):
+    """``cli.main``'s exit code for each argv, run in-process; a ``python -O``
+    subprocess must give the same codes."""
+    codes = []
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main(argv))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", FUZZ_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert json.loads(out) == codes
+    return codes
 
 
 def test_spec_fuzz_exits_cleanly(tmp_path):
     # malformed specs exit with a code, never a traceback, also with
     # asserts compiled out
-    cases = []
+    argvs = []
     for k, (preset, doc) in enumerate(fuzzed_specs(150, seed=0)):
         spec = tmp_path / f"spec{k}.json"
         spec.write_text(json.dumps(doc))
-        cases.append((str(spec), cli.bundled_error_file(preset)))
-    codes = []
-    for spec, errors in cases:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            codes.append(cli.main(["decode", spec, errors, "--errors"]))
+        argvs.append(["decode", str(spec), cli.bundled_error_file(preset), "--errors"])
+    codes = fuzz_exit_codes(argvs)
     assert set(codes) <= {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_NOT_GENERIC, cli.EXIT_FAILURE}
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", FUZZ_SCRIPT, json.dumps(cases)],
-        capture_output=True, text=True, env=env, check=True,
-    ).stdout
-    assert json.loads(out) == codes
+
+
+# token and line edits of a well-formed word or error file
+BAD_TOKENS = ["x", "0x1", "1.0", "nan", "1e3", "9" * 30, "9" * 5000, "-2", "1_0", "+3", "\u00e9"]
+BAD_LINES = ["", "# comment", "  # indented comment", "1", "1 2 3", "1 2 # trailing", "\t"]
+
+
+def fuzzed_input_files(count, seed):
+    """(preset, is error file, file bytes) triples: a valid word or error
+    file of a preset with one to three edits -- a token replaced by a
+    malformed, float, huge or out-of-range one, a token or line dropped or
+    added, a duplicated error location, a comment or blank line, or a
+    non-UTF-8 byte."""
+    rng = random.Random(seed)
+    codes = {preset: cli.load_code(preset)[0] for preset in PRESETS}
+    for k in range(count):
+        preset = PRESETS[k % 3]
+        code = codes[preset]
+        q, n = code.fld.q, code.n
+        errors = k % 2 == 1
+        if errors:
+            locs = rng.sample(range(n), rng.randint(0, code.t_generic + 1))
+            lines = [f"{j} {rng.randrange(q - 1)}" for j in locs]
+        else:
+            lines = [" ".join(str(rng.randrange(-1, q - 1)) for _ in range(n))]
+        non_utf8 = False
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(lines) + 1)
+            toks = lines[at - 1].split() if lines else []
+            edit = rng.choice(["token", "token", "range", "line", "drop", "dup", "bytes"])
+            if edit == "bytes":
+                non_utf8 = True
+            elif edit in ("token", "range") and toks:
+                new = rng.choice(BAD_TOKENS) if edit == "token" else str(rng.choice([-1, q - 1, q, n, 10**6]))
+                toks[rng.randrange(len(toks))] = new
+                lines[at - 1] = " ".join(toks)
+            elif edit == "drop" and toks:
+                lines[at - 1] = " ".join(toks[:-1])
+            elif edit == "dup" and errors:
+                lines.insert(at, f"{toks[0] if toks else 0} 0")
+            else:
+                lines.insert(at, rng.choice(BAD_LINES))
+        raw = "\n".join(lines).encode() + b"\n"
+        if non_utf8:
+            cut = rng.randrange(len(raw))
+            raw = raw[:cut] + rng.choice([b"\xff", b"\xc3", b"\x00", b"\xef\xbb\xbf"]) + raw[cut:]
+        yield preset, errors, raw
+
+
+def test_input_file_fuzz_exits_cleanly(tmp_path):
+    # malformed word and error files exit with a code, never a traceback,
+    # also with asserts compiled out; trace-arch reads them on the small
+    # elliptic code only, where a run's CSV stays small
+    argvs = []
+    for k, (preset, errors, raw) in enumerate(fuzzed_input_files(200, seed=0)):
+        path = tmp_path / f"in{k}.txt"
+        path.write_bytes(raw)
+        flag = ["--errors"] if errors else []
+        argvs.append(["decode", preset, str(path), *flag])
+        if preset == "elliptic_gf16":
+            arch = archsim.SIMULATED[k % 3]
+            argvs.append(["trace-arch", preset, str(path), os.devnull, "--arch", arch, *flag])
+    codes = fuzz_exit_codes(argvs)
+    assert set(codes) <= {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_NOT_GENERIC, cli.EXIT_FAILURE}
 
 
 @pytest.mark.parametrize("line", ["99 3", "24 3", "-1 3", "0 40", "0 15", "0 -1"])
@@ -263,6 +360,9 @@ CSV_DIGESTS = {
     ("serial", "klein_gf8"): "66d223dd50254419",
     ("serial_inverse_free", "hermitian_gf16"): "9c7f844d9afd6a54",
     ("inverse_free", "klein_gf8"): "10613de55d2f4c32",
+    # recorded with the shared serial slot rule, the first to wire these pairings
+    ("serial", "hermitian_gf16"): "972ed39e606d0be7",
+    ("serial_inverse_free", "klein_gf8"): "7fd50399cb61de37",
 }
 
 
@@ -273,6 +373,8 @@ CSV_DIGESTS = {
         ("serial", "klein_gf8", "division"),
         ("serial_inverse_free", "hermitian_gf16", "inverse_free"),
         ("inverse_free", "klein_gf8", "inverse_free"),
+        ("serial", "hermitian_gf16", "division"),
+        ("serial_inverse_free", "klein_gf8", "inverse_free"),
     ],
 )
 def test_boundary_dumps_match_dump_state(tmp_path, capsys, arch, preset, mode):
@@ -347,15 +449,6 @@ def test_trace_arch_hermitian_serial_if(tmp_path, capsys):
     assert "period: 112" in out
 
 
-def test_trace_arch_incompatible(tmp_path, capsys):
-    errfile = cli.bundled_error_file("hermitian_gf16")
-    code, _, err = run_cli(
-        capsys, "trace-arch", "hermitian_gf16", errfile, str(tmp_path / "t.csv"),
-        "--arch", "serial", "--errors",
-    )
-    assert code == cli.EXIT_PARSE
-
-
 def test_stats_generic_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "stats-generic", "elliptic_gf16", "--t", "2", "--trials", "60", "--seed", "9")
     assert code == cli.EXIT_OK
@@ -373,6 +466,17 @@ def test_bench_rows(capsys):
     assert rows["inverse_free"][5] == str(9 * 11)
     assert rows["serial"][5] == str(9 * 22)
     assert rows["koetter"][1:3] == ["6", "2"]
+
+
+@pytest.mark.parametrize(
+    "preset,serial,serial_if", [("klein_gf8", 864, 912), ("hermitian_gf16", 2700, 2800)]
+)
+def test_bench_measures_every_simulator(capsys, preset, serial, serial_if):
+    code, out, _ = run_cli(capsys, "bench", preset)
+    assert code == cli.EXIT_OK
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
+    assert rows["serial"][5] == str(serial)
+    assert rows["serial_inverse_free"][5] == str(serial_if)
 
 
 def test_gen_errors(tmp_path, capsys):
