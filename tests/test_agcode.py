@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -193,3 +194,24 @@ def test_encode_reuses_one_rref(monkeypatch, gf16, gf8):
                     acc = fld.add(acc, fld.mul(hj, cj))
                 assert acc == ZERO
         assert len(calls) == 1
+
+
+# sha256[:16] over the syndrome dicts of 40 seeded full received words per
+# preset, recorded before the split-table syndrome unit
+SYNDROME_DIGESTS = {
+    "elliptic": "1d73a27d2bd4bd85",
+    "klein": "4ab1e9b5212eadcd",
+    "hermitian": "909f32eae9c0e17a",
+}
+
+
+def test_syndromes_pinned(elliptic, klein, hermitian):
+    digests = {}
+    for name, code in {"elliptic": elliptic, "klein": klein, "hermitian": hermitian}.items():
+        rng = random.Random(13)
+        h = hashlib.sha256()
+        for _ in range(40):
+            word = Word([rng.randrange(-1, code.fld.q - 1) for _ in range(code.n)], "received")
+            h.update(repr(list(code.syndromes(word).items())).encode())
+        digests[name] = h.hexdigest()[:16]
+    assert digests == SYNDROME_DIGESTS

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import pathlib
 import random
@@ -7,7 +8,7 @@ import textwrap
 
 import pytest
 
-from agbms import bms, linalg, oracle
+from agbms import CodeSpec, CurveSpec, bms, linalg, oracle
 from agbms.gf import ZERO, OpCounter
 from conftest import random_generic_pattern, random_pattern
 
@@ -445,3 +446,38 @@ def test_op_counts_complete_and_repeatable(
             assert counts[0] == counts[1]
             assert counts[0][:2] == (muls, invs)
             assert counts[0][2] > 0
+
+
+# sha256[:16] over bms.run(record=True) records and (muls, invs, adds) of 40
+# seeded words per curve in both modes, recorded before the packed-lane kernel
+RECORD_DIGESTS = {
+    "elliptic": "0631b1c7fba0c4a2",
+    "klein": "d1462689f04fd236",
+    "hermitian": "1916bc77788530dd",
+    "other_elliptic": "8464749137f07101",
+    "c57": "61cad554c7ab4f0e",
+}
+
+
+def test_bms_records_pinned(elliptic, klein, hermitian, other_elliptic, gf16):
+    # weights 0..t_generic+2 on any of the n points, the non-affine ones included
+    c57 = CodeSpec(CurveSpec(a=5, b=7, e=2, chi={(1, 0): 1}, genus=12), gf16, m=30)
+    codes = {"elliptic": elliptic, "klein": klein, "hermitian": hermitian, "other_elliptic": other_elliptic, "c57": c57}
+    digests = {}
+    for name, code in codes.items():
+        rng = random.Random(11)
+        special = [j for j, p in enumerate(code.points) if p.special is not None]
+        h = hashlib.sha256()
+        for k in range(40):
+            w = k % (code.t_generic + 3)
+            locs = rng.sample(range(code.n), w)
+            if special and w and k % 4 == 1 and special[0] not in locs:
+                locs[0] = special[0]
+            vals = [rng.randrange(code.fld.q - 1) for _ in range(w)]
+            synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+            for mode in (bms.INVERSE_FREE, bms.DIVISION):
+                ctr = OpCounter()
+                _, recs = bms.run(code, synd, mode, ctr=ctr, record=True)
+                h.update(repr((recs, ctr.muls, ctr.invs, ctr.adds)).encode())
+        digests[name] = h.hexdigest()[:16]
+    assert digests == RECORD_DIGESTS
