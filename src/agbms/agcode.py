@@ -4,8 +4,11 @@ Every evaluation on the decode path reads one memoized point x monomial
 table (``CodeSpec.eval_row``): the row of z^n holds its log value at each
 code point.  Sums are accumulated in bit-vector form and converted to log
 form once, the software counterpart of the table-driven syndrome and
-Chien-search units.  Derivatives along the curve read one more per-code
-row, the slope y' = D_x/D_y at each point (``CodeSpec.slope``).
+Chien-search units.  The syndrome unit reads a split table built from those
+rows: per point and bit of the received symbol, one packed word (``gf``
+lanes) of the whole syndrome vector, so a syndrome vector is an XOR of
+words.  Derivatives along the curve read one more per-code row, the slope
+y' = D_x/D_y at each point (``CodeSpec.slope``).
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ class CodeSpec:
         self.basis = self.curve.phi(0, self.curve.a, self.m)
         self.syndrome_domain = self.curve.phi(0, 2 * self.curve.a - 1, self.m)
         self._rows: dict[Mono, list[int | None]] = {}
+        # tables other modules derive from the code alone, built on first use
+        # by their owner and kept for the life of the code (the BMS gates)
+        self.tables: dict = {}
 
     @property
     def dim(self) -> int:
@@ -206,26 +212,40 @@ class CodeSpec:
             out.symbols[j] = self.fld.add(out.symbols[j], v)
         return out
 
+    @cached_property
+    def _syndrome_split(self) -> list[list[int]]:
+        """Per code point j and bit k, the packed word whose lane s holds
+        vec(alpha^k * z^l(P_j)) for the s-th l of ``syndrome_domain``.
+
+        Built from the evaluation table on first use, uncharged."""
+        fld = self.fld
+        ones = fld.ones(len(self.syndrome_domain))
+        rows = [self.eval_row(l) for l in self.syndrome_domain]
+        out = []
+        for j in range(self.n):
+            word = fld.pack([row[j] for row in rows])
+            out.append([fld.scale(word, k, ones) for k in range(fld.w)])
+        return out
+
     def syndromes(self, word: Word) -> dict[Mono, int]:
         """u_l = sum_j r_j z^l(P_j) for every evaluable l in Phi(2a-1, m).
 
-        Only the nonzero symbols are visited; each sum is accumulated in
-        bit-vector form from the evaluation table.
+        Only the nonzero symbols are visited: r_j in bit-vector form selects
+        the split-table words of point j by its set bits, and the XOR of
+        all selected words is the syndrome vector, one lane per l.
         """
         if len(word.symbols) != self.n:
             raise ValueError("word length mismatch")
-        exp, qm1 = self.fld.exp, self.fld.q - 1
-        nonzero = [(j, r) for j, r in enumerate(word.symbols) if r != ZERO]
-        out: dict[Mono, int] = {}
-        for l in self.syndrome_domain:
-            row = self.eval_row(l)
-            acc = 0
-            for j, r in nonzero:
-                z = row[j]
-                if z != ZERO:
-                    acc ^= exp[(r + z) % qm1]
-            out[l] = self.fld.from_vec(acc)
-        return out
+        exp, split = self.fld.exp, self._syndrome_split
+        acc = 0
+        for j, r in enumerate(word.symbols):
+            if r != ZERO:
+                bits = exp[r]
+                for part in split[j]:
+                    if bits & 1:
+                        acc ^= part
+                    bits >>= 1
+        return dict(zip(self.syndrome_domain, self.fld.unpack(acc, len(self.syndrome_domain))))
 
     def full_syndromes_from_errors(
         self, locs: list[int], vals: list[int], B: int

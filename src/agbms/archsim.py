@@ -7,10 +7,14 @@ preserve/update switches once per N-loop.  The published register tables are
 not available as text, so each simulator derives its own layout from the
 stated line lengths and validates itself ("oracle equivalence"): each
 simulator steps a software BMS state alongside its registers, and at every
-N-boundary it rebuilds (s, c) and the f, g, v, w Z-arrays (``bms.ZArray``)
-from its register lines and requires them to equal that state's, element
-for element.  The boundary record it keeps is ``bms.state_record`` of that
-state, so ``--boundary-dumps`` and ``--dump-state`` share one format.
+N-boundary it packs its register lines into the state's packed v|f and w|g
+words (``bms.BmsState``) and requires them, with (s, c), to equal that
+state's, as ints.  Register values are held in bit-vector form, so a line
+input is e*x ^ d*y with no per-op field call, and they are converted to
+logs only for snapshots (and so the CSV).  The boundary record it keeps is
+``bms.state_record`` of that state, so ``--boundary-dumps`` and
+``--dump-state`` share one format; a divergence names the first of s, c,
+v, f, w, g that differs, in that record's form.
 
 Layouts (period P = length of the w/g line):
 
@@ -62,7 +66,7 @@ zero-setting uses the same windows as the read-back, one loop ahead.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import bms
 from .agcode import CodeSpec
@@ -116,7 +120,8 @@ class ResourceEstimate:
 
 class _Controller:
     """Latches, switches, line inputs and boundary checks of one simulated
-    run, per lane (see the module docstring); it fills in ``trace``."""
+    run, per lane (see the module docstring); it fills in ``trace``.
+    Register values are in bit-vector form; the latches hold logs."""
 
     def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str):
         cv = code.curve
@@ -138,21 +143,23 @@ class _Controller:
         0: the syndrome, then f = 1, then zero."""
         if g <= self.m:
             l = self.l_of(i, g)
-            return self.synd[l] if l is not None else ZERO
-        return 0 if g == self.m + 1 else ZERO
+            return self.fld.to_vec(self.synd[l]) if l is not None else 0
+        return 1 if g == self.m + 1 else 0
 
     def clock(self, N: int, g: int, lane: int, i: int, j: int, x: int, y: int) -> tuple[int, int, int]:
         """One clock of a lane at exponent group g of loop N; x and y left
         the v/f line of column i and the w/g line of column j.  Returns the
         v/f input, the w/g input and the multipliers used."""
-        fld, m = self.fld, self.m
+        fld = self.fld
+        exp, log, qm1 = fld.exp, fld.log, fld.q - 1
+        d = self.d[lane]
         if g == 0:
             # head group: latch d and e, set the switch, update the degrees
             # in place (exact for the reason given in bms.step)
             s1, c1 = self.s1, self.c1
             l = self.l_of(i, N)
-            d = self.d[lane] = x if (l is not None and s1[i] <= l[0]) else ZERO
-            self.e[lane] = y
+            d = self.d[lane] = log[x] if (l is not None and s1[i] <= l[0]) else ZERO
+            self.e[lane] = log[y]
             upd = self.replace[lane] = d != ZERO and s1[i] < l[0] - c1[j]
             if upd:
                 if self.division:
@@ -166,24 +173,28 @@ class _Controller:
         # lands in neither window of the next loop is zero-set
         mults = 0
         if self._wg_window(N + 1, j, g) is None:
-            w_in = ZERO
+            w_in = 0
         elif not self.replace[lane]:
             w_in = y
         elif self.division:
-            w_in = fld.mul(self.dinv[lane], x)
+            w_in = x and exp[(self.dinv[lane] + log[x]) % qm1]
             mults = 1
         else:
             w_in = x
 
-        # v/f push
+        # v/f push: e*x ^ d*y (x alone in division mode)
         if g == 0:
-            v_in = ZERO  # mod Z^N deletion retires the consumed head
-        elif self.division:
-            v_in = fld.add(x, fld.mul(self.d[lane], y))
-            mults += 1
+            v_in = 0  # mod Z^N deletion retires the consumed head
         else:
-            v_in = fld.add(fld.mul(self.e[lane], x), fld.mul(self.d[lane], y))
-            mults += 2
+            if self.division:
+                v_in = x
+                mults += 1
+            else:
+                e = self.e[lane]
+                v_in = exp[(e + log[x]) % qm1] if x and e != ZERO else 0
+                mults += 2
+            if y and d != ZERO:
+                v_in ^= exp[(d + log[y]) % qm1]
         return v_in, w_in, mults
 
     def loops(self, readback) -> Iterator[int]:
@@ -196,20 +207,18 @@ class _Controller:
                 yield N
 
     def _boundary(self, N: int, vf_regs, wg_regs) -> None:
-        """Rebuild the state from the registers, require it to equal the
-        reference BMS state at the same N, record that state, and step the
-        reference to the next loop."""
-        m, ref = self.m, self.ref
-        got = {key: [[ZERO] * (m + 2) for _ in self.M] for key in ("v", "f", "w", "g")}
+        """Pack the registers into the lines of a ``bms`` state, require them
+        to equal the reference BMS state's at the same N, record that state,
+        and step the reference to the next loop."""
+        m, ref, w = self.m, self.ref, self.fld.w
+        L = m + 2  # lanes per polynomial; f and g sit in the upper half
+        vf, wg = [0] * len(self.M), [0] * len(self.M)
         for col, g, val in vf_regs:
-            if val == ZERO:
-                continue
-            if g <= m - N:
-                got["v"][col][N + g] = val
-            else:
-                self._put(N, got["f"][col], g - (m + 1) + N, val)
+            if val:
+                h = N + g if g <= m - N else L + self._lane(N, g - (m + 1) + N)
+                vf[col] |= val << h * w
         for col, g, val in wg_regs:
-            if val == ZERO:
+            if not val:
                 continue
             key = self._wg_window(N, col, g)
             if key is None:
@@ -217,15 +226,16 @@ class _Controller:
                     f"{self.arch}: boundary N={N}: stale w/g register "
                     f"(column {col}, group {g}) not zeroed"
                 )
-            self._put(N, got[key][col], N + g if key == "w" else g - (m + 1) + N, val)
-        got["s1"], got["c1"] = self.s1, self.c1
-        for key in ("s1", "c1", "v", "f", "w", "g"):
-            want = getattr(ref, key)
-            if got[key] != want:
-                raise AssertionError(
-                    f"{self.arch}: boundary N={N} register state diverges from the reference "
-                    f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want!r}"
-                )
+            h = N + g if key == "w" else L + self._lane(N, g - (m + 1) + N)
+            wg[col] |= val << h * w
+        if (self.s1, self.c1, vf, wg) != (ref.s1, ref.c1, ref.vf, ref.wg):
+            got = bms.state_record(replace(ref, s1=self.s1, c1=self.c1, vf=vf, wg=wg), self.code)
+            want = bms.state_record(ref, self.code)
+            key = next(k for k in ("s1", "c1", "v", "f", "w", "g") if got[k] != want[k])
+            raise AssertionError(
+                f"{self.arch}: boundary N={N} register state diverges from the reference "
+                f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want[key]!r}"
+            )
         self.trace.boundary_states.append(bms.state_record(ref, self.code))
         if N <= m:
             bms.step(ref, self.code)
@@ -242,12 +252,17 @@ class _Controller:
             return "g"
         return None
 
-    def _put(self, N: int, zp: bms.ZArray, h: int, val: int) -> None:
-        """Store a rebuilt coefficient at Z^h; a nonzero register that maps
-        past the Z-array's top exponent should have been retired."""
-        if h >= len(zp):
+    def _lane(self, N: int, h: int) -> int:
+        """Exponent h of a rebuilt f or g coefficient; a nonzero register
+        that maps past the top exponent should have been retired."""
+        if h > self.m + 1:
             raise AssertionError(f"{self.arch}: boundary N={N}: coefficient at Z^{h} above the top exponent")
-        zp[h] = val
+        return h
+
+    def logs(self, regs: list[int]) -> list[int]:
+        """Log form of a register line, for snapshots."""
+        log = self.fld.log
+        return [log[x] for x in regs]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +285,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     # one v/f and one w/g line per block; wg lines are indexed by the logical
     # w/g column j, physically homed at block ibar(j, N) for the current loop
     vf = [[ctl.vf_init(i, p) for p in range(m + 2)] for i in range(a)]
-    wg = [[0] + [ZERO] * (m + 2) for _ in range(a)]  # w = 1
+    wg = [[1] + [0] * (m + 2) for _ in range(a)]  # w = 1
 
     def readback(N: int):
         return (
@@ -294,8 +309,8 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
                     {
                         "clock": N * P + p,
                         "registers": {
-                            **{f"block{i}.vf": vf[i][:] for i in range(a)},
-                            **{f"block{i}.wg": wg[pair[i]][:] for i in range(a)},
+                            **{f"block{i}.vf": ctl.logs(vf[i]) for i in range(a)},
+                            **{f"block{i}.wg": ctl.logs(wg[pair[i]]) for i in range(a)},
                         },
                         "switches": {
                             "disc_latch_down": p == 0,
@@ -348,7 +363,7 @@ def _sim_serial_core(
     vf0 = vf_cols(0)
     vf_all = [ctl.vf_init(vf0[phase % a], phase // a) for phase in range(L + c_v + 1)]
     line, fifo, exch = vf_all[:L], vf_all[L:-1], vf_all[-1]
-    wgline = [0] * a + [ZERO] * (P - a)  # w = 1 per column
+    wgline = [1] * a + [0] * (P - a)  # w = 1 per column
 
     def readback(N: int):
         cols = vf_cols(N)
@@ -377,7 +392,10 @@ def _sim_serial_core(
                     trace.snapshots.append(
                         {
                             "clock": N * P + g * a + k,
-                            "registers": {"vf": line[:], "wg": wgline[:], "exch": [exch], "supp": fifo[:]},
+                            "registers": {
+                                name: ctl.logs(regs)
+                                for name, regs in (("vf", line), ("wg", wgline), ("exch", [exch]), ("supp", fifo))
+                            },
                             "switches": {"exchange_down": k == 0, "head_latch": g == 0, "update": ctl.replace[k]},
                         }
                     )

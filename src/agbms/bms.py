@@ -14,67 +14,77 @@ no field inversions at all; division mode is the classical parallel form
 (f <- f - d*g with the replaced g, w scaled by d^-1) kept as a cross-check
 oracle and as the update rule of the serial architecture.
 
-Z-polynomials are Z-arrays: lists of length top+2 indexed by exponent, ZERO
-where a coefficient is absent -- the same window as the inverse-free
-architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Every
-live exponent fits: f and g stay at or below N, v holds [N, top], and w
-holds [N, top] plus, after the last loop, its head at top+1 (e_{m+1}, which
-the error-value formula consumes).  Exponents above top are dead otherwise
--- they are never read as discrepancies and never feed a lower exponent,
-since all updates combine equal exponents -- so the Z-shift drops the last
-entry and w's top+1 entry is cleared on every loop but the last, exactly
-as the architectures zero-set their w/g lines.
+Each column's polynomials live in two packed words (``gf`` lanes, bit-vector
+form, L = top+2 lanes per polynomial): ``vf`` holds v in lanes 0..L-1 and f
+in lanes L..2L-1, ``wg`` holds w and g the same way -- the inverse-free
+architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Since
+f and v take the same scale and the same merge partner (g and w), a lane
+update is two packed multiplies and one XOR.  Every live exponent fits: f
+and g stay at or below N, v holds [N, top], and w holds [N, top] plus,
+after the last loop, its head at top+1 (e_{m+1}, which the error-value
+formula consumes).  Exponents above top are dead otherwise -- they are
+never read as discrepancies and never feed a lower exponent, since all
+updates combine equal exponents -- so the Z-shift ``(x << w) & keep`` drops
+the top+1 lane of each half, and w's top+1 lane is cleared on every loop
+but the last, exactly as the architectures zero-set their w/g lines.  Log
+form appears only at the boundary: ``discrepancies``, ``state_record`` and
+``extract_*`` unpack.  The gates of a code -- l^(i) and ibar per loop, the
+seed lanes and the masks -- are built once per window size and kept on the
+code (``CodeSpec.tables``), so no curve lookup happens per decoded word.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .agcode import CodeSpec
 from .curve import BiPoly, Mono
-from .gf import GF, ZERO, OpCounter
-
-ZArray = list[int]
+from .gf import ZERO, OpCounter
 
 INVERSE_FREE = "inverse_free"
 DIVISION = "division"
 
 
-def _lincomb(
-    fld: GF, ctr: OpCounter | None, a: int | None, p: ZArray, b: int = ZERO, q: Sequence[int] = ()
-) -> ZArray:
-    """a*p + b*q, with a = None leaving p unscaled.
+class _Gates:
+    """Per-code tables of one window size ``top``, indexed by loop N in
+    0..top+1: the first component of l^(i) (None at a gap), ibar(i, N), the
+    v seed lanes of every column, and the AND masks of the step."""
 
-    ``ctr`` is charged one mul per nonzero coefficient scaled and one add
-    per nonzero coefficient of b*q merged in.
-    """
-    qm1 = fld.q - 1
-    muls = 0
-    if a is None:
-        out = p[:]
-    elif a == ZERO:
-        out = [ZERO] * len(p)
-    else:
-        out = [ZERO if x == ZERO else (a + x) % qm1 for x in p]
-        muls = len(p) - p.count(ZERO)
-    merged = 0
-    if b != ZERO:
-        exp, log = fld.exp, fld.log
-        for h, y in enumerate(q):
-            if y != ZERO:
-                y = (b + y) % qm1
-                x = out[h]
-                out[h] = y if x == ZERO else log[exp[x] ^ exp[y]]
-                merged += 1
-    if ctr is not None:
-        ctr.muls += muls + merged
-        ctr.adds += merged
-    return out
+    def __init__(self, code: CodeSpec, top: int):
+        cv, fld = code.curve, code.fld
+        a, w = cv.a, fld.w
+        self.L = L = top + 2
+        self.ones = fld.ones(2 * L)
+        self.l1 = [[None if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(top + 2)]
+        self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(top + 1)]
+        # (bit offset, syndrome index) of every v coefficient of column i
+        self.seed = [[(cv.pole_order(l) * w, l) for l in cv.phi(i, a, top)] for i in range(a)]
+        self.s1 = [cv.basis_start(i)[0] for i in range(a)]
+        lane, full = fld.q - 1, (1 << 2 * L * w) - 1
+        self.head_clear = [full ^ lane << N * w for N in range(top + 1)]  # mod Z^N
+        shift_keep = full ^ lane << L * w  # w's top+1 lane must not become g's lane 0
+        self.shift_keep = [shift_keep ^ (lane << (L - 1) * w if N != top else 0) for N in range(top + 1)]
 
 
-def _zshift(p: ZArray) -> ZArray:
-    return [ZERO] + p[:-1]
+def _gates(code: CodeSpec, top: int) -> _Gates:
+    gates = code.tables.get(("bms", top))
+    if gates is None:
+        gates = code.tables["bms", top] = _Gates(code, top)
+    return gates
+
+
+def _support(code: CodeSpec, order: int) -> tuple[list[tuple[Mono, int]], int]:
+    """Ring monomials n with o(n) <= order, each with its lane order - o(n),
+    and the mask of those lanes; built once per order and kept on the code."""
+    sup = code.tables.get(("support", order))
+    if sup is None:
+        cv, w, lane = code.curve, code.fld.w, code.fld.q - 1
+        monos = [(n, order - cv.pole_order(n)) for n in cv.phi(0, cv.a, order)]
+        mask = 0
+        for _, h in monos:
+            mask |= lane << h * w
+        sup = code.tables["support", order] = (monos, mask)
+    return sup
 
 
 @dataclass
@@ -84,10 +94,8 @@ class BmsState:
     top: int  # largest syndrome exponent fed to v at N = 0
     s1: list[int]
     c1: list[int]
-    f: list[ZArray]
-    g: list[ZArray]
-    v: list[ZArray]
-    w: list[ZArray]
+    vf: list[int]  # per column: v in lanes 0..top+1, f in lanes top+2..2top+3
+    wg: list[int]  # per column: w in lanes 0..top+1, g in lanes top+2..2top+3
     M: list[int | None] = field(default_factory=list)  # step of last g replacement
     tlabel: list[Mono | None] = field(default_factory=list)  # degree label of g
 
@@ -118,29 +126,30 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None
     """
     if mode not in (INVERSE_FREE, DIVISION):
         raise ValueError(f"unknown mode {mode!r}")
-    cv = code.curve
     if top is None:
         top = code.m
-    a = cv.a
-    v = []
-    for i in range(a):
-        vi = [ZERO] * (top + 2)
-        for l in cv.phi(i, a, top):
-            if l not in synd:
+    gates = _gates(code, top)
+    exp = code.fld.exp
+    f_one = 1 << gates.L * code.fld.w  # f = 1
+    vf = []
+    for seed in gates.seed:
+        x = f_one
+        for shift, l in seed:
+            u = synd.get(l)
+            if u is None:
                 raise ValueError(f"syndrome table missing u_{l}")
-            vi[cv.pole_order(l)] = synd[l]
-        v.append(vi)
-    s1 = [cv.basis_start(i)[0] for i in range(a)]
+            if u != ZERO:
+                x |= exp[u] << shift
+        vf.append(x)
+    a = len(vf)
     return BmsState(
         mode=mode,
         N=0,
         top=top,
-        s1=s1,
-        c1=[x - 1 for x in s1],
-        f=[[0] + [ZERO] * (top + 1) for _ in range(a)],
-        g=[[ZERO] * (top + 2) for _ in range(a)],
-        v=v,
-        w=[[0] + [ZERO] * (top + 1) for _ in range(a)],
+        s1=gates.s1[:],
+        c1=[x - 1 for x in gates.s1],
+        vf=vf,
+        wg=[1] * a,  # w = 1, g = 0
         M=[None] * a,
         tlabel=[None] * a,
     )
@@ -149,54 +158,70 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None
 def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]]:
     """Step 1 at the current N: the discrepancies d^(i) (v heads, zero
     where column i has no l^(i) or s1^(i) exceeds it) and the w heads e^(i)."""
-    cv = code.curve
-    N = state.N
-    d = [ZERO] * cv.a
-    for i in range(cv.a):
-        l = cv.l_of(i, N)
-        if l is not None and state.s1[i] <= l[0]:
-            d[i] = state.v[i][N]
-    return d, [w[N] for w in state.w]
+    fld = code.fld
+    log, lane, shift = fld.log, fld.q - 1, state.N * fld.w
+    l1 = _gates(code, state.top).l1[state.N]
+    d = [
+        ZERO if l is None or s > l else log[x >> shift & lane]
+        for x, s, l in zip(state.vf, state.s1, l1)
+    ]
+    return d, [log[x >> shift & lane] for x in state.wg]
 
 
 def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
     """One N-loop: Step 1 (discrepancies), then Step 2 lane by lane, in place.
 
     Lane i pairs column i with ib = ibar(i, N), as one multiplier pair of
-    the parallel architecture does: it reads and writes f, v and s1 of
-    column i and g, w, c1, M and tlabel of column ib, and nothing else.
+    the parallel architecture does: it reads and writes vf and s1 of
+    column i and wg, c1, M and tlabel of column ib, and nothing else.
     ibar(., N) is a bijection of the columns, so in each loop every column
     is read and written by exactly one lane, no lane sees another lane's
     new values, and the in-place update equals one from a pre-step copy.
     Within a lane every old value is read before it is overwritten.
+
+    ``ctr`` is charged one mul per nonzero lane scaled and one mul and one
+    add per nonzero lane merged in, as a coefficient-wise update would be.
     """
-    cv = code.curve
     fld = code.fld
-    N, top = state.N, state.top
-    f, g, v, w, s1, c1 = state.f, state.g, state.v, state.w, state.s1, state.c1
+    gates = _gates(code, state.top)
+    N, w, ones = state.N, fld.w, gates.ones
+    vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
+    scale, lanes = fld.scale, fld.lanes
+    count = ctr is not None
     inverse_free = state.mode == INVERSE_FREE
     d, e = discrepancies(state, code)
-    for i in range(cv.a):
-        ib = cv.ibar(i, N)
-        fi, vi = f[i], v[i]
-        scale = e[ib] if inverse_free else None
-        f[i] = _lincomb(fld, ctr, scale, fi, d[i], g[ib])
-        v[i] = _lincomb(fld, ctr, scale, vi, d[i], w[ib])
-        v[i][N] = ZERO  # mod Z^N: the consumed head is deleted explicitly
+    l1, clear, keep = gates.l1[N], gates.head_clear[N], gates.shift_keep[N]
+    muls = adds = 0
+    for i, ib in enumerate(gates.ibar[N]):
+        x, y, di = vf[i], wg[ib], d[i]
+        new = x
+        if inverse_free:
+            new = scale(x, e[ib], ones)
+            if count and e[ib] != ZERO:
+                muls += lanes(x, ones)
+        if di != ZERO:
+            new ^= scale(y, di, ones)
+            if count:
+                merged = lanes(y, ones)
+                muls += merged
+                adds += merged
+        vf[i] = new & clear  # mod Z^N: the consumed head is deleted explicitly
         # a nonzero discrepancy implies that l^(i) exists
-        if d[i] != ZERO and s1[i] < (l1 := cv.l_of(i, N)[0]) - c1[ib]:
-            dinv = None if inverse_free else fld.inv_chain(d[i], ctr)
-            # f and v are ZERO at top+1, so scaling before the shift charges
-            # the muls that scaling after it would
-            g[ib] = _zshift(_lincomb(fld, ctr, dinv, fi))
-            w[ib] = _zshift(_lincomb(fld, ctr, dinv, vi))
+        if di != ZERO and s1[i] < l1[i] - c1[ib]:
+            if not inverse_free:
+                if count:
+                    muls += lanes(x, ones)
+                x = scale(x, fld.inv_chain(di, ctr), ones)
+            # f and v are zero at top+1, so shifting after the scale loses
+            # nothing and charges the muls a scale after the shift would
+            wg[ib] = x << w & keep
             state.M[ib], state.tlabel[ib] = N, (s1[i], i)
-            s1[i], c1[ib] = l1 - c1[ib], l1 - s1[i]
+            s1[i], c1[ib] = l1[i] - c1[ib], l1[i] - s1[i]
         else:
-            g[ib] = _zshift(g[ib])
-            w[ib] = _zshift(w[ib])
-        if N != top:
-            w[ib][top + 1] = ZERO  # w keeps its top+1 head only after the last loop
+            wg[ib] = y << w & keep
+    if count:
+        ctr.muls += muls
+        ctr.adds += adds
     state.N = N + 1
 
 
@@ -205,16 +230,19 @@ def state_record(state: BmsState, code: CodeSpec) -> dict:
     current N, and the (exponent, log) lists of the nonzero coefficients.
     The ``--dump-state`` and ``--boundary-dumps`` files hold these."""
     d, e = discrepancies(state, code)
+    terms = code.fld.terms
+    shift = (state.top + 2) * code.fld.w
+    low = (1 << shift) - 1
     return {
         "N": state.N,
         "s1": state.s1[:],
         "c1": state.c1[:],
         "d": d,
         "e": e,
-        **{
-            key: [[hc for hc in enumerate(p) if hc[1] != ZERO] for p in getattr(state, key)]
-            for key in ("f", "g", "v", "w")
-        },
+        "f": [terms(x >> shift) for x in state.vf],
+        "g": [terms(x >> shift) for x in state.wg],
+        "v": [terms(x & low) for x in state.vf],
+        "w": [terms(x & low) for x in state.wg],
     }
 
 
@@ -241,8 +269,9 @@ def run(
     return state, records
 
 
-def extract_poly(code: CodeSpec, zp: ZArray, deg: Mono, offset: int = 0) -> BiPoly:
-    """Read a bivariate polynomial out of a Z-array.
+def extract_poly(code: CodeSpec, zp: int, deg: Mono, offset: int = 0) -> BiPoly:
+    """Read a bivariate polynomial out of a packed line, lane h holding
+    the coefficient at Z^h.
 
     The coefficient of monomial n sits at exponent offset + o(deg) - o(n);
     offset is 0 for f and N - M for g.  Any nonzero coefficient at an
@@ -250,36 +279,40 @@ def extract_poly(code: CodeSpec, zp: ZArray, deg: Mono, offset: int = 0) -> BiPo
     arithmetic leaked outside the function ring, so that raises
     AssertionError.
     """
-    cv = code.curve
-    odeg = cv.pole_order(deg)
-    out: BiPoly = {}
-    used = set()
-    for n in cv.phi(0, cv.a, odeg):
-        h = offset + odeg - cv.pole_order(n)
-        used.add(h)
-        if h < len(zp) and zp[h] != ZERO:
-            out[n] = zp[h]
-    stray = {h: c for h, c in enumerate(zp) if c != ZERO and h not in used}
+    fld = code.fld
+    w, log, lane = fld.w, fld.log, fld.q - 1
+    monos, used = _support(code, code.curve.pole_order(deg))
+    stray = zp & ~(used << offset * w)
     if stray:
-        raise AssertionError(f"coefficients outside the monomial support: {stray}")
+        raise AssertionError(f"coefficients outside the monomial support: {dict(fld.terms(stray))}")
+    zp >>= offset * w
+    out: BiPoly = {}
+    for n, h in monos:
+        c = zp >> h * w & lane
+        if c:
+            out[n] = log[c]
     return out
 
 
 def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
+    fld = code.fld
+    log, lane = fld.log, fld.q - 1
+    shift = (state.top + 2) * fld.w  # the f and g halves
     F: list[BiPoly] = []
     G: list[BiPoly] = []
     lead: list[int] = []
     head: list[int] = []
     for i in range(code.curve.a):
-        F.append(extract_poly(code, state.f[i], (state.s1[i], i)))
-        if state.f[i][0] == ZERO:
+        f = state.vf[i] >> shift
+        F.append(extract_poly(code, f, (state.s1[i], i)))
+        if not f & lane:
             raise AssertionError(f"leading coefficient of F^({i}) must stay nonzero")
-        lead.append(state.f[i][0])
-        head.append(state.w[i][state.N])
+        lead.append(log[f & lane])
+        head.append(log[state.wg[i] >> state.N * fld.w & lane])
         if state.M[i] is None:  # g has never been replaced, so it is still zero
             G.append({})
         else:
-            G.append(extract_poly(code, state.g[i], state.tlabel[i], offset=state.N - state.M[i]))
+            G.append(extract_poly(code, state.wg[i] >> shift, state.tlabel[i], offset=state.N - state.M[i]))
     return LocatorOutput(F, G, lead, head, state.mode)
 
 
@@ -287,7 +320,7 @@ def delta_set(code: CodeSpec, s1: list[int]) -> list[Mono]:
     """Footprint below the basis degrees: ring monomials with n1 < s1^(n2)."""
     cv = code.curve
     bound = max(cv.pole_order((s1[i], i)) for i in range(cv.a))
-    return [n for n in cv.phi(0, cv.a, bound) if n[0] < s1[n[1]]]
+    return [n for n, _ in _support(code, bound)[0] if n[0] < s1[n[1]]]
 
 
 def discrepancy_direct(code: CodeSpec, F: BiPoly, synd: dict[Mono, int], l: Mono) -> int:

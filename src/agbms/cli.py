@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import random
+import re
 import sys
 from importlib import resources
 
@@ -82,10 +83,18 @@ def load_code(path: str) -> tuple[CodeSpec, str]:
     return code, digest
 
 
+def _log_token(tok: str) -> int:
+    """An ASCII integer token, -?[0-9]+; int() alone would also take 1_0,
+    +3 and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", tok):
+        raise ValueError(f"{tok!r} is not an integer")
+    return int(tok)
+
+
 def read_word(path: str, code: CodeSpec) -> Word:
     try:
         with open(path) as fh:
-            symbols = [int(tok) for tok in fh.read().split()]
+            symbols = [_log_token(tok) for tok in fh.read().split()]
     except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read word file {path!r}: {exc}") from exc
     if len(symbols) != code.n:
@@ -109,8 +118,8 @@ def read_errors(path: str, code: CodeSpec) -> tuple[list[int], list[int]]:
                 if not line or line.startswith("#"):
                     continue
                 j, v = line.split()
-                locs.append(int(j))
-                vals.append(int(v))
+                locs.append(_log_token(j))
+                vals.append(_log_token(v))
     except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read error file {path!r}: {exc}") from exc
     if any(not 0 <= j < code.n for j in locs):

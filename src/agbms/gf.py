@@ -8,6 +8,15 @@ worked values can be compared directly against published tables.
 Inversion is done by the square-and-multiply chain a^(q-2), costing exactly
 2w-3 multiplications; this is the operation the inverse-free algorithm
 removes from the decoding loop.
+
+A register line is held as one packed int: lane k (bits kw .. kw+w-1)
+holds the coefficient of exponent k in bit-vector form.  ``GF`` is the one
+home of the lane primitives: ``pack``/``unpack`` convert between a list of
+logs and a packed word, ``lanes`` counts the nonzero lanes and ``scale``
+multiplies every lane by one constant with w masked integer multiplies
+(split-table multiplication by a constant), so a merge of two lines is one
+XOR.  The w products vec(c * alpha^j) a constant needs are built the first
+time that constant scales a word and kept; no q x q table is ever built.
 """
 
 from __future__ import annotations
@@ -68,6 +77,13 @@ class GF:
                 v ^= prim_poly
         if v != 1:
             raise ValueError(f"prim_poly {prim_poly:#b} is not primitive")
+        # shifts whose OR folds the w bits of every lane into its bit 0
+        self._fold: list[int] = []
+        done = 1
+        while done < w:
+            self._fold.append(min(done, w - done))
+            done += self._fold[-1]
+        self._scale_rows: dict[int, tuple[int, ...]] = {}  # c -> vec(c * alpha^j), j < w
 
     def __repr__(self) -> str:
         return f"GF(2^{self.w}, prim_poly={self.prim_poly:#b})"
@@ -118,6 +134,66 @@ class GF:
             acc = self.mul(acc, acc, ctr)  # square: a^(2^k - 1) -> a^(2^(k+1) - 2)
             acc = self.mul(acc, a, ctr)  # -> a^(2^(k+1) - 1)
         return self.mul(acc, acc, ctr)  # a^(2^w - 2) = a^-1
+
+    # -- packed lanes ------------------------------------------------------
+
+    def ones(self, n: int) -> int:
+        """Bit 0 of each of n lanes, the lane mask of ``lanes`` and ``scale``."""
+        return ((1 << (n * self.w)) - 1) // (self.q - 1)
+
+    def pack(self, logs: list[int]) -> int:
+        """One lane per element, element k in lane k."""
+        exp, w = self.exp, self.w
+        x = 0
+        for a in reversed(logs):
+            x = x << w | (0 if a == ZERO else exp[a])
+        return x
+
+    def unpack(self, x: int, n: int) -> list[int]:
+        """Logs of the lowest n lanes of x."""
+        log, mask, w = self.log, self.q - 1, self.w
+        out = []
+        for _ in range(n):
+            out.append(log[x & mask])
+            x >>= w
+        return out
+
+    def terms(self, x: int) -> list[tuple[int, int]]:
+        """(lane, log) of every nonzero lane of x, lowest lane first."""
+        log, mask, w = self.log, self.q - 1, self.w
+        out = []
+        k = 0
+        while x:
+            if x & mask:
+                out.append((k, log[x & mask]))
+            x >>= w
+            k += 1
+        return out
+
+    def lanes(self, x: int, ones: int) -> int:
+        """Number of nonzero lanes of x, which must lie within ``ones``."""
+        for k in self._fold:
+            x |= x >> k
+        return (x & ones).bit_count()
+
+    def scale(self, x: int, c: int, ones: int) -> int:
+        """Every lane of x times the log-form constant c.
+
+        XOR over j < w of ((x >> j) & ones) * vec(c * alpha^j): each product
+        is w bits wide and lands on its own lane, so no lane carries into
+        the next.  Uncharged; callers charge one mul per nonzero lane.
+        """
+        if c == ZERO:
+            return 0
+        row = self._scale_rows.get(c)
+        if row is None:
+            exp, qm1 = self.exp, self.q - 1
+            row = self._scale_rows[c] = tuple(exp[(c + j) % qm1] for j in range(self.w))
+        acc = 0
+        for r in row:
+            acc ^= (x & ones) * r
+            x >>= 1
+        return acc
 
     def nonzero(self) -> range:
         """Logs of all nonzero elements."""

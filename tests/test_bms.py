@@ -37,18 +37,18 @@ def test_init_state(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     synd = elliptic.syndromes(recv)
     st = bms.init_state(elliptic, synd, bms.INVERSE_FREE)
-    width = elliptic.m + 2  # Z-arrays cover exponents 0..top+1
-    assert st.v[0][0] == synd[(0, 0)]
+    rec = bms.state_record(st, elliptic)
+    width = elliptic.m + 2  # each polynomial covers exponents 0..top+1
+    assert rec["v"][0][0] == (0, synd[(0, 0)])
     for i in range(2):
-        assert st.f[i] == [0] + [ZERO] * (width - 1)
-        assert st.g[i] == [ZERO] * width
-        assert st.w[i] == [0] + [ZERO] * (width - 1)
-        # column i is seeded from the window-i syndrome rows
-        assert len(st.v[i]) == width and st.v[i][width - 1] == ZERO
-        for h in range(elliptic.m + 1):
-            l = elliptic.curve.l_of(i, h)
-            want = synd[l] if l is not None else ZERO
-            assert st.v[i][h] == want
+        assert rec["f"][i] == [(0, 0)]
+        assert rec["g"][i] == []
+        assert rec["w"][i] == [(0, 0)]
+        # column i is seeded from the window-i syndrome rows, nothing at top+1
+        want = [(h, synd[l]) for h in range(elliptic.m + 1) if (l := elliptic.curve.l_of(i, h)) is not None]
+        assert rec["v"][i] == [(h, c) for h, c in want if c != ZERO]
+        assert st.vf[i].bit_length() <= 2 * width * elliptic.fld.w
+        assert st.wg[i].bit_length() <= 2 * width * elliptic.fld.w
     assert st.s1 == [0, 0] and st.c1 == [-1, -1]
 
 
@@ -62,7 +62,8 @@ def test_init_state_klein_offsets(klein, klein_golden):
 def test_init_zero_syndromes(elliptic):
     synd = elliptic.syndromes(elliptic.zero_word())
     st = bms.init_state(elliptic, synd, bms.INVERSE_FREE)
-    assert all(v == [ZERO] * (elliptic.m + 2) for v in st.v)
+    assert bms.state_record(st, elliptic)["v"] == [[], []]
+    assert st.vf == [1 << (elliptic.m + 2) * elliptic.fld.w] * 2  # v = 0, f = 1
 
 
 def test_init_requires_full_table(elliptic, elliptic_golden):
@@ -79,9 +80,10 @@ def test_zero_syndromes_fixed_point(elliptic):
     for r in recs:
         assert r["s1"] == [0, 0] and r["c1"] == [-1, -1]
         assert all(d == ZERO for d in r["d"])
-    assert st.f[0] == [0] + [ZERO] * 9
-    assert st.g == [[ZERO] * 10, [ZERO] * 10]
-    assert st.w[0] == [ZERO] * 9 + [0]  # w = Z^(m+1), the head kept at top+1
+    final = recs[-1]
+    assert final["f"][0] == [(0, 0)]
+    assert final["g"] == [[], []]
+    assert final["w"][0] == [(9, 0)]  # w = Z^(m+1), the head kept at top+1
 
 
 def test_first_step_jump(elliptic, elliptic_golden):
@@ -211,8 +213,9 @@ def test_per_step_discrepancy_equivalence(elliptic, elliptic_golden, klein, klei
             for N in range(code.m + 1):
                 d, _ = bms.discrepancies(st, code)
                 l = cv.l_of(0, N)
+                Fs = bms.extract_locators(st, code).F
                 for i in range(cv.a):
-                    F = bms.extract_poly(code, st.f[i], (st.s1[i], i))
+                    F = Fs[i]
                     li = cv.l_of(i, N)
                     cond = li is not None and st.s1[i] <= li[0]
                     if cond:
@@ -242,10 +245,11 @@ def check_theorem_suite(code, locs, vals, recv, mode, minimality=True):
     full = code.full_syndromes_from_errors(locs, vals, 3 * code.m)
     st = bms.init_state(code, code.syndromes(recv), mode)
     for N in range(code.m + 2):
+        Fs = bms.extract_locators(st, code).F
         for i in range(cv.a):
             assert st.s1[i] == st.c1[i] + 1  # Lemma: s1 = c1 + 1
             s = (st.s1[i], i)
-            F = bms.extract_poly(code, st.f[i], s)
+            F = Fs[i]
             assert cv.poly_degree(F) == s  # (b) deg F = s
             for h in cv.phi(0, cv.a, N - 1 - cv.pole_order(s)):  # (a)
                 acc = ZERO
@@ -304,17 +308,20 @@ def test_ideal_closure_under_monomials(elliptic, elliptic_golden):
 def test_window_invariants(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     st = bms.init_state(elliptic, elliptic.syndromes(recv), bms.INVERSE_FREE)
-    m = elliptic.m
+    m, w = elliptic.m, elliptic.fld.w
     for N in range(m + 1):
+        rec = bms.state_record(st, elliptic)
         for i in range(2):
-            assert [len(st.f[i]), len(st.g[i]), len(st.v[i]), len(st.w[i])] == [m + 2] * 4
-            assert all(c == ZERO for h, c in enumerate(st.v[i]) if not N <= h <= m)
-            assert all(c == ZERO for h, c in enumerate(st.w[i]) if not N <= h <= m)
-            assert st.w[i][m + 1] == ZERO  # the top+1 head appears only after the last loop
-            assert all(c == ZERO for h, c in enumerate(st.f[i]) if h > N)
-            assert all(c == ZERO for h, c in enumerate(st.g[i]) if h > N)
+            # two polynomials of m+2 lanes each per packed line
+            assert max(st.vf[i].bit_length(), st.wg[i].bit_length()) <= 2 * (m + 2) * w
+            assert all(N <= h <= m for h, _ in rec["v"][i])
+            # so the top+1 head appears only after the last loop
+            assert all(N <= h <= m for h, _ in rec["w"][i])
+            assert all(h <= N for h, _ in rec["f"][i])
+            assert all(h <= N for h, _ in rec["g"][i])
         bms.step(st, elliptic)
-    assert all(st.w[i][m + 1] != ZERO for i in range(2))  # e_{m+1} for the error values
+    final = bms.state_record(st, elliptic)
+    assert all(final["w"][i][-1][0] == m + 1 for i in range(2))  # e_{m+1} for the error values
 
 
 def test_extract_poly_raises_under_optimize():
@@ -327,13 +334,13 @@ def test_extract_poly_raises_under_optimize():
         from agbms.gf import ZERO
         code = CodeSpec(elliptic_curve(), GF(4, 0b10011), m=8)
         assert False, "asserts are on"
-        zp = [0, ZERO, 5] + [ZERO] * 7  # y, x, 1 sit at Z^0, Z^1, Z^3; Z^2 is no slot
+        zp = code.fld.pack([0, ZERO, 5])  # y, x, 1 sit at Z^0, Z^1, Z^3; Z^2 is no slot
         try:
             bms.extract_poly(code, zp, (0, 1))
         except AssertionError as exc:
             print("stray:", exc)
         st = bms.init_state(code, code.syndromes(code.zero_word()), bms.INVERSE_FREE)
-        st.f[1][0] = ZERO
+        st.vf[1] &= (1 << (code.m + 2) * 4) - 1  # f^(1) = 0
         try:
             bms.extract_locators(st, code)
         except AssertionError as exc:
@@ -348,7 +355,7 @@ def test_extract_poly_raises_under_optimize():
         init_state = bms.init_state
         def skewed(*args):
             st = init_state(*args)
-            st.v[0][0] = ZERO if st.v[0][0] != ZERO else 0
+            st.vf[0] ^= (st.vf[0] & 15) or 1  # clear a nonzero v head, else set it to 1
             return st
         bms.init_state = skewed
         try:

@@ -310,6 +310,24 @@ def test_error_file_out_of_range(tmp_path, capsys, command, line):
         cli.read_errors(str(errfile), codespec)
 
 
+@pytest.mark.parametrize("token", ["1_0", "+3", "\u0663", "3.0", "0x3"])
+@pytest.mark.parametrize("errors", [True, False])
+def test_input_tokens_strict(tmp_path, capsys, token, errors):
+    # only ASCII -?[0-9]+ is a log integer: int() alone reads 1_0 as 10,
+    # +3 as 3 and the Arabic-Indic digit three as 3
+    code_spec, _ = cli.load_code("elliptic_gf16")
+    path = tmp_path / "in.txt"
+    if errors:
+        path.write_text(f"{token} 2\n", encoding="utf-8")
+    else:
+        path.write_text(" ".join([token] + ["-1"] * (code_spec.n - 1)) + "\n", encoding="utf-8")
+    flag = ["--errors"] if errors else []
+    code, out, err = run_cli(capsys, "decode", "elliptic_gf16", str(path), *flag)
+    assert code == cli.EXIT_PARSE
+    assert err.startswith(f"error: cannot read {'error' if errors else 'word'} file ")
+    assert "status:" not in out
+
+
 def test_decode_word_length_checked(tmp_path, capsys):
     wordfile = tmp_path / "short.txt"
     wordfile.write_text("0 1 2\n")
@@ -415,7 +433,7 @@ def test_trace_arch_divergence_exit_code(tmp_path, capsys, monkeypatch):
 
     def skewed(*args, **kwargs):
         st = init_state(*args, **kwargs)
-        st.v[0][0] = ZERO if st.v[0][0] != ZERO else 0
+        st.vf[0] ^= (st.vf[0] & 15) or 1  # clear a nonzero v head, else set it to 1
         return st
 
     monkeypatch.setattr(bms, "init_state", skewed)

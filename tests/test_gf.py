@@ -98,3 +98,41 @@ def test_counter_sessions(gf16):
     assert (ctr.muls, ctr.adds, ctr.invs) == (1, 1, 0)
     ctr.reset()
     assert (ctr.muls, ctr.adds, ctr.invs) == (0, 0, 0)
+
+
+PRIMITIVE = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
+
+
+@pytest.mark.parametrize("w", sorted(PRIMITIVE))
+def test_lane_primitives_exhaustive(w):
+    # every constant times every element, in one packed word per vector
+    fld = GF(w, PRIMITIVE[w])
+    rng = random.Random(w)
+    every = [ZERO, *fld.nonzero()]
+    rng.shuffle(every)
+    vectors = [every, [ZERO] * 7] + [[rng.randrange(-1, fld.q - 1) for _ in range(19)] for _ in range(10)]
+    for logs in vectors:
+        n = len(logs)
+        ones = fld.ones(n)
+        x = fld.pack(logs)
+        assert x < 1 << n * w
+        assert fld.unpack(x, n) == logs
+        assert fld.lanes(x, ones) == n - logs.count(ZERO)
+        for c in [ZERO, *fld.nonzero()]:
+            assert fld.unpack(fld.scale(x, c, ones), n) == [fld.mul(c, a) for a in logs]
+
+
+def test_sixteen_bit_lanes():
+    fld = GF(16, 0x1002D)  # x^16 + x^5 + x^3 + x^2 + 1
+    assert fld._scale_rows == {}  # no product table is built with the field
+    rng = random.Random(16)
+    logs = [rng.randrange(-1, fld.q - 1) for _ in range(40)] + [ZERO, 0, fld.q - 2]
+    n = len(logs)
+    ones = fld.ones(n)
+    x = fld.pack(logs)
+    assert fld.unpack(x, n) == logs
+    assert fld.lanes(x, ones) == n - logs.count(ZERO)
+    consts = [0, 1, fld.q - 2, *rng.sample(range(fld.q - 1), 20)]
+    for c in consts:
+        assert fld.unpack(fld.scale(x, c, ones), n) == [fld.mul(c, a) for a in logs]
+    assert len(fld._scale_rows) == len(set(consts))  # one row per constant used
