@@ -46,9 +46,10 @@ DIVISION = "division"
 
 
 class _Gates:
-    """Per-code tables of one window size ``top``, indexed by loop N in
-    0..top+1: the first component of l^(i) (None at a gap), ibar(i, N), the
-    v seed lanes of every column, and the AND masks of the step."""
+    """Per-code tables of one window size ``top``: per loop N the first
+    component of l^(i) (None at a gap; N up to top+1, which the final
+    record reads), ibar(i, N) and the AND masks of the step, and the v
+    seed lanes of every column."""
 
     def __init__(self, code: CodeSpec, top: int):
         cv, fld = code.curve, code.fld

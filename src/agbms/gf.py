@@ -12,7 +12,8 @@ removes from the decoding loop.
 A register line is held as one packed int: lane k (bits kw .. kw+w-1)
 holds the coefficient of exponent k in bit-vector form.  ``GF`` is the one
 home of the lane primitives: ``pack``/``unpack`` convert between a list of
-logs and a packed word, ``lanes`` counts the nonzero lanes and ``scale``
+logs and a packed word, ``terms`` lists the nonzero lanes as (lane, log)
+pairs, ``lanes`` counts the nonzero lanes and ``scale``
 multiplies every lane by one constant with w masked integer multiplies
 (split-table multiplication by a constant), so a merge of two lines is one
 XOR.  The w products vec(c * alpha^j) a constant needs are built the first
