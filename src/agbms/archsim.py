@@ -9,12 +9,12 @@ stated line lengths and validates itself ("oracle equivalence"): each
 simulator steps a software BMS state alongside its registers, and at every
 N-boundary it packs its register lines into the state's packed v|f and w|g
 words (``bms.BmsState``) and requires them, with (s, c), to equal that
-state's, as ints.  Register values are held in bit-vector form, so a line
-input is e*x ^ d*y with no per-op field call, and they are converted to
-logs only for snapshots (and so the CSV).  The boundary record it keeps is
-``bms.state_record`` of that state, so ``--boundary-dumps`` and
-``--dump-state`` share one format; a divergence names the first of s, c,
-v, f, w, g that differs, in that record's form.
+state's, as ints.  Register values are held in bit-vector form and
+converted to logs only for snapshots (and so the CSV).  The trace keeps a
+copy of the reference state of every boundary; ``--boundary-dumps`` writes
+``bms.state_record`` of each, so it shares ``--dump-state``'s format, and a
+divergence names the first of s, c, v, f, w, g that differs, in that
+record's form.
 
 Layouts (period P = length of the w/g line):
 
@@ -48,19 +48,35 @@ Zero-setting: a recirculated w/g value whose slot would fall between the
 live w window and the pinned g window next loop is replaced by zero at the
 line input, otherwise stale values would corrupt the f updates.
 
+Ring lines: every line is a fixed-length ring buffer, read and written at
+one pointer -- a clock reads the value leaving the line and writes the value
+entering it into the same slot -- so no value moves in memory.  A w/g line
+turns once per loop, so its pointer is the clock of the loop; the
+inverse-free v/f line's is (N + p) mod (m+2) at clock p, the serial line's
+advances with every clock, and the serial FIFO's is the slot k (it holds a
+values).
+
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
-at one multiplier pair in loop N.  A datapath only moves values: the
-per-block lines of ``sim_inverse_free`` clock all a lanes at once, the one
-interleaved line of ``_sim_serial_core`` clocks one lane per clock and
-routes its v/f input through the exchange register and the supplementary
-segment.  Each hands the controller the values leaving its lines and says,
-at a boundary, which (column, exponent group, value) each register holds;
-the controller latches d and e at the head group, flips the lane's switch,
-decides both line inputs, and rebuilds and checks the state.  Its s and c
-are updated in place at the latch, lane by lane, exactly as ``bms.step``
-updates its state (its docstring says why that is exact).  The w/g
-zero-setting uses the same windows as the read-back, one loop ahead.
+at one multiplier pair in loop N.  At the lane's head group the controller
+latches a plan: d and e (d^-1 too in division mode) as indices into an exp
+table doubled and padded with zeros, under a log that sends 0 into the
+padding, so a product is one lookup of a sum with no branch or modulo; the
+preserve/update switch; and the groups whose w/g input is zero-set, from
+``_stale`` one loop ahead, the window rule the boundary check uses.  It
+updates s and c in place, lane by lane, exactly as ``bms.step`` updates its
+state (its docstring says why that is exact), and charges the lane's
+multipliers for the whole loop.  Every later clock of the lane is one
+multiply-add, e*x ^ d*y into the v/f line, and one register move into the
+w/g line.  A datapath only moves values: the per-block lines of
+``sim_inverse_free`` clock all a lanes at once, the one interleaved line of
+``_sim_serial_core`` clocks one lane per clock and routes its v/f input
+through the exchange register and the supplementary FIFO.  At a boundary it
+hands over each column's registers in exponent-group order: a rotation of
+an inverse-free ring, a step slice ``path[k::a]`` of the serial v/f path
+(line, FIFO, exchange register) and of the w/g ring.  The controller checks
+the stale and above-top groups with ``any()`` over slices, packs the v, f,
+w and g runs into words and compares them with the reference state's.
 """
 
 from __future__ import annotations
@@ -101,7 +117,7 @@ class ArchTrace:
     period: int
     total_clocks: int
     registers: RegisterFile
-    boundary_states: list[dict] = field(default_factory=list)
+    boundary_states: list[bms.BmsState] = field(default_factory=list)
     snapshots: list[dict] = field(default_factory=list)
     mult_uses: int = 0
     inv_uses: int = 0
@@ -118,116 +134,124 @@ class ResourceEstimate:
     measured_clocks: int | None = None
 
 
+def _rotated(ring: list[int], ptr: int) -> list[int]:
+    """A ring-buffered line in reading order from ``ptr`` (0 <= ptr <= len)."""
+    return ring[ptr:] + ring[:ptr]
+
+
 class _Controller:
     """Latches, switches, line inputs and boundary checks of one simulated
     run, per lane (see the module docstring); it fills in ``trace``.
-    Register values are in bit-vector form; the latches hold logs."""
+    ``groups`` is the number of clocks a lane takes per loop (the w/g
+    line's exponent groups).  Register values are in bit-vector form; a
+    plan's d, e and d^-1 index the doubled ``exp`` table."""
 
-    def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str):
-        cv = code.curve
+    def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str, groups: int):
+        fld, a = code.fld, code.curve.a
         self.arch, self.trace, self.code, self.synd = trace.architecture, trace, code, synd
-        self.fld, self.l_of, self.m = code.fld, cv.l_of, code.m
+        self.m, self.w = code.m, fld.w
+        self.groups = groups
         self.division = mode == bms.DIVISION
-        self.s1 = [cv.basis_start(i)[0] for i in range(cv.a)]
-        self.c1 = [x - 1 for x in self.s1]
-        self.M: list[int | None] = [None] * cv.a  # loop of the last g replacement per column
-        # per-lane latches and switch
-        self.d = [ZERO] * cv.a
-        self.e = [ZERO] * cv.a
-        self.dinv = [ZERO] * cv.a
-        self.replace = [False] * cv.a
+        self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
+        self.gates = bms.gate_table(code, code.m)
+        # exp over two periods then zeros, and log with 0 sent to the first
+        # zero: a sum of two indices is a product with no branch or modulo
+        qm1 = fld.q - 1
+        self.exp = fld.exp * 2 + [0] * (2 * qm1 + 1)
+        self.log = [2 * qm1] + fld.log[1:]
         self.ref = bms.init_state(code, synd, mode)
+        self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
+        self.M: list[int | None] = [None] * a  # loop of the last g replacement per column
+        self.plans: list[tuple] = [()] * a  # per lane: (e, d, d^-1, update, zero-set groups)
+        self.peak = [0] * a  # per lane: multipliers on its busiest clock
 
-    def vf_init(self, i: int, g: int) -> int:
-        """Value of column i at exponent group g of the v/f line before loop
-        0: the syndrome, then f = 1, then zero."""
-        if g <= self.m:
-            l = self.l_of(i, g)
-            return self.fld.to_vec(self.synd[l]) if l is not None else 0
-        return 1 if g == self.m + 1 else 0
+    def registers(self, vf_groups: int) -> tuple[list[list[int]], list[list[int]]]:
+        """The v/f and w/g registers of every column, in exponent-group
+        order, before loop 0: column i holds the syndromes at the v lanes of
+        its seed (the ``bms`` gate table), then f = 1; w = 1."""
+        to_vec, w = self.code.fld.to_vec, self.w
+        vf = []
+        for seed in self.gates.seed:
+            regs = [0] * vf_groups
+            for shift, l in seed:
+                regs[shift // w] = to_vec(self.synd[l])
+            regs[self.m + 1] = 1
+            vf.append(regs)
+        return vf, [[1] + [0] * (self.groups - 1) for _ in vf]
 
-    def clock(self, N: int, g: int, lane: int, i: int, j: int, x: int, y: int) -> tuple[int, int, int]:
-        """One clock of a lane at exponent group g of loop N; x and y left
-        the v/f line of column i and the w/g line of column j.  Returns the
-        v/f input, the w/g input and the multipliers used."""
-        fld = self.fld
-        exp, log, qm1 = fld.exp, fld.log, fld.q - 1
-        d = self.d[lane]
-        if g == 0:
-            # head group: latch d and e, set the switch, update the degrees
-            # in place (exact for the reason given in bms.step)
-            s1, c1 = self.s1, self.c1
-            l = self.l_of(i, N)
-            d = self.d[lane] = log[x] if (l is not None and s1[i] <= l[0]) else ZERO
-            self.e[lane] = log[y]
-            upd = self.replace[lane] = d != ZERO and s1[i] < l[0] - c1[j]
-            if upd:
-                if self.division:
-                    self.dinv[lane] = fld.inv_chain(d)
-                    self.trace.inv_uses += 1
-                s1[i], c1[j] = l[0] - c1[j], l[0] - s1[i]
-                self.M[j] = N
-
-        # w/g push: recirculate y (the one-exponent relabel is free) or take
-        # the updated column from the v/f stream (switch B); a value that
-        # lands in neither window of the next loop is zero-set
-        mults = 0
-        if self._wg_window(N + 1, j, g) is None:
-            w_in = 0
-        elif not self.replace[lane]:
-            w_in = y
-        elif self.division:
-            w_in = x and exp[(self.dinv[lane] + log[x]) % qm1]
-            mults = 1
-        else:
-            w_in = x
-
-        # v/f push: e*x ^ d*y (x alone in division mode)
-        if g == 0:
-            v_in = 0  # mod Z^N deletion retires the consumed head
-        else:
+    def latch(self, N: int, lane: int, i: int, j: int, x: int, y: int) -> tuple:
+        """Head group of a lane in loop N, where x and y are the v head of
+        column i and the w head of column j: latch d and e, set the switch,
+        update the degrees in place (exact for the reason given in
+        ``bms.step``), charge the multipliers and return the lane's plan."""
+        s1, c1, log = self.s1, self.c1, self.log
+        l = self.gates.l1[N][i]
+        d = log[x] if l is not None and s1[i] <= l else log[0]
+        upd = d != log[0] and s1[i] < l - c1[j]
+        e = 0 if self.division else log[y]  # division mode keeps v: e = 1
+        dinv = 0
+        if upd:
             if self.division:
-                v_in = x
-                mults += 1
-            else:
-                e = self.e[lane]
-                v_in = exp[(e + log[x]) % qm1] if x and e != ZERO else 0
-                mults += 2
-            if y and d != ZERO:
-                v_in ^= exp[(d + log[y]) % qm1]
-        return v_in, w_in, mults
+                dinv = self.code.fld.inv_chain(d)
+                self.trace.inv_uses += 1
+            s1[i], c1[j] = l - c1[j], l - s1[i]
+            self.M[j] = N
+        plan = self.plans[lane] = (e, d, dinv, upd, self._stale(N + 1, j))
+        # the v/f input takes vm multipliers at every group past the head, a
+        # scaled w/g input one more where it is not zero-set; such a lane
+        # zero-sets at most group m-N (its M is N), so all lanes of a clock
+        # reach their peaks together
+        wm = int(upd and self.division)
+        self.trace.mult_uses += self.vm * (self.groups - 1) + wm * (self.groups - len(plan[4]))
+        self.peak[lane] = self.vm + wm
+        return plan
 
     def loops(self, readback) -> Iterator[int]:
         """Loop indices 0..m, with a boundary check before each loop and
-        after the last; ``readback(N)`` gives the v/f and w/g registers as
-        (column, exponent group, value) triples."""
+        after the last; ``readback(N)`` gives the v/f and w/g registers of
+        every column in exponent-group order."""
         for N in range(self.m + 2):
             self._boundary(N, *readback(N))
             if N <= self.m:
                 yield N
 
-    def _boundary(self, N: int, vf_regs, wg_regs) -> None:
+    def _stale(self, N: int, j: int) -> range:
+        """Groups of w/g column j that must hold zero at loop N: past the
+        live w window (the head and exponents N..m) and below the g window
+        (pinned since the loop M[j] of the last replacement).  The latch
+        zero-sets them one loop ahead; the boundary check requires them."""
+        Mj = self.M[j]
+        return range(max(1, self.m + 1 - N), self.groups if Mj is None else self.m + 1 - Mj)
+
+    def _word(self, regs: list[int], split: int, N: int, top: int) -> int:
+        """Pack a column's registers: groups below ``split`` to exponents
+        N.., the f or g coefficients from ``split`` to the upper half."""
+        w, x = self.w, 0
+        for val in reversed(regs[split:top]):
+            x = x << w | val
+        x <<= w  # the gap lane (v's and w's Z^(m+1))
+        for val in reversed(regs[:split]):
+            x = x << w | val
+        return x << N * w
+
+    def _boundary(self, N: int, vf_regs: list[list[int]], wg_regs: list[list[int]]) -> None:
         """Pack the registers into the lines of a ``bms`` state, require them
-        to equal the reference BMS state's at the same N, record that state,
-        and step the reference to the next loop."""
-        m, ref, w = self.m, self.ref, self.fld.w
-        L = m + 2  # lanes per polynomial; f and g sit in the upper half
-        vf, wg = [0] * len(self.M), [0] * len(self.M)
-        for col, g, val in vf_regs:
-            if val:
-                h = N + g if g <= m - N else L + self._lane(N, g - (m + 1) + N)
-                vf[col] |= val << h * w
-        for col, g, val in wg_regs:
-            if not val:
-                continue
-            key = self._wg_window(N, col, g)
-            if key is None:
+        to equal the reference BMS state's at the same N, record a copy of
+        that state, and step the reference to the next loop."""
+        m, ref = self.m, self.ref
+        top = 2 * m + 3 - N  # f and g coefficients from this group on lie above Z^(m+1)
+        for regs in vf_regs:
+            self._check_top(N, regs, top)
+        for j, regs in enumerate(wg_regs):
+            zero = self._stale(N, j)
+            if any(regs[zero.start : zero.stop]):
+                g = next(g for g in zero if regs[g])
                 raise AssertionError(
-                    f"{self.arch}: boundary N={N}: stale w/g register "
-                    f"(column {col}, group {g}) not zeroed"
+                    f"{self.arch}: boundary N={N}: stale w/g register (column {j}, group {g}) not zeroed"
                 )
-            h = N + g if key == "w" else L + self._lane(N, g - (m + 1) + N)
-            wg[col] |= val << h * w
+            self._check_top(N, regs, top)
+        vf = [self._word(regs, m + 1 - N, N, top) for regs in vf_regs]
+        wg = [self._word(regs, max(1, m + 1 - N), N, top) for regs in wg_regs]
         if (self.s1, self.c1, vf, wg) != (ref.s1, ref.c1, ref.vf, ref.wg):
             got = bms.state_record(replace(ref, s1=self.s1, c1=self.c1, vf=vf, wg=wg), self.code)
             want = bms.state_record(ref, self.code)
@@ -236,33 +260,20 @@ class _Controller:
                 f"{self.arch}: boundary N={N} register state diverges from the reference "
                 f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want[key]!r}"
             )
-        self.trace.boundary_states.append(bms.state_record(ref, self.code))
+        self.trace.boundary_states.append(
+            replace(ref, s1=ref.s1[:], c1=ref.c1[:], vf=vf, wg=wg, M=ref.M[:], tlabel=ref.tlabel[:])
+        )
         if N <= m:
             bms.step(ref, self.code)
 
-    def _wg_window(self, N: int, j: int, g: int) -> str | None:
-        """Which window of w/g column j holds exponent group g at loop N:
-        "w" (the live w exponents N..m, and the head at N = m+1), "g" (the g
-        coefficients, pinned since the loop M[j] of the last replacement)
-        or None (a slot that must hold zero)."""
-        if g == 0 or N + g <= self.m:
-            return "w"
-        Mj = self.M[j]
-        if Mj is not None and g >= self.m + 1 - Mj:
-            return "g"
-        return None
-
-    def _lane(self, N: int, h: int) -> int:
-        """Exponent h of a rebuilt f or g coefficient; a nonzero register
-        that maps past the top exponent should have been retired."""
-        if h > self.m + 1:
-            raise AssertionError(f"{self.arch}: boundary N={N}: coefficient at Z^{h} above the top exponent")
-        return h
-
-    def logs(self, regs: list[int]) -> list[int]:
-        """Log form of a register line, for snapshots."""
-        log = self.fld.log
-        return [log[x] for x in regs]
+    def _check_top(self, N: int, regs: list[int], top: int) -> None:
+        """A nonzero register that maps past the top exponent should have
+        been retired."""
+        if any(regs[top:]):
+            g = next(g for g in range(top, len(regs)) if regs[g])
+            raise AssertionError(
+                f"{self.arch}: boundary N={N}: coefficient at Z^{g - (self.m + 1) + N} above the top exponent"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -271,50 +282,55 @@ class _Controller:
 
 
 def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = True) -> ArchTrace:
-    cv = code.curve
-    a, m = cv.a, code.m
-    P = m + 3
+    a, m = code.curve.a, code.m
+    P, V = m + 3, m + 2
     trace = ArchTrace(
         INVERSE_FREE,
         period=P,
         total_clocks=(m + 1) * P,
-        registers=RegisterFile(vf=a * (m + 2), wg=a * P, disc_regs=a, head_regs=a),
+        registers=RegisterFile(vf=a * V, wg=a * P, disc_regs=a, head_regs=a),
     )
-    ctl = _Controller(trace, code, synd, bms.INVERSE_FREE)
+    ctl = _Controller(trace, code, synd, bms.INVERSE_FREE, P)
+    exp, log = ctl.exp, ctl.log
 
-    # one v/f and one w/g line per block; wg lines are indexed by the logical
-    # w/g column j, physically homed at block ibar(j, N) for the current loop
-    vf = [[ctl.vf_init(i, p) for p in range(m + 2)] for i in range(a)]
-    wg = [[1] + [0] * (m + 2) for _ in range(a)]  # w = 1
+    # one v/f ring per block, read and written at (N + p) mod V at clock p of
+    # loop N; wg rings are indexed by the logical w/g column j, physically
+    # homed at block ibar(j, N) for the current loop, and read at p
+    vf, wg = ctl.registers(V)
+    # log-form copies of the rings, kept up to date for snapshots only
+    flog = code.fld.log
+    lvf, lwg = [[flog[x] for x in r] for r in vf], [[flog[x] for x in r] for r in wg]
 
     def readback(N: int):
-        return (
-            [(i, p, val) for i in range(a) for p, val in enumerate(vf[i])],
-            [(j, p, val) for j in range(a) for p, val in enumerate(wg[j])],
-        )
+        return [_rotated(r, N % V) for r in vf], wg
 
     for N in ctl.loops(readback):
-        pair = [cv.ibar(i, N) for i in range(a)]
+        pair = ctl.gates.ibar[N]
         for p in range(P):
-            mults = 0
-            for i, j in enumerate(pair):
-                v_in, w_in, used = ctl.clock(N, p, i, i, j, vf[i].pop(0), wg[j].pop(0))
-                vf[i].append(v_in)
-                wg[j].append(w_in)
-                mults += used
-            trace.mult_uses += mults
-            trace.max_mults_per_clock = max(trace.max_mults_per_clock, mults)
+            k = (N + p) % V
+            if p == 0:
+                lanes = [(ctl.latch(N, i, i, j, vf[i][k], wg[j][0]), vf[i], wg[j]) for i, j in enumerate(pair)]
+                trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
+            for (e, d, dinv, upd, zero), vl, wl in lanes:
+                x, y = vl[k], wl[p]
+                # v/f: e*x ^ d*y, the head retired (mod Z^N); w/g: recirculate
+                # y (the one-exponent relabel is free) or take the updated
+                # column (switch B), zero-set outside next loop's windows
+                vl[k] = exp[e + log[x]] ^ exp[d + log[y]] if p else 0
+                wl[p] = 0 if p in zero else exp[dinv + log[x]] if upd else y
             if keep_snapshots:
+                for i, j in enumerate(pair):
+                    lvf[i][k], lwg[j][p] = flog[vf[i][k]], flog[wg[j][p]]
                 trace.snapshots.append(
                     {
                         "clock": N * P + p,
                         "registers": {
-                            **{f"block{i}.vf": ctl.logs(vf[i]) for i in range(a)},
-                            **{f"block{i}.wg": ctl.logs(wg[pair[i]]) for i in range(a)},
+                            **{f"block{i}.vf": _rotated(lvf[i], k + 1) for i in range(a)},
+                            **{f"block{i}.wg": _rotated(lwg[pair[i]], p + 1) for i in range(a)},
                         },
                         "switches": {
                             "disc_latch_down": p == 0,
-                            **{f"block{i}.update": ctl.replace[i] for i in range(a)},
+                            **{f"block{i}.update": ctl.plans[i][3] for i in range(a)},
                         },
                     }
                 )
@@ -336,6 +352,7 @@ def _sim_serial_core(
     a, m = cv.a, code.m
     arch, c_v = (SERIAL, 0) if mode == bms.DIVISION else (SERIAL_INVERSE_FREE, a)
     P = a * (m + 2) + a + c_v
+    G = P // a  # exponent groups per loop
 
     def vf_cols(N: int) -> list[int]:
         # one slot rotation per loop: slot k of loop N+1 is slot k+1 of loop N
@@ -358,47 +375,66 @@ def _sim_serial_core(
             supp_regs=2 * c_v,
         ),
     )
-    ctl = _Controller(trace, code, synd, mode)
+    ctl = _Controller(trace, code, synd, mode, G)
+    exp, log, plans = ctl.exp, ctl.log, ctl.plans
 
-    vf0 = vf_cols(0)
-    vf_all = [ctl.vf_init(vf0[phase % a], phase // a) for phase in range(L + c_v + 1)]
-    line, fifo, exch = vf_all[:L], vf_all[L:-1], vf_all[-1]
-    wgline = [1] * a + [0] * (P - a)  # w = 1 per column
+    # the v/f path in push order -- line, supplementary FIFO, exchange
+    # register -- and the w/g line interleave slot k of group g at phase
+    # g*a + k; the line is read and written at lp, the FIFO at slot k (it
+    # holds a = c_v values) and the w/g ring at the clock of the loop
+    vregs, wregs = ctl.registers(G - 1)
+    path = [0] * (L + c_v + 1)
+    wg = [0] * P
+    for k, (i, j) in enumerate(zip(vf_cols(0), wg_cols)):
+        path[k::a], wg[k::a] = vregs[i], wregs[j]
+    line, fifo, exch = path[:L], path[L:-1], path[-1]
+    lp = 0
+    # log-form copies of the two lines, kept up to date for snapshots only
+    flog = code.fld.log
+    lline, lwg = [flog[x] for x in line], [flog[x] for x in wg]
 
     def readback(N: int):
-        cols = vf_cols(N)
-        return (
-            [(cols[ph % a], ph // a, val) for ph, val in enumerate(line + fifo + [exch])],
-            [(wg_cols[ph % a], ph // a, val) for ph, val in enumerate(wgline)],
-        )
+        path = _rotated(line, lp) + fifo + [exch]
+        vf_regs, wg_regs = [[]] * a, [[]] * a
+        for k, (i, j) in enumerate(zip(vf_cols(N), wg_cols)):
+            vf_regs[i], wg_regs[j] = path[k::a], wg[k::a]
+        return vf_regs, wg_regs
 
     for N in ctl.loops(readback):
-        lanes = list(zip(range(a), vf_cols(N), wg_cols))
-        for g in range(P // a):
-            for k, i, j in lanes:
-                v_in, w_in, mults = ctl.clock(N, g, k, i, j, line.pop(0), wgline.pop(0))
-                wgline.append(w_in)
+        cols = vf_cols(N)
+        c = 0
+        for g in range(G):
+            for k in range(a):
+                x, y = line[lp], wg[c]
+                if g == 0:
+                    ctl.latch(N, k, cols[k], wg_cols[k], x, y)
+                e, d, dinv, upd, zero = plans[k]
+                v_in = exp[e + log[x]] ^ exp[d + log[y]] if g else 0
+                wg[c] = 0 if g in zero else exp[dinv + log[x]] if upd else y
                 # slot-0 values wrap to the last slot and detour through the
                 # exchange register (held for a clocks); the rest re-enter directly
                 if k == 0:
                     v_in, exch = exch, v_in
                 if c_v:
-                    fifo.append(v_in)
-                    v_in = fifo.pop(0)
-                line.append(v_in)
-                trace.mult_uses += mults
-                trace.max_mults_per_clock = max(trace.max_mults_per_clock, mults)
+                    v_in, fifo[k] = fifo[k], v_in
+                line[lp] = v_in
                 if keep_snapshots:
+                    lline[lp], lwg[c] = flog[v_in], flog[wg[c]]
                     trace.snapshots.append(
                         {
-                            "clock": N * P + g * a + k,
+                            "clock": N * P + c,
                             "registers": {
-                                name: ctl.logs(regs)
-                                for name, regs in (("vf", line), ("wg", wgline), ("exch", [exch]), ("supp", fifo))
+                                "vf": _rotated(lline, lp + 1),
+                                "wg": _rotated(lwg, c + 1),
+                                "exch": [flog[exch]],
+                                "supp": [flog[v] for v in _rotated(fifo, k + 1)],
                             },
-                            "switches": {"exchange_down": k == 0, "head_latch": g == 0, "update": ctl.replace[k]},
+                            "switches": {"exchange_down": k == 0, "head_latch": g == 0, "update": upd},
                         }
                     )
+                lp = lp + 1 if lp + 1 < L else 0
+                c += 1
+        trace.max_mults_per_clock = max(trace.max_mults_per_clock, *ctl.peak)
     return trace
 
 

@@ -67,7 +67,9 @@ class _Gates:
         self.shift_keep = [shift_keep ^ (lane << (L - 1) * w if N != top else 0) for N in range(top + 1)]
 
 
-def _gates(code: CodeSpec, top: int) -> _Gates:
+def gate_table(code: CodeSpec, top: int) -> _Gates:
+    """The gates of window size ``top``, built on first use and kept on the
+    code; the simulators read l^(i), ibar and the seed lanes from them too."""
     gates = code.tables.get(("bms", top))
     if gates is None:
         gates = code.tables["bms", top] = _Gates(code, top)
@@ -129,7 +131,7 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None
         raise ValueError(f"unknown mode {mode!r}")
     if top is None:
         top = code.m
-    gates = _gates(code, top)
+    gates = gate_table(code, top)
     exp = code.fld.exp
     f_one = 1 << gates.L * code.fld.w  # f = 1
     vf = []
@@ -161,7 +163,7 @@ def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]
     where column i has no l^(i) or s1^(i) exceeds it) and the w heads e^(i)."""
     fld = code.fld
     log, lane, shift = fld.log, fld.q - 1, state.N * fld.w
-    l1 = _gates(code, state.top).l1[state.N]
+    l1 = gate_table(code, state.top).l1[state.N]
     d = [
         ZERO if l is None or s > l else log[x >> shift & lane]
         for x, s, l in zip(state.vf, state.s1, l1)
@@ -184,7 +186,7 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
     add per nonzero lane merged in, as a coefficient-wise update would be.
     """
     fld = code.fld
-    gates = _gates(code, state.top)
+    gates = gate_table(code, state.top)
     N, w, ones = state.N, fld.w, gates.ones
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
     scale, lanes = fld.scale, fld.lanes

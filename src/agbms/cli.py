@@ -14,6 +14,7 @@ the spec file and the seed, so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -104,6 +105,17 @@ def read_word(path: str, code: CodeSpec) -> Word:
     return Word(symbols, "received")
 
 
+@contextlib.contextmanager
+def output(path: str, newline: str | None = None):
+    """An output file open for writing; an OSError while opening or
+    writing it becomes a SpecError naming the path."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_word(path: str, word: Word) -> None:
     with open(path, "w") as fh:
         fh.write(" ".join(str(s) for s in word.symbols) + "\n")
@@ -152,7 +164,7 @@ def cmd_decode(args) -> int:
     if args.dump_state:
         synd = code.syndromes(received)
         _, records = bms.run(code, synd, args.mode, record=True)
-        with open(args.dump_state, "w") as fh:
+        with output(args.dump_state) as fh:
             for rec in records:
                 fh.write(json.dumps(rec) + "\n")
 
@@ -179,7 +191,7 @@ def cmd_trace_arch(args) -> int:
         print(f"oracle-equivalence failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
 
-    with open(args.out, "w", newline="") as fh:
+    with output(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["clock", "block", "reg_name", "index", "value_log", "switch_states"])
         for snap in trace.snapshots:
@@ -189,9 +201,9 @@ def cmd_trace_arch(args) -> int:
                 for idx, val in enumerate(values):
                     writer.writerow([snap["clock"], block, reg_name, idx, val, switches])
     if args.boundary_dumps:
-        with open(args.boundary_dumps, "w") as fh:
-            for rec in trace.boundary_states:
-                fh.write(json.dumps(rec) + "\n")
+        with output(args.boundary_dumps) as fh:
+            for st in trace.boundary_states:
+                fh.write(json.dumps(bms.state_record(st, code)) + "\n")
     print(f"# spec_sha256={digest} seed=-")
     print(f"architecture: {trace.architecture}")
     print(f"period: {trace.period}")
@@ -240,7 +252,7 @@ def cmd_gen_errors(args) -> int:
                 raise SpecError(f"no generic pattern of weight t={args.t} in {draws} draws")
             locs = sorted(rng.sample(range(code.n), args.t))
             draws += 1
-    with open(args.out, "w") as fh:
+    with output(args.out) as fh:
         fh.write(f"# spec_sha256={digest} seed={args.seed}\n")
         for j, v in zip(locs, vals):
             fh.write(f"{j} {v}\n")

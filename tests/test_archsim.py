@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
-from agbms import CodeSpec, CurveSpec, archsim, bms
+from agbms import CodeSpec, CurveSpec, archsim, bms, cli
 from agbms.gf import ZERO, OpCounter
 from conftest import random_generic_pattern, random_pattern
 
@@ -28,7 +33,8 @@ def test_boundary_states_match_reference(elliptic, elliptic_golden):
     synd = elliptic.syndromes(recv)
     tr = archsim.sim_inverse_free(elliptic, synd, keep_snapshots=False)
     _, recs = bms.run(elliptic, synd, bms.INVERSE_FREE, record=True)
-    assert tr.boundary_states == recs  # the boundary records are the BMS dump records
+    # the boundary states are the BMS dump states
+    assert [bms.state_record(st, elliptic) for st in tr.boundary_states] == recs
 
 
 def test_register_counts(elliptic, klein, hermitian, elliptic_golden, klein_golden, hermitian_golden):
@@ -159,7 +165,7 @@ def test_every_simulator_on_every_code(request, arch, code_name):
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
         tr = archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
         _, recs = bms.run(code, synd, SIM_MODES[arch], record=True)
-        assert tr.boundary_states == recs
+        assert [bms.state_record(st, code) for st in tr.boundary_states] == recs
         assert (tr.period, tr.total_clocks) == (period, (m + 1) * period)
 
 
@@ -245,7 +251,108 @@ def test_sim_outputs_pinned(request, arch, code_name):
             tr.mult_uses,
             tr.inv_uses,
             tr.max_mults_per_clock,
-            tr.boundary_states,
+            [bms.state_record(st, code) for st in tr.boundary_states],
         ]
         h.update(json.dumps(out).encode())
     assert h.hexdigest()[:16] == SIM_DIGESTS[arch, code_name]
+
+
+# Boundary faults, each injected into a correct run: the check must name it
+# on every datapath.
+
+
+def _skip_zero_setting(mp):
+    """The w/g zero-setting is off: every lane plan zero-sets no group."""
+    latch = archsim._Controller.latch
+
+    def latch_without_zeroing(self, N, lane, *args):
+        plan = self.plans[lane] = latch(self, N, lane, *args)[:4] + (range(0),)
+        return plan
+
+    mp.setattr(archsim._Controller, "latch", latch_without_zeroing)
+
+
+def _value_above_top(mp):
+    """At the last boundary the last w/g register of the first replaced
+    column, whose exponent lies past the top, holds a value."""
+    boundary = archsim._Controller._boundary
+
+    def tampered(self, N, vf_regs, wg_regs):
+        if N == self.m + 1:
+            j = next(j for j, M in enumerate(self.M) if M is not None)
+            wg_regs[j][-1] ^= 1
+        boundary(self, N, vf_regs, wg_regs)
+
+    mp.setattr(archsim._Controller, "_boundary", tampered)
+
+
+def _skewed_v_head(mp):
+    """The reference state's v head of column 0 is flipped (cleared if
+    nonzero, else set to 1), so it no longer matches the loaded registers."""
+    init_state = bms.init_state
+
+    def skewed(code, *args, **kwargs):
+        st = init_state(code, *args, **kwargs)
+        st.vf[0] ^= (st.vf[0] & code.fld.q - 1) or 1
+        return st
+
+    mp.setattr(bms, "init_state", skewed)
+
+
+BOUNDARY_FAULTS = {
+    "zero_setting": (_skip_zero_setting, r"boundary N=\d+: stale w/g register \(column \d+, group \d+\) not zeroed"),
+    "above_top": (_value_above_top, r"boundary N=\d+: coefficient at Z\^\d+ above the top exponent"),
+    "v_head": (_skewed_v_head, r"boundary N=0 register state diverges from the reference BMS state at 'v'"),
+}
+PRESETS = ("elliptic_gf16", "klein_gf8", "hermitian_gf16")
+
+
+def run_bundled(arch, preset):
+    """One simulator on a preset's bundled error pattern."""
+    code, _ = cli.load_code(preset)
+    locs, vals = cli.read_errors(cli.bundled_error_file(preset), code)
+    synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+    return archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
+
+
+@pytest.mark.parametrize("fault", sorted(BOUNDARY_FAULTS))
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_boundary_faults_named(monkeypatch, arch, fault):
+    inject, message = BOUNDARY_FAULTS[fault]
+    inject(monkeypatch)
+    for preset in PRESETS:
+        with pytest.raises(AssertionError, match=f"^{arch}: {message}"):
+            run_bundled(arch, preset)
+
+
+def test_boundary_faults_named_under_optimize():
+    # the same faults are named when asserts are compiled out
+    here = pathlib.Path(__file__).resolve().parent
+    script = f"""
+import sys
+sys.path.insert(0, {str(here)!r})
+import pytest
+import test_archsim as t
+assert False, "asserts are on"
+for arch in t.archsim.SIMULATORS:
+    for fault, (inject, _) in t.BOUNDARY_FAULTS.items():
+        for preset in t.PRESETS:
+            mp = pytest.MonkeyPatch()
+            inject(mp)
+            try:
+                t.run_bundled(arch, preset)
+                print(arch, fault, preset, "no error", sep="|")
+            except AssertionError as exc:
+                print(arch, fault, preset, exc, sep="|")
+            finally:
+                mp.undo()
+"""
+    src = str(pathlib.Path(archsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    ).stdout.splitlines()
+    assert len(out) == len(archsim.SIMULATORS) * len(BOUNDARY_FAULTS) * len(PRESETS)
+    for line in out:
+        arch, fault, _, exc = line.split("|")
+        assert re.match(f"{arch}: {BOUNDARY_FAULTS[fault][1]}", exc), line

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -465,6 +466,27 @@ def test_trace_arch_hermitian_serial_if(tmp_path, capsys):
     )
     assert code == cli.EXIT_OK
     assert "period: 112" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "elliptic_gf16", "{err}", "--errors", "--dump-state", "{bad}"],
+        ["trace-arch", "elliptic_gf16", "{err}", "{bad}", "--arch", "serial", "--errors"],
+        ["trace-arch", "elliptic_gf16", "{err}", "{csv}", "--arch", "inverse_free", "--errors",
+         "--boundary-dumps", "{bad}"],
+        ["gen-errors", "elliptic_gf16", "{bad}", "--t", "3"],
+    ],
+    ids=["decode-dump-state", "trace-arch-csv", "trace-arch-boundary-dumps", "gen-errors"],
+)
+def test_unwritable_output_exits_cleanly(tmp_path, capsys, argv):
+    # an output path in a missing directory is an error message, not a traceback
+    bad = tmp_path / "missing" / "out.txt"
+    fill = {"err": cli.bundled_error_file("elliptic_gf16"), "bad": str(bad), "csv": str(tmp_path / "t.csv")}
+    code, out, err = run_cli(capsys, *(arg.format(**fill) for arg in argv))
+    assert code == cli.EXIT_PARSE
+    assert err == f"error: cannot write {bad}: {os.strerror(errno.ENOENT)}\n"
+    assert out == ""
 
 
 def test_stats_generic_deterministic(capsys):
