@@ -165,7 +165,7 @@ class _Controller:
         self.plans: list[tuple] = [()] * a  # per lane: (e, d, d^-1, update, zero-set groups)
         self.peak = [0] * a  # per lane: multipliers on its busiest clock
 
-    def registers(self, vf_groups: int) -> tuple[list[list[int]], list[list[int]]]:
+    def initial_registers(self, vf_groups: int) -> tuple[list[list[int]], list[list[int]]]:
         """The v/f and w/g registers of every column, in exponent-group
         order, before loop 0: column i holds the syndromes at the v lanes of
         its seed (the ``bms`` gate table), then f = 1; w = 1."""
@@ -296,7 +296,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     # one v/f ring per block, read and written at (N + p) mod V at clock p of
     # loop N; wg rings are indexed by the logical w/g column j, physically
     # homed at block ibar(j, N) for the current loop, and read at p
-    vf, wg = ctl.registers(V)
+    vf, wg = ctl.initial_registers(V)
     # log-form copies of the rings, kept up to date for snapshots only
     flog = code.fld.log
     lvf, lwg = [[flog[x] for x in r] for r in vf], [[flog[x] for x in r] for r in wg]
@@ -382,7 +382,7 @@ def _sim_serial_core(
     # register -- and the w/g line interleave slot k of group g at phase
     # g*a + k; the line is read and written at lp, the FIFO at slot k (it
     # holds a = c_v values) and the w/g ring at the clock of the loop
-    vregs, wregs = ctl.registers(G - 1)
+    vregs, wregs = ctl.initial_registers(G - 1)
     path = [0] * (L + c_v + 1)
     wg = [0] * P
     for k, (i, j) in enumerate(zip(vf_cols(0), wg_cols)):

@@ -266,8 +266,8 @@ def _skip_zero_setting(mp):
     latch = archsim._Controller.latch
 
     def latch_without_zeroing(self, N, lane, *args):
-        plan = self.plans[lane] = latch(self, N, lane, *args)[:4] + (range(0),)
-        return plan
+        self.plans[lane] = latch(self, N, lane, *args)[:4] + (range(0),)
+        return self.plans[lane]
 
     mp.setattr(archsim._Controller, "latch", latch_without_zeroing)
 
