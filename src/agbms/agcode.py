@@ -6,8 +6,9 @@ code point.  Sums are accumulated in bit-vector form and converted to log
 form once, the software counterpart of the table-driven syndrome and
 Chien-search units.  The syndrome unit reads a split table built from those
 rows: per point and bit of the received symbol, one packed word (``gf``
-lanes) of the whole syndrome vector, so a syndrome vector is an XOR of
-words.  Derivatives along the curve read one more per-code row, the slope
+byte lanes, one per syndrome index) of the whole syndrome vector, so a
+syndrome vector is an XOR of words that one ``int.to_bytes`` unpacks.
+Derivatives along the curve read one more per-code row, the slope
 y' = D_x/D_y at each point (``CodeSpec.slope``).
 """
 
@@ -223,8 +224,8 @@ class CodeSpec:
         rows = [self.eval_row(l) for l in self.syndrome_domain]
         out = []
         for j in range(self.n):
-            word = fld.pack([row[j] for row in rows])
-            out.append([fld.scale(word, k, ones) for k in range(fld.w)])
+            word = fld.pack([fld.to_vec(row[j]) for row in rows])
+            out.append([fld.scale(word, k, ones)[0] for k in range(fld.w)])
         return out
 
     def syndromes(self, word: Word) -> dict[Mono, int]:
@@ -245,7 +246,8 @@ class CodeSpec:
                     if bits & 1:
                         acc ^= part
                     bits >>= 1
-        return dict(zip(self.syndrome_domain, self.fld.unpack(acc, len(self.syndrome_domain))))
+        vecs = self.fld.unpack(acc, len(self.syndrome_domain))
+        return dict(zip(self.syndrome_domain, map(self.fld.log.__getitem__, vecs)))
 
     def full_syndromes_from_errors(
         self, locs: list[int], vals: list[int], B: int

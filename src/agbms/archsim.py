@@ -9,12 +9,12 @@ stated line lengths and validates itself ("oracle equivalence"): each
 simulator steps a software BMS state alongside its registers, and at every
 N-boundary it packs its register lines into the state's packed v|f and w|g
 words (``bms.BmsState``) and requires them, with (s, c), to equal that
-state's, as ints.  Register values are held in bit-vector form and
-converted to logs only for snapshots (and so the CSV).  The trace keeps a
-copy of the reference state of every boundary; ``--boundary-dumps`` writes
-``bms.state_record`` of each, so it shares ``--dump-state``'s format, and a
-divergence names the first of s, c, v, f, w, g that differs, in that
-record's form.
+state's, as ints.  Register values are held in bit-vector form, also in
+the snapshots, which copy the ring lines as they stand; the CLI writes
+them to the CSV as logs.  The trace keeps a copy of the reference state of
+every boundary; ``--boundary-dumps`` writes ``bms.state_record`` of each,
+so it shares ``--dump-state``'s format, and a divergence names the first
+of s, c, v, f, w, g that differs, in that record's form.
 
 Layouts (period P = length of the w/g line):
 
@@ -75,8 +75,10 @@ through the exchange register and the supplementary FIFO.  At a boundary it
 hands over each column's registers in exponent-group order: a rotation of
 an inverse-free ring, a step slice ``path[k::a]`` of the serial v/f path
 (line, FIFO, exchange register) and of the w/g ring.  The controller checks
-the stale and above-top groups with ``any()`` over slices, packs the v, f,
-w and g runs into words and compares them with the reference state's.
+the stale and above-top groups with ``any()`` over slices, packs each
+column's run into the reference state's lanes with one ``gf`` ``pack`` (a
+lane per register, byte-aligned, so no work per register) and compares the
+words with the reference state's.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class _Controller:
     def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str, groups: int):
         fld, a = code.fld, code.curve.a
         self.arch, self.trace, self.code, self.synd = trace.architecture, trace, code, synd
-        self.m, self.w = code.m, fld.w
+        self.m, self.pack = code.m, fld.pack
         self.groups = groups
         self.division = mode == bms.DIVISION
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
@@ -169,12 +171,12 @@ class _Controller:
         """The v/f and w/g registers of every column, in exponent-group
         order, before loop 0: column i holds the syndromes at the v lanes of
         its seed (the ``bms`` gate table), then f = 1; w = 1."""
-        to_vec, w = self.code.fld.to_vec, self.w
+        to_vec = self.code.fld.to_vec
         vf = []
         for seed in self.gates.seed:
             regs = [0] * vf_groups
-            for shift, l in seed:
-                regs[shift // w] = to_vec(self.synd[l])
+            for lane, l in seed:
+                regs[lane] = to_vec(self.synd[l])
             regs[self.m + 1] = 1
             vf.append(regs)
         return vf, [[1] + [0] * (self.groups - 1) for _ in vf]
@@ -223,17 +225,6 @@ class _Controller:
         Mj = self.M[j]
         return range(max(1, self.m + 1 - N), self.groups if Mj is None else self.m + 1 - Mj)
 
-    def _word(self, regs: list[int], split: int, N: int, top: int) -> int:
-        """Pack a column's registers: groups below ``split`` to exponents
-        N.., the f or g coefficients from ``split`` to the upper half."""
-        w, x = self.w, 0
-        for val in reversed(regs[split:top]):
-            x = x << w | val
-        x <<= w  # the gap lane (v's and w's Z^(m+1))
-        for val in reversed(regs[:split]):
-            x = x << w | val
-        return x << N * w
-
     def _boundary(self, N: int, vf_regs: list[list[int]], wg_regs: list[list[int]]) -> None:
         """Pack the registers into the lines of a ``bms`` state, require them
         to equal the reference BMS state's at the same N, record a copy of
@@ -250,8 +241,12 @@ class _Controller:
                     f"{self.arch}: boundary N={N}: stale w/g register (column {j}, group {g}) not zeroed"
                 )
             self._check_top(N, regs, top)
-        vf = [self._word(regs, m + 1 - N, N, top) for regs in vf_regs]
-        wg = [self._word(regs, max(1, m + 1 - N), N, top) for regs in wg_regs]
+        # a column's word: N retired lanes, the groups below the split at
+        # exponents N.., the gap lane Z^(m+1), then the f or g coefficients
+        pack, retired = self.pack, [0] * N
+        vs, ws = m + 1 - N, max(1, m + 1 - N)  # the v/f and w/g splits
+        vf = [pack([*retired, *r[:vs], 0, *r[vs:top]]) for r in vf_regs]
+        wg = [pack([*retired, *r[:ws], 0, *r[ws:top]]) for r in wg_regs]
         if (self.s1, self.c1, vf, wg) != (ref.s1, ref.c1, ref.vf, ref.wg):
             got = bms.state_record(replace(ref, s1=self.s1, c1=self.c1, vf=vf, wg=wg), self.code)
             want = bms.state_record(ref, self.code)
@@ -297,9 +292,6 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     # loop N; wg rings are indexed by the logical w/g column j, physically
     # homed at block ibar(j, N) for the current loop, and read at p
     vf, wg = ctl.initial_registers(V)
-    # log-form copies of the rings, kept up to date for snapshots only
-    flog = code.fld.log
-    lvf, lwg = [[flog[x] for x in r] for r in vf], [[flog[x] for x in r] for r in wg]
 
     def readback(N: int):
         return [_rotated(r, N % V) for r in vf], wg
@@ -319,14 +311,12 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
                 vl[k] = exp[e + log[x]] ^ exp[d + log[y]] if p else 0
                 wl[p] = 0 if p in zero else exp[dinv + log[x]] if upd else y
             if keep_snapshots:
-                for i, j in enumerate(pair):
-                    lvf[i][k], lwg[j][p] = flog[vf[i][k]], flog[wg[j][p]]
                 trace.snapshots.append(
                     {
                         "clock": N * P + p,
                         "registers": {
-                            **{f"block{i}.vf": _rotated(lvf[i], k + 1) for i in range(a)},
-                            **{f"block{i}.wg": _rotated(lwg[pair[i]], p + 1) for i in range(a)},
+                            **{f"block{i}.vf": _rotated(vf[i], k + 1) for i in range(a)},
+                            **{f"block{i}.wg": _rotated(wg[pair[i]], p + 1) for i in range(a)},
                         },
                         "switches": {
                             "disc_latch_down": p == 0,
@@ -389,9 +379,6 @@ def _sim_serial_core(
         path[k::a], wg[k::a] = vregs[i], wregs[j]
     line, fifo, exch = path[:L], path[L:-1], path[-1]
     lp = 0
-    # log-form copies of the two lines, kept up to date for snapshots only
-    flog = code.fld.log
-    lline, lwg = [flog[x] for x in line], [flog[x] for x in wg]
 
     def readback(N: int):
         path = _rotated(line, lp) + fifo + [exch]
@@ -419,15 +406,14 @@ def _sim_serial_core(
                     v_in, fifo[k] = fifo[k], v_in
                 line[lp] = v_in
                 if keep_snapshots:
-                    lline[lp], lwg[c] = flog[v_in], flog[wg[c]]
                     trace.snapshots.append(
                         {
                             "clock": N * P + c,
                             "registers": {
-                                "vf": _rotated(lline, lp + 1),
-                                "wg": _rotated(lwg, c + 1),
-                                "exch": [flog[exch]],
-                                "supp": [flog[v] for v in _rotated(fifo, k + 1)],
+                                "vf": _rotated(line, lp + 1),
+                                "wg": _rotated(wg, c + 1),
+                                "exch": [exch],
+                                "supp": _rotated(fifo, k + 1),
                             },
                             "switches": {"exchange_down": k == 0, "head_latch": g == 0, "update": upd},
                         }

@@ -14,20 +14,22 @@ no field inversions at all; division mode is the classical parallel form
 (f <- f - d*g with the replaced g, w scaled by d^-1) kept as a cross-check
 oracle and as the update rule of the serial architecture.
 
-Each column's polynomials live in two packed words (``gf`` lanes, bit-vector
-form, L = top+2 lanes per polynomial): ``vf`` holds v in lanes 0..L-1 and f
-in lanes L..2L-1, ``wg`` holds w and g the same way -- the inverse-free
-architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Since
-f and v take the same scale and the same merge partner (g and w), a lane
-update is two packed multiplies and one XOR.  Every live exponent fits: f
-and g stay at or below N, v holds [N, top], and w holds [N, top] plus,
-after the last loop, its head at top+1 (e_{m+1}, which the error-value
-formula consumes).  Exponents above top are dead otherwise -- they are
-never read as discrepancies and never feed a lower exponent, since all
-updates combine equal exponents -- so the Z-shift ``(x << w) & keep`` drops
-the top+1 lane of each half, and w's top+1 lane is cleared on every loop
-but the last, exactly as the architectures zero-set their w/g lines.  Log
-form appears only at the boundary: ``discrepancies``, ``state_record`` and
+Each column's polynomials live in two packed words (``gf`` lanes of
+``lane_bits`` bits, bit-vector form, L = top+2 lanes per polynomial):
+``vf`` holds v in lanes 0..L-1 and f in lanes L..2L-1, ``wg`` holds w and
+g the same way -- the inverse-free architecture's (m+2)-register v/f line
+and (m+3)-register w/g line.  Since f and v take the same scale and the
+same merge partner (g and w), a lane update is two packed multiplies and
+one XOR.  Every live exponent fits: f and g stay at or below N, v holds
+[N, top], and w holds [N, top] plus, after the last loop, its head at
+top+1 (e_{m+1}, which the error-value formula consumes).  Exponents above
+top are dead otherwise -- they are never read as discrepancies and never
+feed a lower exponent, since all updates combine equal exponents -- so the
+Z-shift ``(x << lane_bits) & keep`` drops the top+1 lane of each half, and
+w's top+1 lane is cleared on every loop but the last, exactly as the
+architectures zero-set their w/g lines.  Every lane offset is a multiple
+of ``lane_bits``; the field degree w sets no offset.  Log form appears
+only at the boundary: ``discrepancies``, ``state_record`` and
 ``extract_*`` unpack.  The gates of a code -- l^(i) and ibar per loop, the
 seed lanes and the masks -- are built once per window size and kept on the
 code (``CodeSpec.tables``), so no curve lookup happens per decoded word.
@@ -53,18 +55,18 @@ class _Gates:
 
     def __init__(self, code: CodeSpec, top: int):
         cv, fld = code.curve, code.fld
-        a, w = cv.a, fld.w
+        a, lb = cv.a, fld.lane_bits
         self.L = L = top + 2
         self.ones = fld.ones(2 * L)
         self.l1 = [[None if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(top + 2)]
         self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(top + 1)]
-        # (bit offset, syndrome index) of every v coefficient of column i
-        self.seed = [[(cv.pole_order(l) * w, l) for l in cv.phi(i, a, top)] for i in range(a)]
+        # (lane, syndrome index) of every v coefficient of column i
+        self.seed = [[(cv.pole_order(l), l) for l in cv.phi(i, a, top)] for i in range(a)]
         self.s1 = [cv.basis_start(i)[0] for i in range(a)]
-        lane, full = fld.q - 1, (1 << 2 * L * w) - 1
-        self.head_clear = [full ^ lane << N * w for N in range(top + 1)]  # mod Z^N
-        shift_keep = full ^ lane << L * w  # w's top+1 lane must not become g's lane 0
-        self.shift_keep = [shift_keep ^ (lane << (L - 1) * w if N != top else 0) for N in range(top + 1)]
+        lane, full = (1 << lb) - 1, (1 << 2 * L * lb) - 1
+        self.head_clear = [full ^ lane << N * lb for N in range(top + 1)]  # mod Z^N
+        shift_keep = full ^ lane << L * lb  # w's top+1 lane must not become g's lane 0
+        self.shift_keep = [shift_keep ^ (lane << (L - 1) * lb if N != top else 0) for N in range(top + 1)]
 
 
 def gate_table(code: CodeSpec, top: int) -> _Gates:
@@ -81,11 +83,11 @@ def _support(code: CodeSpec, order: int) -> tuple[list[tuple[Mono, int]], int]:
     and the mask of those lanes; built once per order and kept on the code."""
     sup = code.tables.get(("support", order))
     if sup is None:
-        cv, w, lane = code.curve, code.fld.w, code.fld.q - 1
+        cv, lb = code.curve, code.fld.lane_bits
         monos = [(n, order - cv.pole_order(n)) for n in cv.phi(0, cv.a, order)]
         mask = 0
         for _, h in monos:
-            mask |= lane << h * w
+            mask |= (1 << lb) - 1 << h * lb
         sup = code.tables["support", order] = (monos, mask)
     return sup
 
@@ -132,17 +134,17 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None
     if top is None:
         top = code.m
     gates = gate_table(code, top)
-    exp = code.fld.exp
-    f_one = 1 << gates.L * code.fld.w  # f = 1
+    exp, lb = code.fld.exp, code.fld.lane_bits
+    f_one = 1 << gates.L * lb  # f = 1
     vf = []
     for seed in gates.seed:
         x = f_one
-        for shift, l in seed:
+        for lane, l in seed:
             u = synd.get(l)
             if u is None:
                 raise ValueError(f"syndrome table missing u_{l}")
             if u != ZERO:
-                x |= exp[u] << shift
+                x |= exp[u] << lane * lb
         vf.append(x)
     a = len(vf)
     return BmsState(
@@ -162,7 +164,7 @@ def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]
     """Step 1 at the current N: the discrepancies d^(i) (v heads, zero
     where column i has no l^(i) or s1^(i) exceeds it) and the w heads e^(i)."""
     fld = code.fld
-    log, lane, shift = fld.log, fld.q - 1, state.N * fld.w
+    log, lane, shift = fld.log, fld.q - 1, state.N * fld.lane_bits
     l1 = gate_table(code, state.top).l1[state.N]
     d = [
         ZERO if l is None or s > l else log[x >> shift & lane]
@@ -183,14 +185,14 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
     Within a lane every old value is read before it is overwritten.
 
     ``ctr`` is charged one mul per nonzero lane scaled and one mul and one
-    add per nonzero lane merged in, as a coefficient-wise update would be.
+    add per nonzero lane merged in, as a coefficient-wise update would be;
+    ``gf.GF.scale`` counts the nonzero lanes it multiplies.
     """
     fld = code.fld
     gates = gate_table(code, state.top)
-    N, w, ones = state.N, fld.w, gates.ones
+    N, lb, ones = state.N, fld.lane_bits, gates.ones
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
-    scale, lanes = fld.scale, fld.lanes
-    count = ctr is not None
+    scale = fld.scale
     inverse_free = state.mode == INVERSE_FREE
     d, e = discrepancies(state, code)
     l1, clear, keep = gates.l1[N], gates.head_clear[N], gates.shift_keep[N]
@@ -199,30 +201,27 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
         x, y, di = vf[i], wg[ib], d[i]
         new = x
         if inverse_free:
-            new = scale(x, e[ib], ones)
-            if count and e[ib] != ZERO:
-                muls += lanes(x, ones)
+            new, k = scale(x, e[ib], ones)
+            muls += k
         if di != ZERO:
-            new ^= scale(y, di, ones)
-            if count:
-                merged = lanes(y, ones)
-                muls += merged
-                adds += merged
+            yd, k = scale(y, di, ones)
+            new ^= yd
+            muls += k
+            adds += k
         vf[i] = new & clear  # mod Z^N: the consumed head is deleted explicitly
         # a nonzero discrepancy implies that l^(i) exists
         if di != ZERO and s1[i] < l1[i] - c1[ib]:
             if not inverse_free:
-                if count:
-                    muls += lanes(x, ones)
-                x = scale(x, fld.inv_chain(di, ctr), ones)
+                x, k = scale(x, fld.inv_chain(di, ctr), ones)
+                muls += k
             # f and v are zero at top+1, so shifting after the scale loses
             # nothing and charges the muls a scale after the shift would
-            wg[ib] = x << w & keep
+            wg[ib] = x << lb & keep
             state.M[ib], state.tlabel[ib] = N, (s1[i], i)
             s1[i], c1[ib] = l1[i] - c1[ib], l1[i] - s1[i]
         else:
-            wg[ib] = y << w & keep
-    if count:
+            wg[ib] = y << lb & keep
+    if ctr is not None:
         ctr.muls += muls
         ctr.adds += adds
     state.N = N + 1
@@ -234,7 +233,7 @@ def state_record(state: BmsState, code: CodeSpec) -> dict:
     The ``--dump-state`` and ``--boundary-dumps`` files hold these."""
     d, e = discrepancies(state, code)
     terms = code.fld.terms
-    shift = (state.top + 2) * code.fld.w
+    shift = (state.top + 2) * code.fld.lane_bits
     low = (1 << shift) - 1
     return {
         "N": state.N,
@@ -283,24 +282,19 @@ def extract_poly(code: CodeSpec, zp: int, deg: Mono, offset: int = 0) -> BiPoly:
     AssertionError.
     """
     fld = code.fld
-    w, log, lane = fld.w, fld.log, fld.q - 1
-    monos, used = _support(code, code.curve.pole_order(deg))
-    stray = zp & ~(used << offset * w)
+    lb, log, order = fld.lane_bits, fld.log, code.curve.pole_order(deg)
+    monos, used = _support(code, order)
+    stray = zp & ~(used << offset * lb)
     if stray:
         raise AssertionError(f"coefficients outside the monomial support: {dict(fld.terms(stray))}")
-    zp >>= offset * w
-    out: BiPoly = {}
-    for n, h in monos:
-        c = zp >> h * w & lane
-        if c:
-            out[n] = log[c]
-    return out
+    vals = fld.unpack(zp >> offset * lb, order + 1)
+    return {n: log[vals[h]] for n, h in monos if vals[h]}
 
 
 def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
     fld = code.fld
-    log, lane = fld.log, fld.q - 1
-    shift = (state.top + 2) * fld.w  # the f and g halves
+    log, lane, lb = fld.log, fld.q - 1, fld.lane_bits
+    shift = (state.top + 2) * lb  # the f and g halves
     F: list[BiPoly] = []
     G: list[BiPoly] = []
     lead: list[int] = []
@@ -311,7 +305,7 @@ def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
         if not f & lane:
             raise AssertionError(f"leading coefficient of F^({i}) must stay nonzero")
         lead.append(log[f & lane])
-        head.append(log[state.wg[i] >> state.N * fld.w & lane])
+        head.append(log[state.wg[i] >> state.N * lb & lane])
         if state.M[i] is None:  # g has never been replaced, so it is still zero
             G.append({})
         else:

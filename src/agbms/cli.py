@@ -18,6 +18,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import os
 import random
 import re
 import sys
@@ -108,12 +109,21 @@ def read_word(path: str, code: CodeSpec) -> Word:
 @contextlib.contextmanager
 def output(path: str, newline: str | None = None):
     """An output file open for writing; an OSError while opening or
-    writing it becomes a SpecError naming the path."""
+    writing it becomes a SpecError naming the path.  If the body fails once
+    the file is open (another output cannot be opened, say), the file is
+    removed, so a failed command leaves no output behind."""
+    opened = False
     try:
         with open(path, "w", newline=newline) as fh:
+            opened = True
             yield fh
-    except OSError as exc:
-        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except BaseException as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def write_word(path: str, word: Word) -> None:
@@ -191,19 +201,21 @@ def cmd_trace_arch(args) -> int:
         print(f"oracle-equivalence failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
 
-    with output(args.out, newline="") as fh:
+    dumps = output(args.boundary_dumps) if args.boundary_dumps else contextlib.nullcontext()
+    # both outputs are open before either is written
+    with output(args.out, newline="") as fh, dumps as dumps_fh:
         writer = csv.writer(fh)
         writer.writerow(["clock", "block", "reg_name", "index", "value_log", "switch_states"])
+        log = code.fld.log  # the snapshots hold bit-vector values
         for snap in trace.snapshots:
             switches = ";".join(f"{k}={int(v)}" for k, v in sorted(snap["switches"].items()))
             for reg_name, values in snap["registers"].items():
                 block = reg_name.split(".")[0] if "." in reg_name else "-"
                 for idx, val in enumerate(values):
-                    writer.writerow([snap["clock"], block, reg_name, idx, val, switches])
-    if args.boundary_dumps:
-        with output(args.boundary_dumps) as fh:
+                    writer.writerow([snap["clock"], block, reg_name, idx, log[val], switches])
+        if args.boundary_dumps:
             for st in trace.boundary_states:
-                fh.write(json.dumps(bms.state_record(st, code)) + "\n")
+                dumps_fh.write(json.dumps(bms.state_record(st, code)) + "\n")
     print(f"# spec_sha256={digest} seed=-")
     print(f"architecture: {trace.architecture}")
     print(f"period: {trace.period}")

@@ -9,19 +9,24 @@ Inversion is done by the square-and-multiply chain a^(q-2), costing exactly
 2w-3 multiplications; this is the operation the inverse-free algorithm
 removes from the decoding loop.
 
-A register line is held as one packed int: lane k (bits kw .. kw+w-1)
-holds the coefficient of exponent k in bit-vector form.  ``GF`` is the one
-home of the lane primitives: ``pack``/``unpack`` convert between a list of
-logs and a packed word, ``terms`` lists the nonzero lanes as (lane, log)
-pairs, ``lanes`` counts the nonzero lanes and ``scale``
-multiplies every lane by one constant with w masked integer multiplies
-(split-table multiplication by a constant), so a merge of two lines is one
-XOR.  The w products vec(c * alpha^j) a constant needs are built the first
-time that constant scales a word and kept; no q x q table is ever built.
+A register line is held as one packed int: lane k holds the coefficient of
+exponent k in bit-vector form, in ``lane_bits`` = 8 * ceil(w/8) bits (one
+byte up to w = 8, two up to w = 16), so a line converts to and from its
+register values with one ``int.from_bytes`` or ``int.to_bytes`` call; only
+two-byte lanes take a ``struct`` step on the way.  ``GF`` is the one home
+of the lane primitives: ``pack``/``unpack`` convert between a list of
+bit-vector values and a packed word, ``terms`` lists the nonzero lanes as
+(lane, log) pairs, and ``scale`` multiplies every lane by one constant
+with w masked integer multiplies (split-table multiplication by a
+constant), so a merge of two lines is one XOR, and counts the nonzero
+lanes it multiplied.  The w products vec(c * alpha^j) a constant needs are
+built the first time that constant scales a word and kept; no q x q table
+is ever built.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 ZERO = -1  # log encoding of the zero element
@@ -78,12 +83,7 @@ class GF:
                 v ^= prim_poly
         if v != 1:
             raise ValueError(f"prim_poly {prim_poly:#b} is not primitive")
-        # shifts whose OR folds the w bits of every lane into its bit 0
-        self._fold: list[int] = []
-        done = 1
-        while done < w:
-            self._fold.append(min(done, w - done))
-            done += self._fold[-1]
+        self.lane_bits = 8 * -(-w // 8)  # whole bytes, for int.from_bytes/to_bytes
         self._scale_rows: dict[int, tuple[int, ...]] = {}  # c -> vec(c * alpha^j), j < w
 
     def __repr__(self) -> str:
@@ -139,62 +139,47 @@ class GF:
     # -- packed lanes ------------------------------------------------------
 
     def ones(self, n: int) -> int:
-        """Bit 0 of each of n lanes, the lane mask of ``lanes`` and ``scale``."""
-        return ((1 << (n * self.w)) - 1) // (self.q - 1)
+        """Bit 0 of each of n lanes, the lane mask of ``scale``."""
+        return ((1 << n * self.lane_bits) - 1) // ((1 << self.lane_bits) - 1)
 
-    def pack(self, logs: list[int]) -> int:
-        """One lane per element, element k in lane k."""
-        exp, w = self.exp, self.w
-        x = 0
-        for a in reversed(logs):
-            x = x << w | (0 if a == ZERO else exp[a])
-        return x
+    def pack(self, vecs: list[int]) -> int:
+        """One lane per bit-vector value, value k in lane k."""
+        raw = bytes(vecs) if self.lane_bits == 8 else struct.pack(f"<{len(vecs)}H", *vecs)
+        return int.from_bytes(raw, "little")
 
     def unpack(self, x: int, n: int) -> list[int]:
-        """Logs of the lowest n lanes of x."""
-        log, mask, w = self.log, self.q - 1, self.w
-        out = []
-        for _ in range(n):
-            out.append(log[x & mask])
-            x >>= w
-        return out
+        """Bit-vector values of the lowest n lanes of x."""
+        raw = x.to_bytes(n * self.lane_bits // 8, "little")
+        return list(raw if self.lane_bits == 8 else struct.unpack(f"<{n}H", raw))
 
     def terms(self, x: int) -> list[tuple[int, int]]:
         """(lane, log) of every nonzero lane of x, lowest lane first."""
-        log, mask, w = self.log, self.q - 1, self.w
-        out = []
-        k = 0
-        while x:
-            if x & mask:
-                out.append((k, log[x & mask]))
-            x >>= w
-            k += 1
-        return out
+        log, n = self.log, -(-x.bit_length() // self.lane_bits)
+        return [(k, log[v]) for k, v in enumerate(self.unpack(x, n)) if v]
 
-    def lanes(self, x: int, ones: int) -> int:
-        """Number of nonzero lanes of x, which must lie within ``ones``."""
-        for k in self._fold:
-            x |= x >> k
-        return (x & ones).bit_count()
-
-    def scale(self, x: int, c: int, ones: int) -> int:
-        """Every lane of x times the log-form constant c.
+    def scale(self, x: int, c: int, ones: int) -> tuple[int, int]:
+        """Every lane of x times the log-form constant c, and the number of
+        multiplications that stands for: one per nonzero lane of x, none
+        when c is zero.
 
         XOR over j < w of ((x >> j) & ones) * vec(c * alpha^j): each product
         is w bits wide and lands on its own lane, so no lane carries into
-        the next.  Uncharged; callers charge one mul per nonzero lane.
+        the next.  The OR of the same bit-planes marks the nonzero lanes.
+        Uncharged: the caller charges the count.
         """
         if c == ZERO:
-            return 0
+            return 0, 0
         row = self._scale_rows.get(c)
         if row is None:
             exp, qm1 = self.exp, self.q - 1
             row = self._scale_rows[c] = tuple(exp[(c + j) % qm1] for j in range(self.w))
-        acc = 0
+        acc = nonzero = 0
         for r in row:
-            acc ^= (x & ones) * r
+            bits = x & ones
+            acc ^= bits * r
+            nonzero |= bits
             x >>= 1
-        return acc
+        return acc, nonzero.bit_count()
 
     def nonzero(self) -> range:
         """Logs of all nonzero elements."""

@@ -1,8 +1,12 @@
 """Dense linear algebra over GF(2^w) on log-encoded matrices.
 
 Matrices are lists of row lists of log-encoded ints.  Everything here is
-exact field arithmetic; sizes stay desk-scale (t x t genericity tests,
-parity-check row reduction), so plain Gaussian elimination is enough.
+exact field arithmetic, uncounted: an inverse is a log-table lookup and no
+``OpCounter`` is charged.  Sizes stay desk-scale, so plain Gaussian
+elimination is enough.  Callers: ``agcode`` row-reduces the parity-check
+matrix for its encoder, ``decoder.error_values_interpolation`` solves the
+t x t error-value system on the decode path, and ``oracle`` takes ranks,
+determinants and solutions for its genericity tests.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ def rref(field: GF, m: Matrix) -> tuple[Matrix, list[int]]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = (field.q - 1 - a[r][c]) % (field.q - 1)  # table inverse, test-side only
+        inv = (field.q - 1 - a[r][c]) % (field.q - 1)  # table inverse, uncounted
         a[r] = [field.mul(x, inv) for x in a[r]]
         for i in range(rows):
             if i != r and a[i][c] != ZERO:

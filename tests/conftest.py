@@ -44,6 +44,14 @@ def other_elliptic(gf16):
     return CodeSpec(other_elliptic_curve(), gf16, m=8)
 
 
+@pytest.fixture(scope="session")
+def elliptic_gf512():
+    """y^2 + y = x^3 over GF(2^9), n = 512, t = 5: the one code whose field
+    needs two-byte lanes."""
+    curve = CurveSpec(a=2, b=3, e=0, chi={(0, 1): 0}, genus=1)
+    return CodeSpec(curve, GF(9, 0b1000010001), m=12)
+
+
 # the worked three-error / four-error / five-error scenarios, locations given
 # as (x_log, y_log) pairs and values as logs
 ELLIPTIC_XY = [(3, 7), (9, 11), (14, 4)]

@@ -47,8 +47,8 @@ def test_init_state(elliptic, elliptic_golden):
         # column i is seeded from the window-i syndrome rows, nothing at top+1
         want = [(h, synd[l]) for h in range(elliptic.m + 1) if (l := elliptic.curve.l_of(i, h)) is not None]
         assert rec["v"][i] == [(h, c) for h, c in want if c != ZERO]
-        assert st.vf[i].bit_length() <= 2 * width * elliptic.fld.w
-        assert st.wg[i].bit_length() <= 2 * width * elliptic.fld.w
+        assert st.vf[i].bit_length() <= 2 * width * elliptic.fld.lane_bits
+        assert st.wg[i].bit_length() <= 2 * width * elliptic.fld.lane_bits
     assert st.s1 == [0, 0] and st.c1 == [-1, -1]
 
 
@@ -63,7 +63,7 @@ def test_init_zero_syndromes(elliptic):
     synd = elliptic.syndromes(elliptic.zero_word())
     st = bms.init_state(elliptic, synd, bms.INVERSE_FREE)
     assert bms.state_record(st, elliptic)["v"] == [[], []]
-    assert st.vf == [1 << (elliptic.m + 2) * elliptic.fld.w] * 2  # v = 0, f = 1
+    assert st.vf == [1 << (elliptic.m + 2) * elliptic.fld.lane_bits] * 2  # v = 0, f = 1
 
 
 def test_init_requires_full_table(elliptic, elliptic_golden):
@@ -308,12 +308,12 @@ def test_ideal_closure_under_monomials(elliptic, elliptic_golden):
 def test_window_invariants(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     st = bms.init_state(elliptic, elliptic.syndromes(recv), bms.INVERSE_FREE)
-    m, w = elliptic.m, elliptic.fld.w
+    m, lb = elliptic.m, elliptic.fld.lane_bits
     for N in range(m + 1):
         rec = bms.state_record(st, elliptic)
         for i in range(2):
             # two polynomials of m+2 lanes each per packed line
-            assert max(st.vf[i].bit_length(), st.wg[i].bit_length()) <= 2 * (m + 2) * w
+            assert max(st.vf[i].bit_length(), st.wg[i].bit_length()) <= 2 * (m + 2) * lb
             assert all(N <= h <= m for h, _ in rec["v"][i])
             # so the top+1 head appears only after the last loop
             assert all(N <= h <= m for h, _ in rec["w"][i])
@@ -334,13 +334,13 @@ def test_extract_poly_raises_under_optimize():
         from agbms.gf import ZERO
         code = CodeSpec(elliptic_curve(), GF(4, 0b10011), m=8)
         assert False, "asserts are on"
-        zp = code.fld.pack([0, ZERO, 5])  # y, x, 1 sit at Z^0, Z^1, Z^3; Z^2 is no slot
+        zp = code.fld.pack([1, 0, code.fld.exp[5]])  # y, x, 1 sit at Z^0, Z^1, Z^3; Z^2 is no slot
         try:
             bms.extract_poly(code, zp, (0, 1))
         except AssertionError as exc:
             print("stray:", exc)
         st = bms.init_state(code, code.syndromes(code.zero_word()), bms.INVERSE_FREE)
-        st.vf[1] &= (1 << (code.m + 2) * 4) - 1  # f^(1) = 0
+        st.vf[1] &= (1 << (code.m + 2) * code.fld.lane_bits) - 1  # f^(1) = 0
         try:
             bms.extract_locators(st, code)
         except AssertionError as exc:

@@ -487,6 +487,9 @@ def test_unwritable_output_exits_cleanly(tmp_path, capsys, argv):
     assert code == cli.EXIT_PARSE
     assert err == f"error: cannot write {bad}: {os.strerror(errno.ENOENT)}\n"
     assert out == ""
+    if argv[0] == "trace-arch":
+        # both outputs are opened before either is written: no CSV is left behind
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_stats_generic_deterministic(capsys):

@@ -125,9 +125,9 @@ def test_decode_never_miscorrects_non_generic(elliptic):
     assert seen == 40
 
 
-def test_decode_round_trip_random(elliptic, klein, hermitian):
+def test_decode_round_trip_random(elliptic, klein, hermitian, elliptic_gf512):
     rng = random.Random(41)
-    for code in (elliptic, klein, hermitian):
+    for code in (elliptic, klein, hermitian, elliptic_gf512):
         for _ in range(6):
             msg = [rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)]
             cw = code.encode(msg)

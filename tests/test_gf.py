@@ -100,13 +100,15 @@ def test_counter_sessions(gf16):
     assert (ctr.muls, ctr.adds, ctr.invs) == (0, 0, 0)
 
 
-PRIMITIVE = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011}
+# w = 8 fills a one-byte lane, w = 9 is the first two-byte one
+PRIMITIVE = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011, 8: 0b100011101, 9: 0b1000010001}
 
 
 @pytest.mark.parametrize("w", sorted(PRIMITIVE))
 def test_lane_primitives_exhaustive(w):
     # every constant times every element, in one packed word per vector
     fld = GF(w, PRIMITIVE[w])
+    assert fld.lane_bits == (8 if w <= 8 else 16)
     rng = random.Random(w)
     every = [ZERO, *fld.nonzero()]
     rng.shuffle(every)
@@ -114,12 +116,16 @@ def test_lane_primitives_exhaustive(w):
     for logs in vectors:
         n = len(logs)
         ones = fld.ones(n)
-        x = fld.pack(logs)
-        assert x < 1 << n * w
-        assert fld.unpack(x, n) == logs
-        assert fld.lanes(x, ones) == n - logs.count(ZERO)
+        vecs = [fld.to_vec(a) for a in logs]
+        x = fld.pack(vecs)
+        assert x < 1 << n * fld.lane_bits
+        assert fld.unpack(x, n) == vecs
+        assert fld.terms(x) == [(k, a) for k, a in enumerate(logs) if a != ZERO]
         for c in [ZERO, *fld.nonzero()]:
-            assert fld.unpack(fld.scale(x, c, ones), n) == [fld.mul(c, a) for a in logs]
+            product, muls = fld.scale(x, c, ones)
+            assert fld.unpack(product, n) == [fld.to_vec(fld.mul(c, a)) for a in logs]
+            # one multiplication per nonzero lane, none by zero
+            assert muls == (0 if c == ZERO else n - logs.count(ZERO))
 
 
 def test_sixteen_bit_lanes():
@@ -129,10 +135,11 @@ def test_sixteen_bit_lanes():
     logs = [rng.randrange(-1, fld.q - 1) for _ in range(40)] + [ZERO, 0, fld.q - 2]
     n = len(logs)
     ones = fld.ones(n)
-    x = fld.pack(logs)
-    assert fld.unpack(x, n) == logs
-    assert fld.lanes(x, ones) == n - logs.count(ZERO)
+    x = fld.pack([fld.to_vec(a) for a in logs])
+    assert [fld.from_vec(v) for v in fld.unpack(x, n)] == logs
     consts = [0, 1, fld.q - 2, *rng.sample(range(fld.q - 1), 20)]
     for c in consts:
-        assert fld.unpack(fld.scale(x, c, ones), n) == [fld.mul(c, a) for a in logs]
+        product, muls = fld.scale(x, c, ones)
+        assert [fld.from_vec(v) for v in fld.unpack(product, n)] == [fld.mul(c, a) for a in logs]
+        assert muls == n - logs.count(ZERO)
     assert len(fld._scale_rows) == len(set(consts))  # one row per constant used
