@@ -107,23 +107,31 @@ def read_word(path: str, code: CodeSpec) -> Word:
 
 
 @contextlib.contextmanager
-def output(path: str, newline: str | None = None):
-    """An output file open for writing; an OSError while opening or
-    writing it becomes a SpecError naming the path.  If the body fails once
-    the file is open (another output cannot be opened, say), the file is
-    removed, so a failed command leaves no output behind."""
-    opened = False
+def writing(path: str):
+    """An OSError in the body becomes a SpecError naming ``path``."""
     try:
-        with open(path, "w", newline=newline) as fh:
-            opened = True
-            yield fh
-    except BaseException as exc:
-        if opened:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        if isinstance(exc, OSError):
-            raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        raise
+        yield
+    except OSError as exc:
+        raise SpecError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+@contextlib.contextmanager
+def output(path: str, newline: str | None = None):
+    """An output file open for writing, under ``writing(path)``.  If the
+    body fails once the file is open (another output cannot be opened,
+    say), the file is removed when this call created it as a regular file,
+    so a failed command leaves no output behind; a file that was there
+    before, or a device such as /dev/null, is left as it is."""
+    created = not os.path.lexists(path)
+    with writing(path):
+        try:
+            with open(path, "w", newline=newline) as fh:
+                yield fh
+        except Exception:
+            if created and os.path.isfile(path):
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
 
 
 def write_word(path: str, word: Word) -> None:
@@ -204,15 +212,17 @@ def cmd_trace_arch(args) -> int:
     dumps = output(args.boundary_dumps) if args.boundary_dumps else contextlib.nullcontext()
     # both outputs are open before either is written
     with output(args.out, newline="") as fh, dumps as dumps_fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clock", "block", "reg_name", "index", "value_log", "switch_states"])
-        log = code.fld.log  # the snapshots hold bit-vector values
-        for snap in trace.snapshots:
-            switches = ";".join(f"{k}={int(v)}" for k, v in sorted(snap["switches"].items()))
-            for reg_name, values in snap["registers"].items():
-                block = reg_name.split(".")[0] if "." in reg_name else "-"
-                for idx, val in enumerate(values):
-                    writer.writerow([snap["clock"], block, reg_name, idx, log[val], switches])
+        # the dumps context encloses these writes: their errors name the CSV
+        with writing(args.out):
+            writer = csv.writer(fh)
+            writer.writerow(["clock", "block", "reg_name", "index", "value_log", "switch_states"])
+            log = code.fld.log  # the snapshots hold bit-vector values
+            for snap in trace.snapshots:
+                switches = ";".join(f"{k}={int(v)}" for k, v in sorted(snap["switches"].items()))
+                for reg_name, values in snap["registers"].items():
+                    block = reg_name.split(".")[0] if "." in reg_name else "-"
+                    for idx, val in enumerate(values):
+                        writer.writerow([snap["clock"], block, reg_name, idx, log[val], switches])
         if args.boundary_dumps:
             for st in trace.boundary_states:
                 dumps_fh.write(json.dumps(bms.state_record(st, code)) + "\n")

@@ -12,8 +12,8 @@ removes from the decoding loop.
 A register line is held as one packed int: lane k holds the coefficient of
 exponent k in bit-vector form, in ``lane_bits`` = 8 * ceil(w/8) bits (one
 byte up to w = 8, two up to w = 16), so a line converts to and from its
-register values with one ``int.from_bytes`` or ``int.to_bytes`` call; only
-two-byte lanes take a ``struct`` step on the way.  ``GF`` is the one home
+register values with one ``struct`` call and one ``int.from_bytes`` or
+``int.to_bytes`` call, the same for both lane widths.  ``GF`` is the one home
 of the lane primitives: ``pack``/``unpack`` convert between a list of
 bit-vector values and a packed word, ``terms`` lists the nonzero lanes as
 (lane, log) pairs, and ``scale`` multiplies every lane by one constant
@@ -84,6 +84,7 @@ class GF:
         if v != 1:
             raise ValueError(f"prim_poly {prim_poly:#b} is not primitive")
         self.lane_bits = 8 * -(-w // 8)  # whole bytes, for int.from_bytes/to_bytes
+        self._lane_fmt = "B" if w <= 8 else "H"  # struct format of one lane
         self._scale_rows: dict[int, tuple[int, ...]] = {}  # c -> vec(c * alpha^j), j < w
 
     def __repr__(self) -> str:
@@ -144,13 +145,12 @@ class GF:
 
     def pack(self, vecs: list[int]) -> int:
         """One lane per bit-vector value, value k in lane k."""
-        raw = bytes(vecs) if self.lane_bits == 8 else struct.pack(f"<{len(vecs)}H", *vecs)
-        return int.from_bytes(raw, "little")
+        return int.from_bytes(struct.pack(f"<{len(vecs)}{self._lane_fmt}", *vecs), "little")
 
     def unpack(self, x: int, n: int) -> list[int]:
         """Bit-vector values of the lowest n lanes of x."""
         raw = x.to_bytes(n * self.lane_bits // 8, "little")
-        return list(raw if self.lane_bits == 8 else struct.unpack(f"<{n}H", raw))
+        return list(struct.unpack(f"<{n}{self._lane_fmt}", raw))
 
     def terms(self, x: int) -> list[tuple[int, int]]:
         """(lane, log) of every nonzero lane of x, lowest lane first."""

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import stat
 import subprocess
 import sys
 
@@ -468,28 +469,53 @@ def test_trace_arch_hermitian_serial_if(tmp_path, capsys):
     assert "period: 112" in out
 
 
+@pytest.fixture
+def remove_only_in(monkeypatch, tmp_path):
+    """Let os.remove delete nothing outside tmp_path, so that a cleanup
+    aimed at a device node fails the test instead of deleting the node."""
+    real_remove = os.remove
+
+    def remove(path):
+        assert os.path.dirname(os.path.abspath(path)) == str(tmp_path), path
+        real_remove(path)
+
+    monkeypatch.setattr(os, "remove", remove)
+
+
+@pytest.mark.usefixtures("remove_only_in")
 @pytest.mark.parametrize(
-    "argv",
+    "argv,failed,errnum",
     [
-        ["decode", "elliptic_gf16", "{err}", "--errors", "--dump-state", "{bad}"],
-        ["trace-arch", "elliptic_gf16", "{err}", "{bad}", "--arch", "serial", "--errors"],
-        ["trace-arch", "elliptic_gf16", "{err}", "{csv}", "--arch", "inverse_free", "--errors",
-         "--boundary-dumps", "{bad}"],
-        ["gen-errors", "elliptic_gf16", "{bad}", "--t", "3"],
+        (["decode", "elliptic_gf16", "{err}", "--errors", "--dump-state", "{bad}"], "{bad}", errno.ENOENT),
+        (["trace-arch", "elliptic_gf16", "{err}", "{bad}", "--arch", "serial", "--errors"], "{bad}", errno.ENOENT),
+        (["trace-arch", "elliptic_gf16", "{err}", "{csv}", "--arch", "inverse_free", "--errors",
+          "--boundary-dumps", "{bad}"], "{bad}", errno.ENOENT),
+        # a device given as the CSV is not this run's output to remove
+        (["trace-arch", "elliptic_gf16", "{err}", os.devnull, "--arch", "inverse_free", "--errors",
+          "--boundary-dumps", "{bad}"], "{bad}", errno.ENOENT),
+        # the CSV is written while the dumps file is open too; the error is the CSV's
+        (["trace-arch", "elliptic_gf16", "{err}", "/dev/full", "--arch", "inverse_free", "--errors",
+          "--boundary-dumps", "{csv}"], "/dev/full", errno.ENOSPC),
+        (["gen-errors", "elliptic_gf16", "{bad}", "--t", "3"], "{bad}", errno.ENOENT),
     ],
-    ids=["decode-dump-state", "trace-arch-csv", "trace-arch-boundary-dumps", "gen-errors"],
+    ids=["decode-dump-state", "trace-arch-csv", "trace-arch-boundary-dumps", "trace-arch-devnull-csv",
+         "trace-arch-csv-write", "gen-errors"],
 )
-def test_unwritable_output_exits_cleanly(tmp_path, capsys, argv):
-    # an output path in a missing directory is an error message, not a traceback
-    bad = tmp_path / "missing" / "out.txt"
-    fill = {"err": cli.bundled_error_file("elliptic_gf16"), "bad": str(bad), "csv": str(tmp_path / "t.csv")}
+def test_unwritable_output_exits_cleanly(tmp_path, capsys, argv, failed, errnum):
+    # an unwritable output path is an error message naming it, not a traceback
+    devices = [arg for arg in argv if arg.startswith("/dev/")]
+    if not all(os.path.exists(dev) for dev in devices):
+        pytest.skip(f"needs {devices}")
+    fill = {"err": cli.bundled_error_file("elliptic_gf16"), "bad": str(tmp_path / "missing" / "out.txt"),
+            "csv": str(tmp_path / "t.csv")}
     code, out, err = run_cli(capsys, *(arg.format(**fill) for arg in argv))
     assert code == cli.EXIT_PARSE
-    assert err == f"error: cannot write {bad}: {os.strerror(errno.ENOENT)}\n"
+    assert err == f"error: cannot write {failed.format(**fill)}: {os.strerror(errnum)}\n"
     assert out == ""
     if argv[0] == "trace-arch":
-        # both outputs are opened before either is written: no CSV is left behind
+        # both outputs are opened before either is written: the run leaves no file behind
         assert list(tmp_path.iterdir()) == []
+    assert all(stat.S_ISCHR(os.stat(dev).st_mode) for dev in devices)
 
 
 def test_stats_generic_deterministic(capsys):
