@@ -62,6 +62,11 @@ def load_code(path: str) -> tuple[CodeSpec, str]:
     digest = hashlib.sha256(raw).hexdigest()[:16]
     try:
         doc = json.loads(raw)
+        if type(doc) is not dict:
+            raise SpecError("the spec is not a JSON object")
+        for section in ("field", "curve", "code"):
+            if type(doc[section]) is not dict:
+                raise SpecError(f"section {section!r} is not a JSON object")
         fld = GF(doc["field"]["w"], doc["field"]["prim_poly"])
         cs = doc["curve"]
         triples = cs.get("chi", [])
@@ -253,11 +258,10 @@ def cmd_bench(args) -> int:
     print(f"# spec_sha256={digest} seed=-")
     print(f"{'architecture':<22}{'multipliers':>12}{'inverters':>10}{'registers':>10}{'time':>8}{'measured':>10}")
     for arch in list(archsim.CLOSED_FORM_ONLY) + list(archsim.SIMULATED):
-        est = archsim.resources(arch, code, measured.get(arch))
-        meas = est.measured_clocks if est.measured_clocks is not None else "-"
+        est = archsim.resources(arch, code)
         print(
             f"{est.architecture:<22}{est.multipliers:>12}{est.inverters:>10}"
-            f"{est.registers:>10}{est.time:>8}{meas:>10}"
+            f"{est.registers:>10}{est.time:>8}{measured.get(arch, '-'):>10}"
         )
     return EXIT_OK
 

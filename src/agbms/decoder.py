@@ -102,9 +102,10 @@ def error_values_interpolation(
 
     Always receiver-computable and exact whenever the located set is
     generic.  The closed formula is preferred (it is what the architectures
-    evaluate with their own multipliers), but when the final auxiliary
-    registers come out of a simultaneous multi-column degree jump it can
-    lose the pairing normalization it needs; this solve covers those runs.
+    evaluate with their own multipliers), but after a simultaneous
+    multi-column degree jump its two-term F'G form loses information: no
+    rescaling or re-pairing of the auxiliaries gives the value back.  This
+    solve covers those runs.
     """
     ls = code.basis[: len(locs)]
     rows = [[code.eval_row(l)[j] for j in locs] for l in ls]

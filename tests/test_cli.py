@@ -152,6 +152,26 @@ def test_spec_values_validated(tmp_path, capsys, preset, section, key, value):
     assert err.startswith("error: bad code spec") and out == ""
 
 
+# the whole spec (None) or one section replaced by a value that is not a
+# JSON object; a non-object curve section used to end in a traceback
+SECTION_EDITS = [(section, value) for section in (None, "field", "curve", "code") for value in ([], "x", None, 3)]
+
+
+@pytest.mark.parametrize("section, value", SECTION_EDITS)
+def test_spec_sections_validated(tmp_path, capsys, section, value):
+    doc = json.loads(cli._spec_bytes("elliptic_gf16"))
+    if section is None:
+        doc = value
+    else:
+        doc[section] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "decode", str(spec), cli.bundled_error_file("elliptic_gf16"), "--errors")
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: bad code spec") and out == ""
+    assert ("the spec" if section is None else f"section {section!r}") in err
+
+
 PRESETS = ("elliptic_gf16", "klein_gf8", "hermitian_gf16")
 FUZZ_KINDS = ("int", "float", "str", "bool", "null", "list", "dict", "delete")
 
@@ -165,15 +185,16 @@ def spec_leaves(doc, path=()):
 
 
 def fuzzed_specs(count, seed):
-    """(preset, spec document) pairs: a preset with one or two scalars set
-    to a value of some JSON type, or deleted."""
+    """(preset, spec document) pairs: a preset with one or two scalars or
+    whole sections set to a value of some JSON type, or deleted."""
     rng = random.Random(seed)
     for k in range(count):
         preset = PRESETS[k % 3]
         doc = json.loads(cli._spec_bytes(preset))
+        paths = spec_leaves(doc) + [(section,) for section in doc]
         # deepest and highest list index first, so a deletion never shifts
         # a path still to be mutated
-        for path in sorted(rng.sample(spec_leaves(doc), rng.randint(1, 2)), reverse=True):
+        for path in sorted(rng.sample(paths, rng.randint(1, 2)), reverse=True):
             parent = doc
             for key in path[:-1]:
                 parent = parent[key]
@@ -183,7 +204,7 @@ def fuzzed_specs(count, seed):
                 continue
             parent[path[-1]] = {
                 "int": rng.randint(-3, 40),
-                "float": float(old) + rng.choice([0.0, 0.5]),
+                "float": (0.0 if isinstance(old, dict) else float(old)) + rng.choice([0.0, 0.5]),
                 "str": rng.choice(["x", "", "3"]),
                 "bool": rng.choice([True, False]),
                 "null": None,
