@@ -6,8 +6,9 @@ code point.  Sums are accumulated in bit-vector form and converted to log
 form once, the software counterpart of the table-driven syndrome and
 Chien-search units.  The syndrome unit reads a split table built from those
 rows: per point and bit of the received symbol, one packed word (``gf``
-byte lanes, one per syndrome index) of the whole syndrome vector, so a
-syndrome vector is an XOR of words that one ``int.to_bytes`` unpacks.
+lanes, one per syndrome index) of the whole syndrome vector, so a syndrome
+vector is an XOR of words that one ``GF.unpack`` turns into values: the
+word's bytes on one-byte lanes, a ``struct`` read of them on two-byte ones.
 Derivatives along the curve read one more per-code row, the slope
 y' = D_x/D_y at each point (``CodeSpec.slope``).
 """
@@ -220,12 +221,11 @@ class CodeSpec:
 
         Built from the evaluation table on first use, uncharged."""
         fld = self.fld
-        ones = fld.ones(len(self.syndrome_domain))
         rows = [self.eval_row(l) for l in self.syndrome_domain]
         out = []
         for j in range(self.n):
             word = fld.pack([fld.to_vec(row[j]) for row in rows])
-            out.append([fld.scale(word, k, ones)[0] for k in range(fld.w)])
+            out.append([fld.scale(word, k)[0] for k in range(fld.w)])
         return out
 
     def syndromes(self, word: Word) -> dict[Mono, int]:

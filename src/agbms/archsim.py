@@ -74,10 +74,13 @@ routes its v/f input through the exchange register and the supplementary
 FIFO.  At a boundary it hands over each column's registers in exponent-group
 order: a rotation of an inverse-free ring, a step slice ``path[k::a]`` of
 the serial v/f path (line, FIFO, exchange register) and of the w/g ring.
-The controller packs each column's whole run into the reference state's
-lanes with one ``gf`` ``pack`` (a lane per register, byte-aligned, so no
-work per register) and compares the words with the reference state's.  That
-equality is the whole check: the reference holds zero on every lane that a
+The controller packs each column's whole run with one ``gf`` ``pack`` (a
+lane per register, in the run's order) and places the packed int in the
+reference state's lanes with shifts and one mask: the registers below the
+split move up past the N retired lanes, and the rest move, uncut, past the
+gap lane to the f or g lanes.  No list is built per column.  It compares
+the placed words with the reference state's as ints.  That equality is
+the whole check: the reference holds zero on every lane that a
 zero-set group or a group past the top exponent maps to, so a register left
 nonzero there diverges at f or g.
 """
@@ -85,7 +88,7 @@ nonzero there diverges at f or g.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import bms
 from .agcode import CodeSpec
@@ -151,7 +154,7 @@ class _Controller:
     def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str, groups: int):
         fld, a = code.fld, code.curve.a
         self.arch, self.trace, self.code, self.synd = trace.architecture, trace, code, synd
-        self.m, self.pack = code.m, fld.pack
+        self.m, self.pack, self.lb = code.m, fld.pack, fld.lane_bits
         self.groups = groups
         self.division = mode == bms.DIVISION
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
@@ -227,21 +230,25 @@ class _Controller:
         return range(max(1, self.m + 1 - N), self.groups if Mj is None else self.m + 1 - Mj)
 
     def _boundary(self, N: int, vf_regs: list[list[int]], wg_regs: list[list[int]]) -> None:
-        """Pack the registers into the lines of a ``bms`` state, require them
-        to equal the reference BMS state's at the same N, record a copy of
-        that state, and step the reference to the next loop.  The equality
-        covers every register: the reference holds zero on the lanes of the
-        groups ``_stale`` names and on every lane past its top, so a
-        register left nonzero there diverges at f or g like any other."""
-        m, ref = self.m, self.ref
-        # a column's word: N retired lanes, the groups below the split at
-        # exponents N.., the gap lane Z^(m+1), then the f or g coefficients
-        pack, retired = self.pack, [0] * N
+        """Pack the registers, place them in the lines of a ``bms`` state,
+        require those to equal the reference BMS state's at the same N,
+        record a copy of that state, and step the reference to the next
+        loop.  The equality covers every register: the reference holds zero
+        on the lanes of the groups ``_stale`` names and on every lane past
+        its top, so a register left nonzero there diverges at f or g like
+        any other."""
+        m, ref, lb = self.m, self.ref, self.lb
+        # a column's word: its run packed as is, then placed by shifts -- the
+        # registers below the split up past the N retired lanes, the rest,
+        # uncut, past a zero gap lane to lane hi (L for v/f, N+ws+1 for w/g)
         vs, ws = m + 1 - N, max(1, m + 1 - N)  # the v/f and w/g splits
-        vf = [pack([*retired, *r[:vs], 0, *r[vs:]]) for r in vf_regs]
-        wg = [pack([*retired, *r[:ws], 0, *r[ws:]]) for r in wg_regs]
+        pack, lo = self.pack, N * lb
+        vlow, vcut, vhi = (1 << vs * lb) - 1, vs * lb, (m + 2) * lb
+        wlow, wcut, whi = (1 << ws * lb) - 1, ws * lb, (N + ws + 1) * lb
+        vf = [(x & vlow) << lo | (x >> vcut) << vhi for x in map(pack, vf_regs)]
+        wg = [(x & wlow) << lo | (x >> wcut) << whi for x in map(pack, wg_regs)]
         if (self.s1, self.c1, vf, wg) != (ref.s1, ref.c1, ref.vf, ref.wg):
-            got = bms.state_record(replace(ref, s1=self.s1, c1=self.c1, vf=vf, wg=wg), self.code)
+            got = bms.state_record(bms.BmsState(ref.mode, ref.N, ref.top, self.s1, self.c1, vf, wg), self.code)
             want = bms.state_record(ref, self.code)
             key = next(k for k in ("s1", "c1", "v", "f", "w", "g") if got[k] != want[k])
             raise AssertionError(
@@ -249,7 +256,7 @@ class _Controller:
                 f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want[key]!r}"
             )
         self.trace.boundary_states.append(
-            replace(ref, s1=ref.s1[:], c1=ref.c1[:], vf=vf, wg=wg, M=ref.M[:], tlabel=ref.tlabel[:])
+            bms.BmsState(ref.mode, ref.N, ref.top, ref.s1[:], ref.c1[:], vf, wg, ref.M[:], ref.tlabel[:])
         )
         if N <= m:
             bms.step(ref, self.code)

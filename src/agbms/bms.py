@@ -15,18 +15,21 @@ no field inversions at all; division mode is the classical parallel form
 oracle and as the update rule of the serial architecture.
 
 Each column's polynomials live in two packed words (``gf`` lanes of
-``lane_bits`` bits, bit-vector form, L = top+2 lanes per polynomial):
-``vf`` holds v in lanes 0..L-1 and f in lanes L..2L-1, ``wg`` holds w and
-g the same way -- the inverse-free architecture's (m+2)-register v/f line
-and (m+3)-register w/g line.  Since f and v take the same scale and the
-same merge partner (g and w), a lane update is two packed multiplies and
-one XOR.  Every live exponent fits: f and g stay at or below N, v holds
-[N, top], and w holds [N, top] plus, after the last loop, its head at
-top+1 (e_{m+1}, which the error-value formula consumes).  Exponents above
-top are dead otherwise -- they are never read as discrepancies and never
-feed a lower exponent, since all updates combine equal exponents -- so the
-Z-shift ``(x << lane_bits) & keep`` drops the top+1 lane of each half, and
-w's top+1 lane is cleared on every loop but the last, exactly as the
+``lane_bits`` bits, one byte up to GF(2^8) and two above, bit-vector form,
+L = top+2 lanes per polynomial): ``vf`` holds v in lanes 0..L-1 and f in
+lanes L..2L-1, ``wg`` holds w and g the same way -- the inverse-free
+architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Since
+f and v take the same scale and the same merge partner (g and w), a lane
+update is two ``GF.scale`` calls and one XOR; a scale is one
+``bytes.translate`` of the word's bytes on one-byte lanes and w masked
+multiplies on two-byte lanes, and ``gf`` alone picks which.  Every live
+exponent fits: f and g stay at or below N, v holds [N, top], and w holds
+[N, top] plus, after the last loop, its head at top+1 (e_{m+1}, which the
+error-value formula consumes).  Exponents above top are dead otherwise --
+they are never read as discrepancies and never feed a lower exponent,
+since all updates combine equal exponents -- so the Z-shift
+``(x << lane_bits) & keep`` drops the top+1 lane of each half, and w's
+top+1 lane is cleared on every loop but the last, exactly as the
 architectures zero-set their w/g lines.  Every lane offset is a multiple
 of ``lane_bits``; the field degree w sets no offset.  Log form appears
 only at the boundary: ``discrepancies``, ``state_record`` and
@@ -57,7 +60,6 @@ class _Gates:
         cv, fld = code.curve, code.fld
         a, lb = cv.a, fld.lane_bits
         self.L = L = top + 2
-        self.ones = fld.ones(2 * L)
         self.l1 = [[None if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(top + 2)]
         self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(top + 1)]
         # (lane, syndrome index) of every v coefficient of column i
@@ -186,11 +188,11 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
 
     ``ctr`` is charged one mul per nonzero lane scaled and one mul and one
     add per nonzero lane merged in, as a coefficient-wise update would be;
-    ``gf.GF.scale`` counts the nonzero lanes it multiplies.
+    ``GF.scale`` counts the nonzero lanes it multiplies, on either codec.
     """
     fld = code.fld
     gates = gate_table(code, state.top)
-    N, lb, ones = state.N, fld.lane_bits, gates.ones
+    N, lb = state.N, fld.lane_bits
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
     scale = fld.scale
     inverse_free = state.mode == INVERSE_FREE
@@ -201,10 +203,10 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
         x, y, di = vf[i], wg[ib], d[i]
         new = x
         if inverse_free:
-            new, k = scale(x, e[ib], ones)
+            new, k = scale(x, e[ib])
             muls += k
         if di != ZERO:
-            yd, k = scale(y, di, ones)
+            yd, k = scale(y, di)
             new ^= yd
             muls += k
             adds += k
@@ -212,7 +214,7 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
         # a nonzero discrepancy implies that l^(i) exists
         if di != ZERO and s1[i] < l1[i] - c1[ib]:
             if not inverse_free:
-                x, k = scale(x, fld.inv_chain(di, ctr), ones)
+                x, k = scale(x, fld.inv_chain(di, ctr))
                 muls += k
             # f and v are zero at top+1, so shifting after the scale loses
             # nothing and charges the muls a scale after the shift would

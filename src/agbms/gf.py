@@ -11,17 +11,25 @@ removes from the decoding loop.
 
 A register line is held as one packed int: lane k holds the coefficient of
 exponent k in bit-vector form, in ``lane_bits`` = 8 * ceil(w/8) bits (one
-byte up to w = 8, two up to w = 16), so a line converts to and from its
-register values with one ``struct`` call and one ``int.from_bytes`` or
-``int.to_bytes`` call, the same for both lane widths.  ``GF`` is the one home
-of the lane primitives: ``pack``/``unpack`` convert between a list of
-bit-vector values and a packed word, ``terms`` lists the nonzero lanes as
-(lane, log) pairs, and ``scale`` multiplies every lane by one constant
-with w masked integer multiplies (split-table multiplication by a
-constant), so a merge of two lines is one XOR, and counts the nonzero
-lanes it multiplied.  The w products vec(c * alpha^j) a constant needs are
-built the first time that constant scales a word and kept; no q x q table
-is ever built.
+byte up to w = 8, two up to w = 16).  ``GF`` is the one home of the lane
+primitives: ``pack``/``unpack`` convert between a list of bit-vector values
+and a packed word, ``terms`` lists the nonzero lanes as (lane, log) pairs,
+and ``scale`` multiplies every lane by one constant, so a merge of two lines
+is one XOR, and counts the nonzero lanes it multiplied.  The field picks
+one of two codecs from ``lane_bits`` when it is built:
+
+* one-byte lanes (w <= 8, every bundled preset): a word is the bytes of its
+  lanes, so ``pack`` is ``bytes(vecs)`` read as an int and ``unpack`` the
+  int's bytes; ``scale`` is one ``bytes.translate`` through the constant's
+  256-byte product table, and its count is the number of nonzero bytes;
+* two-byte lanes (w >= 9): ``pack``/``unpack`` go through ``struct`` and
+  ``scale`` XORs w masked integer multiplies ((x >> j) & ones) * vec(c *
+  alpha^j) (split-table multiplication by a constant), whose products stay
+  within their lanes.
+
+A constant's table (the 256 products or the w products vec(c * alpha^j)) is
+built the first time it scales a word and kept; no q x q table is ever
+built.
 """
 
 from __future__ import annotations
@@ -64,6 +72,8 @@ class GF:
             raise ValueError(f"w={w!r} and prim_poly={prim_poly!r} must be ints")
         if not 2 <= w <= 16:
             raise ValueError(f"extension degree w={w} outside supported range [2, 16]")
+        if prim_poly < 0:
+            raise ValueError(f"prim_poly={prim_poly} must be a nonnegative bit mask")
         if prim_poly.bit_length() != w + 1:
             raise ValueError(f"prim_poly degree {prim_poly.bit_length() - 1} != w={w}")
         self.w = w
@@ -84,8 +94,12 @@ class GF:
         if v != 1:
             raise ValueError(f"prim_poly {prim_poly:#b} is not primitive")
         self.lane_bits = 8 * -(-w // 8)  # whole bytes, for int.from_bytes/to_bytes
-        self._lane_fmt = "B" if w <= 8 else "H"  # struct format of one lane
-        self._scale_rows: dict[int, tuple[int, ...]] = {}  # c -> vec(c * alpha^j), j < w
+        self._scale_rows: dict[int, bytes | tuple[int, ...]] = {}  # c -> its products
+        # the lane codec, picked once here from the lane width
+        if self.lane_bits == 8:
+            self.pack, self.unpack, self.scale = self._pack8, self._unpack8, self._scale8
+        else:
+            self.pack, self.unpack, self.scale = self._pack16, self._unpack16, self._scale16
 
     def __repr__(self) -> str:
         return f"GF(2^{self.w}, prim_poly={self.prim_poly:#b})"
@@ -138,41 +152,52 @@ class GF:
         return self.mul(acc, acc, ctr)  # a^(2^w - 2) = a^-1
 
     # -- packed lanes ------------------------------------------------------
-
-    def ones(self, n: int) -> int:
-        """Bit 0 of each of n lanes, the lane mask of ``scale``."""
-        return ((1 << n * self.lane_bits) - 1) // ((1 << self.lane_bits) - 1)
-
-    def pack(self, vecs: list[int]) -> int:
-        """One lane per bit-vector value, value k in lane k."""
-        return int.from_bytes(struct.pack(f"<{len(vecs)}{self._lane_fmt}", *vecs), "little")
-
-    def unpack(self, x: int, n: int) -> list[int]:
-        """Bit-vector values of the lowest n lanes of x."""
-        raw = x.to_bytes(n * self.lane_bits // 8, "little")
-        return list(struct.unpack(f"<{n}{self._lane_fmt}", raw))
+    #
+    # pack(vecs) -> int: one lane per bit-vector value, value k in lane k
+    # unpack(x, n) -> list: the bit-vector values of the lowest n lanes of x
+    # scale(x, c) -> (int, int): every lane of x times the log-form constant
+    #     c, and the multiplications that stands for: one per nonzero lane
+    #     of x, none when c is zero.  Uncharged: the caller charges the count.
 
     def terms(self, x: int) -> list[tuple[int, int]]:
         """(lane, log) of every nonzero lane of x, lowest lane first."""
         log, n = self.log, -(-x.bit_length() // self.lane_bits)
         return [(k, log[v]) for k, v in enumerate(self.unpack(x, n)) if v]
 
-    def scale(self, x: int, c: int, ones: int) -> tuple[int, int]:
-        """Every lane of x times the log-form constant c, and the number of
-        multiplications that stands for: one per nonzero lane of x, none
-        when c is zero.
+    def _pack8(self, vecs: list[int]) -> int:
+        return int.from_bytes(bytes(vecs), "little")
 
-        XOR over j < w of ((x >> j) & ones) * vec(c * alpha^j): each product
-        is w bits wide and lands on its own lane, so no lane carries into
-        the next.  The OR of the same bit-planes marks the nonzero lanes.
-        Uncharged: the caller charges the count.
-        """
+    def _unpack8(self, x: int, n: int) -> list[int]:
+        return list(x.to_bytes(n, "little"))
+
+    def _scale8(self, x: int, c: int) -> tuple[int, int]:
+        if c == ZERO:
+            return 0, 0
+        table = self._scale_rows.get(c)
+        if table is None:
+            exp, log, qm1 = self.exp, self.log, self.q - 1
+            products = [0] + [exp[(c + log[v]) % qm1] for v in range(1, self.q)]
+            table = self._scale_rows[c] = bytes(products).ljust(256, b"\0")
+        nb = (x.bit_length() + 7) >> 3
+        raw = x.to_bytes(nb, "little")
+        return int.from_bytes(raw.translate(table), "little"), nb - raw.count(0)
+
+    def _pack16(self, vecs: list[int]) -> int:
+        return int.from_bytes(struct.pack(f"<{len(vecs)}H", *vecs), "little")
+
+    def _unpack16(self, x: int, n: int) -> list[int]:
+        return list(struct.unpack(f"<{n}H", x.to_bytes(2 * n, "little")))
+
+    def _scale16(self, x: int, c: int) -> tuple[int, int]:
+        # each product is w bits wide and lands on its own lane, so no lane
+        # carries into the next; the OR of the bit-planes marks the nonzero lanes
         if c == ZERO:
             return 0, 0
         row = self._scale_rows.get(c)
         if row is None:
             exp, qm1 = self.exp, self.q - 1
             row = self._scale_rows[c] = tuple(exp[(c + j) % qm1] for j in range(self.w))
+        ones = int.from_bytes(b"\1\0" * -(-x.bit_length() // 16), "little")  # bit 0 of every lane
         acc = nonzero = 0
         for r in row:
             bits = x & ones

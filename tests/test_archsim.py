@@ -339,6 +339,28 @@ def test_boundary_faults_named(monkeypatch, arch, fault):
             run_bundled(arch, preset)
 
 
+@pytest.fixture(scope="module")
+def gf512_syndromes(elliptic_gf512):
+    """A seeded generic weight-t pattern on the two-byte-lane code; every
+    simulator passes every boundary on it."""
+    code = elliptic_gf512
+    locs, vals = random_generic_pattern(code, code.t_generic, random.Random(512))
+    synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+    for sim in archsim.SIMULATORS.values():
+        sim(code, synd, keep_snapshots=False)
+    return synd
+
+
+@pytest.mark.parametrize("fault", sorted(BOUNDARY_FAULTS))
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_boundary_faults_named_two_byte_lanes(monkeypatch, elliptic_gf512, gf512_syndromes, arch, fault):
+    # the boundary places each run by shifts of lane_bits, 16 here
+    inject, message = BOUNDARY_FAULTS[fault]
+    inject(monkeypatch)
+    with pytest.raises(AssertionError, match=f"^{arch}: {message}"):
+        archsim.SIMULATORS[arch](elliptic_gf512, gf512_syndromes, keep_snapshots=False)
+
+
 def test_boundary_faults_named_under_optimize():
     # the same faults are named when asserts are compiled out
     here = pathlib.Path(__file__).resolve().parent

@@ -126,6 +126,8 @@ SPEC_EDITS = [
     # code.t, when given, is t_generic
     ("elliptic_gf16", "code", "t", 99),
     ("elliptic_gf16", "code", "t", "x"),
+    # a negative mask has the bit length of 19 = 0b10011; it used to raise IndexError
+    ("elliptic_gf16", "field", "prim_poly", -19),
 ]
 
 

@@ -18,6 +18,8 @@ def test_bad_degree_rejected():
         GF(17, 1 << 17 | 1)
     with pytest.raises(ValueError):
         GF(4, 0b1011)  # degree 3 mask for w=4
+    with pytest.raises(ValueError):
+        GF(4, -19)  # a negative mask has the bit length of 19 = 0b10011
 
 
 def test_non_primitive_rejected():
@@ -113,16 +115,18 @@ def test_lane_primitives_exhaustive(w):
     every = [ZERO, *fld.nonzero()]
     rng.shuffle(every)
     vectors = [every, [ZERO] * 7] + [[rng.randrange(-1, fld.q - 1) for _ in range(19)] for _ in range(10)]
+    # top lanes zero: scale sizes its bytes by the word's bit length, not n,
+    # and that length ends one bit into the top nonzero lane (alpha^0 = 1)
+    vectors.append([fld.q - 2, ZERO, 0] + [ZERO] * 9)
     for logs in vectors:
         n = len(logs)
-        ones = fld.ones(n)
         vecs = [fld.to_vec(a) for a in logs]
         x = fld.pack(vecs)
         assert x < 1 << n * fld.lane_bits
         assert fld.unpack(x, n) == vecs
         assert fld.terms(x) == [(k, a) for k, a in enumerate(logs) if a != ZERO]
         for c in [ZERO, *fld.nonzero()]:
-            product, muls = fld.scale(x, c, ones)
+            product, muls = fld.scale(x, c)
             assert fld.unpack(product, n) == [fld.to_vec(fld.mul(c, a)) for a in logs]
             # one multiplication per nonzero lane, none by zero
             assert muls == (0 if c == ZERO else n - logs.count(ZERO))
@@ -132,14 +136,16 @@ def test_sixteen_bit_lanes():
     fld = GF(16, 0x1002D)  # x^16 + x^5 + x^3 + x^2 + 1
     assert fld._scale_rows == {}  # no product table is built with the field
     rng = random.Random(16)
-    logs = [rng.randrange(-1, fld.q - 1) for _ in range(40)] + [ZERO, 0, fld.q - 2]
-    n = len(logs)
-    ones = fld.ones(n)
-    x = fld.pack([fld.to_vec(a) for a in logs])
-    assert [fld.from_vec(v) for v in fld.unpack(x, n)] == logs
+    head = [rng.randrange(-1, fld.q - 1) for _ in range(40)] + [ZERO, 0, fld.q - 2]
     consts = [0, 1, fld.q - 2, *rng.sample(range(fld.q - 1), 20)]
-    for c in consts:
-        product, muls = fld.scale(x, c, ones)
-        assert [fld.from_vec(v) for v in fld.unpack(product, n)] == [fld.mul(c, a) for a in logs]
-        assert muls == n - logs.count(ZERO)
+    # the last two inputs: top lanes zero below a top nonzero lane of 1, so
+    # the word's bit length ends one bit into that lane; and every lane zero
+    for logs in (head, head[:4] + [0] + [ZERO] * 11, [ZERO] * 6):
+        n = len(logs)
+        x = fld.pack([fld.to_vec(a) for a in logs])
+        assert [fld.from_vec(v) for v in fld.unpack(x, n)] == logs
+        for c in consts:
+            product, muls = fld.scale(x, c)
+            assert [fld.from_vec(v) for v in fld.unpack(product, n)] == [fld.mul(c, a) for a in logs]
+            assert muls == n - logs.count(ZERO)
     assert len(fld._scale_rows) == len(set(consts))  # one row per constant used
