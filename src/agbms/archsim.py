@@ -10,11 +10,12 @@ simulator steps a software BMS state alongside its registers, and at every
 N-boundary it packs its register lines into the state's packed v|f and w|g
 words (``bms.BmsState``) and requires them, with (s, c), to equal that
 state's, as ints.  Register values are held in bit-vector form, also in
-the snapshots, which copy the ring lines as they stand; the CLI writes
-them to the CSV as logs.  The trace keeps a copy of the reference state of
-every boundary; ``--boundary-dumps`` writes ``bms.state_record`` of each,
-so it shares ``--dump-state``'s format, and a divergence names the first
-of s, c, v, f, w, g that differs, in that record's form.
+the snapshots, which copy each line from its output end to its input end;
+the CLI writes them to the CSV as logs.  The trace keeps a copy of the
+reference state of every boundary; ``--boundary-dumps`` writes
+``bms.state_record`` of each, so it shares ``--dump-state``'s format, and a
+divergence names the first of s, c, v, f, w, g that differs, in that
+record's form.
 
 Layouts (period P = length of the w/g line):
 
@@ -28,33 +29,33 @@ Layouts (period P = length of the w/g line):
   costs no hardware -- while v/f values drift one phase down per loop,
   which retires the consumed v head and opens one new f slot.
 
-* serial and serial inverse-free: one v/f line of a(m+2)-1 registers plus
-  a one-value exchange register and a c_v-deep supplementary FIFO on the
-  v/f push path, one w/g line of P = a(m+2)+a+c_v registers.  Coefficients
-  interleave a columns per exponent (slot k = clock mod a) under one slot
-  rule for both modes and every curve: in loop N, v/f slot k carries
-  column b^-1 (N+k) mod a and w/g slot k column -b^-1 k mod a, which is
-  ibar of that v/f column.  The v/f assignment thus rotates one slot per
-  loop, and the exchange register carries the wrapping slot-0 value across
-  the seam (held for a clocks, reinserted at the next slot-0 clock).  The
-  mode picks only the name and c_v: 0 for division updates (``serial``),
-  a for inverse-free ones (``serial_inverse_free``), whose FIFO holds the
-  a freshly updated head coefficients while the first exponent group of a
-  loop streams by; with the a-deep bank latching the w head values that
-  makes 2 c_v supplementary registers, needed when several columns jump
-  degree in the same loop.
+* serial and serial inverse-free: one v/f line of a(m+2)-1 registers fed
+  through a c_v-deep supplementary FIFO, plus a one-value exchange register,
+  and one w/g line of P = a(m+2)+a+c_v registers.  The FIFO takes one value
+  and gives one at every clock, in series with the line, so the two are one
+  shift register whose last c_v registers are the FIFO (a snapshot names
+  them ``supp`` and the first a(m+2)-1 ``vf``).  Coefficients interleave a
+  columns per exponent (slot k = clock mod a) under one slot rule for both
+  modes and every curve: in loop N, v/f slot k carries column b^-1 (N+k) mod
+  a and w/g slot k column -b^-1 k mod a, which is ibar of that v/f column.
+  The v/f assignment thus rotates one slot per loop, and the exchange
+  register carries the wrapping slot-0 value across the seam (held for a
+  clocks, reinserted at the next slot-0 clock).  The mode picks only the
+  name and c_v: 0 for division updates (``serial``), a for inverse-free ones
+  (``serial_inverse_free``), whose FIFO holds the a freshly updated head
+  coefficients while the first exponent group of a loop streams by; with the
+  a-deep bank latching the w head values that makes 2 c_v supplementary
+  registers, needed when several columns jump degree in the same loop.
 
 Zero-setting: a recirculated w/g value whose slot would fall between the
 live w window and the pinned g window next loop is replaced by zero at the
 line input, otherwise stale values would corrupt the f updates.
 
-Ring lines: every line is a fixed-length ring buffer, read and written at
-one pointer -- a clock reads the value leaving the line and writes the value
-entering it into the same slot -- so no value moves in memory.  A w/g line
-turns once per loop, so its pointer is the clock of the loop; the
-inverse-free v/f line's is (N + p) mod (m+2) at clock p, the serial line's
-advances with every clock, and the serial FIFO's is the slot k (it holds a
-values).
+Shift registers: every line is a ``collections.deque``; a clock pops the
+value leaving the line off its front and appends the value entering it at
+its back, so the front is always the next register to read.  A w/g line
+turns once per loop; an inverse-free v/f line, one register shorter, comes
+round one register further each loop.
 
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
@@ -72,22 +73,23 @@ per-block lines of ``sim_inverse_free`` clock all a lanes at once, the one
 interleaved line of ``_sim_serial_core`` clocks one lane per clock and
 routes its v/f input through the exchange register and the supplementary
 FIFO.  At a boundary it hands over each column's registers in exponent-group
-order: a rotation of an inverse-free ring, a step slice ``path[k::a]`` of
-the serial v/f path (line, FIFO, exchange register) and of the w/g ring.
-The controller packs each column's whole run with one ``gf`` ``pack`` (a
-lane per register, in the run's order) and places the packed int in the
-reference state's lanes with shifts and one mask: the registers below the
-split move up past the N retired lanes, and the rest move, uncut, past the
-gap lane to the f or g lanes.  No list is built per column.  It compares
-the placed words with the reference state's as ints.  That equality is
-the whole check: the reference holds zero on every lane that a
-zero-set group or a group past the top exponent maps to, so a register left
-nonzero there diverges at f or g.
+order: the inverse-free lines themselves, live (``pack`` reads any sequence
+of ints), and a step slice ``[k::a]`` of the serial v/f path (line, FIFO,
+exchange register) and of the w/g line.  The controller packs each column's
+whole run with one ``gf`` ``pack`` (a lane per register, in the run's order)
+and places the packed int in the reference state's lanes with shifts and one
+mask: the registers below the split move up past the N retired lanes, and
+the rest move, uncut, past the gap lane to the f or g lanes.  No list is
+built per column.  It compares the placed words with the reference state's
+as ints.  That equality is the whole check: the reference holds zero on
+every lane that a zero-set group or a group past the top exponent maps to,
+so a register left nonzero there diverges at f or g.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import bms
@@ -139,11 +141,6 @@ class ResourceEstimate:
     time: int
 
 
-def _rotated(ring: list[int], ptr: int) -> list[int]:
-    """A ring-buffered line in reading order from ``ptr`` (0 <= ptr <= len)."""
-    return ring[ptr:] + ring[:ptr]
-
-
 class _Controller:
     """Latches, switches, line inputs and boundary checks of one simulated
     run, per lane (see the module docstring); it fills in ``trace``.
@@ -170,7 +167,7 @@ class _Controller:
         self.plans: list[tuple] = [()] * a  # per lane: (e, d, d^-1, update, zero-set groups)
         self.peak = [0] * a  # per lane: multipliers on its busiest clock
 
-    def initial_registers(self, vf_groups: int) -> tuple[list[list[int]], list[list[int]]]:
+    def initial_registers(self, vf_groups: int) -> tuple[list[deque[int]], list[deque[int]]]:
         """The v/f and w/g registers of every column, in exponent-group
         order, before loop 0: column i holds the syndromes at the v lanes of
         its seed (the ``bms`` gate table), then f = 1; w = 1."""
@@ -181,8 +178,8 @@ class _Controller:
             for lane, l in seed:
                 regs[lane] = to_vec(self.synd[l])
             regs[self.m + 1] = 1
-            vf.append(regs)
-        return vf, [[1] + [0] * (self.groups - 1) for _ in vf]
+            vf.append(deque(regs))
+        return vf, [deque([1] + [0] * (self.groups - 1)) for _ in vf]
 
     def latch(self, N: int, lane: int, i: int, j: int, x: int, y: int) -> tuple:
         """Head group of a lane in loop N, where x and y are the v head of
@@ -229,7 +226,7 @@ class _Controller:
         Mj = self.M[j]
         return range(max(1, self.m + 1 - N), self.groups if Mj is None else self.m + 1 - Mj)
 
-    def _boundary(self, N: int, vf_regs: list[list[int]], wg_regs: list[list[int]]) -> None:
+    def _boundary(self, N: int, vf_regs: list[Sequence[int]], wg_regs: list[Sequence[int]]) -> None:
         """Pack the registers, place them in the lines of a ``bms`` state,
         require those to equal the reference BMS state's at the same N,
         record a copy of that state, and step the reference to the next
@@ -279,35 +276,31 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     ctl = _Controller(trace, code, synd, bms.INVERSE_FREE, P)
     exp, log = ctl.exp, ctl.log
 
-    # one v/f ring per block, read and written at (N + p) mod V at clock p of
-    # loop N; wg rings are indexed by the logical w/g column j, physically
-    # homed at block ibar(j, N) for the current loop, and read at p
+    # one v/f line per block; the w/g lines are indexed by the logical w/g
+    # column j, physically homed at block ibar(j, N) for the current loop.
+    # Every line stands in exponent-group order at a boundary, so the
+    # readback hands the live lines over.
     vf, wg = ctl.initial_registers(V)
 
-    def readback(N: int):
-        return [_rotated(r, N % V) for r in vf], wg
-
-    for N in ctl.loops(readback):
+    for N in ctl.loops(lambda N: (vf, wg)):
         pair = ctl.gates.ibar[N]
+        lanes = [(ctl.latch(N, i, i, j, vf[i][0], wg[j][0]), vf[i], wg[j]) for i, j in enumerate(pair)]
+        trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
         for p in range(P):
-            k = (N + p) % V
-            if p == 0:
-                lanes = [(ctl.latch(N, i, i, j, vf[i][k], wg[j][0]), vf[i], wg[j]) for i, j in enumerate(pair)]
-                trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
             for (e, d, dinv, upd, zero), vl, wl in lanes:
-                x, y = vl[k], wl[p]
+                x, y = vl.popleft(), wl.popleft()
                 # v/f: e*x ^ d*y, the head retired (mod Z^N); w/g: recirculate
                 # y (the one-exponent relabel is free) or take the updated
                 # column (switch B), zero-set outside next loop's windows
-                vl[k] = exp[e + log[x]] ^ exp[d + log[y]] if p else 0
-                wl[p] = 0 if p in zero else exp[dinv + log[x]] if upd else y
+                vl.append(exp[e + log[x]] ^ exp[d + log[y]] if p else 0)
+                wl.append(0 if p in zero else exp[dinv + log[x]] if upd else y)
             if keep_snapshots:
                 trace.snapshots.append(
                     {
                         "clock": N * P + p,
                         "registers": {
-                            **{f"block{i}.vf": _rotated(vf[i], k + 1) for i in range(a)},
-                            **{f"block{i}.wg": _rotated(wg[pair[i]], p + 1) for i in range(a)},
+                            **{f"block{i}.vf": list(vf[i]) for i in range(a)},
+                            **{f"block{i}.wg": list(wg[j]) for i, j in enumerate(pair)},
                         },
                         "switches": {
                             "disc_latch_down": p == 0,
@@ -359,58 +352,51 @@ def _sim_serial_core(
     ctl = _Controller(trace, code, synd, mode, G)
     exp, log, plans = ctl.exp, ctl.log, ctl.plans
 
-    # the v/f path in push order -- line, supplementary FIFO, exchange
-    # register -- and the w/g line interleave slot k of group g at phase
-    # g*a + k; the line is read and written at lp, the FIFO at slot k (it
-    # holds a = c_v values) and the w/g ring at the clock of the loop
+    # the v/f path in push order -- line and supplementary FIFO as one shift
+    # register, then the exchange register -- and the w/g line interleave
+    # slot k of group g at phase g*a + k
     vregs, wregs = ctl.initial_registers(G - 1)
-    path = [0] * (L + c_v + 1)
-    wg = [0] * P
+    path, wpath = [0] * (L + c_v + 1), [0] * P
     for k, (i, j) in enumerate(zip(vf_cols(0), wg_cols)):
-        path[k::a], wg[k::a] = vregs[i], wregs[j]
-    line, fifo, exch = path[:L], path[L:-1], path[-1]
-    lp = 0
+        path[k::a], wpath[k::a] = vregs[i], wregs[j]
+    line, exch, wg = deque(path[:-1]), path[-1], deque(wpath)
 
     def readback(N: int):
-        path = _rotated(line, lp) + fifo + [exch]
+        path, wpath = [*line, exch], list(wg)
         vf_regs, wg_regs = [[]] * a, [[]] * a
         for k, (i, j) in enumerate(zip(vf_cols(N), wg_cols)):
-            vf_regs[i], wg_regs[j] = path[k::a], wg[k::a]
+            vf_regs[i], wg_regs[j] = path[k::a], wpath[k::a]
         return vf_regs, wg_regs
 
     for N in ctl.loops(readback):
         cols = vf_cols(N)
-        c = 0
         for g in range(G):
             for k in range(a):
-                x, y = line[lp], wg[c]
+                x, y = line.popleft(), wg.popleft()
                 if g == 0:
                     ctl.latch(N, k, cols[k], wg_cols[k], x, y)
                 e, d, dinv, upd, zero = plans[k]
                 v_in = exp[e + log[x]] ^ exp[d + log[y]] if g else 0
-                wg[c] = 0 if g in zero else exp[dinv + log[x]] if upd else y
+                wg.append(0 if g in zero else exp[dinv + log[x]] if upd else y)
                 # slot-0 values wrap to the last slot and detour through the
                 # exchange register (held for a clocks); the rest re-enter directly
                 if k == 0:
                     v_in, exch = exch, v_in
-                if c_v:
-                    v_in, fifo[k] = fifo[k], v_in
-                line[lp] = v_in
+                line.append(v_in)
                 if keep_snapshots:
+                    regs = list(line)
                     trace.snapshots.append(
                         {
-                            "clock": N * P + c,
+                            "clock": N * P + g * a + k,
                             "registers": {
-                                "vf": _rotated(line, lp + 1),
-                                "wg": _rotated(wg, c + 1),
+                                "vf": regs[:L],
+                                "wg": list(wg),
                                 "exch": [exch],
-                                "supp": _rotated(fifo, k + 1),
+                                "supp": regs[L:],
                             },
                             "switches": {"exchange_down": k == 0, "head_latch": g == 0, "update": upd},
                         }
                     )
-                lp = lp + 1 if lp + 1 < L else 0
-                c += 1
         trace.max_mults_per_clock = max(trace.max_mults_per_clock, *ctl.peak)
     return trace
 

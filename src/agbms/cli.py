@@ -139,6 +139,16 @@ def output(path: str, newline: str | None = None):
             raise
 
 
+def _same_regular_file(a: str, b: str) -> bool:
+    """Whether paths a and b name one regular file: one that exists, by the
+    same path, a symlink or a hard link, or one that opening both would
+    create.  A device such as /dev/null named twice is not one."""
+    try:
+        return os.path.samefile(a, b) and os.path.isfile(a)
+    except OSError:  # a path that does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def write_word(path: str, word: Word) -> None:
     with open(path, "w") as fh:
         fh.write(" ".join(str(s) for s in word.symbols) + "\n")
@@ -206,6 +216,9 @@ def cmd_decode(args) -> int:
 
 
 def cmd_trace_arch(args) -> int:
+    if args.boundary_dumps and _same_regular_file(args.out, args.boundary_dumps):
+        # the dumps would overwrite the CSV in the one file
+        raise SpecError(f"the trace {args.out} and --boundary-dumps {args.boundary_dumps} are one file")
     code, digest = load_code(args.spec)
     synd = code.syndromes(read_received(args, code))
     try:

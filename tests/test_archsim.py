@@ -321,12 +321,12 @@ BOUNDARY_FAULTS = {
 PRESETS = ("elliptic_gf16", "klein_gf8", "hermitian_gf16")
 
 
-def run_bundled(arch, preset):
+def run_bundled(arch, preset, keep_snapshots=False):
     """One simulator on a preset's bundled error pattern."""
     code, _ = cli.load_code(preset)
     locs, vals = cli.read_errors(cli.bundled_error_file(preset), code)
     synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
-    return archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
+    return archsim.SIMULATORS[arch](code, synd, keep_snapshots=keep_snapshots)
 
 
 @pytest.mark.parametrize("fault", sorted(BOUNDARY_FAULTS))
@@ -392,3 +392,30 @@ for arch in t.archsim.SIMULATORS:
     for line in out:
         arch, fault, _, exc = line.split("|")
         assert re.match(f"{arch}: {BOUNDARY_FAULTS[fault][1]}", exc), line
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_snapshots_do_not_change_a_run(arch, preset):
+    # a snapshot per clock, and the run is the same with or without them
+    code, _ = cli.load_code(preset)
+    kept, bare = (run_bundled(arch, preset, keep_snapshots=keep) for keep in (True, False))
+    assert len(kept.snapshots) == kept.total_clocks and bare.snapshots == []
+    records = [[bms.state_record(st, code) for st in tr.boundary_states] for tr in (kept, bare)]
+    assert records[0] == records[1]
+    for f in dataclasses.fields(archsim.ArchTrace):
+        if f.name not in ("snapshots", "boundary_states"):
+            assert getattr(kept, f.name) == getattr(bare, f.name), f.name
+
+
+def test_serial_vf_line_shifts_through_fifo():
+    # the v/f line and the supplementary FIFO behind it are one shift
+    # register: every clock moves the line one register toward its output
+    # and feeds it the FIFO's oldest value
+    tr = run_bundled(archsim.SERIAL_INVERSE_FREE, "hermitian_gf16", keep_snapshots=True)
+    regs = [snap["registers"] for snap in tr.snapshots]
+    assert all(len(r["supp"]) == 4 for r in regs)  # c_v = a
+    assert any(any(r["supp"]) for r in regs)
+    for prev, cur in zip(regs, regs[1:]):
+        assert cur["vf"][:-1] == prev["vf"][1:]
+        assert cur["vf"][-1] == prev["supp"][0]

@@ -134,11 +134,20 @@ SPEC_EDITS = [
 def spec_edit_ids(edits):
     """pytest's default case ids, with the preset left out where it is
     elliptic_gf16, so the elliptic cases keep the ids they had before the
-    preset column."""
-    for k, (preset, *rest) in enumerate(edits):
+    preset column, and a value that is not a scalar named by its JSON, so
+    no id depends on a case's place in the list."""
+    for preset, *rest in edits:
         parts = [] if preset == "elliptic_gf16" else [preset]
-        parts += [str(v) if v is None or isinstance(v, (str, int, float)) else f"value{k}" for v in rest]
+        parts += [
+            str(v) if v is None or isinstance(v, (str, int, float)) else json.dumps(v, separators=(",", ":"))
+            for v in rest
+        ]
         yield "-".join(parts)
+
+
+def test_spec_edit_ids_unique():
+    ids = list(spec_edit_ids(SPEC_EDITS))
+    assert len(set(ids)) == len(ids)
 
 
 @pytest.mark.parametrize("preset, section, key, value", SPEC_EDITS, ids=list(spec_edit_ids(SPEC_EDITS)))
@@ -469,6 +478,43 @@ def test_trace_arch_divergence_exit_code(tmp_path, capsys, monkeypatch):
     assert code == cli.EXIT_ORACLE_MISMATCH
     assert err.startswith("oracle-equivalence failure: inverse_free: boundary N=0 ")
     assert "at 'v'" in err
+
+
+@pytest.mark.parametrize(
+    "alias,existing",
+    [("same-path", True), ("same-path", False), ("symlink", True), ("symlink", False), ("hard-link", True)],
+    ids=["same-path", "same-path-new", "symlink", "symlink-dangling", "hard-link"],
+)
+def test_trace_arch_outputs_in_one_file_refused(tmp_path, capsys, alias, existing):
+    # the CSV and the dumps written to one regular file would overwrite each
+    # other: the pair is refused before either is opened
+    trace = tmp_path / "t.csv"
+    if existing:
+        trace.write_text("kept\n")
+    dumps = trace if alias == "same-path" else tmp_path / "alias"
+    if alias == "symlink":
+        dumps.symlink_to(trace)
+    elif alias == "hard-link":
+        os.link(trace, dumps)
+    code, out, err = run_cli(
+        capsys, "trace-arch", "elliptic_gf16", cli.bundled_error_file("elliptic_gf16"), str(trace),
+        "--arch", "inverse_free", "--errors", "--boundary-dumps", str(dumps),
+    )
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err == f"error: the trace {trace} and --boundary-dumps {dumps} are one file\n"
+    # a file that was there is left untouched, and none is created
+    assert trace.read_text() == "kept\n" if existing else not trace.exists()
+
+
+def test_trace_arch_outputs_on_one_device(capsys):
+    # a device named twice is not one regular file: both outputs go to it
+    if not os.path.exists(os.devnull):
+        pytest.skip(f"needs {os.devnull}")
+    code, out, _ = run_cli(
+        capsys, "trace-arch", "elliptic_gf16", cli.bundled_error_file("elliptic_gf16"), os.devnull,
+        "--arch", "inverse_free", "--errors", "--boundary-dumps", os.devnull,
+    )
+    assert code == cli.EXIT_OK and "boundaries_checked: 10" in out
 
 
 def test_trace_arch_klein_serial(tmp_path, capsys):
