@@ -51,33 +51,43 @@ Zero-setting: a recirculated w/g value whose slot would fall between the
 live w window and the pinned g window next loop is replaced by zero at the
 line input, otherwise stale values would corrupt the f updates.
 
-Shift registers: every line is a ``collections.deque``; a clock pops the
-value leaving the line off its front and appends the value entering it at
-its back, so the front is always the next register to read.  A w/g line
-turns once per loop; an inverse-free v/f line, one register shorter, comes
-round one register further each loop.
+Shift registers: every line is a plain list, from its output end to its
+input end, and a datapath computes one N-loop at a time.  A line gives one
+register and takes one per clock, so the order in which it gives values
+over a loop is known when the loop starts: an inverse-free v/f line gives
+its registers, then the 0 it took at clock 0; a w/g line gives its
+registers; the serial v/f path (line and FIFO) gives its registers, then
+what it took in the loop's first a+1 clocks -- the old exchange value and a
+zeros.  A w/g line turns once per loop; an inverse-free v/f line, one
+register shorter, comes round one register further each loop.  The state
+after clock t of a loop is the slice [t+1 : t+1+len] of the old line
+followed by what it took this loop, which is all a snapshot is.
 
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
 at one multiplier pair in loop N.  At the lane's head group the controller
-latches a plan: d and e (d^-1 too in division mode) as indices into an exp
-table doubled and padded with zeros, under a log that sends 0 into the
-padding, so a product is one lookup of a sum with no branch or modulo; the
-preserve/update switch; and the groups whose w/g input is zero-set, from
-``_stale`` one loop ahead.  It updates s and c in place, lane by lane,
-exactly as ``bms.step`` updates its state (its docstring says why that is
-exact), and charges the lane's multipliers for the whole loop.  Every later
-clock of the lane is one multiply-add, e*x ^ d*y into the v/f line, and one
-register move into the w/g line.  A datapath only moves values: the
-per-block lines of ``sim_inverse_free`` clock all a lanes at once, the one
-interleaved line of ``_sim_serial_core`` clocks one lane per clock and
-routes its v/f input through the exchange register and the supplementary
-FIFO.  At a boundary it hands over each column's registers in exponent-group
-order: the inverse-free lines themselves, live (``pack`` reads any sequence
-of ints), and a step slice ``[k::a]`` of the serial v/f path (line, FIFO,
-exchange register) and of the w/g line.  The controller packs each column's
-whole run with one ``gf`` ``pack`` (a lane per register, in the run's order)
-and places the packed int in the reference state's lanes with shifts and one
+latches a plan: d and e (d^-1 too in division mode) as product rows, a list
+r per constant with r[v] = vec(c*v), built from the field's exp/log tables
+the first time a latch meets c and kept on the code (``_Rows``; no q x q
+table, and independent of ``gf``'s ``scale`` tables, so the boundary check
+compares two multipliers); the preserve/update switch; and the groups whose
+w/g input is zero-set, from ``_stale`` one loop ahead.  It updates s and c
+in place, lane by lane in the order of the clocks, exactly as ``bms.step``
+updates its state (its docstring says why that is exact), and charges the
+lane's multipliers for the whole loop.  A datapath latches every lane from
+its head values, then computes each lane's loop of v/f inputs as one map,
+e*x ^ d*y over the values it gives, and its w/g inputs as the values it
+gives (or d^-1 * x after an update), with the zero-set groups written by one
+slice assignment.  ``sim_inverse_free`` maps each block's lines; the one
+interleaved line of ``_sim_serial_core`` carries lane k on slot k, the
+stride ``[k::a]``, and its exchange register is a one-place shift of the
+slot-0 column (it holds each slot-0 value for a clocks).  At a boundary a
+datapath hands over each column's registers in exponent-group order: the
+inverse-free lines themselves, live (``pack`` reads any sequence of ints),
+and a step slice ``[k::a]`` of the serial v/f path (line, FIFO, exchange
+register) and of the w/g line.  The controller packs each column's whole
+run with one ``gf`` ``pack`` (a lane per register, in the run's order) and
+places the packed int in the reference state's lanes with shifts and one
 mask: the registers below the split move up past the N retired lanes, and
 the rest move, uncut, past the gap lane to the f or g lanes.  No list is
 built per column.  It compares the placed words with the reference state's
@@ -88,14 +98,13 @@ so a register left nonzero there diverges at f or g.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import bms
 from .agcode import CodeSpec
 from .curve import Mono
-from .gf import ZERO
+from .gf import GF, ZERO
 
 INVERSE_FREE = bms.INVERSE_FREE
 SERIAL = "serial"
@@ -141,12 +150,27 @@ class ResourceEstimate:
     time: int
 
 
+class _Rows(dict):
+    """Product rows of one field, each built the first time its constant is
+    latched: row c (a log, ZERO included) is a list r with r[v] = vec(c*v)
+    for every bit-vector v, so the zero constant's row is all zeros."""
+
+    def __init__(self, fld: GF):
+        super().__init__()
+        self.exp, self.log, self.q = fld.exp, fld.log, fld.q
+
+    def __missing__(self, c: int) -> list[int]:
+        exp, qm1 = self.exp, self.q - 1
+        row = self[c] = [0] * self.q if c == ZERO else [0] + [exp[(c + l) % qm1] for l in self.log[1:]]
+        return row
+
+
 class _Controller:
     """Latches, switches, line inputs and boundary checks of one simulated
     run, per lane (see the module docstring); it fills in ``trace``.
     ``groups`` is the number of clocks a lane takes per loop (the w/g
     line's exponent groups).  Register values are in bit-vector form; a
-    plan's d, e and d^-1 index the doubled ``exp`` table."""
+    plan's e, d and d^-1 are product rows (``_Rows``), kept on the code."""
 
     def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str, groups: int):
         fld, a = code.fld, code.curve.a
@@ -156,18 +180,14 @@ class _Controller:
         self.division = mode == bms.DIVISION
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
         self.gates = bms.gate_table(code, code.m)
-        # exp over two periods then zeros, and log with 0 sent to the first
-        # zero: a sum of two indices is a product with no branch or modulo
-        qm1 = fld.q - 1
-        self.exp = fld.exp * 2 + [0] * (2 * qm1 + 1)
-        self.log = [2 * qm1] + fld.log[1:]
+        self.log, self.rows = fld.log, code.tables.setdefault(("archsim", "rows"), _Rows(fld))
         self.ref = bms.init_state(code, synd, mode)
         self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
         self.M: list[int | None] = [None] * a  # loop of the last g replacement per column
-        self.plans: list[tuple] = [()] * a  # per lane: (e, d, d^-1, update, zero-set groups)
+        self.plans: list[tuple] = [()] * a  # per lane: rows (e, d, d^-1), update, zero-set groups
         self.peak = [0] * a  # per lane: multipliers on its busiest clock
 
-    def initial_registers(self, vf_groups: int) -> tuple[list[deque[int]], list[deque[int]]]:
+    def initial_registers(self, vf_groups: int) -> tuple[list[list[int]], list[list[int]]]:
         """The v/f and w/g registers of every column, in exponent-group
         order, before loop 0: column i holds the syndromes at the v lanes of
         its seed (the ``bms`` gate table), then f = 1; w = 1."""
@@ -178,8 +198,8 @@ class _Controller:
             for lane, l in seed:
                 regs[lane] = to_vec(self.synd[l])
             regs[self.m + 1] = 1
-            vf.append(deque(regs))
-        return vf, [deque([1] + [0] * (self.groups - 1)) for _ in vf]
+            vf.append(regs)
+        return vf, [[1] + [0] * (self.groups - 1) for _ in vf]
 
     def latch(self, N: int, lane: int, i: int, j: int, x: int, y: int) -> tuple:
         """Head group of a lane in loop N, where x and y are the v head of
@@ -188,17 +208,18 @@ class _Controller:
         ``bms.step``), charge the multipliers and return the lane's plan."""
         s1, c1, log = self.s1, self.c1, self.log
         l = self.gates.l1[N][i]
-        d = log[x] if l is not None and s1[i] <= l else log[0]
-        upd = d != log[0] and s1[i] < l - c1[j]
+        d = log[x] if l is not None and s1[i] <= l else ZERO
+        upd = d != ZERO and s1[i] < l - c1[j]
         e = 0 if self.division else log[y]  # division mode keeps v: e = 1
-        dinv = 0
+        dinv = 0  # an inverse-free update takes v unscaled
         if upd:
             if self.division:
                 dinv = self.code.fld.inv_chain(d)
                 self.trace.inv_uses += 1
             s1[i], c1[j] = l - c1[j], l - s1[i]
             self.M[j] = N
-        plan = self.plans[lane] = (e, d, dinv, upd, self._stale(N + 1, j))
+        rows = self.rows
+        plan = self.plans[lane] = (rows[e], rows[d], rows[dinv], upd, self._stale(N + 1, j))
         # the v/f input takes vm multipliers at every group past the head, a
         # scaled w/g input one more where it is not zero-set; such a lane
         # zero-sets at most group m-N (its M is N), so all lanes of a clock
@@ -274,7 +295,6 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
         registers=RegisterFile(vf=a * V, wg=a * P, disc_regs=a, head_regs=a),
     )
     ctl = _Controller(trace, code, synd, bms.INVERSE_FREE, P)
-    exp, log = ctl.exp, ctl.log
 
     # one v/f line per block; the w/g lines are indexed by the logical w/g
     # column j, physically homed at block ibar(j, N) for the current loop.
@@ -284,30 +304,34 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
 
     for N in ctl.loops(lambda N: (vf, wg)):
         pair = ctl.gates.ibar[N]
-        lanes = [(ctl.latch(N, i, i, j, vf[i][0], wg[j][0]), vf[i], wg[j]) for i, j in enumerate(pair)]
+        plans = [ctl.latch(N, i, i, j, vf[i][0], wg[j][0]) for i, j in enumerate(pair)]
         trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
-        for p in range(P):
-            for (e, d, dinv, upd, zero), vl, wl in lanes:
-                x, y = vl.popleft(), wl.popleft()
-                # v/f: e*x ^ d*y, the head retired (mod Z^N); w/g: recirculate
-                # y (the one-exponent relabel is free) or take the updated
-                # column (switch B), zero-set outside next loop's windows
-                vl.append(exp[e + log[x]] ^ exp[d + log[y]] if p else 0)
-                wl.append(0 if p in zero else exp[dinv + log[x]] if upd else y)
-            if keep_snapshots:
-                trace.snapshots.append(
-                    {
-                        "clock": N * P + p,
-                        "registers": {
-                            **{f"block{i}.vf": list(vf[i]) for i in range(a)},
-                            **{f"block{i}.wg": list(wg[j]) for i, j in enumerate(pair)},
-                        },
-                        "switches": {
-                            "disc_latch_down": p == 0,
-                            **{f"block{i}.update": ctl.plans[i][3] for i in range(a)},
-                        },
-                    }
-                )
+        # a v/f line gives its V registers, then the 0 it took at clock 0
+        # (the head retired, mod Z^N), and takes e*x ^ d*y at clocks 1..V; a
+        # w/g line gives its P registers and takes them back (the
+        # one-exponent relabel is free) or the updated column (switch B),
+        # zero-set outside next loop's windows
+        given = [(vf[i] + [0], wg[j]) for i, j in enumerate(pair)]
+        for i, (j, (xs, ys), (er, dr, ir, upd, zero)) in enumerate(zip(pair, given, plans)):
+            vf[i] = [er[x] ^ dr[y] for x, y in zip(xs[1:], ys[1:])]
+            wg[j] = w = [ir[x] for x in xs] if upd else ys[:]
+            w[zero.start : zero.stop] = [0] * len(zero)
+        if keep_snapshots:
+            # after clock p a line holds what it has not yet given, then what it took
+            vfs = [xs + vf[i] for i, (xs, _) in enumerate(given)]
+            wgs = [ys + wg[j] for j, (_, ys) in zip(pair, given)]
+            updates = {f"block{i}.update": plan[3] for i, plan in enumerate(plans)}
+            trace.snapshots += [
+                {
+                    "clock": N * P + p,
+                    "registers": {
+                        **{f"block{i}.vf": s[p + 1 : p + 1 + V] for i, s in enumerate(vfs)},
+                        **{f"block{i}.wg": s[p + 1 : p + 1 + P] for i, s in enumerate(wgs)},
+                    },
+                    "switches": {"disc_latch_down": p == 0, **updates},
+                }
+                for p in range(P)
+            ]
     return trace
 
 
@@ -316,12 +340,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
 # ---------------------------------------------------------------------------
 
 
-def _sim_serial_core(
-    code: CodeSpec,
-    synd: dict[Mono, int],
-    mode: str,
-    keep_snapshots: bool,
-) -> ArchTrace:
+def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snapshots: bool) -> ArchTrace:
     cv = code.curve
     a, m = cv.a, code.m
     arch, c_v = (SERIAL, 0) if mode == bms.DIVISION else (SERIAL_INVERSE_FREE, a)
@@ -340,64 +359,67 @@ def _sim_serial_core(
         arch,
         period=P,
         total_clocks=(m + 1) * P,
-        registers=RegisterFile(
-            vf=L,
-            wg=P,
-            disc_regs=a,
-            head_regs=a,
-            exch_regs=1,
-            supp_regs=2 * c_v,
-        ),
+        registers=RegisterFile(vf=L, wg=P, disc_regs=a, head_regs=a, exch_regs=1, supp_regs=2 * c_v),
     )
     ctl = _Controller(trace, code, synd, mode, G)
-    exp, log, plans = ctl.exp, ctl.log, ctl.plans
 
     # the v/f path in push order -- line and supplementary FIFO as one shift
     # register, then the exchange register -- and the w/g line interleave
     # slot k of group g at phase g*a + k
     vregs, wregs = ctl.initial_registers(G - 1)
-    path, wpath = [0] * (L + c_v + 1), [0] * P
+    path, wg = [0] * (L + c_v + 1), [0] * P
     for k, (i, j) in enumerate(zip(vf_cols(0), wg_cols)):
-        path[k::a], wpath[k::a] = vregs[i], wregs[j]
-    line, exch, wg = deque(path[:-1]), path[-1], deque(wpath)
+        path[k::a], wg[k::a] = vregs[i], wregs[j]
+    line, exch = path[:-1], path[-1]
 
     def readback(N: int):
-        path, wpath = [*line, exch], list(wg)
+        path = line + [exch]
         vf_regs, wg_regs = [[]] * a, [[]] * a
         for k, (i, j) in enumerate(zip(vf_cols(N), wg_cols)):
-            vf_regs[i], wg_regs[j] = path[k::a], wpath[k::a]
+            vf_regs[i], wg_regs[j] = path[k::a], wg[k::a]
         return vf_regs, wg_regs
 
     for N in ctl.loops(readback):
         cols = vf_cols(N)
-        for g in range(G):
-            for k in range(a):
-                x, y = line.popleft(), wg.popleft()
-                if g == 0:
-                    ctl.latch(N, k, cols[k], wg_cols[k], x, y)
-                e, d, dinv, upd, zero = plans[k]
-                v_in = exp[e + log[x]] ^ exp[d + log[y]] if g else 0
-                wg.append(0 if g in zero else exp[dinv + log[x]] if upd else y)
-                # slot-0 values wrap to the last slot and detour through the
-                # exchange register (held for a clocks); the rest re-enter directly
-                if k == 0:
-                    v_in, exch = exch, v_in
-                line.append(v_in)
-                if keep_snapshots:
-                    regs = list(line)
-                    trace.snapshots.append(
-                        {
-                            "clock": N * P + g * a + k,
-                            "registers": {
-                                "vf": regs[:L],
-                                "wg": list(wg),
-                                "exch": [exch],
-                                "supp": regs[L:],
-                            },
-                            "switches": {"exchange_down": k == 0, "head_latch": g == 0, "update": upd},
-                        }
-                    )
+        # the v/f path gives its L + c_v registers, then what it took in the
+        # loop's first a+1 clocks: the old exchange value and a zeros (no
+        # product at the head group); the w/g line gives its P registers
+        xs, ys = line + [exch] + [0] * a, wg
+        took, wg = [0] * P, [0] * P
+        for k in range(a):
+            er, dr, ir, upd, zero = ctl.latch(N, k, cols[k], wg_cols[k], xs[k], ys[k])
+            xk, yk = xs[k::a], ys[k::a]
+            vk = [0] + [er[x] ^ dr[y] for x, y in zip(xk[1:], yk[1:])]
+            wk = [ir[x] for x in xk] if upd else yk
+            wk[zero.start : zero.stop] = [0] * len(zero)
+            wg[k::a], took[k::a] = wk, vk
+        # slot-0 values wrap to the last slot and detour through the exchange
+        # register, a one-place shift of the slot-0 column (each held for a
+        # clocks); the rest re-enter directly
+        held = took[::a]
+        took[::a], exch = [exch, *held[:-1]], held[-1]
         trace.max_mults_per_clock = max(trace.max_mults_per_clock, *ctl.peak)
+        if keep_snapshots:
+            # after clock t a line holds what it has not yet given, then what it took
+            vs, ws = line + took, ys + wg
+            trace.snapshots += [
+                {
+                    "clock": N * P + t,
+                    "registers": {
+                        "vf": vs[t + 1 : t + 1 + L],
+                        "wg": ws[t + 1 : t + 1 + P],
+                        "exch": [held[t // a]],
+                        "supp": vs[t + 1 + L : t + 1 + L + c_v],
+                    },
+                    "switches": {
+                        "exchange_down": t % a == 0,
+                        "head_latch": t < a,
+                        "update": ctl.plans[t % a][3],
+                    },
+                }
+                for t in range(P)
+            ]
+        line = took[a + 1 :]
     return trace
 
 

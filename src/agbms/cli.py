@@ -252,8 +252,17 @@ def cmd_trace_arch(args) -> int:
     return EXIT_OK
 
 
+def check_weight(code: CodeSpec, t: int, generic: bool) -> None:
+    """``--t`` must be the weight of an error pattern on ``code``, and at
+    least 1 where the pattern's genericity is tested (``oracle.m_t``)."""
+    low = int(generic)
+    if not low <= t <= code.n:
+        raise SpecError(f"t={t} outside the accepted range [{low}, {code.n}]")
+
+
 def cmd_stats_generic(args) -> int:
     code, digest = load_code(args.spec)
+    check_weight(code, args.t, generic=True)
     rep = oracle.generic_ratio(code, args.t, args.trials, args.seed)
     print(f"# spec_sha256={digest} seed={args.seed}")
     print(f"trials: {rep['trials']}")
@@ -281,6 +290,7 @@ def cmd_bench(args) -> int:
 
 def cmd_gen_errors(args) -> int:
     code, digest = load_code(args.spec)
+    check_weight(code, args.t, args.generic)
     rng = random.Random(args.seed)
     locs = sorted(rng.sample(range(code.n), args.t))
     vals = [rng.randrange(code.fld.q - 1) for _ in range(args.t)]

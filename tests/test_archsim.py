@@ -419,3 +419,62 @@ def test_serial_vf_line_shifts_through_fifo():
     for prev, cur in zip(regs, regs[1:]):
         assert cur["vf"][:-1] == prev["vf"][1:]
         assert cur["vf"][-1] == prev["supp"][0]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_stream_snapshots_shift_every_line(preset):
+    # a snapshot is the state after its clock: every clock moves each line
+    # one register toward its output (a block's w/g line is re-homed between
+    # loops), a v/f line takes 0 at clock 0 of a loop, and the serial
+    # exchange register changes only on slot-0 clocks, holding its value for
+    # a clocks until it re-enters the v/f path
+    a = cli.load_code(preset)[0].curve.a
+    tr = run_bundled(archsim.INVERSE_FREE, preset, keep_snapshots=True)
+    for prev, cur in zip(tr.snapshots, tr.snapshots[1:]):
+        new_loop = cur["clock"] % tr.period == 0
+        for name, regs in cur["registers"].items():
+            if name.endswith(".vf") or not new_loop:
+                assert regs[:-1] == prev["registers"][name][1:], (cur["clock"], name)
+            if name.endswith(".vf") and new_loop:
+                assert regs[-1] == 0
+    for arch in (archsim.SERIAL, archsim.SERIAL_INVERSE_FREE):
+        tr = run_bundled(arch, preset, keep_snapshots=True)
+        regs = [snap["registers"] for snap in tr.snapshots]
+        assert len({r["exch"][0] for r in regs}) > 1
+        for t, (prev, cur) in enumerate(zip(regs, regs[1:]), 1):
+            path, prev_path = cur["vf"] + cur["supp"], prev["vf"] + prev["supp"]
+            assert path[:-1] == prev_path[1:] and cur["wg"][:-1] == prev["wg"][1:]
+            if t % a:
+                assert cur["exch"] == prev["exch"]
+            else:
+                assert path[-1] == prev["exch"][0]
+
+
+@pytest.mark.parametrize("code_name", ["klein", "elliptic", "elliptic_gf512"])
+def test_product_rows(request, monkeypatch, code_name):
+    # GF(8), GF(16) and GF(2^9): a run builds the product row of a constant
+    # only when a latch meets it, on a code whose rows start empty, and
+    # every row is fld.mul on every element
+    base = request.getfixturevalue(code_name)
+    code, fld = CodeSpec(base.curve, base.fld, base.m), base.fld
+    latch, met, tables = archsim._Controller.latch, {ZERO, 0}, set()
+
+    def recording(self, N, lane, i, j, x, y):
+        if not tables:
+            assert len(self.rows) == 0  # nothing is built before the first latch
+        tables.add(id(self.rows))
+        d = fld.log[x]
+        met.update({d, fld.log[y]} | ({fld.inv_chain(d)} if d != ZERO else set()))
+        return latch(self, N, lane, i, j, x, y)
+
+    monkeypatch.setattr(archsim._Controller, "latch", recording)
+    rng = random.Random(f"rows/{code_name}")
+    for k in range(3):
+        locs, vals = random_pattern(code, k + 1, rng, affine_only=False)
+        synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+        for sim in archsim.SIMULATORS.values():
+            sim(code, synd, keep_snapshots=False)
+    rows = code.tables["archsim", "rows"]
+    assert len(tables) == 1 and set(rows) <= met
+    for c in [*rows, ZERO]:  # the zero constant's row is all zeros
+        assert rows[c] == [fld.to_vec(fld.mul(c, fld.from_vec(v))) for v in range(fld.q)]

@@ -651,3 +651,38 @@ def test_load_code_presets_and_paths(tmp_path):
     p.write_bytes(raw)
     codespec, _ = cli.load_code(str(p))
     assert codespec.n == 23
+
+
+@pytest.mark.parametrize(
+    "argv,low,t",
+    [
+        (["gen-errors"], 0, -1),
+        (["gen-errors"], 0, 25),
+        (["gen-errors", "--generic"], 1, 0),
+        (["stats-generic"], 1, 0),
+        (["stats-generic"], 1, 25),
+    ],
+)
+def test_error_weight_out_of_range(tmp_path, capsys, argv, low, t):
+    # n = 24 on the elliptic code; a genericity test needs t >= 1
+    out = tmp_path / "errs.txt"
+    command, *flags = argv
+    files = [str(out)] if command == "gen-errors" else []
+    code, stdout, err = run_cli(capsys, command, "elliptic_gf16", *files, "--t", str(t), *flags)
+    assert code == cli.EXIT_PARSE and stdout == ""
+    assert err == f"error: t={t} outside the accepted range [{low}, 24]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,t", [("gen-errors", 0), ("gen-errors", 24), ("stats-generic", 1), ("stats-generic", 24)]
+)
+def test_error_weight_range_ends(tmp_path, capsys, command, t):
+    out = tmp_path / "errs.txt"
+    if command == "gen-errors":
+        code, _, _ = run_cli(capsys, command, "elliptic_gf16", str(out), "--t", str(t))
+        assert len(cli.read_errors(str(out), cli.load_code("elliptic_gf16")[0])[0]) == t
+    else:
+        code, stdout, _ = run_cli(capsys, command, "elliptic_gf16", "--t", str(t), "--trials", "3")
+        assert "trials: 3" in stdout
+    assert code == cli.EXIT_OK
