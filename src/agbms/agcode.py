@@ -9,8 +9,11 @@ rows: per point and bit of the received symbol, one packed word (``gf``
 lanes, one per syndrome index) of the whole syndrome vector, so a syndrome
 vector is an XOR of words that one ``GF.unpack`` turns into values: the
 word's bytes on one-byte lanes, a ``struct`` read of them on two-byte ones.
-Derivatives along the curve read one more per-code row, the slope
-y' = D_x/D_y at each point (``CodeSpec.slope``).
+The decoder reads the same rows as split tables of point words
+(``CodeSpec.point_words``): per pole order, the monomial's values at every
+point and its derivative along the curve, taken from one more per-code row,
+the slope y' = D_x/D_y at each point (``CodeSpec.slope``), so a locator
+polynomial at every point is an XOR of words, as a syndrome vector is.
 """
 
 from __future__ import annotations
@@ -19,10 +22,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
-from .curve import BiPoly, CurveSpec, Mono, Point, partials
-from .gf import GF, ZERO, OpCounter
+from .curve import CurveSpec, Mono, Point, partials
+from .gf import GF, ZERO
 
 POLE = None  # table marker: z^n (or y') has no value at this point
+
+
+def _split(fld: GF, logs: list[int]) -> list[int]:
+    """The split table of a vector of log values: word k packs alpha^k times
+    each value in bit-vector form."""
+    word = fld.pack([fld.to_vec(z) for z in logs])
+    return [fld.scale(word, k)[0] for k in range(fld.w)]
 
 
 @dataclass
@@ -70,6 +80,7 @@ class CodeSpec:
         self.basis = self.curve.phi(0, self.curve.a, self.m)
         self.syndrome_domain = self.curve.phi(0, 2 * self.curve.a - 1, self.m)
         self._rows: dict[Mono, list[int | None]] = {}
+        self._point_words: dict[int, tuple[list[int], list[int], int]] = {}
         # tables other modules derive from the code alone, built on first use
         # by their owner and kept for the life of the code (the BMS gates)
         self.tables: dict = {}
@@ -98,58 +109,53 @@ class CodeSpec:
             self._rows[n] = row
         return row
 
-    def eval_poly(self, poly: BiPoly, j: int, ctr: OpCounter | None = None) -> int:
-        """poly at code point j from the table.
-
-        Charges ``ctr`` one mul and one add per term, as
-        ``CurveSpec.eval_poly`` does, and raises ValueError at the first
-        term with a pole there, after charging the terms before it.
-        """
-        exp, qm1 = self.fld.exp, self.fld.q - 1
-        acc = 0
-        for n, c in poly.items():
-            z = self.eval_row(n)[j]
-            if z is POLE:
-                raise ValueError(f"monomial {n} has a pole at {self.points[j].special}")
-            if ctr is not None:
-                ctr.muls += 1
-                ctr.adds += 1
-            if c != ZERO and z != ZERO:
-                acc ^= exp[(c + z) % qm1]
-        return self.fld.from_vec(acc)
-
     @cached_property
     def slope(self) -> list[int | None]:
         """Logs of y' = D_x/D_y at every code point, POLE where D_y vanishes
         or D_x has a pole (on the presets only Klein's P_(1:0:0)).
 
-        Read from the evaluation table on first use, uncharged: like the
-        rows of z^n it depends on the point alone.
+        Evaluated on the curve on first use, uncharged: like the rows of
+        z^n it depends on the point alone.
         """
-        Dx, Dy = partials(self.curve.D)
+        cv, fld = self.curve, self.fld
+        Dx, Dy = partials(cv.D)
         out: list[int | None] = []
-        for j in range(self.n):
+        for p in self.points:
             try:
-                dx, dy = self.eval_poly(Dx, j), self.eval_poly(Dy, j)
+                dx, dy = cv.eval_poly(fld, Dx, p), cv.eval_poly(fld, Dy, p)
             except ValueError:
                 dy = ZERO
-            out.append(POLE if dy == ZERO else self.fld.mul(dx, -dy % (self.fld.q - 1)))
+            out.append(POLE if dy == ZERO else fld.mul(dx, -dy % (fld.q - 1)))
         return out
 
-    def derivative(self, poly: BiPoly, j: int, ctr: OpCounter | None = None) -> int:
-        """poly' = poly_x + poly_y * y' along the curve at code point j.
+    def point_words(self, order: int) -> tuple[list[int], list[int], int]:
+        """The ring monomial z^n of pole order ``order`` at every code point.
 
-        Charges ``ctr`` what ``eval_poly`` charges for the two partials plus
-        one mul and one add.  Raises ValueError, before any charge, where the
-        slope is POLE.
+        Two split tables of packed n-lane words: word k of the first holds
+        vec(alpha^k * z^n(P_j)) in lane j, and word k of the second the same
+        for the derivative z_x + z_y * y' along the curve, with a zero lane
+        where the slope is POLE.  So c z^n at every point is the XOR of the
+        words picked by the set bits of vec(c), the XOR the syndrome unit
+        makes.  Last comes the weight n1 % 2 + n2 % 2, the terms z^n puts
+        into F_x and F_y.
+
+        Built from the evaluation table and the slope row on first use and
+        kept for the life of the code, uncharged.  Raises ValueError at a
+        gap, where no ring monomial has that pole order.
         """
-        yp = self.slope[j]
-        if yp is POLE:
-            p = self.points[j]
-            raise ValueError(f"y' = D_x/D_y has no value at {p.special or (p.x, p.y)}")
-        fx, fy = partials(poly)
-        fld = self.fld
-        return fld.add(self.eval_poly(fx, j, ctr), fld.mul(self.eval_poly(fy, j, ctr), yp, ctr), ctr)
+        words = self._point_words.get(order)
+        if words is None:
+            n = self.curve.l_of(0, order)
+            if n is None:
+                raise ValueError(f"no ring monomial has pole order {order}")
+            cv, fld = self.curve, self.fld
+            zx, zy = partials({n: 0})
+            deriv = [
+                ZERO if yp is POLE else fld.add(cv.eval_poly(fld, zx, p), fld.mul(cv.eval_poly(fld, zy, p), yp))
+                for p, yp in zip(self.points, self.slope)
+            ]
+            words = self._point_words[order] = (_split(fld, self.eval_row(n)), _split(fld, deriv), len(zx) + len(zy))
+        return words
 
     def zero_word(self, role: str = "codeword") -> Word:
         return Word([ZERO] * self.n, role)
@@ -222,11 +228,7 @@ class CodeSpec:
         Built from the evaluation table on first use, uncharged."""
         fld = self.fld
         rows = [self.eval_row(l) for l in self.syndrome_domain]
-        out = []
-        for j in range(self.n):
-            word = fld.pack([fld.to_vec(row[j]) for row in rows])
-            out.append([fld.scale(word, k)[0] for k in range(fld.w)])
-        return out
+        return [_split(fld, [row[j] for row in rows]) for j in range(self.n)]
 
     def syndromes(self, word: Word) -> dict[Mono, int]:
         """u_l = sum_j r_j z^l(P_j) for every evaluable l in Phi(2a-1, m).

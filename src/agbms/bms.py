@@ -32,8 +32,9 @@ since all updates combine equal exponents -- so the Z-shift
 top+1 lane is cleared on every loop but the last, exactly as the
 architectures zero-set their w/g lines.  Every lane offset is a multiple
 of ``lane_bits``; the field degree w sets no offset.  Log form appears
-only at the boundary: ``discrepancies``, ``state_record`` and
-``extract_*`` unpack.  The gates of a code -- l^(i) and ibar per loop, the
+only at the boundary: ``discrepancies`` and ``state_record`` unpack, and
+``extract_locators`` reads only the lead and head lanes, handing f and g
+on to the decoder as packed words.  The gates of a code -- l^(i) and ibar per loop, the
 seed lanes and the masks -- are built once per window size and kept on the
 code (``CodeSpec.tables``), so no curve lookup happens per decoded word.
 """
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .agcode import CodeSpec
-from .curve import BiPoly, Mono
+from .curve import Mono
 from .gf import ZERO, OpCounter
 
 INVERSE_FREE = "inverse_free"
@@ -111,10 +112,15 @@ class BmsState:
 class LocatorOutput:
     """Extracted bivariate basis: candidates F^(i), auxiliaries G^(i),
     their leading coefficients, and the head values e^(i) used by the
-    error-value formula."""
+    error-value formula.
 
-    F: list[BiPoly]
-    G: list[BiPoly]
+    Each polynomial stays packed as a (word, pole order) pair: lane h of
+    the word holds the coefficient of the ring monomial of pole order
+    order - h, so lane 0 is the leading one.  A zero polynomial is (0, -1).
+    """
+
+    F: list[tuple[int, int]]
+    G: list[tuple[int, int]]
     lead_F: list[int]
     head_e: list[int]
     mode: str
@@ -273,34 +279,29 @@ def run(
     return state, records
 
 
-def extract_poly(code: CodeSpec, zp: int, deg: Mono, offset: int = 0) -> BiPoly:
-    """Read a bivariate polynomial out of a packed line, lane h holding
-    the coefficient at Z^h.
+def extract_poly(code: CodeSpec, zp: int, deg: Mono, offset: int = 0) -> tuple[int, int]:
+    """A packed line, lane h holding the coefficient at Z^h, as the
+    polynomial (word, o(deg)) of ``LocatorOutput``.
 
     The coefficient of monomial n sits at exponent offset + o(deg) - o(n);
-    offset is 0 for f and N - M for g.  Any nonzero coefficient at an
-    exponent that corresponds to no basis monomial would mean the update
-    arithmetic leaked outside the function ring, so that raises
-    AssertionError.
+    offset is 0 for f and N - M for g, so the word is the line shifted
+    down by offset lanes.  Any nonzero coefficient at an exponent that
+    corresponds to no basis monomial would mean the update arithmetic
+    leaked outside the function ring, so that raises AssertionError.
     """
     fld = code.fld
-    lb, log, order = fld.lane_bits, fld.log, code.curve.pole_order(deg)
-    monos, used = _support(code, order)
-    stray = zp & ~(used << offset * lb)
+    lb, order = fld.lane_bits, code.curve.pole_order(deg)
+    stray = zp & ~(_support(code, order)[1] << offset * lb)
     if stray:
         raise AssertionError(f"coefficients outside the monomial support: {dict(fld.terms(stray))}")
-    vals = fld.unpack(zp >> offset * lb, order + 1)
-    return {n: log[vals[h]] for n, h in monos if vals[h]}
+    return zp >> offset * lb, order
 
 
 def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
     fld = code.fld
     log, lane, lb = fld.log, fld.q - 1, fld.lane_bits
     shift = (state.top + 2) * lb  # the f and g halves
-    F: list[BiPoly] = []
-    G: list[BiPoly] = []
-    lead: list[int] = []
-    head: list[int] = []
+    F, G, lead, head = [], [], [], []
     for i in range(code.curve.a):
         f = state.vf[i] >> shift
         F.append(extract_poly(code, f, (state.s1[i], i)))
@@ -309,7 +310,7 @@ def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
         lead.append(log[f & lane])
         head.append(log[state.wg[i] >> state.N * lb & lane])
         if state.M[i] is None:  # g has never been replaced, so it is still zero
-            G.append({})
+            G.append((0, -1))
         else:
             G.append(extract_poly(code, state.wg[i] >> shift, state.tlabel[i], offset=state.N - state.M[i]))
     return LocatorOutput(F, G, lead, head, state.mode)
@@ -320,27 +321,3 @@ def delta_set(code: CodeSpec, s1: list[int]) -> list[Mono]:
     cv = code.curve
     bound = max(cv.pole_order((s1[i], i)) for i in range(cv.a))
     return [n for n, _ in _support(code, bound)[0] if n[0] < s1[n[1]]]
-
-
-def discrepancy_direct(code: CodeSpec, F: BiPoly, synd: dict[Mono, int], l: Mono) -> int:
-    """Eq.-(3) discrepancy of F at l, computed straight from the syndrome
-    table (the independent oracle for the v-head values).
-
-    Requires every shifted index n + l^(s2) - s in the table; a missing one
-    raises, since silently treating it as zero would fake the check.
-    """
-    cv = code.curve
-    fld = code.fld
-    if not F:
-        return ZERO
-    s = cv.poly_degree(F)
-    ls = cv.l_of(s[1], cv.pole_order(l))
-    if ls is None or not (ls[0] >= s[0] and ls[1] >= s[1]):
-        return ZERO
-    acc = ZERO
-    for n, c in F.items():
-        idx = (n[0] + ls[0] - s[0], n[1] + ls[1] - s[1])
-        if idx not in synd:
-            raise ValueError(f"syndrome table does not cover index {idx}")
-        acc = fld.add(acc, fld.mul(c, synd[idx]))
-    return acc

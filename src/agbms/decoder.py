@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 
 from . import bms, linalg
-from .agcode import CodeSpec, Word
+from .agcode import POLE, CodeSpec, Word
 from .curve import Mono
 from .gf import ZERO, OpCounter
 
@@ -23,28 +25,37 @@ class DecodeResult:
     detail: str = ""
 
 
+def _at_points(code: CodeSpec, poly: tuple[int, int], deriv: bool = False) -> tuple[int, int]:
+    """A packed (word, order) polynomial at every code point as one n-lane
+    word, its values or with ``deriv`` its derivative along the curve, and
+    the terms a point-by-point evaluation walks for it: one per term of the
+    polynomial, or of its two partials.
+
+    Each nonzero coefficient picks, by its set bits, words of the point-word
+    split table of its monomial, and the word is the XOR of all of them."""
+    word, order = poly
+    acc = terms = 0
+    for h, v in enumerate(code.fld.unpack(word, order + 1)):
+        if v:
+            values, derivs, weight = code.point_words(order - h)
+            for part in derivs if deriv else values:
+                if v & 1:
+                    acc ^= part
+                v >>= 1
+            terms += weight if deriv else 1
+    return acc, terms
+
+
 def chien_search(basis: bms.LocatorOutput, code: CodeSpec) -> list[int]:
     """Indices of code points where every F^(i) vanishes (exhaustive scan).
 
-    Each F^(i)(P_j) is summed in bit-vector form from the evaluation-table
-    rows of its terms; a point is dropped at the first F^(i) that does not
-    vanish there.
+    Each F^(i) is evaluated at all n points at once as one packed word; the
+    located points are the zero lanes of the OR of those words.
     """
-    exp, qm1 = code.fld.exp, code.fld.q - 1
-    polys = [[(c, code.eval_row(n)) for n, c in F.items() if c != ZERO] for F in basis.F]
-    out = []
-    for j in range(code.n):
-        for terms in polys:
-            acc = 0
-            for c, row in terms:
-                z = row[j]
-                if z != ZERO:
-                    acc ^= exp[(c + z) % qm1]
-            if acc:
-                break
-        else:
-            out.append(j)
-    return out
+    acc = 0
+    for F in basis.F:
+        acc |= _at_points(code, F)[0]
+    return list(compress(range(code.n), map(not_, code.fld.unpack(acc, code.n))))
 
 
 def error_values(
@@ -57,39 +68,53 @@ def error_values(
 
     e_j = ( sum_i F^(i)'(P_j)/F^(i)_s * G^(i)(P_j)/e^(i) )^-1, with the two
     divisors skipped when the basis came out of division mode (there the
-    leading and head coefficients are already 1).  F^(i)' is read at the
-    point through the code's slope row (``CodeSpec.derivative``), so no
-    derivative denominator is inverted.  All inversions run through the
-    squaring chain so their cost is visible to the counter.
+    leading and head coefficients are already 1).  F^(i)' and G^(i) are
+    built once per column at every point as packed words, F^(i)' from the
+    derivative words of the code's point-word table (read through its slope
+    row, so no derivative denominator is inverted), and their lanes are read
+    at the located points.  All inversions run through the squaring chain so
+    their cost is visible to the counter.  ``ctr`` is charged what the
+    point-by-point evaluation of each polynomial charged: one mul and one
+    add per term of G^(i), F^(i)_x and F^(i)_y at each point.
 
     Raises ZeroDivisionError when the sum vanishes at some point (the
     caller reports Failure) and ValueError at points where the slope has
-    no value (Klein's P_(1:0:0), where x ramifies).
+    no value (Klein's P_(1:0:0), where x ramifies), having charged the
+    points before either.
     """
-    cv = code.curve
     fld = code.fld
-    monic = basis.mode == bms.DIVISION
-    scale = []
-    for i in range(cv.a):
-        if monic:
-            scale.append(0)  # alpha^0
+    exp, log, qm1 = fld.exp, fld.log, fld.q - 1
+    inv = fld.inv_chain
+    if basis.mode == bms.DIVISION:
+        scale = [0] * code.curve.a  # alpha^0
+    else:
+        scale = [fld.mul(inv(c, ctr), inv(e, ctr), ctr) for c, e in zip(basis.lead_F, basis.head_e)]
+    cols, terms = [], 0
+    for F, G, s in zip(basis.F, basis.G, scale):
+        if not G[0]:
             continue
-        inv_lead = fld.inv_chain(basis.lead_F[i], ctr)
-        inv_head = fld.inv_chain(basis.head_e[i], ctr)
-        scale.append(fld.mul(inv_lead, inv_head, ctr))
+        fp, kf = _at_points(code, F, deriv=True)
+        gp, kg = _at_points(code, G)
+        cols.append((fld.unpack(fp, code.n), fld.unpack(gp, code.n), s))
+        terms += kf + kg
+    # per point and column: the terms, F_x + F_y*y' (a mul and an add), then
+    # F'G times the scale (two muls) added to the sum
+    muls, adds = terms + 3 * len(cols), terms + 2 * len(cols)
     vals = []
     for j in locs:
-        acc = ZERO
-        for i in range(cv.a):
-            if not basis.G[i]:
-                continue
-            fp = code.derivative(basis.F[i], j, ctr)
-            gp = code.eval_poly(basis.G[i], j, ctr)
-            term = fld.mul(fld.mul(fp, gp, ctr), scale[i], ctr)
-            acc = fld.add(acc, term, ctr)
-        if acc == ZERO:
+        if cols and code.slope[j] is POLE:
+            p = code.points[j]
+            raise ValueError(f"y' = D_x/D_y has no value at {p.special or (p.x, p.y)}")
+        acc = 0
+        for fp, gp, s in cols:
+            if fp[j] and gp[j]:
+                acc ^= exp[(log[fp[j]] + log[gp[j]] + s) % qm1]
+        if ctr is not None:
+            ctr.muls += muls
+            ctr.adds += adds
+        if not acc:
             raise ZeroDivisionError(f"error-value sum vanishes at point {j}")
-        vals.append(fld.inv_chain(acc, ctr))
+        vals.append(inv(log[acc], ctr))
     return vals
 
 

@@ -2,8 +2,9 @@
 
 Everything here is test-side and independent of the BMS iteration: the
 genericity determinant, the t x t solve for locator polynomials, brute-force
-ideal membership by evaluation, and the seeded random experiment estimating
-the generic fraction (q-1)/q.
+ideal membership by evaluation, the Eq.-(3) discrepancy straight from the
+syndrome table, and the seeded random experiment estimating the generic
+fraction (q-1)/q.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ class GenericityReport:
     is_generic: bool
     m_t: int
     delta_set: list[Mono]
+
+
+def check_weight(code: CodeSpec, t: int, generic: bool) -> None:
+    """t must be the weight of an error pattern on ``code``, and at least 1
+    where the pattern's genericity is tested (``m_t``)."""
+    low = int(generic)
+    if not low <= t <= code.n:
+        raise ValueError(f"t={t} outside the accepted range [{low}, {code.n}]")
 
 
 def m_t(code: CodeSpec, t: int) -> int:
@@ -121,6 +130,30 @@ def ideal_membership(F: BiPoly, code: CodeSpec, locs: list[int]) -> bool:
     )
 
 
+def discrepancy_direct(code: CodeSpec, F: BiPoly, synd: dict[Mono, int], l: Mono) -> int:
+    """Eq.-(3) discrepancy of F at l, computed straight from the syndrome
+    table (the independent oracle for the v-head values).
+
+    Requires every shifted index n + l^(s2) - s in the table; a missing one
+    raises, since silently treating it as zero would fake the check.
+    """
+    cv = code.curve
+    fld = code.fld
+    if not F:
+        return ZERO
+    s = cv.poly_degree(F)
+    ls = cv.l_of(s[1], cv.pole_order(l))
+    if ls is None or not (ls[0] >= s[0] and ls[1] >= s[1]):
+        return ZERO
+    acc = ZERO
+    for n, c in F.items():
+        idx = (n[0] + ls[0] - s[0], n[1] + ls[1] - s[1])
+        if idx not in synd:
+            raise ValueError(f"syndrome table does not cover index {idx}")
+        acc = fld.add(acc, fld.mul(c, synd[idx]))
+    return acc
+
+
 def generic_ratio(code: CodeSpec, t: int, trials: int, seed: int) -> dict:
     """Seeded estimate of the generic fraction over random t-error patterns.
 
@@ -128,6 +161,7 @@ def generic_ratio(code: CodeSpec, t: int, trials: int, seed: int) -> dict:
     can feed decoding pipelines.  Returns a report dict with the estimate
     and the (q-1)/q reference value.
     """
+    check_weight(code, t, generic=True)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)

@@ -83,6 +83,17 @@ def hermitian_golden(hermitian):
     return golden(hermitian, HERMITIAN_XY, HERMITIAN_VALS)
 
 
+def bipoly(code, poly):
+    """A packed (word, pole order) polynomial of ``bms.LocatorOutput`` as a
+    BiPoly: lane h of the word holds the coefficient of the ring monomial of
+    pole order order - h, and only the nonzero ones are kept."""
+    word, order = poly
+    cv, fld = code.curve, code.fld
+    lanes = fld.unpack(word, order + 1)
+    coeffs = {n: lanes[order - cv.pole_order(n)] for n in cv.phi(0, cv.a, order)}
+    return {n: fld.log[v] for n, v in coeffs.items() if v}
+
+
 def affine_indices(code):
     return [j for j, p in enumerate(code.points) if p.special is None]
 

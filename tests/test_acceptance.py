@@ -8,7 +8,7 @@ import pytest
 
 from agbms import archsim, bms, decoder, oracle
 from agbms.gf import GF, ZERO, OpCounter
-from conftest import random_generic_pattern, random_pattern
+from conftest import bipoly, random_generic_pattern, random_pattern
 from test_bms import (
     ELLIPTIC_F9,
     ELLIPTIC_G9,
@@ -29,8 +29,8 @@ def test_criterion_1_golden_elliptic(elliptic, elliptic_golden):
     synd = elliptic.syndromes(recv)
     st, _ = bms.run(elliptic, synd, bms.INVERSE_FREE)
     out = bms.extract_locators(st, elliptic)
-    assert out.F == ELLIPTIC_F9
-    assert out.G == ELLIPTIC_G9
+    assert [bipoly(elliptic, F) for F in out.F] == ELLIPTIC_F9
+    assert [bipoly(elliptic, G) for G in out.G] == ELLIPTIC_G9
     found = decoder.chien_search(out, elliptic)
     assert found == sorted(locs)
     got_vals = decoder.error_values(found, out, elliptic)
@@ -50,16 +50,17 @@ def test_criterion_2_golden_klein(klein, klein_golden):
     trace = archsim.sim_serial(klein, synd, keep_snapshots=False)
     st, _ = bms.run(klein, synd, bms.DIVISION)
     out = bms.extract_locators(st, klein)
-    assert out.F == KLEIN_F16  # three locator polynomials verbatim
+    Gs = [bipoly(klein, G) for G in out.G]
+    assert [bipoly(klein, F) for F in out.F] == KLEIN_F16  # three locator polynomials verbatim
     # the three auxiliaries match verbatim as a set, including the zero one
     # (G_16^(1) = 0 in the published listing); this implementation indexes
     # them by the register they occupy, which pairs them with the F^(i)
     # the error-value formula needs
-    assert sorted(map(sorted, (g.items() for g in out.G))) == sorted(
+    assert sorted(map(sorted, (g.items() for g in Gs))) == sorted(
         map(sorted, (g.items() for g in KLEIN_G16))
     )
-    assert {} in out.G
-    assert out.G[0] == KLEIN_G16[0]
+    assert {} in Gs
+    assert Gs[0] == KLEIN_G16[0]
     res = decoder.decode(klein, recv, mode=bms.DIVISION)
     assert res.status == decoder.SUCCESS
     assert res.error_locs == sorted(locs)
@@ -75,7 +76,7 @@ def test_criterion_3_golden_hermitian(hermitian, hermitian_golden):
     t0 = time.monotonic()
     st, _ = bms.run(hermitian, hermitian.syndromes(recv), bms.INVERSE_FREE)
     out = bms.extract_locators(st, hermitian)
-    assert out.F[0] == HERMITIAN_F25_0
+    assert bipoly(hermitian, out.F[0]) == HERMITIAN_F25_0
     res = decoder.decode(hermitian, recv)
     assert res.status == decoder.SUCCESS
     order = sorted(range(len(locs)), key=lambda k: locs[k])
@@ -130,7 +131,7 @@ def test_criterion_5_mode_equivalence(elliptic, elliptic_golden, klein, klein_go
             fa = bms.extract_locators(sa, code)
             fb = bms.extract_locators(sb, code)
             for F in fa.F + fb.F:
-                assert oracle.ideal_membership(F, code, locs)
+                assert oracle.ideal_membership(bipoly(code, F), code, locs)
             checked += 1
     report(5, f"{checked} scenarios: identical (s,c) trajectories, both bases vanish on E")
 
@@ -168,7 +169,7 @@ def test_criterion_7_appendix_bc(elliptic, klein):
             st, _ = bms.run(code, full, bms.INVERSE_FREE, n_max=B)
             out = bms.extract_locators(st, code)
             for F in out.F:
-                assert oracle.ideal_membership(F, code, locs)
+                assert oracle.ideal_membership(bipoly(code, F), code, locs)
             if generic:
                 assert len(bms.delta_set(code, st.s1)) == t
                 # Proposition: for generic errors N <= m+a-1 already suffices
@@ -177,7 +178,7 @@ def test_criterion_7_appendix_bc(elliptic, klein):
                 st2, _ = bms.run(code, full2, bms.INVERSE_FREE, n_max=m_pat + a - 1)
                 out2 = bms.extract_locators(st2, code)
                 for F in out2.F:
-                    assert oracle.ideal_membership(F, code, locs)
+                    assert oracle.ideal_membership(bipoly(code, F), code, locs)
                 assert len(bms.delta_set(code, st2.s1)) == t
             checked += 1
     report(7, f"{checked} desk-scale patterns: V(u,B)=I(E) memberships, zero violations")

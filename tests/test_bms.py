@@ -10,7 +10,7 @@ import pytest
 
 from agbms import CodeSpec, CurveSpec, bms, linalg, oracle
 from agbms.gf import ZERO, OpCounter
-from conftest import random_generic_pattern, random_pattern
+from conftest import bipoly, random_generic_pattern, random_pattern
 
 ELLIPTIC_F9 = [
     {(2, 0): 13, (0, 1): 13, (1, 0): 12, (0, 0): 2},
@@ -110,8 +110,8 @@ def test_golden_extraction_elliptic(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     st, _ = bms.run(elliptic, elliptic.syndromes(recv), bms.INVERSE_FREE)
     out = bms.extract_locators(st, elliptic)
-    assert out.F == ELLIPTIC_F9
-    assert out.G == ELLIPTIC_G9
+    assert [bipoly(elliptic, F) for F in out.F] == ELLIPTIC_F9
+    assert [bipoly(elliptic, G) for G in out.G] == ELLIPTIC_G9
     assert st.s1 == [2, 1]
     assert out.lead_F == [13, 13]
 
@@ -120,8 +120,8 @@ def test_golden_extraction_klein(klein, klein_golden):
     _, _, recv = klein_golden
     st, _ = bms.run(klein, klein.syndromes(recv), bms.DIVISION)
     out = bms.extract_locators(st, klein)
-    assert out.F == KLEIN_F16
-    assert out.G == KLEIN_G16
+    assert [bipoly(klein, F) for F in out.F] == KLEIN_F16
+    assert [bipoly(klein, G) for G in out.G] == KLEIN_G16
     assert st.s1 == [3, 2, 1]
     assert out.lead_F == [0, 0, 0]  # division mode normalizes leads to alpha^0
     assert out.head_e == [0, 0, 0]
@@ -131,7 +131,7 @@ def test_golden_extraction_hermitian(hermitian, hermitian_golden):
     _, _, recv = hermitian_golden
     st, _ = bms.run(hermitian, hermitian.syndromes(recv), bms.INVERSE_FREE)
     out = bms.extract_locators(st, hermitian)
-    assert out.F[0] == HERMITIAN_F25_0
+    assert bipoly(hermitian, out.F[0]) == HERMITIAN_F25_0
     assert st.s1 == [3, 2, 0, 0]
 
 
@@ -174,7 +174,7 @@ def test_mode_equivalence_golden(elliptic, elliptic_golden, klein, klein_golden,
 def test_discrepancy_direct_trivial(elliptic, elliptic_golden):
     locs, vals, recv = elliptic_golden
     synd = elliptic.syndromes(recv)
-    assert bms.discrepancy_direct(elliptic, {(0, 0): 0}, synd, (0, 0)) == synd[(0, 0)]
+    assert oracle.discrepancy_direct(elliptic, {(0, 0): 0}, synd, (0, 0)) == synd[(0, 0)]
 
 
 def test_discrepancy_direct_vanishes_on_ideal(elliptic, elliptic_golden):
@@ -183,14 +183,14 @@ def test_discrepancy_direct_vanishes_on_ideal(elliptic, elliptic_golden):
     gb = oracle.groebner_la(elliptic, locs)
     for F in gb:
         for l in elliptic.curve.phi(0, 2, 30):
-            assert bms.discrepancy_direct(elliptic, F, full, l) == ZERO
+            assert oracle.discrepancy_direct(elliptic, F, full, l) == ZERO
 
 
 def test_discrepancy_direct_missing_index(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     synd = elliptic.syndromes(recv)
     with pytest.raises(ValueError):
-        bms.discrepancy_direct(elliptic, {(4, 0): 0, (0, 0): 3}, synd, (5, 0))
+        oracle.discrepancy_direct(elliptic, {(4, 0): 0, (0, 0): 3}, synd, (5, 0))
 
 
 def test_per_step_discrepancy_equivalence(elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden):
@@ -215,16 +215,16 @@ def test_per_step_discrepancy_equivalence(elliptic, elliptic_golden, klein, klei
                 l = cv.l_of(0, N)
                 Fs = bms.extract_locators(st, code).F
                 for i in range(cv.a):
-                    F = Fs[i]
+                    F = bipoly(code, Fs[i])
                     li = cv.l_of(i, N)
                     cond = li is not None and st.s1[i] <= li[0]
                     if cond:
                         shift = (li[0] - st.s1[i], li[1] - i)
                         if cv.in_function_ring(shift):
-                            assert d[i] == bms.discrepancy_direct(code, F, full, l), (mode, N, i)
+                            assert d[i] == oracle.discrepancy_direct(code, F, full, l), (mode, N, i)
                             checked += 1
                     elif l is not None:
-                        assert bms.discrepancy_direct(code, F, full, l) == ZERO, (mode, N, i)
+                        assert oracle.discrepancy_direct(code, F, full, l) == ZERO, (mode, N, i)
                 bms.step(st, code)
         assert checked > 0
 
@@ -249,7 +249,7 @@ def check_theorem_suite(code, locs, vals, recv, mode, minimality=True):
         for i in range(cv.a):
             assert st.s1[i] == st.c1[i] + 1  # Lemma: s1 = c1 + 1
             s = (st.s1[i], i)
-            F = Fs[i]
+            F = bipoly(code, Fs[i])
             assert cv.poly_degree(F) == s  # (b) deg F = s
             for h in cv.phi(0, cv.a, N - 1 - cv.pole_order(s)):  # (a)
                 acc = ZERO
@@ -297,12 +297,13 @@ def test_ideal_closure_under_monomials(elliptic, elliptic_golden):
     st, _ = bms.run(elliptic, elliptic.syndromes(recv), bms.INVERSE_FREE)
     out = bms.extract_locators(st, elliptic)
     cv = elliptic.curve
-    for F in out.F:
+    for packed in out.F:
+        F = bipoly(elliptic, packed)
         for h in [(1, 0), (0, 1), (1, 1), (2, 0)]:
             raw = {(n1 + h[0], n2 + h[1]): c for (n1, n2), c in F.items()}  # z^h * F
             shifted = cv.reduce(elliptic.fld, raw)
             for l in cv.phi(0, 2, st.N - 1):
-                assert bms.discrepancy_direct(elliptic, shifted, full, l) == ZERO
+                assert oracle.discrepancy_direct(elliptic, shifted, full, l) == ZERO
 
 
 def test_window_invariants(elliptic, elliptic_golden):
@@ -429,7 +430,7 @@ def test_mode_equivalence_random(elliptic, klein, hermitian):
             fb = bms.extract_locators(sb, code)
             assert bms.delta_set(code, sa.s1) == bms.delta_set(code, sb.s1)
             for F in fa.F + fb.F:
-                assert oracle.ideal_membership(F, code, locs)
+                assert oracle.ideal_membership(bipoly(code, F), code, locs)
 
 
 def test_op_counts_complete_and_repeatable(

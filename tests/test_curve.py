@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from agbms.curve import CurveSpec, Point, elliptic_curve, hermitian_curve, klein_curve
+from agbms import bms, decoder
+from agbms.curve import CurveSpec, Point, elliptic_curve, hermitian_curve, klein_curve, partials
 from agbms.agcode import POLE
 from agbms.gf import GF, ZERO, OpCounter
 from conftest import other_elliptic_curve
@@ -144,13 +145,33 @@ def test_reduce_preserves_pole_order(gf16):
     assert her.poly_order(red) == her.pole_order((0, 4)) == 20
 
 
+def at_points(code, poly, deriv=False):
+    """Logs of a canonical ring polynomial, or of its derivative along the
+    curve, at every code point, read from the point-word table: each term
+    scales the plain (alpha^0) word of its monomial by its coefficient."""
+    fld, acc = code.fld, 0
+    for n, c in poly.items():
+        acc ^= fld.scale(code.point_words(code.curve.pole_order(n))[deriv][0], c)[0]
+    return [fld.log[v] for v in fld.unpack(acc, code.n)]
+
+
+def direct_derivative(code, poly, j):
+    """poly' = poly_x + poly_y * y' at code point j, its partials evaluated
+    on the curve and y' read from the slope row; poly need not be canonical."""
+    cv, fld, p = code.curve, code.fld, code.points[j]
+    fx, fy = partials(poly)
+    return fld.add(cv.eval_poly(fld, fx, p), fld.mul(cv.eval_poly(fld, fy, p), code.slope[j]))
+
+
 def test_slope_elliptic(elliptic):
     # y^2 + y = x^3 + x: y' = D_x/D_y = x^2 + 1 at every point
     cv, fld = elliptic.curve, elliptic.fld
+    y_prime = at_points(elliptic, {(0, 1): 0}, deriv=True)  # F = y
+    const_prime = at_points(elliptic, {(0, 0): 5}, deriv=True)
     for j, p in enumerate(elliptic.points):
         assert elliptic.slope[j] == cv.eval_poly(fld, {(2, 0): 0, (0, 0): 0}, p)
-        assert elliptic.derivative({(0, 1): 0}, j) == elliptic.slope[j]  # F = y
-        assert elliptic.derivative({(0, 0): 5}, j) == ZERO  # constants die
+        assert y_prime[j] == elliptic.slope[j]
+        assert const_prime[j] == ZERO  # constants die
 
 
 def test_slope_hermitian(hermitian):
@@ -163,12 +184,19 @@ def test_slope_klein_pole_only_at_special_point(klein):
     # x ramifies at P_(1:0:0) only: D_y = x y^2 + 1 vanishes there
     assert [j for j, s in enumerate(klein.slope) if s is POLE] == [22]
     assert klein.points[22].special == "(1:0:0)"
+    # F = 1 + x: F' = 1, and the derivative words hold a zero lane at the pole
+    assert at_points(klein, {(0, 0): 0, (1, 0): 0}, deriv=True) == [0] * 22 + [ZERO]
+    # the closed-form values refuse the point before any charge: x then 1,
+    # lanes 0 and 3 of a pole-order-3 word, paired with G = 1
+    F = (klein.fld.pack([1, 0, 0, 1]), 3)
+    basis = bms.LocatorOutput(
+        F=[F] * 3, G=[(1, 0), (0, -1), (0, -1)], lead_F=[0] * 3, head_e=[0] * 3, mode=bms.DIVISION
+    )
     ctr = OpCounter()
     with pytest.raises(ValueError, match=r"\(1:0:0\)"):
-        klein.derivative({(0, 0): 0, (1, 0): 0}, 22, ctr)
+        decoder.error_values([22], basis, klein, ctr)
     assert ctr == OpCounter()
-    for j in range(22):
-        assert klein.derivative({(0, 0): 0, (1, 0): 0}, j) == 0  # F = 1 + x: F' = 1
+    assert decoder.error_values(list(range(22)), basis, klein) == [0] * 22  # 1/(F'G) = 1
 
 
 def test_derivative_raw_matches_reduced(elliptic, klein, hermitian, other_elliptic):
@@ -184,9 +212,9 @@ def test_derivative_raw_matches_reduced(elliptic, klein, hermitian, other_ellipt
                 n = (rng.randint(0, 4), rng.randint(0, 2 * cv.a))
                 if cv.in_function_ring(n):
                     raw[n] = rng.randrange(fld.q - 1)
-            red = cv.reduce(fld, raw)
+            red_prime = at_points(code, cv.reduce(fld, raw), deriv=True)
             for j in rng.sample(affine, 6):
-                assert code.derivative(raw, j) == code.derivative(red, j)
+                assert direct_derivative(code, raw, j) == red_prime[j]
 
 
 def poly_product(field, F, G):
@@ -215,12 +243,11 @@ def test_derivative_product_rule(elliptic, klein, other_elliptic):
 
             F, G = rand_poly(), rand_poly()
             FG = curve.reduce(field, poly_product(field, F, G))
+            FGp, Fp, Gp = (at_points(code, P, deriv=True) for P in (FG, F, G))
+            Fv, Gv = at_points(code, F), at_points(code, G)
             for j in rng.sample(affine, 6):
-                lhs = code.derivative(FG, j)
-                rhs = field.add(
-                    field.mul(code.derivative(F, j), code.eval_poly(G, j)),
-                    field.mul(code.eval_poly(F, j), code.derivative(G, j)),
-                )
+                lhs = FGp[j]
+                rhs = field.add(field.mul(Fp[j], Gv[j]), field.mul(Fv[j], Gp[j]))
                 assert lhs == rhs
 
 

@@ -12,6 +12,7 @@ from conftest import (
     HERMITIAN_XY,
     KLEIN_VALS,
     KLEIN_XY,
+    bipoly,
     random_generic_pattern,
 )
 
@@ -36,8 +37,11 @@ def test_chien_klein(klein, klein_golden):
 
 
 def test_chien_nonzero_constant_excludes_everything(elliptic):
+    # F = alpha^3 and F = y, each a lone lane-0 coefficient at its pole order
+    F = [(elliptic.fld.exp[3], 0), (elliptic.fld.exp[0], 3)]
+    assert [bipoly(elliptic, f) for f in F] == [{(0, 0): 3}, {(0, 1): 0}]
     basis = bms.LocatorOutput(
-        F=[{(0, 0): 3}, {(0, 1): 0}], G=[{}, {}], lead_F=[3, 0], head_e=[0, 0], mode=bms.INVERSE_FREE,
+        F=F, G=[(0, -1), (0, -1)], lead_F=[3, 0], head_e=[0, 0], mode=bms.INVERSE_FREE,
     )
     assert decoder.chien_search(basis, elliptic) == []
 
@@ -206,7 +210,7 @@ def test_error_values_zero_sum_reported(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     basis = run_basis(elliptic, recv)
     crippled = bms.LocatorOutput(
-        F=basis.F, G=[{}, {}], lead_F=basis.lead_F, head_e=basis.head_e, mode=basis.mode,
+        F=basis.F, G=[(0, -1), (0, -1)], lead_F=basis.lead_F, head_e=basis.head_e, mode=basis.mode,
     )
     with pytest.raises(ZeroDivisionError):
         decoder.error_values([0], crippled, elliptic)
@@ -246,9 +250,10 @@ def direct_error_values(locs, basis, code, ctr):
         p = code.points[j]
         acc = ZERO
         for i in range(cv.a):
-            if basis.G[i]:
-                fp = direct_derivative(code, basis.F[i], p, ctr)
-                gp = cv.eval_poly(fld, basis.G[i], p, ctr)
+            F, G = bipoly(code, basis.F[i]), bipoly(code, basis.G[i])
+            if G:
+                fp = direct_derivative(code, F, p, ctr)
+                gp = cv.eval_poly(fld, G, p, ctr)
                 acc = fld.add(acc, fld.mul(fld.mul(fp, gp, ctr), scale[i], ctr), ctr)
         if acc == ZERO:
             raise ZeroDivisionError(j)
@@ -268,24 +273,27 @@ def seeded_bases(code, rng, count):
         yield run_basis(code, recv, mode), recv
 
 
-def test_chien_matches_direct_scan(elliptic, klein, hermitian):
+def test_chien_matches_direct_scan(elliptic, klein, hermitian, elliptic_gf512):
+    # the GF(2^9) code runs its two-byte lanes through the same words
     rng = random.Random(211)
-    for code in (elliptic, klein, hermitian):
-        for basis, _ in seeded_bases(code, rng, 24):
+    for code, count in ((elliptic, 24), (klein, 24), (hermitian, 24), (elliptic_gf512, 8)):
+        for basis, _ in seeded_bases(code, rng, count):
+            Fs = [bipoly(code, F) for F in basis.F]
             want = [
                 j for j, p in enumerate(code.points)
-                if all(code.curve.eval_poly(code.fld, F, p) == ZERO for F in basis.F)
+                if all(code.curve.eval_poly(code.fld, F, p) == ZERO for F in Fs)
             ]
             assert decoder.chien_search(basis, code) == want
 
 
-def test_error_values_match_direct_evaluation(elliptic, klein, hermitian):
+def test_error_values_match_direct_evaluation(elliptic, klein, hermitian, elliptic_gf512):
     # values, raised errors and every OpCounter total (also the partial
-    # totals left by a raise) must equal the point-by-point evaluation
+    # totals left by a raise) must equal the point-by-point evaluation, on
+    # one-byte and on two-byte (GF(2^9)) lanes
     rng = random.Random(223)
     seen = set()
-    for code in (elliptic, klein, hermitian):
-        for basis, _ in seeded_bases(code, rng, 40):
+    for code, count in ((elliptic, 40), (klein, 40), (hermitian, 40), (elliptic_gf512, 8)):
+        for basis, _ in seeded_bases(code, rng, count):
             locs = decoder.chien_search(basis, code) or [0, code.n - 1]
             results = []
             for fn in (decoder.error_values, direct_error_values):

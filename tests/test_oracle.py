@@ -140,3 +140,10 @@ def test_generic_ratio_deterministic(klein):
 def test_generic_ratio_ballpark(elliptic):
     rep = oracle.generic_ratio(elliptic, 3, 400, seed=7)
     assert abs(rep["estimate"] - 15 / 16) < 0.08
+
+
+@pytest.mark.parametrize("t", [0, 25])
+def test_generic_ratio_rejects_weight_out_of_range(elliptic, t):
+    # n = 24: the message the cli gives for --t, from the same check
+    with pytest.raises(ValueError, match=rf"^t={t} outside the accepted range \[1, 24\]$"):
+        oracle.generic_ratio(elliptic, t, 10, seed=1)

@@ -39,3 +39,17 @@ def test_lane_codec_in_gf():
             if codec_call or struct_import:
                 found.append(f"{path.relative_to(pkg)}:{node.lineno}")
     assert found == [], f"lane codec outside gf.py at {', '.join(found)}"
+
+
+def test_locators_stay_packed():
+    # BMS hands F^(i) and G^(i) to the decoder as packed words, so neither
+    # module may name the dict form of a polynomial
+    pkg = pathlib.Path(agbms.__file__).resolve().parent
+    found = []
+    for name in ("bms.py", "decoder.py"):
+        path = pkg / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            imported = isinstance(node, ast.ImportFrom) and any(a.name == "BiPoly" for a in node.names)
+            if imported or getattr(node, "attr", getattr(node, "id", None)) == "BiPoly":
+                found.append(f"{name}:{node.lineno}")
+    assert found == [], f"BiPoly imported at {', '.join(found)}"
