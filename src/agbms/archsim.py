@@ -66,9 +66,10 @@ followed by what it took this loop, which is all a snapshot is.
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
 at one multiplier pair in loop N.  At the lane's head group the controller
-latches a plan: d and e (d^-1 too in division mode) as product rows, a list
-r per constant with r[v] = vec(c*v), built from the field's exp/log tables
-the first time a latch meets c and kept on the code (``_Rows``; no q x q
+latches a plan: d (behind the one gate comparison of ``bms.step``) and e
+(d^-1 too in division mode) as product rows, a list r per constant with
+r[v] = vec(c*v), built from the field's exp/log tables the first time a
+latch meets c and kept on the code (``_Rows``; no q x q
 table, and independent of ``gf``'s ``scale`` tables, so the boundary check
 compares two multipliers); the preserve/update switch; and the groups whose
 w/g input is zero-set, from ``_stale`` one loop ahead.  It updates s and c
@@ -205,10 +206,12 @@ class _Controller:
         """Head group of a lane in loop N, where x and y are the v head of
         column i and the w head of column j: latch d and e, set the switch,
         update the degrees in place (exact for the reason given in
-        ``bms.step``), charge the multipliers and return the lane's plan."""
+        ``bms.step``), charge the multipliers and return the lane's plan.
+        d passes the gate ``bms.step`` makes, s1^(i) <= l^(i) on the gate
+        table, whose -1 at a gap fails it."""
         s1, c1, log = self.s1, self.c1, self.log
         l = self.gates.l1[N][i]
-        d = log[x] if l is not None and s1[i] <= l else ZERO
+        d = log[x] if s1[i] <= l else ZERO
         upd = d != ZERO and s1[i] < l - c1[j]
         e = 0 if self.division else log[y]  # division mode keeps v: e = 1
         dinv = 0  # an inverse-free update takes v unscaled

@@ -5,8 +5,10 @@ The state carries, per column index i in [0, a): the minimal degree s^(i)
 c^(i), and four polynomials in a formal variable Z -- f (locator
 coefficients), g (auxiliary), v (syndrome combination whose coefficient at
 Z^N is the discrepancy), w (auxiliary for v).  One ``step`` consumes loop
-index N: discrepancies are read off v and w heads, then each lane -- column
-i paired with ibar(i, N) -- updates its columns in place (``step`` says why
+index N in one pass over the lanes: each lane -- column i paired with
+ibar(i, N) -- reads its own Step-1 values, the discrepancy off the v head
+of column i (gated by s1^(i) <= l^(i), one comparison) and e off the w head
+of column ibar(i, N), and updates its columns in place (``step`` says why
 that is exact).
 
 Inverse-free mode scales instead of dividing (f <- e*f - d*g) and performs
@@ -22,7 +24,9 @@ architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Since
 f and v take the same scale and the same merge partner (g and w), a lane
 update is two ``GF.scale`` calls and one XOR; a scale is one
 ``bytes.translate`` of the word's bytes on one-byte lanes and w masked
-multiplies on two-byte lanes, and ``gf`` alone picks which.  Every live
+multiplies on two-byte lanes, and ``gf`` alone picks which.  A scale by
+alpha^0 -- e stays alpha^0 while w is still Z^N, on about half the lanes
+or more -- passes the word through and only counts its lanes.  Every live
 exponent fits: f and g stay at or below N, v holds [N, top], and w holds
 [N, top] plus, after the last loop, its head at top+1 (e_{m+1}, which the
 error-value formula consumes).  Exponents above top are dead otherwise --
@@ -32,11 +36,13 @@ since all updates combine equal exponents -- so the Z-shift
 top+1 lane is cleared on every loop but the last, exactly as the
 architectures zero-set their w/g lines.  Every lane offset is a multiple
 of ``lane_bits``; the field degree w sets no offset.  Log form appears
-only at the boundary: ``discrepancies`` and ``state_record`` unpack, and
+only at the boundary: ``step`` reads the two head lanes of each lane,
+``discrepancies`` and ``state_record`` unpack for the dumps, and
 ``extract_locators`` reads only the lead and head lanes, handing f and g
-on to the decoder as packed words.  The gates of a code -- l^(i) and ibar per loop, the
-seed lanes and the masks -- are built once per window size and kept on the
-code (``CodeSpec.tables``), so no curve lookup happens per decoded word.
+on to the decoder as packed words.  The gates of a code -- l^(i) and ibar
+per loop, the seed lanes and the masks -- are built once per window size
+and kept on the code (``CodeSpec.tables``), so no curve lookup happens per
+decoded word.
 """
 
 from __future__ import annotations
@@ -53,15 +59,16 @@ DIVISION = "division"
 
 class _Gates:
     """Per-code tables of one window size ``top``: per loop N the first
-    component of l^(i) (None at a gap; N up to top+1, which the final
-    record reads), ibar(i, N) and the AND masks of the step, and the v
-    seed lanes of every column."""
+    component of l^(i) (N up to top+1, which the final record reads),
+    ibar(i, N) and the AND masks of the step, and the v seed lanes of every
+    column.  A gap is stored as -1: s1^(i) is never negative, so
+    ``s1 <= l1`` is the whole discrepancy gate, false at a gap."""
 
     def __init__(self, code: CodeSpec, top: int):
         cv, fld = code.curve, code.fld
         a, lb = cv.a, fld.lane_bits
         self.L = L = top + 2
-        self.l1 = [[None if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(top + 2)]
+        self.l1 = [[-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(top + 2)]
         self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(top + 1)]
         # (lane, syndrome index) of every v coefficient of column i
         self.seed = [[(cv.pole_order(l), l) for l in cv.phi(i, a, top)] for i in range(a)]
@@ -169,56 +176,60 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None
 
 
 def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]]:
-    """Step 1 at the current N: the discrepancies d^(i) (v heads, zero
-    where column i has no l^(i) or s1^(i) exceeds it) and the w heads e^(i)."""
+    """Step 1 at the current N for the dumps: the discrepancies d^(i) (v
+    heads, zero unless s1^(i) <= l^(i), which fails where column i has no
+    l^(i)) and the w heads e^(i).  ``step`` reads the same heads lane by
+    lane with the same shift, mask and gate."""
     fld = code.fld
     log, lane, shift = fld.log, fld.q - 1, state.N * fld.lane_bits
     l1 = gate_table(code, state.top).l1[state.N]
-    d = [
-        ZERO if l is None or s > l else log[x >> shift & lane]
-        for x, s, l in zip(state.vf, state.s1, l1)
-    ]
+    d = [log[x >> shift & lane] if s <= l else ZERO for x, s, l in zip(state.vf, state.s1, l1)]
     return d, [log[x >> shift & lane] for x in state.wg]
 
 
 def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
-    """One N-loop: Step 1 (discrepancies), then Step 2 lane by lane, in place.
+    """One N-loop, in place, as one pass over the lanes: each lane reads
+    its own Step-1 values (d^(i) off the v head of column i, gated by
+    s1^(i) <= l^(i), and e^(ib) off the w head of column ib) and runs
+    Step 2.
 
     Lane i pairs column i with ib = ibar(i, N), as one multiplier pair of
     the parallel architecture does: it reads and writes vf and s1 of
     column i and wg, c1, M and tlabel of column ib, and nothing else.
     ibar(., N) is a bijection of the columns, so in each loop every column
     is read and written by exactly one lane, no lane sees another lane's
-    new values, and the in-place update equals one from a pre-step copy.
-    Within a lane every old value is read before it is overwritten.
+    new values -- every head is read before its lane overwrites it -- and
+    the in-place update equals one from a pre-step copy.  Within a lane
+    every old value is read before it is overwritten.
 
     ``ctr`` is charged one mul per nonzero lane scaled and one mul and one
     add per nonzero lane merged in, as a coefficient-wise update would be;
-    ``GF.scale`` counts the nonzero lanes it multiplies, on either codec.
+    ``GF.scale`` counts the nonzero lanes it multiplies, on either codec,
+    e = alpha^0 included.
     """
     fld = code.fld
     gates = gate_table(code, state.top)
     N, lb = state.N, fld.lane_bits
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
+    log, lane, shift = fld.log, fld.q - 1, N * lb
     scale = fld.scale
     inverse_free = state.mode == INVERSE_FREE
-    d, e = discrepancies(state, code)
     l1, clear, keep = gates.l1[N], gates.head_clear[N], gates.shift_keep[N]
     muls = adds = 0
     for i, ib in enumerate(gates.ibar[N]):
-        x, y, di = vf[i], wg[ib], d[i]
+        x, y, l = vf[i], wg[ib], l1[i]
         new = x
         if inverse_free:
-            new, k = scale(x, e[ib])
+            new, k = scale(x, log[y >> shift & lane])
             muls += k
+        di = log[x >> shift & lane] if s1[i] <= l else ZERO
         if di != ZERO:
             yd, k = scale(y, di)
             new ^= yd
             muls += k
             adds += k
         vf[i] = new & clear  # mod Z^N: the consumed head is deleted explicitly
-        # a nonzero discrepancy implies that l^(i) exists
-        if di != ZERO and s1[i] < l1[i] - c1[ib]:
+        if di != ZERO and s1[i] < l - c1[ib]:
             if not inverse_free:
                 x, k = scale(x, fld.inv_chain(di, ctr))
                 muls += k
@@ -226,7 +237,7 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
             # nothing and charges the muls a scale after the shift would
             wg[ib] = x << lb & keep
             state.M[ib], state.tlabel[ib] = N, (s1[i], i)
-            s1[i], c1[ib] = l1[i] - c1[ib], l1[i] - s1[i]
+            s1[i], c1[ib] = l - c1[ib], l - s1[i]
         else:
             wg[ib] = y << lb & keep
     if ctr is not None:

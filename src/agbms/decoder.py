@@ -72,10 +72,11 @@ def error_values(
     built once per column at every point as packed words, F^(i)' from the
     derivative words of the code's point-word table (read through its slope
     row, so no derivative denominator is inverted), and their lanes are read
-    at the located points.  All inversions run through the squaring chain so
-    their cost is visible to the counter.  ``ctr`` is charged what the
-    point-by-point evaluation of each polynomial charged: one mul and one
-    add per term of G^(i), F^(i)_x and F^(i)_y at each point.
+    at the located points.  All inversions go through ``GF.inv_chain``,
+    which charges the squaring chain, so their cost is visible to the
+    counter.  ``ctr`` is charged what the point-by-point evaluation of each
+    polynomial charged: one mul and one add per term of G^(i), F^(i)_x and
+    F^(i)_y at each point.
 
     Raises ZeroDivisionError when the sum vanishes at some point (the
     caller reports Failure) and ValueError at points where the slope has

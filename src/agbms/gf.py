@@ -5,9 +5,10 @@ alpha: ``k`` means alpha^k and ``-1`` means zero.  This matches the notation
 used throughout the decoder (register values, word files, error files), so
 worked values can be compared directly against published tables.
 
-Inversion is done by the square-and-multiply chain a^(q-2), costing exactly
-2w-3 multiplications; this is the operation the inverse-free algorithm
-removes from the decoding loop.
+Inversion is charged as the square-and-multiply chain a^(q-2), exactly one
+inversion and 2w-3 multiplications, while the value is read off the log
+form; this is the operation the inverse-free algorithm removes from the
+decoding loop.
 
 A register line is held as one packed int: lane k holds the coefficient of
 exponent k in bit-vector form, in ``lane_bits`` = 8 * ceil(w/8) bits (one
@@ -15,8 +16,10 @@ byte up to w = 8, two up to w = 16).  ``GF`` is the one home of the lane
 primitives: ``pack``/``unpack`` convert between a list of bit-vector values
 and a packed word, ``terms`` lists the nonzero lanes as (lane, log) pairs,
 and ``scale`` multiplies every lane by one constant, so a merge of two lines
-is one XOR, and counts the nonzero lanes it multiplied.  The field picks
-one of two codecs from ``lane_bits`` when it is built:
+is one XOR, and counts the nonzero lanes it multiplied.  A scale by alpha^0
+returns the word as it is and only counts its nonzero lanes, on either
+codec: the count still stands for the multiplier a lane passes through.
+The field picks one of two codecs from ``lane_bits`` when it is built:
 
 * one-byte lanes (w <= 8, every bundled preset): a word is the bytes of its
   lanes, so ``pack`` is ``bytes(vecs)`` read as an int and ``unpack`` the
@@ -25,7 +28,8 @@ one of two codecs from ``lane_bits`` when it is built:
 * two-byte lanes (w >= 9): ``pack``/``unpack`` go through ``struct`` and
   ``scale`` XORs w masked integer multiplies ((x >> j) & ones) * vec(c *
   alpha^j) (split-table multiplication by a constant), whose products stay
-  within their lanes.
+  within their lanes; a scale by alpha^0 counts the lanes by folding each
+  lane's bits onto its lowest one.
 
 A constant's table (the 256 products or the w products vec(c * alpha^j)) is
 built the first time it scales a word and kept; no q x q table is ever
@@ -135,21 +139,19 @@ class GF:
         return (a * n) % (self.q - 1)
 
     def inv_chain(self, a: int, ctr: OpCounter | None = None) -> int:
-        """Inverse a^(q-2) by the squaring chain.
+        """Inverse a^(q-2), charged as the squaring chain.
 
         The chain squares w-1 times and multiplies by ``a`` w-2 times, so
-        ``ctr`` is charged one inversion and always 2w-3 muls.  Raises
+        ``ctr`` is charged one inversion and always 2w-3 muls; the value is
+        -a mod q-1 in log form, so no chain is run.  Raises
         ZeroDivisionError on a = 0.
         """
         if a == ZERO:
             raise ZeroDivisionError("zero has no inverse in GF(2^w)")
         if ctr is not None:
             ctr.invs += 1
-        acc = a  # a^(2^1 - 1)
-        for _ in range(self.w - 2):
-            acc = self.mul(acc, acc, ctr)  # square: a^(2^k - 1) -> a^(2^(k+1) - 2)
-            acc = self.mul(acc, a, ctr)  # -> a^(2^(k+1) - 1)
-        return self.mul(acc, acc, ctr)  # a^(2^w - 2) = a^-1
+            ctr.muls += 2 * self.w - 3
+        return -a % (self.q - 1)
 
     # -- packed lanes ------------------------------------------------------
     #
@@ -157,7 +159,8 @@ class GF:
     # unpack(x, n) -> list: the bit-vector values of the lowest n lanes of x
     # scale(x, c) -> (int, int): every lane of x times the log-form constant
     #     c, and the multiplications that stands for: one per nonzero lane
-    #     of x, none when c is zero.  Uncharged: the caller charges the count.
+    #     of x, none when c is zero.  c = 0 (alpha^0) returns x itself with
+    #     that count.  Uncharged: the caller charges the count.
 
     def terms(self, x: int) -> list[tuple[int, int]]:
         """(lane, log) of every nonzero lane of x, lowest lane first."""
@@ -173,13 +176,15 @@ class GF:
     def _scale8(self, x: int, c: int) -> tuple[int, int]:
         if c == ZERO:
             return 0, 0
+        nb = (x.bit_length() + 7) >> 3
+        raw = x.to_bytes(nb, "little")
+        if c == 0:
+            return x, nb - raw.count(0)
         table = self._scale_rows.get(c)
         if table is None:
             exp, log, qm1 = self.exp, self.log, self.q - 1
             products = [0] + [exp[(c + log[v]) % qm1] for v in range(1, self.q)]
             table = self._scale_rows[c] = bytes(products).ljust(256, b"\0")
-        nb = (x.bit_length() + 7) >> 3
-        raw = x.to_bytes(nb, "little")
         return int.from_bytes(raw.translate(table), "little"), nb - raw.count(0)
 
     def _pack16(self, vecs: list[int]) -> int:
@@ -193,11 +198,18 @@ class GF:
         # carries into the next; the OR of the bit-planes marks the nonzero lanes
         if c == ZERO:
             return 0, 0
+        ones = int.from_bytes(b"\1\0" * -(-x.bit_length() // 16), "little")  # bit 0 of every lane
+        if c == 0:
+            # fold each lane's 16 bits onto its bit 0: the shifts total 15,
+            # so no bit reaches the lane below
+            y = x | x >> 8
+            y |= y >> 4
+            y |= y >> 2
+            return x, ((y | y >> 1) & ones).bit_count()
         row = self._scale_rows.get(c)
         if row is None:
             exp, qm1 = self.exp, self.q - 1
             row = self._scale_rows[c] = tuple(exp[(c + j) % qm1] for j in range(self.w))
-        ones = int.from_bytes(b"\1\0" * -(-x.bit_length() // 16), "little")  # bit 0 of every lane
         acc = nonzero = 0
         for r in row:
             bits = x & ones

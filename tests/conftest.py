@@ -52,6 +52,14 @@ def elliptic_gf512():
     return CodeSpec(curve, GF(9, 0b1000010001), m=12)
 
 
+@pytest.fixture(scope="session")
+def elliptic_gf8():
+    """y^2 + y = x^3 over GF(8), n = 8, t_generic = 2: small enough for
+    every-value sweeps."""
+    curve = CurveSpec(a=2, b=3, e=0, chi={(0, 1): 0}, genus=1)
+    return CodeSpec(curve, GF(3, 0b1011), m=6)
+
+
 # the worked three-error / four-error / five-error scenarios, locations given
 # as (x_log, y_log) pairs and values as logs
 ELLIPTIC_XY = [(3, 7), (9, 11), (14, 4)]

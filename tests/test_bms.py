@@ -456,6 +456,68 @@ def test_op_counts_complete_and_repeatable(
             assert counts[0][2] > 0
 
 
+def reference_step(state, code, ctr=None):
+    """The two-pass N-loop ``bms.step`` replaced: Step 1 for every column
+    through ``bms.discrepancies``, then Step 2 lane by lane.  Kept as the
+    oracle the one-pass step must equal."""
+    fld = code.fld
+    gates = bms.gate_table(code, state.top)
+    N, lb = state.N, fld.lane_bits
+    vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
+    inverse_free = state.mode == bms.INVERSE_FREE
+    d, e = bms.discrepancies(state, code)
+    l1, clear, keep = gates.l1[N], gates.head_clear[N], gates.shift_keep[N]
+    muls = adds = 0
+    for i, ib in enumerate(gates.ibar[N]):
+        x, y, di = vf[i], wg[ib], d[i]
+        new = x
+        if inverse_free:
+            new, k = fld.scale(x, e[ib])
+            muls += k
+        if di != ZERO:
+            yd, k = fld.scale(y, di)
+            new ^= yd
+            muls += k
+            adds += k
+        vf[i] = new & clear
+        if di != ZERO and s1[i] < l1[i] - c1[ib]:
+            if not inverse_free:
+                x, k = fld.scale(x, fld.inv_chain(di, ctr))
+                muls += k
+            wg[ib] = x << lb & keep
+            state.M[ib], state.tlabel[ib] = N, (s1[i], i)
+            s1[i], c1[ib] = l1[i] - c1[ib], l1[i] - s1[i]
+        else:
+            wg[ib] = y << lb & keep
+    if ctr is not None:
+        ctr.muls += muls
+        ctr.adds += adds
+    state.N = N + 1
+
+
+def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8):
+    # the one-pass step reads each lane's d and e where it updates the lane;
+    # after every N its state and counts equal the two-pass reference's, on
+    # one- and two-byte lanes, so Step 1 keeps the one definition of
+    # ``bms.discrepancies``
+    rng = random.Random(17)
+    for code in (elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8):
+        cv, gates = code.curve, bms.gate_table(code, code.m)
+        for N in range(code.m + 2):
+            assert gates.l1[N] == [-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(cv.a)]
+        for k in range(2 * (code.t_generic + 3)):
+            locs, vals = random_pattern(code, k // 2, rng, affine_only=False)
+            synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+            for mode in (bms.INVERSE_FREE, bms.DIVISION):
+                st, ref = bms.init_state(code, synd, mode), bms.init_state(code, synd, mode)
+                ctr, ref_ctr = OpCounter(), OpCounter()
+                while st.N <= code.m:
+                    bms.step(st, code, ctr)
+                    reference_step(ref, code, ref_ctr)
+                    assert st == ref, (code.curve, mode, locs, vals, st.N)
+                    assert ctr == ref_ctr, (code.curve, mode, locs, vals, st.N)
+
+
 # sha256[:16] over bms.run(record=True) records and (muls, invs, adds) of 40
 # seeded words per curve in both modes, recorded before the packed-lane kernel
 RECORD_DIGESTS = {

@@ -4,6 +4,9 @@ import pytest
 
 from agbms.gf import GF, ZERO, OpCounter
 
+# w = 8 fills a one-byte lane, w = 9 is the first two-byte one
+PRIMITIVE = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011, 8: 0b100011101, 9: 0b1000010001}
+
 
 def test_paper_fields_constructible():
     GF(3, 0b1011)  # alpha^3 + alpha = 1
@@ -80,6 +83,44 @@ def test_inv_chain_counter(gf16):
     assert ctr.muls == 2 * gf16.w - 3
 
 
+def square_and_multiply(field, a):
+    """a^(q-2) by the chain ``inv_chain`` is charged as, built from
+    ``GF.mul``: w-1 squarings and w-2 multiplications by a."""
+    acc = a
+    for _ in range(field.w - 2):
+        acc = field.mul(field.mul(acc, acc), a)
+    return field.mul(acc, acc)
+
+
+@pytest.mark.parametrize("w", [2, 3, 4, 9])
+def test_inv_chain_charges_the_chain(w):
+    field = GF(w, PRIMITIVE[w])
+    for a in field.nonzero():
+        ctr = OpCounter()
+        assert field.inv_chain(a, ctr) == square_and_multiply(field, a)
+        assert (ctr.invs, ctr.muls, ctr.adds) == (1, 2 * w - 3, 0)
+        assert field.inv_chain(a) == field.inv_chain(a, None) == square_and_multiply(field, a)
+    ctr = OpCounter()
+    with pytest.raises(ZeroDivisionError):
+        field.inv_chain(ZERO, ctr)
+    assert (ctr.invs, ctr.muls, ctr.adds) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("w, prim_poly", [(w, PRIMITIVE[w]) for w in (3, 4, 8, 9)] + [(16, 0x1002D)])
+def test_scale_by_one_passes_through(w, prim_poly):
+    # alpha^0 returns the word itself with its nonzero-lane count, on both
+    # codecs, and builds no product table
+    field = GF(w, prim_poly)
+    rng = random.Random(w)
+    words = [[rng.randrange(-1, field.q - 1) for _ in range(rng.randrange(1, 40))] for _ in range(30)]
+    # top lanes zero below a top nonzero lane of 1, and every lane zero
+    words += [[field.q - 2, ZERO, 0] + [ZERO] * 9, [ZERO] * 5, []]
+    for logs in words:
+        x = field.pack([field.to_vec(a) for a in logs])
+        assert field.scale(x, 0) == (x, len(logs) - logs.count(ZERO))
+    assert 0 not in field._scale_rows
+
+
 def test_field_axioms_randomized(gf16, gf8):
     rng = random.Random(2024)
     for field in (gf16, gf8):
@@ -100,10 +141,6 @@ def test_counter_sessions(gf16):
     assert (ctr.muls, ctr.adds, ctr.invs) == (1, 1, 0)
     ctr.reset()
     assert (ctr.muls, ctr.adds, ctr.invs) == (0, 0, 0)
-
-
-# w = 8 fills a one-byte lane, w = 9 is the first two-byte one
-PRIMITIVE = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011, 8: 0b100011101, 9: 0b1000010001}
 
 
 @pytest.mark.parametrize("w", sorted(PRIMITIVE))
@@ -148,4 +185,4 @@ def test_sixteen_bit_lanes():
             product, muls = fld.scale(x, c)
             assert [fld.from_vec(v) for v in fld.unpack(product, n)] == [fld.mul(c, a) for a in logs]
             assert muls == n - logs.count(ZERO)
-    assert len(fld._scale_rows) == len(set(consts))  # one row per constant used
+    assert len(fld._scale_rows) == len(set(consts) - {0})  # one row per constant used, none for alpha^0

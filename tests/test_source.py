@@ -53,3 +53,13 @@ def test_locators_stay_packed():
             if imported or getattr(node, "attr", getattr(node, "id", None)) == "BiPoly":
                 found.append(f"{name}:{node.lineno}")
     assert found == [], f"BiPoly imported at {', '.join(found)}"
+
+
+def test_step_reads_its_own_heads():
+    # each lane of bms.step reads its own d and e in the one pass over the
+    # lanes; bms.discrepancies, the same read for the dumps, stays out of it
+    pkg = pathlib.Path(agbms.__file__).resolve().parent
+    tree = ast.parse((pkg / "bms.py").read_text())
+    step = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "step")
+    called = {n.func.id for n in ast.walk(step) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "discrepancies" not in called

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from agbms import GF, CodeSpec, CurveSpec, bms, decoder, oracle
+from agbms import bms, decoder, oracle
 
 
 def sweep(code, weight, seed, mode=bms.INVERSE_FREE, every_value=False):
@@ -93,12 +93,6 @@ GF8_EVERY_VALUE = {
         (False, decoder.NOT_GENERIC): 126,
     },
 }
-
-
-@pytest.fixture(scope="module")
-def elliptic_gf8():
-    curve = CurveSpec(a=2, b=3, e=0, chi={(0, 1): 0}, genus=1)
-    return CodeSpec(curve, GF(3, 0b1011), m=6)
 
 
 @pytest.mark.parametrize("mode", [bms.INVERSE_FREE, bms.DIVISION])

@@ -1,0 +1,83 @@
+"""Paired A/B timing of two source trees on one benchmark workload.
+
+    python3 tools/ab.py PARENT_TREE CHANGE_TREE --workload W --seed S --pairs N
+
+Each tree's ``src/agbms`` is imported afresh through this repository's
+``bench/workloads.py`` (only read), and the seed's inputs are generated once.
+Both trees must give identical decode summaries or simulator statistics on
+every input before any timing.  Each pair times one whole-pool pass per
+tree, alternating which goes first; printed are each side's median and
+quartiles, the parent/change time ratio and the pairs the change won.
+
+Times are process CPU time (``time.process_time``), not wall time: on a
+shared 2-core virtual machine wall time also counts the steal time other
+guests take, which moves from pass to pass and would blur a paired ratio.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads as wl  # noqa: E402
+
+
+def load(tree: str):
+    """A fresh import of the tree's agbms and its preset codes."""
+    src = Path(tree).resolve() / "src"
+    if not (src / "agbms").is_dir():
+        sys.exit(f"{tree}: no src/agbms to import")
+    sys.path.insert(0, str(src))
+    try:
+        api = wl.import_api()
+    finally:
+        sys.path.pop(0)
+    return api, {p: api.cli.load_code(p)[0] for p in wl.PRESETS}
+
+
+def quartiles(xs: list[float]) -> list[float]:
+    return statistics.quantiles(xs, n=4, method="inclusive")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", choices=wl.WORKLOADS, required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args()
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2 for quartiles")
+    sides = [load(args.parent), load(args.change)]
+    op = wl.OPS[args.workload]
+    with tempfile.TemporaryDirectory() as scratch:
+        order = wl.round_order(wl.generate(*sides[0], args.workload, args.seed, scratch))
+        for inp in order:  # also the warm-up pass of both trees
+            outs = [repr(op(api, codes, inp)) for api, codes in sides]
+            if outs[0] != outs[1]:
+                sys.exit(f"trees differ on input {inp.key}:\n  parent {outs[0]}\n  change {outs[1]}")
+    times: list[list[float]] = [[], []]
+    for p in range(args.pairs):
+        for s in ((0, 1), (1, 0))[p % 2]:  # alternate which tree goes first
+            api, codes = sides[s]
+            t0 = time.process_time()
+            for inp in order:
+                op(api, codes, inp)
+            times[s].append(time.process_time() - t0)
+    ratios = [a / b for a, b in zip(*times)]
+    (p1, pm, p3), (c1, cm, c3), (r1, rm, r3) = (quartiles(xs) for xs in (*times, ratios))
+    wins = sum(b < a for a, b in zip(*times))
+    print(f"{args.workload} seed {args.seed}: {len(order)} inputs, identical outputs on both trees")
+    print(f"  parent pass: median {pm:.4f} s, quartiles {p1:.4f}-{p3:.4f} s")
+    print(f"  change pass: median {cm:.4f} s, quartiles {c1:.4f}-{c3:.4f} s")
+    print(f"  parent/change: median x{rm:.3f}, quartiles x{r1:.3f}-x{r3:.3f}; change won {wins}/{args.pairs} pairs")
+    print(f"  median gain {pm - cm:.4f} s against the parent's quartile spread {p3 - p1:.4f} s")
+
+if __name__ == "__main__":
+    main()
