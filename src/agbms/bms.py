@@ -24,17 +24,17 @@ architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Since
 f and v take the same scale and the same merge partner (g and w), a lane
 update is two ``GF.scale`` calls and one XOR; a scale is one
 ``bytes.translate`` of the word's bytes on one-byte lanes and w masked
-multiplies on two-byte lanes, and ``gf`` alone picks which.  A scale by
-alpha^0 -- e stays alpha^0 while w is still Z^N, on about half the lanes
-or more -- passes the word through and only counts its lanes.  Every live
-exponent fits: f and g stay at or below N, v holds [N, top], and w holds
-[N, top] plus, after the last loop, its head at top+1 (e_{m+1}, which the
-error-value formula consumes).  Exponents above top are dead otherwise --
-they are never read as discrepancies and never feed a lower exponent,
-since all updates combine equal exponents -- so the Z-shift
-``(x << lane_bits) & keep`` drops the top+1 lane of each half, and w's
-top+1 lane is cleared on every loop but the last, exactly as the
-architectures zero-set their w/g lines.  Every lane offset is a multiple
+multiplies on two-byte lanes, and ``gf`` alone picks which.  On one-byte
+lanes a scale by alpha^0 -- e stays alpha^0 while w is still Z^N, on about
+half the lanes or more -- passes the word through and only counts its
+lanes.  Every live exponent fits: f and g stay at or below N, v holds
+[N, top], and w holds [N, top] plus, after the last loop, its head at
+top+1 (e_{m+1}, which the error-value formula consumes).  Exponents
+above top are dead otherwise -- they are never read as discrepancies and
+never feed a lower exponent, since all updates combine equal exponents --
+so the Z-shift ``(x << lane_bits) & keep`` drops the top+1 lane of each
+half, and w's top+1 lane is cleared on every loop but the last, exactly as
+the architectures zero-set their w/g lines.  Every lane offset is a multiple
 of ``lane_bits``; the field degree w sets no offset.  Log form appears
 only at the boundary: ``step`` reads the two head lanes of each lane,
 ``discrepancies`` and ``state_record`` unpack for the dumps, and

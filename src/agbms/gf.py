@@ -16,20 +16,19 @@ byte up to w = 8, two up to w = 16).  ``GF`` is the one home of the lane
 primitives: ``pack``/``unpack`` convert between a list of bit-vector values
 and a packed word, ``terms`` lists the nonzero lanes as (lane, log) pairs,
 and ``scale`` multiplies every lane by one constant, so a merge of two lines
-is one XOR, and counts the nonzero lanes it multiplied.  A scale by alpha^0
-returns the word as it is and only counts its nonzero lanes, on either
-codec: the count still stands for the multiplier a lane passes through.
-The field picks one of two codecs from ``lane_bits`` when it is built:
+is one XOR, and counts the nonzero lanes it multiplied.  The field picks
+one of two codecs from ``lane_bits`` when it is built:
 
 * one-byte lanes (w <= 8, every bundled preset): a word is the bytes of its
   lanes, so ``pack`` is ``bytes(vecs)`` read as an int and ``unpack`` the
   int's bytes; ``scale`` is one ``bytes.translate`` through the constant's
   256-byte product table, and its count is the number of nonzero bytes;
+  a scale by alpha^0 returns the word as it is and only counts its nonzero
+  bytes (the count still stands for the multiplier a lane passes through);
 * two-byte lanes (w >= 9): ``pack``/``unpack`` go through ``struct`` and
   ``scale`` XORs w masked integer multiplies ((x >> j) & ones) * vec(c *
   alpha^j) (split-table multiplication by a constant), whose products stay
-  within their lanes; a scale by alpha^0 counts the lanes by folding each
-  lane's bits onto its lowest one.
+  within their lanes.
 
 A constant's table (the 256 products or the w products vec(c * alpha^j)) is
 built the first time it scales a word and kept; no q x q table is ever
@@ -159,8 +158,9 @@ class GF:
     # unpack(x, n) -> list: the bit-vector values of the lowest n lanes of x
     # scale(x, c) -> (int, int): every lane of x times the log-form constant
     #     c, and the multiplications that stands for: one per nonzero lane
-    #     of x, none when c is zero.  c = 0 (alpha^0) returns x itself with
-    #     that count.  Uncharged: the caller charges the count.
+    #     of x, none when c is zero.  On one-byte lanes c = 0 (alpha^0)
+    #     returns x itself with that count.  Uncharged: the caller charges
+    #     the count.
 
     def terms(self, x: int) -> list[tuple[int, int]]:
         """(lane, log) of every nonzero lane of x, lowest lane first."""
@@ -198,18 +198,11 @@ class GF:
         # carries into the next; the OR of the bit-planes marks the nonzero lanes
         if c == ZERO:
             return 0, 0
-        ones = int.from_bytes(b"\1\0" * -(-x.bit_length() // 16), "little")  # bit 0 of every lane
-        if c == 0:
-            # fold each lane's 16 bits onto its bit 0: the shifts total 15,
-            # so no bit reaches the lane below
-            y = x | x >> 8
-            y |= y >> 4
-            y |= y >> 2
-            return x, ((y | y >> 1) & ones).bit_count()
         row = self._scale_rows.get(c)
         if row is None:
             exp, qm1 = self.exp, self.q - 1
             row = self._scale_rows[c] = tuple(exp[(c + j) % qm1] for j in range(self.w))
+        ones = int.from_bytes(b"\1\0" * -(-x.bit_length() // 16), "little")  # bit 0 of every lane
         acc = nonzero = 0
         for r in row:
             bits = x & ones

@@ -109,7 +109,7 @@ def test_inv_chain_charges_the_chain(w):
 @pytest.mark.parametrize("w, prim_poly", [(w, PRIMITIVE[w]) for w in (3, 4, 8, 9)] + [(16, 0x1002D)])
 def test_scale_by_one_passes_through(w, prim_poly):
     # alpha^0 returns the word itself with its nonzero-lane count, on both
-    # codecs, and builds no product table
+    # codecs; one-byte lanes build no product table for it
     field = GF(w, prim_poly)
     rng = random.Random(w)
     words = [[rng.randrange(-1, field.q - 1) for _ in range(rng.randrange(1, 40))] for _ in range(30)]
@@ -118,7 +118,8 @@ def test_scale_by_one_passes_through(w, prim_poly):
     for logs in words:
         x = field.pack([field.to_vec(a) for a in logs])
         assert field.scale(x, 0) == (x, len(logs) - logs.count(ZERO))
-    assert 0 not in field._scale_rows
+    if field.lane_bits == 8:
+        assert 0 not in field._scale_rows
 
 
 def test_field_axioms_randomized(gf16, gf8):
@@ -185,4 +186,4 @@ def test_sixteen_bit_lanes():
             product, muls = fld.scale(x, c)
             assert [fld.from_vec(v) for v in fld.unpack(product, n)] == [fld.mul(c, a) for a in logs]
             assert muls == n - logs.count(ZERO)
-    assert len(fld._scale_rows) == len(set(consts) - {0})  # one row per constant used, none for alpha^0
+    assert len(fld._scale_rows) == len(set(consts))  # one row per constant used
