@@ -160,9 +160,6 @@ class CodeSpec:
     def zero_word(self, role: str = "codeword") -> Word:
         return Word([ZERO] * self.n, role)
 
-    def add_words(self, w1: Word, w2: Word, role: str = "received") -> Word:
-        return Word([self.fld.add(a, b) for a, b in zip(w1.symbols, w2.symbols)], role)
-
     # -- encoding ----------------------------------------------------------
 
     def parity_check_matrix(self) -> linalg.Matrix:
@@ -250,33 +247,3 @@ class CodeSpec:
                     bits >>= 1
         vecs = self.fld.unpack(acc, len(self.syndrome_domain))
         return dict(zip(self.syndrome_domain, map(self.fld.log.__getitem__, vecs)))
-
-    def full_syndromes_from_errors(
-        self, locs: list[int], vals: list[int], B: int
-    ) -> dict[Mono, int]:
-        """Test-only table u_l on Phi(2a-1, B) straight from the error vector.
-
-        A receiver only has Phi(2a-1, m); this supplies the longer table the
-        Appendix-B checks need (and the direct-discrepancy oracle's shifted
-        lookups), provided every monomial is evaluable at the error points.
-        """
-        out: dict[Mono, int] = {}
-        pts = [self.points[j] for j in locs]
-        for n2 in range(0, 2 * self.curve.a - 1):
-            rem = B - n2 * self.curve.b
-            if rem < 0:
-                continue
-            for n1 in range(rem // self.curve.a + 1):
-                l = (n1, n2)
-                acc = ZERO
-                for v, p in zip(vals, pts):
-                    acc = self.fld.add(acc, self.fld.mul(v, self.curve.eval_monomial(self.fld, l, p)))
-                out[l] = acc
-        return out
-
-    def locate(self, xy: tuple[int, int]) -> int:
-        """Index of the affine point with the given (x_log, y_log)."""
-        for j, p in enumerate(self.points):
-            if p.special is None and (p.x, p.y) == xy:
-                return j
-        raise KeyError(f"no rational point {xy}")

@@ -124,17 +124,16 @@ class RegisterFile:
     exch_regs: int = 0
     supp_regs: int = 0
 
-    @property
-    def polynomial_total(self) -> int:
-        return self.vf + self.wg
-
 
 @dataclass
 class ArchTrace:
+    """One simulated run.  ``total_clocks`` counts the clocks the datapath
+    ran: each N-loop adds its P = ``period`` clocks."""
+
     architecture: str
     period: int
-    total_clocks: int
     registers: RegisterFile
+    total_clocks: int = 0
     boundary_states: list[bms.BmsState] = field(default_factory=list)
     snapshots: list[dict] = field(default_factory=list)
     mult_uses: int = 0
@@ -294,7 +293,6 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     trace = ArchTrace(
         INVERSE_FREE,
         period=P,
-        total_clocks=(m + 1) * P,
         registers=RegisterFile(vf=a * V, wg=a * P, disc_regs=a, head_regs=a),
     )
     ctl = _Controller(trace, code, synd, bms.INVERSE_FREE, P)
@@ -306,6 +304,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     vf, wg = ctl.initial_registers(V)
 
     for N in ctl.loops(lambda N: (vf, wg)):
+        trace.total_clocks += P
         pair = ctl.gates.ibar[N]
         plans = [ctl.latch(N, i, i, j, vf[i][0], wg[j][0]) for i, j in enumerate(pair)]
         trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
@@ -361,7 +360,6 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
     trace = ArchTrace(
         arch,
         period=P,
-        total_clocks=(m + 1) * P,
         registers=RegisterFile(vf=L, wg=P, disc_regs=a, head_regs=a, exch_regs=1, supp_regs=2 * c_v),
     )
     ctl = _Controller(trace, code, synd, mode, G)
@@ -383,6 +381,7 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
         return vf_regs, wg_regs
 
     for N in ctl.loops(readback):
+        trace.total_clocks += P
         cols = vf_cols(N)
         # the v/f path gives its L + c_v registers, then what it took in the
         # loop's first a+1 clocks: the old exchange value and a zeros (no

@@ -149,11 +149,6 @@ def _same_regular_file(a: str, b: str) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
-def write_word(path: str, word: Word) -> None:
-    with open(path, "w") as fh:
-        fh.write(" ".join(str(s) for s in word.symbols) + "\n")
-
-
 def read_errors(path: str, code: CodeSpec) -> tuple[list[int], list[int]]:
     locs, vals = [], []
     try:
@@ -181,10 +176,6 @@ def read_received(args, code: CodeSpec) -> Word:
         locs, vals = read_errors(args.received, code)
         return code.inject_errors(code.zero_word(), locs, vals)
     return read_word(args.received, code)
-
-
-def bundled_error_file(preset: str) -> str:
-    return str(resources.files("agbms").joinpath(f"presets/{preset}_errors.txt"))
 
 
 # ---------------------------------------------------------------------------

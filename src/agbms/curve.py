@@ -2,11 +2,10 @@
 
 A curve is its defining polynomial D, a BiPoly built once per curve:
 C_a^b curves  y^a + e*x^b + sum chi_n x^n1 y^n2  (gcd(a,b)=1, e != 0), or
-the Klein quartic  x*y^3 + x^3 + y  written out as data.  From D come the
-leading monomial (the term with n2 = a), the rewrite rule D - lead that
-reduces products to canonical form, and (through ``partials``) the partial
-derivatives D_x, D_y whose quotient is the slope y' = D_x/D_y.  Rational
-points are the zeros of D.  Besides these the module provides the
+the Klein quartic  x*y^3 + x^3 + y  written out as data.  From D come
+(through ``partials``) the partial derivatives D_x, D_y whose quotient is
+the slope y' = D_x/D_y.  Rational points are the zeros of D.  Besides
+these the module provides the
 pole-order combinatorics (Phi sets, l^(i) lookup, the pairing index ibar)
 and monomial/polynomial evaluation.  Beyond D, the Klein flag decides only
 the function ring and the extra rational point P_(1:0:0) with its
@@ -55,11 +54,10 @@ class CurveSpec:
     (x*y^3 + x^3 + y = 0 with (a, b) = (3, 2)), so ``e`` must be 0 and
     ``chi`` empty.  ``klein`` is a bool; a, b and the genus are ints.
 
-    Construction derives, as plain attributes: ``D``, the defining
+    Construction derives, as a plain attribute, ``D``, the defining
     polynomial (y^a, x^b, then the nonzero chi terms; Klein: x*y^3, x^3,
-    y); ``lead``, its monomial with n2 = a; ``rewrite`` = D - lead, so that
-    lead = rewrite on the curve (char 2).  None of them needs the field: the
-    chi terms have pole order < ab, so no two terms of D share a monomial.
+    y).  It needs no field: the chi terms have pole order < ab, so no two
+    terms of D share a monomial.
     """
 
     a: int
@@ -101,8 +99,6 @@ class CurveSpec:
         # read of the curve on CPython 3.11.  b_inv is b^-1 mod a.
         self.b_inv = pow(self.b, -1, self.a)
         self.D = D
-        self.lead = next(n for n in D if n[1] == self.a)
-        self.rewrite = {n: c for n, c in D.items() if n != self.lead}
 
     # -- monomial order ---------------------------------------------------
 
@@ -158,10 +154,6 @@ class CurveSpec:
         """Partner index: the unique 0 <= j < a with j = b^-1 N - i (mod a)."""
         return (self.b_inv * N - i) % self.a
 
-    def count_nongaps(self, m: int) -> int:
-        """|Phi(a, m)| on the ring basis = dim L(m P_inf) for m > 2g-2."""
-        return len(self.phi(0, self.a, m))
-
     def basis_start(self, i: int) -> Mono:
         """Minimal ring monomial with n2 = i (the N=0 degree of F^(i))."""
         n1 = 0
@@ -215,44 +207,6 @@ class CurveSpec:
         for n, c in poly.items():
             acc = field.add(acc, field.mul(c, self.eval_monomial(field, n, p), ctr), ctr)
         return acc
-
-    # -- canonical form ----------------------------------------------------
-
-    def reduce(self, field: GF, raw: BiPoly) -> BiPoly:
-        """Canonical form with n2 < a, rewriting lead -> D - lead.
-
-        Preserves the function (hence pole order and every point value).  On
-        the Klein quartic the rewrite x*y^3 -> x^3 + y needs an x factor, so
-        terms y^k with k >= 3 and no x are rejected: they lie outside the
-        function ring.  The result may still contain y or y^2 (evaluation-
-        only use); ring membership of a canonical polynomial is checked
-        separately where required.
-        """
-        lead1, lead2 = self.lead
-        work = {n: c for n, c in raw.items() if c != ZERO}
-        out: BiPoly = {}
-        while work:
-            n, c = work.popitem()
-            n1, n2 = n
-            if n2 < self.a:
-                out[n] = field.add(out.get(n, ZERO), c)
-                if out[n] == ZERO:
-                    del out[n]
-                continue
-            if n1 < lead1:
-                raise ValueError(f"y^{n2} is not in the Klein function ring")
-            base = (n1 - lead1, n2 - lead2)
-            for rn, rc in self.rewrite.items():
-                m = (base[0] + rn[0], base[1] + rn[1])
-                cc = field.mul(c, rc)
-                work[m] = field.add(work.get(m, ZERO), cc)
-                if work[m] == ZERO:
-                    del work[m]
-        return out
-
-    def poly_order(self, poly: BiPoly) -> int:
-        """Pole order o(F) of a canonical polynomial; -1 for the zero poly."""
-        return max((self.pole_order(n) for n in poly), default=-1)
 
     def poly_degree(self, poly: BiPoly) -> Mono | None:
         return max(poly, key=self.pole_order, default=None)

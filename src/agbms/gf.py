@@ -38,7 +38,7 @@ built.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ZERO = -1  # log encoding of the zero element
 
@@ -48,17 +48,12 @@ class OpCounter:
     """Field-operation tally for one measurement session.
 
     Routines that do field arithmetic accept one of these and bump it;
-    sessions are single-owner and only reset explicitly.
+    sessions are single-owner: a new session takes a new counter.
     """
 
     muls: int = 0
     invs: int = 0
     adds: int = 0
-
-    def reset(self) -> None:
-        self.muls = 0
-        self.invs = 0
-        self.adds = 0
 
 
 class GF:
@@ -210,7 +205,3 @@ class GF:
             nonzero |= bits
             x >>= 1
         return acc, nonzero.bit_count()
-
-    def nonzero(self) -> range:
-        """Logs of all nonzero elements."""
-        return range(self.q - 1)

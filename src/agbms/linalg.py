@@ -83,18 +83,3 @@ def solve(field: GF, m: Matrix, rhs: list[int]) -> list[int] | None:
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
-
-
-def nullspace_vector(field: GF, m: Matrix) -> list[int] | None:
-    """One nonzero kernel vector of m, or None when the kernel is trivial."""
-    red, pivots = rref(field, m)
-    cols = len(m[0]) if m else 0
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return None
-    fc = free[0]
-    x = [ZERO] * cols
-    x[fc] = 0  # alpha^0 = 1
-    for r, c in enumerate(pivots):
-        x[c] = red[r][fc]  # char 2: -v = v
-    return x

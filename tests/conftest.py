@@ -1,9 +1,10 @@
 import random
+from importlib import resources
 
 import pytest
 
-from agbms import GF, CodeSpec, CurveSpec, elliptic_curve, hermitian_curve, klein_curve
-from agbms import oracle
+from agbms import GF, CodeSpec, CurveSpec, Point
+from agbms import cli, oracle
 from agbms.gf import ZERO
 
 
@@ -24,19 +25,20 @@ def gf8():
     return GF(3, 0b1011)
 
 
+# the three presets as the CLI and the benchmark load them
 @pytest.fixture(scope="session")
-def elliptic(gf16):
-    return CodeSpec(elliptic_curve(), gf16, m=8)
-
-
-@pytest.fixture(scope="session")
-def klein(gf8):
-    return CodeSpec(klein_curve(), gf8, m=15)
+def elliptic():
+    return cli.load_code("elliptic_gf16")[0]
 
 
 @pytest.fixture(scope="session")
-def hermitian(gf16):
-    return CodeSpec(hermitian_curve(), gf16, m=24)
+def klein():
+    return cli.load_code("klein_gf8")[0]
+
+
+@pytest.fixture(scope="session")
+def hermitian():
+    return cli.load_code("hermitian_gf16")[0]
 
 
 @pytest.fixture(scope="session")
@@ -71,7 +73,7 @@ HERMITIAN_VALS = [11, 13, 2, 12, 9]
 
 
 def golden(code, xys, vals):
-    locs = [code.locate(xy) for xy in xys]
+    locs = [code.points.index(Point(*xy)) for xy in xys]
     received = code.inject_errors(code.zero_word(), locs, vals)
     return locs, vals, received
 
@@ -118,3 +120,63 @@ def random_generic_pattern(code, weight, rng, affine_only=True):
         locs, vals = random_pattern(code, weight, rng, affine_only)
         if oracle.is_generic(code, locs).is_generic:
             return locs, vals
+
+
+def bundled_error_file(preset):
+    """Path of the error pattern bundled with a preset."""
+    return str(resources.files("agbms").joinpath(f"presets/{preset}_errors.txt"))
+
+
+def reduce(curve, field, raw):
+    """Canonical form of a BiPoly with n2 < a, rewriting the leading
+    monomial of D (its term with n2 = a) by the rest of D, which equals it
+    on the curve (char 2).
+
+    Preserves the function (hence pole order and every point value).  On
+    the Klein quartic the rewrite x*y^3 -> x^3 + y needs an x factor, so
+    terms y^k with k >= 3 and no x are rejected: they lie outside the
+    function ring.  The result may still contain y or y^2.
+    """
+    lead = next(n for n in curve.D if n[1] == curve.a)
+    rewrite = {n: c for n, c in curve.D.items() if n != lead}
+    work = {n: c for n, c in raw.items() if c != ZERO}
+    out = {}
+    while work:
+        n, c = work.popitem()
+        n1, n2 = n
+        if n2 < curve.a:
+            out[n] = field.add(out.get(n, ZERO), c)
+            if out[n] == ZERO:
+                del out[n]
+            continue
+        if n1 < lead[0]:
+            raise ValueError(f"y^{n2} is not in the Klein function ring")
+        base = (n1 - lead[0], n2 - lead[1])
+        for rn, rc in rewrite.items():
+            m = (base[0] + rn[0], base[1] + rn[1])
+            work[m] = field.add(work.get(m, ZERO), field.mul(c, rc))
+            if work[m] == ZERO:
+                del work[m]
+    return out
+
+
+def full_syndromes_from_errors(code, locs, vals, B):
+    """The syndromes u_l on Phi(2a-1, B) straight from the error vector.
+
+    A receiver only has Phi(2a-1, m); this supplies the longer table the
+    Appendix-B checks need (and the direct-discrepancy oracle's shifted
+    lookups), provided every monomial is evaluable at the error points.
+    """
+    cv, fld = code.curve, code.fld
+    pts = [code.points[j] for j in locs]
+    out = {}
+    for n2 in range(0, 2 * cv.a - 1):
+        rem = B - n2 * cv.b
+        if rem < 0:
+            continue
+        for n1 in range(rem // cv.a + 1):
+            acc = ZERO
+            for v, p in zip(vals, pts):
+                acc = fld.add(acc, fld.mul(v, cv.eval_monomial(fld, (n1, n2), p)))
+            out[(n1, n2)] = acc
+    return out

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -12,7 +13,7 @@ import pytest
 
 from agbms import CodeSpec, CurveSpec, archsim, bms, cli
 from agbms.gf import ZERO, OpCounter
-from conftest import random_generic_pattern, random_pattern
+from conftest import bundled_error_file, random_generic_pattern, random_pattern
 
 
 def test_periods_and_totals(elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden):
@@ -26,6 +27,20 @@ def test_periods_and_totals(elliptic, elliptic_golden, klein, klein_golden, herm
         assert tr.period == period
         assert tr.total_clocks == (code.m + 1) * period
         assert len(tr.boundary_states) == code.m + 2
+
+
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_total_clocks_count_the_loops_run(monkeypatch, arch):
+    # each loop a datapath runs adds its P clocks, so a run cut after k
+    # loops has clocked k * P times, not the (m+1) * P of a whole run
+    loops = archsim._Controller.loops
+    for k in (0, 1, 3):
+        def cut(self, readback, k=k):
+            return itertools.islice(loops(self, readback), k)
+
+        monkeypatch.setattr(archsim._Controller, "loops", cut)
+        tr = run_bundled(arch, "klein_gf8")
+        assert tr.total_clocks == k * tr.period
 
 
 def test_boundary_states_match_reference(elliptic, elliptic_golden):
@@ -51,9 +66,9 @@ def test_register_counts(elliptic, klein, hermitian, elliptic_golden, klein_gold
     _, _, hrecv = hermitian_golden
     tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(hrecv), keep_snapshots=False)
     assert tr.registers.vf == 103 and tr.registers.wg == 112
-    assert tr.registers.polynomial_total == 215
+    assert (tr.registers.vf + tr.registers.wg) == 215
     assert tr.registers.supp_regs == 8
-    assert round(100 * tr.registers.supp_regs / tr.registers.polynomial_total, 1) == 3.7
+    assert round(100 * tr.registers.supp_regs / (tr.registers.vf + tr.registers.wg), 1) == 3.7
 
 
 def test_discrepancy_latch_clocks(elliptic, elliptic_golden):
@@ -324,7 +339,7 @@ PRESETS = ("elliptic_gf16", "klein_gf8", "hermitian_gf16")
 def run_bundled(arch, preset, keep_snapshots=False):
     """One simulator on a preset's bundled error pattern."""
     code, _ = cli.load_code(preset)
-    locs, vals = cli.read_errors(cli.bundled_error_file(preset), code)
+    locs, vals = cli.read_errors(bundled_error_file(preset), code)
     synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
     return archsim.SIMULATORS[arch](code, synd, keep_snapshots=keep_snapshots)
 

@@ -10,7 +10,7 @@ import pytest
 
 from agbms import CodeSpec, CurveSpec, bms, linalg, oracle
 from agbms.gf import ZERO, OpCounter
-from conftest import bipoly, random_generic_pattern, random_pattern
+from conftest import bipoly, full_syndromes_from_errors, random_generic_pattern, random_pattern, reduce
 
 ELLIPTIC_F9 = [
     {(2, 0): 13, (0, 1): 13, (1, 0): 12, (0, 0): 2},
@@ -179,7 +179,7 @@ def test_discrepancy_direct_trivial(elliptic, elliptic_golden):
 
 def test_discrepancy_direct_vanishes_on_ideal(elliptic, elliptic_golden):
     locs, vals, recv = elliptic_golden
-    full = elliptic.full_syndromes_from_errors(locs, vals, 40)
+    full = full_syndromes_from_errors(elliptic, locs, vals, 40)
     gb = oracle.groebner_la(elliptic, locs)
     for F in gb:
         for l in elliptic.curve.phi(0, 2, 30):
@@ -205,7 +205,7 @@ def test_per_step_discrepancy_equivalence(elliptic, elliptic_golden, klein, klei
         (klein, klein_golden),
         (hermitian, hermitian_golden),
     ]:
-        full = code.full_syndromes_from_errors(locs, vals, 3 * code.m)
+        full = full_syndromes_from_errors(code, locs, vals, 3 * code.m)
         cv = code.curve
         checked = 0
         for mode in (bms.INVERSE_FREE, bms.DIVISION):
@@ -242,7 +242,7 @@ def check_theorem_suite(code, locs, vals, recv, mode, minimality=True):
     """
     cv = code.curve
     fld = code.fld
-    full = code.full_syndromes_from_errors(locs, vals, 3 * code.m)
+    full = full_syndromes_from_errors(code, locs, vals, 3 * code.m)
     st = bms.init_state(code, code.syndromes(recv), mode)
     for N in range(code.m + 2):
         Fs = bms.extract_locators(st, code).F
@@ -293,7 +293,7 @@ def test_theorem_suite_goldens(elliptic, elliptic_golden, klein, klein_golden, h
 def test_ideal_closure_under_monomials(elliptic, elliptic_golden):
     # Members of V(u, N-1) stay members after multiplication by monomials
     locs, vals, recv = elliptic_golden
-    full = elliptic.full_syndromes_from_errors(locs, vals, 60)
+    full = full_syndromes_from_errors(elliptic, locs, vals, 60)
     st, _ = bms.run(elliptic, elliptic.syndromes(recv), bms.INVERSE_FREE)
     out = bms.extract_locators(st, elliptic)
     cv = elliptic.curve
@@ -301,7 +301,7 @@ def test_ideal_closure_under_monomials(elliptic, elliptic_golden):
         F = bipoly(elliptic, packed)
         for h in [(1, 0), (0, 1), (1, 1), (2, 0)]:
             raw = {(n1 + h[0], n2 + h[1]): c for (n1, n2), c in F.items()}  # z^h * F
-            shifted = cv.reduce(elliptic.fld, raw)
+            shifted = reduce(cv, elliptic.fld, raw)
             for l in cv.phi(0, 2, st.N - 1):
                 assert oracle.discrepancy_direct(elliptic, shifted, full, l) == ZERO
 
@@ -331,7 +331,7 @@ def test_extract_poly_raises_under_optimize():
     # when asserts are compiled out
     script = textwrap.dedent(
         """
-        from agbms import GF, CodeSpec, archsim, bms, elliptic_curve, linalg, oracle
+        from agbms import GF, CodeSpec, Point, archsim, bms, elliptic_curve, linalg, oracle
         from agbms.gf import ZERO
         code = CodeSpec(elliptic_curve(), GF(4, 0b10011), m=8)
         assert False, "asserts are on"
@@ -346,7 +346,7 @@ def test_extract_poly_raises_under_optimize():
             bms.extract_locators(st, code)
         except AssertionError as exc:
             print("lead:", exc)
-        locs = [code.locate(xy) for xy in [(3, 7), (9, 11), (14, 4)]]
+        locs = [code.points.index(Point(*xy)) for xy in [(3, 7), (9, 11), (14, 4)]]
         print("generic pattern:", oracle.is_generic(code, locs).is_generic)
         linalg.det = lambda fld, mat: ZERO
         try:

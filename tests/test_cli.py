@@ -14,6 +14,7 @@ import pytest
 
 from agbms import archsim, bms, cli, decoder, oracle
 from agbms.gf import ZERO
+from conftest import bundled_error_file
 
 
 def run_cli(capsys, *argv):
@@ -23,7 +24,7 @@ def run_cli(capsys, *argv):
 
 
 def test_decode_golden_error_file(capsys):
-    errfile = cli.bundled_error_file("elliptic_gf16")
+    errfile = bundled_error_file("elliptic_gf16")
     code, out, _ = run_cli(capsys, "decode", "elliptic_gf16", errfile, "--errors")
     assert code == cli.EXIT_OK
     assert "status: Success" in out
@@ -32,7 +33,7 @@ def test_decode_golden_error_file(capsys):
 
 
 def test_decode_klein_division(capsys):
-    errfile = cli.bundled_error_file("klein_gf8")
+    errfile = bundled_error_file("klein_gf8")
     code, out, _ = run_cli(capsys, "decode", "klein_gf8", errfile, "--errors", "--mode", "division")
     assert code == cli.EXIT_OK
     assert "status: Success" in out
@@ -41,7 +42,7 @@ def test_decode_klein_division(capsys):
 def test_decode_zero_word(tmp_path, capsys):
     codespec, _ = cli.load_code("elliptic_gf16")
     wordfile = tmp_path / "word.txt"
-    cli.write_word(str(wordfile), codespec.zero_word())
+    wordfile.write_text(" ".join(str(s) for s in codespec.zero_word().symbols) + "\n")
     code, out, _ = run_cli(capsys, "decode", "elliptic_gf16", str(wordfile))
     assert code == cli.EXIT_OK
     assert "status: Success" in out
@@ -93,7 +94,7 @@ def test_spec_chi_keys_validated(tmp_path, capsys, key):
     doc["curve"]["chi"].append(key + [0])
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "decode", str(spec), cli.bundled_error_file("elliptic_gf16"), "--errors")
+    code, out, err = run_cli(capsys, "decode", str(spec), bundled_error_file("elliptic_gf16"), "--errors")
     assert code == cli.EXIT_PARSE
     assert "chi key" in err and out == ""
 
@@ -158,7 +159,7 @@ def test_spec_values_validated(tmp_path, capsys, preset, section, key, value):
     doc[section][key] = value
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "decode", str(spec), cli.bundled_error_file(preset), "--errors")
+    code, out, err = run_cli(capsys, "decode", str(spec), bundled_error_file(preset), "--errors")
     assert code == cli.EXIT_PARSE
     assert err.startswith("error: bad code spec") and out == ""
 
@@ -177,7 +178,7 @@ def test_spec_sections_validated(tmp_path, capsys, section, value):
         doc[section] = value
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "decode", str(spec), cli.bundled_error_file("elliptic_gf16"), "--errors")
+    code, out, err = run_cli(capsys, "decode", str(spec), bundled_error_file("elliptic_gf16"), "--errors")
     assert code == cli.EXIT_PARSE
     assert err.startswith("error: bad code spec") and out == ""
     assert ("the spec" if section is None else f"section {section!r}") in err
@@ -260,7 +261,7 @@ def test_spec_fuzz_exits_cleanly(tmp_path):
     for k, (preset, doc) in enumerate(fuzzed_specs(150, seed=0)):
         spec = tmp_path / f"spec{k}.json"
         spec.write_text(json.dumps(doc))
-        argvs.append(["decode", str(spec), cli.bundled_error_file(preset), "--errors"])
+        argvs.append(["decode", str(spec), bundled_error_file(preset), "--errors"])
     codes = fuzz_exit_codes(argvs)
     assert set(codes) <= {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_NOT_GENERIC, cli.EXIT_FAILURE}
 
@@ -370,7 +371,7 @@ def test_decode_word_length_checked(tmp_path, capsys):
 
 
 def test_decode_dump_state(tmp_path, capsys):
-    errfile = cli.bundled_error_file("elliptic_gf16")
+    errfile = bundled_error_file("elliptic_gf16")
     dump = tmp_path / "dump.jsonl"
     code, _, _ = run_cli(
         capsys, "decode", "elliptic_gf16", errfile, "--errors", "--dump-state", str(dump)
@@ -398,7 +399,7 @@ DUMP_DIGESTS = {
 def test_dump_state_bytes_pinned(tmp_path, capsys, preset, mode):
     dump = tmp_path / "dump.jsonl"
     code, _, _ = run_cli(
-        capsys, "decode", preset, cli.bundled_error_file(preset), "--errors",
+        capsys, "decode", preset, bundled_error_file(preset), "--errors",
         "--mode", mode, "--dump-state", str(dump),
     )
     assert code == cli.EXIT_OK
@@ -432,7 +433,7 @@ CSV_DIGESTS = {
 def test_boundary_dumps_match_dump_state(tmp_path, capsys, arch, preset, mode):
     # the boundary dumps equal the decoder's state dumps, and the per-clock
     # register CSV is pinned byte for byte
-    errfile = cli.bundled_error_file(preset)
+    errfile = bundled_error_file(preset)
     dump, bounds, trace = tmp_path / "dump.jsonl", tmp_path / "bounds.jsonl", tmp_path / "t.csv"
     run_cli(capsys, "decode", preset, errfile, "--errors", "--mode", mode, "--dump-state", str(dump))
     code, _, _ = run_cli(
@@ -445,7 +446,7 @@ def test_boundary_dumps_match_dump_state(tmp_path, capsys, arch, preset, mode):
 
 
 def test_trace_arch_elliptic(tmp_path, capsys):
-    errfile = cli.bundled_error_file("elliptic_gf16")
+    errfile = bundled_error_file("elliptic_gf16")
     out_csv = tmp_path / "trace.csv"
     dumps = tmp_path / "bounds.jsonl"
     code, out, _ = run_cli(
@@ -472,7 +473,7 @@ def test_trace_arch_divergence_exit_code(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(bms, "init_state", skewed)
     code, _, err = run_cli(
-        capsys, "trace-arch", "elliptic_gf16", cli.bundled_error_file("elliptic_gf16"),
+        capsys, "trace-arch", "elliptic_gf16", bundled_error_file("elliptic_gf16"),
         str(tmp_path / "t.csv"), "--arch", "inverse_free", "--errors",
     )
     assert code == cli.EXIT_ORACLE_MISMATCH
@@ -497,7 +498,7 @@ def test_trace_arch_outputs_in_one_file_refused(tmp_path, capsys, alias, existin
     elif alias == "hard-link":
         os.link(trace, dumps)
     code, out, err = run_cli(
-        capsys, "trace-arch", "elliptic_gf16", cli.bundled_error_file("elliptic_gf16"), str(trace),
+        capsys, "trace-arch", "elliptic_gf16", bundled_error_file("elliptic_gf16"), str(trace),
         "--arch", "inverse_free", "--errors", "--boundary-dumps", str(dumps),
     )
     assert code == cli.EXIT_PARSE and out == ""
@@ -511,14 +512,14 @@ def test_trace_arch_outputs_on_one_device(capsys):
     if not os.path.exists(os.devnull):
         pytest.skip(f"needs {os.devnull}")
     code, out, _ = run_cli(
-        capsys, "trace-arch", "elliptic_gf16", cli.bundled_error_file("elliptic_gf16"), os.devnull,
+        capsys, "trace-arch", "elliptic_gf16", bundled_error_file("elliptic_gf16"), os.devnull,
         "--arch", "inverse_free", "--errors", "--boundary-dumps", os.devnull,
     )
     assert code == cli.EXIT_OK and "boundaries_checked: 10" in out
 
 
 def test_trace_arch_klein_serial(tmp_path, capsys):
-    errfile = cli.bundled_error_file("klein_gf8")
+    errfile = bundled_error_file("klein_gf8")
     out_csv = tmp_path / "trace.csv"
     code, out, _ = run_cli(
         capsys, "trace-arch", "klein_gf8", errfile, str(out_csv), "--arch", "serial", "--errors"
@@ -528,7 +529,7 @@ def test_trace_arch_klein_serial(tmp_path, capsys):
 
 
 def test_trace_arch_hermitian_serial_if(tmp_path, capsys):
-    errfile = cli.bundled_error_file("hermitian_gf16")
+    errfile = bundled_error_file("hermitian_gf16")
     out_csv = tmp_path / "trace.csv"
     code, out, _ = run_cli(
         capsys, "trace-arch", "hermitian_gf16", errfile, str(out_csv),
@@ -575,7 +576,7 @@ def test_unwritable_output_exits_cleanly(tmp_path, capsys, argv, failed, errnum)
     devices = [arg for arg in argv if arg.startswith("/dev/")]
     if not all(os.path.exists(dev) for dev in devices):
         pytest.skip(f"needs {devices}")
-    fill = {"err": cli.bundled_error_file("elliptic_gf16"), "bad": str(tmp_path / "missing" / "out.txt"),
+    fill = {"err": bundled_error_file("elliptic_gf16"), "bad": str(tmp_path / "missing" / "out.txt"),
             "csv": str(tmp_path / "t.csv")}
     code, out, err = run_cli(capsys, *(arg.format(**fill) for arg in argv))
     assert code == cli.EXIT_PARSE

@@ -69,7 +69,7 @@ def test_inv_chain_examples(gf16):
 
 def test_inv_chain_all_elements(gf16, gf8):
     for field in (gf16, gf8):
-        for a in field.nonzero():
+        for a in range(field.q - 1):
             ctr = OpCounter()
             inv = field.inv_chain(a, ctr)
             assert ctr.muls == 2 * field.w - 3
@@ -95,7 +95,7 @@ def square_and_multiply(field, a):
 @pytest.mark.parametrize("w", [2, 3, 4, 9])
 def test_inv_chain_charges_the_chain(w):
     field = GF(w, PRIMITIVE[w])
-    for a in field.nonzero():
+    for a in range(field.q - 1):
         ctr = OpCounter()
         assert field.inv_chain(a, ctr) == square_and_multiply(field, a)
         assert (ctr.invs, ctr.muls, ctr.adds) == (1, 2 * w - 3, 0)
@@ -140,8 +140,6 @@ def test_counter_sessions(gf16):
     gf16.mul(3, 4, ctr)
     gf16.add(3, 4, ctr)
     assert (ctr.muls, ctr.adds, ctr.invs) == (1, 1, 0)
-    ctr.reset()
-    assert (ctr.muls, ctr.adds, ctr.invs) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("w", sorted(PRIMITIVE))
@@ -150,7 +148,7 @@ def test_lane_primitives_exhaustive(w):
     fld = GF(w, PRIMITIVE[w])
     assert fld.lane_bits == (8 if w <= 8 else 16)
     rng = random.Random(w)
-    every = [ZERO, *fld.nonzero()]
+    every = [ZERO, *range(fld.q - 1)]
     rng.shuffle(every)
     vectors = [every, [ZERO] * 7] + [[rng.randrange(-1, fld.q - 1) for _ in range(19)] for _ in range(10)]
     # top lanes zero: scale sizes its bytes by the word's bit length, not n,
@@ -163,7 +161,7 @@ def test_lane_primitives_exhaustive(w):
         assert x < 1 << n * fld.lane_bits
         assert fld.unpack(x, n) == vecs
         assert fld.terms(x) == [(k, a) for k, a in enumerate(logs) if a != ZERO]
-        for c in [ZERO, *fld.nonzero()]:
+        for c in [ZERO, *range(fld.q - 1)]:
             product, muls = fld.scale(x, c)
             assert fld.unpack(product, n) == [fld.to_vec(fld.mul(c, a)) for a in logs]
             # one multiplication per nonzero lane, none by zero

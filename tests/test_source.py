@@ -63,3 +63,30 @@ def test_step_reads_its_own_heads():
     step = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "step")
     called = {n.func.id for n in ast.walk(step) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert "discrepancies" not in called
+
+
+def test_every_name_has_a_toolkit_caller():
+    # src/agbms holds only what the toolkit runs: every function and method
+    # is referenced, as a name, an attribute or an import, somewhere in the
+    # package or in bench/, which drives it as the benchmark does.  oracle
+    # holds the reference algorithms by design, dunder methods are called
+    # by Python and __all__ is the public API, so those are exempt.  The
+    # match is by name only: a method that shares its name with any local
+    # variable or attribute (GF.nonzero beside _scale16's nonzero, say)
+    # counts as called, so a dead name can escape it
+    pkg = pathlib.Path(agbms.__file__).resolve().parent
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    referenced, defined = set(), []
+    for path in sorted(pkg.glob("*.py")) + sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                referenced.update(a.name.rpartition(".")[2] for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and path.parent == pkg:
+                if path.name != "oracle.py" and not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((f"{path.name}:{node.lineno}", node.name))
+    found = [f"{where} {name}" for where, name in defined if name not in referenced and name not in agbms.__all__]
+    assert found == [], f"no toolkit caller for {', '.join(found)}"
