@@ -2,24 +2,27 @@
 
 Every evaluation on the decode path reads one memoized point x monomial
 table (``CodeSpec.eval_row``): the row of z^n holds its log value at each
-code point.  Sums are accumulated in bit-vector form and converted to log
-form once, the software counterpart of the table-driven syndrome and
-Chien-search units.  The syndrome unit reads a split table built from those
-rows: per point and bit of the received symbol, one packed word (``gf``
-lanes, one per syndrome index) of the whole syndrome vector, so a syndrome
-vector is an XOR of words that one ``GF.unpack`` turns into values: the
-word's bytes on one-byte lanes, a ``struct`` read of them on two-byte ones.
-The decoder reads the same rows as split tables of point words
+code point.  Point sums are made of log-indexed product tables built from
+those rows, the software counterpart of the table-driven syndrome and
+Chien-search units: a table's word r packs alpha^r times a vector of values
+(``gf`` lanes), word 0 is the vector itself and index ZERO reads 0, so a
+nonzero log-form symbol picks its product with one read and a point sum is
+one XOR per symbol, which one ``GF.unpack`` turns into values.  The
+syndrome unit keeps one table per code point over the syndrome indices
+(``CodeSpec.syndrome_rows``); the encoder one per message position over the
+parity positions.  The decoder reads tables of point words
 (``CodeSpec.point_words``): per pole order, the monomial's values at every
 point and its derivative along the curve, taken from one more per-code row,
 the slope y' = D_x/D_y at each point (``CodeSpec.slope``), so a locator
-polynomial at every point is an XOR of words, as a syndrome vector is.
+polynomial at every point is one XOR per coefficient, as a syndrome vector
+is one per symbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import getitem, xor
 
 from . import linalg
 from .curve import CurveSpec, Mono, Point, partials
@@ -28,11 +31,18 @@ from .gf import GF, ZERO
 POLE = None  # table marker: z^n (or y') has no value at this point
 
 
-def _split(fld: GF, logs: list[int]) -> list[int]:
-    """The split table of a vector of log values: word k packs alpha^k times
-    each value in bit-vector form."""
-    word = fld.pack([fld.to_vec(z) for z in logs])
-    return [fld.scale(word, k)[0] for k in range(fld.w)]
+def _products(fld: GF, logs: list[int]) -> list[int]:
+    """The log-indexed product table of a vector of log values: word r packs
+    alpha^r times each value in bit-vector form, so word 0 is the vector
+    itself, and one more word, 0, sits last, where index ZERO reads it.
+
+    Built from the w split words alpha^k * vector (k < w) by XOR: the word
+    of a bit-vector v is the XOR of the split words of its set bits."""
+    base, by_vec = fld.pack([fld.to_vec(z) for z in logs]), [0]
+    for k in range(fld.w):
+        part = fld.scale(base, k)[0]
+        by_vec += [x ^ part for x in by_vec]
+    return [by_vec[v] for v in fld.exp] + [0]
 
 
 @dataclass
@@ -40,7 +50,7 @@ class Word:
     """Length-n vector of log-encoded symbols with a role tag."""
 
     symbols: list[int]
-    role: str = "codeword"  # codeword | received | error
+    role: str = "codeword"  # codeword | received
 
     def __post_init__(self) -> None:
         self.symbols = list(self.symbols)
@@ -131,13 +141,12 @@ class CodeSpec:
     def point_words(self, order: int) -> tuple[list[int], list[int], int]:
         """The ring monomial z^n of pole order ``order`` at every code point.
 
-        Two split tables of packed n-lane words: word k of the first holds
-        vec(alpha^k * z^n(P_j)) in lane j, and word k of the second the same
-        for the derivative z_x + z_y * y' along the curve, with a zero lane
-        where the slope is POLE.  So c z^n at every point is the XOR of the
-        words picked by the set bits of vec(c), the XOR the syndrome unit
-        makes.  Last comes the weight n1 % 2 + n2 % 2, the terms z^n puts
-        into F_x and F_y.
+        Two log-indexed product tables of packed n-lane words: word r of the
+        first holds vec(alpha^r * z^n(P_j)) in lane j, and word r of the
+        second the same for the derivative z_x + z_y * y' along the curve,
+        with a zero lane where the slope is POLE.  So c z^n at every point
+        is word c, one read, as a syndrome row's word is.  Last comes the
+        weight n1 % 2 + n2 % 2, the terms z^n puts into F_x and F_y.
 
         Built from the evaluation table and the slope row on first use and
         kept for the life of the code, uncharged.  Raises ValueError at a
@@ -154,7 +163,8 @@ class CodeSpec:
                 ZERO if yp is POLE else fld.add(cv.eval_poly(fld, zx, p), fld.mul(cv.eval_poly(fld, zy, p), yp))
                 for p, yp in zip(self.points, self.slope)
             ]
-            words = self._point_words[order] = (_split(fld, self.eval_row(n)), _split(fld, deriv), len(zx) + len(zy))
+            words = (_products(fld, self.eval_row(n)), _products(fld, deriv), len(zx) + len(zy))
+            self._point_words[order] = words
         return words
 
     def zero_word(self, role: str = "codeword") -> Word:
@@ -167,39 +177,38 @@ class CodeSpec:
         return [self.eval_row(n)[:] for n in self.basis]
 
     @cached_property
-    def _encoder(self) -> tuple[list[int], list[tuple[int, list[tuple[int, int]]]]]:
-        """Free columns of rref(H), and per pivot column the nonzero
-        (message index, log coefficient) pairs of its row; computed on the
-        first ``encode`` and reused by every later one."""
+    def _encoder(self) -> tuple[list[list[int]], list[int]]:
+        """Per message position, the product table of its column of
+        rref(H) over the pivot rows, whose word r packs alpha^r times that
+        column's contribution to the parity symbols, and the index of each
+        code position's symbol in message + parity; computed from one rref
+        on the first ``encode`` and reused by every later one."""
         red, pivots = linalg.rref(self.fld, self.parity_check_matrix())
         if len(pivots) != len(self.basis):
             raise ValueError("parity-check matrix is rank-deficient")
-        pivot_set = set(pivots)
-        free = [j for j in range(self.n) if j not in pivot_set]
-        parity = [
-            (pc, [(k, red[r][j]) for k, j in enumerate(free) if red[r][j] != ZERO])
-            for r, pc in enumerate(pivots)
-        ]
-        return free, parity
+        free = sorted(set(range(self.n)).difference(pivots))
+        tables = [_products(self.fld, [row[j] for row in red]) for j in free]
+        return tables, sorted(range(self.n), key=(free + pivots).__getitem__)
+
+    def _check_symbols(self, symbols: list[int]) -> None:
+        if not ZERO <= min(symbols) <= max(symbols) < self.fld.q - 1:
+            raise ValueError(f"symbols must be logs in [-1, {self.fld.q - 2}]")
 
     def encode(self, message: list[int]) -> Word:
         """Systematic encoding: message symbols on free columns of rref(H),
-        parity symbols solved on pivot columns so that H c = 0."""
-        free, parity = self._encoder
-        if len(message) != len(free):
-            raise ValueError(f"message length {len(message)} != code dimension {len(free)}")
-        exp, qm1 = self.fld.exp, self.fld.q - 1
-        c = [ZERO] * self.n
-        for j, sym in zip(free, message):
-            c[j] = sym
-        for pc, row in parity:
-            acc = 0
-            for k, h in row:
-                sym = message[k]
-                if sym != ZERO:
-                    acc ^= exp[(h + sym) % qm1]
-            c[pc] = self.fld.from_vec(acc)  # char 2: parity = sum, no sign
-        return Word(c, "codeword")
+        parity symbols solved on pivot columns so that H c = 0.
+
+        Each message symbol reads one word of its position's product table,
+        and the XOR of those words, unpacked once, is the parity vector
+        (char 2: parity = sum, no sign).  Raises ValueError on a symbol
+        outside [-1, q-2]."""
+        tables, order = self._encoder
+        if len(message) != len(tables):
+            raise ValueError(f"message length {len(message)} != code dimension {len(tables)}")
+        self._check_symbols(message)
+        parity = self.fld.unpack(reduce(xor, map(getitem, tables, message)), len(self.basis))
+        symbols = [*message, *map(self.fld.log.__getitem__, parity)]
+        return Word(list(map(symbols.__getitem__, order)), "codeword")
 
     # -- errors and syndromes -----------------------------------------------
 
@@ -218,32 +227,30 @@ class CodeSpec:
         return out
 
     @cached_property
-    def _syndrome_split(self) -> list[list[int]]:
-        """Per code point j and bit k, the packed word whose lane s holds
-        vec(alpha^k * z^l(P_j)) for the s-th l of ``syndrome_domain``.
+    def syndrome_rows(self) -> list[list[int]]:
+        """Per code point j, the product table of the syndrome vector: word
+        r packs vec(alpha^r * z^l(P_j)) in lane s for the s-th l of
+        ``syndrome_domain``, and word ZERO is 0.
 
         Built from the evaluation table on first use, uncharged."""
-        fld = self.fld
         rows = [self.eval_row(l) for l in self.syndrome_domain]
-        return [_split(fld, [row[j] for row in rows]) for j in range(self.n)]
+        return [_products(self.fld, [row[j] for row in rows]) for j in range(self.n)]
 
-    def syndromes(self, word: Word) -> dict[Mono, int]:
-        """u_l = sum_j r_j z^l(P_j) for every evaluable l in Phi(2a-1, m).
-
-        Only the nonzero symbols are visited: r_j in bit-vector form selects
-        the split-table words of point j by its set bits, and the XOR of
-        all selected words is the syndrome vector, one lane per l.
-        """
+    def syndrome_word(self, word: Word) -> int:
+        """The packed syndrome vector of a word, lane s holding vec(u_l) for
+        the s-th l of ``syndrome_domain``: one product-table read per
+        symbol, XORed.  Raises ValueError on a length other than n or a
+        symbol outside [-1, q-2]."""
         if len(word.symbols) != self.n:
             raise ValueError("word length mismatch")
-        exp, split = self.fld.exp, self._syndrome_split
-        acc = 0
-        for j, r in enumerate(word.symbols):
-            if r != ZERO:
-                bits = exp[r]
-                for part in split[j]:
-                    if bits & 1:
-                        acc ^= part
-                    bits >>= 1
-        vecs = self.fld.unpack(acc, len(self.syndrome_domain))
+        self._check_symbols(word.symbols)
+        return reduce(xor, map(getitem, self.syndrome_rows, word.symbols))
+
+    def syndrome_dict(self, packed: int) -> dict[Mono, int]:
+        """A packed syndrome vector as {l: u_l} over ``syndrome_domain``."""
+        vecs = self.fld.unpack(packed, len(self.syndrome_domain))
         return dict(zip(self.syndrome_domain, map(self.fld.log.__getitem__, vecs)))
+
+    def syndromes(self, word: Word) -> dict[Mono, int]:
+        """u_l = sum_j r_j z^l(P_j) for every evaluable l in Phi(2a-1, m)."""
+        return self.syndrome_dict(self.syndrome_word(word))

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import compress
-from operator import not_
+from operator import not_, xor
 
 from . import bms, linalg
 from .agcode import POLE, CodeSpec, Word
@@ -31,17 +32,15 @@ def _at_points(code: CodeSpec, poly: tuple[int, int], deriv: bool = False) -> tu
     the terms a point-by-point evaluation walks for it: one per term of the
     polynomial, or of its two partials.
 
-    Each nonzero coefficient picks, by its set bits, words of the point-word
-    split table of its monomial, and the word is the XOR of all of them."""
+    Each nonzero coefficient reads, at its log, one word of the point-word
+    product table of its monomial, and the word is the XOR of those."""
     word, order = poly
+    log = code.fld.log
     acc = terms = 0
     for h, v in enumerate(code.fld.unpack(word, order + 1)):
         if v:
             values, derivs, weight = code.point_words(order - h)
-            for part in derivs if deriv else values:
-                if v & 1:
-                    acc ^= part
-                v >>= 1
+            acc ^= (derivs if deriv else values)[log[v]]
             terms += weight if deriv else 1
     return acc, terms
 
@@ -49,8 +48,9 @@ def _at_points(code: CodeSpec, poly: tuple[int, int], deriv: bool = False) -> tu
 def chien_search(basis: bms.LocatorOutput, code: CodeSpec) -> list[int]:
     """Indices of code points where every F^(i) vanishes (exhaustive scan).
 
-    Each F^(i) is evaluated at all n points at once as one packed word; the
-    located points are the zero lanes of the OR of those words.
+    Each F^(i) is evaluated at all n points at once as one packed word, one
+    product-table read per coefficient; the located points are the zero
+    lanes of the OR of those words.
     """
     acc = 0
     for F in basis.F:
@@ -154,14 +154,15 @@ def decode(
     to match the footprint size implied by the final degrees, the footprint
     to stay within the generic budget, and the corrected word to have zero
     syndromes.  Syndromes are linear, so that last check is made on the
-    error word alone: its syndromes over the located positions must equal
-    the received ones, which costs t symbols instead of n.  Anything
-    structurally off is reported as NotGenericDetected, arithmetic dead ends
-    (Klein special-point derivative, vanishing value sum) as Failure.  When
-    the closed-form values fail the re-check the pipeline re-evaluates by
-    syndrome interpolation before giving up.
+    error alone: the packed syndrome word of its t (location, value) pairs,
+    t syndrome-row reads, must equal the received word's, computed once.
+    Anything structurally off is reported as NotGenericDetected, arithmetic
+    dead ends (Klein special-point derivative, vanishing value sum) as
+    Failure.  When the closed-form values fail the re-check the pipeline
+    re-evaluates by syndrome interpolation before giving up.
     """
-    synd = code.syndromes(received)
+    packed = code.syndrome_word(received)
+    synd = code.syndrome_dict(packed)
     bms_ctr = OpCounter()
     state, _ = bms.run(code, synd, mode, ctr=bms_ctr)
     if mode == bms.INVERSE_FREE and bms_ctr.invs != 0:
@@ -182,17 +183,16 @@ def decode(
             NOT_GENERIC, detail=f"chien zeros {len(locs)} != footprint {len(delta)}"
         )
     if not locs:
-        if any(u != ZERO for u in synd.values()):
+        if packed:
             return DecodeResult(NOT_GENERIC, detail="empty locator set with nonzero syndromes")
         return DecodeResult(SUCCESS, [], [], Word(received.symbols[:], "codeword"))
 
+    rows = code.syndrome_rows
+
     def apply(vals: list[int]) -> Word | None:
         # synd(received + error) = synd(received) + synd(error) vanishes
-        # exactly when the error word reproduces the received syndromes
-        error = code.zero_word("error")
-        for j, v in zip(locs, vals):
-            error.symbols[j] = v
-        if code.syndromes(error) != synd:
+        # exactly when the error reproduces the received syndrome word
+        if reduce(xor, [rows[j][v] for j, v in zip(locs, vals)]) != packed:
             return None
         corrected = Word(received.symbols[:], "codeword")
         for j, v in zip(locs, vals):

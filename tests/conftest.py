@@ -4,7 +4,7 @@ from importlib import resources
 import pytest
 
 from agbms import GF, CodeSpec, CurveSpec, Point
-from agbms import cli, oracle
+from agbms import cli, linalg, oracle
 from agbms.gf import ZERO
 
 
@@ -180,3 +180,26 @@ def full_syndromes_from_errors(code, locs, vals, B):
                 acc = fld.add(acc, fld.mul(v, cv.eval_monomial(fld, (n1, n2), p)))
             out[(n1, n2)] = acc
     return out
+
+
+def oracle_encoder(code):
+    """Systematic encoding the long way, as a function of the message: one
+    rref(H), then per pivot row the sum of its free-column coefficients
+    times the message symbols, solved into the pivot column (char 2: the
+    parity is the sum, no sign)."""
+    fld = code.fld
+    red, pivots = linalg.rref(fld, code.parity_check_matrix())
+    free = sorted(set(range(code.n)).difference(pivots))
+
+    def encode(message):
+        c = [ZERO] * code.n
+        for j, sym in zip(free, message):
+            c[j] = sym
+        for row, pc in zip(red, pivots):
+            acc = ZERO
+            for j, sym in zip(free, message):
+                acc = fld.add(acc, fld.mul(row[j], sym))
+            c[pc] = acc
+        return c
+
+    return encode

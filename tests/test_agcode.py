@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from agbms import CodeSpec, Point, Word, elliptic_curve, linalg
+from agbms import CodeSpec, Point, Word, decoder, elliptic_curve, linalg
 from agbms.agcode import POLE
 from agbms.gf import ZERO, GF
-from conftest import ELLIPTIC_VALS, ELLIPTIC_XY, full_syndromes_from_errors
+from conftest import ELLIPTIC_VALS, ELLIPTIC_XY, full_syndromes_from_errors, oracle_encoder
 
 
 def test_build_code_parameters(gf16, gf8, elliptic, klein, hermitian):
@@ -215,3 +215,97 @@ def test_syndromes_pinned(elliptic, klein, hermitian):
             h.update(repr(list(code.syndromes(word).items())).encode())
         digests[name] = h.hexdigest()[:16]
     assert digests == SYNDROME_DIGESTS
+
+
+def encode_codes(elliptic, klein, hermitian, elliptic_gf8, elliptic_gf512):
+    return {"elliptic": elliptic, "klein": klein, "hermitian": hermitian,
+            "elliptic_gf8": elliptic_gf8, "elliptic_gf512": elliptic_gf512}
+
+
+def seeded_messages(code, count=40):
+    rng = random.Random(29)
+    return [[rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)] for _ in range(count)]
+
+
+# sha256[:16] over the codewords of 40 seeded messages per code, recorded
+# before the product-table encoder
+ENCODE_DIGESTS = {
+    "elliptic": "ff3bfc85716b55a3",
+    "klein": "1e0ff20aa6efbc2b",
+    "hermitian": "6027283a68253dde",
+    "elliptic_gf8": "e6af50958e6dfe34",
+    "elliptic_gf512": "3e84eb315d1e8ed2",
+}
+
+
+def test_encode_pinned(elliptic, klein, hermitian, elliptic_gf8, elliptic_gf512):
+    digests = {}
+    for name, code in encode_codes(elliptic, klein, hermitian, elliptic_gf8, elliptic_gf512).items():
+        h = hashlib.sha256()
+        for msg in seeded_messages(code):
+            h.update(repr(code.encode(msg).symbols).encode())
+        digests[name] = h.hexdigest()[:16]
+    assert digests == ENCODE_DIGESTS
+
+
+def test_encode_matches_oracle(elliptic, klein, hermitian, elliptic_gf8, elliptic_gf512):
+    for code in encode_codes(elliptic, klein, hermitian, elliptic_gf8, elliptic_gf512).values():
+        oracle = oracle_encoder(code)
+        for msg in seeded_messages(code, 10):
+            assert code.encode(msg).symbols == oracle(msg)
+
+
+def table_logs(fld, rng):
+    """Every log (ZERO included) up to GF(16); above it ZERO, 0, q-2 and a
+    seeded sample."""
+    if fld.q <= 16:
+        return range(ZERO, fld.q - 1)
+    return [ZERO, 0, fld.q - 2, *rng.sample(range(1, fld.q - 2), 24)]
+
+
+def test_product_tables_scale_word_zero(elliptic_gf8, klein, elliptic, hermitian, elliptic_gf512):
+    # word r of every syndrome row and point-word table is GF.scale(word 0, r),
+    # word ZERO is 0, and word 0 packs the table's own values
+    rng = random.Random(41)
+    for code in (elliptic_gf8, klein, elliptic, hermitian, elliptic_gf512):
+        fld, cv = code.fld, code.curve
+        rows = [code.eval_row(l) for l in code.syndrome_domain]
+        points = range(code.n) if fld.q <= 16 else rng.sample(range(code.n), 8)
+        tables = []
+        for j in points:
+            tables.append((code.syndrome_rows[j], [row[j] for row in rows]))
+        for order in range(code.m + 1):
+            if cv.l_of(0, order) is not None:
+                values, derivs, _ = code.point_words(order)
+                tables += [(values, code.eval_row(cv.l_of(0, order))), (derivs, None)]
+        for table, logs in tables:
+            assert len(table) == fld.q
+            if logs is not None:
+                assert table[0] == fld.pack([fld.to_vec(z) for z in logs])
+            for r in table_logs(fld, rng):
+                assert table[r] == fld.scale(table[0], r)[0]
+
+
+def test_out_of_range_symbols_rejected(elliptic, elliptic_gf512):
+    # a symbol outside [-1, q-2] would index a product table from its end
+    for code in (elliptic, elliptic_gf512):
+        q1 = code.fld.q - 1
+        msg = seeded_messages(code, 1)[0]
+        cw = code.encode(msg)
+        assert code.syndrome_word(cw) == 0
+        assert decoder.decode(code, Word(cw.symbols, "received")).corrected.symbols == cw.symbols
+        for bad in (-2, q1):
+            for k in (0, code.dim - 1):
+                with pytest.raises(ValueError):
+                    code.encode(msg[:k] + [bad] + msg[k + 1 :])
+            for j in (0, code.n - 1):
+                rx = Word(cw.symbols[:j] + [bad] + cw.symbols[j + 1 :], "received")
+                with pytest.raises(ValueError):
+                    code.syndromes(rx)
+                with pytest.raises(ValueError):
+                    decoder.decode(code, rx)
+    # the two inputs the table-free code took silently
+    with pytest.raises(ValueError):
+        elliptic.encode([20] + [0] * (elliptic.dim - 1))
+    with pytest.raises(ValueError):
+        decoder.decode(elliptic, Word([-2] + [ZERO] * (elliptic.n - 1), "received"))

@@ -348,6 +348,39 @@ def test_corrupted_values_fail_the_recheck(
         monkeypatch.undo()
 
 
+def test_packed_recheck_rejects_one_wrong_value(monkeypatch, elliptic, klein, hermitian, elliptic_gf512):
+    # the closed form returns one wrong value, at each position in turn: the
+    # packed re-check must turn it down and the interpolation fallback must
+    # give back the sent codeword, in both modes
+    real_closed = decoder.error_values
+    real_interp = decoder.error_values_interpolation
+    rng = random.Random(43)
+    for code in (elliptic, klein, hermitian, elliptic_gf512):
+        q1 = code.fld.q - 1
+        sent = code.encode([rng.randrange(-1, q1) for _ in range(code.dim)])
+        locs, vals = random_generic_pattern(code, code.t_generic, rng)
+        recv = code.inject_errors(sent, locs, vals)
+        for bad in range(len(locs)):
+            for mode in (bms.INVERSE_FREE, bms.DIVISION):
+                calls = []
+
+                def wrong(*args, **kwargs):
+                    vs = real_closed(*args, **kwargs)
+                    return vs[:bad] + [(vs[bad] + 1 + rng.randrange(q1 - 1)) % q1] + vs[bad + 1 :]
+
+                def interp(*args):
+                    calls.append(1)
+                    return real_interp(*args)
+
+                monkeypatch.setattr(decoder, "error_values", wrong)
+                monkeypatch.setattr(decoder, "error_values_interpolation", interp)
+                res = decoder.decode(code, recv, mode)
+                monkeypatch.undo()
+                assert calls == [1]
+                assert res.status == decoder.SUCCESS
+                assert res.corrected.symbols == sent.symbols
+
+
 # sha256[:16] per preset of (status, error_locs, error_vals, corrected) over
 # 200 seeded words in each mode, recorded before error values read F' from
 # the per-code slope row; ``detail`` is left out because its wording is not

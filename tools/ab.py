@@ -5,7 +5,9 @@
 Each tree's ``src/agbms`` is imported afresh through this repository's
 ``bench/workloads.py`` (only read), and the seed's inputs are generated once.
 Both trees must give identical decode summaries or simulator statistics on
-every input before any timing.  Each pair times one whole-pool pass per
+every input before any timing; on the two decode workloads both must also
+charge the same field operations (muls, invs, adds) to an ``OpCounter``
+when they decode each input's received word.  Each pair times one whole-pool pass per
 tree, alternating which goes first; printed are each side's median and
 quartiles, the parent/change time ratio and the pairs the change won.
 
@@ -40,6 +42,13 @@ def load(tree: str):
     return api, {p: api.cli.load_code(p)[0] for p in wl.PRESETS}
 
 
+def op_counts(api, codes, inp) -> tuple[int, int, int]:
+    """What ``decoder.decode`` charges on the input's received word."""
+    ctr = api.gf.OpCounter()
+    api.decoder.decode(codes[inp.preset], api.agcode.Word(inp.received, "received"), mode=inp.mode, ctr=ctr)
+    return ctr.muls, ctr.invs, ctr.adds
+
+
 def quartiles(xs: list[float]) -> list[float]:
     return statistics.quantiles(xs, n=4, method="inclusive")
 
@@ -62,6 +71,10 @@ def main() -> None:
             outs = [repr(op(api, codes, inp)) for api, codes in sides]
             if outs[0] != outs[1]:
                 sys.exit(f"trees differ on input {inp.key}:\n  parent {outs[0]}\n  change {outs[1]}")
+            if args.workload != "arch_sim":
+                counts = [op_counts(api, codes, inp) for api, codes in sides]
+                if counts[0] != counts[1]:
+                    sys.exit(f"trees charge other (muls, invs, adds) on input {inp.key}: {counts[0]} != {counts[1]}")
     times: list[list[float]] = [[], []]
     for p in range(args.pairs):
         for s in ((0, 1), (1, 0))[p % 2]:  # alternate which tree goes first
@@ -73,7 +86,8 @@ def main() -> None:
     ratios = [a / b for a, b in zip(*times)]
     (p1, pm, p3), (c1, cm, c3), (r1, rm, r3) = (quartiles(xs) for xs in (*times, ratios))
     wins = sum(b < a for a, b in zip(*times))
-    print(f"{args.workload} seed {args.seed}: {len(order)} inputs, identical outputs on both trees")
+    same = "outputs" if args.workload == "arch_sim" else "outputs and op counts"
+    print(f"{args.workload} seed {args.seed}: {len(order)} inputs, identical {same} on both trees")
     print(f"  parent pass: median {pm:.4f} s, quartiles {p1:.4f}-{p3:.4f} s")
     print(f"  change pass: median {cm:.4f} s, quartiles {c1:.4f}-{c3:.4f} s")
     print(f"  parent/change: median x{rm:.3f}, quartiles x{r1:.3f}-x{r3:.3f}; change won {wins}/{args.pairs} pairs")
