@@ -7,7 +7,9 @@ those rows, the software counterpart of the table-driven syndrome and
 Chien-search units: a table's word r packs alpha^r times a vector of values
 (``gf`` lanes), word 0 is the vector itself and index ZERO reads 0, so a
 nonzero log-form symbol picks its product with one read and a point sum is
-one XOR per symbol, which one ``GF.unpack`` turns into values.  The
+one XOR per symbol, which one ``GF.unpack`` turns into values.  Above
+GF(16) a table keeps only its w split words and forms word r per read
+(``_Split``), since q words per table do not fit large fields.  The
 syndrome unit keeps one table per code point over the syndrome indices
 (``CodeSpec.syndrome_rows``); the encoder one per message position over the
 parity positions.  The decoder reads tables of point words
@@ -29,18 +31,47 @@ from .curve import CurveSpec, Mono, Point, partials
 from .gf import GF, ZERO
 
 POLE = None  # table marker: z^n (or y') has no value at this point
+PRODUCT_W = 4  # widest field, GF(16), whose point sums read product tables
 
 
-def _products(fld: GF, logs: list[int]) -> list[int]:
+class _Split:
+    """A product table kept as its w split words alpha^k * vector (k < w),
+    for fields wider than ``PRODUCT_W``: read at r, it XORs the split words
+    at the set bits of alpha^r, and at ZERO it reads 0."""
+
+    def __init__(self, fld: GF, parts: list[int]) -> None:
+        self.exp, self.parts = fld.exp, parts
+
+    def __getitem__(self, r: int) -> int:
+        v, acc = (0 if r == ZERO else self.exp[r]), 0
+        for part in self.parts:
+            if v & 1:
+                acc ^= part
+            v >>= 1
+        return acc
+
+
+Table = list[int] | _Split  # a log-indexed product table, held or read from split words
+
+
+def _products(fld: GF, logs: list[int]) -> Table:
     """The log-indexed product table of a vector of log values: word r packs
     alpha^r times each value in bit-vector form, so word 0 is the vector
     itself, and one more word, 0, sits last, where index ZERO reads it.
 
     Built from the w split words alpha^k * vector (k < w) by XOR: the word
-    of a bit-vector v is the XOR of the split words of its set bits."""
-    base, by_vec = fld.pack([fld.to_vec(z) for z in logs]), [0]
-    for k in range(fld.w):
-        part = fld.scale(base, k)[0]
+    of a bit-vector v is the XOR of the split words of its set bits.  A
+    table holds q words where the split words are w, so above
+    ``PRODUCT_W`` the split words are kept instead (``_Split``): up to
+    GF(16) a curve has at most q^2 + q + 1 = 273 points and every table of
+    a code stays small, while over GF(2^10) the product tables of one
+    n = 1088 code grew the peak RSS by 180 MB against 3 MB."""
+    base = fld.pack([fld.to_vec(z) for z in logs])
+    parts = [fld.scale(base, k)[0] for k in range(fld.w)]
+    if fld.w > PRODUCT_W:
+        return _Split(fld, parts)
+    by_vec = [0]
+    for part in parts:
         by_vec += [x ^ part for x in by_vec]
     return [by_vec[v] for v in fld.exp] + [0]
 
@@ -90,7 +121,7 @@ class CodeSpec:
         self.basis = self.curve.phi(0, self.curve.a, self.m)
         self.syndrome_domain = self.curve.phi(0, 2 * self.curve.a - 1, self.m)
         self._rows: dict[Mono, list[int | None]] = {}
-        self._point_words: dict[int, tuple[list[int], list[int], int]] = {}
+        self._point_words: dict[int, tuple[Table, Table, int]] = {}
         # tables other modules derive from the code alone, built on first use
         # by their owner and kept for the life of the code (the BMS gates)
         self.tables: dict = {}
@@ -138,7 +169,7 @@ class CodeSpec:
             out.append(POLE if dy == ZERO else fld.mul(dx, -dy % (fld.q - 1)))
         return out
 
-    def point_words(self, order: int) -> tuple[list[int], list[int], int]:
+    def point_words(self, order: int) -> tuple[Table, Table, int]:
         """The ring monomial z^n of pole order ``order`` at every code point.
 
         Two log-indexed product tables of packed n-lane words: word r of the
@@ -177,7 +208,7 @@ class CodeSpec:
         return [self.eval_row(n)[:] for n in self.basis]
 
     @cached_property
-    def _encoder(self) -> tuple[list[list[int]], list[int]]:
+    def _encoder(self) -> tuple[list[Table], list[int]]:
         """Per message position, the product table of its column of
         rref(H) over the pivot rows, whose word r packs alpha^r times that
         column's contribution to the parity symbols, and the index of each
@@ -227,7 +258,7 @@ class CodeSpec:
         return out
 
     @cached_property
-    def syndrome_rows(self) -> list[list[int]]:
+    def syndrome_rows(self) -> list[Table]:
         """Per code point j, the product table of the syndrome vector: word
         r packs vec(alpha^r * z^l(P_j)) in lane s for the s-th l of
         ``syndrome_domain``, and word ZERO is 0.

@@ -1,10 +1,15 @@
 import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from agbms import CodeSpec, Point, Word, decoder, elliptic_curve, linalg
-from agbms.agcode import POLE
+from agbms.agcode import POLE, PRODUCT_W
 from agbms.gf import ZERO, GF
 from conftest import ELLIPTIC_VALS, ELLIPTIC_XY, full_syndromes_from_errors, oracle_encoder
 
@@ -265,7 +270,8 @@ def table_logs(fld, rng):
 
 def test_product_tables_scale_word_zero(elliptic_gf8, klein, elliptic, hermitian, elliptic_gf512):
     # word r of every syndrome row and point-word table is GF.scale(word 0, r),
-    # word ZERO is 0, and word 0 packs the table's own values
+    # word ZERO is 0, and word 0 packs the table's own values; up to GF(16)
+    # the q words are held, above it they are read from the w split words
     rng = random.Random(41)
     for code in (elliptic_gf8, klein, elliptic, hermitian, elliptic_gf512):
         fld, cv = code.fld, code.curve
@@ -279,11 +285,43 @@ def test_product_tables_scale_word_zero(elliptic_gf8, klein, elliptic, hermitian
                 values, derivs, _ = code.point_words(order)
                 tables += [(values, code.eval_row(cv.l_of(0, order))), (derivs, None)]
         for table, logs in tables:
-            assert len(table) == fld.q
+            if fld.w <= PRODUCT_W:
+                assert type(table) is list and len(table) == fld.q
+            else:
+                assert table.parts == [fld.scale(table[0], k)[0] for k in range(fld.w)]
             if logs is not None:
                 assert table[0] == fld.pack([fld.to_vec(z) for z in logs])
             for r in table_logs(fld, rng):
                 assert table[r] == fld.scale(table[0], r)[0]
+
+
+def test_large_field_code_decodes_in_bounded_memory():
+    # y^2 + y = x^3 over GF(2^10), n = 1088: its tables hold w split words
+    # each, about 3 MB of peak RSS in all, where q product words took 180 MB;
+    # built, encoded and decoded in a fresh interpreter so its peak RSS
+    # growth is this code's alone
+    script = textwrap.dedent(
+        """
+        import random, resource
+        from agbms import GF, CodeSpec, CurveSpec, decoder
+        def peak_mb():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        before = peak_mb()
+        code = CodeSpec(CurveSpec(a=2, b=3, e=0, chi={(0, 1): 0}, genus=1), GF(10, 0b10000001001), m=12)
+        rng = random.Random(5)
+        sent = code.encode([rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)])
+        locs = rng.sample(range(code.n), code.t_generic)
+        recv = code.inject_errors(sent, locs, [rng.randrange(code.fld.q - 1) for _ in locs])
+        res = decoder.decode(code, recv)
+        print(code.n, res.status, res.corrected.symbols == sent.symbols, peak_mb() - before)
+        """
+    )
+    src = str(pathlib.Path(decoder.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    n, status, same, grown_mb = out.stdout.split()
+    assert (n, status, same) == ("1088", decoder.SUCCESS, "True")
+    assert float(grown_mb) < 16
 
 
 def test_out_of_range_symbols_rejected(elliptic, elliptic_gf512):

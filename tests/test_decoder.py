@@ -322,63 +322,47 @@ def test_klein_special_point_error_values_raise(klein):
 
 
 def test_corrupted_values_fail_the_recheck(
-    monkeypatch, elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden
+    monkeypatch, elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden, elliptic_gf512
 ):
-    real_closed = decoder.error_values
-    real_interp = decoder.error_values_interpolation
-    for code, (locs, vals, recv) in [
-        (elliptic, elliptic_golden),
-        (klein, klein_golden),
-        (hermitian, hermitian_golden),
-    ]:
-        def bad(vs, q1=code.fld.q - 1):
-            return [(vs[0] + 1) % q1] + vs[1:]
-
-        order = sorted(range(len(locs)), key=lambda k: locs[k])
-        # closed form corrupted: the interpolation fallback repairs it
-        monkeypatch.setattr(decoder, "error_values", lambda *a, **k: bad(real_closed(*a, **k)))
-        res = decoder.decode(code, recv)
-        assert res.status == decoder.SUCCESS
-        assert res.error_vals == [vals[k] for k in order]
-        # both corrupted: no Success
-        monkeypatch.setattr(decoder, "error_values_interpolation", lambda *a: bad(real_interp(*a)))
-        res = decoder.decode(code, recv)
-        assert res.status == decoder.NOT_GENERIC
-        assert res.corrected is None
-        monkeypatch.undo()
-
-
-def test_packed_recheck_rejects_one_wrong_value(monkeypatch, elliptic, klein, hermitian, elliptic_gf512):
-    # the closed form returns one wrong value, at each position in turn: the
-    # packed re-check must turn it down and the interpolation fallback must
-    # give back the sent codeword, in both modes
+    # one wrong value from the closed form, at each position in turn and in
+    # both modes: the packed re-check turns it down and the interpolation
+    # fallback, run once, gives back the sent word; with both wrong, no Success
     real_closed = decoder.error_values
     real_interp = decoder.error_values_interpolation
     rng = random.Random(43)
-    for code in (elliptic, klein, hermitian, elliptic_gf512):
-        q1 = code.fld.q - 1
-        sent = code.encode([rng.randrange(-1, q1) for _ in range(code.dim)])
-        locs, vals = random_generic_pattern(code, code.t_generic, rng)
-        recv = code.inject_errors(sent, locs, vals)
-        for bad in range(len(locs)):
+    big = elliptic_gf512
+    big_sent = big.encode([rng.randrange(-1, big.fld.q - 1) for _ in range(big.dim)])
+    big_locs, big_vals = random_generic_pattern(big, big.t_generic, rng)
+    for code, sent, (locs, vals, recv) in [
+        (elliptic, elliptic.zero_word(), elliptic_golden),
+        (klein, klein.zero_word(), klein_golden),
+        (hermitian, hermitian.zero_word(), hermitian_golden),
+        (big, big_sent, (big_locs, big_vals, big.inject_errors(big_sent, big_locs, big_vals))),
+    ]:
+        order = sorted(range(len(locs)), key=lambda k: locs[k])
+        for pos in range(len(locs)):
+
+            def bad(vs, q1=code.fld.q - 1, pos=pos):
+                return vs[:pos] + [(vs[pos] + 1) % q1] + vs[pos + 1 :]
+
+            def interp(*args):
+                calls.append(1)
+                return real_interp(*args)
+
             for mode in (bms.INVERSE_FREE, bms.DIVISION):
                 calls = []
-
-                def wrong(*args, **kwargs):
-                    vs = real_closed(*args, **kwargs)
-                    return vs[:bad] + [(vs[bad] + 1 + rng.randrange(q1 - 1)) % q1] + vs[bad + 1 :]
-
-                def interp(*args):
-                    calls.append(1)
-                    return real_interp(*args)
-
-                monkeypatch.setattr(decoder, "error_values", wrong)
+                monkeypatch.setattr(decoder, "error_values", lambda *a, **k: bad(real_closed(*a, **k)))
                 monkeypatch.setattr(decoder, "error_values_interpolation", interp)
                 res = decoder.decode(code, recv, mode)
-                monkeypatch.undo()
                 assert calls == [1]
                 assert res.status == decoder.SUCCESS
+                assert res.error_vals == [vals[k] for k in order]
                 assert res.corrected.symbols == sent.symbols
+                monkeypatch.setattr(decoder, "error_values_interpolation", lambda *a: bad(real_interp(*a)))
+                res = decoder.decode(code, recv, mode)
+                assert res.status == decoder.NOT_GENERIC
+                assert res.corrected is None
+                monkeypatch.undo()
 
 
 # sha256[:16] per preset of (status, error_locs, error_vals, corrected) over
