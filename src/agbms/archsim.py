@@ -59,42 +59,54 @@ its registers, then the 0 it took at clock 0; a w/g line gives its
 registers; the serial v/f path (line and FIFO) gives its registers, then
 what it took in the loop's first a+1 clocks -- the old exchange value and a
 zeros.  A w/g line turns once per loop; an inverse-free v/f line, one
-register shorter, comes round one register further each loop.  The state
-after clock t of a loop is the slice [t+1 : t+1+len] of the old line
-followed by what it took this loop, which is all a snapshot is.
+register shorter, comes round one register further each loop.  The one
+clock-window rule, ``_Controller.snapshot``: a datapath names each line by
+what it gives then what it takes, where its registers start in that
+sequence and how many it has, and the registers after clock t are the slice
+[t+1+first : t+1+first+length], which is all a snapshot is.  The serial
+FIFO starts past the line's L registers in the same sequence, and the
+exchange register is its held values, each repeated a times, starting at -1.
 
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
-at one multiplier pair in loop N.  At the lane's head group the controller
-latches a plan: d (behind the one gate comparison of ``bms.step``) and e
-(d^-1 too in division mode) as product rows, a list r per constant with
-r[v] = vec(c*v), built from the field's exp/log tables the first time a
-latch meets c and kept on the code (``_Rows``; no q x q
-table, and independent of ``gf``'s ``scale`` tables, so the boundary check
-compares two multipliers); the preserve/update switch; and the groups whose
-w/g input is zero-set, from ``_stale`` one loop ahead.  It updates s and c
-in place, lane by lane in the order of the clocks, exactly as ``bms.step``
-updates its state (its docstring says why that is exact), and charges the
-lane's multipliers for the whole loop.  A datapath latches every lane from
-its head values, then computes each lane's loop of v/f inputs as one map,
-e*x ^ d*y over the values it gives, and its w/g inputs as the values it
-gives (or d^-1 * x after an update), with the zero-set groups written by one
-slice assignment.  ``sim_inverse_free`` maps each block's lines; the one
-interleaved line of ``_sim_serial_core`` carries lane k on slot k, the
+at one multiplier pair in loop N.  ``_Controller.lane`` is the one lane
+rule.  At the lane's head group it latches a plan: d (behind the one gate
+comparison of ``bms.step``) and e (d^-1 too in division mode) as product
+rows, a list r per constant with r[v] = vec(c*v), built from the field's
+exp/log tables the first time a latch meets c and kept on the code
+(``_Rows``, one table per code; no q x q table, and independent of
+``gf``'s ``scale`` tables, so the boundary check compares two
+multipliers); the preserve/update switch; and the groups whose w/g input
+is zero-set, from ``_stale`` one loop ahead.  It updates s and c in place,
+lane by lane in the order of the clocks, exactly as ``bms.step`` updates
+its state (its docstring says why that is exact), and charges the lane's
+multipliers for the whole loop.  It then returns the lane's loop of v/f
+inputs as one map, e*x ^ d*y over the values the lane gives past its
+head, and its w/g inputs as the values it gives (or d^-1 * x after an
+update), with the zero-set groups written by one slice assignment.  A
+datapath keeps only its wiring -- line lengths, which column sits on which
+slot, the exchange register and the FIFO -- and hands each lane the values
+its lines give.  ``sim_inverse_free`` hands over each block's lines; the
+one interleaved line of ``_sim_serial_core`` carries lane k on slot k, the
 stride ``[k::a]``, and its exchange register is a one-place shift of the
-slot-0 column (it holds each slot-0 value for a clocks).  At a boundary a
-datapath hands over each column's registers in exponent-group order: the
-inverse-free lines themselves, live (``pack`` reads any sequence of ints),
-and a step slice ``[k::a]`` of the serial v/f path (line, FIFO, exchange
-register) and of the w/g line.  The controller packs each column's whole
-run with one ``gf`` ``pack`` (a lane per register, in the run's order) and
-places the packed int in the reference state's lanes with shifts and one
-mask: the registers below the split move up past the N retired lanes, and
-the rest move, uncut, past the gap lane to the f or g lanes.  No list is
-built per column.  It compares the placed words with the reference state's
-as ints.  That equality is the whole check: the reference holds zero on
-every lane that a zero-set group or a group past the top exponent maps to,
-so a register left nonzero there diverges at f or g.
+slot-0 column (it holds each slot-0 value for a clocks).  ``loops`` counts
+each loop's P clocks.  At a boundary a datapath hands over each column's
+registers in exponent-group order: the inverse-free lines themselves, live
+(``pack`` reads any sequence of ints), and a step slice ``[k::a]`` of the
+serial v/f path (line, FIFO, exchange register) and of the w/g line.  The
+controller packs each column's whole run with one ``gf`` ``pack`` (a lane
+per register, in the run's order) and places the packed int in the
+reference state's lanes with shifts and one mask: the registers below the
+split move up past the N retired lanes, and the rest move, uncut, past the
+gap lane to the f or g lanes.  No list is built per column.  It compares
+the placed words with the reference state's as ints.  That equality is the
+whole check: the reference holds zero on every lane that a zero-set group
+or a group past the top exponent maps to, so a register left nonzero there
+diverges at f or g.
+
+Snapshots are kept only on request (``keep_snapshots=True``, as
+``trace-arch`` asks): they copy every register at every clock and make a
+run about ten times slower.
 """
 
 from __future__ import annotations
@@ -180,7 +192,9 @@ class _Controller:
         self.division = mode == bms.DIVISION
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
         self.gates = bms.gate_table(code, code.m)
-        self.log, self.rows = fld.log, code.tables.setdefault(("archsim", "rows"), _Rows(fld))
+        self.log, self.rows = fld.log, code.tables.get(("archsim", "rows"))
+        if self.rows is None:
+            self.rows = code.tables["archsim", "rows"] = _Rows(fld)
         self.ref = bms.init_state(code, synd, mode)
         self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
         self.M: list[int | None] = [None] * a  # loop of the last g replacement per column
@@ -231,13 +245,40 @@ class _Controller:
         self.peak[lane] = self.vm + wm
         return plan
 
+    def lane(self, N: int, lane: int, i: int, j: int, xs: list[int], ys: list[int]) -> tuple[list, list]:
+        """One lane's loop N, where xs and ys are the values its v/f and w/g
+        columns i and j give, one per exponent group: latch at the head group,
+        then return the v/f inputs e*x ^ d*y over the groups past the head
+        and the w/g inputs, d^-1 * x after an update, else the given values,
+        with the zero-set groups cleared."""
+        er, dr, ir, upd, zero = self.latch(N, lane, i, j, xs[0], ys[0])
+        w = [ir[x] for x in xs] if upd else ys[:]
+        w[zero.start : zero.stop] = [0] * len(zero)
+        return [er[x] ^ dr[y] for x, y in zip(xs[1:], ys[1:])], w
+
+    def snapshot(self, N: int, lines: dict[str, tuple[list[int], int, int]], switches) -> None:
+        """Record the registers after every clock t of loop N.  A line is
+        (what it gives then what it takes, first, length): after clock t it
+        holds the slice [t+1+first : t+1+first+length], what it has not yet
+        given and then what it took; ``switches(t)`` gives the switch states."""
+        P = self.trace.period
+        regs: list[dict[str, list[int]]] = [{} for _ in range(P)]
+        for name, (s, first, n) in lines.items():
+            for t, r in enumerate(regs, 1 + first):
+                r[name] = s[t : t + n]
+        self.trace.snapshots += [
+            {"clock": N * P + t, "registers": r, "switches": switches(t)} for t, r in enumerate(regs)
+        ]
+
     def loops(self, readback) -> Iterator[int]:
         """Loop indices 0..m, with a boundary check before each loop and
-        after the last; ``readback(N)`` gives the v/f and w/g registers of
-        every column in exponent-group order."""
+        after the last, each loop counting its P clocks; ``readback(N)``
+        gives the v/f and w/g registers of every column in exponent-group
+        order."""
         for N in range(self.m + 2):
             self._boundary(N, *readback(N))
             if N <= self.m:
+                self.trace.total_clocks += self.trace.period
                 yield N
 
     def _stale(self, N: int, j: int) -> range:
@@ -287,7 +328,7 @@ class _Controller:
 # ---------------------------------------------------------------------------
 
 
-def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = True) -> ArchTrace:
+def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = False) -> ArchTrace:
     a, m = code.curve.a, code.m
     P, V = m + 3, m + 2
     trace = ArchTrace(
@@ -304,36 +345,19 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     vf, wg = ctl.initial_registers(V)
 
     for N in ctl.loops(lambda N: (vf, wg)):
-        trace.total_clocks += P
-        pair = ctl.gates.ibar[N]
-        plans = [ctl.latch(N, i, i, j, vf[i][0], wg[j][0]) for i, j in enumerate(pair)]
-        trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
         # a v/f line gives its V registers, then the 0 it took at clock 0
-        # (the head retired, mod Z^N), and takes e*x ^ d*y at clocks 1..V; a
-        # w/g line gives its P registers and takes them back (the
-        # one-exponent relabel is free) or the updated column (switch B),
-        # zero-set outside next loop's windows
-        given = [(vf[i] + [0], wg[j]) for i, j in enumerate(pair)]
-        for i, (j, (xs, ys), (er, dr, ir, upd, zero)) in enumerate(zip(pair, given, plans)):
-            vf[i] = [er[x] ^ dr[y] for x, y in zip(xs[1:], ys[1:])]
-            wg[j] = w = [ir[x] for x in xs] if upd else ys[:]
-            w[zero.start : zero.stop] = [0] * len(zero)
+        # (the head retired, mod Z^N); a w/g line gives its P registers and
+        # takes them back (the one-exponent relabel is free) or the updated
+        # column (switch B)
+        given = [(j, vf[i] + [0], wg[j]) for i, j in enumerate(ctl.gates.ibar[N])]
+        for i, (j, xs, ys) in enumerate(given):
+            vf[i], wg[j] = ctl.lane(N, i, i, j, xs, ys)
+        trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
         if keep_snapshots:
-            # after clock p a line holds what it has not yet given, then what it took
-            vfs = [xs + vf[i] for i, (xs, _) in enumerate(given)]
-            wgs = [ys + wg[j] for j, (_, ys) in zip(pair, given)]
-            updates = {f"block{i}.update": plan[3] for i, plan in enumerate(plans)}
-            trace.snapshots += [
-                {
-                    "clock": N * P + p,
-                    "registers": {
-                        **{f"block{i}.vf": s[p + 1 : p + 1 + V] for i, s in enumerate(vfs)},
-                        **{f"block{i}.wg": s[p + 1 : p + 1 + P] for i, s in enumerate(wgs)},
-                    },
-                    "switches": {"disc_latch_down": p == 0, **updates},
-                }
-                for p in range(P)
-            ]
+            updates = {f"block{i}.update": plan[3] for i, plan in enumerate(ctl.plans)}
+            lines = {f"block{i}.vf": (xs + vf[i], 0, V) for i, (_, xs, _) in enumerate(given)}
+            lines |= {f"block{i}.wg": (ys + wg[j], 0, P) for i, (j, _, ys) in enumerate(given)}
+            ctl.snapshot(N, lines, lambda t: {"disc_latch_down": t == 0, **updates})
     return trace
 
 
@@ -381,20 +405,13 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
         return vf_regs, wg_regs
 
     for N in ctl.loops(readback):
-        trace.total_clocks += P
-        cols = vf_cols(N)
         # the v/f path gives its L + c_v registers, then what it took in the
         # loop's first a+1 clocks: the old exchange value and a zeros (no
         # product at the head group); the w/g line gives its P registers
         xs, ys = line + [exch] + [0] * a, wg
         took, wg = [0] * P, [0] * P
-        for k in range(a):
-            er, dr, ir, upd, zero = ctl.latch(N, k, cols[k], wg_cols[k], xs[k], ys[k])
-            xk, yk = xs[k::a], ys[k::a]
-            vk = [0] + [er[x] ^ dr[y] for x, y in zip(xk[1:], yk[1:])]
-            wk = [ir[x] for x in xk] if upd else yk
-            wk[zero.start : zero.stop] = [0] * len(zero)
-            wg[k::a], took[k::a] = wk, vk
+        for k, (i, j) in enumerate(zip(vf_cols(N), wg_cols)):
+            took[k + a :: a], wg[k::a] = ctl.lane(N, k, i, j, xs[k::a], ys[k::a])
         # slot-0 values wrap to the last slot and detour through the exchange
         # register, a one-place shift of the slot-0 column (each held for a
         # clocks); the rest re-enter directly
@@ -402,36 +419,22 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
         took[::a], exch = [exch, *held[:-1]], held[-1]
         trace.max_mults_per_clock = max(trace.max_mults_per_clock, *ctl.peak)
         if keep_snapshots:
-            # after clock t a line holds what it has not yet given, then what it took
-            vs, ws = line + took, ys + wg
-            trace.snapshots += [
-                {
-                    "clock": N * P + t,
-                    "registers": {
-                        "vf": vs[t + 1 : t + 1 + L],
-                        "wg": ws[t + 1 : t + 1 + P],
-                        "exch": [held[t // a]],
-                        "supp": vs[t + 1 + L : t + 1 + L + c_v],
-                    },
-                    "switches": {
-                        "exchange_down": t % a == 0,
-                        "head_latch": t < a,
-                        "update": ctl.plans[t % a][3],
-                    },
-                }
-                for t in range(P)
-            ]
+            vs, ex = line + took, [h for h in held for _ in range(a)]
+            lines = {"vf": (vs, 0, L), "wg": (ys + wg, 0, P), "exch": (ex, -1, 1), "supp": (vs, L, c_v)}
+            ctl.snapshot(
+                N,
+                lines,
+                lambda t: {"exchange_down": t % a == 0, "head_latch": t < a, "update": ctl.plans[t % a][3]},
+            )
         line = took[a + 1 :]
     return trace
 
 
-def sim_serial(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = True) -> ArchTrace:
+def sim_serial(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = False) -> ArchTrace:
     return _sim_serial_core(code, synd, bms.DIVISION, keep_snapshots)
 
 
-def sim_serial_inverse_free(
-    code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = True
-) -> ArchTrace:
+def sim_serial_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = False) -> ArchTrace:
     return _sim_serial_core(code, synd, bms.INVERSE_FREE, keep_snapshots)
 
 

@@ -213,7 +213,7 @@ def cmd_trace_arch(args) -> int:
     code, digest = load_code(args.spec)
     synd = code.syndromes(read_received(args, code))
     try:
-        trace = archsim.SIMULATORS[args.arch](code, synd)
+        trace = archsim.SIMULATORS[args.arch](code, synd, keep_snapshots=True)
     except AssertionError as exc:
         print(f"oracle-equivalence failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
@@ -258,7 +258,7 @@ def cmd_bench(args) -> int:
     code, digest = load_code(args.spec)
     synd = code.syndromes(code.zero_word())
     sims = archsim.SIMULATORS.items()
-    measured = {arch: sim(code, synd, keep_snapshots=False).total_clocks for arch, sim in sims}
+    measured = {arch: sim(code, synd).total_clocks for arch, sim in sims}
     print(f"# spec_sha256={digest} seed=-")
     print(f"{'architecture':<22}{'multipliers':>12}{'inverters':>10}{'registers':>10}{'time':>8}{'measured':>10}")
     for arch in list(archsim.CLOSED_FORM_ONLY) + list(archsim.SIMULATED):

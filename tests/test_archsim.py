@@ -75,7 +75,7 @@ def test_discrepancy_latch_clocks(elliptic, elliptic_golden):
     # d values are latched when the discrepancy-register switches close
     # downward, i.e. at clo = 11 N on the elliptic configuration
     _, _, recv = elliptic_golden
-    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv))
+    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv), keep_snapshots=True)
     for snap in tr.snapshots:
         assert snap["switches"]["disc_latch_down"] == (snap["clock"] % 11 == 0)
 
@@ -84,7 +84,7 @@ def test_klein_g_head_register(klein, klein_golden):
     # the auxiliary heads written at loop 11 sit in w_g register 16
     # (1-based) when clo = 648 and 649, value alpha^4
     _, _, recv = klein_golden
-    tr = archsim.sim_serial(klein, klein.syndromes(recv))
+    tr = archsim.sim_serial(klein, klein.syndromes(recv), keep_snapshots=True)
     by_clock = {s["clock"]: s for s in tr.snapshots}
     # snapshots are taken after the clock action; inspect the line one clock
     # earlier so register 16 means "pops 15 clocks after clo"
@@ -98,7 +98,7 @@ def test_klein_g_head_register(klein, klein_golden):
 def test_hermitian_g_head_register(hermitian, hermitian_golden):
     # g head alpha^11 in w_g register 33 (1-based) at clo 2016 and 2019
     _, _, recv = hermitian_golden
-    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(recv))
+    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(recv), keep_snapshots=True)
     by_clock = {s["clock"]: s for s in tr.snapshots}
     assert hermitian.fld.log[by_clock[2015]["registers"]["wg"][32]] == 11
     assert hermitian.fld.log[by_clock[2018]["registers"]["wg"][32]] == 11
@@ -220,7 +220,7 @@ def test_measured_vs_closed_form(elliptic, elliptic_golden):
 
 def test_trace_csv_fields(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
-    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv))
+    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv), keep_snapshots=True)
     assert len(tr.snapshots) == tr.total_clocks
     snap = tr.snapshots[0]
     assert set(snap) == {"clock", "registers", "switches"}
@@ -407,6 +407,16 @@ for arch in t.archsim.SIMULATORS:
     for line in out:
         arch, fault, _, exc = line.split("|")
         assert re.match(f"{arch}: {BOUNDARY_FAULTS[fault][1]}", exc), line
+
+
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_default_run_keeps_no_snapshots(arch):
+    # snapshots copy every register at every clock, so only a caller that
+    # asks for them (trace-arch) pays for them
+    code, _ = cli.load_code("hermitian_gf16")
+    locs, vals = cli.read_errors(bundled_error_file("hermitian_gf16"), code)
+    tr = archsim.SIMULATORS[arch](code, code.syndromes(code.inject_errors(code.zero_word(), locs, vals)))
+    assert tr.snapshots == [] and len(tr.boundary_states) == code.m + 2
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -14,6 +14,7 @@ from conftest import (
     KLEIN_XY,
     bipoly,
     random_generic_pattern,
+    random_pattern,
 )
 
 
@@ -142,6 +143,29 @@ def test_decode_round_trip_random(elliptic, klein, hermitian, elliptic_gf512):
             assert res.status == decoder.SUCCESS
             assert res.corrected.symbols == cw.symbols
             assert res.error_locs == sorted(locs)
+
+
+@pytest.mark.parametrize("mode", [bms.INVERSE_FREE, bms.DIVISION])
+def test_decoding_is_homogeneous(elliptic, klein, hermitian, mode):
+    # decode(lambda * e) takes the path of decode(e), every BMS state scaled
+    # by a power of lambda: the same status, detail and locations, and each
+    # value times lambda (its log shifted by log lambda).  The every-value
+    # sweeps rely on this to fix one error value to 1
+    rng = random.Random(f"homogeneous/{mode}")
+    statuses = set()
+    for code in (elliptic, klein, hermitian):
+        qm1 = code.fld.q - 1
+        for k in range(150):
+            locs, vals = random_pattern(code, 1 + k % (code.t_generic + 2), rng, affine_only=False)
+            lam = rng.randrange(1, qm1)
+            res, scaled = (
+                decoder.decode(code, code.inject_errors(code.zero_word(), locs, vs), mode)
+                for vs in (vals, [(v + lam) % qm1 for v in vals])
+            )
+            assert (scaled.status, scaled.detail, scaled.error_locs) == (res.status, res.detail, res.error_locs)
+            assert scaled.error_vals == [(v + lam) % qm1 for v in res.error_vals]
+            statuses.add(res.status)
+    assert {decoder.SUCCESS, decoder.NOT_GENERIC} <= statuses
 
 
 def test_decode_beyond_budget_not_success(elliptic):

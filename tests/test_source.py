@@ -65,6 +65,22 @@ def test_step_reads_its_own_heads():
     assert "discrepancies" not in called
 
 
+def test_simulator_rules_live_in_the_controller():
+    # the lane update and the per-clock snapshot are each written once, in
+    # archsim._Controller: only lane reaches latch and only snapshot touches
+    # trace.snapshots, so neither rule can be copied back into a datapath
+    pkg = pathlib.Path(agbms.__file__).resolve().parent
+    tree = ast.parse((pkg / "archsim.py").read_text())
+    defs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        defs += [(f"{cls.name}.{n.name}", n) for n in cls.body if isinstance(n, ast.FunctionDef)]
+    users = {
+        attr: sorted({name for name, d in defs for n in ast.walk(d) if getattr(n, "attr", None) == attr})
+        for attr in ("latch", "snapshots")
+    }
+    assert users == {"latch": ["_Controller.lane"], "snapshots": ["_Controller.snapshot"]}
+
+
 def test_every_name_has_a_toolkit_caller():
     # src/agbms holds only what the toolkit runs: every function and method
     # is referenced, as a name, an attribute or an import, somewhere in the

@@ -5,7 +5,8 @@ other pattern may end as NotGenericDetected or Failure but never as a
 Success that differs from the sent word.  Most sweeps draw one seeded
 nonzero value vector per location set, so counts of the non-generic outcome
 classes move with the seed and are not asserted; on the smallest code every
-value vector is visited and every count is pinned.
+value vector is visited and every count is pinned.  Every simulator also
+meets every weight-3 location set of the elliptic preset.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from agbms import bms, decoder, oracle
+from agbms import archsim, bms, decoder, oracle
 
 
 def sweep(code, weight, seed, mode=bms.INVERSE_FREE, every_value=False):
@@ -106,3 +107,19 @@ def test_gf8_every_value_exhaustive(elliptic_gf8, mode):
     # one seeded value vector per weight-3 set, for the no-miscorrection half
     counts = sweep(code, 3, seed=3, mode=mode)
     assert sum(counts.values()) == math.comb(8, 3)
+
+
+@pytest.mark.slow
+def test_every_simulator_on_every_location_set(elliptic):
+    # every weight-3 location set of the elliptic preset, with seeded values,
+    # through every simulator: each run passes its m+2 boundary checks
+    # against the reference BMS state (a divergence raises)
+    rng = random.Random(2024)
+    runs = 0
+    for locs in itertools.combinations(range(elliptic.n), 3):
+        vals = [rng.randrange(elliptic.fld.q - 1) for _ in locs]
+        synd = elliptic.syndromes(elliptic.inject_errors(elliptic.zero_word(), list(locs), vals))
+        for sim in archsim.SIMULATORS.values():
+            assert len(sim(elliptic, synd).boundary_states) == elliptic.m + 2
+            runs += 1
+    assert runs == math.comb(24, 3) * len(archsim.SIMULATORS)
