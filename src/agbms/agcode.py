@@ -95,7 +95,8 @@ class CodeSpec:
     floor((d_G - a)/2) is what the inverse-free pipeline corrects for
     generic errors with loops up to N = m.  ``points`` are the curve's
     rational points, found on construction.  The int m must satisfy
-    2g - 2 < m < n + g - 1, so that the code has positive dimension; a C_a^b
+    2g - 2 + a <= m < n + g - 1: the lower bound is t_generic >= 0 (and
+    implies m > 2g - 2), the upper one a positive dimension; a C_a^b
     curve's ``e`` and ``chi`` values must be int logs of the field.
     """
 
@@ -106,8 +107,9 @@ class CodeSpec:
 
     def __post_init__(self) -> None:
         cv, g = self.curve, self.curve.genus
-        if type(self.m) is not int or self.m <= 2 * g - 2:
-            raise ValueError(f"m={self.m!r} must be an int above 2g-2={2 * g - 2}")
+        low = 2 * g - 2 + cv.a
+        if type(self.m) is not int or self.m < low:
+            raise ValueError(f"m={self.m!r} must be an int of at least 2g-2+a={low} (t_generic >= 0)")
         for c in [] if cv.klein else [cv.e, *cv.chi.values()]:
             if type(c) is not int or not ZERO <= c < self.fld.q - 1:
                 raise ValueError(f"curve log coefficient {c!r} is not an int in [-1, {self.fld.q - 2}]")

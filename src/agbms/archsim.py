@@ -10,7 +10,7 @@ simulator steps a software BMS state alongside its registers, and at every
 N-boundary it packs its register lines into the state's packed v|f and w|g
 words (``bms.BmsState``) and requires them, with (s, c), to equal that
 state's, as ints.  Register values are held in bit-vector form, also in
-the snapshots, which copy each line from its output end to its input end;
+the snapshots, which read each line from its output end to its input end;
 the CLI writes them to the CSV as logs.  The trace keeps a copy of the
 reference state of every boundary; ``--boundary-dumps`` writes
 ``bms.state_record`` of each, so it shares ``--dump-state``'s format, and a
@@ -59,13 +59,15 @@ its registers, then the 0 it took at clock 0; a w/g line gives its
 registers; the serial v/f path (line and FIFO) gives its registers, then
 what it took in the loop's first a+1 clocks -- the old exchange value and a
 zeros.  A w/g line turns once per loop; an inverse-free v/f line, one
-register shorter, comes round one register further each loop.  The one
-clock-window rule, ``_Controller.snapshot``: a datapath names each line by
-what it gives then what it takes, where its registers start in that
-sequence and how many it has, and the registers after clock t are the slice
-[t+1+first : t+1+first+length], which is all a snapshot is.  The serial
-FIFO starts past the line's L registers in the same sequence, and the
-exchange register is its held values, each repeated a times, starting at -1.
+register shorter, comes round one register further each loop.  A snapshot
+is a window on that sequence: ``_Controller.snapshot`` keeps one record per
+loop -- its first clock, each line named by what it gives then what it
+takes, where its registers start in that sequence and how many it has, and
+the loop's switch function -- and ``ArchTrace.clocks``, the one clock-window
+rule, reads the registers after clock t as the slice
+[t+1+first : t+1+first+length].  The serial FIFO starts past the line's L
+registers in the same sequence, and the exchange register is its held
+values, each repeated a times, starting at -1.
 
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
@@ -105,8 +107,10 @@ or a group past the top exponent maps to, so a register left nonzero there
 diverges at f or g.
 
 Snapshots are kept only on request (``keep_snapshots=True``, as
-``trace-arch`` asks): they copy every register at every clock and make a
-run about ten times slower.
+``trace-arch`` asks).  A kept run stores each loop's line sequences, about
+twice its registers, and builds no per-clock container until ``clocks`` is
+iterated; a switch function binds its own loop's values, since the
+controller's plans change every loop.
 """
 
 from __future__ import annotations
@@ -140,17 +144,30 @@ class RegisterFile:
 @dataclass
 class ArchTrace:
     """One simulated run.  ``total_clocks`` counts the clocks the datapath
-    ran: each N-loop adds its P = ``period`` clocks."""
+    ran: each N-loop adds its P = ``period`` clocks.  ``snapshots`` holds
+    one record per kept loop (``_Controller.snapshot``); ``clocks`` reads
+    them clock by clock."""
 
     architecture: str
     period: int
     registers: RegisterFile
     total_clocks: int = 0
     boundary_states: list[bms.BmsState] = field(default_factory=list)
-    snapshots: list[dict] = field(default_factory=list)
+    snapshots: list[tuple] = field(default_factory=list)
     mult_uses: int = 0
     inv_uses: int = 0
     max_mults_per_clock: int = 0
+
+    def clocks(self) -> Iterator[dict]:
+        """The registers and switch states after every kept clock, built
+        as they are read.  A line is (what it gives then what it takes,
+        first, length): after clock t of its loop it holds the slice
+        [t+1+first : t+1+first+length], what it has not yet given and then
+        what it took; ``switches(t)`` gives the switch states."""
+        for start, lines, switches in self.snapshots:
+            for t in range(self.period):
+                regs = {name: s[t + 1 + first : t + 1 + first + n] for name, (s, first, n) in lines.items()}
+                yield {"clock": start + t, "registers": regs, "switches": switches(t)}
 
 
 @dataclass
@@ -191,7 +208,7 @@ class _Controller:
         self.groups = groups
         self.division = mode == bms.DIVISION
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
-        self.gates = bms.gate_table(code, code.m)
+        self.gates = bms.gate_table(code)
         self.log, self.rows = fld.log, code.tables.get(("archsim", "rows"))
         if self.rows is None:
             self.rows = code.tables["archsim", "rows"] = _Rows(fld)
@@ -257,18 +274,11 @@ class _Controller:
         return [er[x] ^ dr[y] for x, y in zip(xs[1:], ys[1:])], w
 
     def snapshot(self, N: int, lines: dict[str, tuple[list[int], int, int]], switches) -> None:
-        """Record the registers after every clock t of loop N.  A line is
-        (what it gives then what it takes, first, length): after clock t it
-        holds the slice [t+1+first : t+1+first+length], what it has not yet
-        given and then what it took; ``switches(t)`` gives the switch states."""
-        P = self.trace.period
-        regs: list[dict[str, list[int]]] = [{} for _ in range(P)]
-        for name, (s, first, n) in lines.items():
-            for t, r in enumerate(regs, 1 + first):
-                r[name] = s[t : t + n]
-        self.trace.snapshots += [
-            {"clock": N * P + t, "registers": r, "switches": switches(t)} for t, r in enumerate(regs)
-        ]
+        """Keep loop N as one record: its first clock, its lines (what each
+        gives then what it takes, first, length) and ``switches``, a
+        function of the clock t in the loop bound to this loop's values;
+        ``ArchTrace.clocks`` reads the windows."""
+        self.trace.snapshots.append((N * self.trace.period, lines, switches))
 
     def loops(self, readback) -> Iterator[int]:
         """Loop indices 0..m, with a boundary check before each loop and
@@ -309,7 +319,7 @@ class _Controller:
         vf = [(x & vlow) << lo | (x >> vcut) << vhi for x in map(pack, vf_regs)]
         wg = [(x & wlow) << lo | (x >> wcut) << whi for x in map(pack, wg_regs)]
         if (self.s1, self.c1, vf, wg) != (ref.s1, ref.c1, ref.vf, ref.wg):
-            got = bms.state_record(bms.BmsState(ref.mode, ref.N, ref.top, self.s1, self.c1, vf, wg), self.code)
+            got = bms.state_record(bms.BmsState(ref.mode, ref.N, self.s1, self.c1, vf, wg), self.code)
             want = bms.state_record(ref, self.code)
             key = next(k for k in ("s1", "c1", "v", "f", "w", "g") if got[k] != want[k])
             raise AssertionError(
@@ -317,7 +327,7 @@ class _Controller:
                 f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want[key]!r}"
             )
         self.trace.boundary_states.append(
-            bms.BmsState(ref.mode, ref.N, ref.top, ref.s1[:], ref.c1[:], vf, wg, ref.M[:], ref.tlabel[:])
+            bms.BmsState(ref.mode, ref.N, ref.s1[:], ref.c1[:], vf, wg, ref.M[:], ref.tlabel[:])
         )
         if N <= m:
             bms.step(ref, self.code)
@@ -357,7 +367,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
             updates = {f"block{i}.update": plan[3] for i, plan in enumerate(ctl.plans)}
             lines = {f"block{i}.vf": (xs + vf[i], 0, V) for i, (_, xs, _) in enumerate(given)}
             lines |= {f"block{i}.wg": (ys + wg[j], 0, P) for i, (j, _, ys) in enumerate(given)}
-            ctl.snapshot(N, lines, lambda t: {"disc_latch_down": t == 0, **updates})
+            ctl.snapshot(N, lines, lambda t, updates=updates: {"disc_latch_down": t == 0, **updates})
     return trace
 
 
@@ -421,10 +431,11 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
         if keep_snapshots:
             vs, ex = line + took, [h for h in held for _ in range(a)]
             lines = {"vf": (vs, 0, L), "wg": (ys + wg, 0, P), "exch": (ex, -1, 1), "supp": (vs, L, c_v)}
+            ups = [plan[3] for plan in ctl.plans]  # bound now: the next loop replaces the plans
             ctl.snapshot(
                 N,
                 lines,
-                lambda t: {"exchange_down": t % a == 0, "head_latch": t < a, "update": ctl.plans[t % a][3]},
+                lambda t, ups=ups: {"exchange_down": t % a == 0, "head_latch": t < a, "update": ups[t % a]},
             )
         line = took[a + 1 :]
     return trace

@@ -18,7 +18,7 @@ oracle and as the update rule of the serial architecture.
 
 Each column's polynomials live in two packed words (``gf`` lanes of
 ``lane_bits`` bits, one byte up to GF(2^8) and two above, bit-vector form,
-L = top+2 lanes per polynomial): ``vf`` holds v in lanes 0..L-1 and f in
+L = m+2 lanes per polynomial): ``vf`` holds v in lanes 0..L-1 and f in
 lanes L..2L-1, ``wg`` holds w and g the same way -- the inverse-free
 architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Since
 f and v take the same scale and the same merge partner (g and w), a lane
@@ -28,19 +28,19 @@ multiplies on two-byte lanes, and ``gf`` alone picks which.  On one-byte
 lanes a scale by alpha^0 -- e stays alpha^0 while w is still Z^N, on about
 half the lanes or more -- passes the word through and only counts its
 lanes.  Every live exponent fits: f and g stay at or below N, v holds
-[N, top], and w holds [N, top] plus, after the last loop, its head at
-top+1 (e_{m+1}, which the error-value formula consumes).  Exponents
-above top are dead otherwise -- they are never read as discrepancies and
+[N, m], and w holds [N, m] plus, after the last loop, its head at
+m+1 (e_{m+1}, which the error-value formula consumes).  Exponents
+above m are dead otherwise -- they are never read as discrepancies and
 never feed a lower exponent, since all updates combine equal exponents --
-so the Z-shift ``(x << lane_bits) & keep`` drops the top+1 lane of each
-half, and w's top+1 lane is cleared on every loop but the last, exactly as
+so the Z-shift ``(x << lane_bits) & keep`` drops the m+1 lane of each
+half, and w's m+1 lane is cleared on every loop but the last, exactly as
 the architectures zero-set their w/g lines.  Every lane offset is a multiple
 of ``lane_bits``; the field degree w sets no offset.  Log form appears
 only at the boundary: ``step`` reads the two head lanes of each lane,
 ``discrepancies`` and ``state_record`` unpack for the dumps, and
 ``extract_locators`` reads only the lead and head lanes, handing f and g
 on to the decoder as packed words.  The gates of a code -- l^(i) and ibar
-per loop, the seed lanes and the masks -- are built once per window size
+per loop, the seed lanes and the masks -- are built once per code
 and kept on the code (``CodeSpec.tables``), so no curve lookup happens per
 decoded word.
 """
@@ -58,33 +58,32 @@ DIVISION = "division"
 
 
 class _Gates:
-    """Per-code tables of one window size ``top``: per loop N the first
-    component of l^(i) (N up to top+1, which the final record reads),
-    ibar(i, N) and the AND masks of the step, and the v seed lanes of every
-    column.  A gap is stored as -1: s1^(i) is never negative, so
+    """Per-code tables: per loop N the first component of l^(i) (N up to
+    m+1, which the final record reads), ibar(i, N) and the AND masks of the
+    step, and the v seed lanes of every column.  A gap is stored as -1: s1^(i) is never negative, so
     ``s1 <= l1`` is the whole discrepancy gate, false at a gap."""
 
-    def __init__(self, code: CodeSpec, top: int):
-        cv, fld = code.curve, code.fld
+    def __init__(self, code: CodeSpec):
+        cv, fld, m = code.curve, code.fld, code.m
         a, lb = cv.a, fld.lane_bits
-        self.L = L = top + 2
-        self.l1 = [[-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(top + 2)]
-        self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(top + 1)]
+        self.L = L = m + 2
+        self.l1 = [[-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(m + 2)]
+        self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(m + 1)]
         # (lane, syndrome index) of every v coefficient of column i
-        self.seed = [[(cv.pole_order(l), l) for l in cv.phi(i, a, top)] for i in range(a)]
+        self.seed = [[(cv.pole_order(l), l) for l in cv.phi(i, a, m)] for i in range(a)]
         self.s1 = [cv.basis_start(i)[0] for i in range(a)]
         lane, full = (1 << lb) - 1, (1 << 2 * L * lb) - 1
-        self.head_clear = [full ^ lane << N * lb for N in range(top + 1)]  # mod Z^N
-        shift_keep = full ^ lane << L * lb  # w's top+1 lane must not become g's lane 0
-        self.shift_keep = [shift_keep ^ (lane << (L - 1) * lb if N != top else 0) for N in range(top + 1)]
+        self.head_clear = [full ^ lane << N * lb for N in range(m + 1)]  # mod Z^N
+        shift_keep = full ^ lane << L * lb  # w's m+1 lane must not become g's lane 0
+        self.shift_keep = [shift_keep ^ (lane << (L - 1) * lb if N != m else 0) for N in range(m + 1)]
 
 
-def gate_table(code: CodeSpec, top: int) -> _Gates:
-    """The gates of window size ``top``, built on first use and kept on the
-    code; the simulators read l^(i), ibar and the seed lanes from them too."""
-    gates = code.tables.get(("bms", top))
+def gate_table(code: CodeSpec) -> _Gates:
+    """The gates of the code, built on first use and kept on it; the
+    simulators read l^(i), ibar and the seed lanes from them too."""
+    gates = code.tables.get("bms")
     if gates is None:
-        gates = code.tables["bms", top] = _Gates(code, top)
+        gates = code.tables["bms"] = _Gates(code)
     return gates
 
 
@@ -106,11 +105,10 @@ def _support(code: CodeSpec, order: int) -> tuple[list[tuple[Mono, int]], int]:
 class BmsState:
     mode: str
     N: int
-    top: int  # largest syndrome exponent fed to v at N = 0
     s1: list[int]
     c1: list[int]
-    vf: list[int]  # per column: v in lanes 0..top+1, f in lanes top+2..2top+3
-    wg: list[int]  # per column: w in lanes 0..top+1, g in lanes top+2..2top+3
+    vf: list[int]  # per column: v in lanes 0..m+1, f in lanes m+2..2m+3
+    wg: list[int]  # per column: w in lanes 0..m+1, g in lanes m+2..2m+3
     M: list[int | None] = field(default_factory=list)  # step of last g replacement
     tlabel: list[Mono | None] = field(default_factory=list)  # degree label of g
 
@@ -133,9 +131,8 @@ class LocatorOutput:
     mode: str
 
 
-def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None = None) -> BmsState:
-    """Step 0.  ``top`` widens the v window for test runs fed syndromes
-    beyond m (Appendix-B style); decoding always uses top = m.
+def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
+    """Step 0: v holds the syndromes up to m.
 
     Column i is seeded with the window-i syndrome rows: the coefficient at
     Z^N is u at the unique monomial of pole order N with i <= n2 < i+a.
@@ -146,9 +143,7 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None
     """
     if mode not in (INVERSE_FREE, DIVISION):
         raise ValueError(f"unknown mode {mode!r}")
-    if top is None:
-        top = code.m
-    gates = gate_table(code, top)
+    gates = gate_table(code)
     exp, lb = code.fld.exp, code.fld.lane_bits
     f_one = 1 << gates.L * lb  # f = 1
     vf = []
@@ -165,7 +160,6 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str, top: int | None
     return BmsState(
         mode=mode,
         N=0,
-        top=top,
         s1=gates.s1[:],
         c1=[x - 1 for x in gates.s1],
         vf=vf,
@@ -182,7 +176,7 @@ def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]
     lane with the same shift, mask and gate."""
     fld = code.fld
     log, lane, shift = fld.log, fld.q - 1, state.N * fld.lane_bits
-    l1 = gate_table(code, state.top).l1[state.N]
+    l1 = gate_table(code).l1[state.N]
     d = [log[x >> shift & lane] if s <= l else ZERO for x, s, l in zip(state.vf, state.s1, l1)]
     return d, [log[x >> shift & lane] for x in state.wg]
 
@@ -208,7 +202,7 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
     e = alpha^0 included.
     """
     fld = code.fld
-    gates = gate_table(code, state.top)
+    gates = gate_table(code)
     N, lb = state.N, fld.lane_bits
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
     log, lane, shift = fld.log, fld.q - 1, N * lb
@@ -233,7 +227,7 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
             if not inverse_free:
                 x, k = scale(x, fld.inv_chain(di, ctr))
                 muls += k
-            # f and v are zero at top+1, so shifting after the scale loses
+            # f and v are zero at m+1, so shifting after the scale loses
             # nothing and charges the muls a scale after the shift would
             wg[ib] = x << lb & keep
             state.M[ib], state.tlabel[ib] = N, (s1[i], i)
@@ -252,7 +246,7 @@ def state_record(state: BmsState, code: CodeSpec) -> dict:
     The ``--dump-state`` and ``--boundary-dumps`` files hold these."""
     d, e = discrepancies(state, code)
     terms = code.fld.terms
-    shift = (state.top + 2) * code.fld.lane_bits
+    shift = (code.m + 2) * code.fld.lane_bits
     low = (1 << shift) - 1
     return {
         "N": state.N,
@@ -271,17 +265,14 @@ def run(
     code: CodeSpec,
     synd: dict[Mono, int],
     mode: str,
-    n_max: int | None = None,
     ctr: OpCounter | None = None,
     record: bool = False,
 ) -> tuple[BmsState, list[dict]]:
-    """Iterate steps for N = 0..n_max (default m).  With ``record`` the
-    returned list holds one record per N plus the final state."""
-    if n_max is None:
-        n_max = code.m
-    state = init_state(code, synd, mode, top=n_max)
+    """Iterate steps for N = 0..m.  With ``record`` the returned list holds
+    one record per N plus the final state."""
+    state = init_state(code, synd, mode)
     records: list[dict] = []
-    while state.N <= n_max:
+    while state.N <= code.m:
         if record:
             records.append(state_record(state, code))
         step(state, code, ctr)
@@ -311,7 +302,7 @@ def extract_poly(code: CodeSpec, zp: int, deg: Mono, offset: int = 0) -> tuple[i
 def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
     fld = code.fld
     log, lane, lb = fld.log, fld.q - 1, fld.lane_bits
-    shift = (state.top + 2) * lb  # the f and g halves
+    shift = (code.m + 2) * lb  # the f and g halves
     F, G, lead, head = [], [], [], []
     for i in range(code.curve.a):
         f = state.vf[i] >> shift

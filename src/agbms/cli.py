@@ -226,7 +226,7 @@ def cmd_trace_arch(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["clock", "block", "reg_name", "index", "value_log", "switch_states"])
             log = code.fld.log  # the snapshots hold bit-vector values
-            for snap in trace.snapshots:
+            for snap in trace.clocks():
                 switches = ";".join(f"{k}={int(v)}" for k, v in sorted(snap["switches"].items()))
                 for reg_name, values in snap["registers"].items():
                     block = reg_name.split(".")[0] if "." in reg_name else "-"

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from agbms import archsim, bms, decoder, oracle
+from agbms import CodeSpec, archsim, bms, decoder, oracle
 from agbms.gf import GF, ZERO, OpCounter
 from conftest import bipoly, full_syndromes_from_errors, random_generic_pattern, random_pattern
 from test_bms import (
@@ -160,14 +160,21 @@ def test_criterion_7_appendix_bc(elliptic, klein):
     checked = 0
     for code in (elliptic, klein):
         g, a = code.curve.genus, code.curve.a
+        # bms runs to N = m of its code, so each syndrome bound is the m of
+        # a code on the same curve: B, and m_pat + a - 1 below
+        wide = {
+            m: CodeSpec(code.curve, code.fld, m)
+            for t in (1, 2, 3)
+            for m in (2 * t + 4 * g - 2 + a, 2 * t + 2 * g - 2 + a)
+        }
         for _ in range(500):
             t = rng.randint(1, 3)
             locs, vals = random_pattern(code, t, rng)
             generic = oracle.is_generic(code, locs).is_generic
             B = 2 * t + 4 * g - 2 + a
             full = full_syndromes_from_errors(code, locs, vals, B)
-            st, _ = bms.run(code, full, bms.INVERSE_FREE, n_max=B)
-            out = bms.extract_locators(st, code)
+            st, _ = bms.run(wide[B], full, bms.INVERSE_FREE)
+            out = bms.extract_locators(st, wide[B])
             for F in out.F:
                 assert oracle.ideal_membership(bipoly(code, F), code, locs)
             if generic:
@@ -175,8 +182,8 @@ def test_criterion_7_appendix_bc(elliptic, klein):
                 # Proposition: for generic errors N <= m+a-1 already suffices
                 m_pat = 2 * t + 2 * g - 1
                 full2 = full_syndromes_from_errors(code, locs, vals, m_pat + a - 1)
-                st2, _ = bms.run(code, full2, bms.INVERSE_FREE, n_max=m_pat + a - 1)
-                out2 = bms.extract_locators(st2, code)
+                st2, _ = bms.run(wide[m_pat + a - 1], full2, bms.INVERSE_FREE)
+                out2 = bms.extract_locators(st2, wide[m_pat + a - 1])
                 for F in out2.F:
                     assert oracle.ideal_membership(bipoly(code, F), code, locs)
                 assert len(bms.delta_set(code, st2.s1)) == t

@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from agbms import CodeSpec, Point, Word, decoder, elliptic_curve, linalg
+from agbms import CodeSpec, Point, Word, bms, decoder, elliptic_curve, linalg
 from agbms.agcode import POLE, PRODUCT_W
 from agbms.gf import ZERO, GF
 from conftest import ELLIPTIC_VALS, ELLIPTIC_XY, full_syndromes_from_errors, oracle_encoder
@@ -26,6 +26,22 @@ def test_build_code_parameters(gf16, gf8, elliptic, klein, hermitian):
 def test_build_code_rejects_small_m(gf16):
     with pytest.raises(ValueError):
         CodeSpec(elliptic_curve(), gf16, m=0)
+
+
+@pytest.mark.parametrize("name", ["elliptic", "klein", "hermitian"])
+def test_budget_below_zero_refused(request, name):
+    # t_generic >= 0 is m >= 2g - 2 + a.  The m just below was accepted
+    # while m > 2g - 2 was the bound, and decode then reported a clean
+    # word NotGenericDetected ("footprint 0 exceeds budget -1")
+    preset = request.getfixturevalue(name)
+    cv, fld = preset.curve, preset.fld
+    low = 2 * cv.genus - 2 + cv.a
+    with pytest.raises(ValueError, match=rf"^m={low - 1} must be an int of at least 2g-2\+a={low} "):
+        CodeSpec(cv, fld, m=low - 1)
+    code = CodeSpec(cv, fld, m=low)
+    assert code.t_generic == 0
+    for mode in (bms.INVERSE_FREE, bms.DIVISION):
+        assert decoder.decode(code, code.zero_word(), mode).status == decoder.SUCCESS
 
 
 def test_code_dimensions(elliptic, klein, hermitian):

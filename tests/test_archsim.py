@@ -76,7 +76,7 @@ def test_discrepancy_latch_clocks(elliptic, elliptic_golden):
     # downward, i.e. at clo = 11 N on the elliptic configuration
     _, _, recv = elliptic_golden
     tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv), keep_snapshots=True)
-    for snap in tr.snapshots:
+    for snap in tr.clocks():
         assert snap["switches"]["disc_latch_down"] == (snap["clock"] % 11 == 0)
 
 
@@ -85,7 +85,7 @@ def test_klein_g_head_register(klein, klein_golden):
     # (1-based) when clo = 648 and 649, value alpha^4
     _, _, recv = klein_golden
     tr = archsim.sim_serial(klein, klein.syndromes(recv), keep_snapshots=True)
-    by_clock = {s["clock"]: s for s in tr.snapshots}
+    by_clock = {s["clock"]: s for s in tr.clocks()}
     # snapshots are taken after the clock action; inspect the line one clock
     # earlier so register 16 means "pops 15 clocks after clo"
     assert by_clock[647]["registers"]["vf"] is not None
@@ -99,7 +99,7 @@ def test_hermitian_g_head_register(hermitian, hermitian_golden):
     # g head alpha^11 in w_g register 33 (1-based) at clo 2016 and 2019
     _, _, recv = hermitian_golden
     tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(recv), keep_snapshots=True)
-    by_clock = {s["clock"]: s for s in tr.snapshots}
+    by_clock = {s["clock"]: s for s in tr.clocks()}
     assert hermitian.fld.log[by_clock[2015]["registers"]["wg"][32]] == 11
     assert hermitian.fld.log[by_clock[2018]["registers"]["wg"][32]] == 11
 
@@ -221,8 +221,9 @@ def test_measured_vs_closed_form(elliptic, elliptic_golden):
 def test_trace_csv_fields(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv), keep_snapshots=True)
-    assert len(tr.snapshots) == tr.total_clocks
-    snap = tr.snapshots[0]
+    snaps = list(tr.clocks())
+    assert len(snaps) == tr.total_clocks
+    snap = snaps[0]
     assert set(snap) == {"clock", "registers", "switches"}
     assert {"block0.vf", "block0.wg", "block1.vf", "block1.wg"} == set(snap["registers"])
 
@@ -411,8 +412,8 @@ for arch in t.archsim.SIMULATORS:
 
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
 def test_default_run_keeps_no_snapshots(arch):
-    # snapshots copy every register at every clock, so only a caller that
-    # asks for them (trace-arch) pays for them
+    # snapshots keep each loop's line sequences, so only a caller that asks
+    # for them (trace-arch) pays for them
     code, _ = cli.load_code("hermitian_gf16")
     locs, vals = cli.read_errors(bundled_error_file("hermitian_gf16"), code)
     tr = archsim.SIMULATORS[arch](code, code.syndromes(code.inject_errors(code.zero_word(), locs, vals)))
@@ -425,7 +426,7 @@ def test_snapshots_do_not_change_a_run(arch, preset):
     # a snapshot per clock, and the run is the same with or without them
     code, _ = cli.load_code(preset)
     kept, bare = (run_bundled(arch, preset, keep_snapshots=keep) for keep in (True, False))
-    assert len(kept.snapshots) == kept.total_clocks and bare.snapshots == []
+    assert len(list(kept.clocks())) == kept.total_clocks and bare.snapshots == []
     records = [[bms.state_record(st, code) for st in tr.boundary_states] for tr in (kept, bare)]
     assert records[0] == records[1]
     for f in dataclasses.fields(archsim.ArchTrace):
@@ -433,12 +434,41 @@ def test_snapshots_do_not_change_a_run(arch, preset):
             assert getattr(kept, f.name) == getattr(bare, f.name), f.name
 
 
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_kept_run_stores_loop_records(arch, preset):
+    # a kept run stores one record per loop -- its first clock, its lines
+    # and its switch function -- and builds the per-clock dicts only as
+    # clocks() reads them: no line holds more than what it gives then takes
+    # over one loop
+    code, _ = cli.load_code(preset)
+    tr = run_bundled(arch, preset, keep_snapshots=True)
+    P, a = tr.period, code.curve.a
+    assert len(tr.snapshots) == code.m + 1
+    assert [start for start, _, _ in tr.snapshots] == list(range(0, tr.total_clocks, P))
+    for _, lines, switches in tr.snapshots:
+        assert all(len(s) <= 2 * P and 0 <= first + 1 and first + P + n <= len(s) for s, first, n in lines.values())
+        assert callable(switches)
+    assert sum(1 for _ in tr.clocks()) == tr.total_clocks
+    # each loop's update switches are that loop's own, read after the run:
+    # lane k's switch at loop N is set iff its w/g column j had its g
+    # replaced at N, which the reference state after loop N records as M
+    gates = bms.gate_table(code)
+    for N, (start, _, switches) in enumerate(tr.snapshots):
+        M = tr.boundary_states[N + 1].M
+        for k in range(a):
+            if arch == archsim.INVERSE_FREE:
+                assert switches(0)[f"block{k}.update"] == (M[gates.ibar[N][k]] == N), (N, k)
+            else:  # slot k carries w/g column -b^-1 k mod a in every loop
+                assert switches(k)["update"] == (M[-code.curve.b_inv * k % a] == N), (N, k)
+
+
 def test_serial_vf_line_shifts_through_fifo():
     # the v/f line and the supplementary FIFO behind it are one shift
     # register: every clock moves the line one register toward its output
     # and feeds it the FIFO's oldest value
     tr = run_bundled(archsim.SERIAL_INVERSE_FREE, "hermitian_gf16", keep_snapshots=True)
-    regs = [snap["registers"] for snap in tr.snapshots]
+    regs = [snap["registers"] for snap in tr.clocks()]
     assert all(len(r["supp"]) == 4 for r in regs)  # c_v = a
     assert any(any(r["supp"]) for r in regs)
     for prev, cur in zip(regs, regs[1:]):
@@ -455,7 +485,8 @@ def test_stream_snapshots_shift_every_line(preset):
     # a clocks until it re-enters the v/f path
     a = cli.load_code(preset)[0].curve.a
     tr = run_bundled(archsim.INVERSE_FREE, preset, keep_snapshots=True)
-    for prev, cur in zip(tr.snapshots, tr.snapshots[1:]):
+    snaps = list(tr.clocks())
+    for prev, cur in zip(snaps, snaps[1:]):
         new_loop = cur["clock"] % tr.period == 0
         for name, regs in cur["registers"].items():
             if name.endswith(".vf") or not new_loop:
@@ -464,7 +495,7 @@ def test_stream_snapshots_shift_every_line(preset):
                 assert regs[-1] == 0
     for arch in (archsim.SERIAL, archsim.SERIAL_INVERSE_FREE):
         tr = run_bundled(arch, preset, keep_snapshots=True)
-        regs = [snap["registers"] for snap in tr.snapshots]
+        regs = [snap["registers"] for snap in tr.clocks()]
         assert len({r["exch"][0] for r in regs}) > 1
         for t, (prev, cur) in enumerate(zip(regs, regs[1:]), 1):
             path, prev_path = cur["vf"] + cur["supp"], prev["vf"] + prev["supp"]

@@ -38,13 +38,13 @@ def test_init_state(elliptic, elliptic_golden):
     synd = elliptic.syndromes(recv)
     st = bms.init_state(elliptic, synd, bms.INVERSE_FREE)
     rec = bms.state_record(st, elliptic)
-    width = elliptic.m + 2  # each polynomial covers exponents 0..top+1
+    width = elliptic.m + 2  # each polynomial covers exponents 0..m+1
     assert rec["v"][0][0] == (0, synd[(0, 0)])
     for i in range(2):
         assert rec["f"][i] == [(0, 0)]
         assert rec["g"][i] == []
         assert rec["w"][i] == [(0, 0)]
-        # column i is seeded from the window-i syndrome rows, nothing at top+1
+        # column i is seeded from the window-i syndrome rows, nothing at m+1
         want = [(h, synd[l]) for h in range(elliptic.m + 1) if (l := elliptic.curve.l_of(i, h)) is not None]
         assert rec["v"][i] == [(h, c) for h, c in want if c != ZERO]
         assert st.vf[i].bit_length() <= 2 * width * elliptic.fld.lane_bits
@@ -83,7 +83,7 @@ def test_zero_syndromes_fixed_point(elliptic):
     final = recs[-1]
     assert final["f"][0] == [(0, 0)]
     assert final["g"] == [[], []]
-    assert final["w"][0] == [(9, 0)]  # w = Z^(m+1), the head kept at top+1
+    assert final["w"][0] == [(9, 0)]  # w = Z^(m+1), the head kept at m+1
 
 
 def test_first_step_jump(elliptic, elliptic_golden):
@@ -316,7 +316,7 @@ def test_window_invariants(elliptic, elliptic_golden):
             # two polynomials of m+2 lanes each per packed line
             assert max(st.vf[i].bit_length(), st.wg[i].bit_length()) <= 2 * (m + 2) * lb
             assert all(N <= h <= m for h, _ in rec["v"][i])
-            # so the top+1 head appears only after the last loop
+            # so the m+1 head appears only after the last loop
             assert all(N <= h <= m for h, _ in rec["w"][i])
             assert all(h <= N for h, _ in rec["f"][i])
             assert all(h <= N for h, _ in rec["g"][i])
@@ -461,7 +461,7 @@ def reference_step(state, code, ctr=None):
     through ``bms.discrepancies``, then Step 2 lane by lane.  Kept as the
     oracle the one-pass step must equal."""
     fld = code.fld
-    gates = bms.gate_table(code, state.top)
+    gates = bms.gate_table(code)
     N, lb = state.N, fld.lane_bits
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
     inverse_free = state.mode == bms.INVERSE_FREE
@@ -502,7 +502,7 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
     # ``bms.discrepancies``
     rng = random.Random(17)
     for code in (elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8):
-        cv, gates = code.curve, bms.gate_table(code, code.m)
+        cv, gates = code.curve, bms.gate_table(code)
         for N in range(code.m + 2):
             assert gates.l1[N] == [-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(cv.a)]
         for k in range(2 * (code.t_generic + 3)):

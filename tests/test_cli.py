@@ -185,6 +185,28 @@ def test_spec_sections_validated(tmp_path, capsys, section, value):
 
 
 PRESETS = ("elliptic_gf16", "klein_gf8", "hermitian_gf16")
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_spec_budget_below_zero_refused(tmp_path, capsys, preset):
+    # a spec whose m leaves t_generic below 0 exits 1; the smallest m with
+    # t_generic = 0 decodes a clean word
+    doc = json.loads(cli._spec_bytes(preset))
+    del doc["code"]["t"]
+    low = 2 * doc["curve"]["genus"] - 2 + doc["curve"]["a"]
+    spec, word = tmp_path / "spec.json", tmp_path / "word.txt"
+    word.write_text(" ".join(["-1"] * cli.load_code(preset)[0].n) + "\n")
+    for m, want in ((low - 1, cli.EXIT_PARSE), (low, cli.EXIT_OK)):
+        doc["code"]["m"] = m
+        spec.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "decode", str(spec), str(word))
+        assert code == want
+        if want == cli.EXIT_PARSE:
+            assert err.startswith("error: bad code spec") and f"2g-2+a={low}" in err and out == ""
+        else:
+            assert "status: Success" in out and err == ""
+
+
 FUZZ_KINDS = ("int", "float", "str", "bool", "null", "list", "dict", "delete")
 
 
@@ -416,6 +438,11 @@ CSV_DIGESTS = {
     # recorded with the shared serial slot rule, the first to wire these pairings
     ("serial", "hermitian_gf16"): "972ed39e606d0be7",
     ("serial_inverse_free", "klein_gf8"): "7fd50399cb61de37",
+    # recorded with the per-clock snapshot dicts, before a kept run stored
+    # one record per loop
+    ("inverse_free", "hermitian_gf16"): "bf2c67deba8b1c91",
+    ("serial", "elliptic_gf16"): "fb1f25ec0d44bd56",
+    ("serial_inverse_free", "elliptic_gf16"): "9aad071c3fd9904d",
 }
 
 
@@ -428,6 +455,9 @@ CSV_DIGESTS = {
         ("inverse_free", "klein_gf8", "inverse_free"),
         ("serial", "hermitian_gf16", "division"),
         ("serial_inverse_free", "klein_gf8", "inverse_free"),
+        ("inverse_free", "hermitian_gf16", "inverse_free"),
+        ("serial", "elliptic_gf16", "division"),
+        ("serial_inverse_free", "elliptic_gf16", "inverse_free"),
     ],
 )
 def test_boundary_dumps_match_dump_state(tmp_path, capsys, arch, preset, mode):
