@@ -95,9 +95,11 @@ class CodeSpec:
     floor((d_G - a)/2) is what the inverse-free pipeline corrects for
     generic errors with loops up to N = m.  ``points`` are the curve's
     rational points, found on construction.  The int m must satisfy
-    2g - 2 + a <= m < n + g - 1: the lower bound is t_generic >= 0 (and
-    implies m > 2g - 2), the upper one a positive dimension; a C_a^b
-    curve's ``e`` and ``chi`` values must be int logs of the field.
+    2g - 2 + a <= m < n: the lower bound is t_generic >= 0 (and implies
+    m > 2g - 2); below n no nonzero f in L(m P_inf) vanishes at all n
+    points, so the m - g + 1 rows of the parity-check matrix are independent
+    (at n <= m they are not, and ``dim`` would be wrong).  A C_a^b curve's
+    ``e`` and ``chi`` values must be int logs of the field.
     """
 
     curve: CurveSpec
@@ -115,8 +117,8 @@ class CodeSpec:
                 raise ValueError(f"curve log coefficient {c!r} is not an int in [-1, {self.fld.q - 2}]")
         self.points = cv.points(self.fld)
         self.n = len(self.points)
-        if self.m - g + 1 >= self.n:  # Riemann-Roch: dim L(m P_inf) = m - g + 1
-            raise ValueError(f"m={self.m} leaves no message symbols: m - g + 1 >= n = {self.n}")
+        if self.m >= self.n:  # then some f in L(m P_inf) vanishes at every point
+            raise ValueError(f"m={self.m} must be below n = {self.n} (H has dependent rows)")
         self.d_G = self.m - 2 * g + 2
         self.t_generic = (self.d_G - self.curve.a) // 2
         # Monomial basis of L(m P_inf) and the wider syndrome index set.

@@ -72,14 +72,15 @@ values, each repeated a times, starting at -1.
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
 at one multiplier pair in loop N.  ``_Controller.lane`` is the one lane
-rule.  At the lane's head group it latches a plan: d (behind the one gate
+rule.  At the lane's head group it latches d (behind the one gate
 comparison of ``bms.step``) and e (d^-1 too in division mode) as product
 rows, a list r per constant with r[v] = vec(c*v), built from the field's
 exp/log tables the first time a latch meets c and kept on the code
 (``_Rows``, one table per code; no q x q table, and independent of
 ``gf``'s ``scale`` tables, so the boundary check compares two
-multipliers); the preserve/update switch; and the groups whose w/g input
-is zero-set, from ``_stale`` one loop ahead.  It updates s and c in place,
+multipliers); it sets the lane's preserve/update switch
+(``_Controller.updates``) and takes the groups whose w/g input is
+zero-set from ``_stale``, one loop ahead.  It updates s and c in place,
 lane by lane in the order of the clocks, exactly as ``bms.step`` updates
 its state (its docstring says why that is exact), and charges the lane's
 multipliers for the whole loop.  It then returns the lane's loop of v/f
@@ -110,7 +111,7 @@ Snapshots are kept only on request (``keep_snapshots=True``, as
 ``trace-arch`` asks).  A kept run stores each loop's line sequences, about
 twice its registers, and builds no per-clock container until ``clocks`` is
 iterated; a switch function binds its own loop's values, since the
-controller's plans change every loop.
+controller sets its switches again every loop.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ class _Controller:
     """Latches, switches, line inputs and boundary checks of one simulated
     run, per lane (see the module docstring); it fills in ``trace``.
     ``groups`` is the number of clocks a lane takes per loop (the w/g
-    line's exponent groups).  Register values are in bit-vector form; a
-    plan's e, d and d^-1 are product rows (``_Rows``), kept on the code."""
+    line's exponent groups).  Register values are in bit-vector form; the
+    latched e, d and d^-1 are product rows (``_Rows``), kept on the code."""
 
     def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str, groups: int):
         fld, a = code.fld, code.curve.a
@@ -215,7 +216,7 @@ class _Controller:
         self.ref = bms.init_state(code, synd, mode)
         self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
         self.M: list[int | None] = [None] * a  # loop of the last g replacement per column
-        self.plans: list[tuple] = [()] * a  # per lane: rows (e, d, d^-1), update, zero-set groups
+        self.updates = [False] * a  # per lane: the preserve/update switch of the loop
         self.peak = [0] * a  # per lane: multipliers on its busiest clock
 
     def initial_registers(self, vf_groups: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -232,18 +233,21 @@ class _Controller:
             vf.append(regs)
         return vf, [[1] + [0] * (self.groups - 1) for _ in vf]
 
-    def latch(self, N: int, lane: int, i: int, j: int, x: int, y: int) -> tuple:
-        """Head group of a lane in loop N, where x and y are the v head of
-        column i and the w head of column j: latch d and e, set the switch,
-        update the degrees in place (exact for the reason given in
-        ``bms.step``), charge the multipliers and return the lane's plan.
-        d passes the gate ``bms.step`` makes, s1^(i) <= l^(i) on the gate
-        table, whose -1 at a gap fails it."""
-        s1, c1, log = self.s1, self.c1, self.log
+    def lane(self, N: int, lane: int, i: int, j: int, xs: list[int], ys: list[int]) -> tuple[list, list]:
+        """One lane's loop N, where xs and ys are the values its v/f and w/g
+        columns i and j give, one per exponent group.  At the head group,
+        from the v head xs[0] and the w head ys[0], it latches d and e, sets
+        the switch, updates the degrees in place (exact for the reason given
+        in ``bms.step``) and charges the multipliers; d passes the gate
+        ``bms.step`` makes, s1^(i) <= l^(i) on the gate table, whose -1 at a
+        gap fails it.  It returns the v/f inputs e*x ^ d*y over the groups
+        past the head and the w/g inputs, d^-1 * x after an update, else the
+        given values, with the zero-set groups cleared."""
+        s1, c1, log, rows = self.s1, self.c1, self.log, self.rows
         l = self.gates.l1[N][i]
-        d = log[x] if s1[i] <= l else ZERO
-        upd = d != ZERO and s1[i] < l - c1[j]
-        e = 0 if self.division else log[y]  # division mode keeps v: e = 1
+        d = log[xs[0]] if s1[i] <= l else ZERO
+        upd = self.updates[lane] = d != ZERO and s1[i] < l - c1[j]
+        e = 0 if self.division else log[ys[0]]  # division mode keeps v: e = 1
         dinv = 0  # an inverse-free update takes v unscaled
         if upd:
             if self.division:
@@ -251,24 +255,15 @@ class _Controller:
                 self.trace.inv_uses += 1
             s1[i], c1[j] = l - c1[j], l - s1[i]
             self.M[j] = N
-        rows = self.rows
-        plan = self.plans[lane] = (rows[e], rows[d], rows[dinv], upd, self._stale(N + 1, j))
+        zero = self._stale(N + 1, j)
         # the v/f input takes vm multipliers at every group past the head, a
         # scaled w/g input one more where it is not zero-set; such a lane
         # zero-sets at most group m-N (its M is N), so all lanes of a clock
         # reach their peaks together
         wm = int(upd and self.division)
-        self.trace.mult_uses += self.vm * (self.groups - 1) + wm * (self.groups - len(plan[4]))
+        self.trace.mult_uses += self.vm * (self.groups - 1) + wm * (self.groups - len(zero))
         self.peak[lane] = self.vm + wm
-        return plan
-
-    def lane(self, N: int, lane: int, i: int, j: int, xs: list[int], ys: list[int]) -> tuple[list, list]:
-        """One lane's loop N, where xs and ys are the values its v/f and w/g
-        columns i and j give, one per exponent group: latch at the head group,
-        then return the v/f inputs e*x ^ d*y over the groups past the head
-        and the w/g inputs, d^-1 * x after an update, else the given values,
-        with the zero-set groups cleared."""
-        er, dr, ir, upd, zero = self.latch(N, lane, i, j, xs[0], ys[0])
+        er, dr, ir = rows[e], rows[d], rows[dinv]
         w = [ir[x] for x in xs] if upd else ys[:]
         w[zero.start : zero.stop] = [0] * len(zero)
         return [er[x] ^ dr[y] for x, y in zip(xs[1:], ys[1:])], w
@@ -294,7 +289,7 @@ class _Controller:
     def _stale(self, N: int, j: int) -> range:
         """Groups of w/g column j that must hold zero at loop N: past the
         live w window (the head and exponents N..m) and below the g window
-        (pinned since the loop M[j] of the last replacement).  The latch
+        (pinned since the loop M[j] of the last replacement).  A lane
         zero-sets them one loop ahead; the reference state holds zero on
         their g lanes, so the boundary equality catches one left nonzero."""
         Mj = self.M[j]
@@ -364,7 +359,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
             vf[i], wg[j] = ctl.lane(N, i, i, j, xs, ys)
         trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
         if keep_snapshots:
-            updates = {f"block{i}.update": plan[3] for i, plan in enumerate(ctl.plans)}
+            updates = {f"block{i}.update": upd for i, upd in enumerate(ctl.updates)}
             lines = {f"block{i}.vf": (xs + vf[i], 0, V) for i, (_, xs, _) in enumerate(given)}
             lines |= {f"block{i}.wg": (ys + wg[j], 0, P) for i, (j, _, ys) in enumerate(given)}
             ctl.snapshot(N, lines, lambda t, updates=updates: {"disc_latch_down": t == 0, **updates})
@@ -431,7 +426,7 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
         if keep_snapshots:
             vs, ex = line + took, [h for h in held for _ in range(a)]
             lines = {"vf": (vs, 0, L), "wg": (ys + wg, 0, P), "exch": (ex, -1, 1), "supp": (vs, L, c_v)}
-            ups = [plan[3] for plan in ctl.plans]  # bound now: the next loop replaces the plans
+            ups = ctl.updates[:]  # bound now: the next loop sets the switches again
             ctl.snapshot(
                 N,
                 lines,

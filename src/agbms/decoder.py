@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import compress
 from operator import not_, xor
@@ -153,9 +153,13 @@ def decode(
     point x monomial evaluation table.  Success requires the Chien zero set
     to match the footprint size implied by the final degrees, the footprint
     to stay within the generic budget, and the corrected word to have zero
-    syndromes.  Syndromes are linear, so that last check is made on the
-    error alone: the packed syndrome word of its t (location, value) pairs,
-    t syndrome-row reads, must equal the received word's, computed once.
+    syndromes.  When Delta is the generic footprint (the first |Delta|
+    monomials of the basis) Chien search reads only the columns F^(i) with
+    o(F^(i)) + max o(Delta) <= m: the syndromes up to m check no other, so
+    one of them could wipe out the zeros.  Syndromes are linear, so the
+    last check is made on the error alone: the packed syndrome word of its
+    t (location, value) pairs, t syndrome-row reads, must equal the
+    received word's, computed once.
     Anything structurally off is reported as NotGenericDetected, arithmetic
     dead ends (Klein special-point derivative, vanishing value sum) as
     Failure.  When the closed-form values fail the re-check the pipeline
@@ -163,21 +167,22 @@ def decode(
     """
     packed = code.syndrome_word(received)
     synd = code.syndrome_dict(packed)
-    bms_ctr = OpCounter()
+    bms_ctr = OpCounter() if ctr is None else ctr
+    invs = bms_ctr.invs
     state, _ = bms.run(code, synd, mode, ctr=bms_ctr)
-    if mode == bms.INVERSE_FREE and bms_ctr.invs != 0:
+    if mode == bms.INVERSE_FREE and bms_ctr.invs != invs:
         raise AssertionError("inverse-free BMS performed a field inversion")
-    if ctr is not None:
-        ctr.muls += bms_ctr.muls
-        ctr.invs += bms_ctr.invs
-        ctr.adds += bms_ctr.adds
     basis = bms.extract_locators(state, code)
 
     delta = bms.delta_set(code, state.s1)
     if len(delta) > code.t_generic:
         return DecodeResult(NOT_GENERIC, detail=f"footprint {len(delta)} exceeds budget {code.t_generic}")
 
-    locs = chien_search(basis, code)
+    chien = basis
+    if delta and delta == code.basis[: len(delta)]:
+        top = code.m - code.curve.pole_order(delta[-1])
+        chien = replace(basis, F=[F for F in basis.F if F[1] <= top])
+    locs = chien_search(chien, code)
     if len(locs) != len(delta):
         return DecodeResult(
             NOT_GENERIC, detail=f"chien zeros {len(locs)} != footprint {len(delta)}"

@@ -44,6 +44,22 @@ def test_budget_below_zero_refused(request, name):
         assert decoder.decode(code, code.zero_word(), mode).status == decoder.SUCCESS
 
 
+@pytest.mark.parametrize("name", ["elliptic", "klein", "hermitian"])
+def test_m_below_n(request, name):
+    # below n no nonzero f in L(m P_inf) vanishes at every point, so H has
+    # full rank and encodes; n <= m <= n + g - 2 used to load with
+    # dependent rows (Klein m = 24: rank 21 of 22) and a wrong dim
+    preset = request.getfixturevalue(name)
+    cv, fld, n = preset.curve, preset.fld, preset.n
+    code = CodeSpec(cv, fld, m=n - 1)
+    assert linalg.rank(fld, code.parity_check_matrix()) == len(code.basis) == n - cv.genus
+    msg = [random.Random(name).randrange(-1, fld.q - 1) for _ in range(code.dim)]
+    assert all(u == ZERO for u in code.syndromes(code.encode(msg)).values())
+    for m in range(n, n + cv.genus):
+        with pytest.raises(ValueError, match=rf"^m={m} must be below n = {n} "):
+            CodeSpec(cv, fld, m=m)
+
+
 def test_code_dimensions(elliptic, klein, hermitian):
     assert elliptic.dim == 16
     assert klein.dim == 10

@@ -278,14 +278,8 @@ def test_sim_outputs_pinned(request, arch, code_name):
 
 
 def _skip_zero_setting(mp):
-    """The w/g zero-setting is off: every lane plan zero-sets no group."""
-    latch = archsim._Controller.latch
-
-    def latch_without_zeroing(self, N, lane, *args):
-        self.plans[lane] = latch(self, N, lane, *args)[:4] + (range(0),)
-        return self.plans[lane]
-
-    mp.setattr(archsim._Controller, "latch", latch_without_zeroing)
+    """The w/g zero-setting is off: no lane zero-sets a group."""
+    mp.setattr(archsim._Controller, "_stale", lambda self, N, j: range(0))
 
 
 def _value_above_top(mp):
@@ -513,17 +507,17 @@ def test_product_rows(request, monkeypatch, code_name):
     # every row is fld.mul on every element
     base = request.getfixturevalue(code_name)
     code, fld = CodeSpec(base.curve, base.fld, base.m), base.fld
-    latch, met, tables = archsim._Controller.latch, {ZERO, 0}, set()
+    lane, met, tables = archsim._Controller.lane, {ZERO, 0}, set()
 
-    def recording(self, N, lane, i, j, x, y):
+    def recording(self, N, k, i, j, xs, ys):
         if not tables:
             assert len(self.rows) == 0  # nothing is built before the first latch
         tables.add(id(self.rows))
-        d = fld.log[x]
-        met.update({d, fld.log[y]} | ({fld.inv_chain(d)} if d != ZERO else set()))
-        return latch(self, N, lane, i, j, x, y)
+        d = fld.log[xs[0]]
+        met.update({d, fld.log[ys[0]]} | ({fld.inv_chain(d)} if d != ZERO else set()))
+        return lane(self, N, k, i, j, xs, ys)
 
-    monkeypatch.setattr(archsim._Controller, "latch", recording)
+    monkeypatch.setattr(archsim._Controller, "lane", recording)
     rng = random.Random(f"rows/{code_name}")
     for k in range(3):
         locs, vals = random_pattern(code, k + 1, rng, affine_only=False)

@@ -207,6 +207,25 @@ def test_spec_budget_below_zero_refused(tmp_path, capsys, preset):
             assert "status: Success" in out and err == ""
 
 
+@pytest.mark.parametrize("preset", PRESETS)
+def test_spec_m_below_n(tmp_path, capsys, preset):
+    # a spec with m = n exits 1; m = n - 1 decodes a clean word
+    doc = json.loads(cli._spec_bytes(preset))
+    del doc["code"]["t"]
+    n = cli.load_code(preset)[0].n
+    spec, word = tmp_path / "spec.json", tmp_path / "word.txt"
+    word.write_text(" ".join(["-1"] * n) + "\n")
+    for m, want in ((n, cli.EXIT_PARSE), (n - 1, cli.EXIT_OK)):
+        doc["code"]["m"] = m
+        spec.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "decode", str(spec), str(word))
+        assert code == want
+        if want == cli.EXIT_PARSE:
+            assert err.startswith("error: bad code spec") and f"below n = {n}" in err and out == ""
+        else:
+            assert "status: Success" in out and err == ""
+
+
 FUZZ_KINDS = ("int", "float", "str", "bool", "null", "list", "dict", "delete")
 
 

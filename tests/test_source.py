@@ -66,20 +66,16 @@ def test_step_reads_its_own_heads():
 
 
 def test_simulator_rules_live_in_the_controller():
-    # the lane update and the snapshot are each written once: only
-    # _Controller.lane reaches latch, and only _Controller.snapshot, which
-    # keeps a loop's record, and ArchTrace.clocks, the one clock-window rule,
-    # touch trace.snapshots, so neither rule can be copied back into a datapath
+    # the snapshot is written once: only _Controller.snapshot, which keeps a
+    # loop's record, and ArchTrace.clocks, the one clock-window rule, touch
+    # trace.snapshots, so neither can be copied back into a datapath
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     tree = ast.parse((pkg / "archsim.py").read_text())
     defs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
     for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
         defs += [(f"{cls.name}.{n.name}", n) for n in cls.body if isinstance(n, ast.FunctionDef)]
-    users = {
-        attr: sorted({name for name, d in defs for n in ast.walk(d) if getattr(n, "attr", None) == attr})
-        for attr in ("latch", "snapshots")
-    }
-    assert users == {"latch": ["_Controller.lane"], "snapshots": ["ArchTrace.clocks", "_Controller.snapshot"]}
+    users = sorted({name for name, d in defs for n in ast.walk(d) if getattr(n, "attr", None) == "snapshots"})
+    assert users == ["ArchTrace.clocks", "_Controller.snapshot"]
 
 
 def test_every_name_has_a_toolkit_caller():

@@ -6,7 +6,9 @@ Success that differs from the sent word.  Most sweeps draw one seeded
 nonzero value vector per location set, so counts of the non-generic outcome
 classes move with the seed and are not asserted; on the smallest code every
 value vector is visited and every count is pinned.  Every simulator also
-meets every weight-3 location set of the elliptic preset.
+meets every weight-3 location set of the elliptic preset.  Seeded generic
+samples carry the contract across every m a curve accepts, where Chien
+search may read only the locator columns the syndromes check.
 """
 
 import itertools
@@ -15,14 +17,16 @@ import random
 
 import pytest
 
-from agbms import archsim, bms, decoder, oracle
+from agbms import GF, CodeSpec, CurveSpec, archsim, bms, decoder, elliptic_curve, hermitian_curve, klein_curve, oracle
+from conftest import random_generic_pattern
 
 
-def sweep(code, weight, seed, mode=bms.INVERSE_FREE, every_value=False):
+def sweep(code, weight, seed, mode=bms.INVERSE_FREE, every_value=False, values=None):
     """Status counts per (generic within budget, status); fails on any
     miscorrection and on any generic pattern within budget not corrected.
     With ``every_value`` each location set meets all (q-1)^weight nonzero
-    value vectors instead of one seeded vector."""
+    value vectors instead of one seeded vector, with ``values`` that one
+    vector."""
     rng = random.Random(seed)
     msg = [rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)]
     sent = code.encode(msg)
@@ -32,6 +36,8 @@ def sweep(code, weight, seed, mode=bms.INVERSE_FREE, every_value=False):
         generic = weight <= code.t_generic and oracle.is_generic(code, list(locs)).is_generic
         if every_value:
             value_sets = itertools.product(range(code.fld.q - 1), repeat=weight)
+        elif values is not None:
+            value_sets = [values]
         else:
             value_sets = [[rng.randrange(code.fld.q - 1) for _ in locs]]
         for vals in value_sets:
@@ -107,6 +113,74 @@ def test_gf8_every_value_exhaustive(elliptic_gf8, mode):
     # one seeded value vector per weight-3 set, for the no-miscorrection half
     counts = sweep(code, 3, seed=3, mode=mode)
     assert sum(counts.values()) == math.comb(8, 3)
+
+
+@pytest.mark.parametrize("mode", [bms.INVERSE_FREE, bms.DIVISION])
+def test_hermitian_m18_weight2_exhaustive(hermitian, mode):
+    # y^4 + y = x^5 over GF(16) at m = 18 (t_generic 2): a basis column of
+    # pole order o is checked only by syndromes up to o + max o(Delta), so
+    # Chien search that read every column rejected 1729 of the 1920 generic
+    # pairs as "chien zeros 0 != footprint 2"
+    code = CodeSpec(hermitian.curve, hermitian.fld, m=18)
+    assert (code.n, code.t_generic) == (64, 2)
+    counts = sweep(code, 2, seed=18, mode=mode, values=[3, 7])
+    assert sum(counts.values()) == math.comb(64, 2)
+    assert counts == {
+        (True, decoder.SUCCESS): 1920,
+        (False, decoder.SUCCESS): 3,
+        (False, decoder.NOT_GENERIC): 93,
+    }
+
+
+def budget_sample(code, weight, rng, samples=4):
+    """Decode ``samples`` seeded generic patterns of ``weight`` over all n
+    points in both modes: exact within the budget, never a miscorrection
+    above it."""
+    for _ in range(samples):
+        locs, vals = random_generic_pattern(code, weight, rng, affine_only=False)
+        received = code.inject_errors(code.zero_word(), locs, vals)
+        for mode in (bms.INVERSE_FREE, bms.DIVISION):
+            res = decoder.decode(code, received, mode)
+            if weight <= code.t_generic:
+                assert res.status == decoder.SUCCESS, f"m={code.m} {locs} {vals}: {res.status} {res.detail}"
+                assert sorted(res.error_locs) == sorted(locs)
+            elif res.status == decoder.SUCCESS:
+                assert res.corrected.symbols == code.zero_word().symbols, f"miscorrection at m={code.m} {locs}"
+
+
+BUDGET_CURVES = {
+    "elliptic": (elliptic_curve(), GF(4, 0b10011)),
+    "y3+y=x5": (CurveSpec(a=3, b=5, e=0, chi={(0, 1): 0}, genus=4), GF(4, 0b10011)),
+    "klein": (klein_curve(), GF(3, 0b1011)),
+    "hermitian": (hermitian_curve(), GF(4, 0b10011)),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(BUDGET_CURVES))
+def test_budget_at_every_m(name):
+    # every m the curve accepts with t_generic >= 1, four generic samples
+    # per weight: t_generic decodes exactly, t_generic + 1 never miscorrects
+    cv, fld = BUDGET_CURVES[name]
+    low = 2 * cv.genus - 2 + cv.a
+    n = CodeSpec(cv, fld, m=low).n
+    for m in range(low, n):
+        code = CodeSpec(cv, fld, m=m)
+        if code.t_generic >= 1:
+            rng = random.Random(f"{name}/{m}")
+            budget_sample(code, code.t_generic, rng)
+            budget_sample(code, code.t_generic + 1, rng)
+
+
+@pytest.mark.slow
+def test_hermitian_gf64_m80():
+    # y^8 + y = x^9 over GF(64) (n = 512, g = 28) at m = 80, t_generic 9:
+    # weights 6 and 9 decode, which Chien search over every column rejected
+    code = CodeSpec(CurveSpec(a=8, b=9, e=0, chi={(0, 1): 0}, genus=28), GF(6, 0b1000011), m=80)
+    assert (code.n, code.t_generic) == (512, 9)
+    rng = random.Random("gf64/80")
+    for weight in (6, 9, 10):
+        budget_sample(code, weight, rng, samples=6)
 
 
 @pytest.mark.slow
