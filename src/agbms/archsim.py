@@ -84,9 +84,15 @@ zero-set from ``_stale``, one loop ahead.  It updates s and c in place,
 lane by lane in the order of the clocks, exactly as ``bms.step`` updates
 its state (its docstring says why that is exact), and charges the lane's
 multipliers for the whole loop.  It then returns the lane's loop of v/f
-inputs as one map, e*x ^ d*y over the values the lane gives past its
-head, and its w/g inputs as the values it gives (or d^-1 * x after an
-update), with the zero-set groups written by one slice assignment.  A
+inputs, e*x ^ d*y over the values the lane gives past its head, and its
+w/g inputs: the values it gives, or after an update d^-1 * x in division
+mode and x unscaled in inverse-free mode, with any zero-set groups written
+by one slice assignment.  A multiplier whose constant is 0 or alpha^0 costs
+no map: a lane that latches d = 0 copies its v/f line when e = alpha^0 (as
+division mode's e always is) and maps it through e's one row otherwise, and
+an inverse-free update copies x.  The boundary check thus still compares
+two multipliers (the rows and ``gf``'s ``scale``) on every constant but 0
+and alpha^0, where ``bms.step`` passes its input through as well.  A
 datapath keeps only its wiring -- line lengths, which column sits on which
 slot, the exchange register and the FIFO -- and hands each lane the values
 its lines give.  ``sim_inverse_free`` hands over each block's lines; the
@@ -240,21 +246,28 @@ class _Controller:
         the switch, updates the degrees in place (exact for the reason given
         in ``bms.step``) and charges the multipliers; d passes the gate
         ``bms.step`` makes, s1^(i) <= l^(i) on the gate table, whose -1 at a
-        gap fails it.  It returns the v/f inputs e*x ^ d*y over the groups
-        past the head and the w/g inputs, d^-1 * x after an update, else the
-        given values, with the zero-set groups cleared."""
+        gap fails it.  It returns, as new lists, the v/f inputs e*x ^ d*y
+        over the groups past the head and the w/g inputs -- after an update
+        d^-1 * x, or x unscaled in inverse-free mode, else the given values
+        -- with the zero-set groups cleared.  A lane that latches d = 0
+        copies its v/f line past the head, or maps it through e's one row
+        when e is not alpha^0; only the other lanes map two rows."""
         s1, c1, log, rows = self.s1, self.c1, self.log, self.rows
         l = self.gates.l1[N][i]
         d = log[xs[0]] if s1[i] <= l else ZERO
         upd = self.updates[lane] = d != ZERO and s1[i] < l - c1[j]
         e = 0 if self.division else log[ys[0]]  # division mode keeps v: e = 1
-        dinv = 0  # an inverse-free update takes v unscaled
         if upd:
             if self.division:
-                dinv = self.code.fld.inv_chain(d)
+                ir = rows[self.code.fld.inv_chain(d)]
+                w = [ir[x] for x in xs]
                 self.trace.inv_uses += 1
+            else:
+                w = xs[:]  # an inverse-free update takes v unscaled
             s1[i], c1[j] = l - c1[j], l - s1[i]
             self.M[j] = N
+        else:
+            w = ys[:]
         zero = self._stale(N + 1, j)
         # the v/f input takes vm multipliers at every group past the head, a
         # scaled w/g input one more where it is not zero-set; such a lane
@@ -263,9 +276,12 @@ class _Controller:
         wm = int(upd and self.division)
         self.trace.mult_uses += self.vm * (self.groups - 1) + wm * (self.groups - len(zero))
         self.peak[lane] = self.vm + wm
-        er, dr, ir = rows[e], rows[d], rows[dinv]
-        w = [ir[x] for x in xs] if upd else ys[:]
-        w[zero.start : zero.stop] = [0] * len(zero)
+        if zero:
+            w[zero.start : zero.stop] = [0] * len(zero)
+        er = rows[e]
+        if d == ZERO:  # d*y is zero: the line passes through, or through one row
+            return xs[1:] if e == 0 else [er[x] for x in xs[1:]], w
+        dr = rows[d]
         return [er[x] ^ dr[y] for x, y in zip(xs[1:], ys[1:])], w
 
     def snapshot(self, N: int, lines: dict[str, tuple[list[int], int, int]], switches) -> None:
@@ -378,12 +394,10 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
     P = a * (m + 2) + a + c_v
     G = P // a  # exponent groups per loop
 
-    def vf_cols(N: int) -> list[int]:
-        # one slot rotation per loop: slot k of loop N+1 is slot k+1 of loop N
-        return [cv.b_inv * (N + k) % a for k in range(a)]
-
-    # w/g slot k holds ibar of v/f slot k, the same column in every loop
-    wg_cols = [-cv.b_inv * k % a for k in range(a)]
+    # the (v/f, w/g) columns on slot k in loop N: one v/f slot rotation per
+    # loop (slot k of loop N+1 is slot k+1 of loop N), and w/g slot k holds
+    # ibar of v/f slot k, the same column in every loop
+    slots = [[(cv.b_inv * (N + k) % a, -cv.b_inv * k % a) for k in range(a)] for N in range(m + 2)]
 
     L = a * (m + 2) - 1
     trace = ArchTrace(
@@ -398,14 +412,14 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
     # slot k of group g at phase g*a + k
     vregs, wregs = ctl.initial_registers(G - 1)
     path, wg = [0] * (L + c_v + 1), [0] * P
-    for k, (i, j) in enumerate(zip(vf_cols(0), wg_cols)):
+    for k, (i, j) in enumerate(slots[0]):
         path[k::a], wg[k::a] = vregs[i], wregs[j]
     line, exch = path[:-1], path[-1]
 
     def readback(N: int):
         path = line + [exch]
         vf_regs, wg_regs = [[]] * a, [[]] * a
-        for k, (i, j) in enumerate(zip(vf_cols(N), wg_cols)):
+        for k, (i, j) in enumerate(slots[N]):
             vf_regs[i], wg_regs[j] = path[k::a], wg[k::a]
         return vf_regs, wg_regs
 
@@ -415,7 +429,7 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
         # product at the head group); the w/g line gives its P registers
         xs, ys = line + [exch] + [0] * a, wg
         took, wg = [0] * P, [0] * P
-        for k, (i, j) in enumerate(zip(vf_cols(N), wg_cols)):
+        for k, (i, j) in enumerate(slots[N]):
             took[k + a :: a], wg[k::a] = ctl.lane(N, k, i, j, xs[k::a], ys[k::a])
         # slot-0 values wrap to the last slot and detour through the exchange
         # register, a one-place shift of the slot-0 column (each held for a

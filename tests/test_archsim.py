@@ -526,5 +526,42 @@ def test_product_rows(request, monkeypatch, code_name):
             sim(code, synd, keep_snapshots=False)
     rows = code.tables["archsim", "rows"]
     assert len(tables) == 1 and set(rows) <= met
-    for c in [*rows, ZERO]:  # the zero constant's row is all zeros
+    for c in [*rows, 0, ZERO]:  # rows 0 and ZERO are built here if no latch met them
         assert rows[c] == [fld.to_vec(fld.mul(c, fld.from_vec(v))) for v in range(fld.q)]
+    # a lane passes its line through on these two: row 0 is the identity and
+    # the zero constant's row is all zeros
+    assert rows[0] == list(range(fld.q)) and rows[ZERO] == [0] * fld.q
+
+
+@pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
+def test_lane_map_unchanged(request, monkeypatch, code_name):
+    # a lane that latches d = ZERO or e = 0 skips that multiplier, yet every
+    # lane returns e*x ^ d*y past the head and the w/g inputs of the full
+    # two-row map, as new lists, leaving the given lines as they were
+    code = request.getfixturevalue(code_name)
+    fld, lane, kinds = code.fld, archsim._Controller.lane, set()
+
+    def checked(self, N, k, i, j, xs, ys):
+        rows, given = self.rows, (xs[:], ys[:])
+        d = fld.log[xs[0]] if self.s1[i] <= self.gates.l1[N][i] else ZERO
+        e = 0 if self.division else fld.log[ys[0]]
+        er, dr, ir = rows[e], rows[d], rows[fld.inv_chain(d) if self.division and d != ZERO else 0]
+        want = [er[x] ^ dr[y] for x, y in zip(xs[1:], ys[1:])]
+        vf, w = lane(self, N, k, i, j, xs, ys)
+        want_w = [ir[x] for x in xs] if self.updates[k] else ys[:]
+        zero = self._stale(N + 1, j)
+        want_w[zero.start : zero.stop] = [0] * len(zero)
+        assert (vf, w) == (want, want_w) and (xs, ys) == given
+        assert not {id(vf), id(w)} & {id(xs), id(ys)}
+        kinds.add((d == ZERO, e == 0))
+        return vf, w
+
+    monkeypatch.setattr(archsim._Controller, "lane", checked)
+    rng = random.Random(f"lane map/{code_name}")
+    for weight in range(1, code.t_generic + 2):
+        locs, vals = random_pattern(code, weight, rng, affine_only=False)
+        synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+        for sim in archsim.SIMULATORS.values():
+            sim(code, synd, keep_snapshots=False)
+    # every branch ran: a copied line, one row map, and both two-row forms
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
