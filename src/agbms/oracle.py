@@ -1,7 +1,7 @@
 """Ground-truth checks: genericity, linear-algebra Groebner basis, ratios.
 
 Everything here is test-side and independent of the BMS iteration: the
-genericity determinant, the t x t solve for locator polynomials, brute-force
+genericity rank test, the t x t solve for locator polynomials, brute-force
 ideal membership by evaluation, the Eq.-(3) discrepancy straight from the
 syndrome table, and the seeded random experiment estimating the generic
 fraction (q-1)/q.
@@ -77,7 +77,8 @@ def footprint(code: CodeSpec, locs: list[int]) -> list[Mono]:
 
 
 def is_generic(code: CodeSpec, locs: list[int]) -> GenericityReport:
-    """Genericity via the t x t determinant on the first t non-gaps.
+    """Genericity via the rank of the t x t evaluation matrix of the first
+    t non-gaps: generic iff it is t (the matrix is invertible).
 
     m_t is the t-th non-gap, so Phi(0, a, m_t) holds exactly t monomials
     and the matrix is square.
@@ -87,10 +88,10 @@ def is_generic(code: CodeSpec, locs: list[int]) -> GenericityReport:
         raise ValueError("duplicate locations")
     mt = m_t(code, t)
     monos = code.curve.phi(0, code.curve.a, mt)
-    generic = linalg.det(code.fld, _eval_matrix(code, monos, locs)) != ZERO
+    generic = linalg.rank(code.fld, _eval_matrix(code, monos, locs)) == t
     delta = footprint(code, locs)
     if generic != (delta == monos):
-        raise AssertionError("determinant and footprint tests disagree")
+        raise AssertionError("rank and footprint tests disagree")
     return GenericityReport(generic, mt, delta)
 
 

@@ -203,3 +203,30 @@ def oracle_encoder(code):
         return c
 
     return encode
+
+
+def reference_rref(field, m):
+    """Reduced row-echelon form the long way, entry by entry in log form:
+    (rref matrix, pivot columns).  The reference for ``linalg.rref``, which
+    runs the same elimination on packed rows."""
+    a = [row[:] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if a[i][c] != ZERO), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = (field.q - 1 - a[r][c]) % (field.q - 1)
+        a[r] = [field.mul(x, inv) for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != ZERO:
+                f = a[i][c]
+                a[i] = [field.add(a[i][j], field.mul(f, a[r][j])) for j in range(cols)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots

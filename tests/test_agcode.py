@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from agbms import CodeSpec, Point, Word, bms, decoder, elliptic_curve, linalg
+from agbms import CodeSpec, CurveSpec, Point, Word, bms, decoder, elliptic_curve, linalg
 from agbms.agcode import POLE, PRODUCT_W
 from agbms.gf import ZERO, GF
 from conftest import ELLIPTIC_VALS, ELLIPTIC_XY, full_syndromes_from_errors, oracle_encoder
@@ -58,6 +58,20 @@ def test_m_below_n(request, name):
     for m in range(n, n + cv.genus):
         with pytest.raises(ValueError, match=rf"^m={m} must be below n = {n} "):
             CodeSpec(cv, fld, m=m)
+
+
+def test_hermitian_gf64_encode():
+    # y^8 + y = x^9 over GF(64): n = 512, g = 28, 73 parity checks at m = 100,
+    # a realistic size for the packed-row RREF behind the encoder
+    cv = CurveSpec(a=8, b=9, e=0, chi={(0, 1): 0}, genus=28)
+    code = CodeSpec(cv, GF(6, 0b1000011), m=100)
+    assert code.n == 512
+    assert linalg.rank(code.fld, code.parity_check_matrix()) == len(code.basis) == 73
+    rng = random.Random("gf64/100")
+    msg = [rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)]
+    cw = code.encode(msg)
+    assert all(u == ZERO for u in code.syndromes(cw).values())
+    assert code.encode(msg).symbols == cw.symbols
 
 
 def test_code_dimensions(elliptic, klein, hermitian):
