@@ -8,8 +8,8 @@ uncounted: an inverse is a log-table lookup and no ``OpCounter`` is
 charged.  Sizes stay desk-scale, so plain Gauss-Jordan elimination is
 enough.  Callers: ``agcode`` row-reduces the parity-check matrix for its
 encoder, ``decoder.error_values_interpolation`` solves the t x t
-error-value system on the decode path, and ``oracle`` takes ranks and
-solutions for its genericity tests.
+error-value system on the decode path, and ``oracle`` reads pivots (the
+footprint), ranks and solutions for its genericity tests.
 """
 
 from __future__ import annotations

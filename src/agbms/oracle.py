@@ -1,10 +1,11 @@
 """Ground-truth checks: genericity, linear-algebra Groebner basis, ratios.
 
 Everything here is test-side and independent of the BMS iteration: the
-genericity rank test, the t x t solve for locator polynomials, brute-force
-ideal membership by evaluation, the Eq.-(3) discrepancy straight from the
-syndrome table, and the seeded random experiment estimating the generic
-fraction (q-1)/q.
+genericity rank test, the footprint as the pivots of one elimination (t + g
+evaluation columns suffice for t distinct points, by Riemann-Roch), the
+t x t solve for locator polynomials, brute-force ideal membership by
+evaluation, the Eq.-(3) discrepancy straight from the syndrome table, and
+the seeded random experiment estimating the generic fraction (q-1)/q.
 """
 
 from __future__ import annotations
@@ -53,27 +54,26 @@ def _eval_matrix(code: CodeSpec, monos: list[Mono], locs: list[int]) -> linalg.M
 
 
 def footprint(code: CodeSpec, locs: list[int]) -> list[Mono]:
-    """Exact delta set of I(E) by greedy rank growth over pole order.
+    """Exact delta set of I(E): the pivot columns of one elimination.
 
-    A monomial joins the footprint when its evaluation vector on E is
-    independent of all smaller ones; exactly t = |E| monomials join.
+    The columns are the first t + g ring monomials in pole order, evaluated
+    at the t = |E| points, and a monomial joins the footprint when its
+    column is independent of all smaller ones: ``rref``'s pivots.  For
+    t >= 1 the (t + g)-th non-gap is 2g - 1 + t, so by Riemann-Roch
+    L((2g - 1 + t) P_inf) maps onto the values at any t distinct points
+    and exactly t columns pivot.  Repeated locations raise ``ValueError``,
+    as do fewer pivots (two indices naming one point, such as j and j - n).
     """
-    cv = code.curve
     t = len(locs)
-    delta: list[Mono] = []
-    m = -1
-    while len(delta) < t:
-        m += 1
-        n = cv.l_of(0, m)
-        if n is None:
-            continue
-        trial = [
-            [cv.eval_monomial(code.fld, nn, code.points[j]) for j in locs]
-            for nn in delta + [n]
-        ]
-        if linalg.rank(code.fld, trial) == len(delta) + 1:
-            delta.append(n)
-    return delta
+    if len(set(locs)) != t:
+        raise ValueError("duplicate locations")
+    if t == 0:
+        return []
+    monos = code.curve.phi(0, code.curve.a, m_t(code, t + code.curve.genus))
+    pivots = linalg.rref(code.fld, _eval_matrix(code, monos, locs))[1]
+    if len(pivots) != t:
+        raise ValueError(f"{len(pivots)} of {t} columns pivot: the locations repeat a point")
+    return [monos[c] for c in pivots]
 
 
 def is_generic(code: CodeSpec, locs: list[int]) -> GenericityReport:
@@ -81,11 +81,10 @@ def is_generic(code: CodeSpec, locs: list[int]) -> GenericityReport:
     t non-gaps: generic iff it is t (the matrix is invertible).
 
     m_t is the t-th non-gap, so Phi(0, a, m_t) holds exactly t monomials
-    and the matrix is square.
+    and the matrix is square.  Repeated locations raise ``ValueError``
+    from ``footprint``.
     """
     t = len(locs)
-    if len(set(locs)) != t:
-        raise ValueError("duplicate locations")
     mt = m_t(code, t)
     monos = code.curve.phi(0, code.curve.a, mt)
     generic = linalg.rank(code.fld, _eval_matrix(code, monos, locs)) == t

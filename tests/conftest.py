@@ -230,3 +230,59 @@ def reference_rref(field, m):
         if r == rows:
             break
     return a, pivots
+
+
+def reference_footprint(code, locs):
+    """The delta set of I(E) the long way, by greedy rank growth over pole
+    order: a monomial joins when its evaluation vector on E is independent
+    of all smaller ones.  The reference for ``oracle.footprint``, which
+    reads the same set off the pivots of one elimination.  Loops forever on
+    repeated locations."""
+    cv = code.curve
+    t = len(locs)
+    delta = []
+    m = -1
+    while len(delta) < t:
+        m += 1
+        n = cv.l_of(0, m)
+        if n is None:
+            continue
+        trial = [
+            [cv.eval_monomial(code.fld, nn, code.points[j]) for j in locs]
+            for nn in delta + [n]
+        ]
+        if linalg.rank(code.fld, trial) == len(delta) + 1:
+            delta.append(n)
+    return delta
+
+
+# GF(8), GF(16) and GF(32) for the seeded Artin-Schreier curves
+AS_FIELDS = {8: (3, 0b1011), 16: (4, 0b10011), 32: (5, 0b100101)}
+
+
+def artin_schreier_codes(q, seed):
+    """Seeded codes on y^a + c*y = f(x) over GF(q), a = 2^k in {2, 4}.
+
+    Per odd b in {a + 1, a + 3, a + 5}, three curves with seeded c and
+    leading coefficient e of f (nonzero logs) and up to two more x-terms
+    of f below x^b.  D_y = c is a nonzero constant, so the affine curve is
+    smooth and the genus is (a-1)(b-1)/2.  A curve with n <= 2g - 2 + a
+    points carries no code and is skipped; otherwise m is seeded in
+    [2g - 2 + a, n).
+    """
+    fld = GF(*AS_FIELDS[q])
+    rng = random.Random(seed)
+    out = []
+    for a in (2, 4):
+        for b in range(a + 1, a + 6, 2):
+            for _ in range(3):
+                chi = {(0, 1): rng.randrange(q - 1)}
+                for i in rng.sample(range(b), rng.randint(0, 2)):
+                    chi[(i, 0)] = rng.randrange(q - 1)
+                genus = (a - 1) * (b - 1) // 2
+                curve = CurveSpec(a=a, b=b, e=rng.randrange(q - 1), chi=chi, genus=genus)
+                n = len(curve.points(fld))
+                low = 2 * genus - 2 + a
+                if n > low:
+                    out.append(CodeSpec(curve, fld, m=rng.randrange(low, n)))
+    return out

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from agbms import bms, linalg, oracle
+from agbms import CodeSpec, bms, linalg, oracle
 from agbms.gf import ZERO
-from conftest import random_pattern
+from conftest import AS_FIELDS, artin_schreier_codes, random_pattern, reference_footprint
 
 
 def test_m_t_examples(elliptic, klein, hermitian):
@@ -160,3 +161,43 @@ def test_generic_ratio_rejects_weight_out_of_range(elliptic, t):
     # n = 24: the message the cli gives for --t, from the same check
     with pytest.raises(ValueError, match=rf"^t={t} outside the accepted range \[1, 24\]$"):
         oracle.generic_ratio(elliptic, t, 10, seed=1)
+
+
+def test_footprint_matches_reference_every_small_set(elliptic, klein):
+    # every location set of weight <= 3 on n = 24 and n = 23
+    for code in (elliptic, klein):
+        for t in (1, 2, 3):
+            for locs in itertools.combinations(range(code.n), t):
+                assert oracle.footprint(code, list(locs)) == reference_footprint(code, list(locs))
+
+
+def test_footprint_matches_reference_seeded(elliptic, klein, hermitian, elliptic_gf512):
+    hermitian_m18 = CodeSpec(hermitian.curve, hermitian.fld, m=18)
+    rng = random.Random(25)
+    for code in (elliptic, klein, hermitian, elliptic_gf512, hermitian_m18):
+        for t in range(1, 3 * code.t_generic + 5):
+            for _ in range(4):
+                locs = rng.sample(range(code.n), t)
+                assert oracle.footprint(code, locs) == reference_footprint(code, locs)
+
+
+@pytest.mark.parametrize("q", sorted(AS_FIELDS))
+def test_footprint_matches_reference_artin_schreier(q):
+    # seeded y^a + c*y = f(x) curves, one seeded location set per weight 1..n
+    codes = artin_schreier_codes(q, seed=q)
+    assert codes
+    rng = random.Random(q)
+    for code in codes:
+        for t in range(1, code.n + 1):
+            locs = rng.sample(range(code.n), t)
+            assert oracle.footprint(code, locs) == reference_footprint(code, locs)
+
+
+def test_repeated_locations_raise(elliptic, klein):
+    # j - n names point j again: only the elimination sees that repeat
+    for code in (elliptic, klein):
+        for locs, msg in [([5, 5], "^duplicate locations$"), ([5, 9, 5], "^duplicate locations$"),
+                          ([5, 5 - code.n], "repeat a point$")]:
+            for check in (oracle.footprint, oracle.is_generic):
+                with pytest.raises(ValueError, match=msg):
+                    check(code, locs)
