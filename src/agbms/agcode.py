@@ -67,7 +67,7 @@ def _products(fld: GF, logs: list[int]) -> Table:
     a code stays small, while over GF(2^10) the product tables of one
     n = 1088 code grew the peak RSS by 180 MB against 3 MB."""
     base = fld.pack([fld.to_vec(z) for z in logs])
-    parts = [fld.scale(base, k)[0] for k in range(fld.w)]
+    parts = [fld.scale(base, k) for k in range(fld.w)]
     if fld.w > PRODUCT_W:
         return _Split(fld, parts)
     by_vec = [0]

@@ -22,13 +22,14 @@ L = m+2 lanes per polynomial): ``vf`` holds v in lanes 0..L-1 and f in
 lanes L..2L-1, ``wg`` holds w and g the same way -- the inverse-free
 architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Since
 f and v take the same scale and the same merge partner (g and w), a lane
-update is two ``GF.scale`` calls and one XOR; a scale is one
+update is at most two ``GF.scale`` calls and one XOR; a scale is one
 ``bytes.translate`` of the word's bytes on one-byte lanes and w masked
-multiplies on two-byte lanes, and ``gf`` alone picks which.  On one-byte
-lanes a scale by alpha^0 -- e stays alpha^0 while w is still Z^N, on about
-half the lanes or more -- passes the word through and only counts its
-lanes.  Every live exponent fits: f and g stay at or below N, v holds
-[N, m], and w holds [N, m] plus, after the last loop, its head at
+multiplies on two-byte lanes, and ``gf`` alone picks which.  A lane whose
+e is alpha^0 -- e stays alpha^0 while w is still Z^N, on about half the
+lanes or more -- makes no scale at all.  Field operations are counted,
+through ``GF.weight``, only when a counter is passed; a decode that reports
+none computes none.  Every live exponent fits: f and g stay at or below N,
+v holds [N, m], and w holds [N, m] plus, after the last loop, its head at
 m+1 (e_{m+1}, which the error-value formula consumes).  Exponents
 above m are dead otherwise -- they are never read as discrepancies and
 never feed a lower exponent, since all updates combine equal exponents --
@@ -111,6 +112,7 @@ class BmsState:
     wg: list[int]  # per column: w in lanes 0..m+1, g in lanes m+2..2m+3
     M: list[int | None] = field(default_factory=list)  # step of last g replacement
     tlabel: list[Mono | None] = field(default_factory=list)  # degree label of g
+    invs: int = field(default=0, compare=False)  # division-mode inversions so far
 
 
 @dataclass
@@ -196,17 +198,19 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
     the in-place update equals one from a pre-step copy.  Within a lane
     every old value is read before it is overwritten.
 
-    ``ctr`` is charged one mul per nonzero lane scaled and one mul and one
-    add per nonzero lane merged in, as a coefficient-wise update would be;
-    ``GF.scale`` counts the nonzero lanes it multiplies, on either codec,
-    e = alpha^0 included.
+    With ``ctr`` the lane is charged one mul per nonzero lane scaled and
+    one mul and one add per nonzero lane merged in, as a coefficient-wise
+    update would be, e = alpha^0 included; the counts are ``GF.weight``
+    reads and are made only when ``ctr`` is passed.  A scale by alpha^0
+    is never made.  Each division-mode update adds one to ``state.invs``,
+    with or without ``ctr``.
     """
     fld = code.fld
     gates = gate_table(code)
     N, lb = state.N, fld.lane_bits
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
     log, lane, shift = fld.log, fld.q - 1, N * lb
-    scale = fld.scale
+    scale, weight, counted = fld.scale, fld.weight, ctr is not None
     inverse_free = state.mode == INVERSE_FREE
     l1, clear, keep = gates.l1[N], gates.head_clear[N], gates.shift_keep[N]
     muls = adds = 0
@@ -214,19 +218,25 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
         x, y, l = vf[i], wg[ib], l1[i]
         new = x
         if inverse_free:
-            new, k = scale(x, log[y >> shift & lane])
-            muls += k
+            if e := log[y >> shift & lane]:
+                new = scale(x, e)
+            if counted:
+                muls += weight(new)  # a nonzero constant keeps every nonzero lane
         di = log[x >> shift & lane] if s1[i] <= l else ZERO
         if di != ZERO:
-            yd, k = scale(y, di)
+            yd = scale(y, di)
             new ^= yd
-            muls += k
-            adds += k
+            if counted:
+                k = weight(yd)
+                muls += k
+                adds += k
         vf[i] = new & clear  # mod Z^N: the consumed head is deleted explicitly
         if di != ZERO and s1[i] < l - c1[ib]:
             if not inverse_free:
-                x, k = scale(x, fld.inv_chain(di, ctr))
-                muls += k
+                x = scale(x, fld.inv_chain(di, ctr))
+                state.invs += 1
+                if counted:
+                    muls += weight(x)
             # f and v are zero at m+1, so shifting after the scale loses
             # nothing and charges the muls a scale after the shift would
             wg[ib] = x << lb & keep
@@ -234,7 +244,7 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
             s1[i], c1[ib] = l - c1[ib], l - s1[i]
         else:
             wg[ib] = y << lb & keep
-    if ctr is not None:
+    if counted:
         ctr.muls += muls
         ctr.adds += adds
     state.N = N + 1

@@ -250,7 +250,7 @@ def cmd_stats_generic(args) -> int:
     print(f"trials: {rep['trials']}")
     print(f"hits: {rep['hits']}")
     print(f"estimate: {rep['estimate']:.6f}")
-    print(f"expected: {rep['expected']:.6f}")
+    print(f"heuristic (q-1)/q: {rep['heuristic']:.6f}")
     return EXIT_OK
 
 

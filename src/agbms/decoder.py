@@ -163,14 +163,15 @@ def decode(
     Anything structurally off is reported as NotGenericDetected, arithmetic
     dead ends (Klein special-point derivative, vanishing value sum) as
     Failure.  When the closed-form values fail the re-check the pipeline
-    re-evaluates by syndrome interpolation before giving up.
+    re-evaluates by syndrome interpolation before giving up.  An
+    inverse-free BMS run whose state tallies an inversion raises
+    AssertionError, with or without ``ctr`` and under ``python -O``; BMS
+    counts field operations only when ``ctr`` is passed.
     """
     packed = code.syndrome_word(received)
     synd = code.syndrome_dict(packed)
-    bms_ctr = OpCounter() if ctr is None else ctr
-    invs = bms_ctr.invs
-    state, _ = bms.run(code, synd, mode, ctr=bms_ctr)
-    if mode == bms.INVERSE_FREE and bms_ctr.invs != invs:
+    state, _ = bms.run(code, synd, mode, ctr=ctr)
+    if mode == bms.INVERSE_FREE and state.invs:
         raise AssertionError("inverse-free BMS performed a field inversion")
     basis = bms.extract_locators(state, code)
 

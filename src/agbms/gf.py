@@ -15,20 +15,20 @@ exponent k in bit-vector form, in ``lane_bits`` = 8 * ceil(w/8) bits (one
 byte up to w = 8, two up to w = 16).  ``GF`` is the one home of the lane
 primitives: ``pack``/``unpack`` convert between a list of bit-vector values
 and a packed word, ``terms`` lists the nonzero lanes as (lane, log) pairs,
-and ``scale`` multiplies every lane by one constant, so a merge of two lines
-is one XOR, and counts the nonzero lanes it multiplied.  The field picks
-one of two codecs from ``lane_bits`` when it is built:
+``scale`` multiplies every lane by one constant, so a merge of two lines
+is one XOR, and ``weight`` counts the nonzero lanes, the multiplications a
+scale by a nonzero constant stands for.  The field picks one of two codecs
+from ``lane_bits`` when it is built:
 
 * one-byte lanes (w <= 8, every bundled preset): a word is the bytes of its
   lanes, so ``pack`` is ``bytes(vecs)`` read as an int and ``unpack`` the
   int's bytes; ``scale`` is one ``bytes.translate`` through the constant's
-  256-byte product table, and its count is the number of nonzero bytes;
-  a scale by alpha^0 returns the word as it is and only counts its nonzero
-  bytes (the count still stands for the multiplier a lane passes through);
+  256-byte product table, a scale by alpha^0 returns the word as it is, and
+  ``weight`` counts the nonzero bytes;
 * two-byte lanes (w >= 9): ``pack``/``unpack`` go through ``struct`` and
   ``scale`` XORs w masked integer multiplies ((x >> j) & ones) * vec(c *
   alpha^j) (split-table multiplication by a constant), whose products stay
-  within their lanes.
+  within their lanes, and ``weight`` counts the nonzero values ``unpack`` gives.
 
 A constant's table (the 256 products or the w products vec(c * alpha^j)) is
 built the first time it scales a word and kept; no q x q table is ever
@@ -95,9 +95,10 @@ class GF:
         self._scale_rows: dict[int, bytes | tuple[int, ...]] = {}  # c -> its products
         # the lane codec, picked once here from the lane width
         if self.lane_bits == 8:
-            self.pack, self.unpack, self.scale = self._pack8, self._unpack8, self._scale8
+            codec = self._pack8, self._unpack8, self._scale8, self._weight8
         else:
-            self.pack, self.unpack, self.scale = self._pack16, self._unpack16, self._scale16
+            codec = self._pack16, self._unpack16, self._scale16, self._weight16
+        self.pack, self.unpack, self.scale, self.weight = codec
 
     def __repr__(self) -> str:
         return f"GF(2^{self.w}, prim_poly={self.prim_poly:#b})"
@@ -151,11 +152,11 @@ class GF:
     #
     # pack(vecs) -> int: one lane per bit-vector value, value k in lane k
     # unpack(x, n) -> list: the bit-vector values of the lowest n lanes of x
-    # scale(x, c) -> (int, int): every lane of x times the log-form constant
-    #     c, and the multiplications that stands for: one per nonzero lane
-    #     of x, none when c is zero.  On one-byte lanes c = 0 (alpha^0)
-    #     returns x itself with that count.  Uncharged: the caller charges
-    #     the count.
+    # scale(x, c) -> int: every lane of x times the log-form constant c.
+    #     On one-byte lanes c = 0 (alpha^0) returns x itself.  Uncharged.
+    # weight(x) -> int: the nonzero lanes of x, the multiplications a scale
+    #     of x by a nonzero constant stands for; a caller that charges a
+    #     counter charges this.
 
     def terms(self, x: int) -> list[tuple[int, int]]:
         """(lane, log) of every nonzero lane of x, lowest lane first."""
@@ -168,19 +169,21 @@ class GF:
     def _unpack8(self, x: int, n: int) -> list[int]:
         return list(x.to_bytes(n, "little"))
 
-    def _scale8(self, x: int, c: int) -> tuple[int, int]:
+    def _scale8(self, x: int, c: int) -> int:
         if c == ZERO:
-            return 0, 0
-        nb = (x.bit_length() + 7) >> 3
-        raw = x.to_bytes(nb, "little")
+            return 0
         if c == 0:
-            return x, nb - raw.count(0)
+            return x
         table = self._scale_rows.get(c)
         if table is None:
             exp, log, qm1 = self.exp, self.log, self.q - 1
             products = [0] + [exp[(c + log[v]) % qm1] for v in range(1, self.q)]
             table = self._scale_rows[c] = bytes(products).ljust(256, b"\0")
-        return int.from_bytes(raw.translate(table), "little"), nb - raw.count(0)
+        return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(table), "little")
+
+    def _weight8(self, x: int) -> int:
+        nb = (x.bit_length() + 7) >> 3
+        return nb - x.to_bytes(nb, "little").count(0)
 
     def _pack16(self, vecs: list[int]) -> int:
         return int.from_bytes(struct.pack(f"<{len(vecs)}H", *vecs), "little")
@@ -188,20 +191,22 @@ class GF:
     def _unpack16(self, x: int, n: int) -> list[int]:
         return list(struct.unpack(f"<{n}H", x.to_bytes(2 * n, "little")))
 
-    def _scale16(self, x: int, c: int) -> tuple[int, int]:
+    def _scale16(self, x: int, c: int) -> int:
         # each product is w bits wide and lands on its own lane, so no lane
-        # carries into the next; the OR of the bit-planes marks the nonzero lanes
+        # carries into the next
         if c == ZERO:
-            return 0, 0
+            return 0
         row = self._scale_rows.get(c)
         if row is None:
             exp, qm1 = self.exp, self.q - 1
             row = self._scale_rows[c] = tuple(exp[(c + j) % qm1] for j in range(self.w))
         ones = int.from_bytes(b"\1\0" * -(-x.bit_length() // 16), "little")  # bit 0 of every lane
-        acc = nonzero = 0
+        acc = 0
         for r in row:
-            bits = x & ones
-            acc ^= bits * r
-            nonzero |= bits
+            acc ^= (x & ones) * r
             x >>= 1
-        return acc, nonzero.bit_count()
+        return acc
+
+    def _weight16(self, x: int) -> int:
+        n = -(-x.bit_length() // 16)
+        return n - self._unpack16(x, n).count(0)

@@ -32,10 +32,10 @@ def rref(field: GF, m: Matrix) -> tuple[Matrix, list[int]]:
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        row = a[r] = field.scale(a[r], -log[a[r] >> s & qm1] % qm1)[0]  # table inverse, uncounted
+        row = a[r] = field.scale(a[r], -log[a[r] >> s & qm1] % qm1)  # table inverse, uncounted
         for i, x in enumerate(a):
             if i != r and x >> s & qm1:
-                a[i] = x ^ field.scale(row, log[x >> s & qm1])[0]
+                a[i] = x ^ field.scale(row, log[x >> s & qm1])
         pivots.append(c)
         r += 1
         if r == len(a):

@@ -362,6 +362,18 @@ def test_extract_poly_raises_under_optimize():
             archsim.sim_inverse_free(code, code.syndromes(code.inject_errors(code.zero_word(), locs, [6, 8, 11])))
         except AssertionError as exc:
             print("sim:", exc)
+        bms.init_state = init_state
+        from agbms import decoder
+        run = bms.run
+        def inverting(*args, **kwargs):
+            st, records = run(*args, **kwargs)
+            st.invs += 1
+            return st, records
+        bms.run = inverting
+        try:
+            decoder.decode(code, code.zero_word())
+        except AssertionError as exc:
+            print("guard:", exc)
         """
     )
     src = str(pathlib.Path(bms.__file__).resolve().parents[1])
@@ -374,6 +386,7 @@ def test_extract_poly_raises_under_optimize():
     assert "generic pattern: True" in out
     assert "generic: rank and footprint tests disagree" in out
     assert "sim: inverse_free: boundary N=0 register state diverges" in out
+    assert "guard: inverse-free BMS performed a field inversion" in out
 
 
 def test_state_record_format(elliptic, elliptic_golden):
@@ -448,7 +461,8 @@ def test_op_counts_complete_and_repeatable(
             counts = []
             for _ in range(2):
                 ctr = OpCounter()
-                bms.run(code, synd, mode, ctr=ctr)
+                state, _ = bms.run(code, synd, mode, ctr=ctr)
+                assert state.invs == ctr.invs  # the state's own tally, read by decode's guard
                 counts.append((ctr.muls, ctr.invs, ctr.adds))
             assert counts[0] == counts[1]
             assert counts[0][:2] == (muls, invs)
@@ -471,18 +485,17 @@ def reference_step(state, code, ctr=None):
         x, y, di = vf[i], wg[ib], d[i]
         new = x
         if inverse_free:
-            new, k = fld.scale(x, e[ib])
-            muls += k
+            new = fld.scale(x, e[ib])
+            muls += 0 if e[ib] == ZERO else fld.weight(x)
         if di != ZERO:
-            yd, k = fld.scale(y, di)
-            new ^= yd
-            muls += k
-            adds += k
+            new ^= fld.scale(y, di)
+            muls += fld.weight(y)
+            adds += fld.weight(y)
         vf[i] = new & clear
         if di != ZERO and s1[i] < l1[i] - c1[ib]:
             if not inverse_free:
-                x, k = fld.scale(x, fld.inv_chain(di, ctr))
-                muls += k
+                x = fld.scale(x, fld.inv_chain(di, ctr))
+                muls += fld.weight(x)
             wg[ib] = x << lb & keep
             state.M[ib], state.tlabel[ib] = N, (s1[i], i)
             s1[i], c1[ib] = l1[i] - c1[ib], l1[i] - s1[i]
@@ -494,27 +507,40 @@ def reference_step(state, code, ctr=None):
     state.N = N + 1
 
 
-def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8):
+def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8, monkeypatch):
     # the one-pass step reads each lane's d and e where it updates the lane;
     # after every N its state and counts equal the two-pass reference's, on
     # one- and two-byte lanes, so Step 1 keeps the one definition of
-    # ``bms.discrepancies``
+    # ``bms.discrepancies``.  A step without a counter leaves the same state,
+    # its inversion tally included, and an inverse-free step scales once per
+    # lane whose e is not alpha^0 and once per nonzero d
     rng = random.Random(17)
     for code in (elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8):
         cv, gates = code.curve, bms.gate_table(code)
         for N in range(code.m + 2):
             assert gates.l1[N] == [-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(cv.a)]
+        fld, calls = code.fld, []
+        scale = fld.scale
+        monkeypatch.setattr(fld, "scale", lambda x, c: calls.append(c) or scale(x, c))
         for k in range(2 * (code.t_generic + 3)):
             locs, vals = random_pattern(code, k // 2, rng, affine_only=False)
             synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
             for mode in (bms.INVERSE_FREE, bms.DIVISION):
-                st, ref = bms.init_state(code, synd, mode), bms.init_state(code, synd, mode)
+                st, ref, bare = (bms.init_state(code, synd, mode) for _ in range(3))
                 ctr, ref_ctr = OpCounter(), OpCounter()
                 while st.N <= code.m:
+                    d, e = bms.discrepancies(bare, code)
+                    calls.clear()
+                    bms.step(bare, code)
+                    if mode == bms.INVERSE_FREE:
+                        assert len(calls) == sum(x != 0 for x in e) + sum(x != ZERO for x in d)
                     bms.step(st, code, ctr)
                     reference_step(ref, code, ref_ctr)
                     assert st == ref, (code.curve, mode, locs, vals, st.N)
                     assert ctr == ref_ctr, (code.curve, mode, locs, vals, st.N)
+                    assert (bare, bare.invs) == (st, st.invs), (code.curve, mode, locs, vals, st.N)
+                assert st.invs == ctr.invs
+        monkeypatch.undo()  # the wrapper reads this code's scale and calls
 
 
 # sha256[:16] over bms.run(record=True) records and (muls, invs, adds) of 40

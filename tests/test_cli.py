@@ -642,7 +642,7 @@ def test_stats_generic_deterministic(capsys):
     assert code == cli.EXIT_OK
     code, out2, _ = run_cli(capsys, "stats-generic", "elliptic_gf16", "--t", "2", "--trials", "60", "--seed", "9")
     assert out1 == out2
-    assert "expected: 0.9375" in out1
+    assert "heuristic (q-1)/q: 0.937500" in out1
 
 
 def test_bench_rows(capsys):

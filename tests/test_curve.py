@@ -151,7 +151,7 @@ def at_points(code, poly, deriv=False):
     scales the plain (alpha^0) word of its monomial by its coefficient."""
     fld, acc = code.fld, 0
     for n, c in poly.items():
-        acc ^= fld.scale(code.point_words(code.curve.pole_order(n))[deriv][0], c)[0]
+        acc ^= fld.scale(code.point_words(code.curve.pole_order(n))[deriv][0], c)
     return [fld.log[v] for v in fld.unpack(acc, code.n)]
 
 

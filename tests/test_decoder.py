@@ -230,6 +230,40 @@ def test_decode_inversion_accounting(elliptic, elliptic_golden):
     assert ctr.invs == 2 * elliptic.curve.a + len(res.error_locs)
 
 
+def test_inverse_free_inversion_guard(elliptic, elliptic_golden, monkeypatch):
+    # the guard reads the BMS state's own inversion tally, so an inverse-free
+    # run that reports an inversion raises with or without a counter
+    _, _, recv = elliptic_golden
+    run = bms.run
+
+    def inverting(*args, **kwargs):
+        state, records = run(*args, **kwargs)
+        state.invs += 1
+        return state, records
+
+    monkeypatch.setattr(bms, "run", inverting)
+    for ctr in (None, OpCounter()):
+        with pytest.raises(AssertionError, match="inverse-free BMS performed a field inversion"):
+            decoder.decode(elliptic, recv, ctr=ctr)
+    assert decoder.decode(elliptic, recv, bms.DIVISION).status == decoder.SUCCESS  # it inverts by design
+
+
+def test_decode_counted_equals_uncounted(elliptic, klein, hermitian, elliptic_gf512):
+    # BMS counts field operations only when a counter is passed; passing one
+    # changes no result, at weights 0..t_generic+2 in both modes
+    rng = random.Random(26)
+    for code in (elliptic, klein, hermitian, elliptic_gf512):
+        for k in range(2 * (code.t_generic + 3)):
+            locs, vals = random_pattern(code, k % (code.t_generic + 3), rng, affine_only=False)
+            cw = code.encode([rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)])
+            recv = code.inject_errors(cw, locs, vals)
+            for mode in (bms.INVERSE_FREE, bms.DIVISION):
+                ctr = OpCounter()
+                res = decoder.decode(code, recv, mode)
+                assert res == decoder.decode(code, recv, mode, ctr), (code.curve, mode, locs)
+                assert ctr.muls > 0 or not locs
+
+
 def test_error_values_zero_sum_reported(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     basis = run_basis(elliptic, recv)

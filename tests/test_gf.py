@@ -108,8 +108,8 @@ def test_inv_chain_charges_the_chain(w):
 
 @pytest.mark.parametrize("w, prim_poly", [(w, PRIMITIVE[w]) for w in (3, 4, 8, 9)] + [(16, 0x1002D)])
 def test_scale_by_one_passes_through(w, prim_poly):
-    # alpha^0 returns the word itself with its nonzero-lane count, on both
-    # codecs; one-byte lanes build no product table for it
+    # alpha^0 returns the word itself, and weight its nonzero-lane count, on
+    # both codecs; one-byte lanes build no product table for it
     field = GF(w, prim_poly)
     rng = random.Random(w)
     words = [[rng.randrange(-1, field.q - 1) for _ in range(rng.randrange(1, 40))] for _ in range(30)]
@@ -117,7 +117,7 @@ def test_scale_by_one_passes_through(w, prim_poly):
     words += [[field.q - 2, ZERO, 0] + [ZERO] * 9, [ZERO] * 5, []]
     for logs in words:
         x = field.pack([field.to_vec(a) for a in logs])
-        assert field.scale(x, 0) == (x, len(logs) - logs.count(ZERO))
+        assert (field.scale(x, 0), field.weight(x)) == (x, len(logs) - logs.count(ZERO))
     if field.lane_bits == 8:
         assert 0 not in field._scale_rows
 
@@ -161,11 +161,13 @@ def test_lane_primitives_exhaustive(w):
         assert x < 1 << n * fld.lane_bits
         assert fld.unpack(x, n) == vecs
         assert fld.terms(x) == [(k, a) for k, a in enumerate(logs) if a != ZERO]
+        # weight counts the nonzero lanes: the multiplications a scale by a
+        # nonzero constant stands for
+        assert fld.weight(x) == n - logs.count(ZERO)
         for c in [ZERO, *range(fld.q - 1)]:
-            product, muls = fld.scale(x, c)
+            product = fld.scale(x, c)
             assert fld.unpack(product, n) == [fld.to_vec(fld.mul(c, a)) for a in logs]
-            # one multiplication per nonzero lane, none by zero
-            assert muls == (0 if c == ZERO else n - logs.count(ZERO))
+            assert fld.weight(product) == (0 if c == ZERO else n - logs.count(ZERO))
 
 
 def test_sixteen_bit_lanes():
@@ -181,7 +183,7 @@ def test_sixteen_bit_lanes():
         x = fld.pack([fld.to_vec(a) for a in logs])
         assert [fld.from_vec(v) for v in fld.unpack(x, n)] == logs
         for c in consts:
-            product, muls = fld.scale(x, c)
+            product = fld.scale(x, c)
             assert [fld.from_vec(v) for v in fld.unpack(product, n)] == [fld.mul(c, a) for a in logs]
-            assert muls == n - logs.count(ZERO)
+            assert fld.weight(product) == n - logs.count(ZERO)
     assert len(fld._scale_rows) == len(set(consts))  # one row per constant used

@@ -85,7 +85,7 @@ def test_every_name_has_a_toolkit_caller():
     # holds the reference algorithms by design, dunder methods are called
     # by Python and __all__ is the public API, so those are exempt.  The
     # match is by name only: a method that shares its name with any local
-    # variable or attribute (GF.nonzero beside _scale16's nonzero, say)
+    # variable or attribute (a GF.weight beside bms.step's local weight, say)
     # counts as called, so a dead name can escape it
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
