@@ -7,7 +7,7 @@ preserve/update switches once per N-loop.  The published register tables are
 not available as text, so each simulator derives its own layout from the
 stated line lengths and validates itself ("oracle equivalence"): each
 simulator steps a software BMS state alongside its registers, and at every
-N-boundary it packs its register lines into the state's packed v|f and w|g
+N-boundary it places its register words in the state's packed v|f and w|g
 words (``bms.BmsState``) and requires them, with (s, c), to equal that
 state's, as ints.  Register values are held in bit-vector form, also in
 the snapshots, which read each line from its output end to its input end;
@@ -51,31 +51,24 @@ Zero-setting: a recirculated w/g value whose slot would fall between the
 live w window and the pinned g window next loop is replaced by zero at the
 line input, otherwise stale values would corrupt the f updates.
 
-Shift registers: every line is a plain list, from its output end to its
-input end, and a datapath computes one N-loop at a time.  A line gives one
-register and takes one per clock, so the order in which it gives values
-over a loop is known when the loop starts: an inverse-free v/f line gives
-its registers, then the 0 it took at clock 0; a w/g line gives its
-registers; the serial v/f path (line and FIFO) gives its registers, then
-what it took in the loop's first a+1 clocks -- the old exchange value and a
-zeros.  A w/g line turns once per loop; an inverse-free v/f line, one
-register shorter, comes round one register further each loop.  A snapshot
-is a window on that sequence: ``_Controller.snapshot`` keeps one record per
-loop -- its first clock, each line named by what it gives then what it
-takes, where its registers start in that sequence and how many it has, and
-the loop's switch function -- and ``ArchTrace.clocks``, the one clock-window
-rule, reads the registers after clock t as the slice
-[t+1+first : t+1+first+length].  The serial FIFO starts past the line's L
-registers in the same sequence, and the exchange register is its held
-values, each repeated a times, starting at -1.
+Register words: a datapath computes one N-loop at a time and holds each
+line as one packed int of ``gf`` lanes, register p counted from the output
+end in lane p; a line gives one register and takes one per clock, so over a
+loop it gives its lanes in order and the lanes it takes line up behind
+them.  An inverse-free block holds a v/f word and a w/g word; the serial
+datapaths hold one v/f word and one w/g word per slot (stride a of the
+interleaved line: slot k of group g is phase g*a + k), the v/f one of
+G-1 = m+2+c_v/a groups covering the line, the FIFO and the exchange
+register, the w/g one of G = P/a groups.
 
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
 at one multiplier pair in loop N.  ``_Controller.lane`` is the one lane
-rule.  At the lane's head group it latches d (behind the one gate
-comparison of ``bms.step``) and e (d^-1 too in division mode) as product
-rows, a list r per constant with r[v] = vec(c*v), built from the field's
-exp/log tables the first time a latch meets c and kept on the code
+rule.  It reads the v head and the w head as lane 0 of the words its
+columns give and latches d (behind the one gate comparison of
+``bms.step``) and e (d^-1 too in division mode) as product rows: a table
+per constant mapping every bit-vector v to vec(c*v), built from the
+field's exp/log tables the first time a latch meets c and kept on the code
 (``_Rows``, one table per code; no q x q table, and independent of
 ``gf``'s ``scale`` tables, so the boundary check compares two
 multipliers); it sets the lane's preserve/update switch
@@ -83,46 +76,53 @@ multipliers); it sets the lane's preserve/update switch
 zero-set from ``_stale``, one loop ahead.  It updates s and c in place,
 lane by lane in the order of the clocks, exactly as ``bms.step`` updates
 its state (its docstring says why that is exact), and charges the lane's
-multipliers for the whole loop.  It then returns the lane's loop of v/f
-inputs, e*x ^ d*y over the values the lane gives past its head, and its
-w/g inputs: the values it gives, or after an update d^-1 * x in division
-mode and x unscaled in inverse-free mode, with any zero-set groups written
-by one slice assignment.  A multiplier whose constant is 0 or alpha^0 costs
-no map: a lane that latches d = 0 copies its v/f line when e = alpha^0 (as
-division mode's e always is) and maps it through e's one row otherwise, and
-an inverse-free update copies x.  The boundary check thus still compares
-two multipliers (the rows and ``gf``'s ``scale``) on every constant but 0
-and alpha^0, where ``bms.step`` passes its input through as well.  A
-datapath keeps only its wiring -- line lengths, which column sits on which
-slot, the exchange register and the FIFO -- and hands each lane the values
-its lines give.  ``sim_inverse_free`` hands over each block's lines; the
-one interleaved line of ``_sim_serial_core`` carries lane k on slot k, the
-stride ``[k::a]``, and its exchange register is a one-place shift of the
-slot-0 column (it holds each slot-0 value for a clocks).  ``loops`` counts
-each loop's P clocks.  At a boundary a datapath hands over each column's
-registers in exponent-group order: the inverse-free lines themselves, live
-(``pack`` reads any sequence of ints), and a step slice ``[k::a]`` of the
-serial v/f path (line, FIFO, exchange register) and of the w/g line.  The
-controller packs each column's whole run with one ``gf`` ``pack`` (a lane
-per register, in the run's order) and places the packed int in the
+multipliers for the whole loop.  It then returns the word of the lane's
+v/f inputs, e*(x >> lane) ^ d*(y >> lane) with x and y the words its lines
+give -- at most two whole-word maps through product rows (``GF.lookup``: a
+``bytes.translate`` on one-byte lanes, unpack, row and pack on two-byte
+ones) and one XOR -- and the word of its w/g inputs: y, or after an update
+d^-1 * x in division mode and x unscaled in inverse-free mode, with any
+zero-set groups cleared by one mask.  A multiplier whose constant is 0 or
+alpha^0 makes no map, so a lane that latches d = 0 and e = alpha^0 is a
+plain shift; the boundary check thus still compares two multipliers on
+every constant but 0 and alpha^0, where ``bms.step`` passes its input
+through as well.
+
+A datapath keeps only its wiring -- line lengths, which column sits on
+which slot, and the rotation -- and hands each lane its words.
+``sim_inverse_free`` hands over each block's words.  ``_sim_serial_core``
+hands lane k the words of slot k; the slot rule, the exchange register and
+the FIFO reduce to a rotation of the v/f slot words: after loop N, slot k
+holds lane k+1's v/f inputs and slot a-1 lane 0's, which wrap through the
+exchange register (a one-place shift of the slot-0 column) and the FIFO;
+each lane's w/g inputs stay on its slot.  ``loops`` counts each loop's P
+clocks.  At a boundary a datapath hands over each column's words (the
+serial ones read off the slot table), and the controller places them in the
 reference state's lanes with shifts and one mask: the registers below the
 split move up past the N retired lanes, and the rest move, uncut, past the
-gap lane to the f or g lanes.  No list is built per column.  It compares
+gap lane to the f or g lanes.  Nothing is packed or unpacked.  It compares
 the placed words with the reference state's as ints.  That equality is the
 whole check: the reference holds zero on every lane that a zero-set group
 or a group past the top exponent maps to, so a register left nonzero there
 diverges at f or g.
 
 Snapshots are kept only on request (``keep_snapshots=True``, as
-``trace-arch`` asks).  A kept run stores each loop's line sequences, about
-twice its registers, and builds no per-clock container until ``clocks`` is
-iterated; a switch function binds its own loop's values, since the
-controller sets its switches again every loop.
+``trace-arch`` asks).  A kept run unpacks each loop's words into what each
+line gives then takes over the loop, about twice its registers, and
+``_Controller.snapshot`` keeps one record per loop -- its first clock, each
+line as that sequence with where its registers start in it and how many it
+has, and the loop's switch function; ``ArchTrace.clocks``, the one
+clock-window rule, reads the registers after clock t as the slice
+[t+1+first : t+1+first+length].  The serial FIFO starts past the line's L
+registers in the same sequence, and the exchange register is its held
+values, each repeated a times, starting at -1.  No per-clock container is
+built until ``clocks`` is iterated; a switch function binds its own loop's
+values, since the controller sets its switches again every loop.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import bms
@@ -188,16 +188,20 @@ class ResourceEstimate:
 
 class _Rows(dict):
     """Product rows of one field, each built the first time its constant is
-    latched: row c (a log, ZERO included) is a list r with r[v] = vec(c*v)
-    for every bit-vector v, so the zero constant's row is all zeros."""
+    latched: row c (a log, ZERO included) maps every bit-vector v to
+    vec(c*v), so the zero constant's row is all zeros.  A row is in the
+    table form ``GF.lookup`` reads, which the field's lane width picks:
+    256 bytes on one-byte lanes (q <= 256), a list of q values on two-byte
+    lanes."""
 
     def __init__(self, fld: GF):
         super().__init__()
         self.exp, self.log, self.q = fld.exp, fld.log, fld.q
 
-    def __missing__(self, c: int) -> list[int]:
+    def __missing__(self, c: int) -> bytes | list[int]:
         exp, qm1 = self.exp, self.q - 1
-        row = self[c] = [0] * self.q if c == ZERO else [0] + [exp[(c + l) % qm1] for l in self.log[1:]]
+        row = [0] * self.q if c == ZERO else [0] + [exp[(c + l) % qm1] for l in self.log[1:]]
+        row = self[c] = bytes(row).ljust(256, b"\0") if self.q <= 256 else row
         return row
 
 
@@ -205,69 +209,59 @@ class _Controller:
     """Latches, switches, line inputs and boundary checks of one simulated
     run, per lane (see the module docstring); it fills in ``trace``.
     ``groups`` is the number of clocks a lane takes per loop (the w/g
-    line's exponent groups).  Register values are in bit-vector form; the
-    latched e, d and d^-1 are product rows (``_Rows``), kept on the code."""
+    line's exponent groups).  A line is a word of ``gf`` lanes, register p
+    from the output end in lane p, in bit-vector form; the latched e, d
+    and d^-1 are product rows (``_Rows``), kept on the code."""
 
     def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str, groups: int):
         fld, a = code.fld, code.curve.a
         self.arch, self.trace, self.code, self.synd = trace.architecture, trace, code, synd
-        self.m, self.pack, self.lb = code.m, fld.pack, fld.lane_bits
+        self.m, self.lb, self.head, self.map = code.m, fld.lane_bits, fld.q - 1, fld.lookup
         self.groups = groups
         self.division = mode == bms.DIVISION
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
         self.gates = bms.gate_table(code)
-        self.log, self.rows = fld.log, code.tables.get(("archsim", "rows"))
-        if self.rows is None:
-            self.rows = code.tables["archsim", "rows"] = _Rows(fld)
+        self.log, self.rows = fld.log, code.tables.setdefault(("archsim", "rows"), _Rows(fld))
         self.ref = bms.init_state(code, synd, mode)
         self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
         self.M: list[int | None] = [None] * a  # loop of the last g replacement per column
         self.updates = [False] * a  # per lane: the preserve/update switch of the loop
         self.peak = [0] * a  # per lane: multipliers on its busiest clock
 
-    def initial_registers(self, vf_groups: int) -> tuple[list[list[int]], list[list[int]]]:
-        """The v/f and w/g registers of every column, in exponent-group
-        order, before loop 0: column i holds the syndromes at the v lanes of
-        its seed (the ``bms`` gate table), then f = 1; w = 1."""
-        to_vec = self.code.fld.to_vec
-        vf = []
-        for seed in self.gates.seed:
-            regs = [0] * vf_groups
-            for lane, l in seed:
-                regs[lane] = to_vec(self.synd[l])
-            regs[self.m + 1] = 1
-            vf.append(regs)
-        return vf, [[1] + [0] * (self.groups - 1) for _ in vf]
+    def initial_registers(self) -> tuple[list[int], list[int]]:
+        """The v/f and w/g words of every column before loop 0: column i
+        holds the syndromes at the v lanes of its seed (the ``bms`` gate
+        table), then f = 1 at lane m+1; w = 1."""
+        to_vec, lb, f_one = self.code.fld.to_vec, self.lb, 1 << (self.m + 1) * self.lb
+        vf = [sum(to_vec(self.synd[l]) << lane * lb for lane, l in seed) | f_one for seed in self.gates.seed]
+        return vf, [1] * len(vf)
 
-    def lane(self, N: int, lane: int, i: int, j: int, xs: list[int], ys: list[int]) -> tuple[list, list]:
-        """One lane's loop N, where xs and ys are the values its v/f and w/g
-        columns i and j give, one per exponent group.  At the head group,
-        from the v head xs[0] and the w head ys[0], it latches d and e, sets
-        the switch, updates the degrees in place (exact for the reason given
-        in ``bms.step``) and charges the multipliers; d passes the gate
-        ``bms.step`` makes, s1^(i) <= l^(i) on the gate table, whose -1 at a
-        gap fails it.  It returns, as new lists, the v/f inputs e*x ^ d*y
-        over the groups past the head and the w/g inputs -- after an update
-        d^-1 * x, or x unscaled in inverse-free mode, else the given values
-        -- with the zero-set groups cleared.  A lane that latches d = 0
-        copies its v/f line past the head, or maps it through e's one row
-        when e is not alpha^0; only the other lanes map two rows."""
-        s1, c1, log, rows = self.s1, self.c1, self.log, self.rows
+    def lane(self, N: int, lane: int, i: int, j: int, x: int, y: int) -> tuple[int, int]:
+        """One lane's loop N, where x and y are the words of what its v/f
+        and w/g columns i and j give, one lane per exponent group.  At the
+        head group, from the v head (lane 0 of x) and the w head (lane 0 of
+        y), it latches d and e, sets the switch, updates the degrees in
+        place (exact for the reason given in ``bms.step``) and charges the
+        multipliers; d passes the gate ``bms.step`` makes, s1^(i) <= l^(i)
+        on the gate table, whose -1 at a gap fails it.  It returns the
+        words of the v/f inputs e*x ^ d*y over the groups past the head and
+        of the w/g inputs -- after an update d^-1 * x, or x unscaled in
+        inverse-free mode, else y -- with the zero-set groups masked off.
+        A multiplier whose constant is alpha^0 or 0 maps nothing: a lane
+        with d = 0 and e = alpha^0 is a plain shift."""
+        s1, c1, log, rows, lb = self.s1, self.c1, self.log, self.rows, self.lb
         l = self.gates.l1[N][i]
-        d = log[xs[0]] if s1[i] <= l else ZERO
+        d = log[x & self.head] if s1[i] <= l else ZERO
         upd = self.updates[lane] = d != ZERO and s1[i] < l - c1[j]
-        e = 0 if self.division else log[ys[0]]  # division mode keeps v: e = 1
+        e = 0 if self.division else log[y & self.head]  # division mode keeps v: e = 1
+        w = y
         if upd:
+            w = x  # an inverse-free update takes v unscaled
             if self.division:
-                ir = rows[self.code.fld.inv_chain(d)]
-                w = [ir[x] for x in xs]
+                w = self.map(x, rows[self.code.fld.inv_chain(d)])
                 self.trace.inv_uses += 1
-            else:
-                w = xs[:]  # an inverse-free update takes v unscaled
             s1[i], c1[j] = l - c1[j], l - s1[i]
             self.M[j] = N
-        else:
-            w = ys[:]
         zero = self._stale(N + 1, j)
         # the v/f input takes vm multipliers at every group past the head, a
         # scaled w/g input one more where it is not zero-set; such a lane
@@ -277,12 +271,11 @@ class _Controller:
         self.trace.mult_uses += self.vm * (self.groups - 1) + wm * (self.groups - len(zero))
         self.peak[lane] = self.vm + wm
         if zero:
-            w[zero.start : zero.stop] = [0] * len(zero)
-        er = rows[e]
-        if d == ZERO:  # d*y is zero: the line passes through, or through one row
-            return xs[1:] if e == 0 else [er[x] for x in xs[1:]], w
-        dr = rows[d]
-        return [er[x] ^ dr[y] for x, y in zip(xs[1:], ys[1:])], w
+            w &= ~((1 << len(zero) * lb) - 1 << zero.start * lb)
+        v = x >> lb if e == 0 else self.map(x >> lb, rows[e])
+        if d != ZERO:
+            v ^= self.map(y >> lb, rows[d])
+        return v, w
 
     def snapshot(self, N: int, lines: dict[str, tuple[list[int], int, int]], switches) -> None:
         """Keep loop N as one record: its first clock, its lines (what each
@@ -294,8 +287,7 @@ class _Controller:
     def loops(self, readback) -> Iterator[int]:
         """Loop indices 0..m, with a boundary check before each loop and
         after the last, each loop counting its P clocks; ``readback(N)``
-        gives the v/f and w/g registers of every column in exponent-group
-        order."""
+        gives the v/f and w/g words of every column."""
         for N in range(self.m + 2):
             self._boundary(N, *readback(N))
             if N <= self.m:
@@ -311,8 +303,8 @@ class _Controller:
         Mj = self.M[j]
         return range(max(1, self.m + 1 - N), self.groups if Mj is None else self.m + 1 - Mj)
 
-    def _boundary(self, N: int, vf_regs: list[Sequence[int]], wg_regs: list[Sequence[int]]) -> None:
-        """Pack the registers, place them in the lines of a ``bms`` state,
+    def _boundary(self, N: int, vf_words: list[int], wg_words: list[int]) -> None:
+        """Place the register words in the lines of a ``bms`` state,
         require those to equal the reference BMS state's at the same N,
         record a copy of that state, and step the reference to the next
         loop.  The equality covers every register: the reference holds zero
@@ -320,15 +312,15 @@ class _Controller:
         its top, so a register left nonzero there diverges at f or g like
         any other."""
         m, ref, lb = self.m, self.ref, self.lb
-        # a column's word: its run packed as is, then placed by shifts -- the
-        # registers below the split up past the N retired lanes, the rest,
-        # uncut, past a zero gap lane to lane hi (L for v/f, N+ws+1 for w/g)
+        # a column's word placed by shifts -- the registers below the split
+        # up past the N retired lanes, the rest, uncut, past a zero gap lane
+        # to lane hi (L for v/f, N+ws+1 for w/g)
         vs, ws = m + 1 - N, max(1, m + 1 - N)  # the v/f and w/g splits
-        pack, lo = self.pack, N * lb
+        lo = N * lb
         vlow, vcut, vhi = (1 << vs * lb) - 1, vs * lb, (m + 2) * lb
         wlow, wcut, whi = (1 << ws * lb) - 1, ws * lb, (N + ws + 1) * lb
-        vf = [(x & vlow) << lo | (x >> vcut) << vhi for x in map(pack, vf_regs)]
-        wg = [(x & wlow) << lo | (x >> wcut) << whi for x in map(pack, wg_regs)]
+        vf = [(x & vlow) << lo | (x >> vcut) << vhi for x in vf_words]
+        wg = [(x & wlow) << lo | (x >> wcut) << whi for x in wg_words]
         if (self.s1, self.c1, vf, wg) != (ref.s1, ref.c1, ref.vf, ref.wg):
             got = bms.state_record(bms.BmsState(ref.mode, ref.N, self.s1, self.c1, vf, wg), self.code)
             want = bms.state_record(ref, self.code)
@@ -358,27 +350,29 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
         registers=RegisterFile(vf=a * V, wg=a * P, disc_regs=a, head_regs=a),
     )
     ctl = _Controller(trace, code, synd, bms.INVERSE_FREE, P)
+    unpack = code.fld.unpack
 
     # one v/f line per block; the w/g lines are indexed by the logical w/g
     # column j, physically homed at block ibar(j, N) for the current loop.
     # Every line stands in exponent-group order at a boundary, so the
-    # readback hands the live lines over.
-    vf, wg = ctl.initial_registers(V)
+    # readback hands the live words over.
+    vf, wg = ctl.initial_registers()
 
     for N in ctl.loops(lambda N: (vf, wg)):
         # a v/f line gives its V registers, then the 0 it took at clock 0
         # (the head retired, mod Z^N); a w/g line gives its P registers and
         # takes them back (the one-exponent relabel is free) or the updated
         # column (switch B)
-        given = [(j, vf[i] + [0], wg[j]) for i, j in enumerate(ctl.gates.ibar[N])]
-        for i, (j, xs, ys) in enumerate(given):
-            vf[i], wg[j] = ctl.lane(N, i, i, j, xs, ys)
+        took_vf, took_wg, ibar = [0] * a, [0] * a, ctl.gates.ibar[N]
+        for i, j in enumerate(ibar):
+            took_vf[i], took_wg[j] = ctl.lane(N, i, i, j, vf[i], wg[j])
         trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
         if keep_snapshots:
             updates = {f"block{i}.update": upd for i, upd in enumerate(ctl.updates)}
-            lines = {f"block{i}.vf": (xs + vf[i], 0, V) for i, (_, xs, _) in enumerate(given)}
-            lines |= {f"block{i}.wg": (ys + wg[j], 0, P) for i, (j, _, ys) in enumerate(given)}
+            lines = {f"block{i}.vf": (unpack(x, P) + unpack(took_vf[i], V), 0, V) for i, x in enumerate(vf)}
+            lines |= {f"block{i}.wg": (unpack(wg[j], P) + unpack(took_wg[j], P), 0, P) for i, j in enumerate(ibar)}
             ctl.snapshot(N, lines, lambda t, updates=updates: {"disc_latch_down": t == 0, **updates})
+        vf, wg = took_vf, took_wg
     return trace
 
 
@@ -406,47 +400,55 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
         registers=RegisterFile(vf=L, wg=P, disc_regs=a, head_regs=a, exch_regs=1, supp_regs=2 * c_v),
     )
     ctl = _Controller(trace, code, synd, mode, G)
+    unpack = code.fld.unpack
 
-    # the v/f path in push order -- line and supplementary FIFO as one shift
-    # register, then the exchange register -- and the w/g line interleave
-    # slot k of group g at phase g*a + k
-    vregs, wregs = ctl.initial_registers(G - 1)
-    path, wg = [0] * (L + c_v + 1), [0] * P
-    for k, (i, j) in enumerate(slots[0]):
-        path[k::a], wg[k::a] = vregs[i], wregs[j]
-    line, exch = path[:-1], path[-1]
+    def interleave(words: list[int], n: int) -> list[int]:
+        """The registers of one line, slot k of group g at phase g*a + k."""
+        line = [0] * (a * n)
+        for k, x in enumerate(words):
+            line[k::a] = unpack(x, n)
+        return line
+
+    # one word per slot: the v/f path (line, supplementary FIFO and exchange
+    # register, G-1 groups) and the w/g line (G groups)
+    vregs, wregs = ctl.initial_registers()
+    vs, ws = [vregs[i] for i, _ in slots[0]], [wregs[j] for _, j in slots[0]]
 
     def readback(N: int):
-        path = line + [exch]
-        vf_regs, wg_regs = [[]] * a, [[]] * a
+        vf, wg = [0] * a, [0] * a
         for k, (i, j) in enumerate(slots[N]):
-            vf_regs[i], wg_regs[j] = path[k::a], wg[k::a]
-        return vf_regs, wg_regs
+            vf[i], wg[j] = vs[k], ws[k]
+        return vf, wg
 
     for N in ctl.loops(readback):
-        # the v/f path gives its L + c_v registers, then what it took in the
-        # loop's first a+1 clocks: the old exchange value and a zeros (no
-        # product at the head group); the w/g line gives its P registers
-        xs, ys = line + [exch] + [0] * a, wg
-        took, wg = [0] * P, [0] * P
+        # the v/f path gives its L + c_v + 1 registers, then the a zeros it
+        # took in the loop's first clocks (no product at the head group); the
+        # w/g line gives its P registers.  Slot k-1 takes lane k's v/f
+        # inputs, and slot a-1 lane 0's, which wrap through the exchange
+        # register and the FIFO: the slots rotate by one
+        took_v, took_w = [0] * a, [0] * a
         for k, (i, j) in enumerate(slots[N]):
-            took[k + a :: a], wg[k::a] = ctl.lane(N, k, i, j, xs[k::a], ys[k::a])
-        # slot-0 values wrap to the last slot and detour through the exchange
-        # register, a one-place shift of the slot-0 column (each held for a
-        # clocks); the rest re-enter directly
-        held = took[::a]
-        took[::a], exch = [exch, *held[:-1]], held[-1]
+            took_v[k - 1], took_w[k] = ctl.lane(N, k, i, j, vs[k], ws[k])
         trace.max_mults_per_clock = max(trace.max_mults_per_clock, *ctl.peak)
         if keep_snapshots:
-            vs, ex = line + took, [h for h in held for _ in range(a)]
-            lines = {"vf": (vs, 0, L), "wg": (ys + wg, 0, P), "exch": (ex, -1, 1), "supp": (vs, L, c_v)}
+            # what the v/f path gives, then what its line and FIFO take: the
+            # next path but its last register, the exchange register, which
+            # holds 0 and then lane 0's inputs (the slot-0 values), each for a
+            # clocks -- a copies of that word interleaved
+            path = interleave(vs, G - 1) + [0] * a + interleave(took_v, G - 1)[:-1]
+            lines = {
+                "vf": (path, 0, L),
+                "wg": (interleave(ws, G) + interleave(took_w, G), 0, P),
+                "exch": (interleave([took_v[-1] << ctl.lb] * a, G), -1, 1),
+                "supp": (path, L, c_v),
+            }
             ups = ctl.updates[:]  # bound now: the next loop sets the switches again
             ctl.snapshot(
                 N,
                 lines,
                 lambda t, ups=ups: {"exchange_down": t % a == 0, "head_latch": t < a, "update": ups[t % a]},
             )
-        line = took[a + 1 :]
+        vs, ws = took_v, took_w
     return trace
 
 

@@ -208,9 +208,6 @@ class CurveSpec:
             acc = field.add(acc, field.mul(c, self.eval_monomial(field, n, p), ctr), ctr)
         return acc
 
-    def poly_degree(self, poly: BiPoly) -> Mono | None:
-        return max(poly, key=self.pole_order, default=None)
-
 
 def elliptic_curve() -> CurveSpec:
     """y^2 + y = x^3 + x (genus 1), the paper's GF(16) demo curve."""

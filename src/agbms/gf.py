@@ -16,19 +16,24 @@ byte up to w = 8, two up to w = 16).  ``GF`` is the one home of the lane
 primitives: ``pack``/``unpack`` convert between a list of bit-vector values
 and a packed word, ``terms`` lists the nonzero lanes as (lane, log) pairs,
 ``scale`` multiplies every lane by one constant, so a merge of two lines
-is one XOR, and ``weight`` counts the nonzero lanes, the multiplications a
-scale by a nonzero constant stands for.  The field picks one of two codecs
-from ``lane_bits`` when it is built:
+is one XOR, ``weight`` counts the nonzero lanes, the multiplications a
+scale by a nonzero constant stands for, and ``lookup`` maps every lane
+through a caller's table, so a caller that holds its own products (the
+simulators' product rows) multiplies a whole word without ``scale``.  The
+field picks one of two codecs from ``lane_bits`` when it is built:
 
 * one-byte lanes (w <= 8, every bundled preset): a word is the bytes of its
   lanes, so ``pack`` is ``bytes(vecs)`` read as an int and ``unpack`` the
   int's bytes; ``scale`` is one ``bytes.translate`` through the constant's
   256-byte product table, a scale by alpha^0 returns the word as it is, and
-  ``weight`` counts the nonzero bytes;
+  ``weight`` counts the nonzero bytes; ``lookup`` is the same translate
+  through the caller's 256-byte table;
 * two-byte lanes (w >= 9): ``pack``/``unpack`` go through ``struct`` and
   ``scale`` XORs w masked integer multiplies ((x >> j) & ones) * vec(c *
   alpha^j) (split-table multiplication by a constant), whose products stay
-  within their lanes, and ``weight`` counts the nonzero values ``unpack`` gives.
+  within their lanes, ``weight`` counts the nonzero values ``unpack`` gives,
+  and ``lookup`` reads each value ``unpack`` gives in the caller's table
+  (q values) and packs the results.
 
 A constant's table (the 256 products or the w products vec(c * alpha^j)) is
 built the first time it scales a word and kept; no q x q table is ever
@@ -95,10 +100,10 @@ class GF:
         self._scale_rows: dict[int, bytes | tuple[int, ...]] = {}  # c -> its products
         # the lane codec, picked once here from the lane width
         if self.lane_bits == 8:
-            codec = self._pack8, self._unpack8, self._scale8, self._weight8
+            codec = self._pack8, self._unpack8, self._scale8, self._weight8, self._lookup8
         else:
-            codec = self._pack16, self._unpack16, self._scale16, self._weight16
-        self.pack, self.unpack, self.scale, self.weight = codec
+            codec = self._pack16, self._unpack16, self._scale16, self._weight16, self._lookup16
+        self.pack, self.unpack, self.scale, self.weight, self.lookup = codec
 
     def __repr__(self) -> str:
         return f"GF(2^{self.w}, prim_poly={self.prim_poly:#b})"
@@ -157,6 +162,8 @@ class GF:
     # weight(x) -> int: the nonzero lanes of x, the multiplications a scale
     #     of x by a nonzero constant stands for; a caller that charges a
     #     counter charges this.
+    # lookup(x, row) -> int: every lane v of x replaced by row[v]; row maps 0
+    #     to 0 and is 256 bytes on one-byte lanes, q values on two-byte lanes.
 
     def terms(self, x: int) -> list[tuple[int, int]]:
         """(lane, log) of every nonzero lane of x, lowest lane first."""
@@ -185,6 +192,9 @@ class GF:
         nb = (x.bit_length() + 7) >> 3
         return nb - x.to_bytes(nb, "little").count(0)
 
+    def _lookup8(self, x: int, row: bytes) -> int:
+        return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(row), "little")
+
     def _pack16(self, vecs: list[int]) -> int:
         return int.from_bytes(struct.pack(f"<{len(vecs)}H", *vecs), "little")
 
@@ -210,3 +220,6 @@ class GF:
     def _weight16(self, x: int) -> int:
         n = -(-x.bit_length() // 16)
         return n - self._unpack16(x, n).count(0)
+
+    def _lookup16(self, x: int, row: list[int]) -> int:
+        return self._pack16([row[v] for v in self._unpack16(x, -(-x.bit_length() // 16))])

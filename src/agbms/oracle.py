@@ -1,11 +1,12 @@
-"""Ground-truth checks: genericity, linear-algebra Groebner basis, ratios.
+"""Ground-truth checks the toolkit runs: genericity, footprint, ratios.
 
-Everything here is test-side and independent of the BMS iteration: the
-genericity rank test, the footprint as the pivots of one elimination (t + g
-evaluation columns suffice for t distinct points, by Riemann-Roch), the
-t x t solve for locator polynomials, brute-force ideal membership by
-evaluation, the Eq.-(3) discrepancy straight from the syndrome table, and
-the seeded random experiment estimating the generic fraction (q-1)/q.
+Everything here is independent of the BMS iteration: the genericity rank
+test, the footprint as the pivots of one elimination (t + g evaluation
+columns suffice for t distinct points, by Riemann-Roch), the error-weight
+range check the CLI shares, and the seeded random experiment estimating
+the generic fraction (q-1)/q.  The linear-algebra Groebner basis, ideal
+membership by evaluation and the Eq.-(3) discrepancy, which only the tests
+run, are references in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .agcode import CodeSpec
-from .curve import BiPoly, Mono
-from .gf import ZERO
+from .curve import Mono
 
 
 @dataclass
@@ -92,66 +92,6 @@ def is_generic(code: CodeSpec, locs: list[int]) -> GenericityReport:
     if generic != (delta == monos):
         raise AssertionError("rank and footprint tests disagree")
     return GenericityReport(generic, mt, delta)
-
-
-def groebner_la(code: CodeSpec, locs: list[int]) -> list[BiPoly]:
-    """Groebner basis of I(E) for generic E by solving t x t linear systems.
-
-    For each column i the minimal monomial s^(i) = (n1, i) outside the
-    footprint Phi(a, m_t) is matched against the footprint monomials:
-    f^(i) = z^(s) - sum f_l z^l with f^(i)(P) = 0 at every error point.
-    """
-    cv = code.curve
-    t = len(locs)
-    mt = m_t(code, t)
-    monos = cv.phi(0, cv.a, mt)
-    mat = _eval_matrix(code, monos, locs)
-    out: list[BiPoly] = []
-    for i in range(cv.a):
-        in_col = sum(1 for n in monos if n[1] == i)
-        n1 = cv.basis_start(i)[0] + in_col
-        s = (n1, i)
-        rhs = [code.curve.eval_monomial(code.fld, s, code.points[j]) for j in locs]
-        sol = linalg.solve(code.fld, mat, rhs)
-        if sol is None:
-            raise ValueError("singular system: error pattern is not generic")
-        poly: BiPoly = {s: 0}
-        for n, c in zip(monos, sol):
-            if c != ZERO:
-                poly[n] = c  # char 2: subtraction is addition
-        out.append(poly)
-    return out
-
-
-def ideal_membership(F: BiPoly, code: CodeSpec, locs: list[int]) -> bool:
-    """True iff F vanishes at every listed point."""
-    return all(
-        code.curve.eval_poly(code.fld, F, code.points[j]) == ZERO for j in locs
-    )
-
-
-def discrepancy_direct(code: CodeSpec, F: BiPoly, synd: dict[Mono, int], l: Mono) -> int:
-    """Eq.-(3) discrepancy of F at l, computed straight from the syndrome
-    table (the independent oracle for the v-head values).
-
-    Requires every shifted index n + l^(s2) - s in the table; a missing one
-    raises, since silently treating it as zero would fake the check.
-    """
-    cv = code.curve
-    fld = code.fld
-    if not F:
-        return ZERO
-    s = cv.poly_degree(F)
-    ls = cv.l_of(s[1], cv.pole_order(l))
-    if ls is None or not (ls[0] >= s[0] and ls[1] >= s[1]):
-        return ZERO
-    acc = ZERO
-    for n, c in F.items():
-        idx = (n[0] + ls[0] - s[0], n[1] + ls[1] - s[1])
-        if idx not in synd:
-            raise ValueError(f"syndrome table does not cover index {idx}")
-        acc = fld.add(acc, fld.mul(c, synd[idx]))
-    return acc
 
 
 def generic_ratio(code: CodeSpec, t: int, trials: int, seed: int) -> dict:

@@ -256,6 +256,61 @@ def reference_footprint(code, locs):
     return delta
 
 
+def groebner_la(code, locs):
+    """Groebner basis of I(E) for generic E by solving t x t linear systems.
+
+    For each column i the minimal monomial s^(i) = (n1, i) outside the
+    footprint Phi(a, m_t) is matched against the footprint monomials:
+    f^(i) = z^(s) - sum f_l z^l with f^(i)(P) = 0 at every error point.
+    """
+    cv, fld = code.curve, code.fld
+    pts = [code.points[j] for j in locs]
+    monos = cv.phi(0, cv.a, oracle.m_t(code, len(locs)))
+    mat = [[cv.eval_monomial(fld, n, p) for n in monos] for p in pts]
+    out = []
+    for i in range(cv.a):
+        s = (cv.basis_start(i)[0] + sum(1 for n in monos if n[1] == i), i)
+        sol = linalg.solve(fld, mat, [cv.eval_monomial(fld, s, p) for p in pts])
+        if sol is None:
+            raise ValueError("singular system: error pattern is not generic")
+        # char 2: subtraction is addition
+        out.append({s: 0, **{n: c for n, c in zip(monos, sol) if c != ZERO}})
+    return out
+
+
+def poly_degree(curve, poly):
+    """The monomial of highest pole order in a BiPoly (None if it is empty)."""
+    return max(poly, key=curve.pole_order, default=None)
+
+
+def ideal_membership(F, code, locs):
+    """True iff F vanishes at every listed point."""
+    return all(code.curve.eval_poly(code.fld, F, code.points[j]) == ZERO for j in locs)
+
+
+def discrepancy_direct(code, F, synd, l):
+    """Eq.-(3) discrepancy of F at l, computed straight from the syndrome
+    table (the independent reference for the v-head values).
+
+    Requires every shifted index n + l^(s2) - s in the table; a missing one
+    raises, since silently treating it as zero would fake the check.
+    """
+    cv, fld = code.curve, code.fld
+    if not F:
+        return ZERO
+    s = poly_degree(cv, F)
+    ls = cv.l_of(s[1], cv.pole_order(l))
+    if ls is None or not (ls[0] >= s[0] and ls[1] >= s[1]):
+        return ZERO
+    acc = ZERO
+    for n, c in F.items():
+        idx = (n[0] + ls[0] - s[0], n[1] + ls[1] - s[1])
+        if idx not in synd:
+            raise ValueError(f"syndrome table does not cover index {idx}")
+        acc = fld.add(acc, fld.mul(c, synd[idx]))
+    return acc
+
+
 # GF(8), GF(16) and GF(32) for the seeded Artin-Schreier curves
 AS_FIELDS = {8: (3, 0b1011), 16: (4, 0b10011), 32: (5, 0b100101)}
 

@@ -8,7 +8,7 @@ import pytest
 
 from agbms import CodeSpec, archsim, bms, decoder, oracle
 from agbms.gf import GF, ZERO, OpCounter
-from conftest import bipoly, full_syndromes_from_errors, random_generic_pattern, random_pattern
+from conftest import bipoly, full_syndromes_from_errors, ideal_membership, random_generic_pattern, random_pattern
 from test_bms import (
     ELLIPTIC_F9,
     ELLIPTIC_G9,
@@ -131,7 +131,7 @@ def test_criterion_5_mode_equivalence(elliptic, elliptic_golden, klein, klein_go
             fa = bms.extract_locators(sa, code)
             fb = bms.extract_locators(sb, code)
             for F in fa.F + fb.F:
-                assert oracle.ideal_membership(bipoly(code, F), code, locs)
+                assert ideal_membership(bipoly(code, F), code, locs)
             checked += 1
     report(5, f"{checked} scenarios: identical (s,c) trajectories, both bases vanish on E")
 
@@ -176,7 +176,7 @@ def test_criterion_7_appendix_bc(elliptic, klein):
             st, _ = bms.run(wide[B], full, bms.INVERSE_FREE)
             out = bms.extract_locators(st, wide[B])
             for F in out.F:
-                assert oracle.ideal_membership(bipoly(code, F), code, locs)
+                assert ideal_membership(bipoly(code, F), code, locs)
             if generic:
                 assert len(bms.delta_set(code, st.s1)) == t
                 # Proposition: for generic errors N <= m+a-1 already suffices
@@ -185,7 +185,7 @@ def test_criterion_7_appendix_bc(elliptic, klein):
                 st2, _ = bms.run(wide[m_pat + a - 1], full2, bms.INVERSE_FREE)
                 out2 = bms.extract_locators(st2, wide[m_pat + a - 1])
                 for F in out2.F:
-                    assert oracle.ideal_membership(bipoly(code, F), code, locs)
+                    assert ideal_membership(bipoly(code, F), code, locs)
                 assert len(bms.delta_set(code, st2.s1)) == t
             checked += 1
     report(7, f"{checked} desk-scale patterns: V(u,B)=I(E) memberships, zero violations")

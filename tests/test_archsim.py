@@ -13,7 +13,7 @@ import pytest
 
 from agbms import CodeSpec, CurveSpec, archsim, bms, cli
 from agbms.gf import ZERO, OpCounter
-from conftest import bundled_error_file, random_generic_pattern, random_pattern
+from conftest import AS_FIELDS, artin_schreier_codes, bundled_error_file, random_generic_pattern, random_pattern
 
 
 def test_periods_and_totals(elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden):
@@ -185,6 +185,29 @@ def test_every_simulator_on_every_code(request, arch, code_name):
         assert (tr.period, tr.total_clocks) == (period, (m + 1) * period)
 
 
+def test_every_simulator_on_artin_schreier_codes():
+    # every simulator passes every boundary check on one seeded generic word
+    # of weight t_generic, on every seeded Artin-Schreier curve over GF(8),
+    # GF(16) and GF(32) at every m it accepts with t_generic >= 1; the only
+    # b^-1 = 3 at a = 4 (a slot rotation no preset has) is among them
+    runs, rotations = 0, set()
+    for q in AS_FIELDS:
+        for k, base in enumerate(artin_schreier_codes(q, seed=q)):
+            cv = base.curve
+            for m in range(2 * cv.genus - 2 + cv.a, base.n):
+                code = CodeSpec(cv, base.fld, m)
+                if code.t_generic < 1:
+                    continue
+                rng = random.Random(f"{q}/{k}/{m}")
+                locs, vals = random_generic_pattern(code, code.t_generic, rng, affine_only=False)
+                synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+                for sim in archsim.SIMULATORS.values():
+                    assert len(sim(code, synd).boundary_states) == m + 2
+                    runs += 1
+                rotations.add((cv.a, cv.b_inv))
+    assert runs == 1236 and (4, 3) in rotations
+
+
 def test_resources_closed_forms(elliptic, klein, hermitian):
     for code in (elliptic, klein, hermitian):
         a, m = code.curve.a, code.m
@@ -283,27 +306,29 @@ def _skip_zero_setting(mp):
 
 
 def _value_above_top(mp):
-    """At the last boundary the last w/g register of the first replaced
-    column, whose exponent lies past the top, holds a value."""
+    """At the last boundary the top lane of the w/g word of the first
+    replaced column (its last register, whose exponent lies past the top)
+    holds a value."""
     boundary = archsim._Controller._boundary
 
-    def tampered(self, N, vf_regs, wg_regs):
+    def tampered(self, N, vf_words, wg_words):
         if N == self.m + 1:
             j = next(j for j, M in enumerate(self.M) if M is not None)
-            wg_regs[j][-1] ^= 1
-        boundary(self, N, vf_regs, wg_regs)
+            wg_words[j] ^= 1 << (self.groups - 1) * self.lb  # a w/g line has groups registers
+        boundary(self, N, vf_words, wg_words)
 
     mp.setattr(archsim._Controller, "_boundary", tampered)
 
 
 def _vf_tail(mp):
-    """At the last boundary the last v/f register of column 0 is flipped."""
+    """At the last boundary the top lane of column 0's v/f word (its last
+    register) is flipped."""
     boundary = archsim._Controller._boundary
 
-    def tampered(self, N, vf_regs, wg_regs):
+    def tampered(self, N, vf_words, wg_words):
         if N == self.m + 1:
-            vf_regs[0][-1] ^= 1
-        boundary(self, N, vf_regs, wg_regs)
+            vf_words[0] ^= 1 << (self.groups - 2) * self.lb  # a v/f line has groups-1 registers
+        boundary(self, N, vf_words, wg_words)
 
     mp.setattr(archsim._Controller, "_boundary", tampered)
 
@@ -414,12 +439,17 @@ def test_default_run_keeps_no_snapshots(arch):
     assert tr.snapshots == [] and len(tr.boundary_states) == code.m + 2
 
 
-@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("preset", [*PRESETS, "elliptic_gf512"])
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
-def test_snapshots_do_not_change_a_run(arch, preset):
-    # a snapshot per clock, and the run is the same with or without them
-    code, _ = cli.load_code(preset)
-    kept, bare = (run_bundled(arch, preset, keep_snapshots=keep) for keep in (True, False))
+def test_snapshots_do_not_change_a_run(request, arch, preset):
+    # a snapshot per clock, and the run is the same with or without them, on
+    # one-byte lanes and on the two-byte lanes of GF(2^9)
+    if preset in PRESETS:
+        code, _ = cli.load_code(preset)
+        kept, bare = (run_bundled(arch, preset, keep_snapshots=keep) for keep in (True, False))
+    else:
+        code, synd = request.getfixturevalue(preset), request.getfixturevalue("gf512_syndromes")
+        kept, bare = (archsim.SIMULATORS[arch](code, synd, keep_snapshots=keep) for keep in (True, False))
     assert len(list(kept.clocks())) == kept.total_clocks and bare.snapshots == []
     records = [[bms.state_record(st, code) for st in tr.boundary_states] for tr in (kept, bare)]
     assert records[0] == records[1]
@@ -500,22 +530,28 @@ def test_stream_snapshots_shift_every_line(preset):
                 assert path[-1] == prev["exch"][0]
 
 
+def mul_lanes(fld, c, vecs):
+    """The bit-vector lanes vecs times the log-form constant c, by fld.mul."""
+    return [fld.to_vec(fld.mul(c, fld.from_vec(v))) for v in vecs]
+
+
 @pytest.mark.parametrize("code_name", ["klein", "elliptic", "elliptic_gf512"])
 def test_product_rows(request, monkeypatch, code_name):
     # GF(8), GF(16) and GF(2^9): a run builds the product row of a constant
-    # only when a latch meets it, on a code whose rows start empty, and
-    # every row is fld.mul on every element
+    # only when a latch meets it, on a code whose rows start empty, and the
+    # word map through every row (a translate on one-byte lanes, unpack, row
+    # and pack on two-byte ones) is fld.mul lane by lane
     base = request.getfixturevalue(code_name)
     code, fld = CodeSpec(base.curve, base.fld, base.m), base.fld
     lane, met, tables = archsim._Controller.lane, {ZERO, 0}, set()
 
-    def recording(self, N, k, i, j, xs, ys):
+    def recording(self, N, k, i, j, x, y):
         if not tables:
             assert len(self.rows) == 0  # nothing is built before the first latch
         tables.add(id(self.rows))
-        d = fld.log[xs[0]]
-        met.update({d, fld.log[ys[0]]} | ({fld.inv_chain(d)} if d != ZERO else set()))
-        return lane(self, N, k, i, j, xs, ys)
+        d = fld.log[x & fld.q - 1]
+        met.update({d, fld.log[y & fld.q - 1]} | ({fld.inv_chain(d)} if d != ZERO else set()))
+        return lane(self, N, k, i, j, x, y)
 
     monkeypatch.setattr(archsim._Controller, "lane", recording)
     rng = random.Random(f"rows/{code_name}")
@@ -526,33 +562,37 @@ def test_product_rows(request, monkeypatch, code_name):
             sim(code, synd, keep_snapshots=False)
     rows = code.tables["archsim", "rows"]
     assert len(tables) == 1 and set(rows) <= met
+    # every element on its own lane, and seeded words of every length a line has
+    words = [list(range(fld.q))] + [[rng.randrange(fld.q) for _ in range(n)] for n in range(1, code.m + 5)]
     for c in [*rows, 0, ZERO]:  # rows 0 and ZERO are built here if no latch met them
-        assert rows[c] == [fld.to_vec(fld.mul(c, fld.from_vec(v))) for v in range(fld.q)]
+        for vecs in words:
+            assert fld.unpack(fld.lookup(fld.pack(vecs), rows[c]), len(vecs)) == mul_lanes(fld, c, vecs), c
     # a lane passes its line through on these two: row 0 is the identity and
-    # the zero constant's row is all zeros
-    assert rows[0] == list(range(fld.q)) and rows[ZERO] == [0] * fld.q
+    # the zero constant's row maps every word to zero
+    every = fld.pack(list(range(fld.q)))
+    assert fld.lookup(every, rows[0]) == every and fld.lookup(every, rows[ZERO]) == 0
 
 
 @pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
 def test_lane_map_unchanged(request, monkeypatch, code_name):
     # a lane that latches d = ZERO or e = 0 skips that multiplier, yet every
-    # lane returns e*x ^ d*y past the head and the w/g inputs of the full
-    # two-row map, as new lists, leaving the given lines as they were
+    # lane returns the words of e*x ^ d*y past the head and of the w/g
+    # inputs (d^-1 * x or x after an update, else y, zero-set groups
+    # cleared), here recomputed lane by lane with fld.mul
     code = request.getfixturevalue(code_name)
     fld, lane, kinds = code.fld, archsim._Controller.lane, set()
 
-    def checked(self, N, k, i, j, xs, ys):
-        rows, given = self.rows, (xs[:], ys[:])
-        d = fld.log[xs[0]] if self.s1[i] <= self.gates.l1[N][i] else ZERO
-        e = 0 if self.division else fld.log[ys[0]]
-        er, dr, ir = rows[e], rows[d], rows[fld.inv_chain(d) if self.division and d != ZERO else 0]
-        want = [er[x] ^ dr[y] for x, y in zip(xs[1:], ys[1:])]
-        vf, w = lane(self, N, k, i, j, xs, ys)
-        want_w = [ir[x] for x in xs] if self.updates[k] else ys[:]
+    def checked(self, N, k, i, j, x, y):
+        d = fld.log[x & fld.q - 1] if self.s1[i] <= self.gates.l1[N][i] else ZERO
+        e = 0 if self.division else fld.log[y & fld.q - 1]
+        xs, ys = fld.unpack(x, self.groups), fld.unpack(y, self.groups)  # the words fit their lines
+        vf, w = lane(self, N, k, i, j, x, y)
+        want = [u ^ v for u, v in zip(mul_lanes(fld, e, xs[1:] + [0]), mul_lanes(fld, d, ys[1:] + [0]))]
+        inv = fld.inv_chain(d) if self.division and d != ZERO else 0
+        want_w = mul_lanes(fld, inv, xs) if self.updates[k] else ys
         zero = self._stale(N + 1, j)
         want_w[zero.start : zero.stop] = [0] * len(zero)
-        assert (vf, w) == (want, want_w) and (xs, ys) == given
-        assert not {id(vf), id(w)} & {id(xs), id(ys)}
+        assert (vf, w) == (fld.pack(want), fld.pack(want_w))
         kinds.add((d == ZERO, e == 0))
         return vf, w
 
@@ -563,5 +603,6 @@ def test_lane_map_unchanged(request, monkeypatch, code_name):
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
         for sim in archsim.SIMULATORS.values():
             sim(code, synd, keep_snapshots=False)
-    # every branch ran: a copied line, one row map, and both two-row forms
+    # every branch ran: a plain shift, a map of x alone or of y alone, and
+    # both maps
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}

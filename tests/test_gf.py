@@ -154,6 +154,9 @@ def test_lane_primitives_exhaustive(w):
     # top lanes zero: scale sizes its bytes by the word's bit length, not n,
     # and that length ends one bit into the top nonzero lane (alpha^0 = 1)
     vectors.append([fld.q - 2, ZERO, 0] + [ZERO] * 9)
+    # a caller's lookup table: any values, 0 kept at 0, in the codec's form
+    table = [0] + [rng.randrange(fld.q) for _ in range(fld.q - 1)]
+    row = bytes(table).ljust(256, b"\0") if fld.lane_bits == 8 else table
     for logs in vectors:
         n = len(logs)
         vecs = [fld.to_vec(a) for a in logs]
@@ -168,6 +171,7 @@ def test_lane_primitives_exhaustive(w):
             product = fld.scale(x, c)
             assert fld.unpack(product, n) == [fld.to_vec(fld.mul(c, a)) for a in logs]
             assert fld.weight(product) == (0 if c == ZERO else n - logs.count(ZERO))
+        assert fld.unpack(fld.lookup(x, row), n) == [table[v] for v in vecs]
 
 
 def test_sixteen_bit_lanes():

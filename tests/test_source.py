@@ -81,12 +81,12 @@ def test_simulator_rules_live_in_the_controller():
 def test_every_name_has_a_toolkit_caller():
     # src/agbms holds only what the toolkit runs: every function and method
     # is referenced, as a name, an attribute or an import, somewhere in the
-    # package or in bench/, which drives it as the benchmark does.  oracle
-    # holds the reference algorithms by design, dunder methods are called
-    # by Python and __all__ is the public API, so those are exempt.  The
-    # match is by name only: a method that shares its name with any local
-    # variable or attribute (a GF.weight beside bms.step's local weight, say)
-    # counts as called, so a dead name can escape it
+    # package or in bench/, which drives it as the benchmark does; oracle
+    # too, whose test-only references live in tests/conftest.py.  Dunder
+    # methods are called by Python and __all__ is the public API, so those
+    # are exempt.  The match is by name only: a method that shares its name
+    # with any local variable or attribute (a GF.weight beside bms.step's
+    # local weight, say) counts as called, so a dead name can escape it
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
     referenced, defined = set(), []
@@ -99,7 +99,17 @@ def test_every_name_has_a_toolkit_caller():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 referenced.update(a.name.rpartition(".")[2] for a in node.names)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and path.parent == pkg:
-                if path.name != "oracle.py" and not (node.name.startswith("__") and node.name.endswith("__")):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
                     defined.append((f"{path.name}:{node.lineno}", node.name))
     found = [f"{where} {name}" for where, name in defined if name not in referenced and name not in agbms.__all__]
     assert found == [], f"no toolkit caller for {', '.join(found)}"
+
+
+def test_simulators_multiply_with_their_own_rows():
+    # the boundary check compares two independent multipliers: archsim maps
+    # its words through its own product rows (GF.lookup) and never through
+    # the GF.scale that bms.step, the reference, multiplies with
+    pkg = pathlib.Path(agbms.__file__).resolve().parent
+    tree = ast.parse((pkg / "archsim.py").read_text())
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "scale"]
+    assert found == [], f"archsim names scale at lines {found}"
