@@ -202,8 +202,8 @@ class CodeSpec:
             self._point_words[order] = words
         return words
 
-    def zero_word(self, role: str = "codeword") -> Word:
-        return Word([ZERO] * self.n, role)
+    def zero_word(self) -> Word:
+        return Word([ZERO] * self.n)
 
     # -- encoding ----------------------------------------------------------
 

@@ -85,7 +85,7 @@ def load_code(path: str) -> tuple[CodeSpec, str]:
         t = doc["code"].get("t", code.t_generic)
         if type(t) is not int or t != code.t_generic:
             raise SpecError(f"t={t!r} is not t_generic={code.t_generic}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: a deeply nested spec
         raise SpecError(f"bad code spec {path!r}: {exc}") from exc
     return code, digest
 

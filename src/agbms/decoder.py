@@ -123,8 +123,13 @@ def error_values_interpolation(
     locs: list[int], code: CodeSpec, synd: dict[Mono, int]
 ) -> list[int] | None:
     """Error values by solving u_l = sum_g e_g z^l(P_g) on the first |E|
-    non-gap syndrome rows, the first |E| monomials of ``code.basis``; None
-    when the basis has fewer than |E| (decode never asks for that).
+    non-gap syndrome rows, the first |E| monomials of ``code.basis``.
+
+    One ``rref`` of the augmented t x (t + 1) system: the solution is its
+    last column when the pivots are exactly columns 0..t-1, and None
+    otherwise (a singular or inconsistent system, or a basis with fewer
+    than |E| monomials, which decode never asks for), as it is when a
+    solved value is zero.
 
     Always receiver-computable and exact whenever the located set is
     generic.  The closed formula is preferred (it is what the architectures
@@ -133,10 +138,11 @@ def error_values_interpolation(
     rescaling or re-pairing of the auxiliaries gives the value back.  This
     solve covers those runs.
     """
-    ls = code.basis[: len(locs)]
-    rows = [[code.eval_row(l)[j] for j in locs] for l in ls]
-    sol = linalg.solve(code.fld, rows, [synd[l] for l in ls])
-    if sol is None or any(v == ZERO for v in sol):
+    t = len(locs)
+    rows = [[*(code.eval_row(l)[j] for j in locs), synd[l]] for l in code.basis[:t]]
+    red, pivots = linalg.rref(code.fld, rows)
+    sol = [row[t] for row in red]
+    if pivots != list(range(t)) or ZERO in sol:
         return None
     return sol
 

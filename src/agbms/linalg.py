@@ -6,15 +6,17 @@ is one ``GF.scale`` (and one XOR to clear a column); the rows are unpacked
 to logs once, at the end.  Everything here is exact field arithmetic,
 uncounted: an inverse is a log-table lookup and no ``OpCounter`` is
 charged.  Sizes stay desk-scale, so plain Gauss-Jordan elimination is
-enough.  Callers: ``agcode`` row-reduces the parity-check matrix for its
-encoder, ``decoder.error_values_interpolation`` solves the t x t
-error-value system on the decode path, and ``oracle`` reads pivots (the
-footprint), ranks and solutions for its genericity tests.
+enough.  Every elimination question reads ``rref``'s pivots: ``agcode``
+row-reduces the parity-check matrix for its encoder,
+``decoder.error_values_interpolation`` the augmented t x (t + 1)
+error-value system on the decode path (solvable exactly when the pivots
+are columns 0..t-1), and ``oracle.footprint`` the evaluation matrix of
+the first t + g monomials, whose pivots are the footprint.
 """
 
 from __future__ import annotations
 
-from .gf import GF, ZERO
+from .gf import GF
 
 Matrix = list[list[int]]
 
@@ -42,20 +44,3 @@ def rref(field: GF, m: Matrix) -> tuple[Matrix, list[int]]:
             break
     return [[log[v] for v in field.unpack(x, cols)] for x in a], pivots
 
-
-def rank(field: GF, m: Matrix) -> int:
-    return len(rref(field, m)[1])
-
-
-def solve(field: GF, m: Matrix, rhs: list[int]) -> list[int] | None:
-    """Solve m x = rhs; None when the system is inconsistent or singular."""
-    red, pivots = rref(field, [row + [rhs[i]] for i, row in enumerate(m)])
-    cols = len(m[0])
-    if cols in pivots:
-        return None  # pivot in the rhs column: inconsistent
-    if len(pivots) < cols:
-        return None
-    x = [ZERO] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return x

@@ -1,8 +1,8 @@
 """Ground-truth checks the toolkit runs: genericity, footprint, ratios.
 
-Everything here is independent of the BMS iteration: the genericity rank
-test, the footprint as the pivots of one elimination (t + g evaluation
-columns suffice for t distinct points, by Riemann-Roch), the error-weight
+Everything here is independent of the BMS iteration: the footprint as the
+pivots of one elimination (t + g evaluation columns suffice for t distinct
+points, by Riemann-Roch), genericity read off that footprint, the error-weight
 range check the CLI shares, and the seeded random experiment estimating
 the generic fraction (q-1)/q.  The linear-algebra Groebner basis, ideal
 membership by evaluation and the Eq.-(3) discrepancy, which only the tests
@@ -47,12 +47,6 @@ def m_t(code: CodeSpec, t: int) -> int:
     return m
 
 
-def _eval_matrix(code: CodeSpec, monos: list[Mono], locs: list[int]) -> linalg.Matrix:
-    return [
-        [code.curve.eval_monomial(code.fld, n, code.points[j]) for n in monos] for j in locs
-    ]
-
-
 def footprint(code: CodeSpec, locs: list[int]) -> list[Mono]:
     """Exact delta set of I(E): the pivot columns of one elimination.
 
@@ -70,28 +64,25 @@ def footprint(code: CodeSpec, locs: list[int]) -> list[Mono]:
     if t == 0:
         return []
     monos = code.curve.phi(0, code.curve.a, m_t(code, t + code.curve.genus))
-    pivots = linalg.rref(code.fld, _eval_matrix(code, monos, locs))[1]
+    rows = [code.eval_row(n) for n in monos]
+    pivots = linalg.rref(code.fld, [[row[j] for row in rows] for j in locs])[1]
     if len(pivots) != t:
         raise ValueError(f"{len(pivots)} of {t} columns pivot: the locations repeat a point")
     return [monos[c] for c in pivots]
 
 
 def is_generic(code: CodeSpec, locs: list[int]) -> GenericityReport:
-    """Genericity via the rank of the t x t evaluation matrix of the first
-    t non-gaps: generic iff it is t (the matrix is invertible).
+    """Generic iff the footprint is the first t monomials Phi(0, a, m_t).
 
-    m_t is the t-th non-gap, so Phi(0, a, m_t) holds exactly t monomials
-    and the matrix is square.  Repeated locations raise ``ValueError``
-    from ``footprint``.
+    m_t is the t-th non-gap, so Phi(0, a, m_t) holds exactly t monomials,
+    and the footprint is those exactly when the pivots of ``footprint``'s
+    one elimination are its first t columns: when the t x t evaluation
+    matrix of the first t non-gaps has rank t.  Raises ``ValueError`` for
+    t = 0 and, from ``footprint``, for repeated locations.
     """
-    t = len(locs)
-    mt = m_t(code, t)
-    monos = code.curve.phi(0, code.curve.a, mt)
-    generic = linalg.rank(code.fld, _eval_matrix(code, monos, locs)) == t
+    mt = m_t(code, len(locs))
     delta = footprint(code, locs)
-    if generic != (delta == monos):
-        raise AssertionError("rank and footprint tests disagree")
-    return GenericityReport(generic, mt, delta)
+    return GenericityReport(delta == code.curve.phi(0, code.curve.a, mt), mt, delta)
 
 
 def generic_ratio(code: CodeSpec, t: int, trials: int, seed: int) -> dict:

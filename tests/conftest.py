@@ -41,6 +41,20 @@ def hermitian():
     return cli.load_code("hermitian_gf16")[0]
 
 
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """A list that gains one entry per ``linalg.rref`` call for the test."""
+    calls = []
+    real_rref = linalg.rref
+
+    def counting_rref(field, m):
+        calls.append(1)
+        return real_rref(field, m)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def other_elliptic(gf16):
     return CodeSpec(other_elliptic_curve(), gf16, m=8)
@@ -232,27 +246,43 @@ def reference_rref(field, m):
     return a, pivots
 
 
+def reference_rank(field, m):
+    """The rank of m, the number of pivots of ``reference_rref``."""
+    return len(reference_rref(field, m)[1])
+
+
+def reference_solve(field, m, rhs):
+    """The unique x with m x = rhs, read off ``reference_rref`` of the
+    augmented matrix, or None when the system is singular or inconsistent
+    (a pivot short of the columns of m, or one in the rhs column)."""
+    cols = len(m[0])
+    red, pivots = reference_rref(field, [row + [b] for row, b in zip(m, rhs)])
+    if pivots != list(range(cols)):
+        return None
+    return [row[cols] for row in red[:cols]]
+
+
 def reference_footprint(code, locs):
     """The delta set of I(E) the long way, by greedy rank growth over pole
     order: a monomial joins when its evaluation vector on E is independent
-    of all smaller ones.  The reference for ``oracle.footprint``, which
-    reads the same set off the pivots of one elimination.  Loops forever on
-    repeated locations."""
+    of all smaller ones, that is when ``reference_rref`` of the reduced
+    rows of the smaller ones and the new row has one more pivot.  The
+    reference for ``oracle.footprint``, which reads the same set off the
+    pivots of one elimination.  Loops forever on repeated locations."""
     cv = code.curve
     t = len(locs)
-    delta = []
+    delta, red = [], []
     m = -1
     while len(delta) < t:
         m += 1
         n = cv.l_of(0, m)
         if n is None:
             continue
-        trial = [
-            [cv.eval_monomial(code.fld, nn, code.points[j]) for j in locs]
-            for nn in delta + [n]
-        ]
-        if linalg.rank(code.fld, trial) == len(delta) + 1:
+        row = [cv.eval_monomial(code.fld, n, code.points[j]) for j in locs]
+        trial, pivots = reference_rref(code.fld, red + [row])
+        if len(pivots) == len(delta) + 1:
             delta.append(n)
+            red = trial
     return delta
 
 
@@ -270,7 +300,7 @@ def groebner_la(code, locs):
     out = []
     for i in range(cv.a):
         s = (cv.basis_start(i)[0] + sum(1 for n in monos if n[1] == i), i)
-        sol = linalg.solve(fld, mat, [cv.eval_monomial(fld, s, p) for p in pts])
+        sol = reference_solve(fld, mat, [cv.eval_monomial(fld, s, p) for p in pts])
         if sol is None:
             raise ValueError("singular system: error pattern is not generic")
         # char 2: subtraction is addition
@@ -341,3 +371,14 @@ def artin_schreier_codes(q, seed):
                 if n > low:
                     out.append(CodeSpec(curve, fld, m=rng.randrange(low, n)))
     return out
+
+
+def artin_schreier_budget_codes(q):
+    """(curve index, code) for every seeded ``artin_schreier_codes(q,
+    seed=q)`` curve at every m it accepts with t_generic >= 1."""
+    for k, base in enumerate(artin_schreier_codes(q, seed=q)):
+        cv = base.curve
+        for m in range(2 * cv.genus - 2 + cv.a, base.n):
+            code = CodeSpec(cv, base.fld, m)
+            if code.t_generic >= 1:
+                yield k, code

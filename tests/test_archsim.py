@@ -13,7 +13,7 @@ import pytest
 
 from agbms import CodeSpec, CurveSpec, archsim, bms, cli
 from agbms.gf import ZERO, OpCounter
-from conftest import AS_FIELDS, artin_schreier_codes, bundled_error_file, random_generic_pattern, random_pattern
+from conftest import AS_FIELDS, artin_schreier_budget_codes, bundled_error_file, random_generic_pattern, random_pattern
 
 
 def test_periods_and_totals(elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden):
@@ -192,19 +192,14 @@ def test_every_simulator_on_artin_schreier_codes():
     # b^-1 = 3 at a = 4 (a slot rotation no preset has) is among them
     runs, rotations = 0, set()
     for q in AS_FIELDS:
-        for k, base in enumerate(artin_schreier_codes(q, seed=q)):
-            cv = base.curve
-            for m in range(2 * cv.genus - 2 + cv.a, base.n):
-                code = CodeSpec(cv, base.fld, m)
-                if code.t_generic < 1:
-                    continue
-                rng = random.Random(f"{q}/{k}/{m}")
-                locs, vals = random_generic_pattern(code, code.t_generic, rng, affine_only=False)
-                synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
-                for sim in archsim.SIMULATORS.values():
-                    assert len(sim(code, synd).boundary_states) == m + 2
-                    runs += 1
-                rotations.add((cv.a, cv.b_inv))
+        for k, code in artin_schreier_budget_codes(q):
+            rng = random.Random(f"{q}/{k}/{code.m}")
+            locs, vals = random_generic_pattern(code, code.t_generic, rng, affine_only=False)
+            synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+            for sim in archsim.SIMULATORS.values():
+                assert len(sim(code, synd).boundary_states) == code.m + 2
+                runs += 1
+            rotations.add((code.curve.a, code.curve.b_inv))
     assert runs == 1236 and (4, 3) in rotations
 
 

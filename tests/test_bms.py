@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from agbms import CodeSpec, CurveSpec, bms, linalg, oracle
+from agbms import CodeSpec, CurveSpec, bms, oracle
 from agbms.gf import ZERO, OpCounter
 from conftest import (
     bipoly,
@@ -20,6 +20,7 @@ from conftest import (
     random_generic_pattern,
     random_pattern,
     reduce,
+    reference_rank,
 )
 
 ELLIPTIC_F9 = [
@@ -288,7 +289,7 @@ def _membership_possible(code, full, deg, A):
     rows = [[full[(n[0] + h[0], n[1] + h[1])] for n in monos] for h in shifts]
     rhs = [full[(deg[0] + h[0], deg[1] + h[1])] for h in shifts]
     aug = [row + [r] for row, r in zip(rows, rhs)]
-    return linalg.rank(code.fld, rows) == linalg.rank(code.fld, aug)
+    return reference_rank(code.fld, rows) == reference_rank(code.fld, aug)
 
 
 def test_theorem_suite_goldens(elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden):
@@ -336,9 +337,9 @@ def test_window_invariants(elliptic, elliptic_golden):
 
 
 def test_extract_poly_raises_under_optimize():
-    # the support and leading-coefficient checks, the genericity cross-check
-    # and the simulators' boundary check guard results, so they must hold
-    # when asserts are compiled out
+    # the support and leading-coefficient checks, the footprint's pivot
+    # count behind every genericity verdict and the simulators' boundary
+    # check guard results, so they must hold when asserts are compiled out
     script = textwrap.dedent(
         """
         from agbms import GF, CodeSpec, Point, archsim, bms, elliptic_curve, oracle
@@ -357,10 +358,9 @@ def test_extract_poly_raises_under_optimize():
             print("lead:", exc)
         locs = [code.points.index(Point(*xy)) for xy in [(3, 7), (9, 11), (14, 4)]]
         print("generic pattern:", oracle.is_generic(code, locs).is_generic)
-        oracle.footprint = lambda code, locs: []  # a wrong footprint for a generic pattern
         try:
-            oracle.is_generic(code, locs)
-        except AssertionError as exc:
+            oracle.is_generic(code, [5, 5 - code.n])  # two indices naming one point
+        except ValueError as exc:
             print("generic:", exc)
         init_state = bms.init_state
         def skewed(*args):
@@ -394,7 +394,7 @@ def test_extract_poly_raises_under_optimize():
     assert "stray: coefficients outside the monomial support: {2: 5}" in out
     assert "lead: leading coefficient of F^(1) must stay nonzero" in out
     assert "generic pattern: True" in out
-    assert "generic: rank and footprint tests disagree" in out
+    assert "generic: 1 of 2 columns pivot: the locations repeat a point" in out
     assert "sim: inverse_free: boundary N=0 register state diverges" in out
     assert "guard: inverse-free BMS performed a field inversion" in out
 

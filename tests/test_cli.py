@@ -78,11 +78,14 @@ def test_decode_klein_special_point_failure(tmp_path, capsys):
 
 
 def test_decode_parse_error(tmp_path, capsys):
+    # a nesting deeper than the JSON decoder recurses used to end in a
+    # RecursionError traceback
     bad = tmp_path / "spec.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(capsys, "decode", str(bad), "whatever")
-    assert code == cli.EXIT_PARSE
-    assert "error:" in err
+    for text in ("{not json", "[" * 200000 + "]" * 200000):
+        bad.write_text(text)
+        code, out, err = run_cli(capsys, "decode", str(bad), "whatever")
+        assert code == cli.EXIT_PARSE
+        assert err.startswith("error: bad code spec") and out == ""
 
 
 @pytest.mark.parametrize("key", [[-1, 0], [0, -2], [1.5, 0], ["1", 0], [True, 1]],

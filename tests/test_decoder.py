@@ -15,6 +15,8 @@ from conftest import (
     bipoly,
     random_generic_pattern,
     random_pattern,
+    reference_rank,
+    reference_solve,
 )
 
 
@@ -217,6 +219,66 @@ def test_interpolation_values_direct(elliptic, elliptic_golden):
     order = sorted(range(len(locs)), key=lambda k: locs[k])
     got = decoder.error_values_interpolation(sorted(locs), elliptic, synd)
     assert got == [vals[k] for k in order]
+
+
+def interpolation_systems(code, rng):
+    """Seeded (locs, syndromes) inputs of ``error_values_interpolation``:
+    random location sets and singular ones, each with the syndromes of an
+    error on all of it, on all but its last point, and random syndromes;
+    then sets larger than the code's basis."""
+    q, basis = code.fld.q, code.basis
+
+    def systems(locs):
+        for err in (locs, locs[:-1]):
+            vals = [rng.randrange(q - 1) for _ in err]
+            yield locs, code.syndromes(code.inject_errors(code.zero_word(), err, vals))
+        yield locs, {l: rng.randrange(-1, q - 1) for l in basis}
+
+    for _ in range(20):
+        yield from systems(random_pattern(code, rng.randint(1, code.t_generic + 1), rng, affine_only=False)[0])
+    for _ in range(6):
+        # t - 1 seeded points and a t-th on which the first t basis
+        # monomials are dependent, found by the rank reference
+        t = rng.randint(2, 4)
+        while True:
+            locs = rng.sample(range(code.n), t - 1)
+            rows = [code.eval_row(l) for l in basis[:t]]
+            last = [j for j in range(code.n) if j not in locs
+                    and reference_rank(code.fld, [[row[k] for k in locs + [j]] for row in rows]) < t]
+            if last:
+                yield from systems(locs + [rng.choice(last)])
+                break
+    for _ in range(3):
+        locs = rng.sample(range(code.n), len(basis) + 1)
+        yield locs, {l: rng.randrange(-1, q - 1) for l in basis}
+
+
+@pytest.mark.parametrize("code_name", ["klein", "elliptic", "elliptic_gf512"], ids=["gf8", "gf16", "gf512"])
+def test_interpolation_matches_reference_solve(request, code_name):
+    # one- and two-byte lanes; the values are the reference solve of the
+    # first |E| syndrome rows, or None where that system is singular,
+    # inconsistent or short of rows, or a solved value is zero
+    code = request.getfixturevalue(code_name)
+    cv, fld = code.curve, code.fld
+    seen = {"unique": 0, "zero value": 0, "singular": 0, "inconsistent": 0, "short basis": 0}
+    for locs, synd in interpolation_systems(code, random.Random(f"interpolation/{code_name}")):
+        ls = code.basis[: len(locs)]
+        mat = [[cv.eval_monomial(fld, l, code.points[j]) for j in locs] for l in ls]
+        rhs = [synd[l] for l in ls]
+        want = None
+        if len(ls) < len(locs):
+            seen["short basis"] += 1
+        elif reference_rank(fld, mat) < len(locs):
+            aug = [row + [b] for row, b in zip(mat, rhs)]
+            seen["singular" if reference_rank(fld, aug) == reference_rank(fld, mat) else "inconsistent"] += 1
+        else:
+            sol = reference_solve(fld, mat, rhs)
+            seen["zero value" if ZERO in sol else "unique"] += 1
+            want = None if ZERO in sol else sol
+        before = dict(synd), list(locs)
+        assert decoder.error_values_interpolation(locs, code, synd) == want, (locs, synd)
+        assert (synd, locs) == before
+    assert all(seen.values()), seen
 
 
 def test_decode_inversion_accounting(elliptic, elliptic_golden):

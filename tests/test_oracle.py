@@ -13,6 +13,7 @@ from conftest import (
     poly_degree,
     random_pattern,
     reference_footprint,
+    reference_rank,
 )
 
 
@@ -171,12 +172,39 @@ def test_generic_ratio_rejects_weight_out_of_range(elliptic, t):
         oracle.generic_ratio(elliptic, t, 10, seed=1)
 
 
+def rank_verdict(code, locs):
+    """Genericity the long way: the t x t evaluation matrix of the first t
+    non-gaps has rank t under ``reference_rref``."""
+    monos = code.curve.phi(0, code.curve.a, oracle.m_t(code, len(locs)))
+    mat = [[code.curve.eval_monomial(code.fld, n, code.points[j]) for n in monos] for j in locs]
+    return reference_rank(code.fld, mat) == len(locs)
+
+
 def test_footprint_matches_reference_every_small_set(elliptic, klein):
-    # every location set of weight <= 3 on n = 24 and n = 23
+    # every location set of weight <= 3 on n = 24 and n = 23: the footprint
+    # is the greedy one, and the genericity verdict read off it is the rank
+    # test's
     for code in (elliptic, klein):
+        verdicts = set()
         for t in (1, 2, 3):
             for locs in itertools.combinations(range(code.n), t):
-                assert oracle.footprint(code, list(locs)) == reference_footprint(code, list(locs))
+                locs = list(locs)
+                delta = reference_footprint(code, locs)
+                assert oracle.footprint(code, locs) == delta
+                rep = oracle.is_generic(code, locs)
+                assert (rep.is_generic, rep.m_t, rep.delta_set) == (rank_verdict(code, locs), oracle.m_t(code, t), delta)
+                verdicts.add(rep.is_generic)
+        assert verdicts == {True, False}
+
+
+def test_is_generic_runs_one_rref(rref_calls, elliptic, klein, hermitian):
+    rng = random.Random(28)
+    for code in (elliptic, klein, hermitian):
+        for t in range(1, code.t_generic + 3):
+            for _ in range(5):
+                rref_calls.clear()
+                oracle.is_generic(code, rng.sample(range(code.n), t))
+                assert len(rref_calls) == 1
 
 
 def test_footprint_matches_reference_seeded(elliptic, klein, hermitian, elliptic_gf512):

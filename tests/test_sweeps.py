@@ -8,7 +8,9 @@ classes move with the seed and are not asserted; on the smallest code every
 value vector is visited and every count is pinned.  Every simulator also
 meets every weight-3 location set of the elliptic preset.  Seeded generic
 samples carry the contract across every m a curve accepts, where Chien
-search may read only the locator columns the syndromes check.
+search may read only the locator columns the syndromes check, and seeded
+patterns and the GF(8) location sets carry it across the seeded
+Artin-Schreier curves y^a + c*y = f(x).
 """
 
 import itertools
@@ -18,7 +20,7 @@ import random
 import pytest
 
 from agbms import GF, CodeSpec, CurveSpec, archsim, bms, decoder, elliptic_curve, hermitian_curve, klein_curve, oracle
-from conftest import random_generic_pattern
+from conftest import artin_schreier_budget_codes, random_generic_pattern, random_pattern
 
 
 def sweep(code, weight, seed, mode=bms.INVERSE_FREE, every_value=False, values=None):
@@ -132,19 +134,20 @@ def test_hermitian_m18_weight2_exhaustive(hermitian, mode):
     }
 
 
-def budget_sample(code, weight, rng, samples=4):
-    """Decode ``samples`` seeded generic patterns of ``weight`` over all n
-    points in both modes: exact within the budget, never a miscorrection
-    above it."""
+def budget_sample(code, weight, rng, samples=4, draw=random_generic_pattern):
+    """Decode ``samples`` seeded patterns of ``weight`` from ``draw`` (by
+    default generic ones) over all n points in both modes: exact when
+    generic within the budget, never a miscorrection."""
     for _ in range(samples):
-        locs, vals = random_generic_pattern(code, weight, rng, affine_only=False)
+        locs, vals = draw(code, weight, rng, affine_only=False)
+        generic = weight <= code.t_generic and oracle.is_generic(code, locs).is_generic
         received = code.inject_errors(code.zero_word(), locs, vals)
         for mode in (bms.INVERSE_FREE, bms.DIVISION):
             res = decoder.decode(code, received, mode)
-            if weight <= code.t_generic:
+            if generic:
                 assert res.status == decoder.SUCCESS, f"m={code.m} {locs} {vals}: {res.status} {res.detail}"
                 assert sorted(res.error_locs) == sorted(locs)
-            elif res.status == decoder.SUCCESS:
+            if res.status == decoder.SUCCESS:
                 assert res.corrected.symbols == code.zero_word().symbols, f"miscorrection at m={code.m} {locs}"
 
 
@@ -170,6 +173,27 @@ def test_budget_at_every_m(name):
             rng = random.Random(f"{name}/{m}")
             budget_sample(code, code.t_generic, rng)
             budget_sample(code, code.t_generic + 1, rng)
+
+
+@pytest.mark.parametrize("q", [8, 16, pytest.param(32, marks=pytest.mark.slow)])
+def test_contract_on_artin_schreier_codes(q):
+    # every seeded y^a + c*y = f(x) curve over GF(q) at every m it accepts
+    # with t_generic >= 1, three seeded patterns per weight 1..t_generic + 1
+    for k, code in artin_schreier_budget_codes(q):
+        rng = random.Random(f"contract/{q}/{k}/{code.m}")
+        for weight in range(1, code.t_generic + 2):
+            budget_sample(code, weight, rng, samples=3, draw=random_pattern)
+
+
+@pytest.mark.parametrize("mode", [bms.INVERSE_FREE, bms.DIVISION])
+def test_gf8_artin_schreier_exhaustive(mode):
+    # every location set of weight 1..t_generic + 1 on every seeded GF(8)
+    # Artin-Schreier code at every m with t_generic >= 1, seeded values
+    sets = 0
+    for k, code in artin_schreier_budget_codes(8):
+        for weight in range(1, code.t_generic + 2):
+            sets += sum(sweep(code, weight, seed=f"{k}/{code.m}/{weight}", mode=mode).values())
+    assert sets == 2994
 
 
 @pytest.mark.slow

@@ -3,8 +3,9 @@
     python3 tools/ab.py PARENT_TREE CHANGE_TREE --workload W --seed S --pairs N
 
 Each tree's ``src/agbms`` is imported afresh through this repository's
-``bench/workloads.py`` (only read), and the seed's inputs are generated once.
-Both trees must give identical decode summaries or simulator statistics on
+``bench/workloads.py`` (only read), and each tree generates the seed's
+inputs: the two pools must be equal before anything else runs.  Both trees
+must give identical decode summaries or simulator statistics on
 every input before any timing; on the two decode workloads both must also
 charge the same field operations (muls, invs, adds) to an ``OpCounter``
 when they decode each input's received word.  Each pair times one whole-pool pass per
@@ -67,7 +68,13 @@ def main() -> None:
     op = wl.OPS[args.workload]
     counted = op is not wl.op_arch_sim  # the ops that decode, whose field operations are counted
     with tempfile.TemporaryDirectory() as scratch:
-        order = wl.round_order(wl.generate(*sides[0], args.workload, args.seed, scratch))
+        # each tree builds the pool (is_generic picks its locations), into
+        # one scratch directory, so the two pools name the same error files
+        orders = [wl.round_order(wl.generate(*side, args.workload, args.seed, scratch)) for side in sides]
+        if orders[0] != orders[1]:
+            key = next((a.key for a, b in zip(*orders) if a != b), None)
+            sys.exit(f"trees build different input pools: first at input {key}")
+        order = orders[0]
         for inp in order:  # also the warm-up pass of both trees
             outs = [repr(op(api, codes, inp)) for api, codes in sides]
             if outs[0] != outs[1]:
@@ -87,7 +94,7 @@ def main() -> None:
     ratios = [a / b for a, b in zip(*times)]
     (p1, pm, p3), (c1, cm, c3), (r1, rm, r3) = (quartiles(xs) for xs in (*times, ratios))
     wins = sum(b < a for a, b in zip(*times))
-    same = "outputs and op counts" if counted else "outputs"
+    same = "pools, outputs and op counts" if counted else "pools and outputs"
     print(f"{args.workload} seed {args.seed}: {len(order)} inputs, identical {same} on both trees")
     print(f"  parent pass: median {pm:.4f} s, quartiles {p1:.4f}-{p3:.4f} s")
     print(f"  change pass: median {cm:.4f} s, quartiles {c1:.4f}-{c3:.4f} s")
