@@ -13,11 +13,11 @@ GF(16) a table keeps only its w split words and forms word r per read
 syndrome unit keeps one table per code point over the syndrome indices
 (``CodeSpec.syndrome_rows``); the encoder one per message position over the
 parity positions.  The decoder reads tables of point words
-(``CodeSpec.point_words``): per pole order, the monomial's values at every
-point and its derivative along the curve, taken from one more per-code row,
-the slope y' = D_x/D_y at each point (``CodeSpec.slope``), so a locator
-polynomial at every point is one XOR per coefficient, as a syndrome vector
-is one per symbol.
+(``CodeSpec.point_words``, a ``gf.Memo`` indexed by pole order): per pole
+order, the monomial's values at every point and its derivative along the
+curve, taken from one more per-code row, the slope y' = D_x/D_y at each
+point (``CodeSpec.slope``), so a locator polynomial at every point is one
+XOR per coefficient, as a syndrome vector is one per symbol.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from operator import getitem, xor
 
 from . import linalg
 from .curve import CurveSpec, Mono, Point, partials
-from .gf import GF, ZERO
+from .gf import GF, ZERO, Memo
 
 POLE = None  # table marker: z^n (or y') has no value at this point
 PRODUCT_W = 4  # widest field, GF(16), whose point sums read product tables
@@ -125,7 +125,7 @@ class CodeSpec:
         self.basis = self.curve.phi(0, self.curve.a, self.m)
         self.syndrome_domain = self.curve.phi(0, 2 * self.curve.a - 1, self.m)
         self._rows: dict[Mono, list[int | None]] = {}
-        self._point_words: dict[int, tuple[Table, Table, int]] = {}
+        self.point_words = Memo(self, CodeSpec._point_words)  # pole order -> its point words
         # tables other modules derive from the code alone, built on first use
         # by their owner and kept for the life of the code (the BMS gates)
         self.tables: dict = {}
@@ -173,8 +173,9 @@ class CodeSpec:
             out.append(POLE if dy == ZERO else fld.mul(dx, -dy % (fld.q - 1)))
         return out
 
-    def point_words(self, order: int) -> tuple[Table, Table, int]:
-        """The ring monomial z^n of pole order ``order`` at every code point.
+    def _point_words(self, order: int) -> tuple[Table, Table, int]:
+        """The ring monomial z^n of pole order ``order`` at every code point,
+        read as ``point_words[order]``.
 
         Two log-indexed product tables of packed n-lane words: word r of the
         first holds vec(alpha^r * z^n(P_j)) in lane j, and word r of the
@@ -183,24 +184,20 @@ class CodeSpec:
         is word c, one read, as a syndrome row's word is.  Last comes the
         weight n1 % 2 + n2 % 2, the terms z^n puts into F_x and F_y.
 
-        Built from the evaluation table and the slope row on first use and
+        Built from the evaluation table and the slope row on first read and
         kept for the life of the code, uncharged.  Raises ValueError at a
         gap, where no ring monomial has that pole order.
         """
-        words = self._point_words.get(order)
-        if words is None:
-            n = self.curve.l_of(0, order)
-            if n is None:
-                raise ValueError(f"no ring monomial has pole order {order}")
-            cv, fld = self.curve, self.fld
-            zx, zy = partials({n: 0})
-            deriv = [
-                ZERO if yp is POLE else fld.add(cv.eval_poly(fld, zx, p), fld.mul(cv.eval_poly(fld, zy, p), yp))
-                for p, yp in zip(self.points, self.slope)
-            ]
-            words = (_products(fld, self.eval_row(n)), _products(fld, deriv), len(zx) + len(zy))
-            self._point_words[order] = words
-        return words
+        n = self.curve.l_of(0, order)
+        if n is None:
+            raise ValueError(f"no ring monomial has pole order {order}")
+        cv, fld = self.curve, self.fld
+        zx, zy = partials({n: 0})
+        deriv = [
+            ZERO if yp is POLE else fld.add(cv.eval_poly(fld, zx, p), fld.mul(cv.eval_poly(fld, zy, p), yp))
+            for p, yp in zip(self.points, self.slope)
+        ]
+        return _products(fld, self.eval_row(n)), _products(fld, deriv), len(zx) + len(zy)
 
     def zero_word(self) -> Word:
         return Word([ZERO] * self.n)

@@ -6,16 +6,16 @@ scalars (discrepancy and head values) at fixed clock phases and flips the
 preserve/update switches once per N-loop.  The published register tables are
 not available as text, so each simulator derives its own layout from the
 stated line lengths and validates itself ("oracle equivalence"): each
-simulator steps a software BMS state alongside its registers, and at every
-N-boundary it places its register words in the state's packed v|f and w|g
-words (``bms.BmsState``) and requires them, with (s, c), to equal that
-state's, as ints.  Register values are held in bit-vector form, also in
-the snapshots, which read each line from its output end to its input end;
-the CLI writes them to the CSV as logs.  The trace keeps a copy of the
-reference state of every boundary; ``--boundary-dumps`` writes
-``bms.state_record`` of each, so it shares ``--dump-state``'s format, and a
-divergence names the first of s, c, v, f, w, g that differs, in that
-record's form.
+simulator runs a software BMS state alongside its registers (one
+``bms.loops`` generator per run, advanced one loop per boundary), and at
+every N-boundary it places its register words in the state's packed v|f and
+w|g words (``bms.BmsState``) and requires them, with (s, c), to equal that
+state's, as ints.  Register values are held in bit-vector form, also in the
+snapshots, which read each line from its output end to its input end; the
+CLI writes them to the CSV as logs.  The trace keeps a copy of the reference
+state of every boundary; ``--boundary-dumps`` writes ``bms.state_record`` of
+each, so it shares ``--dump-state``'s format, and a divergence names the
+first of s, c, v, f, w, g that differs, in that record's form.
 
 Layouts (period P = length of the w/g line):
 
@@ -66,27 +66,27 @@ One controller, two datapaths: the rules above are written once, in
 at one multiplier pair in loop N.  ``_Controller.lane`` is the one lane
 rule.  It reads the v head and the w head as lane 0 of the words its
 columns give and latches d (behind the one gate comparison of
-``bms.step``) and e (d^-1 too in division mode) as product rows: a table
+``bms.loops``) and e (d^-1 too in division mode) as product rows: a table
 per constant mapping every bit-vector v to vec(c*v), built from the
 field's exp/log tables the first time a latch meets c and kept on the code
-(``_Rows``, one table per code; no q x q table, and independent of
+(``_product_row``, one table per code; no q x q table, and independent of
 ``gf``'s ``scale`` tables, so the boundary check compares two
 multipliers); it sets the lane's preserve/update switch
 (``_Controller.updates``) and takes the groups whose w/g input is
 zero-set from ``_stale``, one loop ahead.  It updates s and c in place,
-lane by lane in the order of the clocks, exactly as ``bms.step`` updates
-its state (its docstring says why that is exact), and charges the lane's
-multipliers for the whole loop.  It then returns the word of the lane's
-v/f inputs, e*(x >> lane) ^ d*(y >> lane) with x and y the words its lines
-give -- at most two whole-word maps through product rows (``GF.lookup``: a
-``bytes.translate`` on one-byte lanes, unpack, row and pack on two-byte
-ones) and one XOR -- and the word of its w/g inputs: y, or after an update
-d^-1 * x in division mode and x unscaled in inverse-free mode, with any
-zero-set groups cleared by one mask.  A multiplier whose constant is 0 or
-alpha^0 makes no map, so a lane that latches d = 0 and e = alpha^0 is a
-plain shift; the boundary check thus still compares two multipliers on
-every constant but 0 and alpha^0, where ``bms.step`` passes its input
-through as well.
+lane by lane in the order of the clocks, exactly as a ``bms.loops`` loop
+updates its state (its docstring says why that is exact), and charges the
+lane's multipliers for the whole loop.  It then returns the word of the
+lane's v/f inputs, e*(x >> lane) ^ d*(y >> lane) with x and y the words its
+lines give -- at most two whole-word maps through product rows
+(``GF.lookup``: a ``bytes.translate`` on one-byte lanes, unpack, row and
+pack on two-byte ones) and one XOR -- and the word of its w/g inputs: y, or
+after an update d^-1 * x in division mode and x unscaled in inverse-free
+mode, with any zero-set groups cleared by one mask.  A multiplier whose
+constant is 0 or alpha^0 makes no map, so a lane that latches d = 0 and e =
+alpha^0 is a plain shift; the boundary check thus still compares two
+multipliers on every constant but 0 and alpha^0, where ``bms.loops`` passes
+its input through as well.
 
 A datapath keeps only its wiring -- line lengths, which column sits on
 which slot, and the rotation -- and hands each lane its words.
@@ -108,11 +108,12 @@ diverges at f or g.
 
 Snapshots are kept only on request (``keep_snapshots=True``, as
 ``trace-arch`` asks).  A kept run unpacks each loop's words into what each
-line gives then takes over the loop, about twice its registers, and
-``_Controller.snapshot`` keeps one record per loop -- its first clock, each
-line as that sequence with where its registers start in it and how many it
-has, and the loop's switch function; ``ArchTrace.clocks``, the one
-clock-window rule, reads the registers after clock t as the slice
+line gives then takes over the loop, about twice its registers; what a line
+gives is what it took the loop before, so each word is unpacked once and
+carried forward.  ``_Controller.snapshot`` keeps one record per loop -- its
+first clock, each line as that sequence with where its registers start in it
+and how many it has, and the loop's switch function; ``ArchTrace.clocks``,
+the one clock-window rule, reads the registers after clock t as the slice
 [t+1+first : t+1+first+length].  The serial FIFO starts past the line's L
 registers in the same sequence, and the exchange register is its held
 values, each repeated a times, starting at -1.  No per-clock container is
@@ -128,7 +129,7 @@ from dataclasses import dataclass, field
 from . import bms
 from .agcode import CodeSpec
 from .curve import Mono
-from .gf import GF, ZERO
+from .gf import GF, ZERO, Memo
 
 INVERSE_FREE = bms.INVERSE_FREE
 SERIAL = "serial"
@@ -186,23 +187,16 @@ class ResourceEstimate:
     time: int
 
 
-class _Rows(dict):
-    """Product rows of one field, each built the first time its constant is
-    latched: row c (a log, ZERO included) maps every bit-vector v to
-    vec(c*v), so the zero constant's row is all zeros.  A row is in the
-    table form ``GF.lookup`` reads, which the field's lane width picks:
-    256 bytes on one-byte lanes (q <= 256), a list of q values on two-byte
-    lanes."""
-
-    def __init__(self, fld: GF):
-        super().__init__()
-        self.exp, self.log, self.q = fld.exp, fld.log, fld.q
-
-    def __missing__(self, c: int) -> bytes | list[int]:
-        exp, qm1 = self.exp, self.q - 1
-        row = [0] * self.q if c == ZERO else [0] + [exp[(c + l) % qm1] for l in self.log[1:]]
-        row = self[c] = bytes(row).ljust(256, b"\0") if self.q <= 256 else row
-        return row
+def _product_row(fld: GF, c: int) -> bytes | list[int]:
+    """The product row of constant c (a log, ZERO included): every
+    bit-vector v mapped to vec(c*v), so the zero constant's row is all
+    zeros.  A row is in the table form ``GF.lookup`` reads, which the
+    field's lane width picks: 256 bytes on one-byte lanes (q <= 256), a
+    list of q values on two-byte lanes.  Built the first time a latch
+    meets c and kept on the code (a ``gf.Memo``)."""
+    exp, qm1 = fld.exp, fld.q - 1
+    row = [0] * fld.q if c == ZERO else [0] + [exp[(c + l) % qm1] for l in fld.log[1:]]
+    return bytes(row).ljust(256, b"\0") if fld.q <= 256 else row
 
 
 class _Controller:
@@ -211,7 +205,7 @@ class _Controller:
     ``groups`` is the number of clocks a lane takes per loop (the w/g
     line's exponent groups).  A line is a word of ``gf`` lanes, register p
     from the output end in lane p, in bit-vector form; the latched e, d
-    and d^-1 are product rows (``_Rows``), kept on the code."""
+    and d^-1 are product rows (``_product_row``), kept on the code."""
 
     def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str, groups: int):
         fld, a = code.fld, code.curve.a
@@ -221,8 +215,10 @@ class _Controller:
         self.division = mode == bms.DIVISION
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
         self.gates = bms.gate_table(code)
-        self.log, self.rows = fld.log, code.tables.setdefault(("archsim", "rows"), _Rows(fld))
+        self.log = fld.log
+        self.rows = code.tables.setdefault(("archsim", "rows"), Memo(fld, _product_row))
         self.ref = bms.init_state(code, synd, mode)
+        self.ref_loops = bms.loops(self.ref, code)  # one reference run, advanced a loop per boundary
         self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
         self.M: list[int | None] = [None] * a  # loop of the last g replacement per column
         self.updates = [False] * a  # per lane: the preserve/update switch of the loop
@@ -232,8 +228,8 @@ class _Controller:
         """The v/f and w/g words of every column before loop 0: column i
         holds the syndromes at the v lanes of its seed (the ``bms`` gate
         table), then f = 1 at lane m+1; w = 1."""
-        to_vec, lb, f_one = self.code.fld.to_vec, self.lb, 1 << (self.m + 1) * self.lb
-        vf = [sum(to_vec(self.synd[l]) << lane * lb for lane, l in seed) | f_one for seed in self.gates.seed]
+        to_vec, f_one = self.code.fld.to_vec, 1 << (self.m + 1) * self.lb
+        vf = [sum(to_vec(self.synd[l]) << s for s, l in zip(*seed)) | f_one for seed in self.gates.seed]
         return vf, [1] * len(vf)
 
     def lane(self, N: int, lane: int, i: int, j: int, x: int, y: int) -> tuple[int, int]:
@@ -241,8 +237,8 @@ class _Controller:
         and w/g columns i and j give, one lane per exponent group.  At the
         head group, from the v head (lane 0 of x) and the w head (lane 0 of
         y), it latches d and e, sets the switch, updates the degrees in
-        place (exact for the reason given in ``bms.step``) and charges the
-        multipliers; d passes the gate ``bms.step`` makes, s1^(i) <= l^(i)
+        place (exact for the reason given in ``bms.loops``) and charges the
+        multipliers; d passes the gate ``bms.loops`` makes, s1^(i) <= l^(i)
         on the gate table, whose -1 at a gap fails it.  It returns the
         words of the v/f inputs e*x ^ d*y over the groups past the head and
         of the w/g inputs -- after an update d^-1 * x, or x unscaled in
@@ -304,13 +300,14 @@ class _Controller:
         return range(max(1, self.m + 1 - N), self.groups if Mj is None else self.m + 1 - Mj)
 
     def _boundary(self, N: int, vf_words: list[int], wg_words: list[int]) -> None:
-        """Place the register words in the lines of a ``bms`` state,
-        require those to equal the reference BMS state's at the same N,
-        record a copy of that state, and step the reference to the next
-        loop.  The equality covers every register: the reference holds zero
-        on the lanes of the groups ``_stale`` names and on every lane past
-        its top, so a register left nonzero there diverges at f or g like
-        any other."""
+        """Advance the reference BMS run to loop N (the controller's one
+        ``bms.loops`` generator runs the loop before it), place the register
+        words in the lines of a ``bms`` state, require those to equal the
+        reference state's, and record a copy of that state.  The equality
+        covers every register: the reference holds zero on the lanes of the
+        groups ``_stale`` names and on every lane past its top, so a
+        register left nonzero there diverges at f or g like any other."""
+        next(self.ref_loops)  # the reference at loop N
         m, ref, lb = self.m, self.ref, self.lb
         # a column's word placed by shifts -- the registers below the split
         # up past the N retired lanes, the rest, uncut, past a zero gap lane
@@ -332,8 +329,6 @@ class _Controller:
         self.trace.boundary_states.append(
             bms.BmsState(ref.mode, ref.N, ref.s1[:], ref.c1[:], vf, wg, ref.M[:], ref.tlabel[:])
         )
-        if N <= m:
-            bms.step(ref, self.code)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +352,8 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     # Every line stands in exponent-group order at a boundary, so the
     # readback hands the live words over.
     vf, wg = ctl.initial_registers()
+    if keep_snapshots:  # what the lines give; each later loop unpacks only what they take
+        gave_vf, gave_wg = [unpack(x, V) for x in vf], [unpack(y, P) for y in wg]
 
     for N in ctl.loops(lambda N: (vf, wg)):
         # a v/f line gives its V registers, then the 0 it took at clock 0
@@ -369,9 +366,11 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
         trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
         if keep_snapshots:
             updates = {f"block{i}.update": upd for i, upd in enumerate(ctl.updates)}
-            lines = {f"block{i}.vf": (unpack(x, P) + unpack(took_vf[i], V), 0, V) for i, x in enumerate(vf)}
-            lines |= {f"block{i}.wg": (unpack(wg[j], P) + unpack(took_wg[j], P), 0, P) for i, j in enumerate(ibar)}
+            took_v, took_w = [unpack(x, V) for x in took_vf], [unpack(y, P) for y in took_wg]
+            lines = {f"block{i}.vf": (gave_vf[i] + [0] + took_v[i], 0, V) for i in range(a)}
+            lines |= {f"block{i}.wg": (gave_wg[j] + took_w[j], 0, P) for i, j in enumerate(ibar)}
             ctl.snapshot(N, lines, lambda t, updates=updates: {"disc_latch_down": t == 0, **updates})
+            gave_vf, gave_wg = took_v, took_w
         vf, wg = took_vf, took_wg
     return trace
 
@@ -402,17 +401,24 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
     ctl = _Controller(trace, code, synd, mode, G)
     unpack = code.fld.unpack
 
-    def interleave(words: list[int], n: int) -> list[int]:
-        """The registers of one line, slot k of group g at phase g*a + k."""
-        line = [0] * (a * n)
-        for k, x in enumerate(words):
-            line[k::a] = unpack(x, n)
+    def interleave(cols: list[list[int]]) -> list[int]:
+        """The registers of one line, slot k of group g at phase g*a + k:
+        value g of slot k's column cols[k]."""
+        line = [0] * (a * len(cols[0]))
+        for k, col in enumerate(cols):
+            line[k::a] = col
         return line
+
+    def lanes(words: list[int], n: int) -> list[int]:
+        """The registers of a line of n groups held as one word per slot."""
+        return interleave([unpack(x, n) for x in words])
 
     # one word per slot: the v/f path (line, supplementary FIFO and exchange
     # register, G-1 groups) and the w/g line (G groups)
     vregs, wregs = ctl.initial_registers()
     vs, ws = [vregs[i] for i, _ in slots[0]], [wregs[j] for _, j in slots[0]]
+    if keep_snapshots:  # what the lines give; each later loop unpacks only what they take
+        v_gave, w_gave = lanes(vs, G - 1), lanes(ws, G)
 
     def readback(N: int):
         vf, wg = [0] * a, [0] * a
@@ -433,15 +439,17 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
         if keep_snapshots:
             # what the v/f path gives, then what its line and FIFO take: the
             # next path but its last register, the exchange register, which
-            # holds 0 and then lane 0's inputs (the slot-0 values), each for a
-            # clocks -- a copies of that word interleaved
-            path = interleave(vs, G - 1) + [0] * a + interleave(took_v, G - 1)[:-1]
+            # holds 0 and then lane 0's inputs (the values of slot a-1 of the
+            # next path), each for a clocks -- a copies of that column
+            v_took, w_took = lanes(took_v, G - 1), lanes(took_w, G)
+            path = v_gave + [0] * a + v_took[:-1]
             lines = {
                 "vf": (path, 0, L),
-                "wg": (interleave(ws, G) + interleave(took_w, G), 0, P),
-                "exch": (interleave([took_v[-1] << ctl.lb] * a, G), -1, 1),
+                "wg": (w_gave + w_took, 0, P),
+                "exch": (interleave([[0, *v_took[a - 1 :: a]]] * a), -1, 1),
                 "supp": (path, L, c_v),
             }
+            v_gave, w_gave = v_took, w_took
             ups = ctl.updates[:]  # bound now: the next loop sets the switches again
             ctl.snapshot(
                 N,

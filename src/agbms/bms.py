@@ -4,12 +4,16 @@ The state carries, per column index i in [0, a): the minimal degree s^(i)
 (stored as its first component, the second is always i), the auxiliary span
 c^(i), and four polynomials in a formal variable Z -- f (locator
 coefficients), g (auxiliary), v (syndrome combination whose coefficient at
-Z^N is the discrepancy), w (auxiliary for v).  One ``step`` consumes loop
-index N in one pass over the lanes: each lane -- column i paired with
-ibar(i, N) -- reads its own Step-1 values, the discrepancy off the v head
-of column i (gated by s1^(i) <= l^(i), one comparison) and e off the w head
-of column ibar(i, N), and updates its columns in place (``step`` says why
-that is exact).
+Z^N is the discrepancy), w (auxiliary for v).  One generator, ``loops``,
+holds the only copy of the lane update and runs every N-loop from the
+state's N to m, yielding before each loop and after the last: ``run``
+records at its yields, the simulators' reference advances it one loop per
+boundary, and a run resumes from a state at any N.  A loop is one pass over
+the lanes: each lane -- column i paired with ibar(i, N) -- reads its own
+Step-1 values, the discrepancy off the v head of column i (gated by
+s1^(i) <= l^(i), one comparison) and e off the w head of column
+ibar(i, N), and updates its columns in place (``loops`` says why that is
+exact).
 
 Inverse-free mode scales instead of dividing (f <- e*f - d*g) and performs
 no field inversions at all; division mode is the classical parallel form
@@ -37,18 +41,21 @@ so the Z-shift ``(x << lane_bits) & keep`` drops the m+1 lane of each
 half, and w's m+1 lane is cleared on every loop but the last, exactly as
 the architectures zero-set their w/g lines.  Every lane offset is a multiple
 of ``lane_bits``; the field degree w sets no offset.  Log form appears
-only at the boundary: ``step`` reads the two head lanes of each lane,
+only at the boundary: ``loops`` reads the two head lanes of each lane,
 ``discrepancies`` and ``state_record`` unpack for the dumps, and
 ``extract_locators`` reads only the lead and head lanes, handing f and g
 on to the decoder as packed words.  The gates of a code -- l^(i) and ibar
-per loop, the seed lanes and the masks -- are built once per code
-and kept on the code (``CodeSpec.tables``), so no curve lookup happens per
-decoded word.
+per loop, the seed shifts and indices and, per loop, one tuple of the
+lane triples, the head shift and the masks -- are built once per code and
+kept on the code (``CodeSpec.tables``), so no curve lookup happens per
+decoded word and a run binds its per-loop constants once per loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import lshift
 
 from .agcode import CodeSpec
 from .curve import Mono
@@ -60,23 +67,31 @@ DIVISION = "division"
 
 class _Gates:
     """Per-code tables: per loop N the first component of l^(i) (N up to
-    m+1, which the final record reads), ibar(i, N) and the AND masks of the
-    step, and the v seed lanes of every column.  A gap is stored as -1: s1^(i) is never negative, so
-    ``s1 <= l1`` is the whole discrepancy gate, false at a gap."""
+    m+1, which the final record reads) and ibar(i, N); the seed of every
+    column, two lists, the bit shift of each v lane it seeds and the
+    syndrome index that fills it; and ``loop``, one tuple per loop N of the
+    constants ``loops`` binds: N, the head shift N * lane_bits, the
+    (i, ibar(i, N), l1) triple of every lane, and the AND masks that delete
+    the consumed head and keep the shifted w and g inside their halves.  A
+    gap is stored as -1: s1^(i) is never negative, so ``s1 <= l1`` is the
+    whole discrepancy gate, false at a gap."""
 
     def __init__(self, code: CodeSpec):
         cv, fld, m = code.curve, code.fld, code.m
         a, lb = cv.a, fld.lane_bits
-        self.L = L = m + 2
+        L = m + 2
         self.l1 = [[-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(m + 2)]
         self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(m + 1)]
-        # (lane, syndrome index) of every v coefficient of column i
-        self.seed = [[(cv.pole_order(l), l) for l in cv.phi(i, a, m)] for i in range(a)]
+        phis = [cv.phi(i, a, m) for i in range(a)]
+        self.seed = [([cv.pole_order(l) * lb for l in phi], phi) for phi in phis]
         self.s1 = [cv.basis_start(i)[0] for i in range(a)]
+        self.vec, self.f_one = fld.exp + [0], 1 << L * lb  # ZERO, the last index, reads 0; f = 1
         lane, full = (1 << lb) - 1, (1 << 2 * L * lb) - 1
-        self.head_clear = [full ^ lane << N * lb for N in range(m + 1)]  # mod Z^N
-        shift_keep = full ^ lane << L * lb  # w's m+1 lane must not become g's lane 0
-        self.shift_keep = [shift_keep ^ (lane << (L - 1) * lb if N != m else 0) for N in range(m + 1)]
+        keep = full ^ lane << L * lb  # w's m+1 lane must not become g's lane 0
+        self.loop = []
+        for N in range(m + 1):  # mod Z^N, and w's m+1 lane kept after the last loop only
+            lanes = list(zip(range(a), self.ibar[N], self.l1[N]))
+            self.loop.append((N, N * lb, lanes, full ^ lane << N * lb, keep ^ (lane << (L - 1) * lb if N != m else 0)))
 
 
 def gate_table(code: CodeSpec) -> _Gates:
@@ -146,18 +161,11 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
     if mode not in (INVERSE_FREE, DIVISION):
         raise ValueError(f"unknown mode {mode!r}")
     gates = gate_table(code)
-    exp, lb = code.fld.exp, code.fld.lane_bits
-    f_one = 1 << gates.L * lb  # f = 1
-    vf = []
-    for seed in gates.seed:
-        x = f_one
-        for lane, l in seed:
-            u = synd.get(l)
-            if u is None:
-                raise ValueError(f"syndrome table missing u_{l}")
-            if u != ZERO:
-                x |= exp[u] << lane * lb
-        vf.append(x)
+    u, vec, f_one = synd.__getitem__, gates.vec.__getitem__, gates.f_one
+    try:  # the seed lanes do not overlap, so their sum is their OR
+        vf = [f_one | sum(map(lshift, map(vec, map(u, ls)), shifts)) for shifts, ls in gates.seed]
+    except KeyError as exc:
+        raise ValueError(f"syndrome table missing u_{exc.args[0]}") from None
     a = len(vf)
     return BmsState(
         mode=mode,
@@ -174,7 +182,7 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
 def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]]:
     """Step 1 at the current N for the dumps: the discrepancies d^(i) (v
     heads, zero unless s1^(i) <= l^(i), which fails where column i has no
-    l^(i)) and the w heads e^(i).  ``step`` reads the same heads lane by
+    l^(i)) and the w heads e^(i).  ``loops`` reads the same heads lane by
     lane with the same shift, mask and gate."""
     fld = code.fld
     log, lane, shift = fld.log, fld.q - 1, state.N * fld.lane_bits
@@ -183,11 +191,12 @@ def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]
     return d, [log[x >> shift & lane] for x in state.wg]
 
 
-def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
-    """One N-loop, in place, as one pass over the lanes: each lane reads
-    its own Step-1 values (d^(i) off the v head of column i, gated by
-    s1^(i) <= l^(i), and e^(ib) off the w head of column ib) and runs
-    Step 2.
+def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iterator[None]:
+    """Run the N-loops state.N..m in place, yielding before each loop and
+    after the last; every caller runs BMS through this one generator.
+    Each loop is one pass over the lanes: each lane reads its own Step-1
+    values (d^(i) off the v head of column i, gated by s1^(i) <= l^(i),
+    and e^(ib) off the w head of column ib) and runs Step 2.
 
     Lane i pairs column i with ib = ibar(i, N), as one multiplier pair of
     the parallel architecture does: it reads and writes vf and s1 of
@@ -195,7 +204,7 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
     ibar(., N) is a bijection of the columns, so in each loop every column
     is read and written by exactly one lane, no lane sees another lane's
     new values -- every head is read before its lane overwrites it -- and
-    the in-place update equals one from a pre-step copy.  Within a lane
+    the in-place update equals one from a pre-loop copy.  Within a lane
     every old value is read before it is overwritten.
 
     With ``ctr`` the lane is charged one mul per nonzero lane scaled and
@@ -206,48 +215,48 @@ def step(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> None:
     with or without ``ctr``.
     """
     fld = code.fld
-    gates = gate_table(code)
-    N, lb = state.N, fld.lane_bits
-    vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
-    log, lane, shift = fld.log, fld.q - 1, N * lb
-    scale, weight, counted = fld.scale, fld.weight, ctr is not None
+    vf, wg, s1, c1, M, tlabel = state.vf, state.wg, state.s1, state.c1, state.M, state.tlabel
+    log, lane, lb = fld.log, fld.q - 1, fld.lane_bits
+    scale, weight, inv_chain, counted = fld.scale, fld.weight, fld.inv_chain, ctr is not None
     inverse_free = state.mode == INVERSE_FREE
-    l1, clear, keep = gates.l1[N], gates.head_clear[N], gates.shift_keep[N]
-    muls = adds = 0
-    for i, ib in enumerate(gates.ibar[N]):
-        x, y, l = vf[i], wg[ib], l1[i]
-        new = x
-        if inverse_free:
-            if e := log[y >> shift & lane]:
-                new = scale(x, e)
-            if counted:
-                muls += weight(new)  # a nonzero constant keeps every nonzero lane
-        di = log[x >> shift & lane] if s1[i] <= l else ZERO
-        if di != ZERO:
-            yd = scale(y, di)
-            new ^= yd
-            if counted:
-                k = weight(yd)
-                muls += k
-                adds += k
-        vf[i] = new & clear  # mod Z^N: the consumed head is deleted explicitly
-        if di != ZERO and s1[i] < l - c1[ib]:
-            if not inverse_free:
-                x = scale(x, fld.inv_chain(di, ctr))
-                state.invs += 1
+    for N, shift, lanes, clear, keep in gate_table(code).loop[state.N :]:
+        yield
+        muls = adds = 0
+        for i, ib, l in lanes:
+            x, y = vf[i], wg[ib]
+            new = x
+            if inverse_free:
+                if e := log[y >> shift & lane]:
+                    new = scale(x, e)
                 if counted:
-                    muls += weight(x)
-            # f and v are zero at m+1, so shifting after the scale loses
-            # nothing and charges the muls a scale after the shift would
-            wg[ib] = x << lb & keep
-            state.M[ib], state.tlabel[ib] = N, (s1[i], i)
-            s1[i], c1[ib] = l - c1[ib], l - s1[i]
-        else:
-            wg[ib] = y << lb & keep
-    if counted:
-        ctr.muls += muls
-        ctr.adds += adds
-    state.N = N + 1
+                    muls += weight(new)  # a nonzero constant keeps every nonzero lane
+            di = log[x >> shift & lane] if s1[i] <= l else ZERO
+            if di != ZERO:
+                yd = scale(y, di)
+                new ^= yd
+                if counted:
+                    k = weight(yd)
+                    muls += k
+                    adds += k
+            vf[i] = new & clear  # mod Z^N: the consumed head is deleted explicitly
+            if di != ZERO and s1[i] < l - c1[ib]:
+                if not inverse_free:
+                    x = scale(x, inv_chain(di, ctr))
+                    state.invs += 1
+                    if counted:
+                        muls += weight(x)
+                # f and v are zero at m+1, so shifting after the scale loses
+                # nothing and charges the muls a scale after the shift would
+                wg[ib] = x << lb & keep
+                M[ib], tlabel[ib] = N, (s1[i], i)
+                s1[i], c1[ib] = l - c1[ib], l - s1[i]
+            else:
+                wg[ib] = y << lb & keep
+        if counted:
+            ctr.muls += muls
+            ctr.adds += adds
+        state.N = N + 1
+    yield
 
 
 def state_record(state: BmsState, code: CodeSpec) -> dict:
@@ -278,16 +287,13 @@ def run(
     ctr: OpCounter | None = None,
     record: bool = False,
 ) -> tuple[BmsState, list[dict]]:
-    """Iterate steps for N = 0..m.  With ``record`` the returned list holds
-    one record per N plus the final state."""
+    """Run loops N = 0..m.  With ``record`` the returned list holds one
+    record per N plus the final state."""
     state = init_state(code, synd, mode)
     records: list[dict] = []
-    while state.N <= code.m:
+    for _ in loops(state, code, ctr):
         if record:
             records.append(state_record(state, code))
-        step(state, code, ctr)
-    if record:
-        records.append(state_record(state, code))
     return state, records
 
 

@@ -35,11 +35,11 @@ def _at_points(code: CodeSpec, poly: tuple[int, int], deriv: bool = False) -> tu
     Each nonzero coefficient reads, at its log, one word of the point-word
     product table of its monomial, and the word is the XOR of those."""
     word, order = poly
-    log = code.fld.log
+    log, point_words = code.fld.log, code.point_words
     acc = terms = 0
     for h, v in enumerate(code.fld.unpack(word, order + 1)):
         if v:
-            values, derivs, weight = code.point_words(order - h)
+            values, derivs, weight = point_words[order - h]
             acc ^= (derivs if deriv else values)[log[v]]
             terms += weight if deriv else 1
     return acc, terms

@@ -35,17 +35,39 @@ field picks one of two codecs from ``lane_bits`` when it is built:
   and ``lookup`` reads each value ``unpack`` gives in the caller's table
   (q values) and packs the results.
 
-A constant's table (the 256 products or the w products vec(c * alpha^j)) is
-built the first time it scales a word and kept; no q x q table is ever
-built.
+A constant's table (the 256 products or the w products vec(c * alpha^j))
+is built the first time it scales a word and kept in a ``Memo``, a dict
+whose missing entries build themselves, so a scale reads its table with
+one subscript, built or not.  The zero constant has a table too (256 zero
+bytes, or no products at all), so a scale by zero reads 0 through the same
+subscript; no q x q table is ever built.
 """
 
 from __future__ import annotations
 
 import struct
+import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 
 ZERO = -1  # log encoding of the zero element
+
+
+class Memo(dict):
+    """A table whose entries are built on first read and kept: a missing
+    key k reads ``build(owner, k)``, so a read is one subscript, hit or
+    miss.  The owner is held through a weak proxy, so a table kept on its
+    owner makes no reference cycle and goes when the owner does.  The
+    field's scale rows, the simulators' product rows and a code's point
+    words are kept this way."""
+
+    def __init__(self, owner: object, build: Callable):
+        super().__init__()
+        self.owner, self.build = weakref.proxy(owner), build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(self.owner, key)
+        return value
 
 
 @dataclass
@@ -97,13 +119,13 @@ class GF:
         if v != 1:
             raise ValueError(f"prim_poly {prim_poly:#b} is not primitive")
         self.lane_bits = 8 * -(-w // 8)  # whole bytes, for int.from_bytes/to_bytes
-        self._scale_rows: dict[int, bytes | tuple[int, ...]] = {}  # c -> its products
         # the lane codec, picked once here from the lane width
         if self.lane_bits == 8:
-            codec = self._pack8, self._unpack8, self._scale8, self._weight8, self._lookup8
+            codec = self._pack8, self._unpack8, self._scale8, self._weight8, self._lookup8, GF._row8
         else:
-            codec = self._pack16, self._unpack16, self._scale16, self._weight16, self._lookup16
-        self.pack, self.unpack, self.scale, self.weight, self.lookup = codec
+            codec = self._pack16, self._unpack16, self._scale16, self._weight16, self._lookup16, GF._row16
+        self.pack, self.unpack, self.scale, self.weight, self.lookup, row = codec
+        self._scale_rows = Memo(self, row)  # c -> its products, ZERO's included
 
     def __repr__(self) -> str:
         return f"GF(2^{self.w}, prim_poly={self.prim_poly:#b})"
@@ -176,17 +198,15 @@ class GF:
     def _unpack8(self, x: int, n: int) -> list[int]:
         return list(x.to_bytes(n, "little"))
 
+    def _row8(self, c: int) -> bytes:
+        exp, qm1 = self.exp, self.q - 1
+        products = [0] * self.q if c == ZERO else [0] + [exp[(c + l) % qm1] for l in self.log[1:]]
+        return bytes(products).ljust(256, b"\0")
+
     def _scale8(self, x: int, c: int) -> int:
-        if c == ZERO:
-            return 0
         if c == 0:
             return x
-        table = self._scale_rows.get(c)
-        if table is None:
-            exp, log, qm1 = self.exp, self.log, self.q - 1
-            products = [0] + [exp[(c + log[v]) % qm1] for v in range(1, self.q)]
-            table = self._scale_rows[c] = bytes(products).ljust(256, b"\0")
-        return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(table), "little")
+        return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(self._scale_rows[c]), "little")
 
     def _weight8(self, x: int) -> int:
         nb = (x.bit_length() + 7) >> 3
@@ -201,15 +221,14 @@ class GF:
     def _unpack16(self, x: int, n: int) -> list[int]:
         return list(struct.unpack(f"<{n}H", x.to_bytes(2 * n, "little")))
 
+    def _row16(self, c: int) -> tuple[int, ...]:
+        exp, qm1 = self.exp, self.q - 1
+        return () if c == ZERO else tuple(exp[(c + j) % qm1] for j in range(self.w))
+
     def _scale16(self, x: int, c: int) -> int:
         # each product is w bits wide and lands on its own lane, so no lane
-        # carries into the next
-        if c == ZERO:
-            return 0
-        row = self._scale_rows.get(c)
-        if row is None:
-            exp, qm1 = self.exp, self.q - 1
-            row = self._scale_rows[c] = tuple(exp[(c + j) % qm1] for j in range(self.w))
+        # carries into the next; ZERO's row is empty, so its product is 0
+        row = self._scale_rows[c]
         ones = int.from_bytes(b"\1\0" * -(-x.bit_length() // 16), "little")  # bit 0 of every lane
         acc = 0
         for r in row:

@@ -320,7 +320,7 @@ def test_product_tables_scale_word_zero(elliptic_gf8, klein, elliptic, hermitian
             tables.append((code.syndrome_rows[j], [row[j] for row in rows]))
         for order in range(code.m + 1):
             if cv.l_of(0, order) is not None:
-                values, derivs, _ = code.point_words(order)
+                values, derivs, _ = code.point_words[order]
                 tables += [(values, code.eval_row(cv.l_of(0, order))), (derivs, None)]
         for table, logs in tables:
             if fld.w <= PRODUCT_W:

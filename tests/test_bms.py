@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 import pathlib
@@ -100,7 +101,9 @@ def test_zero_syndromes_fixed_point(elliptic):
 def test_first_step_jump(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     st = bms.init_state(elliptic, elliptic.syndromes(recv), bms.INVERSE_FREE)
-    bms.step(st, elliptic)
+    loops = bms.loops(st, elliptic)
+    next(loops), next(loops)  # to loop 0, then through it
+    assert st.N == 1
     assert st.s1[0] == 1 and st.c1[0] == 0  # s^(0) jumps to (1, 0)
     assert st.s1[1] == 0
 
@@ -221,7 +224,7 @@ def test_per_step_discrepancy_equivalence(elliptic, elliptic_golden, klein, klei
         checked = 0
         for mode in (bms.INVERSE_FREE, bms.DIVISION):
             st = bms.init_state(code, code.syndromes(recv), mode)
-            for N in range(code.m + 1):
+            for N, _ in zip(range(code.m + 1), bms.loops(st, code)):
                 d, _ = bms.discrepancies(st, code)
                 l = cv.l_of(0, N)
                 Fs = bms.extract_locators(st, code).F
@@ -236,7 +239,6 @@ def test_per_step_discrepancy_equivalence(elliptic, elliptic_golden, klein, klei
                             checked += 1
                     elif l is not None:
                         assert discrepancy_direct(code, F, full, l) == ZERO, (mode, N, i)
-                bms.step(st, code)
         assert checked > 0
 
 
@@ -255,7 +257,7 @@ def check_theorem_suite(code, locs, vals, recv, mode, minimality=True):
     fld = code.fld
     full = full_syndromes_from_errors(code, locs, vals, 3 * code.m)
     st = bms.init_state(code, code.syndromes(recv), mode)
-    for N in range(code.m + 2):
+    for N, _ in enumerate(bms.loops(st, code)):
         Fs = bms.extract_locators(st, code).F
         for i in range(cv.a):
             assert st.s1[i] == st.c1[i] + 1  # Lemma: s1 = c1 + 1
@@ -273,8 +275,7 @@ def check_theorem_suite(code, locs, vals, recv, mode, minimality=True):
             for i in range(cv.a):  # (d) no smaller degree admits membership
                 for z in range(cv.basis_start(i)[0], st.s1[i]):
                     assert not _membership_possible(code, full, (z, i), N - 1), (N, i, z)
-        if st.N <= code.m:
-            bms.step(st, code)
+    assert N == code.m + 1
 
 
 def _membership_possible(code, full, deg, A):
@@ -321,7 +322,8 @@ def test_window_invariants(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     st = bms.init_state(elliptic, elliptic.syndromes(recv), bms.INVERSE_FREE)
     m, lb = elliptic.m, elliptic.fld.lane_bits
-    for N in range(m + 1):
+    loops = bms.loops(st, elliptic)
+    for N, _ in zip(range(m + 1), loops):
         rec = bms.state_record(st, elliptic)
         for i in range(2):
             # two polynomials of m+2 lanes each per packed line
@@ -331,7 +333,8 @@ def test_window_invariants(elliptic, elliptic_golden):
             assert all(N <= h <= m for h, _ in rec["w"][i])
             assert all(h <= N for h, _ in rec["f"][i])
             assert all(h <= N for h, _ in rec["g"][i])
-        bms.step(st, elliptic)
+    next(loops)  # loop m, which the zip leaves unrun
+    assert st.N == m + 1
     final = bms.state_record(st, elliptic)
     assert all(final["w"][i][-1][0] == m + 1 for i in range(2))  # e_{m+1} for the error values
 
@@ -479,19 +482,32 @@ def test_op_counts_complete_and_repeatable(
             assert counts[0][2] > 0
 
 
+def reference_masks(code, N):
+    """The AND masks of loop N, written out: the one that deletes the
+    consumed v head (mod Z^N) and the one that keeps a shifted w and g in
+    their halves (w's m+1 lane dropped, but after the last loop)."""
+    lb, L = code.fld.lane_bits, code.m + 2
+    lane, full = (1 << lb) - 1, (1 << 2 * L * lb) - 1
+    keep = full ^ lane << L * lb
+    if N != code.m:
+        keep ^= lane << (L - 1) * lb
+    return full ^ lane << N * lb, keep
+
+
 def reference_step(state, code, ctr=None):
-    """The two-pass N-loop ``bms.step`` replaced: Step 1 for every column
+    """The two-pass N-loop ``bms.loops`` replaced: Step 1 for every column
     through ``bms.discrepancies``, then Step 2 lane by lane.  Kept as the
-    oracle the one-pass step must equal."""
-    fld = code.fld
-    gates = bms.gate_table(code)
+    oracle the one-pass loop must equal."""
+    fld, cv = code.fld, code.curve
     N, lb = state.N, fld.lane_bits
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
     inverse_free = state.mode == bms.INVERSE_FREE
     d, e = bms.discrepancies(state, code)
-    l1, clear, keep = gates.l1[N], gates.head_clear[N], gates.shift_keep[N]
+    l1 = bms.gate_table(code).l1[N]
+    clear, keep = reference_masks(code, N)
     muls = adds = 0
-    for i, ib in enumerate(gates.ibar[N]):
+    for i in range(cv.a):
+        ib = cv.ibar(i, N)
         x, y, di = vf[i], wg[ib], d[i]
         new = x
         if inverse_free:
@@ -518,17 +534,20 @@ def reference_step(state, code, ctr=None):
 
 
 def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8, monkeypatch):
-    # the one-pass step reads each lane's d and e where it updates the lane;
+    # the one-pass loop reads each lane's d and e where it updates the lane;
     # after every N its state and counts equal the two-pass reference's, on
     # one- and two-byte lanes, so Step 1 keeps the one definition of
-    # ``bms.discrepancies``.  A step without a counter leaves the same state,
-    # its inversion tally included, and an inverse-free step scales once per
-    # lane whose e is not alpha^0 and once per nonzero d
+    # ``bms.discrepancies``.  A run without a counter leaves the same state,
+    # its inversion tally included, and an inverse-free loop scales once per
+    # lane whose e is not alpha^0 and once per nonzero d.  The gate table's
+    # per-loop tuples hold ibar, the gate and the masks written out here
     rng = random.Random(17)
     for code in (elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8):
-        cv, gates = code.curve, bms.gate_table(code)
+        cv, gates, lb = code.curve, bms.gate_table(code), code.fld.lane_bits
         for N in range(code.m + 2):
             assert gates.l1[N] == [-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(cv.a)]
+        lanes = [[(i, cv.ibar(i, N), gates.l1[N][i]) for i in range(cv.a)] for N in range(code.m + 1)]
+        assert gates.loop == [(N, N * lb, lanes[N], *reference_masks(code, N)) for N in range(code.m + 1)]
         fld, calls = code.fld, []
         scale = fld.scale
         monkeypatch.setattr(fld, "scale", lambda x, c: calls.append(c) or scale(x, c))
@@ -538,19 +557,42 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
             for mode in (bms.INVERSE_FREE, bms.DIVISION):
                 st, ref, bare = (bms.init_state(code, synd, mode) for _ in range(3))
                 ctr, ref_ctr = OpCounter(), OpCounter()
+                counted, uncounted = bms.loops(st, code, ctr), bms.loops(bare, code)
+                next(counted), next(uncounted)  # to the yield before loop 0
                 while st.N <= code.m:
                     d, e = bms.discrepancies(bare, code)
                     calls.clear()
-                    bms.step(bare, code)
+                    next(uncounted)
                     if mode == bms.INVERSE_FREE:
                         assert len(calls) == sum(x != 0 for x in e) + sum(x != ZERO for x in d)
-                    bms.step(st, code, ctr)
+                    next(counted)
                     reference_step(ref, code, ref_ctr)
                     assert st == ref, (code.curve, mode, locs, vals, st.N)
                     assert ctr == ref_ctr, (code.curve, mode, locs, vals, st.N)
                     assert (bare, bare.invs) == (st, st.invs), (code.curve, mode, locs, vals, st.N)
+                assert (next(counted, "end"), next(uncounted, "end")) == ("end", "end")  # no loop past m
                 assert st.invs == ctr.invs
         monkeypatch.undo()  # the wrapper reads this code's scale and calls
+
+
+def test_loops_resume_from_any_N(elliptic, klein, hermitian, elliptic_gf512):
+    # a run started on a copy of the state at any N = 0..m+1 (the gate
+    # table's loop slice from N) ends in the uninterrupted run's final
+    # state, inversion tally included, and its counter, started at the
+    # totals so far, in the same totals; both modes, one- and two-byte lanes
+    rng = random.Random(29)
+    for code in (elliptic, klein, hermitian, elliptic_gf512):
+        for w in (code.t_generic, code.t_generic + 2):
+            locs, vals = random_pattern(code, w, rng, affine_only=False)
+            synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+            for mode in (bms.INVERSE_FREE, bms.DIVISION):
+                st, ctr = bms.init_state(code, synd, mode), OpCounter()
+                taken = [(copy.deepcopy(st), copy.copy(ctr)) for _ in bms.loops(st, code, ctr)]
+                assert [s.N for s, _ in taken] == list(range(code.m + 2))
+                for start, start_ctr in taken:
+                    N = start.N
+                    assert sum(1 for _ in bms.loops(start, code, start_ctr)) == code.m + 2 - N
+                    assert (start, start.invs, start_ctr) == (st, st.invs, ctr), (code.curve, mode, N)
 
 
 # sha256[:16] over bms.run(record=True) records and (muls, invs, adds) of 40

@@ -1,13 +1,14 @@
 import hashlib
+import pathlib
 import random
 
 import pytest
 
-from agbms import bms, decoder
-from agbms.curve import CurveSpec, Point, elliptic_curve, hermitian_curve, klein_curve, partials
+from agbms import bms, cli, decoder
+from agbms.curve import KLEIN_SPECIAL, CurveSpec, Point, elliptic_curve, hermitian_curve, klein_curve, partials
 from agbms.agcode import POLE
 from agbms.gf import GF, ZERO, OpCounter
-from conftest import other_elliptic_curve, poly_degree, reduce
+from conftest import AS_FIELDS, artin_schreier_codes, other_elliptic_curve, poly_degree, reduce
 
 
 def test_pole_order_examples():
@@ -81,6 +82,40 @@ def test_point_counts(gf16, gf8):
     assert len(hermitian_curve().points(gf16)) == 64
 
 
+def scan_points(curve, fld):
+    """The q^2 scan: every affine (x, y) with D(x, y) = 0, x and then y
+    ascending from ZERO, then Klein's special point."""
+    logs = range(-1, fld.q - 1)
+    pts = [Point(x, y) for x in logs for y in logs if curve.equation_at(fld, x, y) == ZERO]
+    return pts + ([Point(ZERO, ZERO, special=KLEIN_SPECIAL)] if curve.klein else [])
+
+
+def test_points_match_the_scan(monkeypatch):
+    # a curve none of whose terms mixes x and y finds its points through one
+    # table of g(y) and evaluates D nowhere, and the others scan; either
+    # way the point list is the q^2 scan's, in the same order.  Every
+    # preset, every seeded Artin-Schreier code, y^2 + y = x^3 over GF(2^9)
+    # and GF(2^10), and a C_2^3 curve with an xy term
+    elliptic = CurveSpec(a=2, b=3, e=0, chi={(0, 1): 0}, genus=1)
+    presets = sorted(pathlib.Path(cli.__file__).parent.glob("presets/*.json"))
+    assert len(presets) == 3
+    cases = [(code.curve, code.fld) for code in (cli.load_code(p.stem)[0] for p in presets)]
+    cases += [(code.curve, code.fld) for q in AS_FIELDS for code in artin_schreier_codes(q, seed=q)]
+    cases += [(elliptic, GF(9, 0b1000010001)), (elliptic, GF(10, 0b10000001001))]
+    cases.append((CurveSpec(a=2, b=3, e=0, chi={(1, 1): 3, (0, 1): 0}, genus=1), GF(4, 0b10011)))
+    equation_at, calls = CurveSpec.equation_at, []
+    monkeypatch.setattr(CurveSpec, "equation_at", lambda *args: calls.append(1) or equation_at(*args))
+    separable = 0
+    for curve, fld in cases:
+        calls.clear()
+        pts = curve.points(fld)
+        mixed = any(n1 and n2 for n1, n2 in curve.D)
+        assert len(calls) == (fld.q**2 if mixed else 0), curve
+        separable += not mixed
+        assert pts == scan_points(curve, fld), curve
+    assert 0 < separable < len(cases) and cases[-1][0].D.keys() >= {(1, 1)}
+
+
 def test_points_on_curve(gf16):
     ell = elliptic_curve()
     for p in ell.points(gf16):
@@ -151,7 +186,7 @@ def at_points(code, poly, deriv=False):
     scales the plain (alpha^0) word of its monomial by its coefficient."""
     fld, acc = code.fld, 0
     for n, c in poly.items():
-        acc ^= fld.scale(code.point_words(code.curve.pole_order(n))[deriv][0], c)
+        acc ^= fld.scale(code.point_words[code.curve.pole_order(n)][deriv][0], c)
     return [fld.log[v] for v in fld.unpack(acc, code.n)]
 
 

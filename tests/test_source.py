@@ -56,12 +56,14 @@ def test_locators_stay_packed():
 
 
 def test_step_reads_its_own_heads():
-    # each lane of bms.step reads its own d and e in the one pass over the
-    # lanes; bms.discrepancies, the same read for the dumps, stays out of it
+    # each lane of the bms.loops generator reads its own d and e in the one
+    # pass over the lanes; bms.discrepancies, the same read for the dumps,
+    # stays out of it
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     tree = ast.parse((pkg / "bms.py").read_text())
-    step = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "step")
-    called = {n.func.id for n in ast.walk(step) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    gen = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "loops")
+    assert any(isinstance(n, ast.Yield) for n in ast.walk(gen))
+    called = {n.func.id for n in ast.walk(gen) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert "discrepancies" not in called
 
 
@@ -85,7 +87,7 @@ def test_every_name_has_a_toolkit_caller():
     # too, whose test-only references live in tests/conftest.py.  Dunder
     # methods are called by Python and __all__ is the public API, so those
     # are exempt.  The match is by name only: a method that shares its name
-    # with any local variable or attribute (a GF.weight beside bms.step's
+    # with any local variable or attribute (a GF.weight beside bms.loops'
     # local weight, say) counts as called, so a dead name can escape it
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -108,7 +110,7 @@ def test_every_name_has_a_toolkit_caller():
 def test_simulators_multiply_with_their_own_rows():
     # the boundary check compares two independent multipliers: archsim maps
     # its words through its own product rows (GF.lookup) and never through
-    # the GF.scale that bms.step, the reference, multiplies with
+    # the GF.scale that bms.loops, the reference, multiplies with
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     tree = ast.parse((pkg / "archsim.py").read_text())
     found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "scale"]
