@@ -72,21 +72,27 @@ field's exp/log tables the first time a latch meets c and kept on the code
 (``_product_row``, one table per code; no q x q table, and independent of
 ``gf``'s ``scale`` tables, so the boundary check compares two
 multipliers); it sets the lane's preserve/update switch
-(``_Controller.updates``) and takes the groups whose w/g input is
-zero-set from ``_stale``, one loop ahead.  It updates s and c in place,
-lane by lane in the order of the clocks, exactly as a ``bms.loops`` loop
-updates its state (its docstring says why that is exact), and charges the
-lane's multipliers for the whole loop.  It then returns the word of the
-lane's v/f inputs, e*(x >> lane) ^ d*(y >> lane) with x and y the words its
-lines give -- at most two whole-word maps through product rows
+(``_Controller.updates``).  It updates s and c in place, lane by lane in
+the order of the clocks, exactly as a ``bms.loops`` loop updates its state
+(its docstring says why that is exact), and keeps M_j, the loop of its w/g
+column's last g replacement (-1 before any).  It then returns the word of
+the lane's v/f inputs, e*(x >> lane) ^ d*(y >> lane) with x and y the words
+its lines give -- at most two whole-word maps through product rows
 (``GF.lookup``: a ``bytes.translate`` on one-byte lanes, unpack, row and
 pack on two-byte ones) and one XOR -- and the word of its w/g inputs: y, or
 after an update d^-1 * x in division mode and x unscaled in inverse-free
-mode, with any zero-set groups cleared by one mask.  A multiplier whose
-constant is 0 or alpha^0 makes no map, so a lane that latches d = 0 and e =
-alpha^0 is a plain shift; the boundary check thus still compares two
-multipliers on every constant but 0 and alpha^0, where ``bms.loops`` passes
-its input through as well.
+mode, ANDed with ``zero[N][M_j]``, which clears the groups zero-set one
+loop ahead.  That mask table is kept per code and per group count
+(``_tables``), built once from ``_stale``, the one rule for those groups,
+with -1 where there are none, so a column never replaced (M_j = -1) reads
+the last entry of its row.  ``loops`` charges every lane's vm v/f
+multipliers at each group past the head once per loop and sets each
+lane's peak to vm; a lane adds only a division update's w/g multipliers,
+one at every group it does not zero-set, and its peak of vm+1.  A
+multiplier whose constant is 0 or alpha^0 makes no map, so a lane that
+latches d = 0 and e = alpha^0 is a plain shift; the boundary check thus
+still compares two multipliers on every constant but 0 and alpha^0, where
+``bms.loops`` passes its input through as well.
 
 A datapath keeps only its wiring -- line lengths, which column sits on
 which slot, and the rotation -- and hands each lane its words.
@@ -98,9 +104,10 @@ exchange register (a one-place shift of the slot-0 column) and the FIFO;
 each lane's w/g inputs stay on its slot.  ``loops`` counts each loop's P
 clocks.  At a boundary a datapath hands over each column's words (the
 serial ones read off the slot table), and the controller places them in the
-reference state's lanes with shifts and one mask: the registers below the
-split move up past the N retired lanes, and the rest move, uncut, past the
-gap lane to the f or g lanes.  Nothing is packed or unpacked.  It compares
+reference state's lanes with shifts and one mask, read from boundary N's
+placement tuple in ``_tables``: the registers below the split move up past
+the N retired lanes, and the rest move, uncut, past the gap lane to the f
+or g lanes.  Nothing is packed or unpacked.  It compares
 the placed words with the reference state's as ints.  That equality is the
 whole check: the reference holds zero on every lane that a zero-set group
 or a group past the top exponent maps to, so a register left nonzero there
@@ -125,6 +132,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import lshift
 
 from . import bms
 from .agcode import CodeSpec
@@ -199,6 +207,41 @@ def _product_row(fld: GF, c: int) -> bytes | list[int]:
     return bytes(row).ljust(256, b"\0") if fld.q <= 256 else row
 
 
+def _stale(m: int, groups: int, N: int, Mj: int) -> range:
+    """Groups of a w/g column that must hold zero at loop N: past the live w
+    window (the head and exponents N..m) and below the g window (pinned
+    since the loop Mj of the column's last replacement, -1 before any).  A
+    lane zero-sets them one loop ahead; the reference state holds zero on
+    their g lanes, so the boundary equality catches one left nonzero."""
+    return range(max(1, m + 1 - N), groups if Mj < 0 else m + 1 - Mj)
+
+
+def _tables(code: CodeSpec, groups: int) -> tuple[list[list[int]], list[tuple[int, ...]], Memo]:
+    """The controller's constants for a w/g line of ``groups`` groups, built
+    on first use and kept on the code.  ``zero[N][Mj]`` is the AND mask
+    that clears the groups ``_stale(m, groups, N + 1, Mj)`` names in a
+    lane's w/g word at loop N, -1 where it names none; Mj runs 0..m and
+    then -1, so a column never replaced reads the last entry.  ``place[N]``
+    is boundary N's (lo, vlow, vcut, vhi, wlow, wcut, whi): a column's word
+    is placed by shifts, the registers below the split (the low mask and the
+    cut) up past the N retired lanes (lo), the rest, uncut, past a zero gap
+    lane to lane hi (L for v/f, N+ws+1 for w/g, ws the w/g split).  The
+    product rows (``_product_row``) are the code's one ``gf.Memo``, which
+    every group count shares."""
+    tables = code.tables.get(("archsim", groups))
+    if tables is None:
+        m, lb = code.m, code.fld.lane_bits
+        stale = [[_stale(m, groups, N + 1, Mj) for Mj in [*range(m + 1), -1]] for N in range(m + 1)]
+        zero = [[~((1 << len(z) * lb) - 1 << z.start * lb) for z in row] for row in stale]  # ~0 = -1
+        place = []
+        for N in range(m + 2):
+            lo, vs, ws = N * lb, (m + 1 - N) * lb, max(1, m + 1 - N) * lb  # the v/f and w/g splits, in bits
+            place.append((lo, (1 << vs) - 1, vs, (m + 2) * lb, (1 << ws) - 1, ws, lo + ws + lb))
+        rows = code.tables.setdefault(("archsim", "rows"), Memo(code.fld, _product_row))
+        tables = code.tables["archsim", groups] = zero, place, rows
+    return tables
+
+
 class _Controller:
     """Latches, switches, line inputs and boundary checks of one simulated
     run, per lane (see the module docstring); it fills in ``trace``.
@@ -215,38 +258,39 @@ class _Controller:
         self.division = mode == bms.DIVISION
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
         self.gates = bms.gate_table(code)
-        self.log = fld.log
-        self.rows = code.tables.setdefault(("archsim", "rows"), Memo(fld, _product_row))
+        self.l1, self.log, self.inv_chain = self.gates.l1, fld.log, fld.inv_chain
+        self.zero, self.place, self.rows = _tables(code, groups)
         self.ref = bms.init_state(code, synd, mode)
         self.ref_loops = bms.loops(self.ref, code)  # one reference run, advanced a loop per boundary
         self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
-        self.M: list[int | None] = [None] * a  # loop of the last g replacement per column
+        self.M = [-1] * a  # loop of the last g replacement per column, -1 before any
         self.updates = [False] * a  # per lane: the preserve/update switch of the loop
-        self.peak = [0] * a  # per lane: multipliers on its busiest clock
+        self.peak = [self.vm] * a  # per lane: multipliers on its busiest clock
 
     def initial_registers(self) -> tuple[list[int], list[int]]:
         """The v/f and w/g words of every column before loop 0: column i
         holds the syndromes at the v lanes of its seed (the ``bms`` gate
         table), then f = 1 at lane m+1; w = 1."""
-        to_vec, f_one = self.code.fld.to_vec, 1 << (self.m + 1) * self.lb
-        vf = [sum(to_vec(self.synd[l]) << s for s, l in zip(*seed)) | f_one for seed in self.gates.seed]
+        u, vec, f_one = self.synd.__getitem__, self.gates.vec.__getitem__, 1 << (self.m + 1) * self.lb
+        vf = [sum(map(lshift, map(vec, map(u, ls)), shifts)) | f_one for shifts, ls in self.gates.seed]
         return vf, [1] * len(vf)
 
     def lane(self, N: int, lane: int, i: int, j: int, x: int, y: int) -> tuple[int, int]:
         """One lane's loop N, where x and y are the words of what its v/f
         and w/g columns i and j give, one lane per exponent group.  At the
         head group, from the v head (lane 0 of x) and the w head (lane 0 of
-        y), it latches d and e, sets the switch, updates the degrees in
-        place (exact for the reason given in ``bms.loops``) and charges the
-        multipliers; d passes the gate ``bms.loops`` makes, s1^(i) <= l^(i)
-        on the gate table, whose -1 at a gap fails it.  It returns the
-        words of the v/f inputs e*x ^ d*y over the groups past the head and
-        of the w/g inputs -- after an update d^-1 * x, or x unscaled in
-        inverse-free mode, else y -- with the zero-set groups masked off.
+        y), it latches d and e, sets the switch, updates the degrees and
+        M_j in place (exact for the reason given in ``bms.loops``) and
+        charges a division update's w/g multipliers (``loops`` charges the
+        rest); d passes the gate ``bms.loops`` makes, s1^(i) <= l^(i) on the
+        gate table, whose -1 at a gap fails it.  It returns the words of the
+        v/f inputs e*x ^ d*y over the groups past the head and of the w/g
+        inputs -- after an update d^-1 * x, or x unscaled in inverse-free
+        mode, else y -- ANDed with the zero-set mask of (N, M_j).
         A multiplier whose constant is alpha^0 or 0 maps nothing: a lane
         with d = 0 and e = alpha^0 is a plain shift."""
         s1, c1, log, rows, lb = self.s1, self.c1, self.log, self.rows, self.lb
-        l = self.gates.l1[N][i]
+        l = self.l1[N][i]
         d = log[x & self.head] if s1[i] <= l else ZERO
         upd = self.updates[lane] = d != ZERO and s1[i] < l - c1[j]
         e = 0 if self.division else log[y & self.head]  # division mode keeps v: e = 1
@@ -254,20 +298,16 @@ class _Controller:
         if upd:
             w = x  # an inverse-free update takes v unscaled
             if self.division:
-                w = self.map(x, rows[self.code.fld.inv_chain(d)])
+                w = self.map(x, rows[self.inv_chain(d)])
+                # a scaled w/g input takes one more multiplier at every group
+                # it does not zero-set -- at most group m-N, since its M is N
+                # -- so all lanes of a clock reach their peaks together
                 self.trace.inv_uses += 1
+                self.trace.mult_uses += self.groups - len(_stale(self.m, self.groups, N + 1, N))
+                self.peak[lane] = self.vm + 1
             s1[i], c1[j] = l - c1[j], l - s1[i]
             self.M[j] = N
-        zero = self._stale(N + 1, j)
-        # the v/f input takes vm multipliers at every group past the head, a
-        # scaled w/g input one more where it is not zero-set; such a lane
-        # zero-sets at most group m-N (its M is N), so all lanes of a clock
-        # reach their peaks together
-        wm = int(upd and self.division)
-        self.trace.mult_uses += self.vm * (self.groups - 1) + wm * (self.groups - len(zero))
-        self.peak[lane] = self.vm + wm
-        if zero:
-            w &= ~((1 << len(zero) * lb) - 1 << zero.start * lb)
+        w &= self.zero[N][self.M[j]]
         v = x >> lb if e == 0 else self.map(x >> lb, rows[e])
         if d != ZERO:
             v ^= self.map(y >> lb, rows[d])
@@ -282,22 +322,18 @@ class _Controller:
 
     def loops(self, readback) -> Iterator[int]:
         """Loop indices 0..m, with a boundary check before each loop and
-        after the last, each loop counting its P clocks; ``readback(N)``
-        gives the v/f and w/g words of every column."""
+        after the last; ``readback(N)`` gives the v/f and w/g words of every
+        column.  Each loop counts its P clocks and every lane's vm v/f
+        multipliers at each group past the head, and sets each lane's peak
+        to vm; a lane adds only a division update's w/g multipliers."""
+        a, vm = len(self.peak), self.vm
         for N in range(self.m + 2):
             self._boundary(N, *readback(N))
             if N <= self.m:
                 self.trace.total_clocks += self.trace.period
+                self.trace.mult_uses += a * vm * (self.groups - 1)
+                self.peak = [vm] * a
                 yield N
-
-    def _stale(self, N: int, j: int) -> range:
-        """Groups of w/g column j that must hold zero at loop N: past the
-        live w window (the head and exponents N..m) and below the g window
-        (pinned since the loop M[j] of the last replacement).  A lane
-        zero-sets them one loop ahead; the reference state holds zero on
-        their g lanes, so the boundary equality catches one left nonzero."""
-        Mj = self.M[j]
-        return range(max(1, self.m + 1 - N), self.groups if Mj is None else self.m + 1 - Mj)
 
     def _boundary(self, N: int, vf_words: list[int], wg_words: list[int]) -> None:
         """Advance the reference BMS run to loop N (the controller's one
@@ -308,14 +344,8 @@ class _Controller:
         groups ``_stale`` names and on every lane past its top, so a
         register left nonzero there diverges at f or g like any other."""
         next(self.ref_loops)  # the reference at loop N
-        m, ref, lb = self.m, self.ref, self.lb
-        # a column's word placed by shifts -- the registers below the split
-        # up past the N retired lanes, the rest, uncut, past a zero gap lane
-        # to lane hi (L for v/f, N+ws+1 for w/g)
-        vs, ws = m + 1 - N, max(1, m + 1 - N)  # the v/f and w/g splits
-        lo = N * lb
-        vlow, vcut, vhi = (1 << vs * lb) - 1, vs * lb, (m + 2) * lb
-        wlow, wcut, whi = (1 << ws * lb) - 1, ws * lb, (N + ws + 1) * lb
+        ref = self.ref
+        lo, vlow, vcut, vhi, wlow, wcut, whi = self.place[N]
         vf = [(x & vlow) << lo | (x >> vcut) << vhi for x in vf_words]
         wg = [(x & wlow) << lo | (x >> wcut) << whi for x in wg_words]
         if (self.s1, self.c1, vf, wg) != (ref.s1, ref.c1, ref.vf, ref.wg):
@@ -339,11 +369,7 @@ class _Controller:
 def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = False) -> ArchTrace:
     a, m = code.curve.a, code.m
     P, V = m + 3, m + 2
-    trace = ArchTrace(
-        INVERSE_FREE,
-        period=P,
-        registers=RegisterFile(vf=a * V, wg=a * P, disc_regs=a, head_regs=a),
-    )
+    trace = ArchTrace(INVERSE_FREE, P, RegisterFile(vf=a * V, wg=a * P, disc_regs=a, head_regs=a))
     ctl = _Controller(trace, code, synd, bms.INVERSE_FREE, P)
     unpack = code.fld.unpack
 
@@ -393,11 +419,7 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
     slots = [[(cv.b_inv * (N + k) % a, -cv.b_inv * k % a) for k in range(a)] for N in range(m + 2)]
 
     L = a * (m + 2) - 1
-    trace = ArchTrace(
-        arch,
-        period=P,
-        registers=RegisterFile(vf=L, wg=P, disc_regs=a, head_regs=a, exch_regs=1, supp_regs=2 * c_v),
-    )
+    trace = ArchTrace(arch, P, RegisterFile(vf=L, wg=P, disc_regs=a, head_regs=a, exch_regs=1, supp_regs=2 * c_v))
     ctl = _Controller(trace, code, synd, mode, G)
     unpack = code.fld.unpack
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -296,8 +297,18 @@ def test_sim_outputs_pinned(request, arch, code_name):
 
 
 def _skip_zero_setting(mp):
-    """The w/g zero-setting is off: no lane zero-sets a group."""
-    mp.setattr(archsim._Controller, "_stale", lambda self, N, j: range(0))
+    """The w/g zero-setting is off: no lane zero-sets a group.  The
+    controller's mask table is built from the patched rule on every run and
+    kept on no code, so the codes' own tables are left as they were."""
+    mp.setattr(archsim, "_stale", lambda m, groups, N, Mj: range(0))
+    tables = archsim._tables
+
+    def unkept(code, groups):
+        view = copy.copy(code)
+        view.tables = {}
+        return tables(view, groups)
+
+    mp.setattr(archsim, "_tables", unkept)
 
 
 def _value_above_top(mp):
@@ -308,7 +319,7 @@ def _value_above_top(mp):
 
     def tampered(self, N, vf_words, wg_words):
         if N == self.m + 1:
-            j = next(j for j, M in enumerate(self.M) if M is not None)
+            j = next(j for j, M in enumerate(self.M) if M >= 0)  # -1: never replaced
             wg_words[j] ^= 1 << (self.groups - 1) * self.lb  # a w/g line has groups registers
         boundary(self, N, vf_words, wg_words)
 
@@ -585,7 +596,7 @@ def test_lane_map_unchanged(request, monkeypatch, code_name):
         want = [u ^ v for u, v in zip(mul_lanes(fld, e, xs[1:] + [0]), mul_lanes(fld, d, ys[1:] + [0]))]
         inv = fld.inv_chain(d) if self.division and d != ZERO else 0
         want_w = mul_lanes(fld, inv, xs) if self.updates[k] else ys
-        zero = self._stale(N + 1, j)
+        zero = archsim._stale(self.m, self.groups, N + 1, self.M[j])
         want_w[zero.start : zero.stop] = [0] * len(zero)
         assert (vf, w) == (fld.pack(want), fld.pack(want_w))
         kinds.add((d == ZERO, e == 0))
@@ -601,3 +612,79 @@ def test_lane_map_unchanged(request, monkeypatch, code_name):
     # every branch ran: a plain shift, a map of x alone or of y alone, and
     # both maps
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def reference_stale(m, groups, N, Mj):
+    """The zero-set groups of a w/g column at loop N, written out per lane
+    as the reference for the mask tables: Mj is None before the column's
+    first replacement."""
+    return range(max(1, m + 1 - N), groups if Mj is None else m + 1 - Mj)
+
+
+def reference_placement(m, lb, N):
+    """Boundary N's (lo, vlow, vcut, vhi, wlow, wcut, whi), written out in
+    lanes as the reference for the placement tables."""
+    vs, ws = m + 1 - N, max(1, m + 1 - N)
+    return N * lb, (1 << vs * lb) - 1, vs * lb, (m + 2) * lb, (1 << ws * lb) - 1, ws * lb, (N + ws + 1) * lb
+
+
+@pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
+def test_controller_tables_equal_their_definitions(request, code_name):
+    # every simulator's group count (m+3 for the inverse-free and serial
+    # lines, m+4 for the serial inverse-free one): each mask of loop N and
+    # last replacement Mj clears exactly the lanes of the groups zero-set at
+    # loop N+1, Mj = -1 (never replaced) is the last entry, and each
+    # boundary's placement is the written-out one; both counts share the
+    # code's one table of product rows
+    base = request.getfixturevalue(code_name)
+    code, m, lb = CodeSpec(base.curve, base.fld, base.m), base.m, base.fld.lane_bits
+    synd = code.syndromes(code.zero_word())
+    for sim in archsim.SIMULATORS.values():
+        sim(code, synd, keep_snapshots=False)
+    counts = sorted(k[1] for k in code.tables if k[0] == "archsim" and type(k[1]) is int)
+    assert counts == [m + 3, m + 4]
+    lane = (1 << lb) - 1
+    for groups in counts:
+        zero, place, rows = code.tables["archsim", groups]
+        assert len(zero) == m + 1 and len(place) == m + 2 and rows is code.tables["archsim", "rows"]
+        for N, row in enumerate(zero):
+            assert len(row) == m + 2
+            for Mj in [*range(m + 1), -1]:
+                stale = reference_stale(m, groups, N + 1, None if Mj < 0 else Mj)
+                assert archsim._stale(m, groups, N + 1, Mj) == stale
+                assert row[Mj] == ~sum(lane << g * lb for g in stale), (groups, N, Mj)
+        assert place == [reference_placement(m, lb, N) for N in range(m + 2)]
+
+
+@pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
+def test_multiplier_counts_equal_the_per_lane_charge(request, monkeypatch, code_name):
+    # a loop charges every lane's v/f multipliers and a lane only a division
+    # update's w/g ones; recounted here lane by lane -- vm at every group
+    # past the head, plus, after a division update, one at every group not
+    # zero-set, and a peak of vm plus that one -- on runs that take
+    # division updates
+    code, lane = request.getfixturevalue(code_name), archsim._Controller.lane
+    charged: list = []
+
+    def recount(self, N, k, i, j, x, y):
+        out = lane(self, N, k, i, j, x, y)
+        wm = int(self.updates[k] and self.division)
+        stale = reference_stale(self.m, self.groups, N + 1, None if self.M[j] < 0 else self.M[j])
+        charged.append((N, self.vm * (self.groups - 1) + wm * (self.groups - len(stale)), self.vm + wm))
+        return out
+
+    monkeypatch.setattr(archsim._Controller, "lane", recount)
+    rng, divisions = random.Random(f"mults/{code_name}"), 0
+    for weight in range(code.t_generic + 3):
+        locs, vals = random_pattern(code, weight, rng, affine_only=False)
+        synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+        for arch, sim in archsim.SIMULATORS.items():
+            charged.clear()
+            tr = sim(code, synd, keep_snapshots=False)
+            peaks = {N: [p for n, _, p in charged if n == N] for N in range(code.m + 1)}
+            per_clock = sum if arch == archsim.INVERSE_FREE else max
+            assert tr.mult_uses == sum(c for _, c, _ in charged), (arch, weight)
+            assert tr.max_mults_per_clock == max(per_clock(p) for p in peaks.values()), (arch, weight)
+            if arch == archsim.SERIAL:
+                divisions += tr.inv_uses
+    assert divisions > 0

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from agbms import archsim, bms, cli, decoder, oracle
+from agbms import curve as curve_mod
 from agbms.gf import ZERO
 from conftest import bundled_error_file
 
@@ -739,3 +740,36 @@ def test_error_weight_range_ends(tmp_path, capsys, command, t):
         code, stdout, _ = run_cli(capsys, command, "elliptic_gf16", "--t", str(t), "--trials", "3")
         assert "trials: 3" in stdout
     assert code == cli.EXIT_OK
+
+
+# a Klein quartic and a C_2^3 curve with an xy term: both search their
+# points by the q^2 scan
+SCAN_CURVES = {
+    "klein": {"a": 3, "b": 2, "e": 0, "chi": [], "genus": 3, "klein": True},
+    "xy_term": {"a": 2, "b": 3, "e": 0, "chi": [[1, 1, 3], [0, 1, 0]], "genus": 1, "klein": False},
+}
+FIELDS = {10: 0b10000001001, 11: 0b100000000101, 16: 0b10000000000101101}
+
+
+@pytest.mark.parametrize("w", [11, 16])
+@pytest.mark.parametrize("curve", sorted(SCAN_CURVES))
+def test_point_scan_refused_above_its_bound(tmp_path, capsys, monkeypatch, curve, w):
+    # such a spec over a field larger than SCAN_MAX_Q = 2^10 exits 1 with a
+    # message before the scan evaluates D at any point; at 2^10 the scan
+    # starts (and is stopped here at its first evaluation)
+    assert curve_mod.SCAN_MAX_Q == 1 << 10
+    calls = []
+    monkeypatch.setattr(curve_mod.CurveSpec, "equation_at", lambda *args: calls.append(args) or 1 / 0)
+
+    def spec(width):
+        path = tmp_path / f"spec{width}.json"
+        doc = {"field": {"w": width, "prim_poly": FIELDS[width]}, "curve": SCAN_CURVES[curve], "code": {"m": 12}}
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    code, out, err = run_cli(capsys, "decode", spec(w), bundled_error_file("klein_gf8"), "--errors")
+    assert code == cli.EXIT_PARSE and out == "" and calls == []
+    assert err.startswith("error: bad code spec") and f"refused above q = 1024: q = {1 << w}" in err
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["decode", spec(10), bundled_error_file("klein_gf8"), "--errors"])
+    assert len(calls) == 1
