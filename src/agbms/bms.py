@@ -26,13 +26,12 @@ L = m+2 lanes per polynomial): ``vf`` holds v in lanes 0..L-1 and f in
 lanes L..2L-1, ``wg`` holds w and g the same way -- the inverse-free
 architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Since
 f and v take the same scale and the same merge partner (g and w), a lane
-update is at most two ``GF.scale`` calls and one XOR; a scale is one
-``bytes.translate`` of the word's bytes on one-byte lanes and w masked
-multiplies on two-byte lanes, and ``gf`` alone picks which.  A lane whose
-e is alpha^0 -- e stays alpha^0 while w is still Z^N, on about half the
-lanes or more -- makes no scale at all.  Field operations are counted,
-through ``GF.weight``, only when a counter is passed; a decode that reports
-none computes none.  Every live exponent fits: f and g stay at or below N,
+update is one product: ``GF.merge`` (e*vf + d*wg) where e is not alpha^0
+and d is nonzero, else one ``GF.scale``, or none where e is alpha^0 (as
+it stays while w is still Z^N, and always in division mode) and d is
+zero; ``gf`` alone picks how a merge or a scale is made.  Field
+operations are counted, through ``GF.weight``, only when a counter is
+passed; a decode that reports none computes none.  Every live exponent fits: f and g stay at or below N,
 v holds [N, m], and w holds [N, m] plus, after the last loop, its head at
 m+1 (e_{m+1}, which the error-value formula consumes).  Exponents
 above m are dead otherwise -- they are never read as discrepancies and
@@ -45,21 +44,22 @@ only at the boundary: ``loops`` reads the two head lanes of each lane,
 ``discrepancies`` and ``state_record`` unpack for the dumps, and
 ``extract_locators`` reads only the lead and head lanes, handing f and g
 on to the decoder as packed words.  The gates of a code -- l^(i) and ibar
-per loop, the seed shifts and indices and, per loop, one tuple of the
-lane triples, the head shift and the masks -- are built once per code and
-kept on the code (``CodeSpec.tables``), so no curve lookup happens per
-decoded word and a run binds its per-loop constants once per loop.
+per loop, the seeds, per loop one tuple of the lane triples, the head
+shift and the masks, and per final s1 the footprint -- are built once per
+code and kept on the code (``CodeSpec.tables``), so no curve lookup
+happens per decoded word and a run binds its per-loop constants once per
+loop.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from operator import lshift
+from operator import itemgetter
 
 from .agcode import CodeSpec
 from .curve import Mono
-from .gf import ZERO, OpCounter
+from .gf import ZERO, Memo, OpCounter
 
 INVERSE_FREE = "inverse_free"
 DIVISION = "division"
@@ -68,13 +68,17 @@ DIVISION = "division"
 class _Gates:
     """Per-code tables: per loop N the first component of l^(i) (N up to
     m+1, which the final record reads) and ibar(i, N); the seed of every
-    column, two lists, the bit shift of each v lane it seeds and the
-    syndrome index that fills it; and ``loop``, one tuple per loop N of the
-    constants ``loops`` binds: N, the head shift N * lane_bits, the
-    (i, ibar(i, N), l1) triple of every lane, and the AND masks that delete
-    the consumed head and keep the shifted w and g inside their halves.  A
-    gap is stored as -1: s1^(i) is never negative, so ``s1 <= l1`` is the
-    whole discrepancy gate, false at a gap."""
+    column, as the bit shift of each v lane it seeds and the syndrome
+    index that fills it (``seed``, the simulators' loader) and as one
+    ``gather`` of v lanes 0..m from the syndrome vectors in
+    ``syndrome_domain`` order plus a trailing zero (``init_state``);
+    ``loop``, one tuple per loop N of the constants ``loops`` binds: N,
+    the head shift N * lane_bits, the (i, ibar(i, N), l1) triple of every
+    lane, and the AND masks that delete the consumed head and keep the
+    shifted w and g inside their halves; and ``delta``, per final s1 (a
+    tuple) what ``_delta`` gives.  A gap is stored as -1: s1^(i) is never
+    negative, so ``s1 <= l1`` is the whole discrepancy gate, false at a
+    gap."""
 
     def __init__(self, code: CodeSpec):
         cv, fld, m = code.curve, code.fld, code.m
@@ -84,6 +88,13 @@ class _Gates:
         self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(m + 1)]
         phis = [cv.phi(i, a, m) for i in range(a)]
         self.seed = [([cv.pole_order(l) * lb for l in phi], phi) for phi in phis]
+        index = {l: k for k, l in enumerate(code.syndrome_domain)}
+        self.gather = []
+        for phi in phis:  # v lane N reads u at phi's monomial of pole order N, else the trailing zero
+            at = [len(index)] * (m + 1)
+            for l in phi:
+                at[cv.pole_order(l)] = index[l]
+            self.gather.append(itemgetter(*at))
         self.s1 = [cv.basis_start(i)[0] for i in range(a)]
         self.vec, self.f_one = fld.exp + [0], 1 << L * lb  # ZERO, the last index, reads 0; f = 1
         lane, full = (1 << lb) - 1, (1 << 2 * L * lb) - 1
@@ -92,6 +103,7 @@ class _Gates:
         for N in range(m + 1):  # mod Z^N, and w's m+1 lane kept after the last loop only
             lanes = list(zip(range(a), self.ibar[N], self.l1[N]))
             self.loop.append((N, N * lb, lanes, full ^ lane << N * lb, keep ^ (lane << (L - 1) * lb if N != m else 0)))
+        self.delta = Memo(code, _delta)  # tuple(s1) -> (Delta, Chien bound)
 
 
 def gate_table(code: CodeSpec) -> _Gates:
@@ -161,11 +173,12 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
     if mode not in (INVERSE_FREE, DIVISION):
         raise ValueError(f"unknown mode {mode!r}")
     gates = gate_table(code)
-    u, vec, f_one = synd.__getitem__, gates.vec.__getitem__, gates.f_one
-    try:  # the seed lanes do not overlap, so their sum is their OR
-        vf = [f_one | sum(map(lshift, map(vec, map(u, ls)), shifts)) for shifts, ls in gates.seed]
+    try:
+        vecs = [*map(gates.vec.__getitem__, map(synd.__getitem__, code.syndrome_domain)), 0]
     except KeyError as exc:
         raise ValueError(f"syndrome table missing u_{exc.args[0]}") from None
+    pack, f_one = code.fld.pack, gates.f_one
+    vf = [f_one | pack(get(vecs)) for get in gates.gather]
     a = len(vf)
     return BmsState(
         mode=mode,
@@ -209,33 +222,36 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
 
     With ``ctr`` the lane is charged one mul per nonzero lane scaled and
     one mul and one add per nonzero lane merged in, as a coefficient-wise
-    update would be, e = alpha^0 included; the counts are ``GF.weight``
-    reads and are made only when ``ctr`` is passed.  A scale by alpha^0
-    is never made.  Each division-mode update adds one to ``state.invs``,
-    with or without ``ctr``.
+    update would be, e = alpha^0 included, merged or not; e is never
+    zero (w's head starts at alpha^0 and a replacement shifts in a v whose
+    head d is nonzero), so that is weight(vf) muls in inverse-free mode.
+    The counts are ``GF.weight`` reads and are made only when ``ctr`` is
+    passed.  A scale by alpha^0 is never made.  Each division-mode update
+    adds one to ``state.invs``, with or without ``ctr``.
     """
     fld = code.fld
     vf, wg, s1, c1, M, tlabel = state.vf, state.wg, state.s1, state.c1, state.M, state.tlabel
     log, lane, lb = fld.log, fld.q - 1, fld.lane_bits
-    scale, weight, inv_chain, counted = fld.scale, fld.weight, fld.inv_chain, ctr is not None
+    scale, merge, weight, inv_chain, counted = fld.scale, fld.merge, fld.weight, fld.inv_chain, ctr is not None
     inverse_free = state.mode == INVERSE_FREE
     for N, shift, lanes, clear, keep in gate_table(code).loop[state.N :]:
         yield
         muls = adds = 0
         for i, ib, l in lanes:
             x, y = vf[i], wg[ib]
-            new = x
-            if inverse_free:
-                if e := log[y >> shift & lane]:
-                    new = scale(x, e)
-                if counted:
-                    muls += weight(new)  # a nonzero constant keeps every nonzero lane
             di = log[x >> shift & lane] if s1[i] <= l else ZERO
-            if di != ZERO:
-                yd = scale(y, di)
-                new ^= yd
-                if counted:
-                    k = weight(yd)
+            e = log[y >> shift & lane] if inverse_free else 0  # division leaves f unscaled
+            if di == ZERO:
+                new = scale(x, e) if e else x
+            elif e:
+                new = merge(x, e, y, di)
+            else:
+                new = x ^ scale(y, di)
+            if counted:
+                if inverse_free:
+                    muls += weight(x)  # e is never zero
+                if di != ZERO:
+                    k = weight(y)
                     muls += k
                     adds += k
             vf[i] = new & clear  # mod Z^N: the consumed head is deleted explicitly
@@ -334,8 +350,18 @@ def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
     return LocatorOutput(F, G, lead, head, state.mode)
 
 
+def _delta(code: CodeSpec, s1: tuple[int, ...]) -> tuple[tuple[Mono, ...], int | None]:
+    """Delta of the basis degrees s1, the ring monomials with n1 < s1^(n2),
+    and, when Delta is the generic footprint (the first |Delta| monomials
+    of the basis), the top pole order m - max o(Delta) of the columns F^(i)
+    its syndromes check, else None; read as ``gate_table(code).delta[s1]``."""
+    cv = code.curve
+    bound = max(cv.pole_order((s, i)) for i, s in enumerate(s1))
+    delta = tuple(n for n, _ in _support(code, bound)[0] if n[0] < s1[n[1]])
+    generic = delta and list(delta) == code.basis[: len(delta)]
+    return delta, code.m - cv.pole_order(delta[-1]) if generic else None
+
+
 def delta_set(code: CodeSpec, s1: list[int]) -> list[Mono]:
     """Footprint below the basis degrees: ring monomials with n1 < s1^(n2)."""
-    cv = code.curve
-    bound = max(cv.pole_order((s1[i], i)) for i in range(cv.a))
-    return [n for n, _ in _support(code, bound)[0] if n[0] < s1[n[1]]]
+    return list(gate_table(code).delta[tuple(s1)][0])

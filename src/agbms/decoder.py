@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress
 from operator import not_, xor
@@ -52,8 +52,14 @@ def chien_search(basis: bms.LocatorOutput, code: CodeSpec) -> list[int]:
     product-table read per coefficient; the located points are the zero
     lanes of the OR of those words.
     """
+    return _zeros(basis.F, code)
+
+
+def _zeros(polys: list[tuple[int, int]], code: CodeSpec) -> list[int]:
+    """``chien_search`` over any list of F^(i): ``decode`` passes the
+    columns its syndromes check."""
     acc = 0
-    for F in basis.F:
+    for F in polys:
         acc |= _at_points(code, F)[0]
     return list(compress(range(code.n), map(not_, code.fld.unpack(acc, code.n))))
 
@@ -181,15 +187,11 @@ def decode(
         raise AssertionError("inverse-free BMS performed a field inversion")
     basis = bms.extract_locators(state, code)
 
-    delta = bms.delta_set(code, state.s1)
+    delta, top = bms.gate_table(code).delta[tuple(state.s1)]
     if len(delta) > code.t_generic:
         return DecodeResult(NOT_GENERIC, detail=f"footprint {len(delta)} exceeds budget {code.t_generic}")
 
-    chien = basis
-    if delta and delta == code.basis[: len(delta)]:
-        top = code.m - code.curve.pole_order(delta[-1])
-        chien = replace(basis, F=[F for F in basis.F if F[1] <= top])
-    locs = chien_search(chien, code)
+    locs = _zeros(basis.F if top is None else [F for F in basis.F if F[1] <= top], code)
     if len(locs) != len(delta):
         return DecodeResult(
             NOT_GENERIC, detail=f"chien zeros {len(locs)} != footprint {len(delta)}"

@@ -15,12 +15,14 @@ exponent k in bit-vector form, in ``lane_bits`` = 8 * ceil(w/8) bits (one
 byte up to w = 8, two up to w = 16).  ``GF`` is the one home of the lane
 primitives: ``pack``/``unpack`` convert between a list of bit-vector values
 and a packed word, ``terms`` lists the nonzero lanes as (lane, log) pairs,
-``scale`` multiplies every lane by one constant, so a merge of two lines
-is one XOR, ``weight`` counts the nonzero lanes, the multiplications a
-scale by a nonzero constant stands for, and ``lookup`` maps every lane
-through a caller's table, so a caller that holds its own products (the
-simulators' product rows) multiplies a whole word without ``scale``.  The
-field picks one of two codecs from ``lane_bits`` when it is built:
+``scale`` multiplies every lane by one constant, ``merge(x, e, y, d)``
+makes the two-operand lane product e*x + d*y of the inverse-free update,
+``weight`` counts the nonzero lanes, the multiplications a scale by a
+nonzero constant stands for, and ``lookup`` maps every lane through a
+caller's table, so a caller that holds its own products (the simulators'
+product rows) multiplies a whole word without ``scale``.  The field picks
+one of two codecs from ``lane_bits`` when it is built, and one of two
+``merge`` forms from w:
 
 * one-byte lanes (w <= 8, every bundled preset): a word is the bytes of its
   lanes, so ``pack`` is ``bytes(vecs)`` read as an int and ``unpack`` the
@@ -33,14 +35,23 @@ field picks one of two codecs from ``lane_bits`` when it is built:
   alpha^j) (split-table multiplication by a constant), whose products stay
   within their lanes, ``weight`` counts the nonzero values ``unpack`` gives,
   and ``lookup`` reads each value ``unpack`` gives in the caller's table
-  (q values) and packs the results.
+  (q values) and packs the results;
+* w <= 4 (GF(8) and GF(16), every bundled preset): every lane value fits
+  in four bits, so ``merge`` packs both operands into one word, x | y << 4,
+  whose byte x_k | y_k << 4 holds lane k of both, and makes it one
+  ``bytes.translate`` through the 256-byte pair row of (e, d), which maps
+  that byte to vec(e * x_k + d * y_k);
+* w >= 5: ``merge`` is two ``scale`` calls and one XOR.
 
 A constant's table (the 256 products or the w products vec(c * alpha^j))
 is built the first time it scales a word and kept in a ``Memo``, a dict
 whose missing entries build themselves, so a scale reads its table with
 one subscript, built or not.  The zero constant has a table too (256 zero
 bytes, or no products at all), so a scale by zero reads 0 through the same
-subscript; no q x q table is ever built.
+subscript; no q x q table is ever built.  A pair row is built the same
+way, on the first merge by its (e, d), from the two scale rows by byte
+operations, and kept in a second ``Memo``; at most (q + 1)^2 of them
+exist, 289 rows (74 KB) over GF(16).
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 ZERO = -1  # log encoding of the zero element
+_HIGH_NIBBLE = bytes(b >> 4 for b in range(256))  # a pair row's index of d's row
 
 
 class Memo(dict):
@@ -126,6 +138,9 @@ class GF:
             codec = self._pack16, self._unpack16, self._scale16, self._weight16, self._lookup16, GF._row16
         self.pack, self.unpack, self.scale, self.weight, self.lookup, row = codec
         self._scale_rows = Memo(self, row)  # c -> its products, ZERO's included
+        # the merge form, picked once here from w: a pair of lanes fits a byte
+        self.merge = self._merge4 if w <= 4 else self._merge_scales
+        self._pair_rows = Memo(self, GF._pair_row)  # (e, d) -> its 256-byte pair row
 
     def __repr__(self) -> str:
         return f"GF(2^{self.w}, prim_poly={self.prim_poly:#b})"
@@ -181,6 +196,8 @@ class GF:
     # unpack(x, n) -> list: the bit-vector values of the lowest n lanes of x
     # scale(x, c) -> int: every lane of x times the log-form constant c.
     #     On one-byte lanes c = 0 (alpha^0) returns x itself.  Uncharged.
+    # merge(x, e, y, d) -> int: scale(x, e) ^ scale(y, d), for any e and d,
+    #     ZERO and alpha^0 included.  Uncharged.
     # weight(x) -> int: the nonzero lanes of x, the multiplications a scale
     #     of x by a nonzero constant stands for; a caller that charges a
     #     counter charges this.
@@ -214,6 +231,21 @@ class GF:
 
     def _lookup8(self, x: int, row: bytes) -> int:
         return int.from_bytes(x.to_bytes((x.bit_length() + 7) >> 3, "little").translate(row), "little")
+
+    def _pair_row(self, key: tuple[int, int]) -> bytes:
+        # byte x | y << 4 reads vec(e * x) ^ vec(d * y): the low nibble
+        # indexes e's row repeated 16 times, the high one d's row through
+        # the byte -> high nibble map
+        e, d = key
+        lo, hi = self._scale_rows[e][:16] * 16, _HIGH_NIBBLE.translate(self._scale_rows[d])
+        return (int.from_bytes(lo, "little") ^ int.from_bytes(hi, "little")).to_bytes(256, "little")
+
+    def _merge4(self, x: int, e: int, y: int, d: int) -> int:
+        z = x | y << 4  # no lane value reaches bit 4, so no byte carries
+        return int.from_bytes(z.to_bytes((z.bit_length() + 7) >> 3, "little").translate(self._pair_rows[e, d]), "little")
+
+    def _merge_scales(self, x: int, e: int, y: int, d: int) -> int:
+        return self.scale(x, e) ^ self.scale(y, d)
 
     def _pack16(self, vecs: list[int]) -> int:
         return int.from_bytes(struct.pack(f"<{len(vecs)}H", *vecs), "little")

@@ -129,11 +129,18 @@ def random_pattern(code, weight, rng, affine_only=True):
     return locs, vals
 
 
+GENERIC_DRAWS = 200  # most patterns are generic (0.88-0.96 on the presets)
+
+
 def random_generic_pattern(code, weight, rng, affine_only=True):
-    while True:
+    """A seeded generic pattern, drawn again until ``is_generic`` accepts
+    one; after ``GENERIC_DRAWS`` rejected draws the test fails, so a broken
+    ``is_generic`` fails it instead of hanging the run."""
+    for _ in range(GENERIC_DRAWS):
         locs, vals = random_pattern(code, weight, rng, affine_only)
         if oracle.is_generic(code, locs).is_generic:
             return locs, vals
+    raise AssertionError(f"no generic pattern of weight {weight} in {GENERIC_DRAWS} draws")
 
 
 def bundled_error_file(preset):

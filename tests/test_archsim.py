@@ -227,6 +227,27 @@ def test_resources_closed_forms(elliptic, klein, hermitian):
         archsim.resources("nonsense", elliptic)
 
 
+def test_resources_every_entry(elliptic, klein, hermitian):
+    # every entry of every row -- multipliers, inverters, registers and
+    # time -- as its formula in a and m, on the three presets (a = 2, 3, 4)
+    for code in (elliptic, klein, hermitian):
+        a, m = code.curve.a, code.m
+        polynomial_registers = 2 * a * (m + 2)  # f, g, v, w of a columns, m+2 lanes each
+        loop_clocks = (m + 1) * (m + 2)  # m+1 loops of m+2 clocks
+        expected = {
+            "systolic": (2 * a * m, a * m // 2, (4 * m + 9) * a // 2, m + 1),
+            "koetter": (3 * a, a, a * (2 * (m + 1) - 4 + 4 * a + 5), (m + 3) * (m + 1)),
+            "parallel_bms": (2 * a, a, polynomial_registers, loop_clocks),
+            archsim.INVERSE_FREE: (2 * a, 0, polynomial_registers, loop_clocks),
+            archsim.SERIAL: (2, 1, polynomial_registers, a * loop_clocks),
+            archsim.SERIAL_INVERSE_FREE: (2, 0, polynomial_registers, a * loop_clocks),
+        }
+        assert set(expected) == {*archsim.CLOSED_FORM_ONLY, *archsim.SIMULATED}
+        for arch, entries in expected.items():
+            est = archsim.resources(arch, code)
+            assert (est.multipliers, est.inverters, est.registers, est.time) == entries, (arch, a, m)
+
+
 def test_measured_vs_closed_form(elliptic, elliptic_golden):
     # the simulated inverse-free period is m+3 while the closed form uses
     # m+2 per loop; both are reported, neither is forced onto the other

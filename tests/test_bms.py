@@ -3,6 +3,7 @@ import hashlib
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -84,6 +85,25 @@ def test_init_requires_full_table(elliptic, elliptic_golden):
     synd.pop((1, 1))
     with pytest.raises(ValueError):
         bms.init_state(elliptic, synd, bms.INVERSE_FREE)
+
+
+def test_init_state_gathers_every_window(elliptic, klein, hermitian, elliptic_gf512):
+    # the gathered seed holds, in v lane h of column i, u at the window-i
+    # monomial of pole order h (zero at a gap) and f = 1, on one- and
+    # two-byte lanes; every syndrome index is read, so dropping any one
+    # raises ValueError naming it
+    rng = random.Random(3)
+    for code in (elliptic, klein, hermitian, elliptic_gf512):
+        cv, fld, L = code.curve, code.fld, code.m + 2
+        synd = {l: rng.randrange(-1, fld.q - 1) for l in code.syndrome_domain}
+        st = bms.init_state(code, synd, bms.INVERSE_FREE)
+        for i in range(cv.a):
+            window = [cv.l_of(i, h) for h in range(code.m + 1)]
+            want = [ZERO if l is None else synd[l] for l in window] + [ZERO]
+            assert fld.unpack(st.vf[i], 2 * L) == [fld.to_vec(c) for c in want] + [1] + [0] * (L - 1)
+        for l in code.syndrome_domain:
+            with pytest.raises(ValueError, match=rf"^syndrome table missing u_{re.escape(str(l))}$"):
+                bms.init_state(code, {k: v for k, v in synd.items() if k != l}, bms.DIVISION)
 
 
 def test_zero_syndromes_fixed_point(elliptic):
@@ -538,9 +558,11 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
     # after every N its state and counts equal the two-pass reference's, on
     # one- and two-byte lanes, so Step 1 keeps the one definition of
     # ``bms.discrepancies``.  A run without a counter leaves the same state,
-    # its inversion tally included, and an inverse-free loop scales once per
-    # lane whose e is not alpha^0 and once per nonzero d.  The gate table's
-    # per-loop tuples hold ibar, the gate and the masks written out here
+    # its inversion tally included, and an inverse-free loop makes one
+    # product per lane whose e is not alpha^0 or whose d is nonzero: one
+    # ``GF.merge`` where both hold, else one ``GF.scale``; division mode
+    # never merges.  The gate table's per-loop tuples hold ibar, the gate
+    # and the masks written out here
     rng = random.Random(17)
     for code in (elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8):
         cv, gates, lb = code.curve, bms.gate_table(code), code.fld.lane_bits
@@ -549,8 +571,18 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
         lanes = [[(i, cv.ibar(i, N), gates.l1[N][i]) for i in range(cv.a)] for N in range(code.m + 1)]
         assert gates.loop == [(N, N * lb, lanes[N], *reference_masks(code, N)) for N in range(code.m + 1)]
         fld, calls = code.fld, []
-        scale = fld.scale
-        monkeypatch.setattr(fld, "scale", lambda x, c: calls.append(c) or scale(x, c))
+        scale, merge = fld.scale, fld.merge
+
+        def merged(x, e, y, d):
+            # one product, whatever the merge form calls
+            calls.append("merge")
+            n = len(calls)
+            out = merge(x, e, y, d)
+            del calls[n:]
+            return out
+
+        monkeypatch.setattr(fld, "scale", lambda x, c: calls.append("scale") or scale(x, c))
+        monkeypatch.setattr(fld, "merge", merged)
         for k in range(2 * (code.t_generic + 3)):
             locs, vals = random_pattern(code, k // 2, rng, affine_only=False)
             synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
@@ -561,10 +593,14 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
                 next(counted), next(uncounted)  # to the yield before loop 0
                 while st.N <= code.m:
                     d, e = bms.discrepancies(bare, code)
+                    pairs = [(d[i], e[ib]) for i, ib, _ in gates.loop[st.N][2]]  # each lane's d and e
                     calls.clear()
                     next(uncounted)
                     if mode == bms.INVERSE_FREE:
-                        assert len(calls) == sum(x != 0 for x in e) + sum(x != ZERO for x in d)
+                        assert calls.count("merge") == sum(di != ZERO and ei != 0 for di, ei in pairs)
+                        assert calls.count("scale") == sum((di != ZERO) != (ei != 0) for di, ei in pairs)
+                    else:
+                        assert "merge" not in calls
                     next(counted)
                     reference_step(ref, code, ref_ctr)
                     assert st == ref, (code.curve, mode, locs, vals, st.N)

@@ -32,6 +32,17 @@ def test_curve_validation():
         CurveSpec(a=2, b=3, e=0, genus=3, klein=True)  # klein needs (3, 2)
 
 
+@pytest.mark.parametrize("a, b, genus", [(2, 3, 1), (4, 5, 6)])
+def test_chi_pole_order_bound_is_strict(a, b, genus):
+    # a chi monomial of pole order exactly ab (x^b or y^a, the leading
+    # monomials of D) is refused, and one of pole order ab - 1 is accepted
+    for n in ((b, 0), (0, a)):
+        with pytest.raises(ValueError, match=rf"^chi term \({n[0]}, {n[1]}\) has pole order >= ab$"):
+            CurveSpec(a=a, b=b, e=0, genus=genus, chi={n: 0})
+    below = next((i, j) for i in range(b) for j in range(a) if i * a + j * b == a * b - 1)
+    assert CurveSpec(a=a, b=b, e=0, genus=genus, chi={below: 0}).D[below] == 0
+
+
 def test_phi_dimension_formula():
     for curve in (elliptic_curve(), klein_curve(), hermitian_curve()):
         g = curve.genus

@@ -5,7 +5,7 @@ import pytest
 from agbms.gf import GF, ZERO, OpCounter
 
 # w = 8 fills a one-byte lane, w = 9 is the first two-byte one
-PRIMITIVE = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011, 8: 0b100011101, 9: 0b1000010001}
+PRIMITIVE = {2: 0b111, 3: 0b1011, 4: 0b10011, 5: 0b100101, 6: 0b1000011, 7: 0b10000011, 8: 0b100011101, 9: 0b1000010001}
 
 
 def test_paper_fields_constructible():
@@ -172,6 +172,31 @@ def test_lane_primitives_exhaustive(w):
             assert fld.unpack(product, n) == [fld.to_vec(fld.mul(c, a)) for a in logs]
             assert fld.weight(product) == (0 if c == ZERO else n - logs.count(ZERO))
         assert fld.unpack(fld.lookup(x, row), n) == [table[v] for v in vecs]
+
+
+@pytest.mark.parametrize("w", sorted(PRIMITIVE))
+def test_merge_is_two_scales(w):
+    # merge(x, e, y, d) = scale(x, e) ^ scale(y, d) for every e and d, ZERO
+    # and alpha^0 included, on seeded words: one translate through a pair
+    # row up to w = 4, two scales above, on one- and two-byte lanes.  Each
+    # (e, d) meets one word pair, the pairs taken in turn; over GF(2^9)
+    # the constants are ZERO, alpha^0, alpha^(q-2) and a seeded sample
+    fld = GF(w, PRIMITIVE[w])
+    assert fld.merge == (fld._merge4 if w <= 4 else fld._merge_scales)
+    rng = random.Random(100 + w)
+    every = [ZERO, *range(fld.q - 1)]
+    logs = [[rng.randrange(-1, fld.q - 1) for _ in range(rng.randrange(1, 30))] for _ in range(12)]
+    # every element in a lane, top lanes zero below a top lane of alpha^0,
+    # every lane zero, and no lane at all
+    logs += [rng.sample(every, len(every)), [fld.q - 2, ZERO, 0] + [ZERO] * 9, [ZERO] * 5, []]
+    words = [fld.pack([fld.to_vec(a) for a in v]) for v in logs]
+    pairs = [(x, y) for x in words for y in words]
+    rng.shuffle(pairs)
+    consts = every if w <= 8 else [ZERO, 0, fld.q - 2, *rng.sample(range(1, fld.q - 2), 12)]
+    for k, (e, d) in enumerate((e, d) for e in consts for d in consts):
+        x, y = pairs[k % len(pairs)]
+        assert fld.merge(x, e, y, d) == fld.scale(x, e) ^ fld.scale(y, d), (e, d)
+    assert len(fld._pair_rows) == (len(consts) ** 2 if w <= 4 else 0)  # one row per (e, d) met
 
 
 def test_sixteen_bit_lanes():

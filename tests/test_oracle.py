@@ -165,6 +165,19 @@ def test_generic_ratio_ballpark(elliptic):
     assert abs(rep["estimate"] - 15 / 16) < 0.08
 
 
+def test_generic_ratio_pinned(elliptic, klein):
+    # seeded results, pinned: the unused value draws still advance the
+    # location stream, so a change in their range moves the hits; a single
+    # trial is accepted, none is refused
+    assert [oracle.generic_ratio(klein, 3, 1, seed=s)["hits"] for s in range(4)] == [1, 0, 1, 1]
+    assert oracle.generic_ratio(klein, 3, 1, seed=1)["estimate"] == 0.0
+    rep = oracle.generic_ratio(klein, 3, 120, seed=42)
+    assert (rep["trials"], rep["hits"], rep["estimate"], rep["heuristic"]) == (120, 105, 0.875, 0.875)
+    assert oracle.generic_ratio(elliptic, 3, 120, seed=42)["hits"] == 113
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        oracle.generic_ratio(elliptic, 3, 0, seed=1)
+
+
 @pytest.mark.parametrize("t", [0, 25])
 def test_generic_ratio_rejects_weight_out_of_range(elliptic, t):
     # n = 24: the message the cli gives for --t, from the same check

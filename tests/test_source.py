@@ -110,8 +110,8 @@ def test_every_name_has_a_toolkit_caller():
 def test_simulators_multiply_with_their_own_rows():
     # the boundary check compares two independent multipliers: archsim maps
     # its words through its own product rows (GF.lookup) and never through
-    # the GF.scale that bms.loops, the reference, multiplies with
+    # the GF.scale and GF.merge that bms.loops, the reference, multiplies with
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     tree = ast.parse((pkg / "archsim.py").read_text())
-    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "scale"]
-    assert found == [], f"archsim names scale at lines {found}"
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("scale", "merge")]
+    assert found == [], f"archsim names scale or merge at lines {found}"

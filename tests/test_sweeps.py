@@ -10,7 +10,8 @@ meets every weight-3 location set of the elliptic preset.  Seeded generic
 samples carry the contract across every m a curve accepts, where Chien
 search may read only the locator columns the syndromes check, and seeded
 patterns and the GF(8) location sets carry it across the seeded
-Artin-Schreier curves y^a + c*y = f(x).
+Artin-Schreier curves y^a + c*y = f(x).  Seeded generic words carry it to
+Hermitian codes over GF(64) and GF(2^8), up to n = 4096.
 """
 
 import itertools
@@ -205,6 +206,25 @@ def test_hermitian_gf64_m80():
     rng = random.Random("gf64/80")
     for weight in (6, 9, 10):
         budget_sample(code, weight, rng, samples=6)
+
+
+@pytest.mark.slow
+def test_hermitian_gf256_m300():
+    # y^16 + y = x^17 over GF(2^8) (n = 4096, g = 120) at m = 300, t_generic
+    # 23: one-byte lanes at w = 8, where GF.merge is two scales; seeded
+    # generic words of weight t_generic on one random codeword decode to it
+    # in both modes
+    code = CodeSpec(CurveSpec(a=16, b=17, e=0, chi={(0, 1): 0}, genus=120), GF(8, 0b100011101), m=300)
+    assert (code.n, code.t_generic, code.fld.lane_bits) == (4096, 23, 8)
+    rng = random.Random("gf256/300")
+    sent = code.encode([rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)])
+    for _ in range(3):
+        locs, vals = random_generic_pattern(code, code.t_generic, rng, affine_only=False)
+        received = code.inject_errors(sent, locs, vals)
+        for mode in (bms.INVERSE_FREE, bms.DIVISION):
+            res = decoder.decode(code, received, mode)
+            assert (res.status, sorted(res.error_locs)) == (decoder.SUCCESS, sorted(locs)), mode
+            assert res.corrected.symbols == sent.symbols, mode
 
 
 @pytest.mark.slow

@@ -10,7 +10,9 @@ every input before any timing; on the two decode workloads both must also
 charge the same field operations (muls, invs, adds) to an ``OpCounter``
 when they decode each input's received word.  Each pair times one whole-pool pass per
 tree, alternating which goes first; printed are each side's median and
-quartiles, the parent/change time ratio and the pairs the change won.
+quartiles, the parent/change time ratio and the pairs the change won, and
+the same ratio per preset, over each preset's share of the same passes (each
+op is timed, and a preset's time is the sum over its ops).
 
 Times are process CPU time (``time.process_time``), not wall time: on a
 shared 2-core virtual machine wall time also counts the steal time other
@@ -54,6 +56,13 @@ def quartiles(xs: list[float]) -> list[float]:
     return statistics.quantiles(xs, n=4, method="inclusive")
 
 
+def ratio_line(parent: list[float], change: list[float]) -> str:
+    """The pairs' parent/change time ratio and the pairs the change won."""
+    r1, rm, r3 = quartiles([a / b for a, b in zip(parent, change)])
+    wins = sum(b < a for a, b in zip(parent, change))
+    return f"median x{rm:.3f}, quartiles x{r1:.3f}-x{r3:.3f}; change won {wins}/{len(parent)} pairs"
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -84,22 +93,30 @@ def main() -> None:
                 if counts[0] != counts[1]:
                     sys.exit(f"trees charge other (muls, invs, adds) on input {inp.key}: {counts[0]} != {counts[1]}")
     times: list[list[float]] = [[], []]
+    by_preset: list[dict[str, list[float]]] = [{p: [] for p in wl.PRESETS} for _ in sides]
+    clock = time.process_time
     for p in range(args.pairs):
         for s in ((0, 1), (1, 0))[p % 2]:  # alternate which tree goes first
             api, codes = sides[s]
-            t0 = time.process_time()
+            spent = dict.fromkeys(wl.PRESETS, 0.0)
+            t0 = clock()
             for inp in order:
+                t1 = clock()
                 op(api, codes, inp)
-            times[s].append(time.process_time() - t0)
-    ratios = [a / b for a, b in zip(*times)]
-    (p1, pm, p3), (c1, cm, c3), (r1, rm, r3) = (quartiles(xs) for xs in (*times, ratios))
-    wins = sum(b < a for a, b in zip(*times))
+                spent[inp.preset] += clock() - t1
+            times[s].append(clock() - t0)
+            for preset, t in spent.items():
+                by_preset[s][preset].append(t)
     same = "pools, outputs and op counts" if counted else "pools and outputs"
     print(f"{args.workload} seed {args.seed}: {len(order)} inputs, identical {same} on both trees")
+    (p1, pm, p3), (c1, cm, c3) = quartiles(times[0]), quartiles(times[1])
     print(f"  parent pass: median {pm:.4f} s, quartiles {p1:.4f}-{p3:.4f} s")
     print(f"  change pass: median {cm:.4f} s, quartiles {c1:.4f}-{c3:.4f} s")
-    print(f"  parent/change: median x{rm:.3f}, quartiles x{r1:.3f}-x{r3:.3f}; change won {wins}/{args.pairs} pairs")
+    print(f"  parent/change: {ratio_line(*times)}")
     print(f"  median gain {pm - cm:.4f} s against the parent's quartile spread {p3 - p1:.4f} s")
+    for preset in wl.PRESETS:
+        print(f"  {preset} parent/change: {ratio_line(by_preset[0][preset], by_preset[1][preset])}")
+
 
 if __name__ == "__main__":
     main()
