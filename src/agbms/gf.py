@@ -70,8 +70,8 @@ class Memo(dict):
     key k reads ``build(owner, k)``, so a read is one subscript, hit or
     miss.  The owner is held through a weak proxy, so a table kept on its
     owner makes no reference cycle and goes when the owner does.  The
-    field's scale rows, the simulators' product rows and a code's point
-    words are kept this way."""
+    field's scale and pair rows, the simulators' product rows, a code's
+    point words and its footprints (``bms``) are kept this way."""
 
     def __init__(self, owner: object, build: Callable):
         super().__init__()
