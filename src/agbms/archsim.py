@@ -12,10 +12,15 @@ every N-boundary it places its register words in the state's packed v|f and
 w|g words (``bms.BmsState``) and requires them, with (s, c), to equal that
 state's, as ints.  Register values are held in bit-vector form, also in the
 snapshots, which read each line from its output end to its input end; the
-CLI writes them to the CSV as logs.  The trace keeps a copy of the reference
-state of every boundary; ``--boundary-dumps`` writes ``bms.state_record`` of
-each, so it shares ``--dump-state``'s format, and a divergence names the
-first of s, c, v, f, w, g that differs, in that record's form.
+CLI writes them to the CSV as logs.  A run copies no state at its
+boundaries: ``ArchTrace.boundary_states`` counts the boundaries checked and,
+the first time one of its states is read, replays one ``bms.loops`` run from
+a copy of the run's initial reference state, copying the state at each
+yield up to that count (``_Replay``).  Those states are the register states
+too, because the check at each of those boundaries passed.
+``--boundary-dumps`` writes ``bms.state_record`` of each, so it shares
+``--dump-state``'s format, and a divergence names the first of s, c, v, f,
+w, g that differs, in that record's form.
 
 Layouts (period P = length of the w/g line):
 
@@ -79,7 +84,12 @@ column's last g replacement (-1 before any).  It then returns the word of
 the lane's v/f inputs, e*(x >> lane) ^ d*(y >> lane) with x and y the words
 its lines give -- at most two whole-word maps through product rows
 (``GF.lookup``: a ``bytes.translate`` on one-byte lanes, unpack, row and
-pack on two-byte ones) and one XOR -- and the word of its w/g inputs: y, or
+pack on two-byte ones) and one XOR; up to w = 4 (GF(8) and GF(16)) a lane
+that maps both makes it as one map of (x | y << 4) >> lane, whose byte k
+holds lane k+1 of both words, through the 256-byte pair row of (e, d),
+built from the two product rows and kept on the code in a second
+``gf.Memo`` (``_pair_row``; never ``gf``'s merge or pair rows) -- and the
+word of its w/g inputs: y, or
 after an update d^-1 * x in division mode and x unscaled in inverse-free
 mode, ANDed with ``zero[N][M_j]``, which clears the groups zero-set one
 loop ahead.  That mask table is kept per code and per group count
@@ -92,7 +102,9 @@ one at every group it does not zero-set, and its peak of vm+1.  A
 multiplier whose constant is 0 or alpha^0 makes no map, so a lane that
 latches d = 0 and e = alpha^0 is a plain shift; the boundary check thus
 still compares two multipliers on every constant but 0 and alpha^0, where
-``bms.loops`` passes its input through as well.
+``bms.loops`` passes its input through as well.  A pair row is one
+multiplier pair, built from this module's product rows, so the check
+compares it with ``GF.merge``, not with itself.
 
 A datapath keeps only its wiring -- line lengths, which column sits on
 which slot, and the rotation -- and hands each lane its words.
@@ -130,8 +142,9 @@ values, since the controller sets its switches again every loop.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import lshift
 
 from . import bms
@@ -160,15 +173,18 @@ class RegisterFile:
 @dataclass
 class ArchTrace:
     """One simulated run.  ``total_clocks`` counts the clocks the datapath
-    ran: each N-loop adds its P = ``period`` clocks.  ``snapshots`` holds
-    one record per kept loop (``_Controller.snapshot``); ``clocks`` reads
-    them clock by clock."""
+    ran: each N-loop adds its P = ``period`` clocks.  ``boundary_states``
+    is the ``bms.BmsState`` of every boundary checked, replayed the first
+    time one is read (``_Replay``); each equals the run's register state
+    there, since its check passed.  ``snapshots`` holds one record per
+    kept loop (``_Controller.snapshot``); ``clocks`` reads them clock by
+    clock."""
 
     architecture: str
     period: int
     registers: RegisterFile
     total_clocks: int = 0
-    boundary_states: list[bms.BmsState] = field(default_factory=list)
+    boundary_states: Sequence[bms.BmsState] = field(default_factory=list)
     snapshots: list[tuple] = field(default_factory=list)
     mult_uses: int = 0
     inv_uses: int = 0
@@ -207,6 +223,16 @@ def _product_row(fld: GF, c: int) -> bytes | list[int]:
     return bytes(row).ljust(256, b"\0") if fld.q <= 256 else row
 
 
+def _pair_row(rows: Memo, key: tuple[int, int]) -> bytes:
+    """The pair row of constants (e, d), for fields of w <= 4, where a lane
+    value fits four bits: byte x | y << 4 mapped to vec(e*x) ^ vec(d*y),
+    read off the product rows ``rows``.  Built the first time a lane maps
+    both through (e, d) and kept on the code (a ``gf.Memo``)."""
+    e, d = key
+    e_row, d_row = rows[e][:16], rows[d][:16]
+    return bytes(ex ^ dy for dy in d_row for ex in e_row)
+
+
 def _stale(m: int, groups: int, N: int, Mj: int) -> range:
     """Groups of a w/g column that must hold zero at loop N: past the live w
     window (the head and exponents N..m) and below the g window (pinned
@@ -216,7 +242,7 @@ def _stale(m: int, groups: int, N: int, Mj: int) -> range:
     return range(max(1, m + 1 - N), groups if Mj < 0 else m + 1 - Mj)
 
 
-def _tables(code: CodeSpec, groups: int) -> tuple[list[list[int]], list[tuple[int, ...]], Memo]:
+def _tables(code: CodeSpec, groups: int) -> tuple[list[list[int]], list[tuple[int, ...]], Memo, Memo | None]:
     """The controller's constants for a w/g line of ``groups`` groups, built
     on first use and kept on the code.  ``zero[N][Mj]`` is the AND mask
     that clears the groups ``_stale(m, groups, N + 1, Mj)`` names in a
@@ -226,8 +252,9 @@ def _tables(code: CodeSpec, groups: int) -> tuple[list[list[int]], list[tuple[in
     is placed by shifts, the registers below the split (the low mask and the
     cut) up past the N retired lanes (lo), the rest, uncut, past a zero gap
     lane to lane hi (L for v/f, N+ws+1 for w/g, ws the w/g split).  The
-    product rows (``_product_row``) are the code's one ``gf.Memo``, which
-    every group count shares."""
+    product rows (``_product_row``) are the code's one ``gf.Memo``, and the
+    pair rows (``_pair_row``, None above w = 4) a second one; every group
+    count shares both."""
     tables = code.tables.get(("archsim", groups))
     if tables is None:
         m, lb = code.m, code.fld.lane_bits
@@ -238,8 +265,38 @@ def _tables(code: CodeSpec, groups: int) -> tuple[list[list[int]], list[tuple[in
             lo, vs, ws = N * lb, (m + 1 - N) * lb, max(1, m + 1 - N) * lb  # the v/f and w/g splits, in bits
             place.append((lo, (1 << vs) - 1, vs, (m + 2) * lb, (1 << ws) - 1, ws, lo + ws + lb))
         rows = code.tables.setdefault(("archsim", "rows"), Memo(code.fld, _product_row))
+        code.tables.setdefault(("archsim", "pairs"), Memo(rows, _pair_row) if code.fld.w <= 4 else None)
         tables = code.tables["archsim", groups] = zero, place, rows
-    return tables
+    return (*tables, code.tables["archsim", "pairs"])
+
+
+def _fields(st: bms.BmsState) -> tuple:
+    """A state's mode and N and copies of its lists, the arguments of a
+    ``bms.BmsState`` equal to it."""
+    return st.mode, st.N, st.s1[:], st.c1[:], st.vf[:], st.wg[:], st.M[:], st.tlabel[:]
+
+
+class _Replay(Sequence):
+    """``ArchTrace.boundary_states``: the reference state at each of the
+    ``checked`` boundaries of a run, of which the run copies none.  The
+    first time a state is read, one ``bms.loops`` run from ``start``, the
+    run's initial reference state (copied, so the reference run's updates
+    and a caller's later edits of its syndromes change nothing), is copied
+    at each of its first ``checked`` yields.  Each state equals the register
+    state of its boundary, because the check there passed."""
+
+    def __init__(self, ref: bms.BmsState, code: CodeSpec):
+        self.code, self.checked, self.states = code, 0, None
+        self.start = _fields(ref)
+
+    def __len__(self) -> int:
+        return self.checked
+
+    def __getitem__(self, k):
+        if self.states is None:
+            st = bms.BmsState(*self.start)  # runs once, so it may update start's lists
+            self.states = [bms.BmsState(*_fields(st)) for _ in islice(bms.loops(st, self.code), self.checked)]
+        return self.states[k]
 
 
 class _Controller:
@@ -248,7 +305,8 @@ class _Controller:
     ``groups`` is the number of clocks a lane takes per loop (the w/g
     line's exponent groups).  A line is a word of ``gf`` lanes, register p
     from the output end in lane p, in bit-vector form; the latched e, d
-    and d^-1 are product rows (``_product_row``), kept on the code."""
+    and d^-1 are product rows (``_product_row``), and (e, d) a pair row
+    (``_pair_row``) up to w = 4, kept on the code."""
 
     def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str, groups: int):
         fld, a = code.fld, code.curve.a
@@ -259,9 +317,10 @@ class _Controller:
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
         self.gates = bms.gate_table(code)
         self.l1, self.log, self.inv_chain = self.gates.l1, fld.log, fld.inv_chain
-        self.zero, self.place, self.rows = _tables(code, groups)
+        self.zero, self.place, self.rows, self.pairs = _tables(code, groups)
         self.ref = bms.init_state(code, synd, mode)
         self.ref_loops = bms.loops(self.ref, code)  # one reference run, advanced a loop per boundary
+        self.replay = trace.boundary_states = _Replay(self.ref, code)
         self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
         self.M = [-1] * a  # loop of the last g replacement per column, -1 before any
         self.updates = [False] * a  # per lane: the preserve/update switch of the loop
@@ -288,7 +347,9 @@ class _Controller:
         inputs -- after an update d^-1 * x, or x unscaled in inverse-free
         mode, else y -- ANDed with the zero-set mask of (N, M_j).
         A multiplier whose constant is alpha^0 or 0 maps nothing: a lane
-        with d = 0 and e = alpha^0 is a plain shift."""
+        with d = 0 and e = alpha^0 is a plain shift.  Up to w = 4 a lane
+        that maps both x and y maps x | y << 4 once, through the pair row
+        of (e, d)."""
         s1, c1, log, rows, lb = self.s1, self.c1, self.log, self.rows, self.lb
         l = self.l1[N][i]
         d = log[x & self.head] if s1[i] <= l else ZERO
@@ -308,10 +369,13 @@ class _Controller:
             s1[i], c1[j] = l - c1[j], l - s1[i]
             self.M[j] = N
         w &= self.zero[N][self.M[j]]
-        v = x >> lb if e == 0 else self.map(x >> lb, rows[e])
-        if d != ZERO:
-            v ^= self.map(y >> lb, rows[d])
-        return v, w
+        if d == ZERO:
+            return (x >> lb if e == 0 else self.map(x >> lb, rows[e])), w
+        if e == 0:
+            return x >> lb ^ self.map(y >> lb, rows[d]), w
+        if self.pairs is not None:  # byte k holds lane k of both words
+            return self.map((x | y << 4) >> lb, self.pairs[e, d]), w
+        return self.map(x >> lb, rows[e]) ^ self.map(y >> lb, rows[d]), w
 
     def snapshot(self, N: int, lines: dict[str, tuple[list[int], int, int]], switches) -> None:
         """Keep loop N as one record: its first clock, its lines (what each
@@ -339,8 +403,9 @@ class _Controller:
         """Advance the reference BMS run to loop N (the controller's one
         ``bms.loops`` generator runs the loop before it), place the register
         words in the lines of a ``bms`` state, require those to equal the
-        reference state's, and record a copy of that state.  The equality
-        covers every register: the reference holds zero on the lanes of the
+        reference state's, and count the boundary (``_Replay`` replays its
+        state when it is read; nothing is copied here).  The equality covers
+        every register: the reference holds zero on the lanes of the
         groups ``_stale`` names and on every lane past its top, so a
         register left nonzero there diverges at f or g like any other."""
         next(self.ref_loops)  # the reference at loop N
@@ -356,9 +421,7 @@ class _Controller:
                 f"{self.arch}: boundary N={N} register state diverges from the reference "
                 f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want[key]!r}"
             )
-        self.trace.boundary_states.append(
-            bms.BmsState(ref.mode, ref.N, ref.s1[:], ref.c1[:], vf, wg, ref.M[:], ref.tlabel[:])
-        )
+        self.replay.checked += 1
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,11 @@ def test_periods_and_totals(elliptic, elliptic_golden, klein, klein_golden, herm
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
 def test_total_clocks_count_the_loops_run(monkeypatch, arch):
     # each loop a datapath runs adds its P clocks, so a run cut after k
-    # loops has clocked k * P times, not the (m+1) * P of a whole run
+    # loops has clocked k * P times, not the (m+1) * P of a whole run; it
+    # checked k boundaries, and its boundary states replay those k records
     loops = archsim._Controller.loops
+    code, synd = bundled_syndromes("klein_gf8")
+    _, recs = bms.run(code, synd, SIM_MODES[arch], record=True)
     for k in (0, 1, 3):
         def cut(self, readback, k=k):
             return itertools.islice(loops(self, readback), k)
@@ -42,6 +45,8 @@ def test_total_clocks_count_the_loops_run(monkeypatch, arch):
         monkeypatch.setattr(archsim._Controller, "loops", cut)
         tr = run_bundled(arch, "klein_gf8")
         assert tr.total_clocks == k * tr.period
+        assert len(tr.boundary_states) == k
+        assert [bms.state_record(st, code) for st in tr.boundary_states] == recs[:k]
 
 
 def test_boundary_states_match_reference(elliptic, elliptic_golden):
@@ -383,11 +388,16 @@ BOUNDARY_FAULTS = {
 PRESETS = ("elliptic_gf16", "klein_gf8", "hermitian_gf16")
 
 
-def run_bundled(arch, preset, keep_snapshots=False):
-    """One simulator on a preset's bundled error pattern."""
+def bundled_syndromes(preset):
+    """A preset's code and the syndromes of its bundled error pattern."""
     code, _ = cli.load_code(preset)
     locs, vals = cli.read_errors(bundled_error_file(preset), code)
-    synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+    return code, code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+
+
+def run_bundled(arch, preset, keep_snapshots=False):
+    """One simulator on a preset's bundled error pattern."""
+    code, synd = bundled_syndromes(preset)
     return archsim.SIMULATORS[arch](code, synd, keep_snapshots=keep_snapshots)
 
 
@@ -421,6 +431,36 @@ def test_boundary_faults_named_two_byte_lanes(monkeypatch, elliptic_gf512, gf512
     inject(monkeypatch)
     with pytest.raises(AssertionError, match=f"^{arch}: {message}"):
         archsim.SIMULATORS[arch](elliptic_gf512, gf512_syndromes, keep_snapshots=False)
+
+
+def _fault_in_last_loop(mp, line):
+    """Loop m, the last, flips bit 0 of lane 0 of the v/f or w/g word that
+    lane 0 returns; every earlier loop runs as it should."""
+    lane = archsim._Controller.lane
+
+    def faulty(self, N, k, i, j, x, y):
+        v, w = lane(self, N, k, i, j, x, y)
+        if N == self.m and k == 0:
+            v, w = (v ^ 1, w) if line == "vf" else (v, w ^ 1)
+        return v, w
+
+    mp.setattr(archsim._Controller, "lane", faulty)
+
+
+@pytest.mark.parametrize("line,key", [("vf", "f"), ("wg", "w")])
+@pytest.mark.parametrize("preset", [*PRESETS, "elliptic_gf512"])
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_last_loop_fault_named_at_final_boundary(request, monkeypatch, arch, preset, line, key):
+    # the boundary after the last loop is checked too: a fault injected only
+    # in loop m is named at boundary m+1, where the v/f word's lanes are all
+    # f and the w/g word's lane 0 is w's m+1 head
+    if preset in PRESETS:
+        code, synd = bundled_syndromes(preset)
+    else:
+        code, synd = request.getfixturevalue(preset), request.getfixturevalue("gf512_syndromes")
+    _fault_in_last_loop(monkeypatch, line)
+    with pytest.raises(AssertionError, match=f"^{arch}: boundary N={code.m + 1} {DIVERGES} {key!r}"):
+        archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
 
 
 def test_boundary_faults_named_under_optimize():
@@ -464,6 +504,44 @@ def test_default_run_keeps_no_snapshots(arch):
     locs, vals = cli.read_errors(bundled_error_file("hermitian_gf16"), code)
     tr = archsim.SIMULATORS[arch](code, code.syndromes(code.inject_errors(code.zero_word(), locs, vals)))
     assert tr.snapshots == [] and len(tr.boundary_states) == code.m + 2
+
+
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_replay_ignores_later_syndrome_edits(arch):
+    # the boundary states replay from a copy of the run's initial reference
+    # state, so a caller who edits its syndrome dict after the run changes
+    # none of them -- though the edit changes a run made from the dict
+    code, synd = bundled_syndromes("hermitian_gf16")
+    _, recs = bms.run(code, synd, SIM_MODES[arch], record=True)
+    tr = archsim.SIMULATORS[arch](code, synd)
+    for mono in synd:
+        synd[mono] = ZERO
+    assert bms.run(code, synd, SIM_MODES[arch], record=True)[1] != recs
+    assert [bms.state_record(st, code) for st in tr.boundary_states] == recs
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_untraced_run_builds_one_state(monkeypatch, arch, preset):
+    # a run copies no state at its boundaries: it builds one bms.BmsState,
+    # the reference; the first read of a boundary state replays the run,
+    # building its start and one copy per boundary, and a later read builds
+    # none
+    built = []
+
+    class Counted(bms.BmsState):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(bms, "BmsState", Counted)
+    code, _ = cli.load_code(preset)
+    tr = run_bundled(arch, preset)
+    assert len(built) == 1 and len(tr.boundary_states) == code.m + 2
+    tr.boundary_states[-1]
+    assert len(built) == 1 + 1 + code.m + 2
+    list(tr.boundary_states)
+    assert len(built) == 1 + 1 + code.m + 2
 
 
 @pytest.mark.parametrize("preset", [*PRESETS, "elliptic_gf512"])
@@ -598,6 +676,27 @@ def test_product_rows(request, monkeypatch, code_name):
     # the zero constant's row maps every word to zero
     every = fld.pack(list(range(fld.q)))
     assert fld.lookup(every, rows[0]) == every and fld.lookup(every, rows[ZERO]) == 0
+
+
+@pytest.mark.parametrize("code_name", ["klein", "elliptic", "elliptic_gf512"])
+def test_pair_rows_are_two_product_rows(request, code_name):
+    # GF(8) and GF(16): for every (e, d), ZERO and alpha^0 included, the
+    # pair row maps x | y << 4 to the product rows' maps of x and y XORed,
+    # on a word holding every lane pair (x_k, y_k); above w = 4 a code
+    # keeps no pair rows
+    base = request.getfixturevalue(code_name)
+    code, fld = CodeSpec(base.curve, base.fld, base.m), base.fld
+    _, _, rows, pairs = archsim._tables(code, code.m + 3)
+    if fld.w > 4:
+        assert pairs is None
+        return
+    x = fld.pack([u for u in range(fld.q) for _ in range(fld.q)])
+    y = fld.pack([v for _ in range(fld.q) for v in range(fld.q)])
+    consts = [ZERO, *range(fld.q - 1)]
+    for e, d in itertools.product(consts, consts):
+        assert len(pairs[e, d]) == 256
+        assert fld.lookup(x | y << 4, pairs[e, d]) == fld.lookup(x, rows[e]) ^ fld.lookup(y, rows[d]), (e, d)
+    assert len(pairs) == len(consts) ** 2 and pairs is code.tables["archsim", "pairs"]
 
 
 @pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])

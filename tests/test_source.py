@@ -109,9 +109,11 @@ def test_every_name_has_a_toolkit_caller():
 
 def test_simulators_multiply_with_their_own_rows():
     # the boundary check compares two independent multipliers: archsim maps
-    # its words through its own product rows (GF.lookup) and never through
-    # the GF.scale and GF.merge that bms.loops, the reference, multiplies with
+    # its words through its own product and pair rows (GF.lookup) and never
+    # through the GF.scale and GF.merge that bms.loops, the reference,
+    # multiplies with, nor through GF.merge's pair rows
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     tree = ast.parse((pkg / "archsim.py").read_text())
-    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("scale", "merge")]
-    assert found == [], f"archsim names scale or merge at lines {found}"
+    names = ("scale", "merge", "_pair_rows")
+    found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in names]
+    assert found == [], f"archsim names scale, merge or _pair_rows at lines {found}"

@@ -9,10 +9,13 @@ must give identical decode summaries or simulator statistics on
 every input before any timing; on the two decode workloads both must also
 charge the same field operations (muls, invs, adds) to an ``OpCounter``
 when they decode each input's received word.  Each pair times one whole-pool pass per
-tree, alternating which goes first; printed are each side's median and
-quartiles, the parent/change time ratio and the pairs the change won, and
-the same ratio per preset, over each preset's share of the same passes (each
-op is timed, and a preset's time is the sum over its ops).
+tree, alternating which goes first.  Every timed pass runs in a fresh child
+process that imports only its own tree, reads the pool the parent checked,
+warms the tree up with one untimed pass and times the next, so no process
+state one tree leaves behind can favour either tree.  Printed are each
+side's median and quartiles, the parent/change time ratio and the pairs the
+change won, and the same ratio per preset, over each preset's share of the
+same passes (each op is timed, and a preset's time is the sum over its ops).
 
 Times are process CPU time (``time.process_time``), not wall time: on a
 shared 2-core virtual machine wall time also counts the steal time other
@@ -22,7 +25,10 @@ guests take, which moves from pass to pass and would blur a paired ratio.
 from __future__ import annotations
 
 import argparse
+import json
+import pickle
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -63,7 +69,28 @@ def ratio_line(parent: list[float], change: list[float]) -> str:
     return f"median x{rm:.3f}, quartiles x{r1:.3f}-x{r3:.3f}; change won {wins}/{len(parent)} pairs"
 
 
+def timed_pass(tree: str, workload: str, pool: str) -> None:
+    """A child's one timed pass: the tree's pass over the pickled pool after
+    one untimed warm-up pass, printed as JSON, the whole pass and each
+    preset's sum over its ops, in process CPU seconds."""
+    api, codes = load(tree)
+    with open(pool, "rb") as fh:
+        order = pickle.load(fh)
+    op, clock = wl.OPS[workload], time.process_time
+    for inp in order:
+        op(api, codes, inp)
+    spent = dict.fromkeys(wl.PRESETS, 0.0)
+    t0 = clock()
+    for inp in order:
+        t1 = clock()
+        op(api, codes, inp)
+        spent[inp.preset] += clock() - t1
+    print(json.dumps({"total": clock() - t0, "presets": spent}))
+
+
 def main() -> None:
+    if sys.argv[1:2] == ["--timed-pass"]:  # a child: TREE WORKLOAD POOL
+        return timed_pass(*sys.argv[2:])
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
@@ -84,7 +111,7 @@ def main() -> None:
             key = next((a.key for a, b in zip(*orders) if a != b), None)
             sys.exit(f"trees build different input pools: first at input {key}")
         order = orders[0]
-        for inp in order:  # also the warm-up pass of both trees
+        for inp in order:  # the check pass; each timed child warms its own tree up
             outs = [repr(op(api, codes, inp)) for api, codes in sides]
             if outs[0] != outs[1]:
                 sys.exit(f"trees differ on input {inp.key}:\n  parent {outs[0]}\n  change {outs[1]}")
@@ -92,21 +119,22 @@ def main() -> None:
                 counts = [op_counts(api, codes, inp) for api, codes in sides]
                 if counts[0] != counts[1]:
                     sys.exit(f"trees charge other (muls, invs, adds) on input {inp.key}: {counts[0]} != {counts[1]}")
-    times: list[list[float]] = [[], []]
-    by_preset: list[dict[str, list[float]]] = [{p: [] for p in wl.PRESETS} for _ in sides]
-    clock = time.process_time
-    for p in range(args.pairs):
-        for s in ((0, 1), (1, 0))[p % 2]:  # alternate which tree goes first
-            api, codes = sides[s]
-            spent = dict.fromkeys(wl.PRESETS, 0.0)
-            t0 = clock()
-            for inp in order:
-                t1 = clock()
-                op(api, codes, inp)
-                spent[inp.preset] += clock() - t1
-            times[s].append(clock() - t0)
-            for preset, t in spent.items():
-                by_preset[s][preset].append(t)
+        pool = str(Path(scratch) / "pool.pickle")
+        with open(pool, "wb") as fh:
+            pickle.dump(order, fh)
+        times: list[list[float]] = [[], []]
+        by_preset: list[dict[str, list[float]]] = [{p: [] for p in wl.PRESETS} for _ in sides]
+        for p in range(args.pairs):
+            for s in ((0, 1), (1, 0))[p % 2]:  # alternate which tree goes first
+                tree = (args.parent, args.change)[s]
+                cmd = [sys.executable, __file__, "--timed-pass", tree, args.workload, pool]
+                child = subprocess.run(cmd, capture_output=True, text=True)
+                if child.returncode:
+                    sys.exit(f"timed pass of {tree} failed:\n{child.stderr}")
+                out = json.loads(child.stdout)
+                times[s].append(out["total"])
+                for preset, t in out["presets"].items():
+                    by_preset[s][preset].append(t)
     same = "pools, outputs and op counts" if counted else "pools and outputs"
     print(f"{args.workload} seed {args.seed}: {len(order)} inputs, identical {same} on both trees")
     (p1, pm, p3), (c1, cm, c3) = quartiles(times[0]), quartiles(times[1])
