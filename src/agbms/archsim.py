@@ -8,15 +8,16 @@ not available as text, so each simulator derives its own layout from the
 stated line lengths and validates itself ("oracle equivalence"): each
 simulator runs a software BMS state alongside its registers (one
 ``bms.loops`` generator per run, advanced one loop per boundary), and at
-every N-boundary it places its register words in the state's packed v|f and
-w|g words (``bms.BmsState``) and requires them, with (s, c), to equal that
-state's, as ints.  Register values are held in bit-vector form, also in the
-snapshots, which read each line from its output end to its input end; the
-CLI writes them to the CSV as logs.  A run copies no state at its
-boundaries: ``ArchTrace.boundary_states`` counts the boundaries checked and,
-the first time one of its states is read, replays one ``bms.loops`` run from
-a copy of the run's initial reference state, copying the state at each
-yield up to that count (``_Replay``).  Those states are the register states
+every N-boundary it requires its register words, with (s, c), to equal
+that state's v/f and w/g words (``bms.BmsState``, which holds them in the
+inverse-free register layout), as ints.  Register values are held in
+bit-vector form, also in the snapshots, which read each line from its
+output end to its input end; the CLI writes them to the CSV as logs.  A
+run copies no state at its boundaries: ``ArchTrace.boundary_states``
+counts the boundaries checked and, the first time one of its states is
+read, replays one ``bms.loops`` run from a copy of the run's initial
+reference state, copying the state at each yield up to that count
+(``_Replay``).  Those states are the register states
 too, because the check at each of those boundaries passed.
 ``--boundary-dumps`` writes ``bms.state_record`` of each, so it shares
 ``--dump-state``'s format, and a divergence names the first of s, c, v, f,
@@ -115,15 +116,12 @@ holds lane k+1's v/f inputs and slot a-1 lane 0's, which wrap through the
 exchange register (a one-place shift of the slot-0 column) and the FIFO;
 each lane's w/g inputs stay on its slot.  ``loops`` counts each loop's P
 clocks.  At a boundary a datapath hands over each column's words (the
-serial ones read off the slot table), and the controller places them in the
-reference state's lanes with shifts and one mask, read from boundary N's
-placement tuple in ``_tables``: the registers below the split move up past
-the N retired lanes, and the rest move, uncut, past the gap lane to the f
-or g lanes.  Nothing is packed or unpacked.  It compares
-the placed words with the reference state's as ints.  That equality is the
-whole check: the reference holds zero on every lane that a zero-set group
-or a group past the top exponent maps to, so a register left nonzero there
-diverges at f or g.
+serial ones read off the slot table), and the controller compares them, as
+they stand, with the reference state's: a register word and a ``bms``
+word share one layout, register p in lane p, so nothing is placed, packed
+or unpacked.  That equality is the whole check: the reference holds zero
+on every lane of a zero-set group or of a group past the top exponent, so
+a register left nonzero there diverges at f or g.
 
 Snapshots are kept only on request (``keep_snapshots=True``, as
 ``trace-arch`` asks).  A kept run unpacks each loop's words into what each
@@ -242,31 +240,23 @@ def _stale(m: int, groups: int, N: int, Mj: int) -> range:
     return range(max(1, m + 1 - N), groups if Mj < 0 else m + 1 - Mj)
 
 
-def _tables(code: CodeSpec, groups: int) -> tuple[list[list[int]], list[tuple[int, ...]], Memo, Memo | None]:
+def _tables(code: CodeSpec, groups: int) -> tuple[list[list[int]], Memo, Memo | None]:
     """The controller's constants for a w/g line of ``groups`` groups, built
     on first use and kept on the code.  ``zero[N][Mj]`` is the AND mask
     that clears the groups ``_stale(m, groups, N + 1, Mj)`` names in a
     lane's w/g word at loop N, -1 where it names none; Mj runs 0..m and
-    then -1, so a column never replaced reads the last entry.  ``place[N]``
-    is boundary N's (lo, vlow, vcut, vhi, wlow, wcut, whi): a column's word
-    is placed by shifts, the registers below the split (the low mask and the
-    cut) up past the N retired lanes (lo), the rest, uncut, past a zero gap
-    lane to lane hi (L for v/f, N+ws+1 for w/g, ws the w/g split).  The
-    product rows (``_product_row``) are the code's one ``gf.Memo``, and the
-    pair rows (``_pair_row``, None above w = 4) a second one; every group
-    count shares both."""
+    then -1, so a column never replaced reads the last entry.  The product
+    rows (``_product_row``) are the code's one ``gf.Memo``, and the pair
+    rows (``_pair_row``, None above w = 4) a second one; every group count
+    shares both."""
     tables = code.tables.get(("archsim", groups))
     if tables is None:
         m, lb = code.m, code.fld.lane_bits
         stale = [[_stale(m, groups, N + 1, Mj) for Mj in [*range(m + 1), -1]] for N in range(m + 1)]
         zero = [[~((1 << len(z) * lb) - 1 << z.start * lb) for z in row] for row in stale]  # ~0 = -1
-        place = []
-        for N in range(m + 2):
-            lo, vs, ws = N * lb, (m + 1 - N) * lb, max(1, m + 1 - N) * lb  # the v/f and w/g splits, in bits
-            place.append((lo, (1 << vs) - 1, vs, (m + 2) * lb, (1 << ws) - 1, ws, lo + ws + lb))
         rows = code.tables.setdefault(("archsim", "rows"), Memo(code.fld, _product_row))
         code.tables.setdefault(("archsim", "pairs"), Memo(rows, _pair_row) if code.fld.w <= 4 else None)
-        tables = code.tables["archsim", groups] = zero, place, rows
+        tables = code.tables["archsim", groups] = zero, rows
     return (*tables, code.tables["archsim", "pairs"])
 
 
@@ -317,7 +307,7 @@ class _Controller:
         self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
         self.gates = bms.gate_table(code)
         self.l1, self.log, self.inv_chain = self.gates.l1, fld.log, fld.inv_chain
-        self.zero, self.place, self.rows, self.pairs = _tables(code, groups)
+        self.zero, self.rows, self.pairs = _tables(code, groups)
         self.ref = bms.init_state(code, synd, mode)
         self.ref_loops = bms.loops(self.ref, code)  # one reference run, advanced a loop per boundary
         self.replay = trace.boundary_states = _Replay(self.ref, code)
@@ -399,20 +389,17 @@ class _Controller:
                 self.peak = [vm] * a
                 yield N
 
-    def _boundary(self, N: int, vf_words: list[int], wg_words: list[int]) -> None:
+    def _boundary(self, N: int, vf: list[int], wg: list[int]) -> None:
         """Advance the reference BMS run to loop N (the controller's one
-        ``bms.loops`` generator runs the loop before it), place the register
-        words in the lines of a ``bms`` state, require those to equal the
-        reference state's, and count the boundary (``_Replay`` replays its
-        state when it is read; nothing is copied here).  The equality covers
-        every register: the reference holds zero on the lanes of the
-        groups ``_stale`` names and on every lane past its top, so a
-        register left nonzero there diverges at f or g like any other."""
+        ``bms.loops`` generator runs the loop before it), require the
+        register words to equal the reference state's v/f and w/g words as
+        they stand, and count the boundary (``_Replay`` replays its state
+        when it is read; nothing is copied here).  The equality covers every
+        register: the reference holds zero on the lanes of the groups
+        ``_stale`` names and on every lane past its top, so a register left
+        nonzero there diverges at f or g like any other."""
         next(self.ref_loops)  # the reference at loop N
         ref = self.ref
-        lo, vlow, vcut, vhi, wlow, wcut, whi = self.place[N]
-        vf = [(x & vlow) << lo | (x >> vcut) << vhi for x in vf_words]
-        wg = [(x & wlow) << lo | (x >> wcut) << whi for x in wg_words]
         if (self.s1, self.c1, vf, wg) != (ref.s1, ref.c1, ref.vf, ref.wg):
             got = bms.state_record(bms.BmsState(ref.mode, ref.N, self.s1, self.c1, vf, wg), self.code)
             want = bms.state_record(ref, self.code)

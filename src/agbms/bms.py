@@ -21,34 +21,39 @@ no field inversions at all; division mode is the classical parallel form
 oracle and as the update rule of the serial architecture.
 
 Each column's polynomials live in two packed words (``gf`` lanes of
-``lane_bits`` bits, one byte up to GF(2^8) and two above, bit-vector form,
-L = m+2 lanes per polynomial): ``vf`` holds v in lanes 0..L-1 and f in
-lanes L..2L-1, ``wg`` holds w and g the same way -- the inverse-free
-architecture's (m+2)-register v/f line and (m+3)-register w/g line.  Since
-f and v take the same scale and the same merge partner (g and w), a lane
-update is one product: ``GF.merge`` (e*vf + d*wg) where e is not alpha^0
-and d is nonzero, else one ``GF.scale``, or none where e is alpha^0 (as
-it stays while w is still Z^N, and always in division mode) and d is
-zero; ``gf`` alone picks how a merge or a scale is made.  Field
-operations are counted, through ``GF.weight``, only when a counter is
-passed; a decode that reports none computes none.  Every live exponent fits: f and g stay at or below N,
-v holds [N, m], and w holds [N, m] plus, after the last loop, its head at
-m+1 (e_{m+1}, which the error-value formula consumes).  Exponents
-above m are dead otherwise -- they are never read as discrepancies and
-never feed a lower exponent, since all updates combine equal exponents --
-so the Z-shift ``(x << lane_bits) & keep`` drops the m+1 lane of each
-half, and w's m+1 lane is cleared on every loop but the last, exactly as
-the architectures zero-set their w/g lines.  Every lane offset is a multiple
-of ``lane_bits``; the field degree w sets no offset.  Log form appears
-only at the boundary: ``loops`` reads the two head lanes of each lane,
-``discrepancies`` and ``state_record`` unpack for the dumps, and
-``extract_locators`` reads only the lead and head lanes, handing f and g
-on to the decoder as packed words.  The gates of a code -- l^(i) and ibar
-per loop, the seeds, per loop one tuple of the lane triples, the head
-shift and the masks, and per final s1 the footprint -- are built once per
-code and kept on the code (``CodeSpec.tables``), so no curve lookup
-happens per decoded word and a run binds its per-loop constants once per
-loop.
+``lane_bits`` bits, one byte up to GF(2^8) and two above, bit-vector form)
+in the inverse-free architecture's register layout, the head at lane 0:
+``vf`` is the (m+2)-register v/f line, v exponent k at lane k-N and f
+exponent h at lane m+1-N+h, and ``wg`` the (m+3)-register w/g line, w
+exponent k at lane k-N and g exponent h at lane m+1-N+h.  Lane m+1-N of
+``wg`` is one register for w's m+1 and g's 0: before the last loop it is
+g's and always zero, after it it holds e_{m+1}, w's head, which the
+error-value formula consumes.  Since f and v take the same scale and the
+same merge partner (g and w) lane for lane, a lane update is one
+product: ``GF.merge`` (e*vf + d*wg) where e is not alpha^0 and d is
+nonzero, else one ``GF.scale``, or none where e is alpha^0 (as it stays
+while w is still Z^N, and always in division mode) and d is zero; ``gf``
+alone picks how a merge or a scale is made.  Field operations are
+counted, through ``GF.weight``, only when a counter is passed; a decode
+that reports none computes none.  Every live exponent fits: f and g stay
+at or below N, v holds [N, m], and w holds [N, m] plus, after the last
+loop, its head at m+1.  Exponents above m are dead otherwise -- they are
+never read as discrepancies and never feed a lower exponent, since all
+updates combine equal exponents -- so moving to frame N+1 is one shift
+for v/f, ``new >> lane_bits``, which retires the head, and none for w/g,
+whose lanes already stand one exponent higher in the next frame (the
+Z-shift); the ``keep`` mask clears w's m+1 lane on every loop but the
+last, exactly as the architectures zero-set their w/g lines.  Every lane
+offset is a multiple of ``lane_bits``; the field degree w sets no offset.
+Log form appears only at the boundary: ``loops`` reads lane 0 of each
+lane's two words, ``discrepancies`` and ``state_record`` unpack for the
+dumps, mapping lanes back to exponents, and ``extract_locators`` reads
+only the lead and head lanes, handing f and g on to the decoder as packed
+words.  The gates of a code -- l^(i) and ibar per loop, the seeds, per
+loop one tuple of the lane triples and the mask, and per final s1 the
+footprint -- are built once per code and kept on the code
+(``CodeSpec.tables``), so no curve lookup happens per decoded word and a
+run binds its per-loop constants once per loop.
 """
 
 from __future__ import annotations
@@ -73,17 +78,16 @@ class _Gates:
     ``gather`` of v lanes 0..m from the syndrome vectors in
     ``syndrome_domain`` order plus a trailing zero (``init_state``);
     ``loop``, one tuple per loop N of the constants ``loops`` binds: N,
-    the head shift N * lane_bits, the (i, ibar(i, N), l1) triple of every
-    lane, and the AND masks that delete the consumed head and keep the
-    shifted w and g inside their halves; and ``delta``, per final s1 (a
-    tuple) what ``_delta`` gives.  A gap is stored as -1: s1^(i) is never
+    the (i, ibar(i, N), l1) triple of every lane, and ``keep``, the AND
+    mask of the w/g word for frame N+1, which clears lane m-N (w's m+1 and
+    g's 0 there) on every loop but the last; and ``delta``, per final s1
+    (a tuple) what ``_delta`` gives.  A gap is stored as -1: s1^(i) is never
     negative, so ``s1 <= l1`` is the whole discrepancy gate, false at a
     gap."""
 
     def __init__(self, code: CodeSpec):
         cv, fld, m = code.curve, code.fld, code.m
         a, lb = cv.a, fld.lane_bits
-        L = m + 2
         self.l1 = [[-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(m + 2)]
         self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(m + 1)]
         phis = [cv.phi(i, a, m) for i in range(a)]
@@ -96,13 +100,12 @@ class _Gates:
                 at[cv.pole_order(l)] = index[l]
             self.gather.append(itemgetter(*at))
         self.s1 = [cv.basis_start(i)[0] for i in range(a)]
-        self.vec, self.f_one = fld.exp + [0], 1 << L * lb  # ZERO, the last index, reads 0; f = 1
-        lane, full = (1 << lb) - 1, (1 << 2 * L * lb) - 1
-        keep = full ^ lane << L * lb  # w's m+1 lane must not become g's lane 0
+        self.vec, self.f_one = fld.exp + [0], 1 << (m + 1) * lb  # ZERO, the last index, reads 0; f = 1
+        lane, full = (1 << lb) - 1, (1 << (m + 2) * lb) - 1
         self.loop = []
-        for N in range(m + 1):  # mod Z^N, and w's m+1 lane kept after the last loop only
+        for N in range(m + 1):  # w's m+1 lane kept after the last loop only
             lanes = list(zip(range(a), self.ibar[N], self.l1[N]))
-            self.loop.append((N, N * lb, lanes, full ^ lane << N * lb, keep ^ (lane << (L - 1) * lb if N != m else 0)))
+            self.loop.append((N, lanes, full ^ (lane << (m - N) * lb if N != m else 0)))
         self.delta = Memo(code, _delta)  # tuple(s1) -> (Delta, Chien bound)
 
 
@@ -135,8 +138,8 @@ class BmsState:
     N: int
     s1: list[int]
     c1: list[int]
-    vf: list[int]  # per column: v in lanes 0..m+1, f in lanes m+2..2m+3
-    wg: list[int]  # per column: w in lanes 0..m+1, g in lanes m+2..2m+3
+    vf: list[int]  # per column: v exponent k at lane k-N, f exponent h at lane m+1-N+h
+    wg: list[int]  # per column: w and g the same way, lane m+1-N g's until the last loop
     M: list[int | None] = field(default_factory=list)  # step of last g replacement
     tlabel: list[Mono | None] = field(default_factory=list)  # degree label of g
     invs: int = field(default=0, compare=False)  # division-mode inversions so far
@@ -161,7 +164,8 @@ class LocatorOutput:
 
 
 def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
-    """Step 0: v holds the syndromes up to m.
+    """Step 0: v holds the syndromes up to m in lanes 0..m, f = 1 at lane
+    m+1 and w = 1 at lane 0.
 
     Column i is seeded with the window-i syndrome rows: the coefficient at
     Z^N is u at the unique monomial of pole order N with i <= n2 < i+a.
@@ -195,13 +199,13 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
 def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]]:
     """Step 1 at the current N for the dumps: the discrepancies d^(i) (v
     heads, zero unless s1^(i) <= l^(i), which fails where column i has no
-    l^(i)) and the w heads e^(i).  ``loops`` reads the same heads lane by
-    lane with the same shift, mask and gate."""
-    fld = code.fld
-    log, lane, shift = fld.log, fld.q - 1, state.N * fld.lane_bits
+    l^(i), and zero after the last loop, where v is empty and lane 0 holds
+    f) and the w heads e^(i).  ``loops`` reads the same lane 0 with the
+    same mask and gate."""
+    log, lane, live = code.fld.log, code.fld.q - 1, state.N <= code.m
     l1 = gate_table(code).l1[state.N]
-    d = [log[x >> shift & lane] if s <= l else ZERO for x, s, l in zip(state.vf, state.s1, l1)]
-    return d, [log[x >> shift & lane] for x in state.wg]
+    d = [log[x & lane] if live and s <= l else ZERO for x, s, l in zip(state.vf, state.s1, l1)]
+    return d, [log[x & lane] for x in state.wg]
 
 
 def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iterator[None]:
@@ -209,7 +213,9 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
     after the last; every caller runs BMS through this one generator.
     Each loop is one pass over the lanes: each lane reads its own Step-1
     values (d^(i) off the v head of column i, gated by s1^(i) <= l^(i),
-    and e^(ib) off the w head of column ib) and runs Step 2.
+    and e^(ib) off the w head of column ib, both lane 0) and runs Step 2.
+    The v/f word moves to frame N+1 by one shift, which retires the head;
+    the w/g word stays where it is, which is the Z-shift, under ``keep``.
 
     Lane i pairs column i with ib = ibar(i, N), as one multiplier pair of
     the parallel architecture does: it reads and writes vf and s1 of
@@ -234,13 +240,13 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
     log, lane, lb = fld.log, fld.q - 1, fld.lane_bits
     scale, merge, weight, inv_chain, counted = fld.scale, fld.merge, fld.weight, fld.inv_chain, ctr is not None
     inverse_free = state.mode == INVERSE_FREE
-    for N, shift, lanes, clear, keep in gate_table(code).loop[state.N :]:
+    for N, lanes, keep in gate_table(code).loop[state.N :]:
         yield
         muls = adds = 0
         for i, ib, l in lanes:
             x, y = vf[i], wg[ib]
-            di = log[x >> shift & lane] if s1[i] <= l else ZERO
-            e = log[y >> shift & lane] if inverse_free else 0  # division leaves f unscaled
+            di = log[x & lane] if s1[i] <= l else ZERO
+            e = log[y & lane] if inverse_free else 0  # division leaves f unscaled
             if di == ZERO:
                 new = scale(x, e) if e else x
             elif e:
@@ -254,20 +260,20 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
                     k = weight(y)
                     muls += k
                     adds += k
-            vf[i] = new & clear  # mod Z^N: the consumed head is deleted explicitly
+            vf[i] = new >> lb  # mod Z^N: the head retires
             if di != ZERO and s1[i] < l - c1[ib]:
                 if not inverse_free:
                     x = scale(x, inv_chain(di, ctr))
                     state.invs += 1
                     if counted:
                         muls += weight(x)
-                # f and v are zero at m+1, so shifting after the scale loses
-                # nothing and charges the muls a scale after the shift would
-                wg[ib] = x << lb & keep
+                # the scale charges every lane; ``keep`` then clears v's m
+                # lane, which is w's m+1 in frame N+1
+                wg[ib] = x & keep
                 M[ib], tlabel[ib] = N, (s1[i], i)
                 s1[i], c1[ib] = l - c1[ib], l - s1[i]
             else:
-                wg[ib] = y << lb & keep
+                wg[ib] = y & keep
         if counted:
             ctr.muls += muls
             ctr.adds += adds
@@ -277,22 +283,26 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
 
 def state_record(state: BmsState, code: CodeSpec) -> dict:
     """One dump record: per-i control values, the Step-1 values at the
-    current N, and the (exponent, log) lists of the nonzero coefficients.
-    The ``--dump-state`` and ``--boundary-dumps`` files hold these."""
+    current N, and the (exponent, log) lists of the nonzero coefficients,
+    lanes mapped back to exponents: v and w at lane + N below lane m+1-N,
+    f and g at lane - (m+1-N) from it, and the shared lane g's before the
+    last loop and w's head after it.  The ``--dump-state`` and
+    ``--boundary-dumps`` files hold these."""
     d, e = discrepancies(state, code)
-    terms = code.fld.terms
-    shift = (code.m + 2) * code.fld.lane_bits
-    low = (1 << shift) - 1
+    fld, N = code.fld, state.N
+    terms, up, split = fld.terms, N * fld.lane_bits, (code.m + 1 - N) * fld.lane_bits
+    low = (1 << split) - 1
+    wlow = low | fld.q - 1  # w's lanes: those below the split, and lane 0 after the last loop
     return {
-        "N": state.N,
+        "N": N,
         "s1": state.s1[:],
         "c1": state.c1[:],
         "d": d,
         "e": e,
-        "f": [terms(x >> shift) for x in state.vf],
-        "g": [terms(x >> shift) for x in state.wg],
-        "v": [terms(x & low) for x in state.vf],
-        "w": [terms(x & low) for x in state.wg],
+        "f": [terms(x >> split) for x in state.vf],
+        "g": [terms((y & ~wlow) >> split) for y in state.wg],
+        "v": [terms((x & low) << up) for x in state.vf],
+        "w": [terms((y & wlow) << up) for y in state.wg],
     }
 
 
@@ -332,21 +342,24 @@ def extract_poly(code: CodeSpec, zp: int, deg: Mono, offset: int = 0) -> tuple[i
 
 
 def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
+    """F, G, their leads and the w heads e^(i) off the state at any N: f
+    and g from lane m+1-N, w's head at lane 0, which G leaves out (after
+    the last loop it is the shared lane, e_{m+1}, not g's 0)."""
     fld = code.fld
-    log, lane, lb = fld.log, fld.q - 1, fld.lane_bits
-    shift = (code.m + 2) * lb  # the f and g halves
+    log, lane = fld.log, fld.q - 1
+    split = (code.m + 1 - state.N) * fld.lane_bits
     F, G, lead, head = [], [], [], []
     for i in range(code.curve.a):
-        f = state.vf[i] >> shift
+        f, y = state.vf[i] >> split, state.wg[i]
         F.append(extract_poly(code, f, (state.s1[i], i)))
         if not f & lane:
             raise AssertionError(f"leading coefficient of F^({i}) must stay nonzero")
         lead.append(log[f & lane])
-        head.append(log[state.wg[i] >> state.N * lb & lane])
+        head.append(log[y & lane])
         if state.M[i] is None:  # g has never been replaced, so it is still zero
             G.append((0, -1))
         else:
-            G.append(extract_poly(code, state.wg[i] >> shift, state.tlabel[i], offset=state.N - state.M[i]))
+            G.append(extract_poly(code, (y & ~lane) >> split, state.tlabel[i], offset=state.N - state.M[i]))
     return LocatorOutput(F, G, lead, head, state.mode)
 
 

@@ -61,6 +61,13 @@ def other_elliptic(gf16):
 
 
 @pytest.fixture(scope="session")
+def c57(gf16):
+    """y^5 = alpha^2 x^7 + alpha x over GF(16), genus 12, n = 46: b^-1 = 3
+    mod 5 is neither 1 nor a-1, so the slot rotation is not a plain +-k."""
+    return CodeSpec(CurveSpec(a=5, b=7, e=2, chi={(1, 0): 1}, genus=12), gf16, m=30)
+
+
+@pytest.fixture(scope="session")
 def elliptic_gf512():
     """y^2 + y = x^3 over GF(2^9), n = 512, t = 5: the one code whose field
     needs two-byte lanes."""

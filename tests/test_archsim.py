@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from agbms import CodeSpec, CurveSpec, archsim, bms, cli
+from agbms import CodeSpec, archsim, bms, cli
 from agbms.gf import ZERO, OpCounter
 from conftest import AS_FIELDS, artin_schreier_budget_codes, bundled_error_file, random_generic_pattern, random_pattern
 
@@ -152,13 +152,6 @@ def test_random_oracle_equivalence(elliptic, klein, hermitian):
             locs, vals = random_pattern(code, rng.randint(1, t), rng)
             recv = code.inject_errors(code.zero_word(), locs, vals)
             sim(code, code.syndromes(recv), keep_snapshots=False)  # asserts internally
-
-
-@pytest.fixture(scope="module")
-def c57(gf16):
-    """y^5 = alpha^2 x^7 + alpha x over GF(16), genus 12, n = 46: b^-1 = 3
-    mod 5 is neither 1 nor a-1, so the slot rotation is not a plain +-k."""
-    return CodeSpec(CurveSpec(a=5, b=7, e=2, chi={(1, 0): 1}, genus=12), gf16, m=30)
 
 
 SIM_MODES = {
@@ -426,7 +419,7 @@ def gf512_syndromes(elliptic_gf512):
 @pytest.mark.parametrize("fault", sorted(BOUNDARY_FAULTS))
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
 def test_boundary_faults_named_two_byte_lanes(monkeypatch, elliptic_gf512, gf512_syndromes, arch, fault):
-    # the boundary places each run by shifts of lane_bits, 16 here
+    # the boundary compares words of 16-bit lanes here
     inject, message = BOUNDARY_FAULTS[fault]
     inject(monkeypatch)
     with pytest.raises(AssertionError, match=f"^{arch}: {message}"):
@@ -461,6 +454,26 @@ def test_last_loop_fault_named_at_final_boundary(request, monkeypatch, arch, pre
     _fault_in_last_loop(monkeypatch, line)
     with pytest.raises(AssertionError, match=f"^{arch}: boundary N={code.m + 1} {DIVERGES} {key!r}"):
         archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
+
+
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_shared_wg_register_fault_named(monkeypatch, arch):
+    # the w/g register that w's m+1 and g's exponent 0 share (lane m+1-N of
+    # a w/g word) is g's before the last loop and w's head after it: a value
+    # planted there is named at 'g' at boundary m // 2 and at 'w' at m+1
+    boundary = archsim._Controller._boundary
+    for preset in PRESETS:
+        code, synd = bundled_syndromes(preset)
+        for at, key in ((code.m // 2, "g"), (code.m + 1, "w")):
+
+            def tampered(self, N, vf_words, wg_words, at=at):
+                if N == at:
+                    wg_words[0] ^= 1 << max(0, self.m + 1 - N) * self.lb
+                boundary(self, N, vf_words, wg_words)
+
+            monkeypatch.setattr(archsim._Controller, "_boundary", tampered)
+            with pytest.raises(AssertionError, match=f"^{arch}: boundary N={at} {DIVERGES} {key!r}"):
+                archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
 
 
 def test_boundary_faults_named_under_optimize():
@@ -686,7 +699,7 @@ def test_pair_rows_are_two_product_rows(request, code_name):
     # keeps no pair rows
     base = request.getfixturevalue(code_name)
     code, fld = CodeSpec(base.curve, base.fld, base.m), base.fld
-    _, _, rows, pairs = archsim._tables(code, code.m + 3)
+    _, rows, pairs = archsim._tables(code, code.m + 3)
     if fld.w > 4:
         assert pairs is None
         return
@@ -741,21 +754,14 @@ def reference_stale(m, groups, N, Mj):
     return range(max(1, m + 1 - N), groups if Mj is None else m + 1 - Mj)
 
 
-def reference_placement(m, lb, N):
-    """Boundary N's (lo, vlow, vcut, vhi, wlow, wcut, whi), written out in
-    lanes as the reference for the placement tables."""
-    vs, ws = m + 1 - N, max(1, m + 1 - N)
-    return N * lb, (1 << vs * lb) - 1, vs * lb, (m + 2) * lb, (1 << ws * lb) - 1, ws * lb, (N + ws + 1) * lb
-
-
 @pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
 def test_controller_tables_equal_their_definitions(request, code_name):
     # every simulator's group count (m+3 for the inverse-free and serial
     # lines, m+4 for the serial inverse-free one): each mask of loop N and
     # last replacement Mj clears exactly the lanes of the groups zero-set at
-    # loop N+1, Mj = -1 (never replaced) is the last entry, and each
-    # boundary's placement is the written-out one; both counts share the
-    # code's one table of product rows
+    # loop N+1 and Mj = -1 (never replaced) is the last entry; both counts
+    # share the code's one table of product rows, and a table holds nothing
+    # else, since the boundary compares register words as they stand
     base = request.getfixturevalue(code_name)
     code, m, lb = CodeSpec(base.curve, base.fld, base.m), base.m, base.fld.lane_bits
     synd = code.syndromes(code.zero_word())
@@ -765,15 +771,14 @@ def test_controller_tables_equal_their_definitions(request, code_name):
     assert counts == [m + 3, m + 4]
     lane = (1 << lb) - 1
     for groups in counts:
-        zero, place, rows = code.tables["archsim", groups]
-        assert len(zero) == m + 1 and len(place) == m + 2 and rows is code.tables["archsim", "rows"]
+        zero, rows = code.tables["archsim", groups]
+        assert len(zero) == m + 1 and rows is code.tables["archsim", "rows"]
         for N, row in enumerate(zero):
             assert len(row) == m + 2
             for Mj in [*range(m + 1), -1]:
                 stale = reference_stale(m, groups, N + 1, None if Mj < 0 else Mj)
                 assert archsim._stale(m, groups, N + 1, Mj) == stale
                 assert row[Mj] == ~sum(lane << g * lb for g in stale), (groups, N, Mj)
-        assert place == [reference_placement(m, lb, N) for N in range(m + 2)]
 
 
 @pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])

@@ -76,7 +76,8 @@ def test_init_zero_syndromes(elliptic):
     synd = elliptic.syndromes(elliptic.zero_word())
     st = bms.init_state(elliptic, synd, bms.INVERSE_FREE)
     assert bms.state_record(st, elliptic)["v"] == [[], []]
-    assert st.vf == [1 << (elliptic.m + 2) * elliptic.fld.lane_bits] * 2  # v = 0, f = 1
+    assert st.vf == [1 << (elliptic.m + 1) * elliptic.fld.lane_bits] * 2  # v = 0, f = 1 at lane m+1
+    assert st.wg == [1, 1]  # w = 1 at lane 0, g = 0
 
 
 def test_init_requires_full_table(elliptic, elliptic_golden):
@@ -89,9 +90,9 @@ def test_init_requires_full_table(elliptic, elliptic_golden):
 
 def test_init_state_gathers_every_window(elliptic, klein, hermitian, elliptic_gf512):
     # the gathered seed holds, in v lane h of column i, u at the window-i
-    # monomial of pole order h (zero at a gap) and f = 1, on one- and
-    # two-byte lanes; every syndrome index is read, so dropping any one
-    # raises ValueError naming it
+    # monomial of pole order h (zero at a gap) and f = 1 at lane m+1, the
+    # top lane of the m+2-lane v/f word, on one- and two-byte lanes; every
+    # syndrome index is read, so dropping any one raises ValueError naming it
     rng = random.Random(3)
     for code in (elliptic, klein, hermitian, elliptic_gf512):
         cv, fld, L = code.curve, code.fld, code.m + 2
@@ -99,8 +100,9 @@ def test_init_state_gathers_every_window(elliptic, klein, hermitian, elliptic_gf
         st = bms.init_state(code, synd, bms.INVERSE_FREE)
         for i in range(cv.a):
             window = [cv.l_of(i, h) for h in range(code.m + 1)]
-            want = [ZERO if l is None else synd[l] for l in window] + [ZERO]
-            assert fld.unpack(st.vf[i], 2 * L) == [fld.to_vec(c) for c in want] + [1] + [0] * (L - 1)
+            want = [ZERO if l is None else synd[l] for l in window]
+            assert fld.unpack(st.vf[i], L) == [fld.to_vec(c) for c in want] + [1]
+            assert st.vf[i] >> L * fld.lane_bits == 0 and st.wg[i] == 1
         for l in code.syndrome_domain:
             with pytest.raises(ValueError, match=rf"^syndrome table missing u_{re.escape(str(l))}$"):
                 bms.init_state(code, {k: v for k, v in synd.items() if k != l}, bms.DIVISION)
@@ -346,17 +348,79 @@ def test_window_invariants(elliptic, elliptic_golden):
     for N, _ in zip(range(m + 1), loops):
         rec = bms.state_record(st, elliptic)
         for i in range(2):
-            # two polynomials of m+2 lanes each per packed line
-            assert max(st.vf[i].bit_length(), st.wg[i].bit_length()) <= 2 * (m + 2) * lb
+            # the registers of the v/f line (m+2) and of the w/g line (m+3)
+            assert st.vf[i].bit_length() <= (m + 2) * lb
+            assert st.wg[i].bit_length() <= (m + 3) * lb
             assert all(N <= h <= m for h, _ in rec["v"][i])
             # so the m+1 head appears only after the last loop
             assert all(N <= h <= m for h, _ in rec["w"][i])
             assert all(h <= N for h, _ in rec["f"][i])
-            assert all(h <= N for h, _ in rec["g"][i])
+            # g = Z * (an earlier f), so its exponent 0, the lane w's m+1
+            # shares, stays zero
+            assert all(1 <= h <= N for h, _ in rec["g"][i])
     next(loops)  # loop m, which the zip leaves unrun
     assert st.N == m + 1
+    assert all(x.bit_length() <= (m + 2) * lb for x in st.vf)
+    assert all(y.bit_length() <= (m + 3) * lb for y in st.wg)
     final = bms.state_record(st, elliptic)
     assert all(final["w"][i][-1][0] == m + 1 for i in range(2))  # e_{m+1} for the error values
+
+
+@pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "other_elliptic", "c57", "elliptic_gf512"])
+def test_final_record_reads_no_discrepancy(request, code_name):
+    # after the last loop v is empty and lane 0 of each v/f word holds f's
+    # constant term, so the final record's d is all ZERO whatever the gate
+    # table reads at N = m+1; the seeded runs reach columns whose gate
+    # passes there with a nonzero f constant, which a read of lane 0
+    # would report as a discrepancy
+    code = request.getfixturevalue(code_name)
+    a, lane, l1 = code.curve.a, code.fld.q - 1, bms.gate_table(code).l1[code.m + 1]
+    rng, exposed = random.Random(f"final-d/{code_name}"), 0
+    for k in range(2 * (code.t_generic + 3)):
+        locs, vals = random_pattern(code, k // 2, rng, affine_only=False)
+        synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+        for mode in (bms.INVERSE_FREE, bms.DIVISION):
+            st, recs = bms.run(code, synd, mode, record=True)
+            assert (recs[-1]["N"], recs[-1]["d"]) == (code.m + 1, [ZERO] * a), (mode, locs, vals)
+            exposed += sum(s <= l and x & lane != 0 for x, s, l in zip(st.vf, st.s1, l1))
+    assert exposed > 0
+
+
+@pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
+def test_shared_wg_lane(request, code_name):
+    # w/g lane m+1-N is one register for w's m+1 and g's exponent 0: a
+    # value planted there before the last loop is g's in the record, and
+    # nothing else of the record moves; after the last loop the lane holds
+    # e_{m+1}, the record's w head and ``LocatorOutput.head_e``, and G
+    # leaves it out, where the support check would reject it (G sits N - M
+    # >= 1 lanes up, so its exponent 0 is no basis slot)
+    code = request.getfixturevalue(code_name)
+    fld, m, a = code.fld, code.m, code.curve.a
+    locs, vals = random_generic_pattern(code, code.t_generic, random.Random(f"shared/{code_name}"))
+    synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+    for mode in (bms.INVERSE_FREE, bms.DIVISION):
+        st = bms.init_state(code, synd, mode)
+        for _ in bms.loops(st, code):
+            if st.N > m:
+                break
+            rec = bms.state_record(st, code)
+            for i in range(a):
+                planted = copy.deepcopy(st)
+                planted.wg[i] ^= 1 << (m + 1 - st.N) * fld.lane_bits  # alpha^0
+                got = bms.state_record(planted, code)
+                assert got["g"][i] == [(0, 0)] + rec["g"][i], (mode, st.N, i)
+                got["g"][i] = rec["g"][i]
+                assert got == rec, (mode, st.N, i)
+        rec, out = bms.state_record(st, code), bms.extract_locators(st, code)
+        replaced = [i for i in range(a) if st.M[i] is not None]
+        assert replaced
+        for i in range(a):
+            assert rec["w"][i][-1] == (m + 1, rec["e"][i]) == (m + 1, out.head_e[i]) and rec["e"][i] != ZERO
+        for i in replaced:
+            offset = st.N - st.M[i]
+            assert fld.terms(out.G[i][0]) == [(h - offset, c) for h, c in rec["g"][i]], (mode, i)
+            with pytest.raises(AssertionError, match="^coefficients outside the monomial support"):
+                bms.extract_poly(code, st.wg[i], st.tlabel[i], offset)
 
 
 def test_extract_poly_raises_under_optimize():
@@ -374,7 +438,7 @@ def test_extract_poly_raises_under_optimize():
         except AssertionError as exc:
             print("stray:", exc)
         st = bms.init_state(code, code.syndromes(code.zero_word()), bms.INVERSE_FREE)
-        st.vf[1] &= (1 << (code.m + 2) * code.fld.lane_bits) - 1  # f^(1) = 0
+        st.vf[1] &= (1 << (code.m + 1) * code.fld.lane_bits) - 1  # f^(1) = 0: lanes m+1-N.. at N = 0
         try:
             bms.extract_locators(st, code)
         except AssertionError as exc:
@@ -503,9 +567,10 @@ def test_op_counts_complete_and_repeatable(
 
 
 def reference_masks(code, N):
-    """The AND masks of loop N, written out: the one that deletes the
-    consumed v head (mod Z^N) and the one that keeps a shifted w and g in
-    their halves (w's m+1 lane dropped, but after the last loop)."""
+    """The AND masks of loop N in the absolute layout, written out: the one
+    that deletes the consumed v head (mod Z^N) and the one that keeps a
+    shifted w and g in their halves (w's m+1 lane dropped, but after the
+    last loop)."""
     lb, L = code.fld.lane_bits, code.m + 2
     lane, full = (1 << lb) - 1, (1 << 2 * L * lb) - 1
     keep = full ^ lane << L * lb
@@ -514,16 +579,56 @@ def reference_masks(code, N):
     return full ^ lane << N * lb, keep
 
 
+def absolute(state, code):
+    """A copy of a ``bms`` state in the absolute layout, lane = exponent:
+    v (w) in lanes 0..m+1 and f (g) in lanes m+2..2m+3 of one word.  In
+    the state's register layout v (w) exponent k sits at lane k-N and f (g)
+    exponent h at lane m+1-N+h; w/g lane m+1-N is g's exponent 0 before
+    the last loop and w's head m+1 after it.  Unpacking to m+2 v/f lanes
+    and m+3 w/g lanes fails on a wider word."""
+    fld, m, N = code.fld, code.m, state.N
+    L = m + 2
+
+    def convert(x, n, head):
+        lanes = fld.unpack(x, n)
+        low, high = lanes[: m + 1 - N + head], lanes[m + 1 - N + head :]
+        return fld.pack([0] * N + low + [0] * (L - N - len(low)) + [0] * head + high)
+
+    head = int(N > m)
+    return bms.BmsState(
+        state.mode,
+        N,
+        state.s1[:],
+        state.c1[:],
+        [convert(x, L, 0) for x in state.vf],
+        [convert(y, L + 1, head) for y in state.wg],
+        state.M[:],
+        state.tlabel[:],
+        state.invs,
+    )
+
+
+def reference_heads(state, code):
+    """Step 1 on a state in the absolute layout: each d^(i) off the v lane
+    at exponent N, gated by s1^(i) <= l^(i), and each e^(i) off the w lane
+    at exponent N; after the last loop v's lane m+1 is always zero."""
+    fld, shift, lane = code.fld, state.N * code.fld.lane_bits, code.fld.q - 1
+    l1 = bms.gate_table(code).l1[state.N]
+    d = [fld.from_vec(x >> shift & lane) if s <= l else ZERO for x, s, l in zip(state.vf, state.s1, l1)]
+    return d, [fld.from_vec(y >> shift & lane) for y in state.wg]
+
+
 def reference_step(state, code, ctr=None):
-    """The two-pass N-loop ``bms.loops`` replaced: Step 1 for every column
-    through ``bms.discrepancies``, then Step 2 lane by lane.  Kept as the
-    oracle the one-pass loop must equal."""
+    """The two-pass N-loop ``bms.loops`` replaced, on a state in the
+    absolute layout (``absolute``): Step 1 for every column
+    (``reference_heads``), then Step 2 lane by lane.  Kept as the oracle
+    the one-pass loop must equal."""
     fld, cv = code.fld, code.curve
     N, lb = state.N, fld.lane_bits
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
     inverse_free = state.mode == bms.INVERSE_FREE
-    d, e = bms.discrepancies(state, code)
     l1 = bms.gate_table(code).l1[N]
+    d, e = reference_heads(state, code)
     clear, keep = reference_masks(code, N)
     muls = adds = 0
     for i in range(cv.a):
@@ -555,21 +660,24 @@ def reference_step(state, code, ctr=None):
 
 def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8, monkeypatch):
     # the one-pass loop reads each lane's d and e where it updates the lane;
-    # after every N its state and counts equal the two-pass reference's, on
-    # one- and two-byte lanes, so Step 1 keeps the one definition of
-    # ``bms.discrepancies``.  A run without a counter leaves the same state,
-    # its inversion tally included, and an inverse-free loop makes one
-    # product per lane whose e is not alpha^0 or whose d is nonzero: one
-    # ``GF.merge`` where both hold, else one ``GF.scale``; division mode
-    # never merges.  The gate table's per-loop tuples hold ibar, the gate
-    # and the masks written out here
+    # after every N its state, converted to the absolute layout, and its
+    # counts equal the two-pass reference's, on one- and two-byte lanes, and
+    # ``bms.discrepancies`` gives the d and e the reference reads.  A run
+    # without a counter leaves the same state, its inversion tally
+    # included, and an inverse-free loop makes one product per lane whose e
+    # is not alpha^0 or whose d is nonzero: one ``GF.merge`` where both
+    # hold, else one ``GF.scale``; division mode never merges.  The gate
+    # table's per-loop tuples hold ibar, the gate and the w/g mask written
+    # out here: w's m+1 lane, lane m-N of frame N+1, cleared but in loop m
     rng = random.Random(17)
     for code in (elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8):
-        cv, gates, lb = code.curve, bms.gate_table(code), code.fld.lane_bits
-        for N in range(code.m + 2):
+        cv, gates, lb, m = code.curve, bms.gate_table(code), code.fld.lane_bits, code.m
+        for N in range(m + 2):
             assert gates.l1[N] == [-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(cv.a)]
-        lanes = [[(i, cv.ibar(i, N), gates.l1[N][i]) for i in range(cv.a)] for N in range(code.m + 1)]
-        assert gates.loop == [(N, N * lb, lanes[N], *reference_masks(code, N)) for N in range(code.m + 1)]
+        lanes = [[(i, cv.ibar(i, N), gates.l1[N][i]) for i in range(cv.a)] for N in range(m + 1)]
+        full, lane = (1 << (m + 2) * lb) - 1, (1 << lb) - 1
+        keep = [full if N == m else full ^ lane << (m - N) * lb for N in range(m + 1)]
+        assert gates.loop == [(N, lanes[N], keep[N]) for N in range(m + 1)]
         fld, calls = code.fld, []
         scale, merge = fld.scale, fld.merge
 
@@ -587,13 +695,15 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
             locs, vals = random_pattern(code, k // 2, rng, affine_only=False)
             synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
             for mode in (bms.INVERSE_FREE, bms.DIVISION):
-                st, ref, bare = (bms.init_state(code, synd, mode) for _ in range(3))
+                st, bare = (bms.init_state(code, synd, mode) for _ in range(2))
+                ref = absolute(st, code)
                 ctr, ref_ctr = OpCounter(), OpCounter()
                 counted, uncounted = bms.loops(st, code, ctr), bms.loops(bare, code)
                 next(counted), next(uncounted)  # to the yield before loop 0
                 while st.N <= code.m:
                     d, e = bms.discrepancies(bare, code)
-                    pairs = [(d[i], e[ib]) for i, ib, _ in gates.loop[st.N][2]]  # each lane's d and e
+                    assert (d, e) == reference_heads(ref, code), (code.curve, mode, locs, vals, st.N)
+                    pairs = [(d[i], e[ib]) for i, ib, _ in gates.loop[st.N][1]]  # each lane's d and e
                     calls.clear()
                     next(uncounted)
                     if mode == bms.INVERSE_FREE:
@@ -603,10 +713,11 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
                         assert "merge" not in calls
                     next(counted)
                     reference_step(ref, code, ref_ctr)
-                    assert st == ref, (code.curve, mode, locs, vals, st.N)
+                    assert absolute(st, code) == ref, (code.curve, mode, locs, vals, st.N)
                     assert ctr == ref_ctr, (code.curve, mode, locs, vals, st.N)
                     assert (bare, bare.invs) == (st, st.invs), (code.curve, mode, locs, vals, st.N)
                 assert (next(counted, "end"), next(uncounted, "end")) == ("end", "end")  # no loop past m
+                assert bms.discrepancies(st, code) == reference_heads(ref, code)  # d all ZERO at m+1
                 assert st.invs == ctr.invs
         monkeypatch.undo()  # the wrapper reads this code's scale and calls
 

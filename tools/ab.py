@@ -20,6 +20,11 @@ same passes (each op is timed, and a preset's time is the sum over its ops).
 Times are process CPU time (``time.process_time``), not wall time: on a
 shared 2-core virtual machine wall time also counts the steal time other
 guests take, which moves from pass to pass and would blur a paired ratio.
+
+The A/A floor: one tree against itself, 10 pairs on ``decode_generic``
+(seed 1, shared 2-core Intel Xeon VM), read x1.008 with the "change"
+winning 8/10 pairs.  So a ratio under about 2% read off one 10-pair run
+is not a measured change, however many pairs it wins.
 """
 
 from __future__ import annotations
