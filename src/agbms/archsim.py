@@ -57,20 +57,23 @@ Zero-setting: a recirculated w/g value whose slot would fall between the
 live w window and the pinned g window next loop is replaced by zero at the
 line input, otherwise stale values would corrupt the f updates.
 
-Register words: a datapath computes one N-loop at a time and holds each
-line as one packed int of ``gf`` lanes, register p counted from the output
-end in lane p; a line gives one register and takes one per clock, so over a
-loop it gives its lanes in order and the lanes it takes line up behind
-them.  An inverse-free block holds a v/f word and a w/g word; the serial
-datapaths hold one v/f word and one w/g word per slot (stride a of the
-interleaved line: slot k of group g is phase g*a + k), the v/f one of
-G-1 = m+2+c_v/a groups covering the line, the FIFO and the exchange
-register, the w/g one of G = P/a groups.
+Register words: the controller holds each line as one packed int of ``gf``
+lanes per column, as ``bms.BmsState`` holds them, register p counted from
+the output end in lane p; a line gives one register and takes one per
+clock, so over a loop it gives its lanes in order and the lanes it takes
+line up behind them.  A column's w/g word has G groups, the clocks a lane
+takes per loop, and its v/f word G-1: G = P for an inverse-free block; on
+the serial line a column is one slot (stride a: slot k of group g is phase
+g*a + k), G = P/a, and its v/f word covers the line, the FIFO and the
+exchange register.
 
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
-at one multiplier pair in loop N.  ``_Controller.lane`` is the one lane
-rule.  It reads the v head and the w head as lane 0 of the words its
+at one multiplier pair in loop N.  ``_Controller.run(slots, fold, keep)``
+runs every loop of every simulator: in loop N lane k pairs v/f column i
+with w/g column j, (i, j) = slots[N][k], hands ``_Controller.lane`` their
+words and stores what it returns on the same columns.  ``lane`` is the one
+lane rule.  It reads the v head and the w head as lane 0 of the words its
 columns give and latches d (behind the one gate comparison of
 ``bms.loops``) and e (d^-1 too in division mode) as product rows: a table
 per constant mapping every bit-vector v to vec(c*v), built from the
@@ -96,10 +99,12 @@ mode, ANDed with ``zero[N][M_j]``, which clears the groups zero-set one
 loop ahead.  That mask table is kept per code and per group count
 (``_tables``), built once from ``_stale``, the one rule for those groups,
 with -1 where there are none, so a column never replaced (M_j = -1) reads
-the last entry of its row.  ``loops`` charges every lane's vm v/f
+the last entry of its row.  ``run`` charges every lane's vm v/f
 multipliers at each group past the head once per loop and sets each
 lane's peak to vm; a lane adds only a division update's w/g multipliers,
-one at every group it does not zero-set, and its peak of vm+1.  A
+one at every group it does not zero-set, and its peak of vm+1; ``fold``
+turns the loop's peaks into its multipliers per clock: ``sum`` for the
+parallel blocks, ``max`` for the one shared multiplier pair.  A
 multiplier whose constant is 0 or alpha^0 makes no map, so a lane that
 latches d = 0 and e = alpha^0 is a plain shift; the boundary check thus
 still compares two multipliers on every constant but 0 and alpha^0, where
@@ -107,40 +112,39 @@ still compares two multipliers on every constant but 0 and alpha^0, where
 multiplier pair, built from this module's product rows, so the check
 compares it with ``GF.merge``, not with itself.
 
-A datapath keeps only its wiring -- line lengths, which column sits on
-which slot, and the rotation -- and hands each lane its words.
-``sim_inverse_free`` hands over each block's words.  ``_sim_serial_core``
-hands lane k the words of slot k; the slot rule, the exchange register and
-the FIFO reduce to a rotation of the v/f slot words: after loop N, slot k
-holds lane k+1's v/f inputs and slot a-1 lane 0's, which wrap through the
-exchange register (a one-place shift of the slot-0 column) and the FIFO;
-each lane's w/g inputs stay on its slot.  ``loops`` counts each loop's P
-clocks.  At a boundary a datapath hands over each column's words (the
-serial ones read off the slot table), and the controller compares them, as
-they stand, with the reference state's: a register word and a ``bms``
-word share one layout, register p in lane p, so nothing is placed, packed
-or unpacked.  That equality is the whole check: the reference holds zero
-on every lane of a zero-set group or of a group past the top exponent, so
-a register left nonzero there diverges at f or g.
+A datapath keeps only its wiring -- line lengths, its slot table and its
+layout -- and hands them to the controller.  ``sim_inverse_free`` puts
+lane i on block i, with the pair (i, ibar(i, N)).  ``_sim_serial_core``'s
+slot table is the slot rule, which is only the order of the lanes: the
+exchange register and the FIFO rotate the v/f slots, so after loop N slot
+k carries the column of slot k+1 and slot a-1 lane 0's, which wraps
+through the exchange register (a one-place shift of the slot-0 column) and
+the FIFO; each w/g slot keeps its column.  ``run`` counts each loop's P
+clocks.  At a boundary the controller compares its live column words, as
+they stand, with the reference state's: a register word and a ``bms`` word
+share one layout, register p in lane p, so nothing is placed, packed or
+unpacked.  That equality is the whole check: the reference holds zero on
+every lane of a zero-set group or of a group past the top exponent, so a
+register left nonzero there diverges at f or g.
 
 Snapshots are kept only on request (``keep_snapshots=True``, as
-``trace-arch`` asks).  A kept run unpacks each loop's words into what each
-line gives then takes over the loop, about twice its registers; what a line
-gives is what it took the loop before, so each word is unpacked once and
-carried forward.  ``_Controller.snapshot`` keeps one record per loop -- its
-first clock, each line as that sequence with where its registers start in it
-and how many it has, and the loop's switch function; ``ArchTrace.clocks``,
-the one clock-window rule, reads the registers after clock t as the slice
+``trace-arch`` asks).  A kept run stores packed data only, as the run holds
+it: per loop, the column words before and after it and its switch values
+(``_Controller.updates``).  ``ArchTrace.clocks`` is the one place that
+builds register windows.  It unpacks each boundary once and hands the
+columns before and after each loop to the datapath's layout
+(``ArchTrace.layout``), which names each line as what it gives then what it
+takes over the loop, with where its registers start in that sequence and
+how many it has; the registers after clock t are the slice
 [t+1+first : t+1+first+length].  The serial FIFO starts past the line's L
 registers in the same sequence, and the exchange register is its held
 values, each repeated a times, starting at -1.  No per-clock container is
-built until ``clocks`` is iterated; a switch function binds its own loop's
-values, since the controller sets its switches again every loop.
+built until ``clocks`` is iterated.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import lshift
@@ -175,8 +179,12 @@ class ArchTrace:
     is the ``bms.BmsState`` of every boundary checked, replayed the first
     time one is read (``_Replay``); each equals the run's register state
     there, since its check passed.  ``snapshots`` holds one record per
-    kept loop (``_Controller.snapshot``); ``clocks`` reads them clock by
-    clock."""
+    kept loop, written by ``_Controller.run``: the (v/f, w/g) column words
+    before and after the loop, packed, and its switch values.  ``layout``
+    is the datapath's (unpack, G, lines): a boundary's v/f words unpack to
+    G-1 lanes and its w/g words to G, and lines(N, gave, took, updates)
+    gives loop N's lines and switch function from the unpacked columns
+    before and after it.  ``clocks`` reads the records clock by clock."""
 
     architecture: str
     period: int
@@ -184,20 +192,30 @@ class ArchTrace:
     total_clocks: int = 0
     boundary_states: Sequence[bms.BmsState] = field(default_factory=list)
     snapshots: list[tuple] = field(default_factory=list)
+    layout: tuple = field(default=(), compare=False)
     mult_uses: int = 0
     inv_uses: int = 0
     max_mults_per_clock: int = 0
 
     def clocks(self) -> Iterator[dict]:
         """The registers and switch states after every kept clock, built
-        as they are read.  A line is (what it gives then what it takes,
-        first, length): after clock t of its loop it holds the slice
-        [t+1+first : t+1+first+length], what it has not yet given and then
-        what it took; ``switches(t)`` gives the switch states."""
-        for start, lines, switches in self.snapshots:
+        as they are read, with each boundary unpacked once.  A line is
+        (what it gives then what it takes, first, length): after clock t
+        of its loop it holds the slice [t+1+first : t+1+first+length],
+        what it has not yet given and then what it took; ``switches(t)``
+        gives the switch states."""
+        unpack, G, lines = self.layout
+
+        def columns(vf: list[int], wg: list[int]) -> tuple[list[list[int]], list[list[int]]]:
+            return [unpack(x, G - 1) for x in vf], [unpack(y, G) for y in wg]
+
+        took = columns(*self.snapshots[0][0]) if self.snapshots else None
+        for N, (_, after, updates) in enumerate(self.snapshots):
+            gave, took = took, columns(*after)
+            regs, switches = lines(N, gave, took, updates)
             for t in range(self.period):
-                regs = {name: s[t + 1 + first : t + 1 + first + n] for name, (s, first, n) in lines.items()}
-                yield {"clock": start + t, "registers": regs, "switches": switches(t)}
+                window = {name: s[t + 1 + first : t + 1 + first + n] for name, (s, first, n) in regs.items()}
+                yield {"clock": N * self.period + t, "registers": window, "switches": switches(t)}
 
 
 @dataclass
@@ -320,7 +338,7 @@ class _Controller:
         """The v/f and w/g words of every column before loop 0: column i
         holds the syndromes at the v lanes of its seed (the ``bms`` gate
         table), then f = 1 at lane m+1; w = 1."""
-        u, vec, f_one = self.synd.__getitem__, self.gates.vec.__getitem__, 1 << (self.m + 1) * self.lb
+        u, vec, f_one = self.synd.__getitem__, self.gates.vec.__getitem__, self.gates.f_one
         vf = [sum(map(lshift, map(vec, map(u, ls)), shifts)) | f_one for shifts, ls in self.gates.seed]
         return vf, [1] * len(vf)
 
@@ -330,7 +348,7 @@ class _Controller:
         head group, from the v head (lane 0 of x) and the w head (lane 0 of
         y), it latches d and e, sets the switch, updates the degrees and
         M_j in place (exact for the reason given in ``bms.loops``) and
-        charges a division update's w/g multipliers (``loops`` charges the
+        charges a division update's w/g multipliers (``run`` charges the
         rest); d passes the gate ``bms.loops`` makes, s1^(i) <= l^(i) on the
         gate table, whose -1 at a gap fails it.  It returns the words of the
         v/f inputs e*x ^ d*y over the groups past the head and of the w/g
@@ -367,27 +385,33 @@ class _Controller:
             return self.map((x | y << 4) >> lb, self.pairs[e, d]), w
         return self.map(x >> lb, rows[e]) ^ self.map(y >> lb, rows[d]), w
 
-    def snapshot(self, N: int, lines: dict[str, tuple[list[int], int, int]], switches) -> None:
-        """Keep loop N as one record: its first clock, its lines (what each
-        gives then what it takes, first, length) and ``switches``, a
-        function of the clock t in the loop bound to this loop's values;
-        ``ArchTrace.clocks`` reads the windows."""
-        self.trace.snapshots.append((N * self.trace.period, lines, switches))
-
-    def loops(self, readback) -> Iterator[int]:
-        """Loop indices 0..m, with a boundary check before each loop and
-        after the last; ``readback(N)`` gives the v/f and w/g words of every
-        column.  Each loop counts its P clocks and every lane's vm v/f
-        multipliers at each group past the head, and sets each lane's peak
-        to vm; a lane adds only a division update's w/g multipliers."""
-        a, vm = len(self.peak), self.vm
-        for N in range(self.m + 2):
-            self._boundary(N, *readback(N))
-            if N <= self.m:
-                self.trace.total_clocks += self.trace.period
-                self.trace.mult_uses += a * vm * (self.groups - 1)
-                self.peak = [vm] * a
-                yield N
+    def run(self, slots: Iterable[Iterable[tuple[int, int]]], fold: Callable, keep: bool) -> ArchTrace:
+        """Every loop of the run, with a boundary check before each loop
+        and after the last, on the column words as they stand.  In loop N
+        lane k pairs v/f column i with w/g column j, (i, j) = slots[N][k],
+        for N = 0..m; its inputs go to the same two columns.  Each loop
+        counts its P clocks and every lane's vm v/f multipliers at each
+        group past the head, and sets each lane's peak to vm (a lane adds
+        only a division update's w/g multipliers); ``fold`` of the peaks is
+        the loop's multipliers per clock.  A kept run (``keep``) appends
+        each loop's record to ``trace.snapshots``: the words before and
+        after the loop and its switch values, none unpacked."""
+        trace, a, vm = self.trace, len(self.peak), self.vm
+        vf, wg = self.initial_registers()
+        for N, pairs in enumerate(slots):
+            self._boundary(N, vf, wg)
+            trace.total_clocks += trace.period
+            trace.mult_uses += a * vm * (self.groups - 1)
+            self.peak = [vm] * a
+            took_vf, took_wg = [0] * a, [0] * a
+            for k, (i, j) in enumerate(pairs):
+                took_vf[i], took_wg[j] = self.lane(N, k, i, j, vf[i], wg[j])
+            trace.max_mults_per_clock = max(trace.max_mults_per_clock, fold(self.peak))
+            if keep:
+                trace.snapshots.append(((vf, wg), (took_vf, took_wg), self.updates[:]))
+            vf, wg = took_vf, took_wg
+        self._boundary(self.m + 1, vf, wg)
+        return trace
 
     def _boundary(self, N: int, vf: list[int], wg: list[int]) -> None:
         """Advance the reference BMS run to loop N (the controller's one
@@ -421,34 +445,21 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     P, V = m + 3, m + 2
     trace = ArchTrace(INVERSE_FREE, P, RegisterFile(vf=a * V, wg=a * P, disc_regs=a, head_regs=a))
     ctl = _Controller(trace, code, synd, bms.INVERSE_FREE, P)
-    unpack = code.fld.unpack
+    ibar = ctl.gates.ibar  # lane i is block i; the w/g column j = ibar(i, N) is homed there in loop N
 
-    # one v/f line per block; the w/g lines are indexed by the logical w/g
-    # column j, physically homed at block ibar(j, N) for the current loop.
-    # Every line stands in exponent-group order at a boundary, so the
-    # readback hands the live words over.
-    vf, wg = ctl.initial_registers()
-    if keep_snapshots:  # what the lines give; each later loop unpacks only what they take
-        gave_vf, gave_wg = [unpack(x, V) for x in vf], [unpack(y, P) for y in wg]
-
-    for N in ctl.loops(lambda N: (vf, wg)):
+    def lines(N: int, gave: tuple, took: tuple, updates: list[bool]) -> tuple[dict, Callable]:
         # a v/f line gives its V registers, then the 0 it took at clock 0
         # (the head retired, mod Z^N); a w/g line gives its P registers and
         # takes them back (the one-exponent relabel is free) or the updated
         # column (switch B)
-        took_vf, took_wg, ibar = [0] * a, [0] * a, ctl.gates.ibar[N]
-        for i, j in enumerate(ibar):
-            took_vf[i], took_wg[j] = ctl.lane(N, i, i, j, vf[i], wg[j])
-        trace.max_mults_per_clock = max(trace.max_mults_per_clock, sum(ctl.peak))
-        if keep_snapshots:
-            updates = {f"block{i}.update": upd for i, upd in enumerate(ctl.updates)}
-            took_v, took_w = [unpack(x, V) for x in took_vf], [unpack(y, P) for y in took_wg]
-            lines = {f"block{i}.vf": (gave_vf[i] + [0] + took_v[i], 0, V) for i in range(a)}
-            lines |= {f"block{i}.wg": (gave_wg[j] + took_w[j], 0, P) for i, j in enumerate(ibar)}
-            ctl.snapshot(N, lines, lambda t, updates=updates: {"disc_latch_down": t == 0, **updates})
-            gave_vf, gave_wg = took_v, took_w
-        vf, wg = took_vf, took_wg
-    return trace
+        (gave_v, gave_w), (took_v, took_w) = gave, took
+        regs = {f"block{i}.vf": (gave_v[i] + [0] + took_v[i], 0, V) for i in range(a)}
+        regs |= {f"block{i}.wg": (gave_w[j] + took_w[j], 0, P) for i, j in enumerate(ibar[N])}
+        ups = {f"block{i}.update": upd for i, upd in enumerate(updates)}
+        return regs, lambda t: {"disc_latch_down": t == 0, **ups}
+
+    trace.layout = code.fld.unpack, P, lines
+    return ctl.run(map(enumerate, ibar), sum, keep_snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -466,70 +477,40 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
     # the (v/f, w/g) columns on slot k in loop N: one v/f slot rotation per
     # loop (slot k of loop N+1 is slot k+1 of loop N), and w/g slot k holds
     # ibar of v/f slot k, the same column in every loop
-    slots = [[(cv.b_inv * (N + k) % a, -cv.b_inv * k % a) for k in range(a)] for N in range(m + 2)]
+    slots = [[(cv.b_inv * (N + k) % a, -cv.b_inv * k % a) for k in range(a)] for N in range(m + 1)]
 
     L = a * (m + 2) - 1
     trace = ArchTrace(arch, P, RegisterFile(vf=L, wg=P, disc_regs=a, head_regs=a, exch_regs=1, supp_regs=2 * c_v))
     ctl = _Controller(trace, code, synd, mode, G)
-    unpack = code.fld.unpack
 
-    def interleave(cols: list[list[int]]) -> list[int]:
+    def interleave(cols: list[list[int]], order) -> list[int]:
         """The registers of one line, slot k of group g at phase g*a + k:
-        value g of slot k's column cols[k]."""
+        value g of column order[k]."""
         line = [0] * (a * len(cols[0]))
-        for k, col in enumerate(cols):
-            line[k::a] = col
+        for k, i in enumerate(order):
+            line[k::a] = cols[i]
         return line
 
-    def lanes(words: list[int], n: int) -> list[int]:
-        """The registers of a line of n groups held as one word per slot."""
-        return interleave([unpack(x, n) for x in words])
-
-    # one word per slot: the v/f path (line, supplementary FIFO and exchange
-    # register, G-1 groups) and the w/g line (G groups)
-    vregs, wregs = ctl.initial_registers()
-    vs, ws = [vregs[i] for i, _ in slots[0]], [wregs[j] for _, j in slots[0]]
-    if keep_snapshots:  # what the lines give; each later loop unpacks only what they take
-        v_gave, w_gave = lanes(vs, G - 1), lanes(ws, G)
-
-    def readback(N: int):
-        vf, wg = [0] * a, [0] * a
-        for k, (i, j) in enumerate(slots[N]):
-            vf[i], wg[j] = vs[k], ws[k]
-        return vf, wg
-
-    for N in ctl.loops(readback):
+    def lines(N: int, gave: tuple, took: tuple, updates: list[bool]) -> tuple[dict, Callable]:
         # the v/f path gives its L + c_v + 1 registers, then the a zeros it
-        # took in the loop's first clocks (no product at the head group); the
-        # w/g line gives its P registers.  Slot k-1 takes lane k's v/f
-        # inputs, and slot a-1 lane 0's, which wrap through the exchange
-        # register and the FIFO: the slots rotate by one
-        took_v, took_w = [0] * a, [0] * a
-        for k, (i, j) in enumerate(slots[N]):
-            took_v[k - 1], took_w[k] = ctl.lane(N, k, i, j, vs[k], ws[k])
-        trace.max_mults_per_clock = max(trace.max_mults_per_clock, *ctl.peak)
-        if keep_snapshots:
-            # what the v/f path gives, then what its line and FIFO take: the
-            # next path but its last register, the exchange register, which
-            # holds 0 and then lane 0's inputs (the values of slot a-1 of the
-            # next path), each for a clocks -- a copies of that column
-            v_took, w_took = lanes(took_v, G - 1), lanes(took_w, G)
-            path = v_gave + [0] * a + v_took[:-1]
-            lines = {
-                "vf": (path, 0, L),
-                "wg": (w_gave + w_took, 0, P),
-                "exch": (interleave([[0, *v_took[a - 1 :: a]]] * a), -1, 1),
-                "supp": (path, L, c_v),
-            }
-            v_gave, w_gave = v_took, w_took
-            ups = ctl.updates[:]  # bound now: the next loop sets the switches again
-            ctl.snapshot(
-                N,
-                lines,
-                lambda t, ups=ups: {"exchange_down": t % a == 0, "head_latch": t < a, "update": ups[t % a]},
-            )
-        vs, ws = took_v, took_w
-    return trace
+        # took in the loop's first clocks (no product at the head group),
+        # then what its line and FIFO take: the next loop's slots, which
+        # rotate by one, but its last register, the exchange register, which
+        # holds 0 and then lane 0's column (slot a-1 of the next path), each
+        # for a clocks; the w/g line gives its P registers
+        (gave_v, gave_w), (took_v, took_w) = gave, took
+        vs, ws = zip(*slots[N])
+        path = interleave(gave_v, vs) + [0] * a + interleave(took_v, vs[1:] + vs[:1])[:-1]
+        regs = {
+            "vf": (path, 0, L),
+            "wg": (interleave(gave_w, ws) + interleave(took_w, ws), 0, P),
+            "exch": ([v for v in (0, *took_v[vs[0]]) for _ in range(a)], -1, 1),
+            "supp": (path, L, c_v),
+        }
+        return regs, lambda t: {"exchange_down": t % a == 0, "head_latch": t < a, "update": updates[t % a]}
+
+    trace.layout = code.fld.unpack, G, lines
+    return ctl.run(slots, max, keep_snapshots)
 
 
 def sim_serial(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = False) -> ArchTrace:

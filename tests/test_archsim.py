@@ -30,20 +30,31 @@ def test_periods_and_totals(elliptic, elliptic_golden, klein, klein_golden, herm
         assert len(tr.boundary_states) == code.m + 2
 
 
+class Cut(Exception):
+    """Raised to end a simulated run at a chosen boundary."""
+
+
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
 def test_total_clocks_count_the_loops_run(monkeypatch, arch):
-    # each loop a datapath runs adds its P clocks, so a run cut after k
-    # loops has clocked k * P times, not the (m+1) * P of a whole run; it
-    # checked k boundaries, and its boundary states replay those k records
-    loops = archsim._Controller.loops
+    # each loop the controller runs adds its P clocks, so a run cut after k
+    # loops (at boundary k, before its check) has clocked k * P times, not
+    # the (m+1) * P of a whole run; it checked k boundaries, and its
+    # boundary states replay those k records
+    boundary, cut = archsim._Controller._boundary, []
     code, synd = bundled_syndromes("klein_gf8")
     _, recs = bms.run(code, synd, SIM_MODES[arch], record=True)
     for k in (0, 1, 3):
-        def cut(self, readback, k=k):
-            return itertools.islice(loops(self, readback), k)
 
-        monkeypatch.setattr(archsim._Controller, "loops", cut)
-        tr = run_bundled(arch, "klein_gf8")
+        def cutting(self, N, vf_words, wg_words, k=k):
+            if N == k:
+                cut.append(self.trace)
+                raise Cut
+            boundary(self, N, vf_words, wg_words)
+
+        monkeypatch.setattr(archsim._Controller, "_boundary", cutting)
+        with pytest.raises(Cut):
+            archsim.SIMULATORS[arch](code, synd)
+        tr = cut.pop()
         assert tr.total_clocks == k * tr.period
         assert len(tr.boundary_states) == k
         assert [bms.state_record(st, code) for st in tr.boundary_states] == recs[:k]
@@ -200,6 +211,52 @@ def test_every_simulator_on_artin_schreier_codes():
                 runs += 1
             rotations.add((code.curve.a, code.curve.b_inv))
     assert runs == 1236 and (4, 3) in rotations
+
+
+def slot_wiring_faults(slots, code):
+    """What breaks the serial slot rule in a slot table, slots[N][k] = (v/f
+    column, w/g column) of slot k in loop N: v/f slot k of loop N+1 must
+    carry the column of slot k+1 of loop N (slot a-1 that of slot 0, through
+    the exchange register), w/g slot k one column in every loop, and each
+    slot the pair (i, ibar(i, N))."""
+    a, faults = code.curve.a, []
+    for N, pairs in enumerate(slots):
+        faults += [(N, k, "pair") for k, (i, j) in enumerate(pairs) if j != code.curve.ibar(i, N)]
+        faults += [(N, k, "w/g") for k, (_, j) in enumerate(pairs) if j != slots[0][k][1]]
+        if N + 1 < len(slots):
+            faults += [(N, k, "v/f") for k in range(a) if slots[N + 1][k][0] != pairs[(k + 1) % a][0]]
+    return faults
+
+
+def test_serial_slot_table_wiring(monkeypatch):
+    # the boundary check compares columns, so it cannot see which slot a
+    # column sits on: the serial slot rule is only the order of the lanes
+    # and the line the CSV shows.  Every preset and every seeded
+    # Artin-Schreier code (b^-1 = 3 at a = 4 among them) checks its table
+    # here, for the m+1 loops it runs; the mutated rule b^-1 (N - k), which
+    # differs from b^-1 (N + k) only where a > 2, must fail the check
+    run, tables = archsim._Controller.run, []
+
+    def recording(self, slots, fold, keep):
+        tables.append((self.code, slots))
+        return run(self, slots, fold, keep)
+
+    monkeypatch.setattr(archsim._Controller, "run", recording)
+    codes = [cli.load_code(p)[0] for p in PRESETS]
+    codes += [code for q in AS_FIELDS for _, code in artin_schreier_budget_codes(q)]
+    for code in codes:
+        for arch in (archsim.SERIAL, archsim.SERIAL_INVERSE_FREE):
+            archsim.SIMULATORS[arch](code, code.syndromes(code.zero_word()))
+    rotations, mutants = set(), 0
+    for code, slots in tables:
+        cv, m = code.curve, code.m
+        assert len(slots) == m + 1 and slot_wiring_faults(slots, code) == []
+        mutant = [[(cv.b_inv * (N - k) % cv.a, -cv.b_inv * k % cv.a) for k in range(cv.a)] for N in range(m + 1)]
+        if cv.a > 2:
+            assert slot_wiring_faults(mutant, code) != [], code.curve
+            mutants += 1
+        rotations.add((cv.a, cv.b_inv))
+    assert len(tables) == 2 * len(codes) and mutants > 0 and (4, 3) in rotations
 
 
 def test_resources_closed_forms(elliptic, klein, hermitian):
@@ -571,38 +628,48 @@ def test_snapshots_do_not_change_a_run(request, arch, preset):
     assert len(list(kept.clocks())) == kept.total_clocks and bare.snapshots == []
     records = [[bms.state_record(st, code) for st in tr.boundary_states] for tr in (kept, bare)]
     assert records[0] == records[1]
+    # the layout holds the datapath's closures, made afresh by each run: it
+    # is how clocks() reads a run, not what the run computed
     for f in dataclasses.fields(archsim.ArchTrace):
-        if f.name not in ("snapshots", "boundary_states"):
+        if f.name not in ("snapshots", "boundary_states", "layout"):
             assert getattr(kept, f.name) == getattr(bare, f.name), f.name
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
-def test_kept_run_stores_loop_records(arch, preset):
-    # a kept run stores one record per loop -- its first clock, its lines
-    # and its switch function -- and builds the per-clock dicts only as
-    # clocks() reads them: no line holds more than what it gives then takes
-    # over one loop
-    code, _ = cli.load_code(preset)
-    tr = run_bundled(arch, preset, keep_snapshots=True)
-    P, a = tr.period, code.curve.a
-    assert len(tr.snapshots) == code.m + 1
-    assert [start for start, _, _ in tr.snapshots] == list(range(0, tr.total_clocks, P))
-    for _, lines, switches in tr.snapshots:
-        assert all(len(s) <= 2 * P and 0 <= first + 1 and first + P + n <= len(s) for s, first, n in lines.values())
-        assert callable(switches)
-    assert sum(1 for _ in tr.clocks()) == tr.total_clocks
+def test_kept_run_stores_loop_records(monkeypatch, arch, preset):
+    # a kept run stores one record per loop -- the column words before and
+    # after it, packed as the run holds them, and its switch values -- and
+    # unpacks nothing: clocks() unpacks each boundary's 2a words once, and
+    # builds the per-clock dicts only as it is read
+    code, synd = bundled_syndromes(preset)
+    fld, a, m, unpacked = code.fld, code.curve.a, code.m, []
+    unpack = fld.unpack
+    monkeypatch.setattr(fld, "unpack", lambda x, n: unpacked.append(n) or unpack(x, n))
+    tr = archsim.SIMULATORS[arch](code, synd, keep_snapshots=True)
+    assert len(tr.snapshots) == m + 1 and unpacked == []
+    states = tr.boundary_states
+    for N, (before, after, updates) in enumerate(tr.snapshots):
+        assert before == (states[N].vf, states[N].wg) and after == (states[N + 1].vf, states[N + 1].wg), N
+        assert len(updates) == a
+    unpacked.clear()  # the replayed states may unpack; clocks() is counted alone
+    snaps = iter(tr.clocks())
+    first = next(snaps)
+    assert first["clock"] == 0 and len(unpacked) == 2 * 2 * a
+    assert sum(1 for _ in snaps) + 1 == tr.total_clocks and len(unpacked) == 2 * a * (m + 2)
     # each loop's update switches are that loop's own, read after the run:
     # lane k's switch at loop N is set iff its w/g column j had its g
     # replaced at N, which the reference state after loop N records as M
-    gates = bms.gate_table(code)
-    for N, (start, _, switches) in enumerate(tr.snapshots):
-        M = tr.boundary_states[N + 1].M
+    gates, by_clock = bms.gate_table(code), {s["clock"]: s["switches"] for s in tr.clocks()}
+    for N, (_, _, updates) in enumerate(tr.snapshots):
+        M = states[N + 1].M
         for k in range(a):
+            j = gates.ibar[N][k] if arch == archsim.INVERSE_FREE else -code.curve.b_inv * k % a
+            assert updates[k] == (M[j] == N), (N, k)
             if arch == archsim.INVERSE_FREE:
-                assert switches(0)[f"block{k}.update"] == (M[gates.ibar[N][k]] == N), (N, k)
+                assert by_clock[N * tr.period][f"block{k}.update"] == (M[j] == N), (N, k)
             else:  # slot k carries w/g column -b^-1 k mod a in every loop
-                assert switches(k)["update"] == (M[-code.curve.b_inv * k % a] == N), (N, k)
+                assert by_clock[N * tr.period + k]["update"] == (M[j] == N), (N, k)
 
 
 def test_serial_vf_line_shifts_through_fifo():

@@ -68,16 +68,31 @@ def test_step_reads_its_own_heads():
 
 
 def test_simulator_rules_live_in_the_controller():
-    # the snapshot is written once: only _Controller.snapshot, which keeps a
-    # loop's record, and ArchTrace.clocks, the one clock-window rule, touch
-    # trace.snapshots, so neither can be copied back into a datapath
+    # the N-loop is written once: only _Controller.run calls the lane rule
+    # and the boundary check, so no datapath runs a loop of its own; and
+    # the snapshots have one writer, _Controller.run, which appends each
+    # loop's packed record, and one reader, ArchTrace.clocks, the one place
+    # that builds register windows, so neither can be copied back into a
+    # datapath
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     tree = ast.parse((pkg / "archsim.py").read_text())
     defs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
     for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
         defs += [(f"{cls.name}.{n.name}", n) for n in cls.body if isinstance(n, ast.FunctionDef)]
-    users = sorted({name for name, d in defs for n in ast.walk(d) if getattr(n, "attr", None) == "snapshots"})
-    assert users == ["ArchTrace.clocks", "_Controller.snapshot"]
+
+    def users(attr, parent=None):
+        return sorted(
+            {
+                name
+                for name, d in defs
+                for n in ast.walk(d)
+                if getattr(n, "attr", None) == attr and (parent is None or getattr(n.value, "attr", None) == parent)
+            }
+        )
+
+    assert users("lane") == users("_boundary") == ["_Controller.run"]
+    assert users("snapshots") == ["ArchTrace.clocks", "_Controller.run"]
+    assert users("append", parent="snapshots") == ["_Controller.run"]
 
 
 def test_every_name_has_a_toolkit_caller():
