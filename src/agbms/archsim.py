@@ -11,8 +11,8 @@ simulator runs a software BMS state alongside its registers (one
 every N-boundary it requires its register words, with (s, c), to equal
 that state's v/f and w/g words (``bms.BmsState``, which holds them in the
 inverse-free register layout), as ints.  Register values are held in
-bit-vector form, also in the snapshots, which read each line from its
-output end to its input end; the CLI writes them to the CSV as logs.  A
+bit-vector form, also in the traced clocks, which read each line from
+its output end to its input end; the CLI writes them to the CSV as logs.  A
 run copies no state at its boundaries: ``ArchTrace.boundary_states``
 counts the boundaries checked and, the first time one of its states is
 read, replays one ``bms.loops`` run from a copy of the run's initial
@@ -39,10 +39,10 @@ Layouts (period P = length of the w/g line):
   through a c_v-deep supplementary FIFO, plus a one-value exchange register,
   and one w/g line of P = a(m+2)+a+c_v registers.  The FIFO takes one value
   and gives one at every clock, in series with the line, so the two are one
-  shift register whose last c_v registers are the FIFO (a snapshot names
-  them ``supp`` and the first a(m+2)-1 ``vf``).  Coefficients interleave a
-  columns per exponent (slot k = clock mod a) under one slot rule for both
-  modes and every curve: in loop N, v/f slot k carries column b^-1 (N+k) mod
+  shift register whose last c_v registers are the FIFO (a traced clock
+  names them ``supp`` and the first a(m+2)-1 ``vf``).  Coefficients
+  interleave a columns per exponent (slot k = clock mod a) under one slot
+  rule for both modes and every curve: in loop N, v/f slot k carries column b^-1 (N+k) mod
   a and w/g slot k column -b^-1 k mod a, which is ibar of that v/f column.
   The v/f assignment thus rotates one slot per loop, and the exchange
   register carries the wrapping slot-0 value across the seam (held for a
@@ -69,7 +69,7 @@ exchange register.
 
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
-at one multiplier pair in loop N.  ``_Controller.run(slots, fold, keep)``
+at one multiplier pair in loop N.  ``_Controller.run(slots, fold)``
 runs every loop of every simulator: in loop N lane k pairs v/f column i
 with w/g column j, (i, j) = slots[N][k], hands ``_Controller.lane`` their
 words and stores what it returns on the same columns.  ``lane`` is the one
@@ -80,10 +80,10 @@ per constant mapping every bit-vector v to vec(c*v), built from the
 field's exp/log tables the first time a latch meets c and kept on the code
 (``_product_row``, one table per code; no q x q table, and independent of
 ``gf``'s ``scale`` tables, so the boundary check compares two
-multipliers); it sets the lane's preserve/update switch
-(``_Controller.updates``).  It updates s and c in place, lane by lane in
-the order of the clocks, exactly as a ``bms.loops`` loop updates its state
-(its docstring says why that is exact), and keeps M_j, the loop of its w/g
+multipliers); it sets the lane's preserve/update switch, which no record
+keeps: M_j = N says it was set.  It updates s and c in place, lane by lane
+in the order of the clocks, exactly as a ``bms.loops`` loop updates its
+state (its docstring says why that is exact), and keeps M_j, the loop of its w/g
 column's last g replacement (-1 before any).  It then returns the word of
 the lane's v/f inputs, e*(x >> lane) ^ d*(y >> lane) with x and y the words
 its lines give -- at most two whole-word maps through product rows
@@ -127,26 +127,27 @@ unpacked.  That equality is the whole check: the reference holds zero on
 every lane of a zero-set group or of a group past the top exponent, so a
 register left nonzero there diverges at f or g.
 
-Snapshots are kept only on request (``keep_snapshots=True``, as
-``trace-arch`` asks).  A kept run stores packed data only, as the run holds
-it: per loop, the column words before and after it and its switch values
-(``_Controller.updates``).  ``ArchTrace.clocks`` is the one place that
-builds register windows.  It unpacks each boundary once and hands the
-columns before and after each loop to the datapath's layout
-(``ArchTrace.layout``), which names each line as what it gives then what it
-takes over the loop, with where its registers start in that sequence and
-how many it has; the registers after clock t are the slice
-[t+1+first : t+1+first+length].  The serial FIFO starts past the line's L
-registers in the same sequence, and the exchange register is its held
-values, each repeated a times, starting at -1.  No per-clock container is
-built until ``clocks`` is iterated.
+A run stores nothing per loop, and every run can be traced.
+``ArchTrace.clocks`` is the one place that builds register windows, and
+it reads them off the replayed boundary states, so the replay costs
+nothing until ``clocks`` or ``--boundary-dumps`` reads it, and one replay
+serves both.  ``clocks`` unpacks each boundary once and hands the columns
+before and after each loop, with the M after it, to the datapath's layout
+(``ArchTrace.layout``), which names each line as what it gives then what
+it takes over the loop, with where its registers start in that sequence
+and how many it has; the registers after clock t are the slice
+[t+1+first : t+1+first+length].  A lane's update switch of loop N is set
+iff its w/g column j has M_j = N after the loop.  The serial FIFO starts
+past the line's L registers in the same sequence, and the exchange
+register is its held values, each repeated a times, starting at -1.  No
+per-clock container is built until ``clocks`` is iterated.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, pairwise
 from operator import lshift
 
 from . import bms
@@ -178,41 +179,35 @@ class ArchTrace:
     ran: each N-loop adds its P = ``period`` clocks.  ``boundary_states``
     is the ``bms.BmsState`` of every boundary checked, replayed the first
     time one is read (``_Replay``); each equals the run's register state
-    there, since its check passed.  ``snapshots`` holds one record per
-    kept loop, written by ``_Controller.run``: the (v/f, w/g) column words
-    before and after the loop, packed, and its switch values.  ``layout``
-    is the datapath's (unpack, G, lines): a boundary's v/f words unpack to
-    G-1 lanes and its w/g words to G, and lines(N, gave, took, updates)
-    gives loop N's lines and switch function from the unpacked columns
-    before and after it.  ``clocks`` reads the records clock by clock."""
+    there, since its check passed.  ``layout`` is the datapath's (unpack,
+    G, lines): a boundary's v/f words unpack to G-1 lanes and its w/g
+    words to G, and lines(N, gave, took, M) gives loop N's lines and
+    switch function from the unpacked columns before and after it and the
+    M after it.  ``clocks`` reads consecutive boundary states clock by
+    clock; the run keeps no other record of its loops."""
 
     architecture: str
     period: int
     registers: RegisterFile
     total_clocks: int = 0
     boundary_states: Sequence[bms.BmsState] = field(default_factory=list)
-    snapshots: list[tuple] = field(default_factory=list)
     layout: tuple = field(default=(), compare=False)
     mult_uses: int = 0
     inv_uses: int = 0
     max_mults_per_clock: int = 0
 
     def clocks(self) -> Iterator[dict]:
-        """The registers and switch states after every kept clock, built
-        as they are read, with each boundary unpacked once.  A line is
-        (what it gives then what it takes, first, length): after clock t
-        of its loop it holds the slice [t+1+first : t+1+first+length],
+        """The registers and switch states after every clock, built as they
+        are read from consecutive ``boundary_states``, each unpacked once.
+        A line is (what it gives then what it takes, first, length): after
+        clock t of its loop it holds the slice [t+1+first : t+1+first+length],
         what it has not yet given and then what it took; ``switches(t)``
         gives the switch states."""
         unpack, G, lines = self.layout
-
-        def columns(vf: list[int], wg: list[int]) -> tuple[list[list[int]], list[list[int]]]:
-            return [unpack(x, G - 1) for x in vf], [unpack(y, G) for y in wg]
-
-        took = columns(*self.snapshots[0][0]) if self.snapshots else None
-        for N, (_, after, updates) in enumerate(self.snapshots):
-            gave, took = took, columns(*after)
-            regs, switches = lines(N, gave, took, updates)
+        states = self.boundary_states
+        columns = (([unpack(x, G - 1) for x in st.vf], [unpack(y, G) for y in st.wg]) for st in states)
+        for N, (gave, took) in enumerate(pairwise(columns)):
+            regs, switches = lines(N, gave, took, states[N + 1].M)
             for t in range(self.period):
                 window = {name: s[t + 1 + first : t + 1 + first + n] for name, (s, first, n) in regs.items()}
                 yield {"clock": N * self.period + t, "registers": window, "switches": switches(t)}
@@ -331,7 +326,6 @@ class _Controller:
         self.replay = trace.boundary_states = _Replay(self.ref, code)
         self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
         self.M = [-1] * a  # loop of the last g replacement per column, -1 before any
-        self.updates = [False] * a  # per lane: the preserve/update switch of the loop
         self.peak = [self.vm] * a  # per lane: multipliers on its busiest clock
 
     def initial_registers(self) -> tuple[list[int], list[int]]:
@@ -361,10 +355,9 @@ class _Controller:
         s1, c1, log, rows, lb = self.s1, self.c1, self.log, self.rows, self.lb
         l = self.l1[N][i]
         d = log[x & self.head] if s1[i] <= l else ZERO
-        upd = self.updates[lane] = d != ZERO and s1[i] < l - c1[j]
         e = 0 if self.division else log[y & self.head]  # division mode keeps v: e = 1
         w = y
-        if upd:
+        if d != ZERO and s1[i] < l - c1[j]:  # the update switch
             w = x  # an inverse-free update takes v unscaled
             if self.division:
                 w = self.map(x, rows[self.inv_chain(d)])
@@ -385,7 +378,7 @@ class _Controller:
             return self.map((x | y << 4) >> lb, self.pairs[e, d]), w
         return self.map(x >> lb, rows[e]) ^ self.map(y >> lb, rows[d]), w
 
-    def run(self, slots: Iterable[Iterable[tuple[int, int]]], fold: Callable, keep: bool) -> ArchTrace:
+    def run(self, slots: Iterable[Iterable[tuple[int, int]]], fold: Callable) -> ArchTrace:
         """Every loop of the run, with a boundary check before each loop
         and after the last, on the column words as they stand.  In loop N
         lane k pairs v/f column i with w/g column j, (i, j) = slots[N][k],
@@ -393,9 +386,7 @@ class _Controller:
         counts its P clocks and every lane's vm v/f multipliers at each
         group past the head, and sets each lane's peak to vm (a lane adds
         only a division update's w/g multipliers); ``fold`` of the peaks is
-        the loop's multipliers per clock.  A kept run (``keep``) appends
-        each loop's record to ``trace.snapshots``: the words before and
-        after the loop and its switch values, none unpacked."""
+        the loop's multipliers per clock.  Nothing is stored per loop."""
         trace, a, vm = self.trace, len(self.peak), self.vm
         vf, wg = self.initial_registers()
         for N, pairs in enumerate(slots):
@@ -407,8 +398,6 @@ class _Controller:
             for k, (i, j) in enumerate(pairs):
                 took_vf[i], took_wg[j] = self.lane(N, k, i, j, vf[i], wg[j])
             trace.max_mults_per_clock = max(trace.max_mults_per_clock, fold(self.peak))
-            if keep:
-                trace.snapshots.append(((vf, wg), (took_vf, took_wg), self.updates[:]))
             vf, wg = took_vf, took_wg
         self._boundary(self.m + 1, vf, wg)
         return trace
@@ -447,7 +436,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
     ctl = _Controller(trace, code, synd, bms.INVERSE_FREE, P)
     ibar = ctl.gates.ibar  # lane i is block i; the w/g column j = ibar(i, N) is homed there in loop N
 
-    def lines(N: int, gave: tuple, took: tuple, updates: list[bool]) -> tuple[dict, Callable]:
+    def lines(N: int, gave: tuple, took: tuple, M: list[int]) -> tuple[dict, Callable]:
         # a v/f line gives its V registers, then the 0 it took at clock 0
         # (the head retired, mod Z^N); a w/g line gives its P registers and
         # takes them back (the one-exponent relabel is free) or the updated
@@ -455,11 +444,11 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
         (gave_v, gave_w), (took_v, took_w) = gave, took
         regs = {f"block{i}.vf": (gave_v[i] + [0] + took_v[i], 0, V) for i in range(a)}
         regs |= {f"block{i}.wg": (gave_w[j] + took_w[j], 0, P) for i, j in enumerate(ibar[N])}
-        ups = {f"block{i}.update": upd for i, upd in enumerate(updates)}
+        ups = {f"block{i}.update": M[j] == N for i, j in enumerate(ibar[N])}
         return regs, lambda t: {"disc_latch_down": t == 0, **ups}
 
     trace.layout = code.fld.unpack, P, lines
-    return ctl.run(map(enumerate, ibar), sum, keep_snapshots)
+    return ctl.run(map(enumerate, ibar), sum)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +456,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
 # ---------------------------------------------------------------------------
 
 
-def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snapshots: bool) -> ArchTrace:
+def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str) -> ArchTrace:
     cv = code.curve
     a, m = cv.a, code.m
     arch, c_v = (SERIAL, 0) if mode == bms.DIVISION else (SERIAL_INVERSE_FREE, a)
@@ -491,7 +480,7 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
             line[k::a] = cols[i]
         return line
 
-    def lines(N: int, gave: tuple, took: tuple, updates: list[bool]) -> tuple[dict, Callable]:
+    def lines(N: int, gave: tuple, took: tuple, M: list[int]) -> tuple[dict, Callable]:
         # the v/f path gives its L + c_v + 1 registers, then the a zeros it
         # took in the loop's first clocks (no product at the head group),
         # then what its line and FIFO take: the next loop's slots, which
@@ -507,18 +496,18 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str, keep_snap
             "exch": ([v for v in (0, *took_v[vs[0]]) for _ in range(a)], -1, 1),
             "supp": (path, L, c_v),
         }
-        return regs, lambda t: {"exchange_down": t % a == 0, "head_latch": t < a, "update": updates[t % a]}
+        return regs, lambda t: {"exchange_down": t % a == 0, "head_latch": t < a, "update": M[ws[t % a]] == N}
 
     trace.layout = code.fld.unpack, G, lines
-    return ctl.run(slots, max, keep_snapshots)
+    return ctl.run(slots, max)
 
 
 def sim_serial(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = False) -> ArchTrace:
-    return _sim_serial_core(code, synd, bms.DIVISION, keep_snapshots)
+    return _sim_serial_core(code, synd, bms.DIVISION)
 
 
 def sim_serial_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool = False) -> ArchTrace:
-    return _sim_serial_core(code, synd, bms.INVERSE_FREE, keep_snapshots)
+    return _sim_serial_core(code, synd, bms.INVERSE_FREE)
 
 
 SIMULATORS = {
@@ -526,7 +515,6 @@ SIMULATORS = {
     SERIAL: sim_serial,
     SERIAL_INVERSE_FREE: sim_serial_inverse_free,
 }
-SIMULATED = tuple(SIMULATORS)
 
 
 # ---------------------------------------------------------------------------

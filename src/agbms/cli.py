@@ -213,7 +213,7 @@ def cmd_trace_arch(args) -> int:
     code, digest = load_code(args.spec)
     synd = code.syndromes(read_received(args, code))
     try:
-        trace = archsim.SIMULATORS[args.arch](code, synd, keep_snapshots=True)
+        trace = archsim.SIMULATORS[args.arch](code, synd)
     except AssertionError as exc:
         print(f"oracle-equivalence failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
@@ -225,7 +225,7 @@ def cmd_trace_arch(args) -> int:
         with writing(args.out):
             writer = csv.writer(fh)
             writer.writerow(["clock", "block", "reg_name", "index", "value_log", "switch_states"])
-            log = code.fld.log  # the snapshots hold bit-vector values
+            log = code.fld.log  # the traced registers hold bit-vector values
             for snap in trace.clocks():
                 switches = ";".join(f"{k}={int(v)}" for k, v in sorted(snap["switches"].items()))
                 for reg_name, values in snap["registers"].items():
@@ -261,7 +261,7 @@ def cmd_bench(args) -> int:
     measured = {arch: sim(code, synd).total_clocks for arch, sim in sims}
     print(f"# spec_sha256={digest} seed=-")
     print(f"{'architecture':<22}{'multipliers':>12}{'inverters':>10}{'registers':>10}{'time':>8}{'measured':>10}")
-    for arch in list(archsim.CLOSED_FORM_ONLY) + list(archsim.SIMULATED):
+    for arch in list(archsim.CLOSED_FORM_ONLY) + list(archsim.SIMULATORS):
         est = archsim.resources(arch, code)
         print(
             f"{est.architecture:<22}{est.multipliers:>12}{est.inverters:>10}"
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("received")
     p.add_argument("out")
-    p.add_argument("--arch", choices=list(archsim.SIMULATED), required=True)
+    p.add_argument("--arch", choices=list(archsim.SIMULATORS), required=True)
     p.add_argument("--errors", action="store_true", help="received file is an error pattern")
     p.add_argument("--boundary-dumps", metavar="PATH")
     p.set_defaults(func=cmd_trace_arch)

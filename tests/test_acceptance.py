@@ -47,7 +47,7 @@ def test_criterion_2_golden_klein(klein, klein_golden):
     synd = klein.syndromes(recv)
     # serial architecture carries the division-mode iteration; its boundary
     # states are asserted against the reference inside the simulator
-    trace = archsim.sim_serial(klein, synd, keep_snapshots=False)
+    trace = archsim.sim_serial(klein, synd)
     st, _ = bms.run(klein, synd, bms.DIVISION)
     out = bms.extract_locators(st, klein)
     Gs = [bipoly(klein, G) for G in out.G]
@@ -219,7 +219,7 @@ def test_criterion_9_architecture_equivalence(elliptic, elliptic_golden, klein, 
             scenarios.append(random_generic_pattern(code, rng.randint(1, code.t_generic), rng))
         for locs, vals in scenarios:
             recv = code.inject_errors(code.zero_word(), locs, vals)
-            trace = sim(code, code.syndromes(recv), keep_snapshots=False)
+            trace = sim(code, code.syndromes(recv))
             assert trace.period == period
             assert trace.total_clocks == (code.m + 1) * period
             assert len(trace.boundary_states) == code.m + 2

@@ -24,7 +24,7 @@ def test_periods_and_totals(elliptic, elliptic_golden, klein, klein_golden, herm
         (hermitian, hermitian_golden, archsim.sim_serial_inverse_free, 112),
     ]
     for code, (_, _, recv), sim, period in cases:
-        tr = sim(code, code.syndromes(recv), keep_snapshots=False)
+        tr = sim(code, code.syndromes(recv))
         assert tr.period == period
         assert tr.total_clocks == (code.m + 1) * period
         assert len(tr.boundary_states) == code.m + 2
@@ -63,7 +63,7 @@ def test_total_clocks_count_the_loops_run(monkeypatch, arch):
 def test_boundary_states_match_reference(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
     synd = elliptic.syndromes(recv)
-    tr = archsim.sim_inverse_free(elliptic, synd, keep_snapshots=False)
+    tr = archsim.sim_inverse_free(elliptic, synd)
     _, recs = bms.run(elliptic, synd, bms.INVERSE_FREE, record=True)
     # the boundary states are the BMS dump states
     assert [bms.state_record(st, elliptic) for st in tr.boundary_states] == recs
@@ -71,17 +71,17 @@ def test_boundary_states_match_reference(elliptic, elliptic_golden):
 
 def test_register_counts(elliptic, klein, hermitian, elliptic_golden, klein_golden, hermitian_golden):
     _, _, erecv = elliptic_golden
-    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(erecv), keep_snapshots=False)
+    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(erecv))
     assert tr.registers.vf == 2 * 10 and tr.registers.wg == 2 * 11
 
     _, _, krecv = klein_golden
-    tr = archsim.sim_serial(klein, klein.syndromes(krecv), keep_snapshots=False)
+    tr = archsim.sim_serial(klein, klein.syndromes(krecv))
     assert tr.registers.vf == 3 * 17 - 1 == 50
     assert tr.registers.wg == 3 * 17 + 3 == 54
     assert tr.registers.exch_regs == 1
 
     _, _, hrecv = hermitian_golden
-    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(hrecv), keep_snapshots=False)
+    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(hrecv))
     assert tr.registers.vf == 103 and tr.registers.wg == 112
     assert (tr.registers.vf + tr.registers.wg) == 215
     assert tr.registers.supp_regs == 8
@@ -92,7 +92,7 @@ def test_discrepancy_latch_clocks(elliptic, elliptic_golden):
     # d values are latched when the discrepancy-register switches close
     # downward, i.e. at clo = 11 N on the elliptic configuration
     _, _, recv = elliptic_golden
-    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv), keep_snapshots=True)
+    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv))
     for snap in tr.clocks():
         assert snap["switches"]["disc_latch_down"] == (snap["clock"] % 11 == 0)
 
@@ -101,10 +101,10 @@ def test_klein_g_head_register(klein, klein_golden):
     # the auxiliary heads written at loop 11 sit in w_g register 16
     # (1-based) when clo = 648 and 649, value alpha^4
     _, _, recv = klein_golden
-    tr = archsim.sim_serial(klein, klein.syndromes(recv), keep_snapshots=True)
+    tr = archsim.sim_serial(klein, klein.syndromes(recv))
     by_clock = {s["clock"]: s for s in tr.clocks()}
-    # snapshots are taken after the clock action; inspect the line one clock
-    # earlier so register 16 means "pops 15 clocks after clo"
+    # a traced clock shows the registers after its action; inspect the line
+    # one clock earlier so register 16 means "pops 15 clocks after clo"
     assert by_clock[647]["registers"]["vf"] is not None
     # registers hold bit-vector values; the logs are what the paper lists
     val_648 = klein.fld.log[by_clock[647]["registers"]["wg"][15]]
@@ -115,7 +115,7 @@ def test_klein_g_head_register(klein, klein_golden):
 def test_hermitian_g_head_register(hermitian, hermitian_golden):
     # g head alpha^11 in w_g register 33 (1-based) at clo 2016 and 2019
     _, _, recv = hermitian_golden
-    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(recv), keep_snapshots=True)
+    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(recv))
     by_clock = {s["clock"]: s for s in tr.clocks()}
     assert hermitian.fld.log[by_clock[2015]["registers"]["wg"][32]] == 11
     assert hermitian.fld.log[by_clock[2018]["registers"]["wg"][32]] == 11
@@ -123,17 +123,17 @@ def test_hermitian_g_head_register(hermitian, hermitian_golden):
 
 def test_inverter_usage(elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden):
     _, _, erecv = elliptic_golden
-    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(erecv), keep_snapshots=False)
+    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(erecv))
     assert tr.inv_uses == 0
 
     _, _, hrecv = hermitian_golden
-    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(hrecv), keep_snapshots=False)
+    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(hrecv))
     assert tr.inv_uses == 0
 
     # serial inverter activates exactly on the non-preserved branches
     _, _, krecv = klein_golden
     synd = klein.syndromes(krecv)
-    tr = archsim.sim_serial(klein, synd, keep_snapshots=False)
+    tr = archsim.sim_serial(klein, synd)
     ctr = OpCounter()
     bms.run(klein, synd, bms.DIVISION, ctr=ctr)
     assert tr.inv_uses == ctr.invs > 0
@@ -141,13 +141,13 @@ def test_inverter_usage(elliptic, elliptic_golden, klein, klein_golden, hermitia
 
 def test_multiplier_budget(elliptic, elliptic_golden, klein, klein_golden, hermitian, hermitian_golden):
     _, _, erecv = elliptic_golden
-    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(erecv), keep_snapshots=False)
+    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(erecv))
     assert tr.max_mults_per_clock <= 2 * elliptic.curve.a
     _, _, krecv = klein_golden
-    tr = archsim.sim_serial(klein, klein.syndromes(krecv), keep_snapshots=False)
+    tr = archsim.sim_serial(klein, klein.syndromes(krecv))
     assert tr.max_mults_per_clock <= 2
     _, _, hrecv = hermitian_golden
-    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(hrecv), keep_snapshots=False)
+    tr = archsim.sim_serial_inverse_free(hermitian, hermitian.syndromes(hrecv))
     assert tr.max_mults_per_clock <= 2
 
 
@@ -162,7 +162,7 @@ def test_random_oracle_equivalence(elliptic, klein, hermitian):
         for _ in range(10):
             locs, vals = random_pattern(code, rng.randint(1, t), rng)
             recv = code.inject_errors(code.zero_word(), locs, vals)
-            sim(code, code.syndromes(recv), keep_snapshots=False)  # asserts internally
+            sim(code, code.syndromes(recv))  # asserts internally
 
 
 SIM_MODES = {
@@ -189,7 +189,7 @@ def test_every_simulator_on_every_code(request, arch, code_name):
     for _ in range(10):
         locs, vals = random_pattern(code, rng.randint(0, code.t_generic + 2), rng, affine_only=False)
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
-        tr = archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
+        tr = archsim.SIMULATORS[arch](code, synd)
         _, recs = bms.run(code, synd, SIM_MODES[arch], record=True)
         assert [bms.state_record(st, code) for st in tr.boundary_states] == recs
         assert (tr.period, tr.total_clocks) == (period, (m + 1) * period)
@@ -237,9 +237,9 @@ def test_serial_slot_table_wiring(monkeypatch):
     # differs from b^-1 (N + k) only where a > 2, must fail the check
     run, tables = archsim._Controller.run, []
 
-    def recording(self, slots, fold, keep):
+    def recording(self, slots, fold):
         tables.append((self.code, slots))
-        return run(self, slots, fold, keep)
+        return run(self, slots, fold)
 
     monkeypatch.setattr(archsim._Controller, "run", recording)
     codes = [cli.load_code(p)[0] for p in PRESETS]
@@ -297,7 +297,7 @@ def test_resources_every_entry(elliptic, klein, hermitian):
             archsim.SERIAL: (2, 1, polynomial_registers, a * loop_clocks),
             archsim.SERIAL_INVERSE_FREE: (2, 0, polynomial_registers, a * loop_clocks),
         }
-        assert set(expected) == {*archsim.CLOSED_FORM_ONLY, *archsim.SIMULATED}
+        assert set(expected) == {*archsim.CLOSED_FORM_ONLY, *archsim.SIMULATORS}
         for arch, entries in expected.items():
             est = archsim.resources(arch, code)
             assert (est.multipliers, est.inverters, est.registers, est.time) == entries, (arch, a, m)
@@ -307,7 +307,7 @@ def test_measured_vs_closed_form(elliptic, elliptic_golden):
     # the simulated inverse-free period is m+3 while the closed form uses
     # m+2 per loop; both are reported, neither is forced onto the other
     _, _, recv = elliptic_golden
-    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv), keep_snapshots=False)
+    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv))
     m = elliptic.m
     assert archsim.resources(archsim.INVERSE_FREE, elliptic).time == (m + 1) * (m + 2)
     assert tr.total_clocks == (m + 1) * (m + 3)
@@ -315,7 +315,7 @@ def test_measured_vs_closed_form(elliptic, elliptic_golden):
 
 def test_trace_csv_fields(elliptic, elliptic_golden):
     _, _, recv = elliptic_golden
-    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv), keep_snapshots=True)
+    tr = archsim.sim_inverse_free(elliptic, elliptic.syndromes(recv))
     snaps = list(tr.clocks())
     assert len(snaps) == tr.total_clocks
     snap = snaps[0]
@@ -354,7 +354,7 @@ def test_sim_outputs_pinned(request, arch, code_name):
     for k in range(20):
         locs, vals = random_pattern(code, k % (code.t_generic + 3), rng, affine_only=False)
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
-        tr = archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
+        tr = archsim.SIMULATORS[arch](code, synd)
         out = [
             tr.period,
             tr.total_clocks,
@@ -445,10 +445,10 @@ def bundled_syndromes(preset):
     return code, code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
 
 
-def run_bundled(arch, preset, keep_snapshots=False):
+def run_bundled(arch, preset):
     """One simulator on a preset's bundled error pattern."""
     code, synd = bundled_syndromes(preset)
-    return archsim.SIMULATORS[arch](code, synd, keep_snapshots=keep_snapshots)
+    return archsim.SIMULATORS[arch](code, synd)
 
 
 @pytest.mark.parametrize("fault", sorted(BOUNDARY_FAULTS))
@@ -469,7 +469,7 @@ def gf512_syndromes(elliptic_gf512):
     locs, vals = random_generic_pattern(code, code.t_generic, random.Random(512))
     synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
     for sim in archsim.SIMULATORS.values():
-        sim(code, synd, keep_snapshots=False)
+        sim(code, synd)
     return synd
 
 
@@ -480,7 +480,7 @@ def test_boundary_faults_named_two_byte_lanes(monkeypatch, elliptic_gf512, gf512
     inject, message = BOUNDARY_FAULTS[fault]
     inject(monkeypatch)
     with pytest.raises(AssertionError, match=f"^{arch}: {message}"):
-        archsim.SIMULATORS[arch](elliptic_gf512, gf512_syndromes, keep_snapshots=False)
+        archsim.SIMULATORS[arch](elliptic_gf512, gf512_syndromes)
 
 
 def _fault_in_last_loop(mp, line):
@@ -510,7 +510,7 @@ def test_last_loop_fault_named_at_final_boundary(request, monkeypatch, arch, pre
         code, synd = request.getfixturevalue(preset), request.getfixturevalue("gf512_syndromes")
     _fault_in_last_loop(monkeypatch, line)
     with pytest.raises(AssertionError, match=f"^{arch}: boundary N={code.m + 1} {DIVERGES} {key!r}"):
-        archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
+        archsim.SIMULATORS[arch](code, synd)
 
 
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
@@ -530,7 +530,7 @@ def test_shared_wg_register_fault_named(monkeypatch, arch):
 
             monkeypatch.setattr(archsim._Controller, "_boundary", tampered)
             with pytest.raises(AssertionError, match=f"^{arch}: boundary N={at} {DIVERGES} {key!r}"):
-                archsim.SIMULATORS[arch](code, synd, keep_snapshots=False)
+                archsim.SIMULATORS[arch](code, synd)
 
 
 def test_boundary_faults_named_under_optimize():
@@ -564,16 +564,6 @@ for arch in t.archsim.SIMULATORS:
     for line in out:
         arch, fault, _, exc = line.split("|")
         assert re.match(f"{arch}: {BOUNDARY_FAULTS[fault][1]}", exc), line
-
-
-@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
-def test_default_run_keeps_no_snapshots(arch):
-    # snapshots keep each loop's line sequences, so only a caller that asks
-    # for them (trace-arch) pays for them
-    code, _ = cli.load_code("hermitian_gf16")
-    locs, vals = cli.read_errors(bundled_error_file("hermitian_gf16"), code)
-    tr = archsim.SIMULATORS[arch](code, code.syndromes(code.inject_errors(code.zero_word(), locs, vals)))
-    assert tr.snapshots == [] and len(tr.boundary_states) == code.m + 2
 
 
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
@@ -617,66 +607,73 @@ def test_untraced_run_builds_one_state(monkeypatch, arch, preset):
 @pytest.mark.parametrize("preset", [*PRESETS, "elliptic_gf512"])
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
 def test_snapshots_do_not_change_a_run(request, arch, preset):
-    # a snapshot per clock, and the run is the same with or without them, on
-    # one-byte lanes and on the two-byte lanes of GF(2^9)
+    # keep_snapshots selects nothing: a run that passes it and a default run
+    # give equal traces, boundary states and clocks, one per clock, on
+    # one-byte lanes and on the two-byte lanes of GF(2^9); a trace with no
+    # loop between two boundaries has no clocks
     if preset in PRESETS:
-        code, _ = cli.load_code(preset)
-        kept, bare = (run_bundled(arch, preset, keep_snapshots=keep) for keep in (True, False))
+        code, synd = bundled_syndromes(preset)
     else:
         code, synd = request.getfixturevalue(preset), request.getfixturevalue("gf512_syndromes")
-        kept, bare = (archsim.SIMULATORS[arch](code, synd, keep_snapshots=keep) for keep in (True, False))
-    assert len(list(kept.clocks())) == kept.total_clocks and bare.snapshots == []
+    kept, bare = (archsim.SIMULATORS[arch](code, synd, keep_snapshots=keep) for keep in (True, False))
     records = [[bms.state_record(st, code) for st in tr.boundary_states] for tr in (kept, bare)]
-    assert records[0] == records[1]
+    assert records[0] == records[1] and len(records[0]) == code.m + 2
+    clocks = list(kept.clocks())
+    assert len(clocks) == kept.total_clocks and clocks == list(bare.clocks())
     # the layout holds the datapath's closures, made afresh by each run: it
     # is how clocks() reads a run, not what the run computed
     for f in dataclasses.fields(archsim.ArchTrace):
-        if f.name not in ("snapshots", "boundary_states", "layout"):
+        if f.name not in ("boundary_states", "layout"):
             assert getattr(kept, f.name) == getattr(bare, f.name), f.name
+    for states in ([], bare.boundary_states[:1]):
+        assert list(dataclasses.replace(bare, boundary_states=states).clocks()) == []
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
 def test_kept_run_stores_loop_records(monkeypatch, arch, preset):
-    # a kept run stores one record per loop -- the column words before and
-    # after it, packed as the run holds them, and its switch values -- and
-    # unpacks nothing: clocks() unpacks each boundary's 2a words once, and
-    # builds the per-clock dicts only as it is read
+    # a run stores no record of its loops and unpacks nothing: clocks()
+    # unpacks each replayed boundary's 2a words once, and builds the
+    # per-clock dicts only as it is read.  Every clock's update switches are
+    # the controller's own, recorded as each lane returns: lane k updated in
+    # loop N iff it set M_j = N for its w/g column j.  The bundled pattern
+    # updates few columns, so three seeded words past t_generic, which
+    # update more, are traced too
     code, synd = bundled_syndromes(preset)
-    fld, a, m, unpacked = code.fld, code.curve.a, code.m, []
-    unpack = fld.unpack
+    fld, a, m, unpacked, switched = code.fld, code.curve.a, code.m, [], {}
+    unpack, lane = fld.unpack, archsim._Controller.lane
+
+    def recording(self, N, k, i, j, x, y):
+        out = lane(self, N, k, i, j, x, y)
+        switched[N, k] = self.M[j] == N
+        return out
+
     monkeypatch.setattr(fld, "unpack", lambda x, n: unpacked.append(n) or unpack(x, n))
-    tr = archsim.SIMULATORS[arch](code, synd, keep_snapshots=True)
-    assert len(tr.snapshots) == m + 1 and unpacked == []
-    states = tr.boundary_states
-    for N, (before, after, updates) in enumerate(tr.snapshots):
-        assert before == (states[N].vf, states[N].wg) and after == (states[N + 1].vf, states[N + 1].wg), N
-        assert len(updates) == a
-    unpacked.clear()  # the replayed states may unpack; clocks() is counted alone
-    snaps = iter(tr.clocks())
-    first = next(snaps)
-    assert first["clock"] == 0 and len(unpacked) == 2 * 2 * a
-    assert sum(1 for _ in snaps) + 1 == tr.total_clocks and len(unpacked) == 2 * a * (m + 2)
-    # each loop's update switches are that loop's own, read after the run:
-    # lane k's switch at loop N is set iff its w/g column j had its g
-    # replaced at N, which the reference state after loop N records as M
-    gates, by_clock = bms.gate_table(code), {s["clock"]: s["switches"] for s in tr.clocks()}
-    for N, (_, _, updates) in enumerate(tr.snapshots):
-        M = states[N + 1].M
-        for k in range(a):
-            j = gates.ibar[N][k] if arch == archsim.INVERSE_FREE else -code.curve.b_inv * k % a
-            assert updates[k] == (M[j] == N), (N, k)
-            if arch == archsim.INVERSE_FREE:
-                assert by_clock[N * tr.period][f"block{k}.update"] == (M[j] == N), (N, k)
-            else:  # slot k carries w/g column -b^-1 k mod a in every loop
-                assert by_clock[N * tr.period + k]["update"] == (M[j] == N), (N, k)
+    monkeypatch.setattr(archsim._Controller, "lane", recording)
+    rng = random.Random(f"switches/{preset}")
+    errors = [random_pattern(code, code.t_generic + 2, rng, affine_only=False) for _ in range(3)]
+    for synd in [synd, *(code.syndromes(code.inject_errors(code.zero_word(), *e)) for e in errors)]:
+        unpacked.clear(), switched.clear()
+        tr = archsim.SIMULATORS[arch](code, synd)
+        assert unpacked == [] and len(switched) == a * (m + 1)
+        assert any(switched.values()) and not all(switched.values())
+        snaps = iter(tr.clocks())
+        first = next(snaps)
+        assert first["clock"] == 0 and len(unpacked) == 2 * 2 * a
+        assert sum(1 for _ in snaps) + 1 == tr.total_clocks and len(unpacked) == 2 * a * (m + 2)
+        for snap in tr.clocks():
+            (N, t), sw = divmod(snap["clock"], tr.period), snap["switches"]
+            if arch == archsim.INVERSE_FREE:  # lane k is block k for the whole loop
+                assert [sw[f"block{k}.update"] for k in range(a)] == [switched[N, k] for k in range(a)], (N, t)
+            else:  # clock t is on slot t mod a, which lane t mod a runs
+                assert sw["update"] == switched[N, t % a], (N, t)
 
 
 def test_serial_vf_line_shifts_through_fifo():
     # the v/f line and the supplementary FIFO behind it are one shift
     # register: every clock moves the line one register toward its output
     # and feeds it the FIFO's oldest value
-    tr = run_bundled(archsim.SERIAL_INVERSE_FREE, "hermitian_gf16", keep_snapshots=True)
+    tr = run_bundled(archsim.SERIAL_INVERSE_FREE, "hermitian_gf16")
     regs = [snap["registers"] for snap in tr.clocks()]
     assert all(len(r["supp"]) == 4 for r in regs)  # c_v = a
     assert any(any(r["supp"]) for r in regs)
@@ -687,13 +684,13 @@ def test_serial_vf_line_shifts_through_fifo():
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_stream_snapshots_shift_every_line(preset):
-    # a snapshot is the state after its clock: every clock moves each line
+    # a traced clock is the state after it: every clock moves each line
     # one register toward its output (a block's w/g line is re-homed between
     # loops), a v/f line takes 0 at clock 0 of a loop, and the serial
     # exchange register changes only on slot-0 clocks, holding its value for
     # a clocks until it re-enters the v/f path
     a = cli.load_code(preset)[0].curve.a
-    tr = run_bundled(archsim.INVERSE_FREE, preset, keep_snapshots=True)
+    tr = run_bundled(archsim.INVERSE_FREE, preset)
     snaps = list(tr.clocks())
     for prev, cur in zip(snaps, snaps[1:]):
         new_loop = cur["clock"] % tr.period == 0
@@ -703,7 +700,7 @@ def test_stream_snapshots_shift_every_line(preset):
             if name.endswith(".vf") and new_loop:
                 assert regs[-1] == 0
     for arch in (archsim.SERIAL, archsim.SERIAL_INVERSE_FREE):
-        tr = run_bundled(arch, preset, keep_snapshots=True)
+        tr = run_bundled(arch, preset)
         regs = [snap["registers"] for snap in tr.clocks()]
         assert len({r["exch"][0] for r in regs}) > 1
         for t, (prev, cur) in enumerate(zip(regs, regs[1:]), 1):
@@ -744,7 +741,7 @@ def test_product_rows(request, monkeypatch, code_name):
         locs, vals = random_pattern(code, k + 1, rng, affine_only=False)
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
         for sim in archsim.SIMULATORS.values():
-            sim(code, synd, keep_snapshots=False)
+            sim(code, synd)
     rows = code.tables["archsim", "rows"]
     assert len(tables) == 1 and set(rows) <= met
     # every element on its own lane, and seeded words of every length a line has
@@ -795,7 +792,7 @@ def test_lane_map_unchanged(request, monkeypatch, code_name):
         vf, w = lane(self, N, k, i, j, x, y)
         want = [u ^ v for u, v in zip(mul_lanes(fld, e, xs[1:] + [0]), mul_lanes(fld, d, ys[1:] + [0]))]
         inv = fld.inv_chain(d) if self.division and d != ZERO else 0
-        want_w = mul_lanes(fld, inv, xs) if self.updates[k] else ys
+        want_w = mul_lanes(fld, inv, xs) if self.M[j] == N else ys
         zero = archsim._stale(self.m, self.groups, N + 1, self.M[j])
         want_w[zero.start : zero.stop] = [0] * len(zero)
         assert (vf, w) == (fld.pack(want), fld.pack(want_w))
@@ -808,7 +805,7 @@ def test_lane_map_unchanged(request, monkeypatch, code_name):
         locs, vals = random_pattern(code, weight, rng, affine_only=False)
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
         for sim in archsim.SIMULATORS.values():
-            sim(code, synd, keep_snapshots=False)
+            sim(code, synd)
     # every branch ran: a plain shift, a map of x alone or of y alone, and
     # both maps
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
@@ -833,7 +830,7 @@ def test_controller_tables_equal_their_definitions(request, code_name):
     code, m, lb = CodeSpec(base.curve, base.fld, base.m), base.m, base.fld.lane_bits
     synd = code.syndromes(code.zero_word())
     for sim in archsim.SIMULATORS.values():
-        sim(code, synd, keep_snapshots=False)
+        sim(code, synd)
     counts = sorted(k[1] for k in code.tables if k[0] == "archsim" and type(k[1]) is int)
     assert counts == [m + 3, m + 4]
     lane = (1 << lb) - 1
@@ -860,7 +857,7 @@ def test_multiplier_counts_equal_the_per_lane_charge(request, monkeypatch, code_
 
     def recount(self, N, k, i, j, x, y):
         out = lane(self, N, k, i, j, x, y)
-        wm = int(self.updates[k] and self.division)
+        wm = int(self.M[j] == N and self.division)
         stale = reference_stale(self.m, self.groups, N + 1, None if self.M[j] < 0 else self.M[j])
         charged.append((N, self.vm * (self.groups - 1) + wm * (self.groups - len(stale)), self.vm + wm))
         return out
@@ -872,7 +869,7 @@ def test_multiplier_counts_equal_the_per_lane_charge(request, monkeypatch, code_
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
         for arch, sim in archsim.SIMULATORS.items():
             charged.clear()
-            tr = sim(code, synd, keep_snapshots=False)
+            tr = sim(code, synd)
             peaks = {N: [p for n, _, p in charged if n == N] for N in range(code.m + 1)}
             per_clock = sum if arch == archsim.INVERSE_FREE else max
             assert tr.mult_uses == sum(c for _, c, _ in charged), (arch, weight)

@@ -369,7 +369,7 @@ def test_input_file_fuzz_exits_cleanly(tmp_path):
         flag = ["--errors"] if errors else []
         argvs.append(["decode", preset, str(path), *flag])
         if preset == "elliptic_gf16":
-            arch = archsim.SIMULATED[k % 3]
+            arch = list(archsim.SIMULATORS)[k % 3]
             argvs.append(["trace-arch", preset, str(path), os.devnull, "--arch", arch, *flag])
     codes = fuzz_exit_codes(argvs)
     assert set(codes) <= {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_NOT_GENERIC, cli.EXIT_FAILURE}

@@ -1,9 +1,11 @@
 """Rules on the source of the agbms package itself."""
 
 import ast
+import dataclasses
 import pathlib
 
 import agbms
+from agbms import archsim
 
 
 def test_no_bare_assert():
@@ -69,30 +71,37 @@ def test_step_reads_its_own_heads():
 
 def test_simulator_rules_live_in_the_controller():
     # the N-loop is written once: only _Controller.run calls the lane rule
-    # and the boundary check, so no datapath runs a loop of its own; and
-    # the snapshots have one writer, _Controller.run, which appends each
-    # loop's packed record, and one reader, ArchTrace.clocks, the one place
-    # that builds register windows, so neither can be copied back into a
-    # datapath
+    # and the boundary check, so no datapath runs a loop of its own.  A run
+    # keeps no record of its loops: no function in the package reads
+    # keep_snapshots, nothing in archsim appends to a trace field, and
+    # ArchTrace.clocks, the one place that builds register windows, reads
+    # them off the replayed boundary states
     pkg = pathlib.Path(agbms.__file__).resolve().parent
     tree = ast.parse((pkg / "archsim.py").read_text())
     defs = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
     for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
         defs += [(f"{cls.name}.{n.name}", n) for n in cls.body if isinstance(n, ast.FunctionDef)]
+    fields = {f.name for f in dataclasses.fields(archsim.ArchTrace)}
 
-    def users(attr, parent=None):
-        return sorted(
-            {
-                name
-                for name, d in defs
-                for n in ast.walk(d)
-                if getattr(n, "attr", None) == attr and (parent is None or getattr(n.value, "attr", None) == parent)
-            }
-        )
+    def users(attr):
+        return sorted({name for name, d in defs for n in ast.walk(d) if getattr(n, "attr", None) == attr})
 
     assert users("lane") == users("_boundary") == ["_Controller.run"]
-    assert users("snapshots") == ["ArchTrace.clocks", "_Controller.run"]
-    assert users("append", parent="snapshots") == ["_Controller.run"]
+    assert "ArchTrace.clocks" in users("boundary_states")
+    appends = [
+        f"archsim.py:{n.lineno}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) in ("append", "extend", "insert")
+        if getattr(n.func.value, "attr", None) in fields
+    ]
+    assert appends == [], f"a trace field is appended to at {', '.join(appends)}"
+    reads = [
+        f"{path.relative_to(pkg)}:{n.lineno}"
+        for path in sorted(pkg.rglob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(n, ast.Name) and n.id == "keep_snapshots"
+    ]
+    assert reads == [], f"keep_snapshots is read at {', '.join(reads)}"
 
 
 def test_every_name_has_a_toolkit_caller():
