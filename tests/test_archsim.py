@@ -604,6 +604,19 @@ def test_untraced_run_builds_one_state(monkeypatch, arch, preset):
     assert len(built) == 1 + 1 + code.m + 2
 
 
+@pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
+def test_default_run_keeps_no_snapshots(arch):
+    # a run keeps no record of its loops: clocks() rebuilds them from the
+    # boundary states, which are replayed only when first read, so a run
+    # that is never traced copies no state
+    code, _ = cli.load_code("hermitian_gf16")
+    locs, vals = cli.read_errors(bundled_error_file("hermitian_gf16"), code)
+    tr = archsim.SIMULATORS[arch](code, code.syndromes(code.inject_errors(code.zero_word(), locs, vals)))
+    assert {f.name for f in dataclasses.fields(tr)}.isdisjoint({"snapshots", "records", "updates"})
+    assert tr.boundary_states.states is None and len(tr.boundary_states) == code.m + 2
+    assert len(list(tr.clocks())) == tr.total_clocks and tr.boundary_states.states is not None
+
+
 @pytest.mark.parametrize("preset", [*PRESETS, "elliptic_gf512"])
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
 def test_snapshots_do_not_change_a_run(request, arch, preset):
