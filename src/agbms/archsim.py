@@ -69,63 +69,67 @@ exchange register.
 
 One controller, two datapaths: the rules above are written once, in
 ``_Controller``, per lane -- the pair of columns (i, ibar(i, N)) that meet
-at one multiplier pair in loop N.  ``_Controller.run(slots, fold)``
-runs every loop of every simulator: in loop N lane k pairs v/f column i
-with w/g column j, (i, j) = slots[N][k], hands ``_Controller.lane`` their
-words and stores what it returns on the same columns.  ``lane`` is the one
-lane rule.  It reads the v head and the w head as lane 0 of the words its
-columns give and latches d (behind the one gate comparison of
-``bms.loops``) and e (d^-1 too in division mode) as product rows: a table
-per constant mapping every bit-vector v to vec(c*v), built from the
-field's exp/log tables the first time a latch meets c and kept on the code
-(``_product_row``, one table per code; no q x q table, and independent of
-``gf``'s ``scale`` tables, so the boundary check compares two
-multipliers); it sets the lane's preserve/update switch, which no record
-keeps: M_j = N says it was set.  It updates s and c in place, lane by lane
-in the order of the clocks, exactly as a ``bms.loops`` loop updates its
-state (its docstring says why that is exact), and keeps M_j, the loop of its w/g
-column's last g replacement (-1 before any).  It then returns the word of
-the lane's v/f inputs, e*(x >> lane) ^ d*(y >> lane) with x and y the words
-its lines give -- at most two whole-word maps through product rows
-(``GF.lookup``: a ``bytes.translate`` on one-byte lanes, unpack, row and
-pack on two-byte ones) and one XOR; up to w = 4 (GF(8) and GF(16)) a lane
-that maps both makes it as one map of (x | y << 4) >> lane, whose byte k
-holds lane k+1 of both words, through the 256-byte pair row of (e, d),
-built from the two product rows and kept on the code in a second
-``gf.Memo`` (``_pair_row``; never ``gf``'s merge or pair rows) -- and the
-word of its w/g inputs: y, or
-after an update d^-1 * x in division mode and x unscaled in inverse-free
-mode, ANDed with ``zero[N][M_j]``, which clears the groups zero-set one
-loop ahead.  That mask table is kept per code and per group count
-(``_tables``), built once from ``_stale``, the one rule for those groups,
-with -1 where there are none, so a column never replaced (M_j = -1) reads
-the last entry of its row.  ``run`` charges every lane's vm v/f
-multipliers at each group past the head once per loop and sets each
-lane's peak to vm; a lane adds only a division update's w/g multipliers,
-one at every group it does not zero-set, and its peak of vm+1; ``fold``
-turns the loop's peaks into its multipliers per clock: ``sum`` for the
-parallel blocks, ``max`` for the one shared multiplier pair.  A
-multiplier whose constant is 0 or alpha^0 makes no map, so a lane that
+at one multiplier pair in loop N.  ``_Controller.run(lanes, fold)`` runs
+every loop of every simulator, and its loop body is the one lane rule,
+inline as ``bms.loops`` holds its lane: in loop N lane k pairs v/f column
+i with w/g column j, (i, j, l) = lanes[N][k] with l the gate of column i,
+and writes its inputs back to the same two columns in place (each column
+is read and written by one lane per loop).  A lane reads the v head and
+the w head as lane 0 of its two words and latches d (behind the one gate
+comparison of ``bms.loops``, s1^(i) <= l) and e (d^-1 too in division
+mode) as product rows: a table per constant mapping every bit-vector v to
+vec(c*v), built from the field's exp/log tables the first time a latch
+meets c and kept on the code (``_product_row``, one table per code; no q x
+q table, and independent of ``gf``'s ``scale`` tables, so the boundary
+check compares two multipliers); it sets the lane's preserve/update
+switch, which no record keeps: M_j = N says it was set.  It updates s and c
+in place, lane by lane in the order of the clocks, exactly as a
+``bms.loops`` loop updates its state (its docstring says why that is
+exact), and keeps M_j, the loop of its w/g column's last g replacement (-1
+before any).  Its v/f inputs are e*(x >> lane) ^ d*(y >> lane) with x and
+y the words its lines give -- at most two whole-word maps through product
+rows (``GF.lookup``: a ``bytes.translate`` on one-byte lanes, unpack, row
+and pack on two-byte ones) and one XOR; up to w = 4 (GF(8) and GF(16)) a
+lane that maps both makes it as one map of (x | y << 4) >> lane, whose
+byte k holds lane k+1 of both words, through the 256-byte pair row of (e,
+d), built from the two product rows and kept on the code in a second
+``gf.Memo`` (``_pair_row``; never ``gf``'s merge or pair rows).  Its w/g
+inputs are y, or after an update d^-1 * x in division mode and x unscaled
+in inverse-free mode, ANDed with ``zero[N][M_j]`` read after the update,
+which clears the groups zero-set one loop ahead.  That mask table is kept
+per code and per group count (``_tables``), built once from ``_stale``,
+the one rule for those groups, with -1 where there are none, so a column
+never replaced (M_j = -1) reads the last entry of its row.  Every lane's
+peak is vm, its v/f multipliers per clock, but a division update's, vm+1,
+which also charges one w/g multiplier at every group it does not
+zero-set; ``fold`` turns a loop's peaks into its multipliers per clock
+(``sum`` for the parallel blocks, ``max`` for the one shared multiplier
+pair) and is made only on the loops that take a division update, and once
+on the all-vm peaks.  The vm v/f multipliers every lane charges at each
+group past the head in every loop are summed once, at the end of the run.
+A multiplier whose constant is 0 or alpha^0 makes no map, so a lane that
 latches d = 0 and e = alpha^0 is a plain shift; the boundary check thus
 still compares two multipliers on every constant but 0 and alpha^0, where
 ``bms.loops`` passes its input through as well.  A pair row is one
 multiplier pair, built from this module's product rows, so the check
 compares it with ``GF.merge``, not with itself.
 
-A datapath keeps only its wiring -- line lengths, its slot table and its
-layout -- and hands them to the controller.  ``sim_inverse_free`` puts
-lane i on block i, with the pair (i, ibar(i, N)).  ``_sim_serial_core``'s
-slot table is the slot rule, which is only the order of the lanes: the
-exchange register and the FIFO rotate the v/f slots, so after loop N slot
-k carries the column of slot k+1 and slot a-1 lane 0's, which wraps
-through the exchange register (a one-place shift of the slot-0 column) and
-the FIFO; each w/g slot keeps its column.  ``run`` counts each loop's P
-clocks.  At a boundary the controller compares its live column words, as
-they stand, with the reference state's: a register word and a ``bms`` word
-share one layout, register p in lane p, so nothing is placed, packed or
-unpacked.  That equality is the whole check: the reference holds zero on
-every lane of a zero-set group or of a group past the top exponent, so a
-register left nonzero there diverges at f or g.
+A datapath keeps only its wiring -- line lengths, its lane tuples and its
+layout -- and hands them to the controller.  The lane tuples are built
+once per code and kept on it (``_lanes``): ``sim_inverse_free`` puts lane
+i on block i, with the pair (i, ibar(i, N)), and reads ``bms``' own lane
+triples; the serial table, which both serial modes share, is the slot
+rule, which is only the order of the lanes: the exchange register and the
+FIFO rotate the v/f slots, so after loop N slot k carries the column of
+slot k+1 and slot a-1 lane 0's, which wraps through the exchange register
+(a one-place shift of the slot-0 column) and the FIFO; each w/g slot keeps
+its column.  ``run`` counts each loop's P clocks as it runs it.  At a
+boundary the controller compares its live column words, as they stand,
+with the reference state's: a register word and a ``bms`` word share one
+layout, register p in lane p, so nothing is placed, packed or unpacked.
+That equality is the whole check: the reference holds zero on every lane
+of a zero-set group or of a group past the top exponent, so a register
+left nonzero there diverges at f or g.
 
 A run stores nothing per loop, and every run can be traced.
 ``ArchTrace.clocks`` is the one place that builds register windows, and
@@ -273,6 +277,30 @@ def _tables(code: CodeSpec, groups: int) -> tuple[list[list[int]], Memo, Memo | 
     return (*tables, code.tables["archsim", "pairs"])
 
 
+def _lanes(code: CodeSpec, serial: bool) -> list[list[tuple[int, int, int]]]:
+    """The lane tuples of a datapath, built on first use and kept on the
+    code: per loop N, in lane order, (i, j, l) of every lane -- v/f column
+    i, w/g column j = ibar(i, N) and l = l^(i)'s first component at N, -1
+    at a gap.  The inverse-free blocks are ``bms``' own lane triples, lane
+    i on block i.  The serial table is the slot rule, the same in both
+    modes: in loop N slot k carries v/f column b^-1 (N+k) mod a and w/g
+    column -b^-1 k mod a, so the v/f assignment rotates one slot per loop
+    (slot k of loop N+1 is slot k+1 of loop N) and each w/g slot keeps its
+    column."""
+    key = ("archsim", SERIAL if serial else INVERSE_FREE)
+    lanes = code.tables.get(key)
+    if lanes is None:
+        cv, gates = code.curve, bms.gate_table(code)
+        if serial:
+            a, b, l1 = cv.a, cv.b_inv, gates.l1
+            cols = [[(b * (N + k) % a, -b * k % a) for k in range(a)] for N in range(code.m + 1)]
+            lanes = [[(i, j, l1[N][i]) for i, j in row] for N, row in enumerate(cols)]
+        else:
+            lanes = [loop for _, loop, _ in gates.loop]
+        code.tables[key] = lanes
+    return lanes
+
+
 def _fields(st: bms.BmsState) -> tuple:
     """A state's mode and N and copies of its lists, the arguments of a
     ``bms.BmsState`` equal to it."""
@@ -304,29 +332,24 @@ class _Replay(Sequence):
 
 class _Controller:
     """Latches, switches, line inputs and boundary checks of one simulated
-    run, per lane (see the module docstring); it fills in ``trace``.
-    ``groups`` is the number of clocks a lane takes per loop (the w/g
-    line's exponent groups).  A line is a word of ``gf`` lanes, register p
-    from the output end in lane p, in bit-vector form; the latched e, d
-    and d^-1 are product rows (``_product_row``), and (e, d) a pair row
-    (``_pair_row``) up to w = 4, kept on the code."""
+    run (see the module docstring); it fills in ``trace``.  ``groups`` is
+    the number of clocks a lane takes per loop (the w/g line's exponent
+    groups).  A line is a word of ``gf`` lanes, register p from the output
+    end in lane p, in bit-vector form; the latched e, d and d^-1 are
+    product rows (``_product_row``), and (e, d) a pair row (``_pair_row``)
+    up to w = 4, kept on the code."""
 
     def __init__(self, trace: ArchTrace, code: CodeSpec, synd: dict[Mono, int], mode: str, groups: int):
-        fld, a = code.fld, code.curve.a
         self.arch, self.trace, self.code, self.synd = trace.architecture, trace, code, synd
-        self.m, self.lb, self.head, self.map = code.m, fld.lane_bits, fld.q - 1, fld.lookup
-        self.groups = groups
+        self.m, self.lb, self.groups = code.m, code.fld.lane_bits, groups
         self.division = mode == bms.DIVISION
-        self.vm = 1 if self.division else 2  # v/f multipliers per lane clock past the head
         self.gates = bms.gate_table(code)
-        self.l1, self.log, self.inv_chain = self.gates.l1, fld.log, fld.inv_chain
         self.zero, self.rows, self.pairs = _tables(code, groups)
         self.ref = bms.init_state(code, synd, mode)
         self.ref_loops = bms.loops(self.ref, code)  # one reference run, advanced a loop per boundary
         self.replay = trace.boundary_states = _Replay(self.ref, code)
         self.s1, self.c1 = self.ref.s1[:], self.ref.c1[:]
-        self.M = [-1] * a  # loop of the last g replacement per column, -1 before any
-        self.peak = [self.vm] * a  # per lane: multipliers on its busiest clock
+        self.M = [-1] * code.curve.a  # loop of the last g replacement per column, -1 before any
 
     def initial_registers(self) -> tuple[list[int], list[int]]:
         """The v/f and w/g words of every column before loop 0: column i
@@ -336,70 +359,74 @@ class _Controller:
         vf = [sum(map(lshift, map(vec, map(u, ls)), shifts)) | f_one for shifts, ls in self.gates.seed]
         return vf, [1] * len(vf)
 
-    def lane(self, N: int, lane: int, i: int, j: int, x: int, y: int) -> tuple[int, int]:
-        """One lane's loop N, where x and y are the words of what its v/f
-        and w/g columns i and j give, one lane per exponent group.  At the
-        head group, from the v head (lane 0 of x) and the w head (lane 0 of
-        y), it latches d and e, sets the switch, updates the degrees and
-        M_j in place (exact for the reason given in ``bms.loops``) and
-        charges a division update's w/g multipliers (``run`` charges the
-        rest); d passes the gate ``bms.loops`` makes, s1^(i) <= l^(i) on the
-        gate table, whose -1 at a gap fails it.  It returns the words of the
-        v/f inputs e*x ^ d*y over the groups past the head and of the w/g
-        inputs -- after an update d^-1 * x, or x unscaled in inverse-free
-        mode, else y -- ANDed with the zero-set mask of (N, M_j).
-        A multiplier whose constant is alpha^0 or 0 maps nothing: a lane
-        with d = 0 and e = alpha^0 is a plain shift.  Up to w = 4 a lane
-        that maps both x and y maps x | y << 4 once, through the pair row
-        of (e, d)."""
-        s1, c1, log, rows, lb = self.s1, self.c1, self.log, self.rows, self.lb
-        l = self.l1[N][i]
-        d = log[x & self.head] if s1[i] <= l else ZERO
-        e = 0 if self.division else log[y & self.head]  # division mode keeps v: e = 1
-        w = y
-        if d != ZERO and s1[i] < l - c1[j]:  # the update switch
-            w = x  # an inverse-free update takes v unscaled
-            if self.division:
-                w = self.map(x, rows[self.inv_chain(d)])
-                # a scaled w/g input takes one more multiplier at every group
-                # it does not zero-set -- at most group m-N, since its M is N
-                # -- so all lanes of a clock reach their peaks together
-                self.trace.inv_uses += 1
-                self.trace.mult_uses += self.groups - len(_stale(self.m, self.groups, N + 1, N))
-                self.peak[lane] = self.vm + 1
-            s1[i], c1[j] = l - c1[j], l - s1[i]
-            self.M[j] = N
-        w &= self.zero[N][self.M[j]]
-        if d == ZERO:
-            return (x >> lb if e == 0 else self.map(x >> lb, rows[e])), w
-        if e == 0:
-            return x >> lb ^ self.map(y >> lb, rows[d]), w
-        if self.pairs is not None:  # byte k holds lane k of both words
-            return self.map((x | y << 4) >> lb, self.pairs[e, d]), w
-        return self.map(x >> lb, rows[e]) ^ self.map(y >> lb, rows[d]), w
-
-    def run(self, slots: Iterable[Iterable[tuple[int, int]]], fold: Callable) -> ArchTrace:
+    def run(self, lanes: Sequence[Sequence[tuple[int, int, int]]], fold: Callable) -> ArchTrace:
         """Every loop of the run, with a boundary check before each loop
         and after the last, on the column words as they stand.  In loop N
-        lane k pairs v/f column i with w/g column j, (i, j) = slots[N][k],
-        for N = 0..m; its inputs go to the same two columns.  Each loop
-        counts its P clocks and every lane's vm v/f multipliers at each
-        group past the head, and sets each lane's peak to vm (a lane adds
-        only a division update's w/g multipliers); ``fold`` of the peaks is
-        the loop's multipliers per clock.  Nothing is stored per loop."""
-        trace, a, vm = self.trace, len(self.peak), self.vm
+        lane k pairs v/f column i with w/g column j, (i, j, l) =
+        lanes[N][k] with l = l^(i)'s first component at N, for N = 0..m;
+        its inputs go to the same two columns, in place, as ``bms.loops``
+        updates its state (each column is read and written by one lane).
+
+        The lane rule is written here once.  At the head group, from the v
+        head (lane 0 of x, the v/f word) and the w head (lane 0 of y, the
+        w/g word), a lane latches d, behind the gate s1^(i) <= l of
+        ``bms.loops``, and e (alpha^0 in division mode), sets the switch,
+        updates the degrees and M_j and charges a division update's w/g
+        multipliers.  Its v/f inputs are e*x ^ d*y over the groups past the
+        head and its w/g inputs, after an update d^-1 * x (x unscaled in
+        inverse-free mode), else y, ANDed with the zero-set mask of
+        (N, M_j).  A constant alpha^0 or 0 maps nothing: a lane with d = 0
+        and e = alpha^0 is a plain shift.  Up to w = 4 a lane that maps both
+        x and y maps x | y << 4 once, through the pair row of (e, d).
+
+        Each loop counts its P clocks.  Every lane's peak is vm, its v/f
+        multipliers per clock, but a division update's, vm + 1, so ``fold``
+        of the peaks (the loop's multipliers per clock) is made only on a
+        loop that takes one; the vm v/f multipliers that every lane charges
+        at each group past the head in every loop are summed once, at the
+        end.  Nothing is stored per loop."""
+        trace, m, groups, a, P = self.trace, self.m, self.groups, len(self.M), self.trace.period
+        fld, s1, c1, M, zero, rows, pairs = self.code.fld, self.s1, self.c1, self.M, self.zero, self.rows, self.pairs
+        log, lookup, inv_chain, lb, head = fld.log, fld.lookup, fld.inv_chain, self.lb, fld.q - 1
+        division = self.division
+        vm = 1 if division else 2  # v/f multipliers per lane clock past the head
         vf, wg = self.initial_registers()
-        for N, pairs in enumerate(slots):
+        for N, loop in enumerate(lanes):
             self._boundary(N, vf, wg)
-            trace.total_clocks += trace.period
-            trace.mult_uses += a * vm * (self.groups - 1)
-            self.peak = [vm] * a
-            took_vf, took_wg = [0] * a, [0] * a
-            for k, (i, j) in enumerate(pairs):
-                took_vf[i], took_wg[j] = self.lane(N, k, i, j, vf[i], wg[j])
-            trace.max_mults_per_clock = max(trace.max_mults_per_clock, fold(self.peak))
-            vf, wg = took_vf, took_wg
-        self._boundary(self.m + 1, vf, wg)
+            trace.total_clocks += P
+            mask, ups = zero[N], 0
+            for i, j, l in loop:
+                x, y, s = vf[i], wg[j], s1[i]
+                d = log[x & head] if s <= l else ZERO
+                e = 0 if division else log[y & head]  # division mode keeps v: e = 1
+                w = y
+                if d != ZERO and s < l - c1[j]:  # the update switch
+                    w = x  # an inverse-free update takes v unscaled
+                    if division:
+                        w = lookup(x, rows[inv_chain(d)])
+                        ups += 1
+                    s1[i], c1[j] = l - c1[j], l - s
+                    M[j] = N
+                wg[j] = w & mask[M[j]]
+                if d == ZERO:
+                    vf[i] = x >> lb if e == 0 else lookup(x >> lb, rows[e])
+                elif e == 0:
+                    vf[i] = x >> lb ^ lookup(y >> lb, rows[d])
+                elif pairs is not None:  # byte k holds lane k of both words
+                    vf[i] = lookup((x | y << 4) >> lb, pairs[e, d])
+                else:
+                    vf[i] = lookup(x >> lb, rows[e]) ^ lookup(y >> lb, rows[d])
+            if ups:
+                # a scaled w/g input takes one more multiplier at every group
+                # it does not zero-set -- at most group m-N, since its M is
+                # N -- so all lanes of a clock reach their peaks together
+                trace.inv_uses += ups
+                trace.mult_uses += ups * (groups - len(_stale(m, groups, N + 1, N)))
+                peak = fold([vm + 1] * ups + [vm] * (a - ups))
+                trace.max_mults_per_clock = max(trace.max_mults_per_clock, peak)
+        self._boundary(m + 1, vf, wg)
+        trace.mult_uses += len(lanes) * a * vm * (groups - 1)
+        trace.max_mults_per_clock = max(trace.max_mults_per_clock, fold([vm] * a))
         return trace
 
     def _boundary(self, N: int, vf: list[int], wg: list[int]) -> None:
@@ -413,7 +440,7 @@ class _Controller:
         nonzero there diverges at f or g like any other."""
         next(self.ref_loops)  # the reference at loop N
         ref = self.ref
-        if (self.s1, self.c1, vf, wg) != (ref.s1, ref.c1, ref.vf, ref.wg):
+        if vf != ref.vf or wg != ref.wg or self.s1 != ref.s1 or self.c1 != ref.c1:
             got = bms.state_record(bms.BmsState(ref.mode, ref.N, self.s1, self.c1, vf, wg), self.code)
             want = bms.state_record(ref, self.code)
             key = next(k for k in ("s1", "c1", "v", "f", "w", "g") if got[k] != want[k])
@@ -448,7 +475,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
         return regs, lambda t: {"disc_latch_down": t == 0, **ups}
 
     trace.layout = code.fld.unpack, P, lines
-    return ctl.run(map(enumerate, ibar), sum)
+    return ctl.run(_lanes(code, False), sum)
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +484,11 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
 
 
 def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str) -> ArchTrace:
-    cv = code.curve
-    a, m = cv.a, code.m
+    a, m = code.curve.a, code.m
     arch, c_v = (SERIAL, 0) if mode == bms.DIVISION else (SERIAL_INVERSE_FREE, a)
     P = a * (m + 2) + a + c_v
     G = P // a  # exponent groups per loop
-
-    # the (v/f, w/g) columns on slot k in loop N: one v/f slot rotation per
-    # loop (slot k of loop N+1 is slot k+1 of loop N), and w/g slot k holds
-    # ibar of v/f slot k, the same column in every loop
-    slots = [[(cv.b_inv * (N + k) % a, -cv.b_inv * k % a) for k in range(a)] for N in range(m + 1)]
+    slots = _lanes(code, True)  # (v/f, w/g columns, l) on slot k in loop N
 
     L = a * (m + 2) - 1
     trace = ArchTrace(arch, P, RegisterFile(vf=L, wg=P, disc_regs=a, head_regs=a, exch_regs=1, supp_regs=2 * c_v))
@@ -488,7 +510,7 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str) -> ArchTr
         # holds 0 and then lane 0's column (slot a-1 of the next path), each
         # for a clocks; the w/g line gives its P registers
         (gave_v, gave_w), (took_v, took_w) = gave, took
-        vs, ws = zip(*slots[N])
+        vs, ws, _ = zip(*slots[N])
         path = interleave(gave_v, vs) + [0] * a + interleave(took_v, vs[1:] + vs[:1])[:-1]
         regs = {
             "vf": (path, 0, L),

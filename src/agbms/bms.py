@@ -286,24 +286,25 @@ def state_record(state: BmsState, code: CodeSpec) -> dict:
     current N, and the (exponent, log) lists of the nonzero coefficients,
     lanes mapped back to exponents: v and w at lane + N below lane m+1-N,
     f and g at lane - (m+1-N) from it, and the shared lane g's before the
-    last loop and w's head after it.  The ``--dump-state`` and
-    ``--boundary-dumps`` files hold these."""
+    last loop and w's head after it.  Each word is unpacked once.  The
+    ``--dump-state`` and ``--boundary-dumps`` files hold these."""
     d, e = discrepancies(state, code)
     fld, N = code.fld, state.N
-    terms, up, split = fld.terms, N * fld.lane_bits, (code.m + 1 - N) * fld.lane_bits
-    low = (1 << split) - 1
-    wlow = low | fld.q - 1  # w's lanes: those below the split, and lane 0 after the last loop
-    return {
-        "N": N,
-        "s1": state.s1[:],
-        "c1": state.c1[:],
-        "d": d,
-        "e": e,
-        "f": [terms(x >> split) for x in state.vf],
-        "g": [terms((y & ~wlow) >> split) for y in state.wg],
-        "v": [terms((x & low) << up) for x in state.vf],
-        "w": [terms((y & wlow) << up) for y in state.wg],
-    }
+    log, unpack, lb, split = fld.log, fld.unpack, fld.lane_bits, code.m + 1 - N
+
+    def halves(words: list[int], top: int) -> tuple[list[list], list[list]]:
+        # per word, the nonzero lanes below top as v (or w) and those from
+        # top as f (or g), lowest lane first
+        low, high = [], []
+        for x in words:
+            lanes = unpack(x, -(-x.bit_length() // lb))
+            low.append([(k, log[u]) for k, u in enumerate(lanes[:top], N) if u])
+            high.append([(k, log[u]) for k, u in enumerate(lanes[top:], top - split) if u])
+        return low, high
+
+    v, f = halves(state.vf, split)
+    w, g = halves(state.wg, split or 1)  # after the last loop lane 0 is w's head
+    return {"N": N, "s1": state.s1[:], "c1": state.c1[:], "d": d, "e": e, "f": f, "g": g, "v": v, "w": w}
 
 
 def run(

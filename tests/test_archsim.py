@@ -1,6 +1,8 @@
+import __future__
 import copy
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -9,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -213,16 +216,23 @@ def test_every_simulator_on_artin_schreier_codes():
     assert runs == 1236 and (4, 3) in rotations
 
 
+def reference_l1(code, i, N):
+    """The first component of l^(i) at N, -1 where column i has none."""
+    l = code.curve.l_of(i, N)
+    return -1 if l is None else l[0]
+
+
 def slot_wiring_faults(slots, code):
     """What breaks the serial slot rule in a slot table, slots[N][k] = (v/f
-    column, w/g column) of slot k in loop N: v/f slot k of loop N+1 must
+    column, w/g column, l) of slot k in loop N: v/f slot k of loop N+1 must
     carry the column of slot k+1 of loop N (slot a-1 that of slot 0, through
-    the exchange register), w/g slot k one column in every loop, and each
-    slot the pair (i, ibar(i, N))."""
+    the exchange register), w/g slot k one column in every loop, each slot
+    the pair (i, ibar(i, N)), and l the gate of column i at N."""
     a, faults = code.curve.a, []
     for N, pairs in enumerate(slots):
-        faults += [(N, k, "pair") for k, (i, j) in enumerate(pairs) if j != code.curve.ibar(i, N)]
-        faults += [(N, k, "w/g") for k, (_, j) in enumerate(pairs) if j != slots[0][k][1]]
+        faults += [(N, k, "pair") for k, (i, j, _) in enumerate(pairs) if j != code.curve.ibar(i, N)]
+        faults += [(N, k, "w/g") for k, (_, j, _) in enumerate(pairs) if j != slots[0][k][1]]
+        faults += [(N, k, "gate") for k, (i, _, l) in enumerate(pairs) if l != reference_l1(code, i, N)]
         if N + 1 < len(slots):
             faults += [(N, k, "v/f") for k in range(a) if slots[N + 1][k][0] != pairs[(k + 1) % a][0]]
     return faults
@@ -232,14 +242,15 @@ def test_serial_slot_table_wiring(monkeypatch):
     # the boundary check compares columns, so it cannot see which slot a
     # column sits on: the serial slot rule is only the order of the lanes
     # and the line the CSV shows.  Every preset and every seeded
-    # Artin-Schreier code (b^-1 = 3 at a = 4 among them) checks its table
-    # here, for the m+1 loops it runs; the mutated rule b^-1 (N - k), which
-    # differs from b^-1 (N + k) only where a > 2, must fail the check
+    # Artin-Schreier code (b^-1 = 3 at a = 4 among them) checks the lane
+    # tuples its runs hand the controller, for the m+1 loops it runs; the
+    # mutated rule b^-1 (N - k), which differs from b^-1 (N + k) only where
+    # a > 2, must fail the check
     run, tables = archsim._Controller.run, []
 
-    def recording(self, slots, fold):
-        tables.append((self.code, slots))
-        return run(self, slots, fold)
+    def recording(self, lanes, fold):
+        tables.append((self.code, lanes))
+        return run(self, lanes, fold)
 
     monkeypatch.setattr(archsim._Controller, "run", recording)
     codes = [cli.load_code(p)[0] for p in PRESETS]
@@ -252,6 +263,7 @@ def test_serial_slot_table_wiring(monkeypatch):
         cv, m = code.curve, code.m
         assert len(slots) == m + 1 and slot_wiring_faults(slots, code) == []
         mutant = [[(cv.b_inv * (N - k) % cv.a, -cv.b_inv * k % cv.a) for k in range(cv.a)] for N in range(m + 1)]
+        mutant = [[(i, j, reference_l1(code, i, N)) for i, j in row] for N, row in enumerate(mutant)]
         if cv.a > 2:
             assert slot_wiring_faults(mutant, code) != [], code.curve
             mutants += 1
@@ -451,6 +463,43 @@ def run_bundled(arch, preset):
     return archsim.SIMULATORS[arch](code, synd)
 
 
+@dataclasses.dataclass
+class Boundary:
+    """The controller at boundary N of a run, copied as its check is made:
+    the degrees, M and the column words, which are those after loop N-1 and
+    before loop N, and how many product rows the code held then."""
+
+    ctl: archsim._Controller
+    N: int
+    s1: list[int]
+    c1: list[int]
+    M: list[int]
+    vf: list[int]
+    wg: list[int]
+    rows: int
+
+
+def record_boundaries(mp, check=True):
+    """A list that gains a ``Boundary`` at every boundary a run reaches, run
+    after run; with check=False the record replaces the boundary check, so
+    a run completes whatever its registers hold.  Two consecutive records
+    of one run bracket one loop."""
+    boundary, seen = archsim._Controller._boundary, []
+
+    def recording(self, N, vf_words, wg_words):
+        seen.append(Boundary(self, N, self.s1[:], self.c1[:], self.M[:], vf_words[:], wg_words[:], len(self.rows)))
+        if check:
+            boundary(self, N, vf_words, wg_words)
+
+    mp.setattr(archsim._Controller, "_boundary", recording)
+    return seen
+
+
+def loops_of(seen):
+    """(before, after) of every loop among the recorded boundaries."""
+    return [(b, c) for b, c in itertools.pairwise(seen) if b.ctl is c.ctl]
+
+
 @pytest.mark.parametrize("fault", sorted(BOUNDARY_FAULTS))
 @pytest.mark.parametrize("arch", list(archsim.SIMULATORS))
 def test_boundary_faults_named(monkeypatch, arch, fault):
@@ -484,17 +533,21 @@ def test_boundary_faults_named_two_byte_lanes(monkeypatch, elliptic_gf512, gf512
 
 
 def _fault_in_last_loop(mp, line):
-    """Loop m, the last, flips bit 0 of lane 0 of the v/f or w/g word that
-    lane 0 returns; every earlier loop runs as it should."""
-    lane = archsim._Controller.lane
+    """Of the words loop m, the last, hands to boundary m+1, the v/f or w/g
+    word of the datapath's lane 0 has bit 0 of lane 0 flipped; every earlier
+    loop's words reach their boundaries as the loop left them."""
+    boundary = archsim._Controller._boundary
 
-    def faulty(self, N, k, i, j, x, y):
-        v, w = lane(self, N, k, i, j, x, y)
-        if N == self.m and k == 0:
-            v, w = (v ^ 1, w) if line == "vf" else (v, w ^ 1)
-        return v, w
+    def faulty(self, N, vf_words, wg_words):
+        if N == self.m + 1:
+            i, j, _ = archsim._lanes(self.code, self.arch != archsim.INVERSE_FREE)[self.m][0]
+            if line == "vf":
+                vf_words[i] ^= 1
+            else:
+                wg_words[j] ^= 1
+        boundary(self, N, vf_words, wg_words)
 
-    mp.setattr(archsim._Controller, "lane", faulty)
+    mp.setattr(archsim._Controller, "_boundary", faulty)
 
 
 @pytest.mark.parametrize("line,key", [("vf", "f"), ("wg", "w")])
@@ -648,26 +701,29 @@ def test_kept_run_stores_loop_records(monkeypatch, arch, preset):
     # a run stores no record of its loops and unpacks nothing: clocks()
     # unpacks each replayed boundary's 2a words once, and builds the
     # per-clock dicts only as it is read.  Every clock's update switches are
-    # the controller's own, recorded as each lane returns: lane k updated in
-    # loop N iff it set M_j = N for its w/g column j.  The bundled pattern
-    # updates few columns, so three seeded words past t_generic, which
-    # update more, are traced too
+    # the controller's own, recorded at the boundary after each loop: lane
+    # k, on the lane tuples the run hands the controller, updated in loop N
+    # iff its w/g column j has M_j = N there.  The bundled pattern updates
+    # few columns, so three seeded words past t_generic, which update more,
+    # are traced too
     code, synd = bundled_syndromes(preset)
-    fld, a, m, unpacked, switched = code.fld, code.curve.a, code.m, [], {}
-    unpack, lane = fld.unpack, archsim._Controller.lane
+    fld, a, m, unpacked = code.fld, code.curve.a, code.m, []
+    unpack, run, given = fld.unpack, archsim._Controller.run, []
 
-    def recording(self, N, k, i, j, x, y):
-        out = lane(self, N, k, i, j, x, y)
-        switched[N, k] = self.M[j] == N
-        return out
+    def recording(self, lanes, fold):
+        given.append(lanes)
+        return run(self, lanes, fold)
 
     monkeypatch.setattr(fld, "unpack", lambda x, n: unpacked.append(n) or unpack(x, n))
-    monkeypatch.setattr(archsim._Controller, "lane", recording)
+    monkeypatch.setattr(archsim._Controller, "run", recording)
+    seen = record_boundaries(monkeypatch)
     rng = random.Random(f"switches/{preset}")
     errors = [random_pattern(code, code.t_generic + 2, rng, affine_only=False) for _ in range(3)]
     for synd in [synd, *(code.syndromes(code.inject_errors(code.zero_word(), *e)) for e in errors)]:
-        unpacked.clear(), switched.clear()
+        unpacked.clear(), seen.clear(), given.clear()
         tr = archsim.SIMULATORS[arch](code, synd)
+        lanes = given.pop()
+        switched = {(b.N, k): c.M[j] == b.N for b, c in loops_of(seen) for k, (_, j, _) in enumerate(lanes[b.N])}
         assert unpacked == [] and len(switched) == a * (m + 1)
         assert any(switched.values()) and not all(switched.values())
         snaps = iter(tr.clocks())
@@ -738,25 +794,21 @@ def test_product_rows(request, monkeypatch, code_name):
     # and pack on two-byte ones) is fld.mul lane by lane
     base = request.getfixturevalue(code_name)
     code, fld = CodeSpec(base.curve, base.fld, base.m), base.fld
-    lane, met, tables = archsim._Controller.lane, {ZERO, 0}, set()
-
-    def recording(self, N, k, i, j, x, y):
-        if not tables:
-            assert len(self.rows) == 0  # nothing is built before the first latch
-        tables.add(id(self.rows))
-        d = fld.log[x & fld.q - 1]
-        met.update({d, fld.log[y & fld.q - 1]} | ({fld.inv_chain(d)} if d != ZERO else set()))
-        return lane(self, N, k, i, j, x, y)
-
-    monkeypatch.setattr(archsim._Controller, "lane", recording)
+    met, seen = {ZERO, 0}, record_boundaries(monkeypatch)
     rng = random.Random(f"rows/{code_name}")
     for k in range(3):
         locs, vals = random_pattern(code, k + 1, rng, affine_only=False)
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
         for sim in archsim.SIMULATORS.values():
             sim(code, synd)
+    assert seen[0].rows == 0  # nothing is built before the first loop's latches
+    # what every lane of every loop latches, read off the words before it
+    for b in seen:
+        for i, j in enumerate(b.ctl.gates.ibar[b.N] if b.N <= code.m else []):
+            d = fld.log[b.vf[i] & fld.q - 1]
+            met.update({d, fld.log[b.wg[j] & fld.q - 1]} | ({fld.inv_chain(d)} if d != ZERO else set()))
     rows = code.tables["archsim", "rows"]
-    assert len(tables) == 1 and set(rows) <= met
+    assert {id(b.ctl.rows) for b in seen} == {id(rows)} and set(rows) <= met
     # every element on its own lane, and seeded words of every length a line has
     words = [list(range(fld.q))] + [[rng.randrange(fld.q) for _ in range(n)] for n in range(1, code.m + 5)]
     for c in [*rows, 0, ZERO]:  # rows 0 and ZERO are built here if no latch met them
@@ -792,36 +844,52 @@ def test_pair_rows_are_two_product_rows(request, code_name):
 @pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
 def test_lane_map_unchanged(request, monkeypatch, code_name):
     # a lane that latches d = ZERO or e = 0 skips that multiplier, yet every
-    # lane returns the words of e*x ^ d*y past the head and of the w/g
-    # inputs (d^-1 * x or x after an update, else y, zero-set groups
-    # cleared), here recomputed lane by lane with fld.mul
+    # lane leaves on its columns the words of e*x ^ d*y past the head and of
+    # the w/g inputs (d^-1 * x or x after an update, else y, zero-set groups
+    # cleared), here recomputed lane by lane with fld.mul from the
+    # boundaries before and after each loop (lane_map_faults)
     code = request.getfixturevalue(code_name)
-    fld, lane, kinds = code.fld, archsim._Controller.lane, set()
-
-    def checked(self, N, k, i, j, x, y):
-        d = fld.log[x & fld.q - 1] if self.s1[i] <= self.gates.l1[N][i] else ZERO
-        e = 0 if self.division else fld.log[y & fld.q - 1]
-        xs, ys = fld.unpack(x, self.groups), fld.unpack(y, self.groups)  # the words fit their lines
-        vf, w = lane(self, N, k, i, j, x, y)
-        want = [u ^ v for u, v in zip(mul_lanes(fld, e, xs[1:] + [0]), mul_lanes(fld, d, ys[1:] + [0]))]
-        inv = fld.inv_chain(d) if self.division and d != ZERO else 0
-        want_w = mul_lanes(fld, inv, xs) if self.M[j] == N else ys
-        zero = archsim._stale(self.m, self.groups, N + 1, self.M[j])
-        want_w[zero.start : zero.stop] = [0] * len(zero)
-        assert (vf, w) == (fld.pack(want), fld.pack(want_w))
-        kinds.add((d == ZERO, e == 0))
-        return vf, w
-
-    monkeypatch.setattr(archsim._Controller, "lane", checked)
+    seen, kinds = record_boundaries(monkeypatch), set()
     rng = random.Random(f"lane map/{code_name}")
     for weight in range(1, code.t_generic + 2):
         locs, vals = random_pattern(code, weight, rng, affine_only=False)
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
         for sim in archsim.SIMULATORS.values():
+            seen.clear()
             sim(code, synd)
+            assert len(loops_of(seen)) == code.m + 1
+            assert [f for b, c in loops_of(seen) for f in lane_map_faults(b, c, kinds)] == []
     # every branch ran: a plain shift, a map of x alone or of y alone, and
     # both maps
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def lane_map_faults(before, after, kinds):
+    """The lanes (N, i) of one loop whose switch or outputs are not the lane
+    rule's, recomputed lane by lane with fld.mul from the degrees, M and
+    words before the loop: lane i pairs columns i and j = ibar(i, N),
+    updates (sets M_j = N, else keeps it) iff d is not ZERO and s1^(i) < l
+    - c1^(j), and leaves the v/f word e*x ^ d*y past the head and the w/g
+    word d^-1 * x or x after an update, else y, zero-set groups cleared.
+    Each lane's (d is ZERO, e is alpha^0) goes into kinds."""
+    ctl, N = before.ctl, before.N
+    fld, groups, faults = ctl.code.fld, ctl.groups, []
+    for i, j in enumerate(ctl.gates.ibar[N]):
+        x, y, l = before.vf[i], before.wg[j], reference_l1(ctl.code, i, N)
+        d = fld.log[x & fld.q - 1] if before.s1[i] <= l else ZERO
+        e = 0 if ctl.division else fld.log[y & fld.q - 1]
+        xs, ys = fld.unpack(x, groups), fld.unpack(y, groups)  # the words fit their lines
+        want = [u ^ v for u, v in zip(mul_lanes(fld, e, xs[1:] + [0]), mul_lanes(fld, d, ys[1:] + [0]))]
+        updated = d != ZERO and before.s1[i] < l - before.c1[j]
+        Mj = N if updated else before.M[j]
+        inv = fld.inv_chain(d) if ctl.division and d != ZERO else 0
+        want_w = mul_lanes(fld, inv, xs) if updated else ys
+        zero = archsim._stale(ctl.m, groups, N + 1, Mj)
+        want_w[zero.start : zero.stop] = [0] * len(zero)
+        if after.M[j] != Mj or (after.vf[i], after.wg[j]) != (fld.pack(want), fld.pack(want_w)):
+            faults.append((N, i))
+        kinds.add((d == ZERO, e == 0))
+    return faults
 
 
 def reference_stale(m, groups, N, Mj):
@@ -829,6 +897,28 @@ def reference_stale(m, groups, N, Mj):
     as the reference for the mask tables: Mj is None before the column's
     first replacement."""
     return range(max(1, m + 1 - N), groups if Mj is None else m + 1 - Mj)
+
+
+def charge_faults(arch, tr, seen):
+    """The multiplier statistics of a run that are not the per-lane charge,
+    recounted lane by lane from its recorded boundaries: vm (1 in division
+    mode, which keeps v; 2 inverse-free) at every group past the head,
+    plus, after a division update, one at every group not zero-set, and a
+    peak of vm plus that one; a loop's multipliers per clock are the sum of
+    its lanes' peaks on the parallel blocks, their max on the serial
+    pair."""
+    uses, per_clock = 0, []
+    for b, c in loops_of(seen):
+        ctl, N = b.ctl, b.N
+        vm, peaks = 1 if ctl.division else 2, []
+        for j in ctl.gates.ibar[N]:
+            wm = int(c.M[j] == N and ctl.division)
+            stale = reference_stale(ctl.m, ctl.groups, N + 1, None if c.M[j] < 0 else c.M[j])
+            uses += vm * (ctl.groups - 1) + wm * (ctl.groups - len(stale))
+            peaks.append(vm + wm)
+        per_clock.append(sum(peaks) if arch == archsim.INVERSE_FREE else max(peaks))
+    want = {"mult_uses": uses, "max_mults_per_clock": max(per_clock)}
+    return [name for name, value in want.items() if getattr(tr, name) != value]
 
 
 @pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
@@ -860,33 +950,103 @@ def test_controller_tables_equal_their_definitions(request, code_name):
 
 @pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
 def test_multiplier_counts_equal_the_per_lane_charge(request, monkeypatch, code_name):
-    # a loop charges every lane's v/f multipliers and a lane only a division
-    # update's w/g ones; recounted here lane by lane -- vm at every group
-    # past the head, plus, after a division update, one at every group not
-    # zero-set, and a peak of vm plus that one -- on runs that take
-    # division updates
-    code, lane = request.getfixturevalue(code_name), archsim._Controller.lane
-    charged: list = []
-
-    def recount(self, N, k, i, j, x, y):
-        out = lane(self, N, k, i, j, x, y)
-        wm = int(self.M[j] == N and self.division)
-        stale = reference_stale(self.m, self.groups, N + 1, None if self.M[j] < 0 else self.M[j])
-        charged.append((N, self.vm * (self.groups - 1) + wm * (self.groups - len(stale)), self.vm + wm))
-        return out
-
-    monkeypatch.setattr(archsim._Controller, "lane", recount)
+    # a run charges every lane's v/f multipliers and a lane only a division
+    # update's w/g ones; recounted here lane by lane, loop by loop
+    # (charge_faults), on runs that take division updates
+    code, seen = request.getfixturevalue(code_name), record_boundaries(monkeypatch)
     rng, divisions = random.Random(f"mults/{code_name}"), 0
     for weight in range(code.t_generic + 3):
         locs, vals = random_pattern(code, weight, rng, affine_only=False)
         synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
         for arch, sim in archsim.SIMULATORS.items():
-            charged.clear()
+            seen.clear()
             tr = sim(code, synd)
-            peaks = {N: [p for n, _, p in charged if n == N] for N in range(code.m + 1)}
-            per_clock = sum if arch == archsim.INVERSE_FREE else max
-            assert tr.mult_uses == sum(c for _, c, _ in charged), (arch, weight)
-            assert tr.max_mults_per_clock == max(per_clock(p) for p in peaks.values()), (arch, weight)
+            assert len(loops_of(seen)) == code.m + 1
+            assert charge_faults(arch, tr, seen) == [], (arch, weight)
             if arch == archsim.SERIAL:
                 divisions += tr.inv_uses
     assert divisions > 0
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_code_builds_its_lane_tables_once(monkeypatch, preset):
+    # as the encoder reuses one rref: the first run of each datapath on a
+    # code builds its lane tuples -- the serial slot table, which both serial
+    # modes share, and the inverse-free blocks' -- and keeps them on the
+    # code; every later run, on other words, hands the controller the same
+    # objects, and a fresh CodeSpec starts without them
+    run, given = archsim._Controller.run, []
+
+    def recording(self, lanes, fold):
+        given.append((self.arch, lanes))
+        return run(self, lanes, fold)
+
+    monkeypatch.setattr(archsim._Controller, "run", recording)
+    base = cli.load_code(preset)[0]
+    code = CodeSpec(base.curve, base.fld, base.m)
+    blocks, serial = ("archsim", archsim.INVERSE_FREE), ("archsim", archsim.SERIAL)
+    keys = {archsim.INVERSE_FREE: blocks, archsim.SERIAL: serial, archsim.SERIAL_INVERSE_FREE: serial}
+    assert not set(keys.values()) & set(code.tables)
+    rng = random.Random(f"lane tables/{preset}")
+    for weight in range(3):
+        locs, vals = random_pattern(code, weight + 1, rng, affine_only=False)
+        synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+        for arch, sim in archsim.SIMULATORS.items():
+            sim(code, synd)
+            assert given[-1][1] is code.tables[keys[arch]]
+    assert len(given) == 3 * len(archsim.SIMULATORS)
+    assert all(lanes is code.tables[keys[arch]] for arch, lanes in given)
+    assert len({id(lanes) for _, lanes in given}) == 2
+    assert not set(keys.values()) & set(CodeSpec(base.curve, base.fld, base.m).tables)
+
+
+# Mutants of the controller's loop, each a source edit of _Controller.run:
+# the seam checks above (lane_map_faults, charge_faults) must see each one
+# with the boundary check off, so they do not lean on it.
+LOOP_MUTANTS = {
+    # the zero mask read at zero[N][M_j] before the update sets M_j
+    "mask_before_update": (
+        [("w = y\n", "w, early = y, mask[M[j]]\n"), ("wg[j] = w & mask[M[j]]", "wg[j] = w & early")],
+        "lane map",
+    ),
+    # a division update that passes x on unscaled
+    "division_unscaled": ([("w = lookup(x, rows[inv_chain(d)])", "w = x")], "lane map"),
+    # the peak fold skipped on a loop with a division update
+    "peak_fold_skipped": (
+        [("trace.max_mults_per_clock = max(trace.max_mults_per_clock, peak)", "pass")],
+        "charge",
+    ),
+}
+
+
+def mutated_run(edits):
+    """_Controller.run with each (old, new) edit applied once to its source,
+    compiled in a copy of archsim's namespace."""
+    src = textwrap.dedent(inspect.getsource(archsim._Controller.run))
+    for old, new in edits:
+        assert src.count(old) == 1, old
+        src = src.replace(old, new)
+    scope = dict(vars(archsim))
+    exec(compile(src, archsim.__file__, "exec", __future__.annotations.compiler_flag, dont_inherit=True), scope)
+    return scope["run"]
+
+
+@pytest.mark.parametrize("mutant", [None, *sorted(LOOP_MUTANTS)])
+def test_seam_checks_kill_loop_mutants(monkeypatch, mutant):
+    # None is the loop as it stands, compiled the same way: no check sees a
+    # fault in it
+    edits, check = LOOP_MUTANTS[mutant] if mutant else ([], None)
+    monkeypatch.setattr(archsim._Controller, "run", mutated_run(edits))
+    seen, found = record_boundaries(monkeypatch, check=False), {"lane map": 0, "charge": 0}
+    for preset in PRESETS:
+        code, _ = cli.load_code(preset)
+        rng = random.Random(f"mutants/{preset}")
+        for weight in range(1, code.t_generic + 3):
+            locs, vals = random_pattern(code, weight, rng, affine_only=False)
+            synd = code.syndromes(code.inject_errors(code.zero_word(), locs, vals))
+            for arch, sim in archsim.SIMULATORS.items():
+                seen.clear()
+                tr = sim(code, synd)
+                found["lane map"] += sum(len(lane_map_faults(b, c, set())) for b, c in loops_of(seen))
+                found["charge"] += len(charge_faults(arch, tr, seen))
+    assert found[check] > 0 if check else found == {"lane map": 0, "charge": 0}, found

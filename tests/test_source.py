@@ -70,8 +70,10 @@ def test_step_reads_its_own_heads():
 
 
 def test_simulator_rules_live_in_the_controller():
-    # the N-loop is written once: only _Controller.run calls the lane rule
-    # and the boundary check, so no datapath runs a loop of its own.  A run
+    # the N-loop and the lane rule are written once, in _Controller.run: it
+    # is the one function that maps words through product rows (GF.lookup),
+    # inverts a latch (inv_chain) or calls the boundary check, so no
+    # datapath runs a loop or a lane of its own.  A run
     # keeps no record of its loops: no function in the package reads
     # keep_snapshots, nothing in archsim appends to a trace field, and
     # ArchTrace.clocks, the one place that builds register windows, reads
@@ -86,7 +88,7 @@ def test_simulator_rules_live_in_the_controller():
     def users(attr):
         return sorted({name for name, d in defs for n in ast.walk(d) if getattr(n, "attr", None) == attr})
 
-    assert users("lane") == users("_boundary") == ["_Controller.run"]
+    assert users("lookup") == users("inv_chain") == users("_boundary") == ["_Controller.run"]
     assert "ArchTrace.clocks" in users("boundary_states")
     appends = [
         f"archsim.py:{n.lineno}"
