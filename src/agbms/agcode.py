@@ -2,12 +2,15 @@
 
 Every evaluation on the decode path reads one memoized point x monomial
 table (``CodeSpec.eval_row``): the row of z^n holds its log value at each
-code point.  Point sums are made of log-indexed product tables built from
-those rows, the software counterpart of the table-driven syndrome and
-Chien-search units: a table's word r packs alpha^r times a vector of values
-(``gf`` lanes), word 0 is the vector itself and index ZERO reads 0, so a
-nonzero log-form symbol picks its product with one read and a point sum is
-one XOR per symbol, which one ``GF.unpack`` turns into values.  Above
+code point.  It is kept, as every per-code table of ``bms`` and
+``archsim`` is, through ``CodeSpec.table``: a plain builder, keyed in
+``tables`` by itself and its arguments, built on the first read.  Point
+sums are made of log-indexed product tables built from those rows, the
+software counterpart of the table-driven syndrome and Chien-search units:
+a table's word r packs alpha^r times a vector of values (``gf`` lanes),
+word 0 is the vector itself and index ZERO reads 0, so a nonzero log-form
+symbol picks its product with one read and a point sum is one XOR per
+symbol, which one ``GF.unpack`` turns into values.  Above
 GF(16) a table keeps only its w split words and forms word r per read
 (``_Split``), since q words per table do not fit large fields.  The
 syndrome unit keeps one table per code point over the syndrome indices
@@ -22,6 +25,7 @@ XOR per coefficient, as a syndrome vector is one per symbol.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import getitem, xor
@@ -124,11 +128,8 @@ class CodeSpec:
         # Monomial basis of L(m P_inf) and the wider syndrome index set.
         self.basis = self.curve.phi(0, self.curve.a, self.m)
         self.syndrome_domain = self.curve.phi(0, 2 * self.curve.a - 1, self.m)
-        self._rows: dict[Mono, list[int | None]] = {}
         self.point_words = Memo(self, CodeSpec._point_words)  # pole order -> its point words
-        # tables other modules derive from the code alone, built on first use
-        # by their owner and kept for the life of the code (the BMS gates)
-        self.tables: dict = {}
+        self.tables: dict = {}  # (build, *args) -> build(self, *args), read through ``table``
 
     @property
     def dim(self) -> int:
@@ -136,22 +137,31 @@ class CodeSpec:
 
     # -- evaluation table ----------------------------------------------------
 
+    def table(self, build: Callable, *args):
+        """``build(self, *args)``, built on the first call and kept for the
+        life of the code under the key (build, *args).  The builder is the
+        key, so tables need no names and a patched builder keeps its own
+        entry, never the real one's.  A table is shared: do not mutate."""
+        key = (build, *args)
+        if key not in self.tables:
+            self.tables[key] = build(self, *args)
+        return self.tables[key]
+
     def eval_row(self, n: Mono) -> list[int | None]:
         """Logs of z^n at every code point, POLE where z^n has a pole
         (Klein's P_(1:0:0) when 2*n1 < n2).
 
-        Built on first use and kept for the life of the code, so callers
-        that never evaluate pay nothing.  The row is shared: do not mutate.
-        """
-        row = self._rows.get(n)
-        if row is None:
-            row = []
-            for p in self.points:
-                try:
-                    row.append(self.curve.eval_monomial(self.fld, n, p))
-                except ValueError:
-                    row.append(POLE)
-            self._rows[n] = row
+        Built on first use and kept (``table``), so callers that never
+        evaluate pay nothing."""
+        return self.table(CodeSpec._eval_row, n)
+
+    def _eval_row(self, n: Mono) -> list[int | None]:
+        row = []
+        for p in self.points:
+            try:
+                row.append(self.curve.eval_monomial(self.fld, n, p))
+            except ValueError:
+                row.append(POLE)
         return row
 
     @cached_property

@@ -8,9 +8,9 @@ not available as text, so each simulator derives its own layout from the
 stated line lengths and validates itself ("oracle equivalence"): each
 simulator runs a software BMS state alongside its registers (one
 ``bms.loops`` generator per run, advanced one loop per boundary), and at
-every N-boundary it requires its register words, with (s, c), to equal
-that state's v/f and w/g words (``bms.BmsState``, which holds them in the
-inverse-free register layout), as ints.  Register values are held in
+every N-boundary it requires its register words, with (s, c) and M, to
+equal that state's v/f and w/g words (``bms.BmsState``, which holds them in
+the inverse-free register layout), as ints.  Register values are held in
 bit-vector form, also in the traced clocks, which read each line from
 its output end to its input end; the CLI writes them to the CSV as logs.  A
 run copies no state at its boundaries: ``ArchTrace.boundary_states``
@@ -79,57 +79,62 @@ the w head as lane 0 of its two words and latches d (behind the one gate
 comparison of ``bms.loops``, s1^(i) <= l) and e (d^-1 too in division
 mode) as product rows: a table per constant mapping every bit-vector v to
 vec(c*v), built from the field's exp/log tables the first time a latch
-meets c and kept on the code (``_product_row``, one table per code; no q x
-q table, and independent of ``gf``'s ``scale`` tables, so the boundary
-check compares two multipliers); it sets the lane's preserve/update
-switch, which no record keeps: M_j = N says it was set.  It updates s and c
-in place, lane by lane in the order of the clocks, exactly as a
-``bms.loops`` loop updates its state (its docstring says why that is
-exact), and keeps M_j, the loop of its w/g column's last g replacement (-1
-before any).  Its v/f inputs are e*(x >> lane) ^ d*(y >> lane) with x and
-y the words its lines give -- at most two whole-word maps through product
-rows (``GF.lookup``: a ``bytes.translate`` on one-byte lanes, unpack, row
-and pack on two-byte ones) and one XOR; up to w = 4 (GF(8) and GF(16)) a
-lane that maps both makes it as one map of (x | y << 4) >> lane, whose
-byte k holds lane k+1 of both words, through the 256-byte pair row of (e,
-d), built from the two product rows and kept on the code in a second
-``gf.Memo`` (``_pair_row``; never ``gf``'s merge or pair rows).  Its w/g
-inputs are y, or after an update d^-1 * x in division mode and x unscaled
-in inverse-free mode, ANDed with ``zero[N][M_j]`` read after the update,
-which clears the groups zero-set one loop ahead.  That mask table is kept
-per code and per group count (``_tables``), built once from ``_stale``,
-the one rule for those groups, with -1 where there are none, so a column
-never replaced (M_j = -1) reads the last entry of its row.  Every lane's
-peak is vm, its v/f multipliers per clock, but a division update's, vm+1,
-which also charges one w/g multiplier at every group it does not
-zero-set; ``fold`` turns a loop's peaks into its multipliers per clock
-(``sum`` for the parallel blocks, ``max`` for the one shared multiplier
-pair) and is made only on the loops that take a division update, and once
-on the all-vm peaks.  The vm v/f multipliers every lane charges at each
-group past the head in every loop are summed once, at the end of the run.
-A multiplier whose constant is 0 or alpha^0 makes no map, so a lane that
-latches d = 0 and e = alpha^0 is a plain shift; the boundary check thus
-still compares two multipliers on every constant but 0 and alpha^0, where
-``bms.loops`` passes its input through as well.  A pair row is one
-multiplier pair, built from this module's product rows, so the check
-compares it with ``GF.merge``, not with itself.
+meets c and kept on the code (``_product_row``, in one ``gf.Memo`` per
+code, ``_rows``; no q x q table, and independent of ``gf``'s ``scale``
+tables, so the boundary check compares two multipliers); it sets the
+lane's preserve/update switch, which no record keeps: M_j = N says it was
+set.  It updates s and c in place, lane by lane in the order of the
+clocks, exactly as a ``bms.loops`` loop updates its state (its docstring
+says why that is exact), and keeps M_j, the loop of its w/g column's last
+g replacement (-1 before any).  Its v/f inputs are e*(x >> lane) ^ d*(y >>
+lane) with x and y the words its lines give -- at most two whole-word maps
+through product rows (``GF.lookup``: a ``bytes.translate`` on one-byte
+lanes, unpack, row and pack on two-byte ones) and one XOR; up to w = 4
+(GF(8) and GF(16)) a lane that maps both makes it as one map of (x | y <<
+4) >> lane, whose byte k holds lane k+1 of both words, through the
+256-byte pair row of (e, d), built from the two product rows and kept on
+the code in a second ``gf.Memo`` (``_pair_row``, in ``_pairs``; never
+``gf``'s merge or pair rows).  Its w/g inputs are y, or after an update
+d^-1 * x in division mode and x unscaled in inverse-free mode, ANDed with
+``zero[N][M_j]`` read after the update, which clears the groups zero-set
+one loop ahead.  That mask table is kept per code and per group count
+(``_zero_masks``), built once from ``_stale``, the one rule for those
+groups, with -1 where there are none, so a column never replaced (M_j =
+-1) reads the last entry of its row.  Each of these per-code tables is a
+plain builder read through ``CodeSpec.table``, which keys it by the
+builder and its arguments.  Every lane's peak is vm, its v/f multipliers
+per clock, but a division update's, vm+1, which also charges one w/g
+multiplier at every group it does not zero-set; ``fold`` turns a loop's
+peaks into its multipliers per clock (``sum`` for the parallel blocks,
+``max`` for the one shared multiplier pair) and is made only on the loops
+that take a division update, and once on the all-vm peaks.  The vm v/f
+multipliers every lane charges at each group past the head in every loop
+are summed once, at the end of the run.  A multiplier whose constant is 0
+or alpha^0 makes no map, so a lane that latches d = 0 and e = alpha^0 is a
+plain shift; the boundary check thus still compares two multipliers on
+every constant but 0 and alpha^0, where ``bms.loops`` passes its input
+through as well.  A pair row is one multiplier pair, built from this
+module's product rows, so the check compares it with ``GF.merge``, not
+with itself.
 
 A datapath keeps only its wiring -- line lengths, its lane tuples and its
 layout -- and hands them to the controller.  The lane tuples are built
-once per code and kept on it (``_lanes``): ``sim_inverse_free`` puts lane
-i on block i, with the pair (i, ibar(i, N)), and reads ``bms``' own lane
-triples; the serial table, which both serial modes share, is the slot
-rule, which is only the order of the lanes: the exchange register and the
-FIFO rotate the v/f slots, so after loop N slot k carries the column of
-slot k+1 and slot a-1 lane 0's, which wraps through the exchange register
-(a one-place shift of the slot-0 column) and the FIFO; each w/g slot keeps
-its column.  ``run`` counts each loop's P clocks as it runs it.  At a
-boundary the controller compares its live column words, as they stand,
-with the reference state's: a register word and a ``bms`` word share one
-layout, register p in lane p, so nothing is placed, packed or unpacked.
-That equality is the whole check: the reference holds zero on every lane
-of a zero-set group or of a group past the top exponent, so a register
-left nonzero there diverges at f or g.
+once per code and kept on it (``_lanes``), both from ``bms``' own lane
+triples: ``sim_inverse_free`` puts lane i on block i, with the pair (i,
+ibar(i, N)); the serial table, which both serial modes share, is the slot
+rule, which is only the order of those triples: the exchange register and
+the FIFO rotate the v/f slots, so after loop N slot k carries the column
+of slot k+1 and slot a-1 lane 0's, which wraps through the exchange
+register (a one-place shift of the slot-0 column) and the FIFO; each w/g
+slot keeps its column.  ``run`` counts each loop's P clocks as it runs it.
+At a boundary the controller compares its live column words as they
+stand, with (s, c) and M, with the reference state's, which keeps M the
+same way, so the switch states the replay shows are the controller's own.
+A register word and a ``bms`` word share one layout, register p in lane
+p, so nothing is placed, packed or unpacked.  That equality is the whole
+check: the reference holds zero on every lane of a zero-set group or of a
+group past the top exponent, so a register left nonzero there diverges at
+f or g.
 
 A run stores nothing per loop, and every run can be traced.
 ``ArchTrace.clocks`` is the one place that builds register windows, and
@@ -152,7 +157,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import islice, pairwise
-from operator import lshift
 
 from . import bms
 from .agcode import CodeSpec
@@ -257,54 +261,48 @@ def _stale(m: int, groups: int, N: int, Mj: int) -> range:
     return range(max(1, m + 1 - N), groups if Mj < 0 else m + 1 - Mj)
 
 
-def _tables(code: CodeSpec, groups: int) -> tuple[list[list[int]], Memo, Memo | None]:
-    """The controller's constants for a w/g line of ``groups`` groups, built
-    on first use and kept on the code.  ``zero[N][Mj]`` is the AND mask
+def _zero_masks(code: CodeSpec, groups: int) -> list[list[int]]:
+    """The zero-set masks of a w/g line of ``groups`` groups, read as
+    ``code.table(_zero_masks, groups)``: ``zero[N][Mj]`` is the AND mask
     that clears the groups ``_stale(m, groups, N + 1, Mj)`` names in a
     lane's w/g word at loop N, -1 where it names none; Mj runs 0..m and
-    then -1, so a column never replaced reads the last entry.  The product
-    rows (``_product_row``) are the code's one ``gf.Memo``, and the pair
-    rows (``_pair_row``, None above w = 4) a second one; every group count
-    shares both."""
-    tables = code.tables.get(("archsim", groups))
-    if tables is None:
-        m, lb = code.m, code.fld.lane_bits
-        stale = [[_stale(m, groups, N + 1, Mj) for Mj in [*range(m + 1), -1]] for N in range(m + 1)]
-        zero = [[~((1 << len(z) * lb) - 1 << z.start * lb) for z in row] for row in stale]  # ~0 = -1
-        rows = code.tables.setdefault(("archsim", "rows"), Memo(code.fld, _product_row))
-        code.tables.setdefault(("archsim", "pairs"), Memo(rows, _pair_row) if code.fld.w <= 4 else None)
-        tables = code.tables["archsim", groups] = zero, rows
-    return (*tables, code.tables["archsim", "pairs"])
+    then -1, so a column never replaced reads the last entry."""
+    m, lb = code.m, code.fld.lane_bits
+    stale = [[_stale(m, groups, N + 1, Mj) for Mj in [*range(m + 1), -1]] for N in range(m + 1)]
+    return [[~((1 << len(z) * lb) - 1 << z.start * lb) for z in row] for row in stale]  # ~0 = -1
+
+
+def _rows(code: CodeSpec) -> Memo:
+    """The code's product rows (``_product_row``), one ``gf.Memo`` that
+    every simulator of the code shares."""
+    return Memo(code.fld, _product_row)
+
+
+def _pairs(code: CodeSpec) -> Memo | None:
+    """The code's pair rows (``_pair_row``) over its product rows, a second
+    ``gf.Memo``; None above w = 4."""
+    return Memo(code.table(_rows), _pair_row) if code.fld.w <= 4 else None
 
 
 def _lanes(code: CodeSpec, serial: bool) -> list[list[tuple[int, int, int]]]:
-    """The lane tuples of a datapath, built on first use and kept on the
-    code: per loop N, in lane order, (i, j, l) of every lane -- v/f column
-    i, w/g column j = ibar(i, N) and l = l^(i)'s first component at N, -1
-    at a gap.  The inverse-free blocks are ``bms``' own lane triples, lane
-    i on block i.  The serial table is the slot rule, the same in both
-    modes: in loop N slot k carries v/f column b^-1 (N+k) mod a and w/g
-    column -b^-1 k mod a, so the v/f assignment rotates one slot per loop
-    (slot k of loop N+1 is slot k+1 of loop N) and each w/g slot keeps its
-    column."""
-    key = ("archsim", SERIAL if serial else INVERSE_FREE)
-    lanes = code.tables.get(key)
-    if lanes is None:
-        cv, gates = code.curve, bms.gate_table(code)
-        if serial:
-            a, b, l1 = cv.a, cv.b_inv, gates.l1
-            cols = [[(b * (N + k) % a, -b * k % a) for k in range(a)] for N in range(code.m + 1)]
-            lanes = [[(i, j, l1[N][i]) for i, j in row] for N, row in enumerate(cols)]
-        else:
-            lanes = [loop for _, loop, _ in gates.loop]
-        code.tables[key] = lanes
-    return lanes
+    """The lane tuples of a datapath, read as ``code.table(_lanes,
+    serial)``: per loop N, in lane order, ``bms``' (i, j, l) of every lane
+    -- v/f column i, w/g column j = ibar(i, N) and l = l^(i)'s first
+    component at N, -1 at a gap.  The inverse-free blocks take them as
+    they stand, lane i on block i.  The serial table is the slot rule, the
+    same in both modes: in loop N slot k carries the lane of v/f column
+    b^-1 (N+k) mod a, whose w/g column is then -b^-1 k mod a, so the v/f
+    assignment rotates one slot per loop (slot k of loop N+1 is slot k+1
+    of loop N) and each w/g slot keeps its column."""
+    a, b = code.curve.a, code.curve.b_inv
+    loops = [loop for _, loop, _ in bms.gate_table(code).loop]
+    return [[loop[b * (N + k) % a] for k in range(a)] for N, loop in enumerate(loops)] if serial else loops
 
 
 def _fields(st: bms.BmsState) -> tuple:
     """A state's mode and N and copies of its lists, the arguments of a
     ``bms.BmsState`` equal to it."""
-    return st.mode, st.N, st.s1[:], st.c1[:], st.vf[:], st.wg[:], st.M[:], st.tlabel[:]
+    return st.mode, st.N, st.s1[:], st.c1[:], st.vf[:], st.wg[:], st.M[:]
 
 
 class _Replay(Sequence):
@@ -344,7 +342,7 @@ class _Controller:
         self.m, self.lb, self.groups = code.m, code.fld.lane_bits, groups
         self.division = mode == bms.DIVISION
         self.gates = bms.gate_table(code)
-        self.zero, self.rows, self.pairs = _tables(code, groups)
+        self.zero, self.rows, self.pairs = code.table(_zero_masks, groups), code.table(_rows), code.table(_pairs)
         self.ref = bms.init_state(code, synd, mode)
         self.ref_loops = bms.loops(self.ref, code)  # one reference run, advanced a loop per boundary
         self.replay = trace.boundary_states = _Replay(self.ref, code)
@@ -354,9 +352,12 @@ class _Controller:
     def initial_registers(self) -> tuple[list[int], list[int]]:
         """The v/f and w/g words of every column before loop 0: column i
         holds the syndromes at the v lanes of its seed (the ``bms`` gate
-        table), then f = 1 at lane m+1; w = 1."""
-        u, vec, f_one = self.synd.__getitem__, self.gates.vec.__getitem__, self.gates.f_one
-        vf = [sum(map(lshift, map(vec, map(u, ls)), shifts)) | f_one for shifts, ls in self.gates.seed]
+        table's ``seed``, a gap lane reading 0), then f = 1 at lane m+1;
+        w = 1."""
+        vecs = dict(zip(self.synd, map(self.gates.vec.__getitem__, self.synd.values())))
+        vecs[None] = 0  # the gap lanes'
+        pack, f_one = self.code.fld.pack, self.gates.f_one
+        vf = [pack(seed(vecs)) | f_one for seed in self.gates.seed]
         return vf, [1] * len(vf)
 
     def run(self, lanes: Sequence[Sequence[tuple[int, int, int]]], fold: Callable) -> ArchTrace:
@@ -432,18 +433,20 @@ class _Controller:
     def _boundary(self, N: int, vf: list[int], wg: list[int]) -> None:
         """Advance the reference BMS run to loop N (the controller's one
         ``bms.loops`` generator runs the loop before it), require the
-        register words to equal the reference state's v/f and w/g words as
-        they stand, and count the boundary (``_Replay`` replays its state
+        register words, with (s, c) and M, to equal the reference state's
+        as they stand, and count the boundary (``_Replay`` replays its state
         when it is read; nothing is copied here).  The equality covers every
         register: the reference holds zero on the lanes of the groups
         ``_stale`` names and on every lane past its top, so a register left
-        nonzero there diverges at f or g like any other."""
+        nonzero there diverges at f or g like any other.  M is compared too
+        (and named last), so the switch states ``ArchTrace.clocks`` reads
+        off the replayed M are the controller's own."""
         next(self.ref_loops)  # the reference at loop N
         ref = self.ref
-        if vf != ref.vf or wg != ref.wg or self.s1 != ref.s1 or self.c1 != ref.c1:
-            got = bms.state_record(bms.BmsState(ref.mode, ref.N, self.s1, self.c1, vf, wg), self.code)
-            want = bms.state_record(ref, self.code)
-            key = next(k for k in ("s1", "c1", "v", "f", "w", "g") if got[k] != want[k])
+        if vf != ref.vf or wg != ref.wg or self.s1 != ref.s1 or self.c1 != ref.c1 or self.M != ref.M:
+            mine = bms.BmsState(ref.mode, ref.N, self.s1, self.c1, vf, wg, self.M)
+            got, want = ({**bms.state_record(st, self.code), "M": st.M} for st in (mine, ref))
+            key = next(k for k in ("s1", "c1", "v", "f", "w", "g", "M") if got[k] != want[k])
             raise AssertionError(
                 f"{self.arch}: boundary N={N} register state diverges from the reference "
                 f"BMS state at {key!r}: architecture {got[key]!r} vs reference {want[key]!r}"
@@ -475,7 +478,7 @@ def sim_inverse_free(code: CodeSpec, synd: dict[Mono, int], keep_snapshots: bool
         return regs, lambda t: {"disc_latch_down": t == 0, **ups}
 
     trace.layout = code.fld.unpack, P, lines
-    return ctl.run(_lanes(code, False), sum)
+    return ctl.run(code.table(_lanes, False), sum)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +491,7 @@ def _sim_serial_core(code: CodeSpec, synd: dict[Mono, int], mode: str) -> ArchTr
     arch, c_v = (SERIAL, 0) if mode == bms.DIVISION else (SERIAL_INVERSE_FREE, a)
     P = a * (m + 2) + a + c_v
     G = P // a  # exponent groups per loop
-    slots = _lanes(code, True)  # (v/f, w/g columns, l) on slot k in loop N
+    slots = code.table(_lanes, True)  # (v/f, w/g columns, l) on slot k in loop N
 
     L = a * (m + 2) - 1
     trace = ArchTrace(arch, P, RegisterFile(vf=L, wg=P, disc_regs=a, head_regs=a, exch_regs=1, supp_regs=2 * c_v))

@@ -51,9 +51,12 @@ dumps, mapping lanes back to exponents, and ``extract_locators`` reads
 only the lead and head lanes, handing f and g on to the decoder as packed
 words.  The gates of a code -- l^(i) and ibar per loop, the seeds, per
 loop one tuple of the lane triples and the mask, and per final s1 the
-footprint -- are built once per code and kept on the code
-(``CodeSpec.tables``), so no curve lookup happens per decoded word and a
-run binds its per-loop constants once per loop.
+footprint -- are built once per code and kept on the code (``_Gates``,
+read through ``CodeSpec.table``, as is ``_support``, the lanes of the
+monomials up to a pole order), so no curve lookup happens per decoded word
+and a run binds its per-loop constants once per loop.  ``M`` holds, per
+column, the loop of g's last replacement (-1 before any), from which
+``extract_locators`` derives G's degree label.
 """
 
 from __future__ import annotations
@@ -73,10 +76,11 @@ DIVISION = "division"
 class _Gates:
     """Per-code tables: per loop N the first component of l^(i) (N up to
     m+1, which the final record reads) and ibar(i, N); the seed of every
-    column, as the bit shift of each v lane it seeds and the syndrome
-    index that fills it (``seed``, the simulators' loader) and as one
-    ``gather`` of v lanes 0..m from the syndrome vectors in
-    ``syndrome_domain`` order plus a trailing zero (``init_state``);
+    column, the syndrome monomial of each v lane 0..m in lane order (None
+    at a gap), read by two loaders: ``seed``, one ``itemgetter`` of those
+    monomials, which the simulators apply to their syndrome vectors keyed
+    by monomial, and ``gather``, one of their indices in
+    ``syndrome_domain`` with a gap at the trailing zero (``init_state``);
     ``loop``, one tuple per loop N of the constants ``loops`` binds: N,
     the (i, ibar(i, N), l1) triple of every lane, and ``keep``, the AND
     mask of the w/g word for frame N+1, which clears lane m-N (w's m+1 and
@@ -90,15 +94,14 @@ class _Gates:
         a, lb = cv.a, fld.lane_bits
         self.l1 = [[-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(m + 2)]
         self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(m + 1)]
-        phis = [cv.phi(i, a, m) for i in range(a)]
-        self.seed = [([cv.pole_order(l) * lb for l in phi], phi) for phi in phis]
         index = {l: k for k, l in enumerate(code.syndrome_domain)}
-        self.gather = []
-        for phi in phis:  # v lane N reads u at phi's monomial of pole order N, else the trailing zero
-            at = [len(index)] * (m + 1)
-            for l in phi:
-                at[cv.pole_order(l)] = index[l]
-            self.gather.append(itemgetter(*at))
+        self.seed, self.gather = [], []
+        for i in range(a):  # v lane N reads u at column i's monomial of pole order N, else 0
+            lanes = [None] * (m + 1)
+            for l in cv.phi(i, a, m):
+                lanes[cv.pole_order(l)] = l
+            self.seed.append(itemgetter(*lanes))
+            self.gather.append(itemgetter(*(len(index) if l is None else index[l] for l in lanes)))
         self.s1 = [cv.basis_start(i)[0] for i in range(a)]
         self.vec, self.f_one = fld.exp + [0], 1 << (m + 1) * lb  # ZERO, the last index, reads 0; f = 1
         lane, full = (1 << lb) - 1, (1 << (m + 2) * lb) - 1
@@ -110,26 +113,20 @@ class _Gates:
 
 
 def gate_table(code: CodeSpec) -> _Gates:
-    """The gates of the code, built on first use and kept on it; the
+    """The gates of the code, kept on it (``CodeSpec.table``); the
     simulators read l^(i), ibar and the seed lanes from them too."""
-    gates = code.tables.get("bms")
-    if gates is None:
-        gates = code.tables["bms"] = _Gates(code)
-    return gates
+    return code.table(_Gates)
 
 
 def _support(code: CodeSpec, order: int) -> tuple[list[tuple[Mono, int]], int]:
     """Ring monomials n with o(n) <= order, each with its lane order - o(n),
-    and the mask of those lanes; built once per order and kept on the code."""
-    sup = code.tables.get(("support", order))
-    if sup is None:
-        cv, lb = code.curve, code.fld.lane_bits
-        monos = [(n, order - cv.pole_order(n)) for n in cv.phi(0, cv.a, order)]
-        mask = 0
-        for _, h in monos:
-            mask |= (1 << lb) - 1 << h * lb
-        sup = code.tables["support", order] = (monos, mask)
-    return sup
+    and the mask of those lanes; read as ``code.table(_support, order)``."""
+    cv, lb = code.curve, code.fld.lane_bits
+    monos = [(n, order - cv.pole_order(n)) for n in cv.phi(0, cv.a, order)]
+    mask = 0
+    for _, h in monos:
+        mask |= (1 << lb) - 1 << h * lb
+    return monos, mask
 
 
 @dataclass
@@ -140,8 +137,7 @@ class BmsState:
     c1: list[int]
     vf: list[int]  # per column: v exponent k at lane k-N, f exponent h at lane m+1-N+h
     wg: list[int]  # per column: w and g the same way, lane m+1-N g's until the last loop
-    M: list[int | None] = field(default_factory=list)  # step of last g replacement
-    tlabel: list[Mono | None] = field(default_factory=list)  # degree label of g
+    M: list[int] = field(default_factory=list)  # loop of the last g replacement, -1 before any
     invs: int = field(default=0, compare=False)  # division-mode inversions so far
 
 
@@ -191,8 +187,7 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
         c1=[x - 1 for x in gates.s1],
         vf=vf,
         wg=[1] * a,  # w = 1, g = 0
-        M=[None] * a,
-        tlabel=[None] * a,
+        M=[-1] * a,
     )
 
 
@@ -219,7 +214,7 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
 
     Lane i pairs column i with ib = ibar(i, N), as one multiplier pair of
     the parallel architecture does: it reads and writes vf and s1 of
-    column i and wg, c1, M and tlabel of column ib, and nothing else.
+    column i and wg, c1 and M of column ib, and nothing else.
     ibar(., N) is a bijection of the columns, so in each loop every column
     is read and written by exactly one lane, no lane sees another lane's
     new values -- every head is read before its lane overwrites it -- and
@@ -236,7 +231,7 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
     adds one to ``state.invs``, with or without ``ctr``.
     """
     fld = code.fld
-    vf, wg, s1, c1, M, tlabel = state.vf, state.wg, state.s1, state.c1, state.M, state.tlabel
+    vf, wg, s1, c1, M = state.vf, state.wg, state.s1, state.c1, state.M
     log, lane, lb = fld.log, fld.q - 1, fld.lane_bits
     scale, merge, weight, inv_chain, counted = fld.scale, fld.merge, fld.weight, fld.inv_chain, ctr is not None
     inverse_free = state.mode == INVERSE_FREE
@@ -270,7 +265,7 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
                 # the scale charges every lane; ``keep`` then clears v's m
                 # lane, which is w's m+1 in frame N+1
                 wg[ib] = x & keep
-                M[ib], tlabel[ib] = N, (s1[i], i)
+                M[ib] = N
                 s1[i], c1[ib] = l - c1[ib], l - s1[i]
             else:
                 wg[ib] = y & keep
@@ -336,7 +331,7 @@ def extract_poly(code: CodeSpec, zp: int, deg: Mono, offset: int = 0) -> tuple[i
     """
     fld = code.fld
     lb, order = fld.lane_bits, code.curve.pole_order(deg)
-    stray = zp & ~(_support(code, order)[1] << offset * lb)
+    stray = zp & ~(code.table(_support, order)[1] << offset * lb)
     if stray:
         raise AssertionError(f"coefficients outside the monomial support: {dict(fld.terms(stray))}")
     return zp >> offset * lb, order
@@ -345,22 +340,26 @@ def extract_poly(code: CodeSpec, zp: int, deg: Mono, offset: int = 0) -> tuple[i
 def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:
     """F, G, their leads and the w heads e^(i) off the state at any N: f
     and g from lane m+1-N, w's head at lane 0, which G leaves out (after
-    the last loop it is the shared lane, e_{m+1}, not g's 0)."""
-    fld = code.fld
+    the last loop it is the shared lane, e_{m+1}, not g's 0).  G^(i) was
+    last replaced in loop M = M^(i) by lane j = ibar(i, M), which left
+    c1^(i) = l^(j) - s1^(j) as it stood then: its label is (l^(j) - c1^(i),
+    j) with l^(j) read at M."""
+    fld, gates = code.fld, gate_table(code)
     log, lane = fld.log, fld.q - 1
     split = (code.m + 1 - state.N) * fld.lane_bits
     F, G, lead, head = [], [], [], []
-    for i in range(code.curve.a):
+    for i, M in enumerate(state.M):
         f, y = state.vf[i] >> split, state.wg[i]
         F.append(extract_poly(code, f, (state.s1[i], i)))
         if not f & lane:
             raise AssertionError(f"leading coefficient of F^({i}) must stay nonzero")
         lead.append(log[f & lane])
         head.append(log[y & lane])
-        if state.M[i] is None:  # g has never been replaced, so it is still zero
+        if M < 0:  # g has never been replaced, so it is still zero
             G.append((0, -1))
         else:
-            G.append(extract_poly(code, (y & ~lane) >> split, state.tlabel[i], offset=state.N - state.M[i]))
+            j = gates.ibar[M][i]
+            G.append(extract_poly(code, (y & ~lane) >> split, (gates.l1[M][j] - state.c1[i], j), state.N - M))
     return LocatorOutput(F, G, lead, head, state.mode)
 
 
@@ -371,7 +370,7 @@ def _delta(code: CodeSpec, s1: tuple[int, ...]) -> tuple[tuple[Mono, ...], int |
     its syndromes check, else None; read as ``gate_table(code).delta[s1]``."""
     cv = code.curve
     bound = max(cv.pole_order((s, i)) for i, s in enumerate(s1))
-    delta = tuple(n for n, _ in _support(code, bound)[0] if n[0] < s1[n[1]])
+    delta = tuple(n for n, _ in code.table(_support, bound)[0] if n[0] < s1[n[1]])
     generic = delta and list(delta) == code.basis[: len(delta)]
     return delta, code.m - cv.pole_order(delta[-1]) if generic else None
 

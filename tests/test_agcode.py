@@ -209,9 +209,9 @@ def test_eval_row_lazy_memoized_with_klein_pole(gf8, klein):
     from agbms import klein_curve
 
     fresh = CodeSpec(klein_curve(), gf8, m=15)
-    assert not fresh._rows  # constructing a code evaluates nothing
+    assert not fresh.tables  # constructing a code evaluates nothing
     row = fresh.eval_row((0, 1))
-    assert fresh.eval_row((0, 1)) is row
+    assert fresh.eval_row((0, 1)) is row and fresh.tables == {(CodeSpec._eval_row, (0, 1)): row}
     special = klein.n - 1
     assert row[special] is POLE
     assert fresh.eval_row((1, 2))[special] == 0  # valuation 0: the value is 1

@@ -1,5 +1,4 @@
 import __future__
-import copy
 import dataclasses
 import hashlib
 import inspect
@@ -386,17 +385,12 @@ def test_sim_outputs_pinned(request, arch, code_name):
 
 def _skip_zero_setting(mp):
     """The w/g zero-setting is off: no lane zero-sets a group.  The
-    controller's mask table is built from the patched rule on every run and
-    kept on no code, so the codes' own tables are left as they were."""
+    controller reads its masks through a patched builder that builds them
+    from the patched rule; a code keys a table by its builder, so the
+    patched masks never stand in for the codes' own tables."""
     mp.setattr(archsim, "_stale", lambda m, groups, N, Mj: range(0))
-    tables = archsim._tables
-
-    def unkept(code, groups):
-        view = copy.copy(code)
-        view.tables = {}
-        return tables(view, groups)
-
-    mp.setattr(archsim, "_tables", unkept)
+    build = archsim._zero_masks
+    mp.setattr(archsim, "_zero_masks", lambda code, groups: build(code, groups))
 
 
 def _value_above_top(mp):
@@ -540,7 +534,7 @@ def _fault_in_last_loop(mp, line):
 
     def faulty(self, N, vf_words, wg_words):
         if N == self.m + 1:
-            i, j, _ = archsim._lanes(self.code, self.arch != archsim.INVERSE_FREE)[self.m][0]
+            i, j, _ = self.code.table(archsim._lanes, self.arch != archsim.INVERSE_FREE)[self.m][0]
             if line == "vf":
                 vf_words[i] ^= 1
             else:
@@ -807,7 +801,7 @@ def test_product_rows(request, monkeypatch, code_name):
         for i, j in enumerate(b.ctl.gates.ibar[b.N] if b.N <= code.m else []):
             d = fld.log[b.vf[i] & fld.q - 1]
             met.update({d, fld.log[b.wg[j] & fld.q - 1]} | ({fld.inv_chain(d)} if d != ZERO else set()))
-    rows = code.tables["archsim", "rows"]
+    rows = code.tables[archsim._rows,]
     assert {id(b.ctl.rows) for b in seen} == {id(rows)} and set(rows) <= met
     # every element on its own lane, and seeded words of every length a line has
     words = [list(range(fld.q))] + [[rng.randrange(fld.q) for _ in range(n)] for n in range(1, code.m + 5)]
@@ -828,7 +822,7 @@ def test_pair_rows_are_two_product_rows(request, code_name):
     # keeps no pair rows
     base = request.getfixturevalue(code_name)
     code, fld = CodeSpec(base.curve, base.fld, base.m), base.fld
-    _, rows, pairs = archsim._tables(code, code.m + 3)
+    rows, pairs = code.table(archsim._rows), code.table(archsim._pairs)
     if fld.w > 4:
         assert pairs is None
         return
@@ -838,7 +832,7 @@ def test_pair_rows_are_two_product_rows(request, code_name):
     for e, d in itertools.product(consts, consts):
         assert len(pairs[e, d]) == 256
         assert fld.lookup(x | y << 4, pairs[e, d]) == fld.lookup(x, rows[e]) ^ fld.lookup(y, rows[d]), (e, d)
-    assert len(pairs) == len(consts) ** 2 and pairs is code.tables["archsim", "pairs"]
+    assert len(pairs) == len(consts) ** 2 and pairs is code.tables[archsim._pairs,]
 
 
 @pytest.mark.parametrize("code_name", ["elliptic", "klein", "hermitian", "elliptic_gf512"])
@@ -927,19 +921,22 @@ def test_controller_tables_equal_their_definitions(request, code_name):
     # lines, m+4 for the serial inverse-free one): each mask of loop N and
     # last replacement Mj clears exactly the lanes of the groups zero-set at
     # loop N+1 and Mj = -1 (never replaced) is the last entry; both counts
-    # share the code's one table of product rows, and a table holds nothing
-    # else, since the boundary compares register words as they stand
+    # share the code's one table of product rows and one of pair rows, and
+    # a mask table holds nothing else, since the boundary compares register
+    # words as they stand
     base = request.getfixturevalue(code_name)
     code, m, lb = CodeSpec(base.curve, base.fld, base.m), base.m, base.fld.lane_bits
     synd = code.syndromes(code.zero_word())
     for sim in archsim.SIMULATORS.values():
         sim(code, synd)
-    counts = sorted(k[1] for k in code.tables if k[0] == "archsim" and type(k[1]) is int)
+    counts = sorted(k[1] for k in code.tables if k[0] is archsim._zero_masks)
     assert counts == [m + 3, m + 4]
+    shared = (archsim._rows, archsim._pairs)
+    assert [k for k in code.tables if k[0] in shared] == [(build,) for build in shared]
     lane = (1 << lb) - 1
     for groups in counts:
-        zero, rows = code.tables["archsim", groups]
-        assert len(zero) == m + 1 and rows is code.tables["archsim", "rows"]
+        zero = code.tables[archsim._zero_masks, groups]
+        assert len(zero) == m + 1
         for N, row in enumerate(zero):
             assert len(row) == m + 2
             for Mj in [*range(m + 1), -1]:
@@ -984,7 +981,7 @@ def test_code_builds_its_lane_tables_once(monkeypatch, preset):
     monkeypatch.setattr(archsim._Controller, "run", recording)
     base = cli.load_code(preset)[0]
     code = CodeSpec(base.curve, base.fld, base.m)
-    blocks, serial = ("archsim", archsim.INVERSE_FREE), ("archsim", archsim.SERIAL)
+    blocks, serial = (archsim._lanes, False), (archsim._lanes, True)
     keys = {archsim.INVERSE_FREE: blocks, archsim.SERIAL: serial, archsim.SERIAL_INVERSE_FREE: serial}
     assert not set(keys.values()) & set(code.tables)
     rng = random.Random(f"lane tables/{preset}")
@@ -1002,7 +999,8 @@ def test_code_builds_its_lane_tables_once(monkeypatch, preset):
 
 # Mutants of the controller's loop, each a source edit of _Controller.run:
 # the seam checks above (lane_map_faults, charge_faults) must see each one
-# with the boundary check off, so they do not lean on it.
+# with the boundary check off, so they do not lean on it; a "boundary"
+# mutant must make the boundary check itself raise.
 LOOP_MUTANTS = {
     # the zero mask read at zero[N][M_j] before the update sets M_j
     "mask_before_update": (
@@ -1015,6 +1013,12 @@ LOOP_MUTANTS = {
     "peak_fold_skipped": (
         [("trace.max_mults_per_clock = max(trace.max_mults_per_clock, peak)", "pass")],
         "charge",
+    ),
+    # a lane that latches d != 0 but takes no update still sets M_j = N,
+    # after its w/g input is masked, so only M tells
+    "switch_without_update": (
+        [("wg[j] = w & mask[M[j]]", "wg[j] = w & mask[M[j]]; M[j] = N if d != ZERO else M[j]")],
+        "boundary",
     ),
 }
 
@@ -1037,6 +1041,11 @@ def test_seam_checks_kill_loop_mutants(monkeypatch, mutant):
     # fault in it
     edits, check = LOOP_MUTANTS[mutant] if mutant else ([], None)
     monkeypatch.setattr(archsim._Controller, "run", mutated_run(edits))
+    if check == "boundary":
+        for preset, arch in itertools.product(PRESETS, archsim.SIMULATORS):
+            with pytest.raises(AssertionError, match=rf"^{arch}: boundary N=\d+ {DIVERGES} 'M'"):
+                run_bundled(arch, preset)
+        return
     seen, found = record_boundaries(monkeypatch, check=False), {"lane map": 0, "charge": 0}
     for preset in PRESETS:
         code, _ = cli.load_code(preset)

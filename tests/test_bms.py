@@ -412,7 +412,7 @@ def test_shared_wg_lane(request, code_name):
                 got["g"][i] = rec["g"][i]
                 assert got == rec, (mode, st.N, i)
         rec, out = bms.state_record(st, code), bms.extract_locators(st, code)
-        replaced = [i for i in range(a) if st.M[i] is not None]
+        replaced = [i for i in range(a) if st.M[i] >= 0]
         assert replaced
         for i in range(a):
             assert rec["w"][i][-1] == (m + 1, rec["e"][i]) == (m + 1, out.head_e[i]) and rec["e"][i] != ZERO
@@ -420,7 +420,7 @@ def test_shared_wg_lane(request, code_name):
             offset = st.N - st.M[i]
             assert fld.terms(out.G[i][0]) == [(h - offset, c) for h, c in rec["g"][i]], (mode, i)
             with pytest.raises(AssertionError, match="^coefficients outside the monomial support"):
-                bms.extract_poly(code, st.wg[i], st.tlabel[i], offset)
+                bms.extract_poly(code, st.wg[i], code.curve.l_of(0, out.G[i][1]), offset)
 
 
 def test_extract_poly_raises_under_optimize():
@@ -603,7 +603,6 @@ def absolute(state, code):
         [convert(x, L, 0) for x in state.vf],
         [convert(y, L + 1, head) for y in state.wg],
         state.M[:],
-        state.tlabel[:],
         state.invs,
     )
 
@@ -618,11 +617,12 @@ def reference_heads(state, code):
     return d, [fld.from_vec(y >> shift & lane) for y in state.wg]
 
 
-def reference_step(state, code, ctr=None):
+def reference_step(state, code, ctr, labels):
     """The two-pass N-loop ``bms.loops`` replaced, on a state in the
     absolute layout (``absolute``): Step 1 for every column
     (``reference_heads``), then Step 2 lane by lane.  Kept as the oracle
-    the one-pass loop must equal."""
+    the one-pass loop must equal.  ``labels[j]`` is set to the degree
+    label of g^(j), (s1^(i), i) of the lane that replaces it."""
     fld, cv = code.fld, code.curve
     N, lb = state.N, fld.lane_bits
     vf, wg, s1, c1 = state.vf, state.wg, state.s1, state.c1
@@ -648,7 +648,7 @@ def reference_step(state, code, ctr=None):
                 x = fld.scale(x, fld.inv_chain(di, ctr))
                 muls += fld.weight(x)
             wg[ib] = x << lb & keep
-            state.M[ib], state.tlabel[ib] = N, (s1[i], i)
+            state.M[ib], labels[ib] = N, (s1[i], i)
             s1[i], c1[ib] = l1[i] - c1[ib], l1[i] - s1[i]
         else:
             wg[ib] = y << lb & keep
@@ -668,7 +668,9 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
     # is not alpha^0 or whose d is nonzero: one ``GF.merge`` where both
     # hold, else one ``GF.scale``; division mode never merges.  The gate
     # table's per-loop tuples hold ibar, the gate and the w/g mask written
-    # out here: w's m+1 lane, lane m-N of frame N+1, cleared but in loop m
+    # out here: w's m+1 lane, lane m-N of frame N+1, cleared but in loop m.
+    # After every N each G^(i) that ``extract_locators`` gives has the pole
+    # order of the label the reference records as it replaces g^(i)
     rng = random.Random(17)
     for code in (elliptic, klein, hermitian, elliptic_gf512, elliptic_gf8):
         cv, gates, lb, m = code.curve, bms.gate_table(code), code.fld.lane_bits, code.m
@@ -697,7 +699,7 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
             for mode in (bms.INVERSE_FREE, bms.DIVISION):
                 st, bare = (bms.init_state(code, synd, mode) for _ in range(2))
                 ref = absolute(st, code)
-                ctr, ref_ctr = OpCounter(), OpCounter()
+                ctr, ref_ctr, labels = OpCounter(), OpCounter(), [None] * cv.a
                 counted, uncounted = bms.loops(st, code, ctr), bms.loops(bare, code)
                 next(counted), next(uncounted)  # to the yield before loop 0
                 while st.N <= code.m:
@@ -712,8 +714,10 @@ def test_step_matches_reference_step(elliptic, klein, hermitian, elliptic_gf512,
                     else:
                         assert "merge" not in calls
                     next(counted)
-                    reference_step(ref, code, ref_ctr)
+                    reference_step(ref, code, ref_ctr, labels)
                     assert absolute(st, code) == ref, (code.curve, mode, locs, vals, st.N)
+                    G = bms.extract_locators(st, code).G  # labels from M, c1 and the gate table
+                    assert [order for _, order in G] == [cv.pole_order(t) if t else -1 for t in labels]
                     assert ctr == ref_ctr, (code.curve, mode, locs, vals, st.N)
                     assert (bare, bare.invs) == (st, st.invs), (code.curve, mode, locs, vals, st.N)
                 assert (next(counted, "end"), next(uncounted, "end")) == ("end", "end")  # no loop past m

@@ -5,7 +5,7 @@ import dataclasses
 import pathlib
 
 import agbms
-from agbms import archsim
+from agbms import archsim, cli, decoder
 
 
 def test_no_bare_assert():
@@ -143,3 +143,36 @@ def test_simulators_multiply_with_their_own_rows():
     names = ("scale", "merge", "_pair_rows")
     found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in names]
     assert found == [], f"archsim names scale, merge or _pair_rows at lines {found}"
+
+
+def test_code_tables_keyed_by_their_builder():
+    # a per-code table has one home, CodeSpec.table, keyed by its builder:
+    # no other function in the package reads or writes code.tables (its
+    # creation in CodeSpec.__post_init__ aside), no call of table passes a
+    # string, and a code that has decoded and run every simulator holds no
+    # key but a (builder, *args) tuple
+    pkg = pathlib.Path(agbms.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        homes = {
+            f"{cls.name}.{f.name}": f
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for f in cls.body
+            if isinstance(f, ast.FunctionDef)
+        }
+        homes = [homes[name] for name in ("CodeSpec.table", "CodeSpec.__post_init__") if name in homes]
+        allowed = {id(n) for home in homes for n in ast.walk(home)}
+        for n in ast.walk(tree):
+            touches = isinstance(n, ast.Attribute) and n.attr == "tables" and id(n) not in allowed
+            named = isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "table"
+            if touches or named and any(isinstance(a, ast.Constant) and type(a.value) is str for a in n.args):
+                found.append(f"{path.name}:{n.lineno}")
+    assert found == [], f"code.tables touched outside CodeSpec.table, or a string key, at {', '.join(found)}"
+    code, _ = cli.load_code("hermitian_gf16")
+    word = code.inject_errors(code.zero_word(), [0, 5], [1, 2])
+    decoder.decode(code, word)
+    for sim in archsim.SIMULATORS.values():
+        sim(code, code.syndromes(word))
+    assert code.tables and all(type(k) is tuple and callable(k[0]) for k in code.tables)
