@@ -20,7 +20,9 @@ parity positions.  The decoder reads tables of point words
 order, the monomial's values at every point and its derivative along the
 curve, taken from one more per-code row, the slope y' = D_x/D_y at each
 point (``CodeSpec.slope``), so a locator polynomial at every point is one
-XOR per coefficient, as a syndrome vector is one per symbol.
+XOR per coefficient, as a syndrome vector is one per symbol.  The
+interpolation solve gathers its rows from one more ``gf.Memo``, the rows
+of z^n in bit-vector form (``CodeSpec.vec_rows``, indexed by monomial).
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ class CodeSpec:
         self.basis = self.curve.phi(0, self.curve.a, self.m)
         self.syndrome_domain = self.curve.phi(0, 2 * self.curve.a - 1, self.m)
         self.point_words = Memo(self, CodeSpec._point_words)  # pole order -> its point words
+        self.vec_rows = Memo(self, CodeSpec._vec_row)  # monomial -> its bit-vector row
         self.tables: dict = {}  # (build, *args) -> build(self, *args), read through ``table``
 
     @property
@@ -163,6 +166,15 @@ class CodeSpec:
             except ValueError:
                 row.append(POLE)
         return row
+
+    def _vec_row(self, n: Mono) -> list[int]:
+        """The row of z^n in bit-vector form, read as ``vec_rows[n]``: the
+        values ``eval_row`` holds as logs, ready for ``GF.pack``, from which
+        the decoder gathers the augmented rows of its interpolation solve.
+        z^n must have no pole at a code point, as no monomial of ``basis``
+        has.  Built from the evaluation table on first read and kept for the
+        life of the code, uncharged."""
+        return list(map(self.fld.vec.__getitem__, self.eval_row(n)))
 
     @cached_property
     def slope(self) -> list[int | None]:

@@ -354,7 +354,7 @@ class _Controller:
         holds the syndromes at the v lanes of its seed (the ``bms`` gate
         table's ``seed``, a gap lane reading 0), then f = 1 at lane m+1;
         w = 1."""
-        vecs = dict(zip(self.synd, map(self.gates.vec.__getitem__, self.synd.values())))
+        vecs = dict(zip(self.synd, map(self.code.fld.vec.__getitem__, self.synd.values())))
         vecs[None] = 0  # the gap lanes'
         pack, f_one = self.code.fld.pack, self.gates.f_one
         vf = [pack(seed(vecs)) | f_one for seed in self.gates.seed]

@@ -103,7 +103,7 @@ class _Gates:
             self.seed.append(itemgetter(*lanes))
             self.gather.append(itemgetter(*(len(index) if l is None else index[l] for l in lanes)))
         self.s1 = [cv.basis_start(i)[0] for i in range(a)]
-        self.vec, self.f_one = fld.exp + [0], 1 << (m + 1) * lb  # ZERO, the last index, reads 0; f = 1
+        self.f_one = 1 << (m + 1) * lb  # f = 1
         lane, full = (1 << lb) - 1, (1 << (m + 2) * lb) - 1
         self.loop = []
         for N in range(m + 1):  # w's m+1 lane kept after the last loop only
@@ -174,7 +174,7 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
         raise ValueError(f"unknown mode {mode!r}")
     gates = gate_table(code)
     try:
-        vecs = [*map(gates.vec.__getitem__, map(synd.__getitem__, code.syndrome_domain)), 0]
+        vecs = [*map(code.fld.vec.__getitem__, map(synd.__getitem__, code.syndrome_domain)), 0]
     except KeyError as exc:
         raise ValueError(f"syndrome table missing u_{exc.args[0]}") from None
     pack, f_one = code.fld.pack, gates.f_one

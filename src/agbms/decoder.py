@@ -131,11 +131,14 @@ def error_values_interpolation(
     """Error values by solving u_l = sum_g e_g z^l(P_g) on the first |E|
     non-gap syndrome rows, the first |E| monomials of ``code.basis``.
 
-    One ``rref`` of the augmented t x (t + 1) system: the solution is its
-    last column when the pivots are exactly columns 0..t-1, and None
-    otherwise (a singular or inconsistent system, or a basis with fewer
-    than |E| monomials, which decode never asks for), as it is when a
-    solved value is zero.
+    Each augmented row is one gather of the code's bit-vector row of z^l
+    (``CodeSpec.vec_rows``, built once per code) at ``locs``, with u_l
+    appended, packed with ``GF.pack``.  One elimination of the t x (t + 1)
+    system in ``linalg.rref_packed``: the solution is lane t of the reduced
+    rows when the pivots are exactly columns 0..t-1, and None otherwise (a
+    singular or inconsistent system, or a basis with fewer than |E|
+    monomials, which decode never asks for), as it is when a solved value
+    is zero.
 
     Always receiver-computable and exact whenever the located set is
     generic.  The closed formula is preferred (it is what the architectures
@@ -144,13 +147,14 @@ def error_values_interpolation(
     rescaling or re-pairing of the auxiliaries gives the value back.  This
     solve covers those runs.
     """
-    t = len(locs)
-    rows = [[*(code.eval_row(l)[j] for j in locs), synd[l]] for l in code.basis[:t]]
-    red, pivots = linalg.rref(code.fld, rows)
-    sol = [row[t] for row in red]
-    if pivots != list(range(t)) or ZERO in sol:
+    t, fld, vec_rows = len(locs), code.fld, code.vec_rows
+    vec, pack = fld.vec, fld.pack
+    rows = [pack([*map(vec_rows[l].__getitem__, locs), vec[synd[l]]]) for l in code.basis[:t]]
+    if linalg.rref_packed(fld, rows, t + 1) != list(range(t)):
         return None
-    return sol
+    log, s, qm1 = fld.log, t * fld.lane_bits, fld.q - 1  # q - 1 masks one lane
+    sol = [log[x >> s & qm1] for x in rows]
+    return None if ZERO in sol else sol
 
 
 def decode(

@@ -3,7 +3,9 @@
 Elements are plain ints holding the exponent of a fixed primitive element
 alpha: ``k`` means alpha^k and ``-1`` means zero.  This matches the notation
 used throughout the decoder (register values, word files, error files), so
-worked values can be compared directly against published tables.
+worked values can be compared directly against published tables.  ``log``
+maps a bit-vector to its log and ``vec`` a log to its bit-vector: ``exp``
+with a 0 appended, so ZERO (-1) reads 0 with no branch.
 
 Inversion is charged as the square-and-multiply chain a^(q-2), exactly one
 inversion and 2w-3 multiplications, while the value is read off the log
@@ -71,7 +73,8 @@ class Memo(dict):
     miss.  The owner is held through a weak proxy, so a table kept on its
     owner makes no reference cycle and goes when the owner does.  The
     field's scale and pair rows, the simulators' product rows, a code's
-    point words and its footprints (``bms``) are kept this way."""
+    point words, its bit-vector rows and its footprints (``bms``) are kept
+    this way."""
 
     def __init__(self, owner: object, build: Callable):
         super().__init__()
@@ -130,6 +133,7 @@ class GF:
                 v ^= prim_poly
         if v != 1:
             raise ValueError(f"prim_poly {prim_poly:#b} is not primitive")
+        self.vec = [*self.exp, 0]  # log -> vector, ZERO (-1) reading the 0 at the end
         self.lane_bits = 8 * -(-w // 8)  # whole bytes, for int.from_bytes/to_bytes
         # the lane codec, picked once here from the lane width
         if self.lane_bits == 8:

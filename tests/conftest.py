@@ -43,15 +43,17 @@ def hermitian():
 
 @pytest.fixture
 def rref_calls(monkeypatch):
-    """A list that gains one entry per ``linalg.rref`` call for the test."""
+    """A list that gains one entry per elimination for the test: per call
+    of ``linalg.rref_packed``, the packed core that ``linalg.rref`` and the
+    interpolation solve both run."""
     calls = []
-    real_rref = linalg.rref
+    real_core = linalg.rref_packed
 
-    def counting_rref(field, m):
+    def counting_core(field, a, cols):
         calls.append(1)
-        return real_rref(field, m)
+        return real_core(field, a, cols)
 
-    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "rref_packed", counting_core)
     return calls
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from agbms import Word, bms, decoder, oracle
+from agbms import CodeSpec, Word, bms, cli, decoder, oracle
 from agbms.gf import ZERO, OpCounter
 from conftest import (
     ELLIPTIC_VALS,
@@ -279,6 +281,76 @@ def test_interpolation_matches_reference_solve(request, code_name):
         assert decoder.error_values_interpolation(locs, code, synd) == want, (locs, synd)
         assert (synd, locs) == before
     assert all(seen.values()), seen
+
+
+def test_interpolation_exhaustive_klein(klein):
+    # every location set of size <= 3 on Klein GF(8), each with the
+    # syndromes of an error on all of it, on all but its last point, and
+    # random syndromes: the values are the reference solve of the first |E|
+    # syndrome rows, the injected values on a nonsingular system, and None
+    # where it is singular or a solved value is zero
+    cv, fld, q = klein.curve, klein.fld, klein.fld.q
+    at = {l: [cv.eval_monomial(fld, l, p) for p in klein.points] for l in klein.basis[:3]}
+    rng = random.Random("interpolation/exhaustive")
+    sets = [list(c) for t in (1, 2, 3) for c in combinations(range(klein.n), t)]
+    assert len(sets) == 2047
+    seen = Counter()
+    for locs in sets:
+        mat = [[at[l][j] for j in locs] for l in klein.basis[: len(locs)]]
+        regular = reference_rank(fld, mat) == len(locs)
+        errors = [(err, [rng.randrange(q - 1) for _ in err]) for err in (locs, locs[:-1])]
+        synds = [klein.syndromes(klein.inject_errors(klein.zero_word(), err, vals)) for err, vals in errors]
+        synds.append({l: rng.randrange(-1, q - 1) for l in klein.basis})
+        for k, synd in enumerate(synds):
+            want = None
+            if regular:
+                sol = reference_solve(fld, mat, [synd[l] for l in klein.basis[: len(locs)]])
+                want = None if ZERO in sol else sol
+                if k < 2:  # the error itself, a zero value on the last point
+                    assert sol == errors[k][1] + [ZERO] * k
+            seen["singular" if not regular else "zero value" if want is None else "unique"] += 1
+            assert decoder.error_values_interpolation(locs, klein, synd) == want, (locs, synd)
+    assert len(seen) == 3, seen
+
+
+@pytest.mark.parametrize("preset", ["elliptic_gf16", "klein_gf8", "hermitian_gf16"])
+def test_solve_builds_its_rows_once(monkeypatch, rref_calls, preset):
+    # as the simulators build their lane tables once: every decode that
+    # reaches the interpolation solve (forced here by a closed form that
+    # raises, as it does at Klein's P_(1:0:0)) runs exactly one
+    # elimination; the first solve builds the bit-vector rows of the first
+    # t basis monomials, one eval_row read each, and keeps them on the
+    # code; every later solve builds none and calls eval_row not at all,
+    # and a fresh CodeSpec starts without them
+    built, evals, per_solve = [], [], []
+    build, eval_row, solve = CodeSpec._vec_row, CodeSpec.eval_row, decoder.error_values_interpolation
+
+    def recording_solve(locs, code, synd):
+        marks = len(rref_calls), len(built), len(evals)
+        out = solve(locs, code, synd)
+        per_solve.append((len(rref_calls) - marks[0], len(built) - marks[1], len(evals) - marks[2]))
+        return out
+
+    def closed_form(*args):
+        raise ValueError("y' has no value")
+
+    monkeypatch.setattr(CodeSpec, "_vec_row", lambda code, n: built.append(n) or build(code, n))
+    monkeypatch.setattr(CodeSpec, "eval_row", lambda code, n: evals.append(n) or eval_row(code, n))
+    monkeypatch.setattr(decoder, "error_values_interpolation", recording_solve)
+    monkeypatch.setattr(decoder, "error_values", closed_form)
+    base = cli.load_code(preset)[0]
+    code, t = CodeSpec(base.curve, base.fld, base.m), base.t_generic
+    assert not code.vec_rows
+    rng = random.Random(f"solve rows/{preset}")
+    for _ in range(4):
+        locs, vals = random_generic_pattern(code, t, rng, affine_only=False)
+        rref_calls.clear()
+        res = decoder.decode(code, code.inject_errors(code.zero_word(), locs, vals))
+        assert len(rref_calls) == 1
+        assert (res.status, res.error_vals) == (decoder.SUCCESS, [vals[locs.index(j)] for j in res.error_locs])
+    assert per_solve == [(1, t, t)] + [(1, 0, 0)] * 3
+    assert built == code.basis[:t] == list(code.vec_rows)
+    assert not CodeSpec(base.curve, base.fld, base.m).vec_rows
 
 
 def test_decode_inversion_accounting(elliptic, elliptic_golden):

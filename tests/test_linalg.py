@@ -62,4 +62,10 @@ def test_rref_matches_reference(field):
         red, pivots = linalg.rref(field, m)
         assert (red, pivots) == reference_rref(field, m), m
         assert m == before
+        # the packed core on the same rows, packed and unpacked here
+        cols = len(m[0]) if m else 0
+        a = [field.pack([field.to_vec(x) for x in row]) for row in m]
+        pivots = linalg.rref_packed(field, a, cols)
+        red = [[field.from_vec(v) for v in field.unpack(x, cols)] for x in a]
+        assert (red, pivots) == reference_rref(field, m), m
 
