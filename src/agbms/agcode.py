@@ -1,33 +1,33 @@
 """Code construction C(m), systematic encoding, error injection, syndromes.
 
 Every evaluation on the decode path reads one memoized point x monomial
-table (``CodeSpec.eval_row``): the row of z^n holds its log value at each
-code point.  It is kept, as every per-code table of ``bms`` and
-``archsim`` is, through ``CodeSpec.table``: a plain builder, keyed in
-``tables`` by itself and its arguments, built on the first read.  Point
-sums are made of log-indexed product tables built from those rows, the
-software counterpart of the table-driven syndrome and Chien-search units:
-a table's word r packs alpha^r times a vector of values (``gf`` lanes),
-word 0 is the vector itself and index ZERO reads 0, so a nonzero log-form
-symbol picks its product with one read and a point sum is one XOR per
-symbol, which one ``GF.unpack`` turns into values.  Above
-GF(16) a table keeps only its w split words and forms word r per read
-(``_Split``), since q words per table do not fit large fields.  The
-syndrome unit keeps one table per code point over the syndrome indices
-(``CodeSpec.syndrome_rows``); the encoder one per message position over the
-parity positions.  The decoder reads tables of point words
+table (``CodeSpec.vec_rows``, a ``gf.Memo`` indexed by monomial): the row
+of z^n holds its value at each code point in bit-vector form, evaluated on
+the curve the first time it is read.  Point sums are made of log-indexed
+product tables built from those rows, the software counterpart of the
+table-driven syndrome and Chien-search units: a table's word r packs
+alpha^r times a vector of values (``gf`` lanes), word 0 is the vector
+itself and index ZERO reads 0, so a nonzero log-form symbol picks its
+product with one read and a point sum is one XOR per symbol, which one
+``GF.unpack`` turns into values.  Above GF(16) a table keeps only its w
+split words and forms word r per read (``_Split``), since q words per table
+do not fit large fields.  The syndrome unit keeps one table per code point
+over the syndrome indices (``CodeSpec.syndrome_rows``); the encoder one per
+message position over the parity positions, from one packed elimination of
+the basis rows.  The decoder reads tables of point words
 (``CodeSpec.point_words``, a ``gf.Memo`` indexed by pole order): per pole
 order, the monomial's values at every point and its derivative along the
 curve, taken from one more per-code row, the slope y' = D_x/D_y at each
 point (``CodeSpec.slope``), so a locator polynomial at every point is one
 XOR per coefficient, as a syndrome vector is one per symbol.  The
-interpolation solve gathers its rows from one more ``gf.Memo``, the rows
-of z^n in bit-vector form (``CodeSpec.vec_rows``, indexed by monomial).
+interpolation solve gathers its rows from ``vec_rows`` too, and
+``oracle.footprint`` its location rows.  The log form of the rows is only
+a view for outside callers (``CodeSpec.parity_check_matrix``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import getitem, xor
@@ -36,7 +36,7 @@ from . import linalg
 from .curve import CurveSpec, Mono, Point, partials
 from .gf import GF, ZERO, Memo
 
-POLE = None  # table marker: z^n (or y') has no value at this point
+POLE = None  # slope marker: y' has no value at this point
 PRODUCT_W = 4  # widest field, GF(16), whose point sums read product tables
 
 
@@ -60,10 +60,10 @@ class _Split:
 Table = list[int] | _Split  # a log-indexed product table, held or read from split words
 
 
-def _products(fld: GF, logs: list[int]) -> Table:
-    """The log-indexed product table of a vector of log values: word r packs
-    alpha^r times each value in bit-vector form, so word 0 is the vector
-    itself, and one more word, 0, sits last, where index ZERO reads it.
+def _products(fld: GF, vecs: Sequence[int]) -> Table:
+    """The log-indexed product table of a vector of bit-vector values: word
+    r packs alpha^r times each value, so word 0 is the vector itself, and
+    one more word, 0, sits last, where index ZERO reads it.
 
     Built from the w split words alpha^k * vector (k < w) by XOR: the word
     of a bit-vector v is the XOR of the split words of its set bits.  A
@@ -72,7 +72,7 @@ def _products(fld: GF, logs: list[int]) -> Table:
     GF(16) a curve has at most q^2 + q + 1 = 273 points and every table of
     a code stays small, while over GF(2^10) the product tables of one
     n = 1088 code grew the peak RSS by 180 MB against 3 MB."""
-    base = fld.pack([fld.to_vec(z) for z in logs])
+    base = fld.pack(vecs)
     parts = [fld.scale(base, k) for k in range(fld.w)]
     if fld.w > PRODUCT_W:
         return _Split(fld, parts)
@@ -150,31 +150,14 @@ class CodeSpec:
             self.tables[key] = build(self, *args)
         return self.tables[key]
 
-    def eval_row(self, n: Mono) -> list[int | None]:
-        """Logs of z^n at every code point, POLE where z^n has a pole
-        (Klein's P_(1:0:0) when 2*n1 < n2).
-
-        Built on first use and kept (``table``), so callers that never
-        evaluate pay nothing."""
-        return self.table(CodeSpec._eval_row, n)
-
-    def _eval_row(self, n: Mono) -> list[int | None]:
-        row = []
-        for p in self.points:
-            try:
-                row.append(self.curve.eval_monomial(self.fld, n, p))
-            except ValueError:
-                row.append(POLE)
-        return row
-
     def _vec_row(self, n: Mono) -> list[int]:
-        """The row of z^n in bit-vector form, read as ``vec_rows[n]``: the
-        values ``eval_row`` holds as logs, ready for ``GF.pack``, from which
-        the decoder gathers the augmented rows of its interpolation solve.
-        z^n must have no pole at a code point, as no monomial of ``basis``
-        has.  Built from the evaluation table on first read and kept for the
-        life of the code, uncharged."""
-        return list(map(self.fld.vec.__getitem__, self.eval_row(n)))
+        """The values of z^n at every code point in bit-vector form, read as
+        ``vec_rows[n]``, ready for ``GF.pack``.  Evaluated on the curve on
+        first read and kept for the life of the code, uncharged.  z^n must
+        have no pole at a code point, as no ring monomial has: at Klein's
+        P_(1:0:0) a monomial with 2*n1 < n2 raises the curve's ValueError."""
+        cv, fld, vec = self.curve, self.fld, self.fld.vec
+        return [vec[cv.eval_monomial(fld, n, p)] for p in self.points]
 
     @cached_property
     def slope(self) -> list[int | None]:
@@ -206,8 +189,8 @@ class CodeSpec:
         is word c, one read, as a syndrome row's word is.  Last comes the
         weight n1 % 2 + n2 % 2, the terms z^n puts into F_x and F_y.
 
-        Built from the evaluation table and the slope row on first read and
-        kept for the life of the code, uncharged.  Raises ValueError at a
+        Built from the row of z^n and the slope row on first read and kept
+        for the life of the code, uncharged.  Raises ValueError at a
         gap, where no ring monomial has that pole order.
         """
         n = self.curve.l_of(0, order)
@@ -216,10 +199,10 @@ class CodeSpec:
         cv, fld = self.curve, self.fld
         zx, zy = partials({n: 0})
         deriv = [
-            ZERO if yp is POLE else fld.add(cv.eval_poly(fld, zx, p), fld.mul(cv.eval_poly(fld, zy, p), yp))
+            0 if yp is POLE else fld.vec[fld.add(cv.eval_poly(fld, zx, p), fld.mul(cv.eval_poly(fld, zy, p), yp))]
             for p, yp in zip(self.points, self.slope)
         ]
-        return _products(fld, self.eval_row(n)), _products(fld, deriv), len(zx) + len(zy)
+        return _products(fld, self.vec_rows[n]), _products(fld, deriv), len(zx) + len(zy)
 
     def zero_word(self) -> Word:
         return Word([ZERO] * self.n)
@@ -227,21 +210,28 @@ class CodeSpec:
     # -- encoding ----------------------------------------------------------
 
     def parity_check_matrix(self) -> linalg.Matrix:
-        """Rows [z^l(P_j)] for l in the basis of L(m P_inf)."""
-        return [self.eval_row(n)[:] for n in self.basis]
+        """Rows [z^l(P_j)] for l in the basis of L(m P_inf), in log form: a
+        view of the basis rows of ``vec_rows`` for callers outside the
+        toolkit, which encodes from the bit-vector rows themselves."""
+        log = self.fld.log
+        return [[log[v] for v in self.vec_rows[n]] for n in self.basis]
 
     @cached_property
     def _encoder(self) -> tuple[list[Table], list[int]]:
         """Per message position, the product table of its column of
         rref(H) over the pivot rows, whose word r packs alpha^r times that
         column's contribution to the parity symbols, and the index of each
-        code position's symbol in message + parity; computed from one rref
-        on the first ``encode`` and reused by every later one."""
-        red, pivots = linalg.rref(self.fld, self.parity_check_matrix())
+        code position's symbol in message + parity; computed from one
+        packed elimination of the basis rows on the first ``encode`` and
+        reused by every later one."""
+        fld = self.fld
+        red = [fld.pack(self.vec_rows[n]) for n in self.basis]
+        pivots = linalg.rref_packed(fld, red, self.n)
         if len(pivots) != len(self.basis):
             raise ValueError("parity-check matrix is rank-deficient")
         free = sorted(set(range(self.n)).difference(pivots))
-        tables = [_products(self.fld, [row[j] for row in red]) for j in free]
+        cols = list(zip(*(fld.unpack(x, self.n) for x in red)))
+        tables = [_products(fld, cols[j]) for j in free]
         return tables, sorted(range(self.n), key=(free + pivots).__getitem__)
 
     def _check_symbols(self, symbols: list[int]) -> None:
@@ -286,9 +276,9 @@ class CodeSpec:
         r packs vec(alpha^r * z^l(P_j)) in lane s for the s-th l of
         ``syndrome_domain``, and word ZERO is 0.
 
-        Built from the evaluation table on first use, uncharged."""
-        rows = [self.eval_row(l) for l in self.syndrome_domain]
-        return [_products(self.fld, [row[j] for row in rows]) for j in range(self.n)]
+        Built from the rows of ``vec_rows`` on first use, uncharged."""
+        rows = [self.vec_rows[l] for l in self.syndrome_domain]
+        return [_products(self.fld, col) for col in zip(*rows)]
 
     def syndrome_word(self, word: Word) -> int:
         """The packed syndrome vector of a word, lane s holding vec(u_l) for

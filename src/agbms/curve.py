@@ -183,7 +183,7 @@ class CurveSpec:
 
     def equation_at(self, field: GF, x: int, y: int) -> int:
         """D(x, y) in log form at an affine candidate point."""
-        return field.from_vec(_vec_at(field, self.D, x, y))
+        return field.log[_vec_at(field, self.D, x, y)]
 
     def points(self, field: GF) -> list[Point]:
         """All rational code points: affine solutions of D = 0 sorted by

@@ -131,8 +131,8 @@ def error_values_interpolation(
     """Error values by solving u_l = sum_g e_g z^l(P_g) on the first |E|
     non-gap syndrome rows, the first |E| monomials of ``code.basis``.
 
-    Each augmented row is one gather of the code's bit-vector row of z^l
-    (``CodeSpec.vec_rows``, built once per code) at ``locs``, with u_l
+    Each augmented row is one gather of the row of z^l in the code's one
+    evaluation table (``CodeSpec.vec_rows``, bit-vectors) at ``locs``, with u_l
     appended, packed with ``GF.pack``.  One elimination of the t x (t + 1)
     system in ``linalg.rref_packed``: the solution is lane t of the reduced
     rows when the pivots are exactly columns 0..t-1, and None otherwise (a

@@ -3,9 +3,10 @@
 Elements are plain ints holding the exponent of a fixed primitive element
 alpha: ``k`` means alpha^k and ``-1`` means zero.  This matches the notation
 used throughout the decoder (register values, word files, error files), so
-worked values can be compared directly against published tables.  ``log``
-maps a bit-vector to its log and ``vec`` a log to its bit-vector: ``exp``
-with a 0 appended, so ZERO (-1) reads 0 with no branch.
+worked values can be compared directly against published tables.  The two
+tables ``log`` and ``vec`` are the element codec: ``log`` maps a bit-vector
+to its log, 0 to ZERO, and ``vec`` a log to its bit-vector, ``exp`` with a
+0 appended, so ZERO (-1) reads 0; neither read branches.
 
 Inversion is charged as the square-and-multiply chain a^(q-2), exactly one
 inversion and 2w-3 multiplications, while the value is read off the log
@@ -149,22 +150,12 @@ class GF:
     def __repr__(self) -> str:
         return f"GF(2^{self.w}, prim_poly={self.prim_poly:#b})"
 
-    # -- element codecs -------------------------------------------------
-
-    def to_vec(self, a: int) -> int:
-        """Log form to polynomial (bit-vector) form."""
-        return 0 if a == ZERO else self.exp[a]
-
-    def from_vec(self, v: int) -> int:
-        """Polynomial (bit-vector) form to log form."""
-        return ZERO if v == 0 else self.log[v]
-
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int, ctr: OpCounter | None = None) -> int:
         if ctr is not None:
             ctr.adds += 1
-        return self.from_vec(self.to_vec(a) ^ self.to_vec(b))
+        return self.log[self.vec[a] ^ self.vec[b]]
 
     def mul(self, a: int, b: int, ctr: OpCounter | None = None) -> int:
         if ctr is not None:

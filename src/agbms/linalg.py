@@ -2,19 +2,20 @@
 
 ``rref_packed`` is the one elimination.  It row-reduces packed rows, each
 one ``GF.pack`` word whose lane c holds column c, so a row operation is
-one ``GF.scale`` (and one XOR to clear a column).  ``rref`` is its shell
-for log-encoded matrices (lists of row lists of log-encoded ints): it packs
-the rows through the field's ``vec`` table, runs the core and unpacks the
-reduced rows to logs.  Everything here is exact field arithmetic,
-uncounted: an inverse is a log-table lookup and no ``OpCounter`` is
-charged.  Sizes stay desk-scale, so plain Gauss-Jordan elimination is
-enough.  Every elimination question reads the core's pivots: ``agcode``
-row-reduces the parity-check matrix for its encoder and ``oracle.footprint``
-the evaluation matrix of the first t + g monomials, whose pivots are the
-footprint, both through ``rref``; ``decoder.error_values_interpolation``
-hands the core the augmented t x (t + 1) error-value system straight from
-the code's packed rows (solvable exactly when the pivots are columns
-0..t-1) and reads the solution off lane t of the reduced rows.
+one ``GF.scale`` (and one XOR to clear a column).  Everything here is
+exact field arithmetic, uncounted: an inverse is a log-table lookup and no
+``OpCounter`` is charged.  Sizes stay desk-scale, so plain Gauss-Jordan
+elimination is enough.  Every elimination of the toolkit hands the core
+rows packed from the code's bit-vector rows (``CodeSpec.vec_rows``) and
+reads its pivots: ``agcode`` row-reduces the basis rows, the parity-check
+matrix, for its encoder; ``oracle.footprint`` the t location rows of the
+first t + g monomials, whose pivots are the footprint; and
+``decoder.error_values_interpolation`` the augmented t x (t + 1)
+error-value system (solvable exactly when the pivots are columns 0..t-1),
+whose solution it reads off lane t of the reduced rows.  ``rref`` is a
+log-form view of the core for callers outside the toolkit (the benchmark
+and the tests): it packs log-encoded rows through the field's ``vec``
+table, runs the core and unpacks the reduced rows to logs.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Ground-truth checks the toolkit runs: genericity, footprint, ratios.
 
 Everything here is independent of the BMS iteration: the footprint as the
-pivots of one elimination (t + g evaluation columns suffice for t distinct
-points, by Riemann-Roch), genericity read off that footprint, the error-weight
-range check the CLI shares, and the seeded random experiment estimating
-the generic fraction (q-1)/q.  The linear-algebra Groebner basis, ideal
-membership by evaluation and the Eq.-(3) discrepancy, which only the tests
-run, are references in ``tests/conftest.py``.
+pivots of one packed elimination over the code's bit-vector rows (t + g
+evaluation columns suffice for t distinct points, by Riemann-Roch),
+genericity read off that footprint, the error-weight range check the CLI
+shares, and the seeded random experiment estimating the generic fraction
+(q-1)/q.  The linear-algebra Groebner basis, ideal membership by
+evaluation and the Eq.-(3) discrepancy, which only the tests run, are
+references in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -52,11 +53,13 @@ def footprint(code: CodeSpec, locs: list[int]) -> list[Mono]:
 
     The columns are the first t + g ring monomials in pole order, evaluated
     at the t = |E| points, and a monomial joins the footprint when its
-    column is independent of all smaller ones: ``rref``'s pivots.  For
-    t >= 1 the (t + g)-th non-gap is 2g - 1 + t, so by Riemann-Roch
-    L((2g - 1 + t) P_inf) maps onto the values at any t distinct points
-    and exactly t columns pivot.  Repeated locations raise ``ValueError``,
-    as do fewer pivots (two indices naming one point, such as j and j - n).
+    column is independent of all smaller ones: the pivots of
+    ``linalg.rref_packed`` on the t location rows, packed from the code's
+    bit-vector rows (``CodeSpec.vec_rows``).  For t >= 1 the (t + g)-th
+    non-gap is 2g - 1 + t, so by Riemann-Roch L((2g - 1 + t) P_inf) maps
+    onto the values at any t distinct points and exactly t columns pivot.
+    Repeated locations raise ``ValueError``, as do fewer pivots (two
+    indices naming one point, such as j and j - n).
     """
     t = len(locs)
     if len(set(locs)) != t:
@@ -64,8 +67,8 @@ def footprint(code: CodeSpec, locs: list[int]) -> list[Mono]:
     if t == 0:
         return []
     monos = code.curve.phi(0, code.curve.a, m_t(code, t + code.curve.genus))
-    rows = [code.eval_row(n) for n in monos]
-    pivots = linalg.rref(code.fld, [[row[j] for row in rows] for j in locs])[1]
+    fld, rows = code.fld, [code.vec_rows[n] for n in monos]
+    pivots = linalg.rref_packed(fld, [fld.pack([row[j] for row in rows]) for j in locs], len(monos))
     if len(pivots) != t:
         raise ValueError(f"{len(pivots)} of {t} columns pivot: the locations repeat a point")
     return [monos[c] for c in pivots]

@@ -9,7 +9,7 @@ import textwrap
 import pytest
 
 from agbms import CodeSpec, CurveSpec, Point, Word, bms, decoder, elliptic_curve, linalg
-from agbms.agcode import POLE, PRODUCT_W
+from agbms.agcode import PRODUCT_W
 from agbms.gf import ZERO, GF
 from conftest import ELLIPTIC_VALS, ELLIPTIC_XY, full_syndromes_from_errors, oracle_encoder
 
@@ -205,19 +205,20 @@ def test_table_syndromes_match_direct_sum(elliptic, klein, hermitian):
                 assert code.syndromes(word) == direct_syndromes(code, word)
 
 
-def test_eval_row_lazy_memoized_with_klein_pole(gf8, klein):
+def test_vec_rows_lazy_memoized_with_klein_pole(gf8, klein):
     from agbms import klein_curve
 
     fresh = CodeSpec(klein_curve(), gf8, m=15)
-    assert not fresh.tables  # constructing a code evaluates nothing
-    row = fresh.eval_row((0, 1))
-    assert fresh.eval_row((0, 1)) is row and fresh.tables == {(CodeSpec._eval_row, (0, 1)): row}
+    assert not fresh.vec_rows  # constructing a code evaluates nothing
+    row = fresh.vec_rows[(1, 0)]
+    assert fresh.vec_rows[(1, 0)] is row and dict(fresh.vec_rows) == {(1, 0): row}
     special = klein.n - 1
-    assert row[special] is POLE
-    assert fresh.eval_row((1, 2))[special] == 0  # valuation 0: the value is 1
-    assert fresh.eval_row((1, 1))[special] == ZERO
+    assert fresh.vec_rows[(1, 2)][special] == 1  # valuation 0: the value is 1
+    assert fresh.vec_rows[(1, 1)][special] == 0
+    with pytest.raises(ValueError, match=r"\(0, 1\) has a pole at \(1:0:0\)"):
+        fresh.vec_rows[(0, 1)]  # y is no ring monomial: a pole at P_(1:0:0)
     for j, p in enumerate(fresh.points[:special]):
-        assert row[j] == klein.curve.eval_monomial(gf8, (0, 1), p)
+        assert row[j] == gf8.vec[klein.curve.eval_monomial(gf8, (1, 0), p)]
 
 
 def test_encode_reuses_one_rref(rref_calls, gf16, gf8):
@@ -313,7 +314,7 @@ def test_product_tables_scale_word_zero(elliptic_gf8, klein, elliptic, hermitian
     rng = random.Random(41)
     for code in (elliptic_gf8, klein, elliptic, hermitian, elliptic_gf512):
         fld, cv = code.fld, code.curve
-        rows = [code.eval_row(l) for l in code.syndrome_domain]
+        rows = [code.vec_rows[l] for l in code.syndrome_domain]
         points = range(code.n) if fld.q <= 16 else rng.sample(range(code.n), 8)
         tables = []
         for j in points:
@@ -321,14 +322,14 @@ def test_product_tables_scale_word_zero(elliptic_gf8, klein, elliptic, hermitian
         for order in range(code.m + 1):
             if cv.l_of(0, order) is not None:
                 values, derivs, _ = code.point_words[order]
-                tables += [(values, code.eval_row(cv.l_of(0, order))), (derivs, None)]
-        for table, logs in tables:
+                tables += [(values, code.vec_rows[cv.l_of(0, order)]), (derivs, None)]
+        for table, vecs in tables:
             if fld.w <= PRODUCT_W:
                 assert type(table) is list and len(table) == fld.q
             else:
                 assert table.parts == [fld.scale(table[0], k) for k in range(fld.w)]
-            if logs is not None:
-                assert table[0] == fld.pack([fld.to_vec(z) for z in logs])
+            if vecs is not None:
+                assert table[0] == fld.pack(vecs)
             for r in table_logs(fld, rng):
                 assert table[r] == fld.scale(table[0], r)
 

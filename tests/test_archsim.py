@@ -777,7 +777,7 @@ def test_stream_snapshots_shift_every_line(preset):
 
 def mul_lanes(fld, c, vecs):
     """The bit-vector lanes vecs times the log-form constant c, by fld.mul."""
-    return [fld.to_vec(fld.mul(c, fld.from_vec(v))) for v in vecs]
+    return [fld.vec[fld.mul(c, fld.log[v])] for v in vecs]
 
 
 @pytest.mark.parametrize("code_name", ["klein", "elliptic", "elliptic_gf512"])

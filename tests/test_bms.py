@@ -101,7 +101,7 @@ def test_init_state_gathers_every_window(elliptic, klein, hermitian, elliptic_gf
         for i in range(cv.a):
             window = [cv.l_of(i, h) for h in range(code.m + 1)]
             want = [ZERO if l is None else synd[l] for l in window]
-            assert fld.unpack(st.vf[i], L) == [fld.to_vec(c) for c in want] + [1]
+            assert fld.unpack(st.vf[i], L) == [fld.vec[c] for c in want] + [1]
             assert st.vf[i] >> L * fld.lane_bits == 0 and st.wg[i] == 1
         for l in code.syndrome_domain:
             with pytest.raises(ValueError, match=rf"^syndrome table missing u_{re.escape(str(l))}$"):
@@ -613,8 +613,8 @@ def reference_heads(state, code):
     at exponent N; after the last loop v's lane m+1 is always zero."""
     fld, shift, lane = code.fld, state.N * code.fld.lane_bits, code.fld.q - 1
     l1 = bms.gate_table(code).l1[state.N]
-    d = [fld.from_vec(x >> shift & lane) if s <= l else ZERO for x, s, l in zip(state.vf, state.s1, l1)]
-    return d, [fld.from_vec(y >> shift & lane) for y in state.wg]
+    d = [fld.log[x >> shift & lane] if s <= l else ZERO for x, s, l in zip(state.vf, state.s1, l1)]
+    return d, [fld.log[y >> shift & lane] for y in state.wg]
 
 
 def reference_step(state, code, ctr, labels):

@@ -244,7 +244,7 @@ def interpolation_systems(code, rng):
         t = rng.randint(2, 4)
         while True:
             locs = rng.sample(range(code.n), t - 1)
-            rows = [code.eval_row(l) for l in basis[:t]]
+            rows = [[code.fld.log[v] for v in code.vec_rows[l]] for l in basis[:t]]
             last = [j for j in range(code.n) if j not in locs
                     and reference_rank(code.fld, [[row[k] for k in locs + [j]] for row in rows]) < t]
             if last:
@@ -318,24 +318,23 @@ def test_solve_builds_its_rows_once(monkeypatch, rref_calls, preset):
     # as the simulators build their lane tables once: every decode that
     # reaches the interpolation solve (forced here by a closed form that
     # raises, as it does at Klein's P_(1:0:0)) runs exactly one
-    # elimination; the first solve builds the bit-vector rows of the first
-    # t basis monomials, one eval_row read each, and keeps them on the
-    # code; every later solve builds none and calls eval_row not at all,
-    # and a fresh CodeSpec starts without them
-    built, evals, per_solve = [], [], []
-    build, eval_row, solve = CodeSpec._vec_row, CodeSpec.eval_row, decoder.error_values_interpolation
+    # elimination; the code's one evaluation table builds each bit-vector
+    # row once, the first decode's syndrome unit builds the whole syndrome
+    # domain, the rows of the first t basis monomials among them, so no
+    # solve builds a row, and a fresh CodeSpec starts without them
+    built, per_solve = [], []
+    build, solve = CodeSpec._vec_row, decoder.error_values_interpolation
 
     def recording_solve(locs, code, synd):
-        marks = len(rref_calls), len(built), len(evals)
+        marks = len(rref_calls), len(built)
         out = solve(locs, code, synd)
-        per_solve.append((len(rref_calls) - marks[0], len(built) - marks[1], len(evals) - marks[2]))
+        per_solve.append((len(rref_calls) - marks[0], len(built) - marks[1]))
         return out
 
     def closed_form(*args):
         raise ValueError("y' has no value")
 
     monkeypatch.setattr(CodeSpec, "_vec_row", lambda code, n: built.append(n) or build(code, n))
-    monkeypatch.setattr(CodeSpec, "eval_row", lambda code, n: evals.append(n) or eval_row(code, n))
     monkeypatch.setattr(decoder, "error_values_interpolation", recording_solve)
     monkeypatch.setattr(decoder, "error_values", closed_form)
     base = cli.load_code(preset)[0]
@@ -348,8 +347,9 @@ def test_solve_builds_its_rows_once(monkeypatch, rref_calls, preset):
         res = decoder.decode(code, code.inject_errors(code.zero_word(), locs, vals))
         assert len(rref_calls) == 1
         assert (res.status, res.error_vals) == (decoder.SUCCESS, [vals[locs.index(j)] for j in res.error_locs])
-    assert per_solve == [(1, t, t)] + [(1, 0, 0)] * 3
-    assert built == code.basis[:t] == list(code.vec_rows)
+    assert per_solve == [(1, 0)] * 4
+    assert built == code.syndrome_domain == list(code.vec_rows)
+    assert set(code.basis[:t]) <= set(built)
     assert not CodeSpec(base.curve, base.fld, base.m).vec_rows
 
 

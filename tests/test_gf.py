@@ -52,8 +52,8 @@ def test_table_round_trip(gf16, gf8):
     for field in (gf16, gf8):
         seen = set()
         for k in range(-1, field.q - 1):
-            v = field.to_vec(k)
-            assert field.from_vec(v) == k
+            v = field.vec[k]
+            assert field.log[v] == k
             seen.add(v)
         assert seen == set(range(field.q))
 
@@ -116,7 +116,7 @@ def test_scale_by_one_passes_through(w, prim_poly):
     # top lanes zero below a top nonzero lane of 1, and every lane zero
     words += [[field.q - 2, ZERO, 0] + [ZERO] * 9, [ZERO] * 5, []]
     for logs in words:
-        x = field.pack([field.to_vec(a) for a in logs])
+        x = field.pack([field.vec[a] for a in logs])
         assert (field.scale(x, 0), field.weight(x)) == (x, len(logs) - logs.count(ZERO))
     if field.lane_bits == 8:
         assert 0 not in field._scale_rows
@@ -159,7 +159,7 @@ def test_lane_primitives_exhaustive(w):
     row = bytes(table).ljust(256, b"\0") if fld.lane_bits == 8 else table
     for logs in vectors:
         n = len(logs)
-        vecs = [fld.to_vec(a) for a in logs]
+        vecs = [fld.vec[a] for a in logs]
         x = fld.pack(vecs)
         assert x < 1 << n * fld.lane_bits
         assert fld.unpack(x, n) == vecs
@@ -169,7 +169,7 @@ def test_lane_primitives_exhaustive(w):
         assert fld.weight(x) == n - logs.count(ZERO)
         for c in [ZERO, *range(fld.q - 1)]:
             product = fld.scale(x, c)
-            assert fld.unpack(product, n) == [fld.to_vec(fld.mul(c, a)) for a in logs]
+            assert fld.unpack(product, n) == [fld.vec[fld.mul(c, a)] for a in logs]
             assert fld.weight(product) == (0 if c == ZERO else n - logs.count(ZERO))
         assert fld.unpack(fld.lookup(x, row), n) == [table[v] for v in vecs]
 
@@ -189,7 +189,7 @@ def test_merge_is_two_scales(w):
     # every element in a lane, top lanes zero below a top lane of alpha^0,
     # every lane zero, and no lane at all
     logs += [rng.sample(every, len(every)), [fld.q - 2, ZERO, 0] + [ZERO] * 9, [ZERO] * 5, []]
-    words = [fld.pack([fld.to_vec(a) for a in v]) for v in logs]
+    words = [fld.pack([fld.vec[a] for a in v]) for v in logs]
     pairs = [(x, y) for x in words for y in words]
     rng.shuffle(pairs)
     consts = every if w <= 8 else [ZERO, 0, fld.q - 2, *rng.sample(range(1, fld.q - 2), 12)]
@@ -209,10 +209,10 @@ def test_sixteen_bit_lanes():
     # the word's bit length ends one bit into that lane; and every lane zero
     for logs in (head, head[:4] + [0] + [ZERO] * 11, [ZERO] * 6):
         n = len(logs)
-        x = fld.pack([fld.to_vec(a) for a in logs])
-        assert [fld.from_vec(v) for v in fld.unpack(x, n)] == logs
+        x = fld.pack([fld.vec[a] for a in logs])
+        assert [fld.log[v] for v in fld.unpack(x, n)] == logs
         for c in consts:
             product = fld.scale(x, c)
-            assert [fld.from_vec(v) for v in fld.unpack(product, n)] == [fld.mul(c, a) for a in logs]
+            assert [fld.log[v] for v in fld.unpack(product, n)] == [fld.mul(c, a) for a in logs]
             assert fld.weight(product) == n - logs.count(ZERO)
     assert len(fld._scale_rows) == len(set(consts))  # one row per constant used

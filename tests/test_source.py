@@ -176,3 +176,31 @@ def test_code_tables_keyed_by_their_builder():
     for sim in archsim.SIMULATORS.values():
         sim(code, code.syndromes(word))
     assert code.tables and all(type(k) is tuple and callable(k[0]) for k in code.tables)
+
+
+def test_one_evaluation_table():
+    # a code evaluates z^n in one place, CodeSpec._vec_row, the builder of
+    # its one evaluation table (vec_rows): nothing else in agcode calls
+    # eval_monomial; and every elimination of the toolkit runs on packed
+    # rows, so no module of the package calls linalg.rref, the log-form view
+    # kept for the benchmark and the tests
+    pkg = pathlib.Path(agbms.__file__).resolve().parent
+    tree = ast.parse((pkg / "agcode.py").read_text())
+    home = next(
+        f
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "CodeSpec"
+        for f in cls.body
+        if isinstance(f, ast.FunctionDef) and f.name == "_vec_row"
+    )
+    allowed = {id(n) for n in ast.walk(home)}
+    found = [
+        f"agcode.py:{n.lineno} eval_monomial"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "eval_monomial" and id(n) not in allowed
+    ]
+    for path in sorted(pkg.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(n, ast.Call) and "rref" in (getattr(n.func, "attr", None), getattr(n.func, "id", None)):
+                found.append(f"{path.name}:{n.lineno} rref")
+    assert found == [], f"evaluation outside CodeSpec._vec_row, or a log-form rref, at {', '.join(found)}"

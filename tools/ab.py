@@ -16,6 +16,11 @@ state one tree leaves behind can favour either tree.  Printed are each
 side's median and quartiles, the parent/change time ratio and the pairs the
 change won, and the same ratio per preset, over each preset's share of the
 same passes (each op is timed, and a preset's time is the sum over its ops).
+Per preset, a second line gives each side's per-op p95 (the median over its
+passes of the pass's 95th percentile of the preset's op times, the
+inclusive method ``bench/run.py`` uses for its latency percentiles) and
+the same paired ratio over those p95s: a sum over a preset's ops moves
+little when only its slowest ops change, which a p95 shows.
 
 Times are process CPU time (``time.process_time``), not wall time: on a
 shared 2-core virtual machine wall time also counts the steal time other
@@ -74,23 +79,30 @@ def ratio_line(parent: list[float], change: list[float]) -> str:
     return f"median x{rm:.3f}, quartiles x{r1:.3f}-x{r3:.3f}; change won {wins}/{len(parent)} pairs"
 
 
+def p95(xs: list[float]) -> float:
+    return statistics.quantiles(xs, n=100, method="inclusive")[94]
+
+
 def timed_pass(tree: str, workload: str, pool: str) -> None:
     """A child's one timed pass: the tree's pass over the pickled pool after
-    one untimed warm-up pass, printed as JSON, the whole pass and each
-    preset's sum over its ops, in process CPU seconds."""
+    one untimed warm-up pass, printed as JSON, the whole pass and, per
+    preset, the sum and the p95 of its ops' times, in process CPU seconds."""
     api, codes = load(tree)
     with open(pool, "rb") as fh:
         order = pickle.load(fh)
     op, clock = wl.OPS[workload], time.process_time
     for inp in order:
         op(api, codes, inp)
-    spent = dict.fromkeys(wl.PRESETS, 0.0)
+    spent: dict[str, list[float]] = {p: [] for p in wl.PRESETS}
     t0 = clock()
     for inp in order:
         t1 = clock()
         op(api, codes, inp)
-        spent[inp.preset] += clock() - t1
-    print(json.dumps({"total": clock() - t0, "presets": spent}))
+        spent[inp.preset].append(clock() - t1)
+    total = clock() - t0
+    sums = {p: sum(ts) for p, ts in spent.items()}
+    tails = {p: p95(ts) for p, ts in spent.items()}
+    print(json.dumps({"total": total, "presets": sums, "p95": tails}))
 
 
 def main() -> None:
@@ -129,6 +141,7 @@ def main() -> None:
             pickle.dump(order, fh)
         times: list[list[float]] = [[], []]
         by_preset: list[dict[str, list[float]]] = [{p: [] for p in wl.PRESETS} for _ in sides]
+        tails: list[dict[str, list[float]]] = [{p: [] for p in wl.PRESETS} for _ in sides]
         for p in range(args.pairs):
             for s in ((0, 1), (1, 0))[p % 2]:  # alternate which tree goes first
                 tree = (args.parent, args.change)[s]
@@ -138,8 +151,9 @@ def main() -> None:
                     sys.exit(f"timed pass of {tree} failed:\n{child.stderr}")
                 out = json.loads(child.stdout)
                 times[s].append(out["total"])
-                for preset, t in out["presets"].items():
-                    by_preset[s][preset].append(t)
+                for preset in wl.PRESETS:
+                    by_preset[s][preset].append(out["presets"][preset])
+                    tails[s][preset].append(out["p95"][preset])
     same = "pools, outputs and op counts" if counted else "pools and outputs"
     print(f"{args.workload} seed {args.seed}: {len(order)} inputs, identical {same} on both trees")
     (p1, pm, p3), (c1, cm, c3) = quartiles(times[0]), quartiles(times[1])
@@ -149,6 +163,9 @@ def main() -> None:
     print(f"  median gain {pm - cm:.4f} s against the parent's quartile spread {p3 - p1:.4f} s")
     for preset in wl.PRESETS:
         print(f"  {preset} parent/change: {ratio_line(by_preset[0][preset], by_preset[1][preset])}")
+        pp, cp = (1e3 * statistics.median(side[preset]) for side in tails)
+        ratios = ratio_line(tails[0][preset], tails[1][preset])
+        print(f"  {preset} p95 per op: parent {pp:.4f} ms, change {cp:.4f} ms; {ratios}")
 
 
 if __name__ == "__main__":
