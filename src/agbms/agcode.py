@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import repeat
 from operator import getitem, xor
 
 from . import linalg
@@ -84,7 +85,11 @@ def _products(fld: GF, vecs: Sequence[int]) -> Table:
 
 @dataclass
 class Word:
-    """Length-n vector of log-encoded symbols with a role tag."""
+    """Length-n vector of log-encoded symbols with a role tag.
+
+    Built from any iterable of symbols into a list of its own, so a Word
+    never shares its list with the caller: callers pass their symbols as
+    they stand and the one copy is made here."""
 
     symbols: list[int]
     role: str = "codeword"  # codeword | received
@@ -205,7 +210,7 @@ class CodeSpec:
         return _products(fld, self.vec_rows[n]), _products(fld, deriv), len(zx) + len(zy)
 
     def zero_word(self) -> Word:
-        return Word([ZERO] * self.n)
+        return Word(repeat(ZERO, self.n))
 
     # -- encoding ----------------------------------------------------------
 
@@ -252,7 +257,7 @@ class CodeSpec:
         self._check_symbols(message)
         parity = self.fld.unpack(reduce(xor, map(getitem, tables, message)), len(self.basis))
         symbols = [*message, *map(self.fld.log.__getitem__, parity)]
-        return Word(list(map(symbols.__getitem__, order)), "codeword")
+        return Word(map(symbols.__getitem__, order), "codeword")
 
     # -- errors and syndromes -----------------------------------------------
 
@@ -265,7 +270,7 @@ class CodeSpec:
             raise ValueError(f"error locations must lie in [0, {self.n})")
         if any(not 0 <= v < self.fld.q - 1 for v in vals):
             raise ValueError(f"error values must be nonzero logs in [0, {self.fld.q - 1})")
-        out = Word(word.symbols[:], "received")
+        out = Word(word.symbols, "received")
         for j, v in zip(locs, vals):
             out.symbols[j] = self.fld.add(out.symbols[j], v)
         return out

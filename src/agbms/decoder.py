@@ -1,4 +1,20 @@
-"""End-to-end decoding: BMS, Chien search, error evaluation, verification."""
+"""End-to-end decoding: BMS, Chien search, error evaluation, verification.
+
+``decode`` is a ladder that reaches each verdict before the work the
+verdict makes useless:
+
+1. syndromes; a word whose syndromes are all zero is a codeword, returned
+   as Success without running BMS;
+2. BMS, then the footprint read off its final s1: over the generic budget
+   is NotGenericDetected, before any locator is extracted;
+3. locator extraction and Chien search, whose zero count must match the
+   footprint;
+4. error values, from the closed form, or straight from the interpolation
+   solve when a located point has no slope (Klein's P_(1:0:0), where the
+   closed form cannot be evaluated), with the solve also taking over when
+   the closed form raises or fails the re-check;
+5. the syndrome re-check of each candidate correction.
+"""
 
 from __future__ import annotations
 
@@ -43,6 +59,12 @@ def _at_points(code: CodeSpec, poly: tuple[int, int], deriv: bool = False) -> tu
             acc ^= (derivs if deriv else values)[log[v]]
             terms += weight if deriv else 1
     return acc, terms
+
+
+def _no_slope(code: CodeSpec, j: int) -> str:
+    """Why the closed form has no value at point j, where the slope is POLE."""
+    p = code.points[j]
+    return f"y' = D_x/D_y has no value at {p.special or (p.x, p.y)}"
 
 
 def chien_search(basis: bms.LocatorOutput, code: CodeSpec) -> list[int]:
@@ -110,8 +132,7 @@ def error_values(
     vals = []
     for j in locs:
         if cols and code.slope[j] is POLE:
-            p = code.points[j]
-            raise ValueError(f"y' = D_x/D_y has no value at {p.special or (p.x, p.y)}")
+            raise ValueError(_no_slope(code, j))
         acc = 0
         for fp, gp, s in cols:
             if fp[j] and gp[j]:
@@ -163,37 +184,45 @@ def decode(
     mode: str = bms.INVERSE_FREE,
     ctr: OpCounter | None = None,
 ) -> DecodeResult:
-    """Full pipeline with a miscorrection guard.
+    """Full pipeline with a miscorrection guard, each verdict reached
+    before the work it makes useless (the ladder of the module docstring).
 
     Syndromes, Chien search and error values all read the code's
-    point x monomial evaluation table.  Success requires the Chien zero set
-    to match the footprint size implied by the final degrees, the footprint
-    to stay within the generic budget, and the corrected word to have zero
-    syndromes.  When Delta is the generic footprint (the first |Delta|
-    monomials of the basis) Chien search reads only the columns F^(i) with
-    o(F^(i)) + max o(Delta) <= m: the syndromes up to m check no other, so
-    one of them could wipe out the zeros.  Syndromes are linear, so the
-    last check is made on the error alone: the packed syndrome word of its
-    t (location, value) pairs, t syndrome-row reads, must equal the
+    point x monomial evaluation table.  A word with zero syndromes is a
+    codeword (every syndrome monomial lies in L(m P_inf)): it is returned
+    as Success before BMS runs, and ``ctr`` is charged nothing.  Otherwise
+    the footprint Delta read off the final s1 of BMS must stay within the
+    generic budget, which is checked before the locators are extracted;
+    then the Chien zero set must match |Delta| and the corrected word must
+    have zero syndromes.  When Delta is the generic footprint (the first
+    |Delta| monomials of the basis) Chien search reads only the columns
+    F^(i) with o(F^(i)) + max o(Delta) <= m: the syndromes up to m check no
+    other, so one of them could wipe out the zeros.  Syndromes are linear,
+    so the last check is made on the error alone: the packed syndrome word
+    of its t (location, value) pairs, t syndrome-row reads, must equal the
     received word's, computed once.
     Anything structurally off is reported as NotGenericDetected, arithmetic
-    dead ends (Klein special-point derivative, vanishing value sum) as
-    Failure.  When the closed-form values fail the re-check the pipeline
-    re-evaluates by syndrome interpolation before giving up.  An
+    dead ends (a located point with no slope, a vanishing value sum) as
+    Failure.  When the closed-form values raise or fail the re-check the
+    pipeline re-evaluates by syndrome interpolation before giving up; a
+    located point with no slope (Klein's P_(1:0:0)), where the closed form
+    raises on every word, goes to the interpolation without trying it.  An
     inverse-free BMS run whose state tallies an inversion raises
     AssertionError, with or without ``ctr`` and under ``python -O``; BMS
     counts field operations only when ``ctr`` is passed.
     """
     packed = code.syndrome_word(received)
+    if not packed:
+        return DecodeResult(SUCCESS, [], [], Word(received.symbols, "codeword"))
     synd = code.syndrome_dict(packed)
     state, _ = bms.run(code, synd, mode, ctr=ctr)
     if mode == bms.INVERSE_FREE and state.invs:
         raise AssertionError("inverse-free BMS performed a field inversion")
-    basis = bms.extract_locators(state, code)
 
     delta, top = bms.gate_table(code).delta[tuple(state.s1)]
     if len(delta) > code.t_generic:
         return DecodeResult(NOT_GENERIC, detail=f"footprint {len(delta)} exceeds budget {code.t_generic}")
+    basis = bms.extract_locators(state, code)
 
     locs = _zeros(basis.F if top is None else [F for F in basis.F if F[1] <= top], code)
     if len(locs) != len(delta):
@@ -201,9 +230,7 @@ def decode(
             NOT_GENERIC, detail=f"chien zeros {len(locs)} != footprint {len(delta)}"
         )
     if not locs:
-        if packed:
-            return DecodeResult(NOT_GENERIC, detail="empty locator set with nonzero syndromes")
-        return DecodeResult(SUCCESS, [], [], Word(received.symbols[:], "codeword"))
+        return DecodeResult(NOT_GENERIC, detail="empty locator set with nonzero syndromes")
 
     rows = code.syndrome_rows
 
@@ -212,19 +239,23 @@ def decode(
         # exactly when the error reproduces the received syndrome word
         if reduce(xor, [rows[j][v] for j, v in zip(locs, vals)]) != packed:
             return None
-        corrected = Word(received.symbols[:], "codeword")
+        corrected = Word(received.symbols, "codeword")
         for j, v in zip(locs, vals):
             corrected.symbols[j] = code.fld.add(corrected.symbols[j], v)
         return corrected
 
     closed_form_error = None
-    try:
-        vals = error_values(locs, basis, code, ctr)
-        corrected = apply(vals)
-        if corrected is not None:
-            return DecodeResult(SUCCESS, locs, vals, corrected)
-    except (ZeroDivisionError, ValueError) as exc:
-        closed_form_error = str(exc)
+    pole = next((j for j in locs if code.slope[j] is POLE), None)
+    if pole is not None:
+        closed_form_error = _no_slope(code, pole)
+    else:
+        try:
+            vals = error_values(locs, basis, code, ctr)
+            corrected = apply(vals)
+            if corrected is not None:
+                return DecodeResult(SUCCESS, locs, vals, corrected)
+        except (ZeroDivisionError, ValueError) as exc:
+            closed_form_error = str(exc)
 
     fallback = error_values_interpolation(locs, code, synd)
     if fallback is not None:

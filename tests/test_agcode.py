@@ -11,7 +11,13 @@ import pytest
 from agbms import CodeSpec, CurveSpec, Point, Word, bms, decoder, elliptic_curve, linalg
 from agbms.agcode import PRODUCT_W
 from agbms.gf import ZERO, GF
-from conftest import ELLIPTIC_VALS, ELLIPTIC_XY, full_syndromes_from_errors, oracle_encoder
+from conftest import (
+    ELLIPTIC_VALS,
+    ELLIPTIC_XY,
+    full_syndromes_from_errors,
+    oracle_encoder,
+    random_generic_pattern,
+)
 
 
 def test_build_code_parameters(gf16, gf8, elliptic, klein, hermitian):
@@ -386,3 +392,26 @@ def test_out_of_range_symbols_rejected(elliptic, elliptic_gf512):
         elliptic.encode([20] + [0] * (elliptic.dim - 1))
     with pytest.raises(ValueError):
         decoder.decode(elliptic, Word([-2] + [ZERO] * (elliptic.n - 1), "received"))
+
+
+def test_word_never_aliases_its_symbols(elliptic, klein, hermitian):
+    # a Word copies its symbols once, on construction, so the callers that
+    # build one (zero_word, encode, inject_errors, decode's corrected word)
+    # pass theirs as they stand; none may share the list it was built from
+    rng = random.Random(29)
+    for code in (elliptic, klein, hermitian):
+        symbols = [rng.randrange(-1, code.fld.q - 1) for _ in range(code.n)]
+        word = Word(symbols, "received")
+        assert word.symbols == symbols and word.symbols is not symbols
+        assert Word(iter(symbols)).symbols == symbols
+        assert code.zero_word().symbols == [ZERO] * code.n
+        cw = code.encode(seeded_messages(code, 1)[0])
+        locs, vals = random_generic_pattern(code, code.t_generic, rng, affine_only=False)
+        rx = code.inject_errors(cw, locs, vals)
+        assert rx.symbols is not cw.symbols and rx.role == "received"
+        for mode in (bms.INVERSE_FREE, bms.DIVISION):
+            for received in (cw, rx):
+                res = decoder.decode(code, received, mode)
+                assert res.status == decoder.SUCCESS
+                assert res.corrected.symbols == cw.symbols
+                assert res.corrected.symbols is not received.symbols

@@ -467,8 +467,8 @@ def test_extract_poly_raises_under_optimize():
             st.invs += 1
             return st, records
         bms.run = inverting
-        try:
-            decoder.decode(code, code.zero_word())
+        try:  # a codeword never reaches BMS, so decode the errored word
+            decoder.decode(code, code.inject_errors(code.zero_word(), locs, [6, 8, 11]))
         except AssertionError as exc:
             print("guard:", exc)
         """

@@ -92,6 +92,86 @@ def test_decode_zero_errors_real_codeword(elliptic):
     assert res.status == decoder.SUCCESS and res.corrected.symbols == cw.symbols
 
 
+MODES = (bms.INVERSE_FREE, bms.DIVISION)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_codeword_skips_bms(monkeypatch, elliptic, klein, hermitian, mode):
+    # zero syndromes make a word a codeword: decode returns it as Success
+    # before BMS runs, so a counter is charged nothing
+    def no_bms(*args, **kwargs):
+        raise AssertionError("BMS ran on a codeword")
+
+    monkeypatch.setattr(bms, "run", no_bms)
+    rng = random.Random(f"codeword/{mode}")
+    for code in (elliptic, klein, hermitian):
+        msg = [rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)]
+        for cw in (code.zero_word(), code.encode(msg)):
+            ctr = OpCounter()
+            res = decoder.decode(code, Word(cw.symbols, "received"), mode, ctr)
+            assert res == decoder.DecodeResult(decoder.SUCCESS, [], [], Word(cw.symbols, "codeword"))
+            assert ctr == OpCounter()
+
+
+def over_budget_words(code, mode, rng, count=4):
+    """Seeded received words, weight t_generic + 2, that decode reports as
+    a footprint over the generic budget, each with its result."""
+    found = []
+    for _ in range(200):
+        locs, vals = random_pattern(code, code.t_generic + 2, rng, affine_only=False)
+        recv = code.inject_errors(code.zero_word(), locs, vals)
+        res = decoder.decode(code, recv, mode)
+        if res.detail.startswith("footprint"):
+            found.append((recv, res))
+            if len(found) == count:
+                return found
+    raise AssertionError(f"fewer than {count} over-budget words in 200 draws")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_over_budget_footprint_skips_extraction(monkeypatch, elliptic, klein, hermitian, mode):
+    # the footprint is read off the final s1 of BMS, so a footprint over
+    # the budget is reported before any locator is extracted
+    rng = random.Random(f"over budget/{mode}")
+    codes = (elliptic, klein, hermitian)
+    words = [over_budget_words(code, mode, rng) for code in codes]
+
+    def no_extraction(*args):
+        raise AssertionError("locators extracted past the footprint verdict")
+
+    monkeypatch.setattr(bms, "extract_locators", no_extraction)
+    for code, found in zip(codes, words):
+        for recv, res in found:
+            assert res.status == decoder.NOT_GENERIC
+            assert decoder.decode(code, recv, mode) == res
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_located_pole_skips_closed_form(monkeypatch, klein, mode):
+    # the closed form raises at Klein's P_(1:0:0) on every word, so a
+    # generic word located through it goes straight to the interpolation
+    # solve and decodes as before
+    special = klein.n - 1
+    assert klein.points[special].special == "(1:0:0)"
+    rng = random.Random(f"pole/{mode}")
+    words = []
+    while len(words) < 6:
+        locs = [special, *rng.sample(range(special), klein.t_generic - 1)]
+        if oracle.is_generic(klein, locs).is_generic:
+            vals = [rng.randrange(klein.fld.q - 1) for _ in locs]
+            recv = klein.inject_errors(klein.zero_word(), locs, vals)
+            words.append((recv, decoder.decode(klein, recv, mode)))
+
+    def no_closed_form(*args):
+        raise AssertionError("closed form ran on a located pole")
+
+    monkeypatch.setattr(decoder, "error_values", no_closed_form)
+    for recv, res in words:
+        assert res.status == decoder.SUCCESS and special in res.error_locs
+        assert res.corrected.symbols == klein.zero_word().symbols
+        assert decoder.decode(klein, recv, mode) == res
+
+
 def test_decode_weight2_corrects_even_non_generic(elliptic):
     # for t = 2 the sufficient loop bound 2t+4g-2+a = 8 = m already holds,
     # so every 2-error pattern on C(8) is corrected, generic or not
