@@ -296,7 +296,10 @@ class CodeSpec:
         return reduce(xor, map(getitem, self.syndrome_rows, word.symbols))
 
     def syndrome_dict(self, packed: int) -> dict[Mono, int]:
-        """A packed syndrome vector as {l: u_l} over ``syndrome_domain``."""
+        """A packed syndrome vector as {l: u_l} over ``syndrome_domain``.
+        ``decoder.decode`` seeds BMS from the packed word's lanes and builds
+        this dict only for the interpolation solve; ``syndromes``, and
+        through it the dumps, ``bench/`` and the simulators, read it too."""
         vecs = self.fld.unpack(packed, len(self.syndrome_domain))
         return dict(zip(self.syndrome_domain, map(self.fld.log.__getitem__, vecs)))
 

@@ -157,6 +157,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import islice, pairwise
+from operator import mul
 
 from . import bms
 from .agcode import CodeSpec
@@ -351,13 +352,16 @@ class _Controller:
 
     def initial_registers(self) -> tuple[list[int], list[int]]:
         """The v/f and w/g words of every column before loop 0: column i
-        holds the syndromes at the v lanes of its seed (the ``bms`` gate
-        table's ``seed``, a gap lane reading 0), then f = 1 at lane m+1;
-        w = 1."""
-        vecs = dict(zip(self.synd, map(self.code.fld.vec.__getitem__, self.synd.values())))
-        vecs[None] = 0  # the gap lanes'
-        pack, f_one = self.code.fld.pack, self.gates.f_one
-        vf = [pack(seed(vecs)) | f_one for seed in self.gates.seed]
+        holds the syndromes at the v lanes of its seed, then f = 1 at lane
+        m+1; w = 1.  The seed is the ``bms`` gate table's ``seed``: one
+        gather by monomial from the syndrome table, and each bit-vector
+        times the lane-ones mask of its monomial, which places it on every
+        lane it seeds, in every column at once; the sum is split by shifts
+        and the gap lanes, which no monomial seeds, read 0."""
+        get, ones = self.gates.seed
+        (shifts, full), f_one = self.gates.split, self.gates.f_one
+        seed = sum(map(mul, map(self.code.fld.vec.__getitem__, get(self.synd)), ones))
+        vf = [seed >> s & full | f_one for s in shifts]
         return vf, [1] * len(vf)
 
     def run(self, lanes: Sequence[Sequence[tuple[int, int, int]]], fold: Callable) -> ArchTrace:

@@ -11,9 +11,14 @@ records at its yields, the simulators' reference advances it one loop per
 boundary, and a run resumes from a state at any N.  A loop is one pass over
 the lanes: each lane -- column i paired with ibar(i, N) -- reads its own
 Step-1 values, the discrepancy off the v head of column i (gated by
-s1^(i) <= l^(i), one comparison) and e off the w head of column
-ibar(i, N), and updates its columns in place (``loops`` says why that is
-exact).
+s1^(i) <= l^(i), one comparison, and read only where the gate holds and
+the head is nonzero) and e off the w head of column ibar(i, N), and
+updates its columns in place (``loops`` says why that is exact).  Step 0
+has one loader, ``load``, which reads the syndromes as bit-vectors in
+``syndrome_domain`` order: ``decoder.decode`` hands it the lanes of its
+packed syndrome word, and ``init_state`` -- which ``run``, and through it
+the dumps, ``bench/`` and the simulators' reference, call with a
+{l: u_l} dict -- maps the dict into that order first.
 
 Inverse-free mode scales instead of dividing (f <- e*f - d*g) and performs
 no field inversions at all; division mode is the classical parallel form
@@ -50,11 +55,12 @@ lane's two words, ``discrepancies`` and ``state_record`` unpack for the
 dumps, mapping lanes back to exponents, and ``extract_locators`` reads
 only the lead and head lanes, handing f and g on to the decoder as packed
 words.  The gates of a code -- l^(i) and ibar per loop, the seeds, per
-loop one tuple of the lane triples and the mask, and per final s1 the
-footprint -- are built once per code and kept on the code (``_Gates``,
-read through ``CodeSpec.table``, as is ``_support``, the lanes of the
-monomials up to a pole order), so no curve lookup happens per decoded word
-and a run binds its per-loop constants once per loop.  ``M`` holds, per
+loop one tuple of the lane triples and the mask, per final s1 the
+footprint and per degree its pole order and support mask -- are built
+once per code and kept on the code (``_Gates``, read through
+``CodeSpec.table``, as is ``_support``, the lanes of the monomials up to a
+pole order), so no curve lookup happens per decoded word and a run binds
+its per-loop constants once per loop.  ``M`` holds, per
 column, the loop of g's last replacement (-1 before any), from which
 ``extract_locators`` derives G's degree label.
 """
@@ -75,34 +81,45 @@ DIVISION = "division"
 
 class _Gates:
     """Per-code tables: per loop N the first component of l^(i) (N up to
-    m+1, which the final record reads) and ibar(i, N); the seed of every
-    column, the syndrome monomial of each v lane 0..m in lane order (None
-    at a gap), read by two loaders: ``seed``, one ``itemgetter`` of those
-    monomials, which the simulators apply to their syndrome vectors keyed
-    by monomial, and ``gather``, one of their indices in
-    ``syndrome_domain`` with a gap at the trailing zero (``init_state``);
-    ``loop``, one tuple per loop N of the constants ``loops`` binds: N,
-    the (i, ibar(i, N), l1) triple of every lane, and ``keep``, the AND
-    mask of the w/g word for frame N+1, which clears lane m-N (w's m+1 and
-    g's 0 there) on every loop but the last; and ``delta``, per final s1
-    (a tuple) what ``_delta`` gives.  A gap is stored as -1: s1^(i) is never
-    negative, so ``s1 <= l1`` is the whole discrepancy gate, false at a
-    gap."""
+    m+1, which the final record reads) and ibar(i, N); the seed lanes of
+    every column, the syndrome monomial of each v lane 0..m (none at a
+    gap), column after column, read by two independent loaders: ``gather``,
+    one ``itemgetter`` of their indices in ``syndrome_domain``, a gap
+    reading the 0 past it, which ``load`` applies to the syndrome
+    bit-vectors before one ``GF.pack``; and ``seed``, one ``itemgetter``
+    of the domain's monomials with, per monomial, the mask of bit 0 of
+    every lane it seeds, which the simulators' ``initial_registers``
+    applies to a syndrome table keyed by monomial; both cut the columns
+    from the one word at the shifts and mask of ``split``.  ``loop``, one
+    tuple per loop N of the constants ``loops`` binds: N, the (i, ibar(i,
+    N), l1) triple of every lane, and ``keep``, the AND mask of the w/g
+    word for frame N+1, which clears lane m-N (w's m+1 and g's 0 there) on
+    every loop but the last; ``delta``, per final s1 (a tuple) what
+    ``_delta`` gives; and ``support``, per degree the pole order and
+    support mask ``extract_poly`` checks.  A gap is stored as -1: s1^(i) is
+    never negative, so ``s1 <= l1`` is the whole discrepancy gate, false
+    at a gap."""
 
     def __init__(self, code: CodeSpec):
         cv, fld, m = code.curve, code.fld, code.m
         a, lb = cv.a, fld.lane_bits
         self.l1 = [[-1 if (l := cv.l_of(i, N)) is None else l[0] for i in range(a)] for N in range(m + 2)]
         self.ibar = [[cv.ibar(i, N) for i in range(a)] for N in range(m + 1)]
-        index = {l: k for k, l in enumerate(code.syndrome_domain)}
-        self.seed, self.gather = [], []
+        seeds: list[Mono | None] = [None] * (a * (m + 1))  # column i's v lanes from i * (m+1)
         for i in range(a):  # v lane N reads u at column i's monomial of pole order N, else 0
-            lanes = [None] * (m + 1)
             for l in cv.phi(i, a, m):
-                lanes[cv.pole_order(l)] = l
-            self.seed.append(itemgetter(*lanes))
-            self.gather.append(itemgetter(*(len(index) if l is None else index[l] for l in lanes)))
+                seeds[i * (m + 1) + cv.pole_order(l)] = l
+        index = {l: k for k, l in enumerate(code.syndrome_domain)}
+        self.gather = itemgetter(*(len(index) if l is None else index[l] for l in seeds))
+        width = (m + 1) * lb
+        self.split = range(0, a * width, width), (1 << width) - 1  # column i from bit i * width
+        ones = dict.fromkeys(code.syndrome_domain, 0)  # per monomial, bit 0 of every lane it seeds
+        for k, l in enumerate(seeds):
+            if l is not None:
+                ones[l] |= 1 << k * lb
+        self.seed = itemgetter(*ones), list(ones.values())
         self.s1 = [cv.basis_start(i)[0] for i in range(a)]
+        self.c1 = [s - 1 for s in self.s1]
         self.f_one = 1 << (m + 1) * lb  # f = 1
         lane, full = (1 << lb) - 1, (1 << (m + 2) * lb) - 1
         self.loop = []
@@ -110,6 +127,7 @@ class _Gates:
             lanes = list(zip(range(a), self.ibar[N], self.l1[N]))
             self.loop.append((N, lanes, full ^ (lane << (m - N) * lb if N != m else 0)))
         self.delta = Memo(code, _delta)  # tuple(s1) -> (Delta, Chien bound)
+        self.support = Memo(code, _degree_support)  # degree -> (pole order, support mask)
 
 
 def gate_table(code: CodeSpec) -> _Gates:
@@ -127,6 +145,13 @@ def _support(code: CodeSpec, order: int) -> tuple[list[tuple[Mono, int]], int]:
     for _, h in monos:
         mask |= (1 << lb) - 1 << h * lb
     return monos, mask
+
+
+def _degree_support(code: CodeSpec, deg: Mono) -> tuple[int, int]:
+    """The pole order of a degree and the mask of ``_support`` at it; read
+    as ``gate_table(code).support[deg]``."""
+    order = code.curve.pole_order(deg)
+    return order, code.table(_support, order)[1]
 
 
 @dataclass
@@ -160,8 +185,24 @@ class LocatorOutput:
 
 
 def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
+    """Step 0 from a syndrome table {l: u_l}: its logs mapped once to
+    bit-vectors in ``syndrome_domain`` order, then ``load``.  Raises
+    ValueError naming the first syndrome the table lacks."""
+    try:
+        vecs = [*map(code.fld.vec.__getitem__, map(synd.__getitem__, code.syndrome_domain)), 0]
+    except KeyError as exc:
+        raise ValueError(f"syndrome table missing u_{exc.args[0]}") from None
+    return load(code, vecs, mode)
+
+
+def load(code: CodeSpec, vecs: list[int], mode: str) -> BmsState:
     """Step 0: v holds the syndromes up to m in lanes 0..m, f = 1 at lane
-    m+1 and w = 1 at lane 0.
+    m+1 and w = 1 at lane 0.  ``vecs`` holds the syndromes as bit-vectors
+    in ``syndrome_domain`` order and then a 0, which the gap lanes read:
+    ``decode`` hands it the lanes of its packed syndrome word, unpacked
+    once to one lane more than the domain has.  One gather over the seed
+    lanes of every column (``_Gates.gather``), one ``GF.pack`` and a split
+    by shifts fill every v/f word.
 
     Column i is seeded with the window-i syndrome rows: the coefficient at
     Z^N is u at the unique monomial of pole order N with i <= n2 < i+a.
@@ -173,22 +214,10 @@ def init_state(code: CodeSpec, synd: dict[Mono, int], mode: str) -> BmsState:
     if mode not in (INVERSE_FREE, DIVISION):
         raise ValueError(f"unknown mode {mode!r}")
     gates = gate_table(code)
-    try:
-        vecs = [*map(code.fld.vec.__getitem__, map(synd.__getitem__, code.syndrome_domain)), 0]
-    except KeyError as exc:
-        raise ValueError(f"syndrome table missing u_{exc.args[0]}") from None
-    pack, f_one = code.fld.pack, gates.f_one
-    vf = [f_one | pack(get(vecs)) for get in gates.gather]
-    a = len(vf)
-    return BmsState(
-        mode=mode,
-        N=0,
-        s1=gates.s1[:],
-        c1=[x - 1 for x in gates.s1],
-        vf=vf,
-        wg=[1] * a,  # w = 1, g = 0
-        M=[-1] * a,
-    )
+    seed, (shifts, full), f_one = code.fld.pack(gates.gather(vecs)), gates.split, gates.f_one
+    a = len(shifts)
+    # N = 0, the start degrees and spans, v/f with f = 1, w/g with w = 1 and g = 0, and M
+    return BmsState(mode, 0, gates.s1[:], gates.c1[:], [seed >> s & full | f_one for s in shifts], [1] * a, [-1] * a)
 
 
 def discrepancies(state: BmsState, code: CodeSpec) -> tuple[list[int], list[int]]:
@@ -211,6 +240,8 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
     and e^(ib) off the w head of column ib, both lane 0) and runs Step 2.
     The v/f word moves to frame N+1 by one shift, which retires the head;
     the w/g word stays where it is, which is the Z-shift, under ``keep``.
+    A lane tests the gate and the v head's bits before it reads d's log,
+    and stores its w/g word once: the v/f word on an update, else the old.
 
     Lane i pairs column i with ib = ibar(i, N), as one multiplier pair of
     the parallel architecture does: it reads and writes vf and s1 of
@@ -235,40 +266,38 @@ def loops(state: BmsState, code: CodeSpec, ctr: OpCounter | None = None) -> Iter
     log, lane, lb = fld.log, fld.q - 1, fld.lane_bits
     scale, merge, weight, inv_chain, counted = fld.scale, fld.merge, fld.weight, fld.inv_chain, ctr is not None
     inverse_free = state.mode == INVERSE_FREE
+    scaled = counted and inverse_free  # every lane scales its v/f word by e
     for N, lanes, keep in gate_table(code).loop[state.N :]:
         yield
         muls = adds = 0
         for i, ib, l in lanes:
-            x, y = vf[i], wg[ib]
-            di = log[x & lane] if s1[i] <= l else ZERO
+            x, y, s = vf[i], wg[ib], s1[i]
             e = log[y & lane] if inverse_free else 0  # division leaves f unscaled
-            if di == ZERO:
-                new = scale(x, e) if e else x
-            elif e:
-                new = merge(x, e, y, di)
-            else:
-                new = x ^ scale(y, di)
-            if counted:
-                if inverse_free:
-                    muls += weight(x)  # e is never zero
-                if di != ZERO:
+            if scaled:
+                muls += weight(x)  # e is never zero
+            if s <= l and x & lane:  # d is nonzero: the gate holds and the v head is set
+                di = log[x & lane]
+                # mod Z^N: the head retires
+                vf[i] = (merge(x, e, y, di) if e else x ^ scale(y, di)) >> lb
+                if counted:
                     k = weight(y)
                     muls += k
                     adds += k
-            vf[i] = new >> lb  # mod Z^N: the head retires
-            if di != ZERO and s1[i] < l - c1[ib]:
-                if not inverse_free:
-                    x = scale(x, inv_chain(di, ctr))
-                    state.invs += 1
-                    if counted:
-                        muls += weight(x)
-                # the scale charges every lane; ``keep`` then clears v's m
-                # lane, which is w's m+1 in frame N+1
-                wg[ib] = x & keep
-                M[ib] = N
-                s1[i], c1[ib] = l - c1[ib], l - s1[i]
+                if s < l - c1[ib]:
+                    if not inverse_free:
+                        x = scale(x, inv_chain(di, ctr))
+                        state.invs += 1
+                        if counted:
+                            muls += weight(x)
+                    # the scale charges every lane; ``keep`` then clears v's m
+                    # lane, which is w's m+1 in frame N+1
+                    wg[ib] = x & keep
+                    M[ib] = N
+                    s1[i], c1[ib] = l - c1[ib], l - s
+                    continue
             else:
-                wg[ib] = y & keep
+                vf[i] = (scale(x, e) if e else x) >> lb
+            wg[ib] = y & keep
         if counted:
             ctr.muls += muls
             ctr.adds += adds
@@ -329,12 +358,12 @@ def extract_poly(code: CodeSpec, zp: int, deg: Mono, offset: int = 0) -> tuple[i
     corresponds to no basis monomial would mean the update arithmetic
     leaked outside the function ring, so that raises AssertionError.
     """
-    fld = code.fld
-    lb, order = fld.lane_bits, code.curve.pole_order(deg)
-    stray = zp & ~(code.table(_support, order)[1] << offset * lb)
+    order, support = gate_table(code).support[deg]
+    shift = offset * code.fld.lane_bits
+    stray = zp & ~(support << shift)
     if stray:
-        raise AssertionError(f"coefficients outside the monomial support: {dict(fld.terms(stray))}")
-    return zp >> offset * lb, order
+        raise AssertionError(f"coefficients outside the monomial support: {dict(code.fld.terms(stray))}")
+    return zp >> shift, order
 
 
 def extract_locators(state: BmsState, code: CodeSpec) -> LocatorOutput:

@@ -5,8 +5,9 @@ verdict makes useless:
 
 1. syndromes; a word whose syndromes are all zero is a codeword, returned
    as Success without running BMS;
-2. BMS, then the footprint read off its final s1: over the generic budget
-   is NotGenericDetected, before any locator is extracted;
+2. BMS, seeded straight from the packed syndrome word, then the
+   footprint read off its final s1: over the generic budget is
+   NotGenericDetected, before any locator is extracted;
 3. locator extraction and Chien search, whose zero count must match the
    footprint;
 4. error values, from the closed form, or straight from the interpolation
@@ -191,16 +192,22 @@ def decode(
     point x monomial evaluation table.  A word with zero syndromes is a
     codeword (every syndrome monomial lies in L(m P_inf)): it is returned
     as Success before BMS runs, and ``ctr`` is charged nothing.  Otherwise
-    the footprint Delta read off the final s1 of BMS must stay within the
-    generic budget, which is checked before the locators are extracted;
-    then the Chien zero set must match |Delta| and the corrected word must
-    have zero syndromes.  When Delta is the generic footprint (the first
-    |Delta| monomials of the basis) Chien search reads only the columns
-    F^(i) with o(F^(i)) + max o(Delta) <= m: the syndromes up to m check no
-    other, so one of them could wipe out the zeros.  Syndromes are linear,
-    so the last check is made on the error alone: the packed syndrome word
-    of its t (location, value) pairs, t syndrome-row reads, must equal the
-    received word's, computed once.
+    BMS is seeded straight from the packed word's lanes (``bms.load``, one
+    ``GF.unpack``), and the {l: u_l} dict (``CodeSpec.syndrome_dict``) is
+    built only if the interpolation solve runs.  The footprint Delta read
+    off the final s1 of BMS must stay within the generic budget, which is
+    checked before the locators are extracted; then the Chien zero set must
+    match |Delta| and the corrected word must have zero syndromes.  Delta
+    is never empty here: the window syndromes lie in L(m P_inf), so a
+    nonzero syndrome word has a nonzero syndrome at some basis monomial,
+    F^(0) = 1 fails that discrepancy and (0, 0) enters Delta; a word whose
+    Chien search finds no zero is answered by the count check.  When Delta
+    is the generic footprint (the first |Delta| monomials of the basis)
+    Chien search reads only the columns F^(i) with o(F^(i)) + max o(Delta)
+    <= m: the syndromes up to m check no other, so one of them could wipe
+    out the zeros.  Syndromes are linear, so the last check is made on the
+    error alone: the packed syndrome word of its t (location, value) pairs,
+    t syndrome-row reads, must equal the received word's, computed once.
     Anything structurally off is reported as NotGenericDetected, arithmetic
     dead ends (a located point with no slope, a vanishing value sum) as
     Failure.  When the closed-form values raise or fail the re-check the
@@ -214,8 +221,9 @@ def decode(
     packed = code.syndrome_word(received)
     if not packed:
         return DecodeResult(SUCCESS, [], [], Word(received.symbols, "codeword"))
-    synd = code.syndrome_dict(packed)
-    state, _ = bms.run(code, synd, mode, ctr=ctr)
+    state = bms.load(code, code.fld.unpack(packed, len(code.syndrome_domain) + 1), mode)
+    for _ in bms.loops(state, code, ctr):
+        pass
     if mode == bms.INVERSE_FREE and state.invs:
         raise AssertionError("inverse-free BMS performed a field inversion")
 
@@ -229,8 +237,6 @@ def decode(
         return DecodeResult(
             NOT_GENERIC, detail=f"chien zeros {len(locs)} != footprint {len(delta)}"
         )
-    if not locs:
-        return DecodeResult(NOT_GENERIC, detail="empty locator set with nonzero syndromes")
 
     rows = code.syndrome_rows
 
@@ -257,7 +263,7 @@ def decode(
         except (ZeroDivisionError, ValueError) as exc:
             closed_form_error = str(exc)
 
-    fallback = error_values_interpolation(locs, code, synd)
+    fallback = error_values_interpolation(locs, code, code.syndrome_dict(packed))
     if fallback is not None:
         corrected = apply(fallback)
         if corrected is not None:

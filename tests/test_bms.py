@@ -108,6 +108,44 @@ def test_init_state_gathers_every_window(elliptic, klein, hermitian, elliptic_gf
                 bms.init_state(code, {k: v for k, v in synd.items() if k != l}, bms.DIVISION)
 
 
+@pytest.mark.parametrize("mode", [bms.INVERSE_FREE, bms.DIVISION])
+def test_decode_seeds_as_init_state(monkeypatch, elliptic, klein, hermitian, elliptic_gf512, mode):
+    # decode seeds BMS from its packed syndrome word's lanes (bms.load);
+    # init_state maps a syndrome dict to the same lanes: the two states are
+    # equal in vf, wg, s1, c1 and M, on one- and two-byte lanes and at
+    # Hermitian m = 18, for error words and for syndrome words with zero
+    # lanes, down to one nonzero lane
+    from agbms import decoder
+
+    loaded, load = [], bms.load
+
+    def recording(*args):
+        st = load(*args)
+        loaded.append(copy.deepcopy(st))  # the seed, before bms.loops runs on it
+        return st
+
+    monkeypatch.setattr(bms, "load", recording)
+    rng = random.Random(f"seed/{mode}")
+    for code in (elliptic, klein, hermitian, elliptic_gf512, CodeSpec(hermitian.curve, hermitian.fld, m=18)):
+        fld, width = code.fld, len(code.syndrome_domain)
+        zeros = [fld.pack([rng.choice([0, rng.randrange(1, fld.q)]) for _ in range(width)]) for _ in range(6)]
+        lone = [fld.pack([0] * k + [rng.randrange(1, fld.q)] + [0] * (width - k - 1)) for k in range(width)]
+        for k in range(2 * code.t_generic + 4):
+            weight = 1 + k % (code.t_generic + 2)
+            recv = code.inject_errors(code.zero_word(), *random_pattern(code, weight, rng, False))
+            decoder.decode(code, recv, mode)
+            assert loaded.pop() == bms.init_state(code, code.syndromes(recv), mode), (code.curve, k)
+        for packed in zeros + lone:
+            assert 0 in fld.unpack(packed, width)
+            st = bms.load(code, fld.unpack(packed, width + 1), mode)
+            want = bms.init_state(code, code.syndrome_dict(packed), mode)
+            assert (st.vf, st.wg, st.s1, st.c1, st.M) == (want.vf, want.wg, want.s1, want.c1, want.M)
+        short = code.syndrome_dict(zeros[0])
+        del short[code.syndrome_domain[-1]]
+        with pytest.raises(ValueError, match=r"^syndrome table missing u_"):
+            bms.init_state(code, short, mode)
+
+
 def test_zero_syndromes_fixed_point(elliptic):
     synd = elliptic.syndromes(elliptic.zero_word())
     st, recs = bms.run(elliptic, synd, bms.INVERSE_FREE, record=True)
@@ -461,12 +499,12 @@ def test_extract_poly_raises_under_optimize():
             print("sim:", exc)
         bms.init_state = init_state
         from agbms import decoder
-        run = bms.run
-        def inverting(*args, **kwargs):
-            st, records = run(*args, **kwargs)
+        load = bms.load  # decode seeds its BMS state here, then runs bms.loops
+        def inverting(*args):
+            st = load(*args)
             st.invs += 1
-            return st, records
-        bms.run = inverting
+            return st
+        bms.load = inverting
         try:  # a codeword never reaches BMS, so decode the errored word
             decoder.decode(code, code.inject_errors(code.zero_word(), locs, [6, 8, 11]))
         except AssertionError as exc:

@@ -98,11 +98,12 @@ MODES = (bms.INVERSE_FREE, bms.DIVISION)
 @pytest.mark.parametrize("mode", MODES)
 def test_codeword_skips_bms(monkeypatch, elliptic, klein, hermitian, mode):
     # zero syndromes make a word a codeword: decode returns it as Success
-    # before BMS runs, so a counter is charged nothing
+    # before BMS is seeded (bms.load) or run, so a counter is charged nothing
     def no_bms(*args, **kwargs):
         raise AssertionError("BMS ran on a codeword")
 
-    monkeypatch.setattr(bms, "run", no_bms)
+    for name in ("load", "loops", "run"):
+        monkeypatch.setattr(bms, name, no_bms)
     rng = random.Random(f"codeword/{mode}")
     for code in (elliptic, klein, hermitian):
         msg = [rng.randrange(-1, code.fld.q - 1) for _ in range(code.dim)]
@@ -170,6 +171,49 @@ def test_located_pole_skips_closed_form(monkeypatch, klein, mode):
         assert res.status == decoder.SUCCESS and special in res.error_locs
         assert res.corrected.symbols == klein.zero_word().symbols
         assert decoder.decode(klein, recv, mode) == res
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_syndrome_dict_only_for_the_solve(monkeypatch, elliptic, klein, hermitian, mode):
+    # decode seeds BMS from its packed syndrome word, so the {l: u_l} dict is
+    # built once, for the interpolation solve, and never on a closed-form
+    # Success; a Klein word located at P_(1:0:0) goes to the solve and
+    # builds it exactly once
+    dicts, solves = [], []
+    build, solve = CodeSpec.syndrome_dict, decoder.error_values_interpolation
+    monkeypatch.setattr(CodeSpec, "syndrome_dict", lambda self, packed: dicts.append(packed) or build(self, packed))
+    monkeypatch.setattr(decoder, "error_values_interpolation", lambda *args: solves.append(args) or solve(*args))
+    rng, closed = random.Random(f"dict/{mode}"), 0
+    for code in (elliptic, klein, hermitian):
+        for _ in range(15):
+            dicts.clear(), solves.clear()
+            recv = code.inject_errors(code.zero_word(), *random_generic_pattern(code, code.t_generic, rng))
+            assert decoder.decode(code, recv, mode).status == decoder.SUCCESS
+            assert len(dicts) == len(solves) <= 1
+            closed += not solves
+    assert closed >= 30
+    special = klein.n - 1
+    dicts.clear(), solves.clear()
+    res = decoder.decode(klein, klein.inject_errors(klein.zero_word(), [special, 3, 8], [2, 5, 1]), mode)
+    assert res.status == decoder.SUCCESS and special in res.error_locs
+    assert len(dicts) == len(solves) == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_nonzero_syndromes_put_origin_in_footprint(elliptic, klein, hermitian, elliptic_gf512, mode):
+    # why decode needs no rung for an empty located set: the syndromes lie
+    # in L(m P_inf), so a nonzero syndrome word has a nonzero basis syndrome,
+    # F^(0) = 1 fails that discrepancy and (0, 0) is in Delta; a word whose
+    # Chien search finds no zero then fails the count check.  Seeded words
+    # of every weight 1..n
+    rng = random.Random(f"origin/{mode}")
+    for code in (elliptic, klein, hermitian, elliptic_gf512):
+        for _ in range(150):
+            recv = code.inject_errors(code.zero_word(), *random_pattern(code, rng.randint(1, code.n), rng, False))
+            if not code.syndrome_word(recv):
+                continue
+            st, _ = bms.run(code, code.syndromes(recv), mode)
+            assert (0, 0) in bms.delta_set(code, st.s1), (code.curve, mode)
 
 
 def test_decode_weight2_corrects_even_non_generic(elliptic):
@@ -447,15 +491,16 @@ def test_decode_inversion_accounting(elliptic, elliptic_golden):
 def test_inverse_free_inversion_guard(elliptic, elliptic_golden, monkeypatch):
     # the guard reads the BMS state's own inversion tally, so an inverse-free
     # run that reports an inversion raises with or without a counter
+    # (decode seeds the state with bms.load and runs bms.loops on it)
     _, _, recv = elliptic_golden
-    run = bms.run
+    load = bms.load
 
-    def inverting(*args, **kwargs):
-        state, records = run(*args, **kwargs)
+    def inverting(*args):
+        state = load(*args)
         state.invs += 1
-        return state, records
+        return state
 
-    monkeypatch.setattr(bms, "run", inverting)
+    monkeypatch.setattr(bms, "load", inverting)
     for ctr in (None, OpCounter()):
         with pytest.raises(AssertionError, match="inverse-free BMS performed a field inversion"):
             decoder.decode(elliptic, recv, ctr=ctr)
